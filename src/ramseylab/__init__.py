@@ -43,12 +43,10 @@ from .counting import (
 )
 from .density import PatternProfile, booster_admissible, classify, d2, edge_density, m2, mad, rooted_density
 from .experiments import (
-    TrialRecord,
     bisect_threshold_constant,
     derive_proof_constants,
     estimate_arrow_probability,
     janson_bound,
-    run_trials,
     sharpness_window,
     window_trend,
     threshold_curve,

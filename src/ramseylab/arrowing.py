@@ -1,9 +1,12 @@
-"""Exact decision of the two-colour arrowing property G -> (F).
+"""Exact decision of the arrowing property G -> (F).
 
-The solver treats each copy of F as a not-all-equal constraint over its
-edge ids ("some edge red AND some edge blue") and runs complete
-backtracking with unit-style propagation.  An independent brute-force
-oracle enumerates all colourings of the constrained edges.
+Each copy of F is a not-all-equal constraint over its edge ids: the
+copy must not be single-coloured.  One iterative search core
+(`_NaeSolver`: explicit stack, counter-based propagation, no recursion)
+answers every colouring question: the two-colour and r-colour arrowing
+decisions, the enumeration of F-free colourings and the lexicographically
+first F-free colouring.  An independent brute-force oracle enumerates all
+two-colourings of the constrained edges.
 """
 
 from __future__ import annotations
@@ -29,12 +32,15 @@ class ArrowResult:
         return self.verdict == "arrows"
 
 
+def _edge_id_sets(G, copies):
+    return [tuple(sorted(G.edge_id(u, v) for u, v in c.edges)) for c in copies]
+
+
 def copy_constraints(G, F):
     """Edge-id sets of the F-copies in G (the NAE constraint system)."""
-    fam = enumerate_copies(F, G) if F.n <= G.n else None
-    if fam is None:
+    if F.n > G.n:
         return []
-    return [tuple(sorted(G.edge_id(u, v) for u, v in c.edges)) for c in fam.copies]
+    return _edge_id_sets(G, enumerate_copies(F, G).copies)
 
 
 def is_f_free(coloring, G, F):
@@ -51,11 +57,19 @@ def is_f_free(coloring, G, F):
 
 
 class _NaeSolver:
-    """Complete search over {red, blue} edge colourings avoiding
-    monochromatic constraints, with counter-based propagation."""
+    """The one search core: complete iterative depth-first search over
+    r-colourings of the constrained edges in which no constraint is
+    single-coloured, with counter-based propagation.
 
-    def __init__(self, m, constraints, budget=None):
-        self.m = m
+    Each constraint keeps a count per colour and the number of distinct
+    colours it has seen.  A constraint whose edges all share one colour is
+    a conflict.  With two colours, a constraint with one edge left and all
+    others of one colour forces that edge to the other colour; with more
+    colours the search only detects conflicts.
+    """
+
+    def __init__(self, m, constraints, colours=2, budget=None):
+        self.r = colours
         self.cons = [list(c) for c in constraints]
         self.sizes = [len(c) for c in self.cons]
         self.in_cons = [[] for _ in range(m)]
@@ -63,7 +77,8 @@ class _NaeSolver:
             for e in c:
                 self.in_cons[e].append(ci)
         self.colour = [-1] * m
-        self.counts = [[0, 0] for _ in self.cons]
+        self.counts = [[0] * colours for _ in self.cons]
+        self.distinct = [0] * len(self.cons)
         self.budget = budget
         self.nodes = 0
         self.propagations = 0
@@ -78,13 +93,16 @@ class _NaeSolver:
         trail.append(e)
         forced = []
         conflict = False
+        binary = self.r == 2
         for ci in self.in_cons[e]:
             cnt = self.counts[ci]
             cnt[c] += 1
+            if cnt[c] == 1:
+                self.distinct[ci] += 1
             size = self.sizes[ci]
             if cnt[c] == size:
                 conflict = True  # monochromatic copy
-            elif cnt[c] == size - 1 and cnt[1 - c] == 0:
+            elif binary and cnt[c] == size - 1 and self.distinct[ci] == 1:
                 # one edge left uncoloured, all others share colour c
                 last = next(x for x in self.cons[ci] if self.colour[x] == -1)
                 forced.append((last, 1 - c))
@@ -96,15 +114,18 @@ class _NaeSolver:
             c = self.colour[e]
             self.colour[e] = -1
             for ci in self.in_cons[e]:
-                self.counts[ci][c] -= 1
+                cnt = self.counts[ci]
+                cnt[c] -= 1
+                if cnt[c] == 0:
+                    self.distinct[ci] -= 1
 
-    def _propagate(self, seed_assignments, trail):
-        queue = list(seed_assignments)
+    def _propagate(self, e, c, trail):
+        queue = [(e, c)]
         while queue:
             e, c = queue.pop()
             if self.colour[e] == c:
                 continue
-            if self.colour[e] == 1 - c:
+            if self.colour[e] != -1:
                 return False
             self.propagations += 1
             forced = self._assign(e, c, trail)
@@ -114,127 +135,90 @@ class _NaeSolver:
         return True
 
     def _pick(self):
+        """Free edge in the most constraints that have fewer than two
+        colours; ties go to the lowest EdgeId."""
+        colour, distinct, in_cons = self.colour, self.distinct, self.in_cons
         best, best_score = None, -1
         for e in self.vars:
-            if self.colour[e] != -1:
+            if colour[e] != -1:
                 continue
             score = 0
-            for ci in self.in_cons[e]:
-                cnt = self.counts[ci]
-                if not (cnt[RED] and cnt[BLUE]):  # constraint not yet satisfied
+            for ci in in_cons[e]:
+                if distinct[ci] < 2:
                     score += 1
             if score > best_score:
                 best, best_score = e, score
         return best
 
-    def solve(self, symmetry_break=True, limit=1, collect=None):
-        """Search for NAE-satisfying colourings.
+    def _first_free(self):
+        return next((e for e in self.vars if self.colour[e] == -1), None)
 
-        Returns "sat", "unsat" or "budget".  Solutions (as colour lists
-        over all m edges, unconstrained edges red) go into `collect`.
+    def solve(self, limit=1, symmetry_break=True, static=False):
+        """Search for colourings leaving no constraint single-coloured.
+
+        Returns (status, solutions).  Status is "sat" when `limit`
+        solutions were found or the space was exhausted after finding
+        some, "unsat" when there are none, "budget" when the node budget
+        ran out first.  Solutions are colour lists over all m edges with
+        unconstrained edges red.  `symmetry_break` colours the first
+        decision red only; `static` decides edges in EdgeId order instead
+        of by `_pick`, so colours are tried in lexicographic order.
+
+        Each frame on the explicit stack holds a decided edge, the colours
+        still to try for it and the trail length before its first colour.
         """
         if any(s == 1 for s in self.sizes):
-            return "unsat"  # a one-edge copy can never be bichromatic
-        found = []
-        sink = collect if collect is not None else found
-        trail = []
-
-        def record():
-            sol = [RED if c == -1 else c for c in self.colour]
-            sink.append(sol)
-            return len(sink) >= limit
-
-        def search(depth):
-            # returns "sat" when limit reached, "exhausted", or "budget"
-            e = self._pick()
+            return "unsat", []  # a one-edge copy can never be bichromatic
+        pick = self._first_free if static else self._pick
+        sols, trail, stack = [], [], []
+        while True:
+            e = pick()
             if e is None:
-                return "sat" if record() else "exhausted"
-            if self.budget is not None and self.nodes >= self.budget:
-                return "budget"
-            self.nodes += 1
-            colours = (RED,) if (symmetry_break and depth == 0) else (RED, BLUE)
-            for c in colours:
-                mark = len(trail)
-                if self._propagate([(e, c)], trail):
-                    res = search(depth + 1)
-                    if res in ("sat", "budget"):
-                        return res
+                sols.append([RED if c == -1 else c for c in self.colour])
+                if len(sols) >= limit:
+                    return "sat", sols
+            elif self.budget is not None and self.nodes >= self.budget:
+                return "budget", sols
+            else:
+                self.nodes += 1
+                root_only = symmetry_break and not stack
+                stack.append((e, iter(range(1 if root_only else self.r)), len(trail)))
+            # backtrack to the deepest edge with a colour left that propagates
+            while stack:
+                e, todo, mark = stack[-1]
                 self._undo(trail, mark)
-            return "exhausted"
+                c = next(todo, None)
+                if c is None:
+                    stack.pop()
+                elif self._propagate(e, c, trail):
+                    break
+            else:
+                return ("sat" if sols else "unsat"), sols
 
-        res = search(0)
-        if res == "sat":
-            return "sat"
-        if res == "budget":
-            return "budget"
-        return "unsat" if not sink else "sat"
 
-
-def decide_arrow(G, F, colours=2, budget=None):
-    """Decide G -> (F) for two colours; certificate on the negative side.
-
-    More than two colours are accepted by the encoder (plain backtracking
-    over colour tuples) but only exercised at smoke level.
-    """
-    cons = copy_constraints(G, F)
-    stats = {"constraints": len(cons)}
-    if colours != 2:
-        return _decide_multicolour(G, F, cons, colours, budget, stats)
-    solver = _NaeSolver(G.num_edges(), cons, budget=budget)
-    sols = []
-    res = solver.solve(limit=1, collect=sols)
-    stats.update(nodes=solver.nodes, propagations=solver.propagations)
-    if res == "budget":
+def _decide(m, cons, colours, budget, **provenance):
+    if colours < 1:
+        raise ValueError("need at least one colour")
+    solver = _NaeSolver(m, cons, colours, budget)
+    status, sols = solver.solve()
+    stats = {"constraints": len(cons), "nodes": solver.nodes,
+             "propagations": solver.propagations, **provenance}
+    if status == "budget":
         return ArrowResult("undecided", None, stats)
-    if res == "sat":
+    if status == "sat":
         return ArrowResult("not_arrows", sols[0], stats)
     return ArrowResult("arrows", None, stats)
 
 
-def _decide_multicolour(G, F, cons, r, budget, stats):
-    m = G.num_edges()
-    vars_ = sorted({e for c in cons for e in c})
-    colour = [-1] * m
-    nodes = 0
+def decide_arrow(G, F, colours=2, budget=None):
+    """Decide G -> (F) in `colours` colours; certificate on the negative side.
 
-    def ok(e):
-        for cset in in_cons[e]:
-            seen = {colour[x] for x in cset}
-            if -1 not in seen and len(seen) == 1:
-                return False
-        return True
-
-    in_cons = [[] for _ in range(m)]
-    for c in cons:
-        for e in c:
-            in_cons[e].append(c)
-
-    def search(i):
-        nonlocal nodes
-        if i == len(vars_):
-            return "sat"
-        if budget is not None and nodes >= budget:
-            return "budget"
-        nodes += 1
-        e = vars_[i]
-        choices = range(1) if i == 0 else range(r)
-        for c in choices:
-            colour[e] = c
-            if ok(e):
-                res = search(i + 1)
-                if res in ("sat", "budget"):
-                    return res
-            colour[e] = -1
-        return "exhausted"
-
-    res = search(0)
-    stats.update(nodes=nodes, propagations=0)
-    if res == "budget":
-        return ArrowResult("undecided", None, stats)
-    if res == "sat":
-        cert = [0 if c == -1 else c for c in colour]
-        return ArrowResult("not_arrows", cert, stats)
-    return ArrowResult("arrows", None, stats)
+    Every colour count runs the same search core: dynamic branching, the
+    first decision fixed to colour 0 (colour-swap symmetry), one solution.
+    With `budget`, at most that many branching nodes are expanded before
+    the verdict is "undecided".
+    """
+    return _decide(G.num_edges(), copy_constraints(G, F), colours, budget)
 
 
 BRUTE_FORCE_EDGE_CAP = 24
@@ -275,23 +259,23 @@ def brute_force_arrow(G, F):
 
 
 def decide_arrow_union(Z, addition, F, budget=None):
-    """decide_arrow on Z ∪ addition, with copy provenance statistics."""
+    """decide_arrow on Z ∪ addition, with copy provenance statistics.
+
+    The union's copies are enumerated once; the constraints and the
+    counts of copies inside Z, inside the addition and mixed all come
+    from that one family.
+    """
     U = union(Z, addition)
-    res = decide_arrow(U, F, budget=budget)
-    z_edges = set(Z.edges)
-    a_edges = set(addition.edges)
-    inside_z = inside_a = mixed = 0
-    for c in enumerate_copies(F, U).copies:
-        in_z = c.edges <= z_edges
-        in_a = c.edges <= a_edges
-        if in_z:
-            inside_z += 1
-        if in_a:
-            inside_a += 1
-        if not in_z and not in_a:
-            mixed += 1
-    res.stats.update(copies_in_base=inside_z, copies_in_addition=inside_a, copies_mixed=mixed)
-    return res
+    copies = enumerate_copies(F, U).copies if F.n <= U.n else []
+    z_edges, a_edges = set(Z.edges), set(addition.edges)
+    in_z = [c.edges <= z_edges for c in copies]
+    in_a = [c.edges <= a_edges for c in copies]
+    return _decide(
+        U.num_edges(), _edge_id_sets(U, copies), 2, budget,
+        copies_in_base=sum(in_z),
+        copies_in_addition=sum(in_a),
+        copies_mixed=sum(not (z or a) for z, a in zip(in_z, in_a)),
+    )
 
 
 def enumerate_f_free_colorings(G, F, limit=16, budget=None):
@@ -300,43 +284,20 @@ def enumerate_f_free_colorings(G, F, limit=16, budget=None):
     No symmetry breaking, so colour-swapped twins both appear; edges in
     no copy of F are red in every returned colouring.
     """
-    cons = copy_constraints(G, F)
-    solver = _NaeSolver(G.num_edges(), cons, budget=budget)
-    out = []
-    solver.solve(symmetry_break=False, limit=limit, collect=out)
-    return out
+    solver = _NaeSolver(G.num_edges(), copy_constraints(G, F), budget=budget)
+    return solver.solve(limit=limit, symmetry_break=False)[1]
 
 
 def first_f_free_coloring(G, F):
-    """Lexicographically first F-free colouring in EdgeId order (red < blue)."""
-    cons = copy_constraints(G, F)
-    m = G.num_edges()
-    colour = [-1] * m
-    in_cons = [[] for _ in range(m)]
-    for c in cons:
-        for e in c:
-            in_cons[e].append(c)
+    """Lexicographically first F-free colouring in EdgeId order (red < blue).
 
-    def ok(e):
-        for cset in in_cons[e]:
-            seen = {colour[x] for x in cset}
-            if -1 not in seen and len(seen) == 1:
-                return False
-        return True
-
-    def search(e):
-        if e == m:
-            return True
-        for c in (RED, BLUE):
-            colour[e] = c
-            if ok(e) and search(e + 1):
-                return True
-        colour[e] = -1
-        return False
-
-    if not search(0):
-        return None
-    return list(colour)
+    The core decides edges in EdgeId order, red first.  Propagation only
+    fixes colours that every extension of the partial colouring must
+    take, so the first solution found is the lexicographic minimum.
+    """
+    solver = _NaeSolver(G.num_edges(), copy_constraints(G, F))
+    _, sols = solver.solve(symmetry_break=False, static=True)
+    return sols[0] if sols else None
 
 
 def cnf_export(G, F):

@@ -26,12 +26,8 @@ from .arrowing import (
     first_f_free_coloring,
     is_f_free,
 )
-from .counting import count_P, enumerate_copies
+from .counting import _norm, count_P, enumerate_copies
 from .graphs import Graph, Seed, complete_graph, union
-
-
-def _norm(u, v):
-    return (u, v) if u < v else (v, u)
 
 
 # -- booster specification ----------------------------------------------

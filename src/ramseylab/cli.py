@@ -89,7 +89,6 @@ def build_parser():
     ap.add_argument("--config", help="JSON config file; CLI flags must not conflict")
     ap.add_argument("--out", help="artifact path (default: stdout)")
     ap.add_argument("--format", choices=["json", "csv"], default=None)
-    ap.add_argument("--workers", type=int, default=None, help="worker hint (results never depend on it)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pattern", help="classify a pattern graph")

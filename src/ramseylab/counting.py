@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, ceil
 
+from .density import PATTERN_VERTEX_CAP
 from .graphs import Graph
 
 
@@ -127,14 +128,11 @@ def _collect_copies(F, G, maps):
     return sorted(seen.values(), key=Copy.key)
 
 
-PATTERN_CAP = 10  # enumeration is exponential in the pattern, not the host
-
-
 def enumerate_copies(F, G, anchor=None):
     """All unlabelled copies of F in G; with `anchor`, only copies whose
     edge set contains that host pair."""
-    if F.n > PATTERN_CAP:
-        raise ValueError(f"pattern on {F.n} vertices exceeds the cap of {PATTERN_CAP}")
+    if F.n > PATTERN_VERTEX_CAP:  # enumeration is exponential in the pattern
+        raise ValueError(f"pattern on {F.n} vertices exceeds the cap of {PATTERN_VERTEX_CAP}")
     if F.n > G.n:
         raise ValueError(f"pattern on {F.n} vertices larger than host on {G.n}")
     if anchor is None:
@@ -259,13 +257,6 @@ def enumerate_P(F, Z, e1, e2):
 
 def count_P(F, Z, e1, e2):
     return len(enumerate_P(F, Z, e1, e2))
-
-
-def count_P_by_s(F, Z, e1, e2):
-    out = {}
-    for _, _, s in enumerate_P(F, Z, e1, e2):
-        out[s] = out.get(s, 0) + 1
-    return out
 
 
 # -- rooted extensions --------------------------------------------------

@@ -20,14 +20,21 @@ from .graphs import Seed, gnp_sample
 
 
 def wilson_interval(successes, n, z=1.96):
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.
+
+    The lower end is exactly 0.0 when there are no successes and the
+    upper end exactly 1.0 when every observation succeeds, as in exact
+    arithmetic; the float formula lands a rounding step off there.
+    """
     if n == 0:
         raise ValueError("no observations")
     phat = successes / n
     denom = 1 + z * z / n
     centre = (phat + z * z / (2 * n)) / denom
     half = z * sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, centre - half), min(1.0, centre + half)
+    low = 0.0 if successes == 0 else max(0.0, centre - half)
+    high = 1.0 if successes == n else min(1.0, centre + half)
+    return low, high
 
 
 def solver_verdict(F, budget=None):
@@ -37,35 +44,6 @@ def solver_verdict(F, budget=None):
         return decide_arrow(gnp_sample(n, p, seed), F, budget=budget).verdict
 
     return fn
-
-
-@dataclass
-class TrialRecord:
-    """One Monte Carlo trial, reproducible from (config, trial index)."""
-
-    n: int
-    p: float
-    trial: int
-    seed: Seed
-    verdict: str
-    stats: dict
-    wall_time: float
-
-
-def run_trials(F, n, p, trials, seed, budget=None):
-    """Per-trial records with solver statistics and wall times."""
-    import time as _time
-
-    records = []
-    for t in range(trials):
-        sub = seed.substream(t)
-        t0 = _time.monotonic()
-        res = decide_arrow(gnp_sample(n, p, sub), F, budget=budget)
-        records.append(
-            TrialRecord(n=n, p=p, trial=t, seed=sub, verdict=res.verdict,
-                        stats=res.stats, wall_time=_time.monotonic() - t0)
-        )
-    return records
 
 
 def estimate_arrow_probability(F, n, p, trials, seed, budget=None, verdict_fn=None):

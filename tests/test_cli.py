@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ramseylab
 from ramseylab.cli import main
 
 
@@ -185,3 +190,22 @@ def test_booster_subcommand_emits_hypergraph_stats(capsys):
     st = art["result"]["hypergraph_stats"]
     assert st["ell"] == 8 and st["e"] == 1 and st["m"] == 14
     assert st["degree_bounds"]["Delta1_within"] and st["degree_bounds"]["Delta2_within"]
+
+
+def test_python_m_entry_point():
+    # `python -m ramseylab` runs cli.main in a fresh interpreter and exits
+    # with its code: 3 for an exhausted budget, 2 for invalid input
+    src = str(Path(ramseylab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "ramseylab", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = run("arrows", "--host", "K5", "--pattern", "K3")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["result"]["verdict"] == "not_arrows"
+    assert run("arrows", "--host", "K6", "--pattern", "K3",
+               "--budget-nodes", "1").returncode == 3
+    assert run("arrows", "--host", "K6", "--pattern", "nonsense").returncode == 2

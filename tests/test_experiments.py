@@ -30,6 +30,12 @@ def test_wilson_basics():
     assert lo < 0.5 < hi
     with pytest.raises(ValueError):
         wilson_interval(1, 0)
+    # the endpoints at 0 and n successes are exact, not a rounding step off
+    for n in range(1, 51):
+        lo, hi = wilson_interval(0, n)
+        assert lo == 0.0 and 0.0 < hi < 1.0
+        lo, hi = wilson_interval(n, n)
+        assert hi == 1.0 and 0.0 < lo < 1.0
 
 
 def test_estimate_edge_cases():
