@@ -4,7 +4,7 @@ the container-side hypergraph with its degree statistics.
 An embedding h is a tuple sending the booster pattern's vertices into
 the host vertex range; its image graph lives on the host vertex set.
 Copies, focus relations and badness are all evaluated literally by copy
-enumeration in Z ∪ h(B).
+enumeration in Z ∪ h(B), once per union: every stage reads one `union_view`.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb, factorial, log
 
@@ -19,14 +20,15 @@ import numpy as np
 
 from .arrowing import (
     BRUTE_FORCE_EDGE_CAP,
+    _decide,
+    _edge_id_sets,
     brute_force_arrow,
     copy_constraints,
     decide_arrow,
-    decide_arrow_union,
     first_f_free_coloring,
     is_f_free,
 )
-from .counting import _norm, count_P, enumerate_copies
+from .counting import Copy, _norm, count_P, enumerate_copies
 from .graphs import Graph, Seed, complete_graph, union
 
 
@@ -39,10 +41,6 @@ class BoosterSpec:
 
     B: Graph
     sigma: tuple  # colour per B EdgeId, F-free
-
-    @property
-    def K(self):
-        return self.B.num_edges()
 
 
 def make_booster_spec(B, F):
@@ -68,28 +66,46 @@ def image_edges(B, h):
 # -- focusing ------------------------------------------------------------
 
 
-def mixed_copies(Z, h, spec, F):
-    """Copies of F in Z ∪ h(B) that contain at least one booster edge.
+@dataclass(frozen=True)
+class UnionView:
+    """One analysis of Z ∪ h(B), read by every booster stage.
 
-    Returns a list of (copy, z_only_edges, booster_edge_indices); every
-    copy relevant to focusing and badness contains a booster edge, so
-    anchored enumeration over the booster edges is complete.
-    """
+    `copies` holds (copy, z_only_edges, booster_edge_indices) for each copy
+    of F through a booster edge, in `Copy.key` order."""
+
+    U: Graph
+    copies: tuple
+    foci: dict  # the focus map
+    members: tuple  # the focus set: EdgeIds of the focus map's edges, sorted
+
+
+def union_view(Z, h, spec, F):
+    """Copies of F in Z ∪ h(B) through a booster edge, focus map and focus
+    set.  Every copy relevant to focusing and badness contains a booster
+    edge, so anchored enumeration over the booster edges is complete."""
     B = spec.B
     img = image_edges(B, h)
     img_index = {e: j for j, e in enumerate(img)}
     U = union(Z, image_graph(B, h, Z.n))
     zedges = set(Z.edges)
     seen = {}
-    for be in img:
-        for copy in enumerate_copies(F, U, anchor=be).copies:
-            key = (copy.vertices, copy.edges)
-            if key in seen:
-                continue
-            boost = frozenset(img_index[e] for e in copy.edges if e in img_index)
-            zonly = frozenset(e for e in copy.edges if e in zedges and e not in img_index)
-            seen[key] = (copy, zonly, boost)
-    return list(seen.values())
+    if F.n <= U.n:
+        for be in img:
+            for copy in enumerate_copies(F, U, anchor=be).copies:
+                seen.setdefault((copy.vertices, copy.edges), copy)
+    copies = []
+    foci = defaultdict(set)
+    for copy in sorted(seen.values(), key=Copy.key):
+        boost = frozenset(img_index[e] for e in copy.edges if e in img_index)
+        zonly = frozenset(e for e in copy.edges if e in zedges and e not in img_index)
+        copies.append((copy, zonly, boost))
+        for e in copy.edges & zedges:
+            foci[e].update(boost)
+    # an edge in both Z and the image focuses via any copy through it
+    for e in zedges & img_index.keys():
+        foci[e].add(img_index[e])
+    members = tuple(sorted(Z.edge_id(*e) for e in foci))
+    return UnionView(U, tuple(copies), dict(foci), members)
 
 
 def focus_map(Z, h, spec, F):
@@ -99,18 +115,7 @@ def focus_map(Z, h, spec, F):
     Z ∪ h(B) contains both; shared edges (in Z and in the image) count
     on the Z side as well.
     """
-    foci = defaultdict(set)
-    img = image_edges(spec.B, h)
-    img_set = set(img)
-    zedges = set(Z.edges)
-    for copy, _zonly, boost in mixed_copies(Z, h, spec, F):
-        for e in copy.edges:
-            if e in zedges:
-                foci[e].update(boost)
-    # an edge in both Z and the image focuses via any copy through it
-    for e in zedges & img_set:
-        foci[e].add(img.index(e))
-    return dict(foci)
+    return union_view(Z, h, spec, F).foci
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,7 @@ class FocusSet:
 
 
 def focus_set(Z, h, spec, F):
-    fm = focus_map(Z, h, spec, F)
-    return FocusSet(h=h, members=tuple(sorted(Z.edge_id(*e) for e in fm)))
+    return FocusSet(h=h, members=union_view(Z, h, spec, F).members)
 
 
 def classify_bad(Z, h, spec, F):
@@ -131,27 +135,22 @@ def classify_bad(Z, h, spec, F):
     copies sharing a Z-only edge, using two different booster edges.
     B3: two copies sharing a Z-only edge and a booster edge.
     """
-    copies = mixed_copies(Z, h, spec, F)
-    b1 = any(zonly and len(boost) >= 2 for _, zonly, boost in copies)
-    b2 = b3 = False
-    by_zedge = defaultdict(list)
-    for idx, (_, zonly, boost) in enumerate(copies):
-        if not boost:
-            continue
+    return _bad_flags(union_view(Z, h, spec, F))
+
+
+def _bad_flags(view):
+    b1 = any(zonly and len(boost) >= 2 for _, zonly, boost in view.copies)
+    boosts = defaultdict(list)  # z-only edge -> booster edge sets of its copies
+    for _, zonly, boost in view.copies:
         for e in zonly:
-            by_zedge[e].append(idx)
-    for e, idxs in by_zedge.items():
-        for i, j in combinations(idxs, 2):
-            s1 = copies[i][2]
-            s2 = copies[j][2]
-            if s1 & s2:
-                b3 = True
-            if len(s1 | s2) >= 2:
-                b2 = True
-            if b2 and b3:
-                break
-        if b2 and b3:
-            break
+            boosts[e].append(boost)
+    b2 = b3 = False
+    for sets in boosts.values():
+        used = frozenset().union(*sets)
+        # two of the sets span two booster edges unless all are one singleton,
+        # and two of them meet unless they are pairwise disjoint
+        b2 = b2 or (len(sets) >= 2 and len(used) >= 2)
+        b3 = b3 or sum(map(len, sets)) > len(used)
     return {"B1": b1, "B2": b2, "B3": b3, "bad": b1 or b2 or b3}
 
 
@@ -166,7 +165,7 @@ def pair_relations(Z, h, spec, F, e1, e2):
         p1, p2 = _norm(*e1), _norm(*e2)
     if p1 == p2:
         raise ValueError("edges must be distinct")
-    fm = focus_map(Z, h, spec, F)
+    fm = union_view(Z, h, spec, F).foci
     f1 = fm.get(p1, set())
     f2 = fm.get(p2, set())
     approx = bool(f1) and bool(f2)
@@ -182,26 +181,41 @@ def c_xi(Z, Xi, spec, F, e1, e2):
 # -- interactivity --------------------------------------------------------
 
 
+def _union_copies(z_copies, view):
+    """Every copy of F in the view's union, in `enumerate_copies` order: a
+    copy lies inside Z or contains a booster edge."""
+    copies = {(c.vertices, c.edges): c for c in z_copies}
+    for copy, _zonly, _boost in view.copies:
+        copies.setdefault((copy.vertices, copy.edges), copy)
+    return sorted(copies.values(), key=Copy.key)
+
+
+def _union_verdict(z_copies, view, budget):
+    """decide_arrow_union's verdict: the same constraints, the same search."""
+    cons = _edge_id_sets(view.U, _union_copies(z_copies, view))
+    return _decide(view.U.num_edges(), cons, 2, budget).verdict
+
+
 def check_interactive_regular(Z, Xi, spec, F, budget=None):
     """Per-embedding interactivity and regularity report."""
     z_res = decide_arrow(Z, F, budget=budget)
     b_res = decide_arrow(spec.B, F, budget=budget)
+    z_copies = enumerate_copies(F, Z).copies if F.n <= Z.n else []
     reports = []
     for h in Xi:
+        view = union_view(Z, h, spec, F)
         entry = {"h": h}
         entry["edge_disjoint"] = not (set(image_edges(spec.B, h)) & set(Z.edges))
-        u_res = decide_arrow_union(Z, image_graph(spec.B, h, Z.n), F, budget=budget)
-        entry["union_verdict"] = u_res.verdict
-        fm = focus_map(Z, h, spec, F)
-        entry["regular"] = all(len(s) <= 1 for s in fm.values())
-        if "undecided" in (z_res.verdict, b_res.verdict, u_res.verdict):
+        entry["union_verdict"] = u_verdict = _union_verdict(z_copies, view, budget)
+        entry["regular"] = all(len(s) <= 1 for s in view.foci.values())
+        if "undecided" in (z_res.verdict, b_res.verdict, u_verdict):
             entry["interactive"] = None  # budget exhausted somewhere
         else:
             entry["interactive"] = (
                 entry["edge_disjoint"]
                 and z_res.verdict == "not_arrows"
                 and b_res.verdict == "not_arrows"
-                and u_res.verdict == "arrows"
+                and u_verdict == "arrows"
             )
         reports.append(entry)
     return {
@@ -290,29 +304,27 @@ def construct_normal_family(
         report["pool_mode"] = "supplied"
     report["pool"] = len(pool)
 
-    # stage 1: arrowing unions
-    psi1 = []
-    memo = {}
-    if arrow_filter:
-        for h in pool:
-            key = frozenset(image_edges(B, h))
-            if key not in memo:
-                res = decide_arrow_union(Z, image_graph(B, h, n), F, budget=budget)
-                memo[key] = res.verdict
-            v = memo[key]
-            if v == "arrows":
-                psi1.append(h)
-            else:
-                report["removed"]["not_arrowing" if v == "not_arrows" else "undecided"] += 1
-    else:
-        psi1 = list(pool)
+    # stage 1: arrowing unions, each decided from Z's copies and the view
+    # of its embedding; stages 2, 3 and 6 read the views kept here
+    if not arrow_filter:
         report["arrow_filter_disabled"] = True
+    z_copies = enumerate_copies(F, Z).copies if arrow_filter and F.n <= n else []
+    views = {}  # by tuple(h): a supplied pool may hold lists
+    psi1 = []
+    for h in pool:
+        view = union_view(Z, h, spec, F)
+        v = _union_verdict(z_copies, view, budget) if arrow_filter else "arrows"
+        if v == "arrows":
+            psi1.append(h)
+            views[tuple(h)] = view
+        else:
+            report["removed"]["not_arrowing" if v == "not_arrows" else "undecided"] += 1
     report["psi1"] = len(psi1)
 
     # stage 2: badness
     psi2 = []
     for h in psi1:
-        flags = classify_bad(Z, h, spec, F)
+        flags = _bad_flags(views[tuple(h)])
         if flags["bad"]:
             for key in ("B1", "B2", "B3"):
                 if flags[key]:
@@ -323,26 +335,15 @@ def construct_normal_family(
 
     # stage 3: heavy connected pairs
     heavy_cap = Fraction(D) / (Fraction(p) * Fraction(n) ** Fraction(delta))
-    pair_cache = {}
+    pair_count = cache(lambda e1, e2: count_P(F, Z, e1, e2))
     psi3 = []
     for h in psi2:
-        fm = focus_map(Z, h, spec, F)
         groups = defaultdict(list)
-        for e, foci in fm.items():
+        for e, foci in views[tuple(h)].foci.items():
             if len(foci) == 1:
                 groups[next(iter(foci))].append(e)
-        heavy = False
-        for es in groups.values():
-            for e1, e2 in combinations(sorted(es), 2):
-                key = (e1, e2)
-                if key not in pair_cache:
-                    pair_cache[key] = count_P(F, Z, e1, e2)
-                if pair_cache[key] > heavy_cap:
-                    heavy = True
-                    break
-            if heavy:
-                break
-        if heavy:
+        if any(pair_count(e1, e2) > heavy_cap
+               for es in groups.values() for e1, e2 in combinations(sorted(es), 2)):
             report["removed"]["heavy_pair"] += 1
         else:
             psi3.append(h)
@@ -383,8 +384,7 @@ def construct_normal_family(
     counts = Counter()
     capped = []
     for h in psi4:
-        members = sorted(Z.edge_id(*e) for e in focus_map(Z, h, spec, F))
-        pairs = list(combinations(members, 2))
+        pairs = list(combinations(views[tuple(h)].members, 2))
         if any(counts[pr] + 1 > cap for pr in pairs):
             report["removed"]["pair_cap"] += 1
             continue
@@ -516,18 +516,20 @@ class Profile:
         return len(self.pi)
 
 
-def profile_of(Z, h, spec, F):
-    """Profile of M(Z,h(B)); requires each member to focus on exactly
-    one booster edge (regularity)."""
-    fm = focus_map(Z, h, spec, F)
-    members = sorted(((Z.edge_id(*e), e) for e in fm), key=lambda t: t[0])
+def _profile(Z, view):
     pi = []
-    for _eid, e in members:
-        foci = fm[e]
+    for eid in view.members:
+        foci = view.foci[Z.edges[eid]]
         if len(foci) != 1:
             raise ValueError("profile undefined: an edge focuses on several booster edges")
         pi.append(next(iter(foci)))
     return Profile(pi=tuple(pi))
+
+
+def profile_of(Z, h, spec, F):
+    """Profile of M(Z,h(B)); requires each member to focus on exactly
+    one booster edge (regularity)."""
+    return _profile(Z, union_view(Z, h, spec, F))
 
 
 def restrict_index_consistent(Z, Xi0, spec, F, L, seed=None):
@@ -541,18 +543,19 @@ def restrict_index_consistent(Z, Xi0, spec, F, L, seed=None):
     report = {"input": len(Xi0), "L": L}
     profs = []
     for h in Xi0:
-        pi = profile_of(Z, h, spec, F)
+        view = union_view(Z, h, spec, F)
+        pi = _profile(Z, view)
         if pi.length <= L:
-            profs.append((h, pi))
+            profs.append((h, pi, view.members))
     report["within_L"] = len(profs)
     if not profs:
         report["empty_reason"] = "all focus sets longer than L"
         return [], None, report
 
-    tally = Counter(pi.pi for _, pi in profs)
+    tally = Counter(pi.pi for _, pi, _ in profs)
     top = max(tally.values())
     majority = min(pi for pi, c in tally.items() if c == top)  # lexicographic tie-break
-    chosen = [(h, pi) for h, pi in profs if pi.pi == majority]
+    chosen = [(h, members) for h, pi, members in profs if pi.pi == majority]
     ell = len(majority)
     report["majority_profile"] = list(majority)
     report["profile_count"] = len(chosen)
@@ -571,8 +574,7 @@ def restrict_index_consistent(Z, Xi0, spec, F, L, seed=None):
     rng = seed.generator()
     classes = rng.integers(0, ell, size=Z.num_edges())
     xi = []
-    for h, _pi in chosen:
-        members = sorted(Z.edge_id(*e) for e in focus_map(Z, h, spec, F))
+    for h, members in chosen:
         if all(int(classes[eid]) == i for i, eid in enumerate(members)):
             xi.append(h)
     report["kept"] = len(xi)
@@ -585,8 +587,7 @@ def verify_index_consistent(Z, Xi, spec, F):
     """Direct check: shared edges occupy the same position everywhere."""
     index_of = {}
     for h in Xi:
-        members = sorted(Z.edge_id(*e) for e in focus_map(Z, h, spec, F))
-        for i, eid in enumerate(members):
+        for i, eid in enumerate(union_view(Z, h, spec, F).members):
             if index_of.setdefault(eid, i) != i:
                 return False
     return True
@@ -617,7 +618,7 @@ def activated_set(Z, Xi, spec, F, phi):
         joint = {e: spec.sigma[j] for j, e in enumerate(img)}
         for e in zedges:
             joint[e] = phi[Z.edge_id(*e)]
-        for copy, _zonly, _boost in mixed_copies(Z, h, spec, F):
+        for copy, _zonly, _boost in union_view(Z, h, spec, F).copies:
             cols = {joint[e] for e in copy.edges}
             if len(cols) == 1:
                 activated.update(Z.edge_id(*e) for e in copy.edges if e in zedges)

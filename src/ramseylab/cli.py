@@ -3,7 +3,8 @@
 Artifacts are self-describing: each embeds the resolved run config and
 tool version (timestamps sit in a separate field so re-runs reproduce
 the payload byte-for-byte).  Exit codes: 0 success, 2 invalid input,
-3 budget exhaustion (partial artifacts still written and marked).
+3 budget exhaustion (partial artifacts still written and marked; an
+estimate whose every trial was undecided prints an error line instead).
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .booster import (
 from .counting import adversarial_T_search, base_graph, check_T, enumerate_copies
 from .density import classify
 from .experiments import (
+    AllUndecided,
+    NoBracket,
     derive_proof_constants,
     janson_bound,
     sharpness_window,
@@ -213,7 +216,7 @@ def _merge_config(ap, argv):
         return ns
     with open(ns.config) as fh:
         cfg = json.load(fh)
-    explicit = {a.lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+    explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
     explicit.discard("config")
     for key, value in cfg.items():
         attr = key.replace("-", "_")
@@ -394,9 +397,10 @@ def main(argv=None):
     try:
         ns = _merge_config(ap, list(sys.argv[1:] if argv is None else argv))
         payload, code = _run(ns)
-    except (CliError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (CliError, AllUndecided, NoBracket, ValueError, OSError, json.JSONDecodeError,
+            KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return EXIT_BUDGET if isinstance(exc, AllUndecided) else EXIT_BAD_INPUT
     if ns.format == "csv":
         if ns.command != "threshold":
             print("error: csv output is defined for the threshold command", file=sys.stderr)

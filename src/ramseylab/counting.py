@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, ceil
 
 from .density import PATTERN_VERTEX_CAP
@@ -74,7 +73,8 @@ def embeddings(F, G, pin=None, loose=frozenset()):
             mask &= 1 << pin[x]
         return mask
 
-    # iterative DFS over positions
+    # recursive generator over positions: one frame per pattern vertex, so
+    # at most PATTERN_VERTEX_CAP (10) deep under enumerate_copies
     def rec(i):
         nonlocal used
         if i == F.n:
@@ -113,9 +113,6 @@ class CopyFamily:
 
     def __len__(self):
         return len(self.copies)
-
-    def edge_sets(self):
-        return [c.edges for c in self.copies]
 
 
 def _collect_copies(F, G, maps):
@@ -169,15 +166,6 @@ def f_minus_members(F):
     if F.num_edges() < 1:
         raise ValueError("pattern needs at least one edge")
     return _dedupe_by_iso([F.without_edges([e]) for e in F.edges])
-
-
-def f_minus_two_members(F):
-    """Iso-class representatives of F with two distinct edges removed."""
-    if F.num_edges() < 2:
-        raise ValueError("pattern needs at least two edges")
-    return _dedupe_by_iso(
-        [F.without_edges([e, f]) for e, f in combinations(F.edges, 2)]
-    )
 
 
 def count_f_minus(F, Z):

@@ -19,6 +19,14 @@ from .density import classify, is_bipartite
 from .graphs import Seed, gnp_sample
 
 
+class AllUndecided(RuntimeError):
+    """Every trial of an estimate exhausted its node budget."""
+
+
+class NoBracket(RuntimeError):
+    """The c-range of a bisection does not straddle the requested level."""
+
+
 def wilson_interval(successes, n, z=1.96):
     """Wilson score interval for a binomial proportion.
 
@@ -64,7 +72,7 @@ def estimate_arrow_probability(F, n, p, trials, seed, budget=None, verdict_fn=No
             undecided += 1
     decided = trials - undecided
     if decided == 0:
-        raise RuntimeError("all trials undecided: no estimate")
+        raise AllUndecided("all trials undecided: no estimate")
     low, high = wilson_interval(arrows, decided)
     return {
         "n": n,
@@ -120,7 +128,7 @@ def bisect_threshold_constant(
     e_lo = probe(lo, 0)
     e_hi = probe(hi, 1)
     if e_lo > level or e_hi < level:
-        raise RuntimeError(
+        raise NoBracket(
             f"no bracket: estimate({lo})={e_lo:.3f}, estimate({hi})={e_hi:.3f} "
             f"do not straddle level {level}"
         )

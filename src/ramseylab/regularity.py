@@ -12,7 +12,7 @@ from itertools import combinations
 from math import ceil
 
 from .counting import _norm, embeddings
-from .graphs import Graph, Seed, edge_count_between
+from .graphs import Seed, edge_count_between
 
 EXACT_REGULARITY_CAP = 16
 
@@ -110,9 +110,6 @@ class ReducedGraph:
     edges: list  # pairs of class indices
     pair_reports: dict
 
-    def as_graph(self):
-        return Graph(len(self.partition), self.edges)
-
 
 def reduced_graph(H, p, partition, d, eps, mode="exact", seed=None):
     """Reduced graph: class pairs that are regular with scaled density >= d."""
@@ -193,7 +190,8 @@ def counting_lemma_check(Fp, classes_of, H, partition, p, d, eps, xi):
 
 def fstar_overlap_count(Fstar, a1, a2, G, W):
     """Copies of Fstar meeting W exactly in the images of the two marked
-    (non-adjacent) vertices.  The probabilistic bound is reported, not
+    (non-adjacent) vertices.  The probabilistic bound at edge probability
+    p is bound_coefficient * p ** bound_p_exponent; it is reported, not
     asserted."""
     if Fstar.has_edge(a1, a2):
         raise ValueError("marked vertices must be non-adjacent in the pattern")
@@ -205,8 +203,8 @@ def fstar_overlap_count(Fstar, a1, a2, G, W):
                 vset = frozenset(m)
                 eset = frozenset(_norm(m[u], m[v]) for u, v in Fstar.edges)
                 images.add((vset, eset))
-    n, vF, eF = G.n, Fstar.n, Fstar.num_edges()
     return {
         "count": len(images),
-        "bound_at_p": lambda p: 2 * (p**eF) * n ** (vF - 2) * len(W) ** 2,
+        "bound_coefficient": 2 * G.n ** (Fstar.n - 2) * len(W) ** 2,
+        "bound_p_exponent": Fstar.num_edges(),
     }

@@ -85,6 +85,28 @@ def test_config_conflicts_are_errors(capsys, tmp_path):
     assert code == 2
 
 
+def test_config_conflicts_with_flag_equals_value(capsys, tmp_path):
+    # the --flag=value spelling is as explicit as --flag value
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 9}))
+    code, _ = run_cli(capsys, "--config", str(cfg), "sample", "--n=5", "--p", "0.3")
+    assert code == 2
+
+
+def test_window_failures_exit_with_documented_codes(capsys):
+    window = ["window", "--pattern", "K3", "--n-list", "8", "--trials", "3"]
+    # a c-range below the level has no bracket: invalid input, one error line
+    code = main(window + ["--c-min", "0.05", "--c-max", "0.1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: no bracket") and len(err.splitlines()) == 1
+    # p clamps to 1 over the whole range and one node cannot decide K8
+    code = main(window + ["--c-min", "3.9", "--c-max", "4", "--budget-nodes", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("error: all trials undecided") and len(err.splitlines()) == 1
+
+
 def test_config_supplements_without_conflict(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"seed": 9}))

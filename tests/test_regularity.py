@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import pytest
@@ -147,6 +148,9 @@ def test_fstar_overlap():
     p3 = path_graph(3)
     r = fstar_overlap_count(p3, 0, 2, p3, [0, 2])
     assert r["count"] == 1
+    # a plain record: bound 2 n^(v-2) |W|^2 p^e = 24 p^2 for P3 on 3 vertices
+    assert json.loads(json.dumps(r)) == {"count": 1, "bound_coefficient": 24,
+                                         "bound_p_exponent": 2}
     assert fstar_overlap_count(p3, 0, 2, p3, [])["count"] == 0
     with pytest.raises(ValueError):
         fstar_overlap_count(p3, 0, 1, p3, [0, 1])
