@@ -684,39 +684,16 @@ def hypergraph_stats(H, tau):
     if d == 0:
         raise ValueError("zero average degree")
 
-    deg = Counter()
-    for edge in H.edges:
-        for v in edge:
-            deg[v] += 1
-    delta1 = max(deg.values(), default=0)
-
-    codeg = Counter()
-    for edge in H.edges:
-        for pr in combinations(edge, 2):
-            codeg[pr] += 1
-    delta2 = max(codeg.values(), default=0)
-
-    subset_deg = {}
-
-    def d_sigma(sigma):
-        if sigma not in subset_deg:
-            s = set(sigma)
-            subset_deg[sigma] = sum(1 for edge in H.edges if s <= set(edge))
-        return subset_deg[sigma]
-
+    # degree of every j-subset of a hyperedge, for j = 1 .. max(ell, 2)
+    deg = {j: Counter(s for edge in H.edges for s in combinations(edge, j))
+           for j in range(1, max(ell, 2) + 1)}
     delta_js = {}
     for j in range(2, ell + 1):
-        total = 0
-        for v in range(m):
-            best = 0
-            for edge in H.edges:
-                if v not in edge:
-                    continue
-                others = [w for w in edge if w != v]
-                for rest in combinations(others, j - 1):
-                    best = max(best, d_sigma(tuple(sorted((v,) + rest))))
-            total += best
-        delta_js[j] = Fraction(total) / (tau ** (j - 1) * m * d)
+        best = Counter()  # vertex -> largest degree of a j-subset containing it
+        for sigma, c in deg[j].items():
+            for v in sigma:
+                best[v] = max(best[v], c)
+        delta_js[j] = Fraction(sum(best.values())) / (tau ** (j - 1) * m * d)
 
     delta = 2 ** (comb(ell, 2) - 1) * sum(
         Fraction(1, 2 ** comb(j - 1, 2)) * delta_js[j] for j in range(2, ell + 1)
@@ -729,8 +706,8 @@ def hypergraph_stats(H, tau):
         "e": e,
         "ell": ell,
         "d": d,
-        "Delta1": delta1,
-        "Delta2": delta2,
+        "Delta1": max(deg[1].values(), default=0),
+        "Delta2": max(deg[2].values(), default=0),
         "delta_j": delta_js,
         "delta": delta,
         "d_float": float(d),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -88,11 +89,14 @@ def _float_list(text):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="ramseylab")
+    # flags match exactly, never by abbreviation, so the --config conflict
+    # check sees every explicit flag under its own name
+    exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    ap = exact(prog="ramseylab")
     ap.add_argument("--config", help="JSON config file; CLI flags must not conflict")
     ap.add_argument("--out", help="artifact path (default: stdout)")
     ap.add_argument("--format", choices=["json", "csv"], default=None)
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=exact)
 
     p = sub.add_parser("pattern", help="classify a pattern graph")
     p.add_argument("pattern")
@@ -209,29 +213,42 @@ def build_parser():
 
 
 def _merge_config(ap, argv):
-    """Parse argv, then overlay --config values; explicit flags that
-    collide with config keys are errors (nothing is overridden silently)."""
-    ns = ap.parse_args(argv)
-    if not ns.config:
-        return ns
-    with open(ns.config) as fh:
+    """Parse argv with the --config values added as flags, so they pass
+    the same type parsing and can satisfy required options; explicit
+    flags that collide with config keys are errors (nothing is overridden
+    silently)."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return ap.parse_args(argv)
+    with open(path) as fh:
         cfg = json.load(fh)
     explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
-    explicit.discard("config")
+    top, sub = [], []
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if not hasattr(ns, attr):
-            raise CliError(f"config key {key!r} is not a known option")
         if attr in explicit:
             raise CliError(f"config key {key!r} conflicts with an explicit flag")
-        setattr(ns, attr, value)
-    return ns
+        if value is None or value is False:
+            continue
+        flag = "--" + attr.replace("_", "-")
+        if value is not True:
+            flag += "=" + (",".join(map(str, value)) if isinstance(value, list) else str(value))
+        # options of the main parser must precede the subcommand
+        (top if attr in ("out", "format") else sub).append(flag)
+    return ap.parse_args(top + argv + sub)
 
 
 def _load_hypergraph(path):
     with open(path) as fh:
         data = json.load(fh)
     return Hypergraph(int(data["m"]), [tuple(e) for e in data["edges"]])
+
+
+def _budget_code(records):
+    """Exit code of an estimate: any undecided trial exhausted the budget."""
+    return EXIT_BUDGET if any(r["undecided"] for r in records) else EXIT_OK
 
 
 def _run(ns):
@@ -262,7 +279,7 @@ def _run(ns):
     if cmd == "threshold":
         curve = threshold_curve(_load_graph(ns.pattern), ns.n, ns.c, ns.trials,
                                 Seed(ns.seed), budget=ns.budget_nodes)
-        return curve, EXIT_OK
+        return curve, _budget_code(curve["points"])
 
     if cmd == "window":
         from .experiments import window_trend
@@ -270,7 +287,7 @@ def _run(ns):
         rows = sharpness_window(_load_graph(ns.pattern), ns.n_list, ns.trials,
                                 Seed(ns.seed), tol=ns.tol,
                                 c_range=(ns.c_min, ns.c_max), budget=ns.budget_nodes)
-        return {"rows": rows, "trend": window_trend(rows)}, EXIT_OK
+        return {"rows": rows, "trend": window_trend(rows)}, _budget_code(rows)
 
     if cmd == "zcheck":
         out = z_property_rates(_load_graph(ns.pattern), _load_graph(ns.booster),

@@ -1,4 +1,11 @@
-"""Enumeration of pattern copies and the derived counting families.
+"""Pattern searches and the counting families built on them.
+
+Every count here is a search for maps of a small pattern into a host, and
+all of them run on one core, `_search`: an iterative depth-first search
+with one candidate bitmask per pattern position.  Embeddings with pins
+and loose edges, copies, the deleted-edge families, the pair family
+P(e1, e2), rooted extensions and basegraphs call it here; partite copies
+and overlap counts call it from `regularity`.
 
 A *copy* of a pattern in a host is an unlabelled image: the pair
 (vertex set, edge set).  Distinct embeddings related by a pattern
@@ -24,73 +31,83 @@ def _norm(u, v):
 def _pattern_order(F, pinned):
     """Static search order: pinned first, then greedy max back-connectivity."""
     order = list(pinned)
-    placed = set(order)
-    rest = [v for v in range(F.n) if v not in placed]
+    back = [0] * F.n
+    for x in order:
+        for y in F.neighbours(x):
+            back[y] += 1
+    degree = [F.degree(x) for x in range(F.n)]
+    rest = set(range(F.n)) - set(order)
     while rest:
-        best = max(
-            rest,
-            key=lambda x: (sum(1 for y in F.neighbours(x) if y in placed), F.degree(x), -x),
-        )
+        best = max(rest, key=lambda x: (back[x], degree[x], -x))
         order.append(best)
-        placed.add(best)
         rest.remove(best)
+        for y in F.neighbours(best):
+            back[y] += 1
     return order
 
 
+def _search(F, G, order, dom, loose=frozenset(), injective=True):
+    """Yield every map of F into G as a tuple indexed by pattern vertex.
+
+    Pattern vertex order[i] takes a host vertex from the bitmask dom[i]
+    that is adjacent to the images of its earlier neighbours; pattern
+    edges in `loose` impose nothing.  With `injective` the images are
+    distinct (embeddings), without it they may repeat (homomorphisms).
+    The depth-first search keeps one candidate bitmask per position on an
+    explicit stack, so no pattern size reaches the recursion limit.
+    """
+    k = len(order)
+    if k == 0:
+        yield ()
+        return
+    pos = {v: i for i, v in enumerate(order)}
+    loose = {_norm(*e) for e in loose}
+    back = [
+        [y for y in F.neighbours(x) if pos[y] < i and _norm(x, y) not in loose]
+        for i, x in enumerate(order)
+    ]
+    adj = G.adj
+    img = [0] * F.n
+    cand = [0] * k
+    used = 0  # images of positions 0..i-1 when injective
+    cand[0] = dom[0]
+    i = 0
+    while i >= 0:
+        mask = cand[i]
+        if not mask:
+            i -= 1
+            if injective and i >= 0:
+                used ^= 1 << img[order[i]]
+            continue
+        low = mask & -mask
+        cand[i] = mask ^ low
+        img[order[i]] = low.bit_length() - 1
+        if i + 1 == k:
+            yield tuple(img)
+            continue
+        i += 1
+        mask = dom[i]
+        for y in back[i]:
+            mask &= adj[img[y]]
+        if injective:
+            used |= low
+            mask &= ~used
+        cand[i] = mask
+
+
 def embeddings(F, G, pin=None, loose=frozenset()):
-    """Yield injective maps of F into G (tuples indexed by pattern vertex).
+    """Injective maps of F into G (tuples indexed by pattern vertex).
 
     `pin` pre-assigns pattern vertices to host vertices; pattern edges in
     `loose` are exempt from the host-edge requirement (their images may
     land on any vertex pair).
     """
     if F.n > G.n:
-        return
+        return iter(())
     pin = dict(pin or {})
-    loose = {_norm(*e) for e in loose}
-    order = _pattern_order(F, pin.keys())
-    pos = {v: i for i, v in enumerate(order)}
-    # per position: list of (earlier position, must-be-adjacent) constraints
-    constraints = []
-    for i, x in enumerate(order):
-        cons = []
-        for y in F.neighbours(x):
-            if pos[y] < i and _norm(x, y) not in loose:
-                cons.append(pos[y])
-        constraints.append(cons)
+    order = _pattern_order(F, pin)
     full = (1 << G.n) - 1
-    img = [0] * F.n
-    used = 0
-    stack = [(0, None)]
-
-    def candidates(i):
-        mask = full
-        for j in constraints[i]:
-            mask &= G.adj[img[order[j]]]
-        mask &= ~used
-        x = order[i]
-        if x in pin:
-            mask &= 1 << pin[x]
-        return mask
-
-    # recursive generator over positions: one frame per pattern vertex, so
-    # at most PATTERN_VERTEX_CAP (10) deep under enumerate_copies
-    def rec(i):
-        nonlocal used
-        if i == F.n:
-            yield tuple(img)
-            return
-        mask = candidates(i)
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            mask ^= low
-            img[order[i]] = v
-            used |= 1 << v
-            yield from rec(i + 1)
-            used ^= 1 << v
-
-    yield from rec(0)
+    return _search(F, G, order, [1 << pin[x] if x in pin else full for x in order], loose)
 
 
 @dataclass(frozen=True)
@@ -262,39 +279,16 @@ def extension_count(roots, H, host_roots, G):
         raise ValueError("root lists must have equal length")
     if len(set(X)) != len(X):
         raise ValueError("repeated host roots")
-    if len(set(R)) != len(R):
+    rset = set(R)
+    if len(rset) != len(R):
         raise ValueError("repeated pattern roots")
-    ys = [v for v in range(H.n) if v not in set(R)]
-    if not ys:
+    if not rset < set(range(H.n)):
         raise ValueError("roots must form a proper subset of V(H)")
-    img = dict(zip(R, X))
-    used = 0
     for x in X:
         if not 0 <= x < G.n:
             raise ValueError(f"host root {x} out of range")
-        used |= 1 << x
-    full = (1 << G.n) - 1
-
-    def rec(i, used):
-        if i == len(ys):
-            return 1
-        y = ys[i]
-        mask = full & ~used
-        for w in H.neighbours(y):
-            if w in img:
-                mask &= G.adj[img[w]]
-        total = 0
-        m = mask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            img[y] = v
-            total += rec(i + 1, used | low)
-            del img[y]
-        return total
-
-    return rec(0, used)
+    inner = [(u, v) for u, v in H.edges if u in rset and v in rset]
+    return sum(1 for _ in embeddings(H, G, pin=dict(zip(R, X)), loose=inner))
 
 
 # -- basegraph and property T -------------------------------------------

@@ -8,13 +8,14 @@ from point estimates with their count reported.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, exp, factorial, sqrt, ceil
 
 from .arrowing import decide_arrow
 from .booster import alpha_tilde, classify_bad, make_booster_spec
-from .counting import count_f_minus, count_f_minus_through, count_P
+from .counting import count_P, enumerate_copies, f_minus_members
 from .density import classify, is_bipartite
 from .graphs import Seed, gnp_sample
 
@@ -155,11 +156,12 @@ def sharpness_window(
     verdict_fn=None,
     exponent=None,
 ):
-    """Crossing constants at several levels per n, plus relative widths."""
+    """Crossing constants at several levels per n, plus relative widths
+    and the undecided trials over all of that n's probes."""
     seed = seed or Seed()
     rows = []
     for i, n in enumerate(n_list):
-        entry = {"n": n}
+        entry = {"n": n, "undecided": 0}
         for j, level in enumerate(levels):
             r = bisect_threshold_constant(
                 F,
@@ -174,6 +176,7 @@ def sharpness_window(
                 exponent=exponent,
             )
             entry[f"c_{level}"] = r["c_hat"]
+            entry["undecided"] += sum(pr["undecided"] for pr in r["probes"])
         low, mid, high = (entry[f"c_{q}"] for q in levels)
         entry["window"] = high - low
         entry["relative_width"] = (high - low) / mid if mid else float("inf")
@@ -250,6 +253,7 @@ def z_property_rates(
     seed = seed or Seed()
     spec = booster if hasattr(booster, "sigma") else make_booster_spec(booster, F)
     B = spec.B
+    members = f_minus_members(F)
 
     passes = {k: 0 for k in ("Z1", "Z2", "Z3", "Z4", "Z5")}
     stats = {"f_minus_norm": [], "f_minus_edge_norm": [], "heavy_pair_frac": [], "bad_frac": []}
@@ -265,14 +269,14 @@ def z_property_rates(
         if p * n * n / 4 <= m <= p * n * n:
             passes["Z1"] += 1
 
-        fm = count_f_minus(F, Z)
+        copies = [c for M in members for c in enumerate_copies(M, Z).copies]
+        fm = len(copies)
         stats["f_minus_norm"].append(fm / (n * n))
         if fm <= D * n * n:
             passes["Z2"] += 1
 
-        worst = 0
-        for e in Z.edges:
-            worst = max(worst, count_f_minus_through(F, Z, e))
+        # copies through the busiest edge of Z
+        worst = max(Counter(e for c in copies for e in c.edges).values(), default=0)
         stats["f_minus_edge_norm"].append(worst * p)
         if p == 0 or worst <= D / p:
             passes["Z3"] += 1

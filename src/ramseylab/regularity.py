@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
 
-from .counting import _norm, embeddings
+from .counting import _collect_copies, _pattern_order, _search, embeddings
 from .graphs import Seed, edge_count_between
 
 EXACT_REGULARITY_CAP = 16
@@ -153,30 +153,9 @@ def counting_lemma_check(Fp, classes_of, H, partition, p, d, eps, xi):
             raise ValueError("adjacent pattern vertices must sit in different classes")
 
     class_masks = [sum(1 << x for x in cls) for cls in partition]
-
-    order = sorted(range(Fp.n), key=lambda v: -Fp.degree(v))
-    img = [None] * Fp.n
-
-    def rec(i):
-        if i == len(order):
-            return 1
-        v = order[i]
-        mask = class_masks[classes_of[v]]
-        for w in Fp.neighbours(v):
-            if img[w] is not None:
-                mask &= H.adj[img[w]]
-        total = 0
-        m = mask
-        while m:
-            low = m & -m
-            x = low.bit_length() - 1
-            m ^= low
-            img[v] = x
-            total += rec(i + 1)
-            img[v] = None
-        return total
-
-    count = rec(0)
+    order = _pattern_order(Fp, ())
+    dom = [class_masks[classes_of[v]] for v in order]
+    count = sum(1 for _ in _search(Fp, H, order, dom, injective=False))
     bound = xi * (p ** Fp.num_edges())
     for v in range(Fp.n):
         bound *= len(partition[classes_of[v]])
@@ -196,15 +175,9 @@ def fstar_overlap_count(Fstar, a1, a2, G, W):
     if Fstar.has_edge(a1, a2):
         raise ValueError("marked vertices must be non-adjacent in the pattern")
     W = set(W)
-    images = set()
-    for m in embeddings(Fstar, G):
-        if m[a1] in W and m[a2] in W:
-            if all((x in (m[a1], m[a2])) or (x not in W) for x in m):
-                vset = frozenset(m)
-                eset = frozenset(_norm(m[u], m[v]) for u, v in Fstar.edges)
-                images.add((vset, eset))
+    maps = (m for m in embeddings(Fstar, G) if W.intersection(m) == {m[a1], m[a2]})
     return {
-        "count": len(images),
+        "count": len(_collect_copies(Fstar, G, maps)),
         "bound_coefficient": 2 * G.n ** (Fstar.n - 2) * len(W) ** 2,
         "bound_p_exponent": Fstar.num_edges(),
     }

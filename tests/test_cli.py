@@ -93,6 +93,15 @@ def test_config_conflicts_with_flag_equals_value(capsys, tmp_path):
     assert code == 2
 
 
+def test_config_conflicts_with_abbreviated_flag(tmp_path):
+    # flags match exactly, so an abbreviation cannot slip past the check
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": 5}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "sample", "--n", "8", "--p", "0.3", "--see", "1"])
+    assert exc.value.code == 2
+
+
 def test_window_failures_exit_with_documented_codes(capsys):
     window = ["window", "--pattern", "K3", "--n-list", "8", "--trials", "3"]
     # a c-range below the level has no bracket: invalid input, one error line
@@ -114,6 +123,37 @@ def test_config_supplements_without_conflict(tmp_path, capsys):
                          "--p", "0.3")
     assert code == 0
     assert art["run_config"]["seed"] == 9
+
+
+def test_config_satisfies_required_options(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 8, "p": 0.3}))
+    code, art = run_json(capsys, "--config", str(cfg), "sample")
+    assert code == 0
+    assert art["result"]["n"] == 8 and art["run_config"]["p"] == 0.3
+
+
+def test_config_values_are_parsed_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"delta": "1/12", "D": 4, "p": 0.5}))
+    booster = ["booster", "--host", "K6-e", "--booster", "K2", "--pattern", "K3"]
+    code, from_config = run_json(capsys, "--config", str(cfg), *booster)
+    assert code == 0
+    code, from_flags = run_json(capsys, *booster, "--delta", "1/12", "--D", "4", "--p", "0.5")
+    assert code == 0
+    assert from_config["result"] == from_flags["result"]
+    assert from_config["run_config"] == from_flags["run_config"]
+
+
+def test_undecided_trials_exit_3_with_artifact(capsys):
+    code, art = run_json(capsys, "threshold", "--pattern", "K3", "--n", "20",
+                         "--c", "2.0,2.5", "--trials", "10", "--budget-nodes", "40")
+    assert code == 3 and art["budget_exhausted"]
+    assert sum(pt["undecided"] for pt in art["result"]["points"]) > 0
+    code, art = run_json(capsys, "window", "--pattern", "K3", "--n-list", "16",
+                         "--trials", "6", "--tol", "0.5", "--budget-nodes", "40")
+    assert code == 3 and art["budget_exhausted"]
+    assert art["result"]["rows"][0]["undecided"] > 0
 
 
 def test_hstats_and_cores_roundtrip(tmp_path, capsys):
