@@ -8,16 +8,25 @@ P(e1, e2), rooted extensions and basegraphs call it here; partite copies
 and overlap counts call it from `regularity`.
 
 A *copy* of a pattern in a host is an unlabelled image: the pair
-(vertex set, edge set).  Distinct embeddings related by a pattern
-automorphism collapse to one copy.  Patterns with isolated vertices keep
+(vertex set, edge set).  The embeddings of one copy are one orbit of
+Aut(F), so copies and P(e1, e2) completions are generated once per orbit,
+not |Aut F| times: the search carries the symmetry-breaking conditions of
+Grochow and Kellis (RECOMB 2007), and the completions search one
+representative per orbit of (pinned arc, deleted edge) pairs.  Orbits are
+found by existence queries for embeddings of F into itself, never by
+listing Aut(F), and all per-pattern work is memoised on the pattern.
+`embeddings` still yields every labelled map, since extension counts and
+basegraphs count labelled maps.  Patterns with isolated vertices keep
 their vertex placements (the vertex set is part of the copy), which the
 two-edge-deleted pair families rely on.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, ceil
 
 from .density import PATTERN_VERTEX_CAP
@@ -28,44 +37,62 @@ def _norm(u, v):
     return (u, v) if u < v else (v, u)
 
 
+@cache
 def _pattern_order(F, pinned):
-    """Static search order: pinned first, then greedy max back-connectivity."""
+    """Static search order: pinned first, then greedy max back-connectivity
+    (ties to the larger degree, then the smaller vertex)."""
     order = list(pinned)
     back = [0] * F.n
     for x in order:
         for y in F.neighbours(x):
             back[y] += 1
-    degree = [F.degree(x) for x in range(F.n)]
     rest = set(range(F.n)) - set(order)
+    # max-heap on (back, degree, -x) with stale entries skipped when popped
+    heap = [(-back[x], -F.degree(x), x) for x in rest]
+    heapq.heapify(heap)
     while rest:
-        best = max(rest, key=lambda x: (back[x], degree[x], -x))
-        order.append(best)
-        rest.remove(best)
-        for y in F.neighbours(best):
+        b, _, x = heapq.heappop(heap)
+        if x not in rest or -b != back[x]:
+            continue
+        order.append(x)
+        rest.remove(x)
+        for y in F.neighbours(x):
             back[y] += 1
-    return order
+            if y in rest:
+                heapq.heappush(heap, (-back[y], -F.degree(y), y))
+    return tuple(order)
 
 
-def _search(F, G, order, dom, loose=frozenset(), injective=True):
+@cache
+def _back_lists(F, order, loose):
+    """For each position, its earlier non-loose neighbours in `order`."""
+    pos = {v: i for i, v in enumerate(order)}
+    return tuple(
+        tuple(y for y in F.neighbours(x) if pos[y] < i and _norm(x, y) not in loose)
+        for i, x in enumerate(order)
+    )
+
+
+def _search(F, G, order, dom, loose=frozenset(), injective=True, smaller=None):
     """Yield every map of F into G as a tuple indexed by pattern vertex.
 
     Pattern vertex order[i] takes a host vertex from the bitmask dom[i]
     that is adjacent to the images of its earlier neighbours; pattern
     edges in `loose` impose nothing.  With `injective` the images are
     distinct (embeddings), without it they may repeat (homomorphisms).
-    The depth-first search keeps one candidate bitmask per position on an
+    `smaller[i]`, when given, lists pattern vertices at earlier positions
+    whose images must be smaller than the image of order[i].  Maps come
+    in lexicographic order of their images in search order.  The
+    depth-first search keeps one candidate bitmask per position on an
     explicit stack, so no pattern size reaches the recursion limit.
     """
     k = len(order)
     if k == 0:
         yield ()
         return
-    pos = {v: i for i, v in enumerate(order)}
-    loose = {_norm(*e) for e in loose}
-    back = [
-        [y for y in F.neighbours(x) if pos[y] < i and _norm(x, y) not in loose]
-        for i, x in enumerate(order)
-    ]
+    back = _back_lists(F, tuple(order), frozenset(_norm(*e) for e in loose))
+    if smaller is None:
+        smaller = ((),) * k
     adj = G.adj
     img = [0] * F.n
     cand = [0] * k
@@ -89,10 +116,17 @@ def _search(F, G, order, dom, loose=frozenset(), injective=True):
         mask = dom[i]
         for y in back[i]:
             mask &= adj[img[y]]
+        for y in smaller[i]:
+            mask &= -2 << img[y]  # host vertices above img[y]
         if injective:
             used |= low
             mask &= ~used
         cand[i] = mask
+
+
+def _pin_domains(order, pin, n):
+    full = (1 << n) - 1
+    return [1 << pin[x] if x in pin else full for x in order]
 
 
 def embeddings(F, G, pin=None, loose=frozenset()):
@@ -105,9 +139,87 @@ def embeddings(F, G, pin=None, loose=frozenset()):
     if F.n > G.n:
         return iter(())
     pin = dict(pin or {})
-    order = _pattern_order(F, pin)
-    full = (1 << G.n) - 1
-    return _search(F, G, order, [1 << pin[x] if x in pin else full for x in order], loose)
+    order = _pattern_order(F, tuple(pin))
+    return _search(F, G, order, _pin_domains(order, pin, G.n), loose)
+
+
+# -- automorphism orbits of a pattern ----------------------------------
+
+
+def _automorphic(F, pairs):
+    """Whether some automorphism of F sends x to y for every (x, y) in pairs."""
+    pin = {}
+    for x, y in pairs:
+        if pin.setdefault(x, y) != y:
+            return False
+    return next(embeddings(F, F, pin=pin), None) is not None
+
+
+@cache
+def _breaking(F, pinned):
+    """Search order and symmetry-breaking conditions for the pointwise
+    stabilizer A of the `pinned` vertices in Aut(F).
+
+    The base points of A's stabilizer chain are the unpinned vertices in
+    search order.  The image of each base point b must be smaller than
+    the image of every other vertex in b's orbit under the stabilizer of
+    all earlier positions; A's orbits on the embeddings extending a pin
+    then keep exactly one map each, the lexicographically first in search
+    order (Grochow and Kellis, RECOMB 2007).
+    """
+    order = _pattern_order(F, pinned)
+    fixed = [(x, x) for x in order[: len(pinned)]]
+    smaller = {x: [] for x in order}
+    for i in range(len(pinned), len(order)):
+        b = order[i]
+        for v in order[i + 1:]:
+            if _automorphic(F, fixed + [(b, v)]):
+                smaller[v].append(b)
+        fixed.append((b, b))
+    return order, tuple(tuple(smaller[x]) for x in order)
+
+
+def _orbit_embeddings(F, G, pin=None):
+    """One embedding of F into G extending `pin` per orbit of the
+    pointwise stabilizer of the pinned vertices in Aut(F): without a pin,
+    the lexicographically first map of each copy in search order."""
+    pin = dict(pin or {})
+    order, smaller = _breaking(F, tuple(pin))
+    return _search(F, G, order, _pin_domains(order, pin, G.n), smaller=smaller)
+
+
+@cache
+def _arc_representatives(F):
+    """One arc (x, y), i.e. an edge with an orientation, per Aut(F)-orbit."""
+    reps, covered = [], set()
+    arcs = [a for x, y in F.edges for a in ((x, y), (y, x))]
+    for x, y in arcs:
+        if (x, y) in covered:
+            continue
+        reps.append((x, y))
+        covered.update(a for a in arcs if _automorphic(F, [(x, a[0]), (y, a[1])]))
+    return tuple(reps)
+
+
+@cache
+def _pair_representatives(F):
+    """One (arc f0, edge f1 != f0) per Aut(F)-orbit of such pairs: the arc
+    representatives, each with one edge per orbit of its stabilizer.
+    Each comes as (arc, f1, the edges of F other than f0 and f1)."""
+    reps = []
+    for x, y in _arc_representatives(F):
+        f0 = _norm(x, y)
+        covered = {f0}
+        for f1 in F.edges:
+            if f1 in covered:
+                continue
+            reps.append(((x, y), f1, tuple(e for e in F.edges if e not in (f0, f1))))
+            covered.update(
+                g for g in F.edges
+                if _automorphic(F, [(x, x), (y, y), (f1[0], g[0]), (f1[1], g[1])])
+                or _automorphic(F, [(x, x), (y, y), (f1[0], g[1]), (f1[1], g[0])])
+            )
+    return tuple(reps)
 
 
 @dataclass(frozen=True)
@@ -150,12 +262,12 @@ def enumerate_copies(F, G, anchor=None):
     if F.n > G.n:
         raise ValueError(f"pattern on {F.n} vertices larger than host on {G.n}")
     if anchor is None:
-        return CopyFamily(F, G, _collect_copies(F, G, embeddings(F, G)))
+        return CopyFamily(F, G, _collect_copies(F, G, _orbit_embeddings(F, G)))
+    # the maps of a copy through the anchor send one orbit of arcs onto
+    # (a, b), and those sending its representative form one stabilizer orbit
     a, b = anchor
-    maps = []
-    for x, y in F.edges:
-        maps.extend(embeddings(F, G, pin={x: a, y: b}))
-        maps.extend(embeddings(F, G, pin={x: b, y: a}))
+    maps = (m for x, y in _arc_representatives(F)
+            for m in _orbit_embeddings(F, G, pin={x: a, y: b}))
     return CopyFamily(F, G, _collect_copies(F, G, maps))
 
 
@@ -204,27 +316,19 @@ def count_f_minus_through(F, Z, e):
 def _completions_through(F, Z, fixed_pair):
     """Copies F1 of two-edge-deleted F in Z together with witness pairs.
 
-    Each result is (copy_key, witness) where copy_key identifies
+    Each result is (vertex set, edge set, witness) of the copy
     F1 = K - fixed_pair - witness for an F-copy K of K_n with all other
     edges inside Z.  The same F1 may carry several witnesses.
     """
-    fixed_pair = _norm(*fixed_pair)
+    a, b = _norm(*fixed_pair)
     out = set()
-    edges = list(F.edges)
-    for f0 in edges:
-        for pin in ({f0[0]: fixed_pair[0], f0[1]: fixed_pair[1]},
-                    {f0[0]: fixed_pair[1], f0[1]: fixed_pair[0]}):
-            for f1 in edges:
-                if f1 == f0:
-                    continue
-                for m in embeddings(F, Z, pin=pin, loose={f0, f1}):
-                    witness = _norm(m[f1[0]], m[f1[1]])
-                    if witness == fixed_pair:
-                        continue
-                    rest = frozenset(
-                        _norm(m[u], m[v]) for u, v in edges if (u, v) not in (f0, f1)
-                    )
-                    out.add((frozenset(m), rest, witness))
+    # a result is unchanged when an automorphism of F moves the pinned arc,
+    # the deleted edge f1 and the map together, so one (arc, f1) per orbit
+    # suffices; what a pair's stabilizer leaves over, the set absorbs
+    for (x, y), f1, kept in _pair_representatives(F):
+        for m in embeddings(F, Z, pin={x: a, y: b}, loose=((x, y), f1)):
+            rest = frozenset(_norm(m[u], m[v]) for u, v in kept)
+            out.add((frozenset(m), rest, _norm(m[f1[0]], m[f1[1]])))
     return out
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
 
-from .counting import _collect_copies, _pattern_order, _search, embeddings
+from .counting import _collect_copies, _pattern_order, _search
 from .graphs import Seed, edge_count_between
 
 EXACT_REGULARITY_CAP = 16
@@ -172,10 +172,17 @@ def fstar_overlap_count(Fstar, a1, a2, G, W):
     (non-adjacent) vertices.  The probabilistic bound at edge probability
     p is bound_coefficient * p ** bound_p_exponent; it is reported, not
     asserted."""
+    if a1 == a2:
+        raise ValueError("the two marked vertices must be distinct")
     if Fstar.has_edge(a1, a2):
         raise ValueError("marked vertices must be non-adjacent in the pattern")
+    # pin the marked vertices to ordered pairs of W, every other vertex outside W
     W = set(W)
-    maps = (m for m in embeddings(Fstar, G) if W.intersection(m) == {m[a1], m[a2]})
+    inside = sorted(w for w in W if 0 <= w < G.n)
+    order = _pattern_order(Fstar, (a1, a2))
+    outside = [((1 << G.n) - 1) & ~sum(1 << w for w in inside)] * (Fstar.n - 2)
+    maps = (m for w1 in inside for w2 in inside if w1 != w2
+            for m in _search(Fstar, G, order, [1 << w1, 1 << w2] + outside))
     return {
         "count": len(_collect_copies(Fstar, G, maps)),
         "bound_coefficient": 2 * G.n ** (Fstar.n - 2) * len(W) ** 2,

@@ -1,27 +1,43 @@
 """The single pattern-search core behind every embedding, extension and
 partite-copy count, checked against independent oracles: the permutation
 enumerators in tests/oracles.py and homomorphisms listed with
-`itertools.product`."""
+`itertools.product`.  The symmetry-broken copy search and the orbit
+representatives behind P(e1, e2) are checked against the plain search and
+the oracles."""
 
 from itertools import combinations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import naive_copies, naive_extension_count, naive_fstar_overlap
+from oracles import naive_copies, naive_extension_count, naive_fstar_overlap, naive_P
 
-from ramseylab.counting import are_isomorphic, enumerate_copies, extension_count
+from ramseylab.counting import (
+    _collect_copies,
+    _orbit_embeddings,
+    are_isomorphic,
+    embeddings,
+    enumerate_copies,
+    enumerate_P,
+    extension_count,
+)
 from ramseylab.graphs import Graph, path_graph, pattern_by_name
 from ramseylab.regularity import counting_lemma_check, fstar_overlap_count
 
 PATTERNS = [pattern_by_name(name) for name in ("K3", "C4", "P3", "K4-e")]
+# automorphism groups from trivial-on-edges (isolated vertices) to S4
+COPY_PATTERNS = [pattern_by_name(name) for name in ("K3", "C4", "C5", "K4", "K4-e")] + [
+    Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),  # K2,3
+    Graph(4, [(0, 1), (2, 3)]),  # 2K2
+    Graph(5, [(0, 1), (1, 2)]),  # P3 and two isolated vertices
+]
 
 # fixed example sequence and no example database, so a run repeats exactly
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
 @st.composite
-def hosts(draw, max_n=8):
-    n = draw(st.integers(4, max_n))
+def hosts(draw, min_n=4, max_n=8):
+    n = draw(st.integers(min_n, max_n))
     pairs = list(combinations(range(n), 2))
     return Graph(n, [e for e in pairs if draw(st.booleans())])
 
@@ -39,6 +55,36 @@ def test_copies_match_oracle(G, F, pick):
         e = G.edges[pick % len(G.edges)]
         assert copy_set(enumerate_copies(F, G, anchor=e)) == {
             (vs, es) for vs, es in expected if e in es}
+
+
+def copy_key(F, m):
+    return frozenset(m), frozenset(tuple(sorted((m[u], m[v]))) for u, v in F.edges)
+
+
+@PROPERTY
+@given(hosts(min_n=5), st.sampled_from(COPY_PATTERNS), st.data())
+def test_symmetry_broken_copies_match_plain_search(G, F, data):
+    family = enumerate_copies(F, G)
+    # one map per copy: no copy twice and none missing
+    keys = [copy_key(F, m) for m in _orbit_embeddings(F, G)]
+    assert len(keys) == len(set(keys)) == len(family)
+    # the same copies, each with the same witness map as the plain search
+    assert family.copies == _collect_copies(F, G, embeddings(F, G))
+    anchor = data.draw(st.sampled_from(list(combinations(range(G.n), 2))))
+    assert copy_set(enumerate_copies(F, G, anchor=anchor)) == {
+        (c.vertices, c.edges) for c in family.copies if anchor in c.edges}
+
+
+@settings(PROPERTY, max_examples=40)
+@given(hosts(max_n=7), st.sampled_from(PATTERNS), st.data())
+def test_pair_family_matches_oracle(Z, F, data):
+    # e1 and e2 range over edges and non-edges of Z alike
+    e1, e2 = data.draw(st.lists(st.sampled_from(list(combinations(range(Z.n), 2))),
+                                min_size=2, max_size=2, unique=True))
+    found = {((tuple(sorted(c1.vertices)), tuple(sorted(c1.edges))),
+              (tuple(sorted(c2.vertices)), tuple(sorted(c2.edges))), s)
+             for c1, c2, s in enumerate_P(F, Z, e1, e2)}
+    assert found == naive_P(F, Z, e1, e2)
 
 
 @PROPERTY

@@ -154,6 +154,8 @@ def test_fstar_overlap():
     assert fstar_overlap_count(p3, 0, 2, p3, [])["count"] == 0
     with pytest.raises(ValueError):
         fstar_overlap_count(p3, 0, 1, p3, [0, 1])
+    with pytest.raises(ValueError):
+        fstar_overlap_count(p3, 0, 0, p3, [0, 1])
     # random agreement with the oracle
     fstar = Graph(4, [(0, 1), (1, 2), (2, 3)])  # P4, mark its endpoints
     for i in range(15):
