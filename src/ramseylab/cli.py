@@ -307,12 +307,13 @@ def _run(ns):
             params["pool_size"] = ns.pool_size
         if ns.budget_nodes:
             params["budget"] = ns.budget_nodes
-        xi0, report = construct_normal_family(Z, spec, F, params, Seed(ns.seed))
+        seed = Seed(ns.seed)  # construction and restriction draw from distinct streams
+        xi0, report = construct_normal_family(Z, spec, F, params, seed.substream(0))
         payload = {"family": [list(h) for h in xi0], "report": report,
                    "sigma": list(spec.sigma)}
         if ns.restrict_L is not None and xi0:
             xi, prof, rrep = restrict_index_consistent(Z, xi0, spec, F, ns.restrict_L,
-                                                       Seed(ns.seed, 1))
+                                                       seed.substream(1))
             payload["restricted"] = {
                 "family": [list(h) for h in xi],
                 "profile": list(prof.pi) if prof else None,

@@ -16,25 +16,34 @@ from itertools import combinations
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Seed:
-    """Key of a counter-based Philox stream: (value, stream_id) -> one stream."""
+    """Key of a counter-based Philox stream: a seed value and an index path.
 
-    value: int = 0
-    stream_id: int = 0
+    ``Seed(v, i, j)`` is ``Seed(v).substream(i).substream(j)``.  The key is
+    drawn from ``SeedSequence(value, spawn_key=path)``, so distinct paths
+    give distinct streams.  Each index lies below 2**32: SeedSequence splits
+    a larger one into 32-bit words, and the path (2**32,) would meet (0, 1).
+    """
 
-    def __post_init__(self):
-        if not (0 <= self.value < 2**64 and 0 <= self.stream_id < 2**64):
-            raise ValueError("seed components must be 64-bit unsigned ints")
+    value: int
+    path: tuple
+
+    def __init__(self, value=0, *path):
+        if not 0 <= value < 2**64:
+            raise ValueError("seed value must be a 64-bit unsigned int")
+        if not all(0 <= i < 2**32 for i in path):
+            raise ValueError("substream indices must lie in [0, 2**32)")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "path", path)
 
     def generator(self):
-        return np.random.Generator(np.random.Philox(key=(self.value << 64) | self.stream_id))
+        seq = np.random.SeedSequence(self.value, spawn_key=self.path)
+        return np.random.Generator(np.random.Philox(seq))
 
     def substream(self, index):
-        """Derived stream for trial `index`; injective for index < 2**32."""
-        if index < 0:
-            raise ValueError("substream index must be nonnegative")
-        return Seed(self.value, (self.stream_id * 0x100000000 + index) % 2**64)
+        """Derived stream for trial `index`."""
+        return Seed(self.value, *self.path, index)
 
 
 class Graph:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from ramseylab.graphs import (
@@ -139,3 +141,35 @@ def test_union_associative():
     b = gnp_sample(8, 0.3, Seed(71, 1))
     c = gnp_sample(8, 0.3, Seed(71, 2))
     assert union(union(a, b), c) == union(a, union(b, c))
+
+
+def _first_draw(seed):
+    return int(seed.generator().bit_generator.random_raw())
+
+
+def test_seed_paths_give_distinct_streams():
+    # every index path of depth <= 3 over these indices keys its own stream
+    indices = (0, 1, 2, 3, 5, 1002, 2**32 - 1)
+    paths = [p for depth in range(4) for p in product(indices, repeat=depth)]
+    draws = {_first_draw(Seed(7, *p)) for p in paths}
+    assert len(draws) == len(paths) == 1 + 7 + 49 + 343
+    # collisions of the former 32-bit shift derivation: the first index was
+    # lost at depth 3, and (0, 1) met (1,)
+    root = Seed(7)
+    assert _first_draw(root.substream(0).substream(3).substream(5)) != _first_draw(
+        root.substream(1002).substream(3).substream(5))
+    assert _first_draw(root.substream(0).substream(1)) != _first_draw(root.substream(1))
+    # the booster subcommand's restriction stream (1,) against the stage-4
+    # selection stream of its construction, (0, 1)
+    assert _first_draw(Seed(7, 1)) != _first_draw(Seed(7, 0, 1))
+    assert Seed(7, 3, 5) == root.substream(3).substream(5)
+
+
+def test_seed_rejects_out_of_range_components():
+    # SeedSequence would split 2**32 into the words (0, 1)
+    with pytest.raises(ValueError):
+        Seed(7).substream(2**32)
+    with pytest.raises(ValueError):
+        Seed(7).substream(-1)
+    with pytest.raises(ValueError):
+        Seed(2**64)

@@ -107,23 +107,23 @@ def test_three_colours_arrow_the_path_above_degree_three():
 # must reproduce these exactly
 GOLDEN = [
     ("K3", 30, 1.5, 150, 4000, "not_arrows",
-     "11010010110010010101001110000011111000001100001011010000101101001000100010000100011100100100000011101100011010110011010011101011",
-     62, 128),
-    ("K3", 30, 2.0, 201, 4000, "arrows", None, 13, 95),
+     "0010010101001100000000110001000100000011100010011001011001001101001100100001111000100010000110100100100",
+     44, 86),
+    ("K3", 30, 2.0, 201, 4000, "not_arrows",
+     "1011000000001011100011100001001100000110000110001111101110111001001010100000100000000011001001010110011100100100010111010001000101101100111101110000",
+     197, 1341),
     ("K3", 30, 2.0, 202, 4000, "not_arrows",
-     "001010011100000011001001000010101000001100011010100011001110000110110111111010010111000000000010010010100010010100011100111111110011000110010010110101111",
-     117, 530),
-    ("K3", 30, 2.5, 252, 4000, "not_arrows",
-     "0100001010100100011010111010100000010111101001010001101110000101010011011111001110100010100011010100110101100100111110000100101010001010100101011011101000110111010010100101101010110111101001101",
-     472, 5432),
-    ("K3", 30, 2.5, 253, 4000, "arrows", None, 299, 2622),
-    ("C4", 14, 2.5, 253, 4000, "not_arrows",
-     "1001000010011101110011110000101011110100", 39, 210),
+     "00111101001001000110000100001100101010100001000101001011110100111011000111000110011001101101011110000001011000100011100011010011101101000110111110110000101000110110100",
+     922, 12261),
+    ("K3", 30, 2.5, 252, 4000, "arrows", None, 456, 3244),
+    ("K3", 30, 2.5, 253, 4000, "arrows", None, 33, 221),
+    ("C4", 14, 2.5, 253, 4000, "arrows", None, 388, 3093),
     ("C4", 14, 3.0, 300, 4000, "not_arrows",
-     "1000011011110001001101101101011010101001000110", 68, 508),
-    ("C4", 14, 3.0, 301, 4000, "arrows", None, 609, 3867),
-    ("C4", 14, 3.5, 350, 4000, "arrows", None, 1275, 8189),
-    ("C4", 14, 3.5, 352, 500, "undecided", None, 500, 4457),
+     "010111000100111100100100001110110001001",
+     41, 223),
+    ("C4", 14, 3.0, 301, 4000, "arrows", None, 201, 1607),
+    ("C4", 14, 3.5, 350, 4000, "arrows", None, 2653, 23195),
+    ("C4", 14, 3.5, 352, 500, "arrows", None, 83, 521),
 ]
 
 

@@ -72,8 +72,8 @@ def test_view_matches_full_enumeration_and_oracles(case):
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_booster.json").read_text())
-# label -> (host, booster, extra params); values recorded before the
-# booster stages shared one view per union
+# label -> (host, booster, extra params); values recorded from the pipeline
+# that shares one view per union, on path-keyed seeds
 GOLDEN_CASES = {
     "block8-K2-full": (lambda: k6_minus_edge_block(8, Seed(501))[0], "K2", {}),
     "two-block-K2-full": (lambda: two_block_host(Seed(502))[0], "K2", {}),
