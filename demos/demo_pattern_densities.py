@@ -7,7 +7,7 @@ irregular patterns.  Everything printed here is exact rational
 arithmetic; no classification ever hinges on floating point.
 """
 
-from ramseylab import classify, d2, m2, edge_density, booster_admissible
+from ramseylab import classify, d2, m2, mad, edge_density, booster_admissible
 from ramseylab.graphs import complete_graph, pattern_by_name
 
 print("=" * 72)
@@ -40,3 +40,17 @@ for name in ["K2", "P3", "C5", "C8", "K4", "K6"]:
 print()
 print("A graph B with m(B) > m2(F) already arrows F for density reasons,")
 print("so it can never play the booster role: boosters must be sparse.")
+print()
+
+print("=" * 72)
+print("  Rooted densities behind the Z3 per-edge bound")
+print("=" * 72)
+for name in ["K3", "K4", "C4", "C5", "C6"]:
+    F = pattern_by_name(name)
+    worst = max(mad(list(root), F.without_edges([e]))[0]
+                for e in F.edges for root in F.without_edges([e]).edges)
+    print(f"  {name:>4}: max over e, f of mad(f, F - e) = {str(worst):>4}  <  m2 = {m2(F)[0]}")
+print()
+print("Rooted at any edge f, no part of F - e is as dense as m2(F); that is")
+print("what lets property Z3 cap the copies of F - e through one host edge")
+print("at D/p when p ~ n^(-1/m2).")

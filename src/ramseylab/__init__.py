@@ -65,7 +65,6 @@ from .graphs import (
     path_graph,
     pattern_by_name,
     serialize_graph,
-    star_graph,
     union,
 )
 from .booster import (
@@ -76,7 +75,6 @@ from .booster import (
     activated_set,
     brute_force_cores,
     build_hypergraph,
-    c_xi,
     check_interactive_regular,
     classify_bad,
     degree_bound_report,

@@ -108,16 +108,6 @@ def union_view(Z, h, spec, F):
     return UnionView(U, tuple(copies), dict(foci), members)
 
 
-def focus_map(Z, h, spec, F):
-    """z-edge -> set of booster edge indices it focuses on.
-
-    An edge of Z focuses on a booster edge when some copy of F in
-    Z ∪ h(B) contains both; shared edges (in Z and in the image) count
-    on the Z side as well.
-    """
-    return union_view(Z, h, spec, F).foci
-
-
 @dataclass(frozen=True)
 class FocusSet:
     h: tuple
@@ -173,11 +163,6 @@ def pair_relations(Z, h, spec, F, e1, e2):
     return {"approx": approx, "sim": sim}
 
 
-def c_xi(Z, Xi, spec, F, e1, e2):
-    """Number of embeddings in the family connecting the two edges."""
-    return sum(1 for h in Xi if pair_relations(Z, h, spec, F, e1, e2)["approx"])
-
-
 # -- interactivity --------------------------------------------------------
 
 
@@ -230,11 +215,12 @@ def check_interactive_regular(Z, Xi, spec, F, budget=None):
 # -- embedding pools -------------------------------------------------------
 
 
-def embedding_pool(B, n, mode="full", size=None, seed=None, max_tries_factor=50):
+def embedding_pool(B, n, mode="full", size=None, seed=None):
     """Distinct images of B in K_n, as representative embedding tuples.
 
     Full mode enumerates every unlabelled copy; sampled mode draws
-    uniform injections and dedupes images until `size` distinct ones.
+    uniform injections and dedupes images until `size` distinct ones,
+    giving up after 50 * size draws.
     """
     if mode == "full":
         return [c.map for c in enumerate_copies(B, complete_graph(n)).copies]
@@ -245,7 +231,7 @@ def embedding_pool(B, n, mode="full", size=None, seed=None, max_tries_factor=50)
     rng = (seed or Seed()).generator()
     seen = {}
     tries = 0
-    while len(seen) < size and tries < max_tries_factor * size:
+    while len(seen) < size and tries < 50 * size:
         tries += 1
         h = tuple(int(x) for x in rng.permutation(n)[: B.n])
         es = frozenset(_norm(h[u], h[v]) for u, v in B.edges)
@@ -255,22 +241,15 @@ def embedding_pool(B, n, mode="full", size=None, seed=None, max_tries_factor=50)
     return list(seen.values())
 
 
-def alpha_tilde(B):
-    """Normal-family selection constant 1/(13 v(B)^4 v(B)!)."""
-    return Fraction(1, 13 * B.n**4 * factorial(B.n))
+def alpha_tilde(v):
+    """Normal-family selection constant 1/(13 v^4 v!) of a booster on v vertices."""
+    return Fraction(1, 13 * v**4 * factorial(v))
 
 
 # -- the normal-family pipeline -------------------------------------------
 
 
-def construct_normal_family(
-    Z,
-    spec,
-    F,
-    params,
-    seed=None,
-    pool=None,
-):
+def construct_normal_family(Z, spec, F, params, seed=None):
     """Filter and thin an embedding pool into a family satisfying the
     checkable normality conditions (overlap, badness, pair cap,
     edge-disjointness, arrowing unions).
@@ -292,16 +271,13 @@ def construct_normal_family(
     z_res = decide_arrow(Z, F, budget=budget)
     report["z_arrows_alone"] = z_res.verdict == "arrows"
 
-    if pool is None:
-        pool_size = params.get("pool_size")
-        if pool_size:
-            pool = embedding_pool(B, n, "sampled", pool_size, seed.substream(0))
-            report["pool_mode"] = f"sampled({pool_size})"
-        else:
-            pool = embedding_pool(B, n, "full")
-            report["pool_mode"] = "full"
+    pool_size = params.get("pool_size")
+    if pool_size:
+        pool = embedding_pool(B, n, "sampled", pool_size, seed.substream(0))
+        report["pool_mode"] = f"sampled({pool_size})"
     else:
-        report["pool_mode"] = "supplied"
+        pool = embedding_pool(B, n, "full")
+        report["pool_mode"] = "full"
     report["pool"] = len(pool)
 
     # stage 1: arrowing unions, each decided from Z's copies and the view
@@ -309,14 +285,14 @@ def construct_normal_family(
     if not arrow_filter:
         report["arrow_filter_disabled"] = True
     z_copies = enumerate_copies(F, Z).copies if arrow_filter and F.n <= n else []
-    views = {}  # by tuple(h): a supplied pool may hold lists
+    views = {}
     psi1 = []
     for h in pool:
         view = union_view(Z, h, spec, F)
         v = _union_verdict(z_copies, view, budget) if arrow_filter else "arrows"
         if v == "arrows":
             psi1.append(h)
-            views[tuple(h)] = view
+            views[h] = view
         else:
             report["removed"]["not_arrowing" if v == "not_arrows" else "undecided"] += 1
     report["psi1"] = len(psi1)
@@ -324,7 +300,7 @@ def construct_normal_family(
     # stage 2: badness
     psi2 = []
     for h in psi1:
-        flags = _bad_flags(views[tuple(h)])
+        flags = _bad_flags(views[h])
         if flags["bad"]:
             for key in ("B1", "B2", "B3"):
                 if flags[key]:
@@ -339,7 +315,7 @@ def construct_normal_family(
     psi3 = []
     for h in psi2:
         groups = defaultdict(list)
-        for e, foci in views[tuple(h)].foci.items():
+        for e, foci in views[h].foci.items():
             if len(foci) == 1:
                 groups[next(iter(foci))].append(e)
         if any(pair_count(e1, e2) > heavy_cap
@@ -350,7 +326,7 @@ def construct_normal_family(
     report["psi3"] = len(psi3)
 
     # stage 4: random selection with repetition
-    a_eff = Fraction(params["alpha"]) if "alpha" in params else alpha_tilde(B)
+    a_eff = Fraction(params["alpha"]) if "alpha" in params else alpha_tilde(B.n)
     eps = 2 * a_eff
     target = int(round(eps * n * n))
     draws = min(target, len(psi3))
@@ -364,8 +340,8 @@ def construct_normal_family(
         report["removed"] = dict(report["removed"])
         return [], report
     rng = seed.substream(1).generator()
-    chosen = {tuple(psi3[int(i)]) for i in rng.integers(0, len(psi3), size=draws)}
-    psi_s = [h for h in psi3 if tuple(h) in chosen]  # keep pool order
+    chosen = {psi3[int(i)] for i in rng.integers(0, len(psi3), size=draws)}
+    psi_s = [h for h in psi3 if h in chosen]  # keep pool order
     report["psi_s"] = len(psi_s)
 
     # stage 5: pairwise vertex overlap <= 1
@@ -384,7 +360,7 @@ def construct_normal_family(
     counts = Counter()
     capped = []
     for h in psi4:
-        pairs = list(combinations(views[tuple(h)].members, 2))
+        pairs = list(combinations(views[h].members, 2))
         if any(counts[pr] + 1 > cap for pr in pairs):
             report["removed"]["pair_cap"] += 1
             continue

@@ -415,6 +415,8 @@ def main(argv=None):
     try:
         ns = _merge_config(ap, list(sys.argv[1:] if argv is None else argv))
         payload, code = _run(ns)
+    except SystemExit as exc:  # argparse printed its usage error (2) or --help (0)
+        return exc.code
     except (CliError, AllUndecided, NoBracket, ValueError, OSError, json.JSONDecodeError,
             KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -194,7 +194,11 @@ def rooted_density(roots, H):
 def mad(roots, H):
     """Max of dens(R, H[S]) over induced S with R properly inside S.
 
-    Returns (value, S) with S the lexicographically smallest maximizer.
+    This is the rooted density behind the Z3 per-edge bound on copies of
+    F minus one edge through a single edge of the host: for a strictly
+    balanced F, rooting F minus an edge at any remaining edge gives a
+    value below m2(F).  Returns (value, S) with S the lexicographically
+    smallest maximizer.
     """
     _check_cap(H)
     R = list(roots)

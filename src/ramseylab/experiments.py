@@ -11,13 +11,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, exp, factorial, sqrt, ceil
+from math import comb, exp, sqrt, ceil
 
 from .arrowing import decide_arrow
 from .booster import alpha_tilde, classify_bad, make_booster_spec
 from .counting import count_P, enumerate_copies, f_minus_members
 from .density import classify, is_bipartite
 from .graphs import Seed, gnp_sample
+
+
+# arrowing-probability levels whose crossings a curve or window reports
+LEVELS = (0.1, 0.5, 0.9)
 
 
 class AllUndecided(RuntimeError):
@@ -87,10 +91,15 @@ def estimate_arrow_probability(F, n, p, trials, seed, budget=None, verdict_fn=No
     }
 
 
-def _p_of_c(c, n, exponent):
-    """p = c * n^(-1/m2), clamped into [0,1]."""
+def _probe(F, n, c, exponent, trials, seed, budget, verdict_fn):
+    """Estimate at p = c * n^(-exponent), clamped into [0,1], tagged with c."""
     p = c * n ** (-float(exponent))
-    return min(1.0, max(0.0, p)), p > 1.0
+    est = estimate_arrow_probability(
+        F, n, min(1.0, max(0.0, p)), trials, seed, budget=budget, verdict_fn=verdict_fn
+    )
+    est["c"] = c
+    est["p_clamped"] = p > 1.0
+    return est
 
 
 def bisect_threshold_constant(
@@ -103,7 +112,6 @@ def bisect_threshold_constant(
     c_range=(0.05, 4.0),
     budget=None,
     verdict_fn=None,
-    exponent=None,
 ):
     """Bisection on the scaled constant c with fresh trials per probe.
 
@@ -111,19 +119,12 @@ def bisect_threshold_constant(
     Returns the crossing estimate and the full probe log.
     """
     seed = seed or Seed()
-    if exponent is None:
-        exponent = classify(F).threshold_exponent
+    exponent = classify(F).threshold_exponent
     probes = []
 
     def probe(c, idx):
-        p, clamped = _p_of_c(c, n, exponent)
-        est = estimate_arrow_probability(
-            F, n, p, trials, seed.substream(idx), budget=budget, verdict_fn=verdict_fn
-        )
-        est["c"] = c
-        est["p_clamped"] = clamped
-        probes.append(est)
-        return est["estimate"]
+        probes.append(_probe(F, n, c, exponent, trials, seed.substream(idx), budget, verdict_fn))
+        return probes[-1]["estimate"]
 
     lo, hi = c_range
     e_lo = probe(lo, 0)
@@ -149,20 +150,18 @@ def sharpness_window(
     n_list,
     trials,
     seed=None,
-    levels=(0.1, 0.5, 0.9),
     tol=1e-3,
     c_range=(0.05, 4.0),
     budget=None,
     verdict_fn=None,
-    exponent=None,
 ):
-    """Crossing constants at several levels per n, plus relative widths
+    """Crossing constants at the three `LEVELS` per n, plus relative widths
     and the undecided trials over all of that n's probes."""
     seed = seed or Seed()
     rows = []
     for i, n in enumerate(n_list):
         entry = {"n": n, "undecided": 0}
-        for j, level in enumerate(levels):
+        for j, level in enumerate(LEVELS):
             r = bisect_threshold_constant(
                 F,
                 n,
@@ -173,11 +172,10 @@ def sharpness_window(
                 c_range=c_range,
                 budget=budget,
                 verdict_fn=verdict_fn,
-                exponent=exponent,
             )
             entry[f"c_{level}"] = r["c_hat"]
             entry["undecided"] += sum(pr["undecided"] for pr in r["probes"])
-        low, mid, high = (entry[f"c_{q}"] for q in levels)
+        low, mid, high = (entry[f"c_{q}"] for q in LEVELS)
         entry["window"] = high - low
         entry["relative_width"] = (high - low) / mid if mid else float("inf")
         rows.append(entry)
@@ -194,18 +192,11 @@ def window_trend(rows):
 
 def threshold_curve(F, n, c_values, trials, seed=None, budget=None, verdict_fn=None):
     """Estimates over a grid of scaled constants, with interpolated
-    level crossings at 0.1 / 0.5 / 0.9."""
+    crossings of the `LEVELS`."""
     seed = seed or Seed()
     exponent = classify(F).threshold_exponent
-    points = []
-    for i, c in enumerate(sorted(c_values)):
-        p, clamped = _p_of_c(c, n, exponent)
-        est = estimate_arrow_probability(
-            F, n, p, trials, seed.substream(i), budget=budget, verdict_fn=verdict_fn
-        )
-        est["c"] = c
-        est["p_clamped"] = clamped
-        points.append(est)
+    points = [_probe(F, n, c, exponent, trials, seed.substream(i), budget, verdict_fn)
+              for i, c in enumerate(sorted(c_values))]
 
     def crossing(level):
         for a, b in zip(points, points[1:]):
@@ -220,7 +211,7 @@ def threshold_curve(F, n, c_values, trials, seed=None, budget=None, verdict_fn=N
         "n": n,
         "exponent": str(exponent),
         "points": points,
-        "crossings": {q: crossing(q) for q in (0.1, 0.5, 0.9)},
+        "crossings": {q: crossing(q) for q in LEVELS},
     }
 
 
@@ -325,11 +316,10 @@ def janson_bound(copy_family, q):
     q = Fraction(q)
     if not 0 < q <= 1:
         raise ValueError("q must lie in (0, 1]")
-    copies = copy_family.copies if hasattr(copy_family, "copies") else list(copy_family)
-    if not copies:
+    edge_sets = [c.edges for c in copy_family.copies]
+    if not edge_sets:
         return {"mu": Fraction(0), "Delta": Fraction(0), "bound": 1.0, "empty": True,
                 "capped": False}
-    edge_sets = [c.edges if hasattr(c, "edges") else frozenset(c) for c in copies]
     mu = sum(q ** len(es) for es in edge_sets)
     delta = Fraction(0)
     for i, a in enumerate(edge_sets):
@@ -379,25 +369,29 @@ class ConstantChain:
     eta: Fraction | None = None
     notes: list = field(default_factory=list)
 
-    def to_record(self, digit_limit=10_000):
-        rec = {"inputs": {k: _render(v, digit_limit) for k, v in self.inputs.items()}}
+    def to_record(self):
+        rec = {"inputs": {k: _render(v) for k, v in self.inputs.items()}}
         for name in (
             "delta alpha_tilde L L_exact alpha_prime K k beta gamma eps_container "
             "tau_exponent a b C0_prime d gamma_kst eps_reg t0 eta".split()
         ):
-            rec[name] = _render(getattr(self, name), digit_limit)
+            rec[name] = _render(getattr(self, name))
         rec["L_rounded"] = self.L_rounded
         rec["endpoints_split"] = self.endpoints_split
         rec["notes"] = self.notes
         return rec
 
 
-def _render(v, digit_limit=10_000):
+# integers with more decimal digits render as digit counts
+DIGIT_LIMIT = 10_000
+
+
+def _render(v):
     if v is None:
         return None
     if isinstance(v, Fraction):
         num, den = v.numerator, v.denominator
-        if _digits(num) > digit_limit or _digits(den) > digit_limit:
+        if _digits(num) > DIGIT_LIMIT or _digits(den) > DIGIT_LIMIT:
             return {
                 "approx": float(v) if -1e308 < v < 1e308 else None,
                 "num_digits": _digits(num),
@@ -407,7 +401,7 @@ def _render(v, digit_limit=10_000):
     if isinstance(v, bool) or v is True or v is False:
         return v
     if isinstance(v, int):
-        return v if _digits(v) <= digit_limit else {"num_digits": _digits(v)}
+        return v if _digits(v) <= DIGIT_LIMIT else {"num_digits": _digits(v)}
     return str(v)
 
 
@@ -509,7 +503,7 @@ def derive_proof_constants(
 
     if B is not None:
         vB = B if isinstance(B, int) else B.n
-        chain.alpha_tilde = Fraction(1, 13 * vB**4 * factorial(vB))
+        chain.alpha_tilde = alpha_tilde(vB)
         if not isinstance(B, int):
             chain.K = B.num_edges()
 

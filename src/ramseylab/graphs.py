@@ -139,10 +139,6 @@ def path_graph(k):
     return Graph(k, [(i, i + 1) for i in range(k - 1)])
 
 
-def star_graph(leaves):
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
 _NAME_RE = re.compile(r"^([KCP])(\d+)(-e)?$")
 
 

@@ -13,9 +13,9 @@ from itertools import combinations
 from ramseylab.arrowing import decide_arrow, enumerate_f_free_colorings
 from ramseylab.booster import (
     classify_bad,
-    focus_map,
     make_booster_spec,
     profile_of,
+    union_view,
     verify_index_consistent,
 )
 from ramseylab.graphs import Graph, Seed, complete_graph, cycle_graph, gnp_sample
@@ -97,7 +97,7 @@ def c4_tipping_instance(bucket):
             Zp = Z.with_edges([(u, v)])
             if decide_arrow(Zp, F).verdict == "arrows":
                 spec = make_booster_spec(complete_graph(2), F)
-                fm = focus_map(Z, (u, v), spec, F)
+                fm = union_view(Z, (u, v), spec, F).foci
                 if any(len(s) > 1 for s in fm.values()):
                     continue
                 if classify_bad(Z, (u, v), spec, F)["bad"]:

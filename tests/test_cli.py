@@ -4,8 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import ramseylab
 from ramseylab.cli import main
 
@@ -64,8 +62,18 @@ def test_invalid_inputs_exit_2(capsys):
 
 
 def test_unknown_flag_rejected():
-    with pytest.raises(SystemExit):
-        main(["pattern", "C5", "--frobnicate"])
+    assert main(["pattern", "C5", "--frobnicate"]) == 2
+
+
+def test_argparse_errors_return_exit_codes(tmp_path):
+    # main returns argparse's exit code instead of raising SystemExit
+    assert main(["frobnicate"]) == 2
+    assert main(["sample", "--p", "0.3"]) == 2  # --n is required
+    assert main(["sample", "--n", "eight", "--p", "0.3"]) == 2
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"frobnicate": 1}))
+    assert main(["--config", str(cfg), "sample", "--n", "8", "--p", "0.3"]) == 2
+    assert main(["--help"]) == 0
 
 
 def test_threshold_csv(capsys):
@@ -97,9 +105,7 @@ def test_config_conflicts_with_abbreviated_flag(tmp_path):
     # flags match exactly, so an abbreviation cannot slip past the check
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"seed": 5}))
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), "sample", "--n", "8", "--p", "0.3", "--see", "1"])
-    assert exc.value.code == 2
+    assert main(["--config", str(cfg), "sample", "--n", "8", "--p", "0.3", "--see", "1"]) == 2
 
 
 def test_window_failures_exit_with_documented_codes(capsys):
