@@ -1,17 +1,15 @@
 """Exact decision of the arrowing property G -> (F).
 
-Each copy of F is a not-all-equal constraint over its edge ids: the
-copy must not be single-coloured.  One iterative search core
-(`_NaeSolver`: explicit stack, counter-based propagation, no recursion)
-answers every colouring question: the two-colour and r-colour arrowing
-decisions, the enumeration of F-free colourings and the lexicographically
-first F-free colouring.  An independent brute-force oracle enumerates all
-two-colourings of the constrained edges.
+Each copy of F is a not-all-equal constraint over its edge ids: the copy
+must not be single-coloured.  `_encode` writes that system as CNF (the
+clauses `cnf_export` prints), and one CDCL core (`_Cdcl`) answers every
+colouring question.  A brute-force oracle checks it independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -19,6 +17,7 @@ from .counting import enumerate_copies
 from .graphs import union
 
 RED, BLUE = 0, 1
+STATS = ("nodes", "propagations", "conflicts", "learned")  # counters of every search
 
 
 @dataclass
@@ -38,9 +37,7 @@ def _edge_id_sets(G, copies):
 
 def copy_constraints(G, F):
     """Edge-id sets of the F-copies in G (the NAE constraint system)."""
-    if F.n > G.n:
-        return []
-    return _edge_id_sets(G, enumerate_copies(F, G).copies)
+    return _edge_id_sets(G, enumerate_copies(F, G).copies) if F.n <= G.n else []
 
 
 def is_f_free(coloring, G, F):
@@ -50,174 +47,229 @@ def is_f_free(coloring, G, F):
     if F.n > G.n:
         return True, None
     for copy in enumerate_copies(F, G).copies:
-        cols = {coloring[G.edge_id(u, v)] for u, v in copy.edges}
-        if len(cols) == 1:
+        if len({coloring[G.edge_id(u, v)] for u, v in copy.edges}) == 1:
             return False, copy
     return True, None
 
 
-class _NaeSolver:
-    """The one search core: complete iterative depth-first search over
-    r-colourings of the constrained edges in which no constraint is
-    single-coloured, with counter-based propagation.
+def _encode(m, cons, colours):
+    """(variable count, clauses) of the NAE system; literal 2v is variable v,
+    2v + 1 its negation.  Two colours: variable e is "edge e has colour 1",
+    and each copy gives an all-positive and an all-negative clause.  Else
+    variable e * r + c is "edge e has colour c", with one at-least-one
+    clause per constrained edge and one "not all c" clause per copy and c;
+    an edge takes its lowest true colour, so at-most-one clauses are moot."""
+    r, clauses = colours, []
+    if r == 2:
+        for c in cons:
+            pos = [e + e for e in c]
+            clauses += (pos, [lit + 1 for lit in pos])
+        return m, clauses
+    clauses = [[2 * (e * r + k) for k in range(r)] for e in sorted({e for c in cons for e in c})]
+    return m * r, clauses + [[2 * (e * r + k) + 1 for e in c] for c in cons for k in range(r)]
 
-    Each constraint keeps a count per colour and the number of distinct
-    colours it has seen.  A constraint whose edges all share one colour is
-    a conflict.  With two colours, a constraint with one edge left and all
-    others of one colour forces that edge to the other colour; with more
-    colours the search only detects conflicts.
-    """
 
-    def __init__(self, m, constraints, colours=2, budget=None):
-        self.r = colours
-        self.cons = [list(c) for c in constraints]
-        self.sizes = [len(c) for c in self.cons]
-        self.in_cons = [[] for _ in range(m)]
-        for ci, c in enumerate(self.cons):
-            for e in c:
-                self.in_cons[e].append(ci)
-        self.colour = [-1] * m
-        self.counts = [[0] * colours for _ in self.cons]
-        self.distinct = [0] * len(self.cons)
-        self.budget = budget
-        self.nodes = 0
-        self.propagations = 0
-        self.vars = sorted({e for c in self.cons for e in c})
+class _Cdcl:
+    """The one search core: conflict-driven clause learning (CDCL).
 
-    # -- assignment with trail ------------------------------------------
+    Two watched literals per clause, c[0] and c[1]; an implied literal sits
+    at c[0].  Each conflict learns its first-UIP clause and jumps back on an
+    explicit trail.  VSIDS activities, seeded by occurrence counts, order
+    the decisions on a lazy `heapq`; Luby restarts; saved phases, and a
+    variable's first decision satisfies the more of its open input clauses;
+    a variable whose input clauses all hold is left free, not decided.  A
+    node is a decision.  `static` decides in index order, false first."""
 
-    def _assign(self, e, c, trail):
-        # counters for every constraint of e are updated even on conflict,
-        # so _undo can reverse the assignment uniformly
-        self.colour[e] = c
-        trail.append(e)
-        forced = []
-        conflict = False
-        binary = self.r == 2
-        for ci in self.in_cons[e]:
-            cnt = self.counts[ci]
-            cnt[c] += 1
-            if cnt[c] == 1:
-                self.distinct[ci] += 1
-            size = self.sizes[ci]
-            if cnt[c] == size:
-                conflict = True  # monochromatic copy
-            elif binary and cnt[c] == size - 1 and self.distinct[ci] == 1:
-                # one edge left uncoloured, all others share colour c
-                last = next(x for x in self.cons[ci] if self.colour[x] == -1)
-                forced.append((last, 1 - c))
-        return None if conflict else forced
+    def __init__(self, nvars, clauses, static=False):
+        self.value = [-1] * (2 * nvars)  # per literal: 1 true, 0 false, -1 free
+        self.level, self.reason, self.phase = [0] * nvars, [None] * nvars, [-1] * nvars
+        self.trail, self.lim, self.qhead, self.static, self.free = [], [], 0, static, []
+        self.inc = 0.0 if static else 1.0  # activity bump; none when static
+        self.nodes = self.propagations = self.conflicts = self.learned = 0
+        self.occ = occ = [[] for _ in range(2 * nvars)]  # input clauses per literal
+        self.watches = watches = [[] for _ in range(2 * nvars)]
+        for c in clauses:
+            for lit in c:
+                occ[lit].append(c)
+            if len(c) > 1:
+                watches[c[0]].append(c)
+                watches[c[1]].append(c)
+        self.activity = [self.inc * (len(occ[2 * v]) + len(occ[2 * v + 1])) for v in range(nvars)]
+        self.vars = [v for v in range(nvars) if occ[2 * v] or occ[2 * v + 1]]
+        self.heap = sorted((-self.activity[v], v) for v in self.vars)  # sorted: a heap
+        self.ok = all(self.add(c) for c in clauses if len(c) < 2)
 
-    def _undo(self, trail, mark):
-        while len(trail) > mark:
-            e = trail.pop()
-            c = self.colour[e]
-            self.colour[e] = -1
-            for ci in self.in_cons[e]:
-                cnt = self.counts[ci]
-                cnt[c] -= 1
-                if cnt[c] == 0:
-                    self.distinct[ci] -= 1
+    def add(self, lits):
+        """Add a clause at level 0; False when level-0 values falsify it."""
+        self._cancel(0)
+        if 1 not in [self.value[lit] for lit in lits]:
+            lits = [lit for lit in lits if self.value[lit] < 0]
+            self._attach(lits, None)
+        return bool(lits)
 
-    def _propagate(self, e, c, trail):
-        queue = [(e, c)]
-        while queue:
-            e, c = queue.pop()
-            if self.colour[e] == c:
-                continue
-            if self.colour[e] != -1:
-                return False
-            self.propagations += 1
-            forced = self._assign(e, c, trail)
-            if forced is None:
-                return False
-            queue.extend(forced)
-        return True
+    def _attach(self, lits, reason):
+        """Watch a clause's first two literals, or assign its only one."""
+        if len(lits) > 1:
+            self.watches[lits[0]].append(lits)
+            self.watches[lits[1]].append(lits)
+        if len(lits) == 1 or reason:
+            self.value[lits[0]], self.value[lits[0] ^ 1] = 1, 0
+            self.level[lits[0] >> 1], self.reason[lits[0] >> 1] = len(self.lim), reason
+            self.trail.append(lits[0])
 
-    def _pick(self):
-        """Free edge in the most constraints that have fewer than two
-        colours; ties go to the lowest EdgeId."""
-        colour, distinct, in_cons = self.colour, self.distinct, self.in_cons
-        best, best_score = None, -1
-        for e in self.vars:
-            if colour[e] != -1:
-                continue
-            score = 0
-            for ci in in_cons[e]:
-                if distinct[ci] < 2:
-                    score += 1
-            if score > best_score:
-                best, best_score = e, score
-        return best
-
-    def _first_free(self):
-        return next((e for e in self.vars if self.colour[e] == -1), None)
-
-    def solve(self, limit=1, symmetry_break=True, static=False):
-        """Search for colourings leaving no constraint single-coloured.
-
-        Returns (status, solutions).  Status is "sat" when `limit`
-        solutions were found or the space was exhausted after finding
-        some, "unsat" when there are none, "budget" when the node budget
-        ran out first.  Solutions are colour lists over all m edges with
-        unconstrained edges red.  `symmetry_break` colours the first
-        decision red only; `static` decides edges in EdgeId order instead
-        of by `_pick`, so colours are tried in lexicographic order.
-
-        Each frame on the explicit stack holds a decided edge, the colours
-        still to try for it and the trail length before its first colour.
-        """
-        if any(s == 1 for s in self.sizes):
-            return "unsat", []  # a one-edge copy can never be bichromatic
-        pick = self._first_free if static else self._pick
-        sols, trail, stack = [], [], []
-        while True:
-            e = pick()
-            if e is None:
-                sols.append([RED if c == -1 else c for c in self.colour])
-                if len(sols) >= limit:
-                    return "sat", sols
-            elif self.budget is not None and self.nodes >= self.budget:
-                return "budget", sols
-            else:
-                self.nodes += 1
-                root_only = symmetry_break and not stack
-                stack.append((e, iter(range(1 if root_only else self.r)), len(trail)))
-            # backtrack to the deepest edge with a colour left that propagates
-            while stack:
-                e, todo, mark = stack[-1]
-                self._undo(trail, mark)
-                c = next(todo, None)
-                if c is None:
-                    stack.pop()
-                elif self._propagate(e, c, trail):
+    def _open(self, lit):
+        """How many input clauses hold `lit` and no true literal yet."""
+        value, count = self.value, 0
+        for c in self.occ[lit]:
+            for other in c:
+                if value[other] == 1:
                     break
             else:
-                return ("sat" if sols else "unsat"), sols
+                count += 1
+        return count
+
+    def _propagate(self):
+        """Unit propagation from the queue head; a falsified clause or None."""
+        value, level, watches, trail = self.value, self.level, self.watches, self.trail
+        lvl, head, conflict = len(self.lim), self.qhead, None
+        while head < len(trail) and conflict is None:
+            false = trail[head] ^ 1
+            head += 1
+            ws, keep = watches[false], []
+            watches[false] = keep
+            for i, c in enumerate(ws):
+                first = c[0]
+                if first == false:
+                    first, c[0], c[1] = c[1], c[1], false
+                if value[first] == 1:
+                    keep.append(c)
+                    continue
+                for k in range(2, len(c)):
+                    lit = c[k]
+                    if value[lit]:  # true or free: watch it instead
+                        c[1], c[k] = lit, false
+                        watches[lit].append(c)
+                        break
+                else:
+                    keep.append(c)
+                    if value[first] == 0:
+                        keep += ws[i + 1:]
+                        conflict = c
+                        break
+                    value[first], value[first ^ 1] = 1, 0
+                    level[first >> 1], self.reason[first >> 1] = lvl, c
+                    trail.append(first)
+        self.propagations, self.qhead = self.propagations + head - self.qhead, head
+        return conflict
+
+    def _learn(self, conflict):
+        """Learn a conflict's first-UIP clause; jump back and assert it."""
+        level, activity, trail, lvl = self.level, self.activity, self.trail, len(self.lim)
+        learnt, seen, path, i, lits = [], set(), 0, len(trail), conflict
+        while lits:
+            for q in lits:
+                v = q >> 1
+                if v not in seen and level[v]:
+                    seen.add(v)
+                    activity[v] += self.inc
+                    if level[v] == lvl:
+                        path += 1
+                    else:
+                        learnt.append(q)
+            i -= 1
+            while trail[i] >> 1 not in seen:
+                i -= 1
+            path -= 1  # the reason's c[0] is trail[i] itself
+            lits = path and self.reason[trail[i] >> 1][1:]
+        learnt = [trail[i] ^ 1] + sorted(learnt, key=lambda q: -level[q >> 1])
+        self._cancel(level[learnt[1] >> 1] if len(learnt) > 1 else 0)
+        self._attach(learnt, learnt if len(learnt) > 1 else None)
+        self.learned, self.inc = self.learned + 1, self.inc / 0.95
+        if self.inc > 1e100:  # every activity stays below 20 * inc
+            self.inc, activity[:] = self.inc * 1e-100, [a * 1e-100 for a in activity]
+
+    def _cancel(self, lvl):
+        """Undo every level above `lvl`, saving phases and requeueing."""
+        if len(self.lim) > lvl:
+            stop, value, activity = self.lim[lvl], self.value, self.activity
+            for lit in self.trail[stop:]:
+                value[lit] = value[lit ^ 1] = -1
+                self.phase[lit >> 1] = lit & 1
+                heappush(self.heap, (-activity[lit >> 1], lit >> 1))
+            del self.trail[stop:], self.lim[lvl:]
+            while self.free and self.free[-1][0] > stop:  # left free on literals now undone
+                v = self.free.pop()[1]
+                heappush(self.heap, (-activity[v], v))
+            self.qhead = stop
+
+    def solve(self, budget=None):
+        """True if satisfiable, False if not, None once `budget` decisions ran out."""
+        value, heap, since, luby = self.value, self.heap, 0, (1, 1)  # Luby: Knuth's (u, v)
+        while self.ok:
+            conflict = self._propagate()
+            if conflict is not None:
+                self.conflicts, since, self.ok = self.conflicts + 1, since + 1, bool(self.lim)
+                if self.ok:
+                    self._learn(conflict)
+            elif since >= 100 * luby[1]:  # restart after 100 conflicts per Luby unit v
+                u, w = luby
+                luby, since = ((u + 1, 1) if u & -u == w else (u, 2 * w)), 0
+                self._cancel(0)  # and drop the heap's stale entries
+                heap[:] = sorted((-self.activity[v], v) for v in self.vars if value[2 * v] < 0)
+            else:
+                while heap and value[2 * heap[0][1]] >= 0:
+                    heappop(heap)
+                if not heap:
+                    return True
+                v, red, blue = heappop(heap)[1], 1, 1
+                if not self.static:
+                    red, blue = self._open(2 * v + 1), self._open(2 * v)
+                    if red == blue == 0:  # every input clause of v holds: leave v free
+                        self.free.append((len(self.trail), v))
+                        continue
+                if budget is not None and self.nodes >= budget:
+                    return None
+                self.phase[v] = int(red >= blue) if self.phase[v] < 0 else self.phase[v]
+                self.nodes += 1
+                self.lim.append(len(self.trail))
+                self._attach([2 * v + (self.static or self.phase[v])], None)  # static: false first
+        return False
+
+
+def _solve(m, cons, colours, budget=None, limit=1, symmetry_break=False, static=False):
+    """(verdict, solutions, stats) of the core on the NAE system.  A solution
+    colours all m edges, 0 on edges in no copy, and adds a clause blocking
+    its colours on the constrained edges.  `symmetry_break` fixes the edge
+    in the most copies (ties: the lowest EdgeId) to colour 0 at level 0."""
+    if colours < 1:
+        raise ValueError("need at least one colour")
+    core = _Cdcl(*_encode(m, cons, colours), static)
+    if symmetry_break and core.vars:
+        v = max(core.vars, key=core.activity.__getitem__)  # colour 0 of that edge
+        core.ok = core.ok and core.add([2 * v + (colours == 2)])
+    sols, found, value = [], True, core.value
+    while found and len(sols) < limit:
+        found = core.solve(budget)
+        if found:
+            sols.append([1 if x == 1 else 0 for x in value[:2 * m:2]] if colours == 2 else
+                        [next((k for k in range(colours) if value[2 * (e * colours + k)] == 1), 0)
+                         for e in range(m)])
+            core.ok = core.add([2 * v + (value[2 * v] == 1) for v in core.vars])
+    stats = {"constraints": len(cons), **{k: getattr(core, k) for k in STATS}}
+    return ("undecided" if found is None else "not_arrows" if sols else "arrows"), sols, stats
 
 
 def _decide(m, cons, colours, budget, **provenance):
-    if colours < 1:
-        raise ValueError("need at least one colour")
-    solver = _NaeSolver(m, cons, colours, budget)
-    status, sols = solver.solve()
-    stats = {"constraints": len(cons), "nodes": solver.nodes,
-             "propagations": solver.propagations, **provenance}
-    if status == "budget":
-        return ArrowResult("undecided", None, stats)
-    if status == "sat":
-        return ArrowResult("not_arrows", sols[0], stats)
-    return ArrowResult("arrows", None, stats)
+    verdict, sols, stats = _solve(m, cons, colours, budget, symmetry_break=True)
+    return ArrowResult(verdict, sols[0] if sols else None, {**stats, **provenance})
 
 
 def decide_arrow(G, F, colours=2, budget=None):
     """Decide G -> (F) in `colours` colours; certificate on the negative side.
 
-    Every colour count runs the same search core: dynamic branching, the
-    first decision fixed to colour 0 (colour-swap symmetry), one solution.
-    With `budget`, at most that many branching nodes are expanded before
-    the verdict is "undecided".
-    """
+    The CDCL core runs with the edge in the most copies of F fixed to
+    colour 0 (colour-swap symmetry).  `budget` caps its decisions (nodes);
+    past it the verdict is "undecided"."""
     return _decide(G.num_edges(), copy_constraints(G, F), colours, budget)
 
 
@@ -227,19 +279,12 @@ BRUTE_FORCE_EDGE_CAP = 24
 def brute_force_arrow(G, F):
     """Exact oracle: enumerate all colourings of the constrained edges."""
     cons = copy_constraints(G, F)
-    m = G.num_edges()
-    if not cons:
-        return ArrowResult("not_arrows", [RED] * m, {"constraints": 0, "colourings": 0})
-    vars_ = sorted({e for c in cons for e in c})
-    k = len(vars_)
-    if k > BRUTE_FORCE_EDGE_CAP:
-        raise ValueError(f"{k} constrained edges exceed the oracle cap of {BRUTE_FORCE_EDGE_CAP}")
-    pos = {e: i for i, e in enumerate(vars_)}
-    masks = np.array(
-        [sum(1 << pos[e] for e in c) for c in cons], dtype=np.int64
-    )
-    total = 1 << k
-    chunk = 1 << 18
+    pos = {e: i for i, e in enumerate(sorted({e for c in cons for e in c}))}
+    if len(pos) > BRUTE_FORCE_EDGE_CAP:
+        raise ValueError(f"{len(pos)} constrained edges exceed the oracle cap of {BRUTE_FORCE_EDGE_CAP}")
+    masks = np.array([sum(1 << pos[e] for e in c) for c in cons], dtype=np.int64)
+    total, chunk = 1 << len(pos), 1 << 18
+    stats = {"constraints": len(cons), "colourings": total if cons else 0}
     for start in range(0, total, chunk):
         xs = np.arange(start, min(start + chunk, total), dtype=np.int64)
         bad = np.zeros(len(xs), dtype=bool)
@@ -248,64 +293,48 @@ def brute_force_arrow(G, F):
             bad |= (band == mk) | (band == 0)
         good = np.nonzero(~bad)[0]
         if len(good):
-            x = int(xs[good[0]])
-            cert = [RED] * m
-            for e, i in pos.items():
-                cert[e] = (x >> i) & 1
-            return ArrowResult(
-                "not_arrows", cert, {"constraints": len(cons), "colourings": total}
-            )
-    return ArrowResult("arrows", None, {"constraints": len(cons), "colourings": total})
+            cert = [(int(xs[good[0]]) >> pos[e]) & 1 if e in pos else RED for e in range(G.num_edges())]
+            return ArrowResult("not_arrows", cert, stats)
+    return ArrowResult("arrows", None, stats)
 
 
 def decide_arrow_union(Z, addition, F, budget=None):
-    """decide_arrow on Z ∪ addition, with copy provenance statistics.
-
-    The union's copies are enumerated once; the constraints and the
-    counts of copies inside Z, inside the addition and mixed all come
-    from that one family.
-    """
+    """decide_arrow on Z ∪ addition, with copy provenance statistics; the
+    constraints and the counts of copies inside Z, inside the addition and
+    mixed all come from one enumeration of the union's copies."""
     U = union(Z, addition)
     copies = enumerate_copies(F, U).copies if F.n <= U.n else []
     z_edges, a_edges = set(Z.edges), set(addition.edges)
     in_z = [c.edges <= z_edges for c in copies]
     in_a = [c.edges <= a_edges for c in copies]
-    return _decide(
-        U.num_edges(), _edge_id_sets(U, copies), 2, budget,
-        copies_in_base=sum(in_z),
-        copies_in_addition=sum(in_a),
-        copies_mixed=sum(not (z or a) for z, a in zip(in_z, in_a)),
-    )
+    return _decide(U.num_edges(), _edge_id_sets(U, copies), 2, budget,
+                   copies_in_base=sum(in_z), copies_in_addition=sum(in_a),
+                   copies_mixed=sum(not (z or a) for z, a in zip(in_z, in_a)))
 
 
 def enumerate_f_free_colorings(G, F, limit=16, budget=None):
-    """Up to `limit` F-free colourings of G, deterministic order.
-
-    No symmetry breaking, so colour-swapped twins both appear; edges in
-    no copy of F are red in every returned colouring.
-    """
-    solver = _NaeSolver(G.num_edges(), copy_constraints(G, F), budget=budget)
-    return solver.solve(limit=limit, symmetry_break=False)[1]
+    """Up to `limit` distinct F-free colourings of G, deterministic order.  No
+    symmetry breaking, so colour-swapped twins both appear; edges in no
+    copy of F are red in every returned colouring."""
+    return _solve(G.num_edges(), copy_constraints(G, F), 2, budget, limit)[1]
 
 
 def first_f_free_coloring(G, F):
     """Lexicographically first F-free colouring in EdgeId order (red < blue).
 
-    The core decides edges in EdgeId order, red first.  Propagation only
-    fixes colours that every extension of the partial colouring must
-    take, so the first solution found is the lexicographic minimum.
+    The core decides edges in EdgeId order, always red first.  Each
+    decision is on the lowest free edge, so an edge implied at some level
+    is implied by decisions on lower EdgeIds alone, and the solution found
+    is the lexicographic minimum.
     """
-    solver = _NaeSolver(G.num_edges(), copy_constraints(G, F))
-    _, sols = solver.solve(symmetry_break=False, static=True)
-    return sols[0] if sols else None
+    return next(iter(_solve(G.num_edges(), copy_constraints(G, F), 2, static=True)[1]), None)
 
 
 def cnf_export(G, F):
-    """DIMACS CNF of the NAE system: per copy one all-positive and one
-    all-negative clause over its edge variables (variable = EdgeId + 1)."""
-    cons = copy_constraints(G, F)
-    lines = [f"p cnf {G.num_edges()} {2 * len(cons)}"]
-    for c in cons:
-        lines.append(" ".join(str(e + 1) for e in c) + " 0")
-        lines.append(" ".join(str(-(e + 1)) for e in c) + " 0")
+    """DIMACS CNF of the two-colour NAE system, the clauses the core solves
+    (variable = EdgeId + 1)."""
+    nvars, clauses = _encode(G.num_edges(), copy_constraints(G, F), 2)
+    lines = [f"p cnf {nvars} {len(clauses)}"]
+    lines += [" ".join(str(-(lit >> 1) - 1 if lit & 1 else (lit >> 1) + 1) for lit in c) + " 0"
+              for c in clauses]
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, exp, sqrt, ceil
+from math import ceil, comb, exp, gcd, log10, sqrt
 
 from .arrowing import decide_arrow
 from .booster import alpha_tilde, classify_bad, make_booster_spec
@@ -351,10 +351,10 @@ class ConstantChain:
     L: int | None = None
     L_exact: Fraction | None = None
     L_rounded: bool = False
-    alpha_prime: Fraction | None = None
+    alpha_prime: Fraction | dict | None = None  # dict: an exponent record
     K: int | None = None
     k: int | None = None
-    beta: Fraction | None = None
+    beta: Fraction | dict | None = None  # dict: an exponent record
     gamma: Fraction | None = None
     eps_container: Fraction = Fraction(1, 4)
     tau_exponent: Fraction | None = None  # tau(n) = n ** tau_exponent
@@ -384,11 +384,25 @@ class ConstantChain:
 
 # integers with more decimal digits render as digit counts
 DIGIT_LIMIT = 10_000
+# powers with more decimal digits are never computed; the chain keeps an
+# exponent record instead (alpha' of K3 with a 3-vertex booster, D = 1, has
+# about 1.3 million and takes half a second)
+EXACT_DIGIT_LIMIT = 2_000_000
+
+
+def _power_record(c, base, exponent):
+    """The Fraction c / base**exponent without computing the power: the
+    record `_render` gives a Fraction past DIGIT_LIMIT, plus its log10."""
+    g = gcd(c.numerator, pow(base, exponent, c.numerator))  # reduce the numerator
+    den_log10 = log10(c.denominator) + exponent * log10(base) - log10(g)
+    value_log10 = log10(c.numerator // g) - den_log10
+    return {"approx": 10.0 ** value_log10, "log10": value_log10,
+            "num_digits": _digits(c.numerator // g), "den_digits": int(den_log10) + 1}
 
 
 def _render(v):
-    if v is None:
-        return None
+    if v is None or isinstance(v, dict):
+        return v
     if isinstance(v, Fraction):
         num, den = v.numerator, v.denominator
         if _digits(num) > DIGIT_LIMIT or _digits(den) > DIGIT_LIMIT:
@@ -520,8 +534,14 @@ def derive_proof_constants(
         chain.gamma = chain.delta / (10 * chain.L)
         if chain.K is not None:
             KL = chain.K * chain.L
-            chain.alpha_prime = chain.alpha_tilde / (2 * chain.L * Fraction(KL) ** chain.L)
-            chain.beta = chain.alpha_prime / (Fraction(D) * chain.k * vF**2)
+            beta_scale = Fraction(D) * chain.k * vF**2
+            if chain.L * log10(KL) <= EXACT_DIGIT_LIMIT:
+                chain.alpha_prime = chain.alpha_tilde / (2 * chain.L * Fraction(KL) ** chain.L)
+                chain.beta = chain.alpha_prime / beta_scale
+            else:  # (K L)^L is too long to compute: keep both as exponent records
+                chain.alpha_prime = _power_record(chain.alpha_tilde / (2 * chain.L), KL, chain.L)
+                chain.beta = _power_record(chain.alpha_tilde / (2 * chain.L * beta_scale), KL,
+                                           chain.L)
 
     if ell is not None and ell >= 2:
         chain.tau_exponent = -chain.delta / (4 * (ell - 1))

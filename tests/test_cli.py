@@ -49,6 +49,24 @@ def test_constants_subcommand(capsys):
     assert art["result"]["delta"] == "1/12"
 
 
+def test_constants_with_a_huge_power_finish_quickly():
+    # L = 3.9e8 here, so (K L)^L has billions of digits: alpha' and beta
+    # must come back as exponent records, not be computed
+    src = str(Path(ramseylab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "ramseylab", "constants", "--pattern", "C5",
+                           "--booster", "C5", "--D", "2"], env=env, capture_output=True,
+                          text=True, timeout=5)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)["result"]
+    assert result["L"] == 390_000_000
+    for name in ("alpha_prime", "beta"):
+        record = result[name]
+        assert record["num_digits"] == 1 and record["den_digits"] > 3_000_000_000
+        assert record["log10"] < -3e9 and record["approx"] == 0.0
+
+
 def test_sample_deterministic(capsys):
     code, a = run_json(capsys, "sample", "--n", "12", "--p", "0.5", "--seed", "3")
     code, b = run_json(capsys, "sample", "--n", "12", "--p", "0.5", "--seed", "3")

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import naive_copies
 
-from ramseylab.arrowing import brute_force_arrow, decide_arrow, first_f_free_coloring, is_f_free
+from ramseylab.arrowing import (
+    brute_force_arrow,
+    cnf_export,
+    decide_arrow,
+    first_f_free_coloring,
+    is_f_free,
+)
 from ramseylab.graphs import (
     Graph,
     Seed,
@@ -101,41 +107,69 @@ def test_three_colours_arrow_the_path_above_degree_three():
     assert decide_arrow(complete_graph(5), P3, colours=5).verdict == "not_arrows"
 
 
-# (pattern, n, c, stream, budget, verdict, certificate, nodes, propagations)
-# for G(n, c * n^(-1/m2)) on Seed(1202, stream).  Verdicts, certificates and
-# search counts are part of every artifact, so a change to the search core
-# must reproduce these exactly
+# (pattern, n, c, stream, budget, verdict, certificate, nodes, propagations,
+# conflicts) for G(n, c * n^(-1/m2)) on Seed(1202, stream).  Verdicts,
+# certificates and search counts are part of every artifact, so a change to
+# the search core must reproduce these exactly
 GOLDEN = [
     ("K3", 30, 1.5, 150, 4000, "not_arrows",
-     "0010010101001100000000110001000100000011100010011001011001001101001100100001111000100010000110100100100",
-     44, 86),
+     "0001001101011110000010000001000010001011110000100000001010000010010010101001000000001010000000100100100",
+     48, 56, 0),
     ("K3", 30, 2.0, 201, 4000, "not_arrows",
-     "1011000000001011100011100001001100000110000110001111101110111001001010100000100000000011001001010110011100100100010111010001000101101100111101110000",
-     197, 1341),
+     "0000010100001101100110100000110000000111110001110100100110000001111110000010010001010110111000011000011000001100010111001011001000101100110101011001",
+     90, 412, 26),
     ("K3", 30, 2.0, 202, 4000, "not_arrows",
-     "00111101001001000110000100001100101010100001000101001011110100111011000111000110011001101101011110000001011000100011100011010011101101000110111110110000101000110110100",
-     922, 12261),
-    ("K3", 30, 2.5, 252, 4000, "arrows", None, 456, 3244),
-    ("K3", 30, 2.5, 253, 4000, "arrows", None, 33, 221),
-    ("C4", 14, 2.5, 253, 4000, "arrows", None, 388, 3093),
+     "11000000111100100000010101010000010011001000001011010000100000101001110010111011000010001010000100011111110101100111010100001100101001011100110111101110100000101110001",
+     94, 187, 2),
+    ("K3", 30, 2.5, 252, 4000, "arrows", None, 22, 87, 15),
+    ("K3", 30, 2.5, 253, 4000, "arrows", None, 15, 83, 12),
+    ("C4", 14, 2.5, 253, 4000, "arrows", None, 105, 549, 89),
     ("C4", 14, 3.0, 300, 4000, "not_arrows",
-     "010111000100111100100100001110110001001",
-     41, 223),
-    ("C4", 14, 3.0, 301, 4000, "arrows", None, 201, 1607),
-    ("C4", 14, 3.5, 350, 4000, "arrows", None, 2653, 23195),
-    ("C4", 14, 3.5, 352, 500, "arrows", None, 83, 521),
+     "000010111100110001101101001010111110010",
+     22, 88, 9),
+    ("C4", 14, 3.0, 301, 4000, "arrows", None, 80, 417, 75),
+    ("C4", 14, 3.5, 350, 4000, "arrows", None, 568, 3680, 474),
+    ("C4", 14, 3.5, 352, 500, "arrows", None, 80, 420, 78),
 ]
 
 
 def test_golden_two_colour_trials():
-    for name, n, c, stream, budget, verdict, cert, nodes, props in GOLDEN:
+    for name, n, c, stream, budget, verdict, cert, nodes, props, conflicts in GOLDEN:
         F = pattern_by_name(name)
         exponent = 0.5 if name == "K3" else 2 / 3
         G = gnp_sample(n, c * n ** -exponent, Seed(1202, stream))
         res = decide_arrow(G, F, budget=budget)
         got = "".join(map(str, res.certificate)) if res.certificate else None
-        assert (res.verdict, got, res.stats["nodes"], res.stats["propagations"]) == (
-            verdict, cert, nodes, props), (name, n, c, stream)
+        stats = res.stats
+        assert (res.verdict, got, stats["nodes"], stats["propagations"], stats["conflicts"]) == (
+            verdict, cert, nodes, props, conflicts), (name, n, c, stream)
+
+
+@PROPERTY
+@given(hosts(max_n=8, max_edges=24), st.sampled_from([K3, C4]))
+def test_certificates_satisfy_the_exported_cnf(G, F):
+    # the DIMACS text is read back here, apart from the solver: variable
+    # EdgeId + 1, a positive literal meaning colour 1
+    header, *rows = cnf_export(G, F).splitlines()
+    clauses = [[int(x) for x in row.split()] for row in rows]
+    assert header == f"p cnf {G.num_edges()} {len(clauses)}"
+    assert all(clause[-1] == 0 for clause in clauses)
+    res = decide_arrow(G, F)
+    assert res.verdict == brute_force_arrow(G, F).verdict
+    if res.verdict == "not_arrows":
+        for clause in clauses:
+            assert any((lit > 0) == (res.certificate[abs(lit) - 1] == 1) for lit in clause[:-1])
+
+
+@PROPERTY
+@given(hosts(max_n=10, max_edges=45), st.sampled_from([K3, C4]), st.integers(0, 50))
+def test_budget_caps_the_decisions(G, F, k):
+    full = decide_arrow(G, F)
+    res = decide_arrow(G, F, budget=k)
+    assert res.stats["nodes"] <= k
+    assert res.verdict in (full.verdict, "undecided")
+    if res.verdict == "undecided":
+        assert res.stats["nodes"] == k and res.certificate is None
 
 
 def test_large_host_needs_no_recursion():
