@@ -108,7 +108,7 @@ class _Cdcl:
         return bool(lits)
 
     def _attach(self, lits, reason):
-        """Watch a clause's first two literals, or assign its only one."""
+        """Watch a clause's first two literals; assign lits[0] if alone or `reason` implies it."""
         if len(lits) > 1:
             self.watches[lits[0]].append(lits)
             self.watches[lits[1]].append(lits)
@@ -291,9 +291,9 @@ def brute_force_arrow(G, F):
         for mk in masks:
             band = xs & mk
             bad |= (band == mk) | (band == 0)
-        good = np.nonzero(~bad)[0]
-        if len(good):
-            cert = [(int(xs[good[0]]) >> pos[e]) & 1 if e in pos else RED for e in range(G.num_edges())]
+        if not bad.all():
+            x = int(xs[bad.argmin()])  # the first colouring that no copy makes one-coloured
+            cert = [(x >> pos[e]) & 1 if e in pos else RED for e in range(G.num_edges())]
             return ArrowResult("not_arrows", cert, stats)
     return ArrowResult("arrows", None, stats)
 
