@@ -179,8 +179,8 @@ class _Cdcl:
             i -= 1
             while trail[i] >> 1 not in seen:
                 i -= 1
-            path -= 1  # the reason's c[0] is trail[i] itself
-            lits = path and self.reason[trail[i] >> 1][1:]
+            path -= 1
+            lits = path and self.reason[trail[i] >> 1][1:]  # its c[0] is trail[i] itself
         learnt = [trail[i] ^ 1] + sorted(learnt, key=lambda q: -level[q >> 1])
         self._cancel(level[learnt[1] >> 1] if len(learnt) > 1 else 0)
         self._attach(learnt, learnt if len(learnt) > 1 else None)
