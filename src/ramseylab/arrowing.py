@@ -37,7 +37,9 @@ def _edge_id_sets(G, copies):
 
 def copy_constraints(G, F):
     """Edge-id sets of the F-copies in G (the NAE constraint system)."""
-    return _edge_id_sets(G, enumerate_copies(F, G).copies) if F.n <= G.n else []
+    if F.n > G.n:
+        return []
+    return _edge_id_sets(G, enumerate_copies(F, G).copies)
 
 
 def is_f_free(coloring, G, F):
@@ -47,7 +49,8 @@ def is_f_free(coloring, G, F):
     if F.n > G.n:
         return True, None
     for copy in enumerate_copies(F, G).copies:
-        if len({coloring[G.edge_id(u, v)] for u, v in copy.edges}) == 1:
+        cols = {coloring[G.edge_id(u, v)] for u, v in copy.edges}
+        if len(cols) == 1:
             return False, copy
     return True, None
 
@@ -76,9 +79,10 @@ class _Cdcl:
     at c[0].  Each conflict learns its first-UIP clause and jumps back on an
     explicit trail.  VSIDS activities, seeded by occurrence counts, order
     the decisions on a lazy `heapq`; Luby restarts; saved phases, and a
-    variable's first decision satisfies the more of its open input clauses;
-    a variable whose input clauses all hold is left free, not decided.  A
-    node is a decision.  `static` decides in index order, false first."""
+    variable's first decision satisfies the more of its open added clauses
+    (input and blocking, not learned); a variable whose added clauses all
+    hold is left free, not decided.  A node is a decision.  `static`
+    decides in index order, false first."""
 
     def __init__(self, nvars, clauses, static=False):
         self.value = [-1] * (2 * nvars)  # per literal: 1 true, 0 false, -1 free
@@ -86,12 +90,12 @@ class _Cdcl:
         self.trail, self.lim, self.qhead, self.static, self.free = [], [], 0, static, []
         self.inc = 0.0 if static else 1.0  # activity bump; none when static
         self.nodes = self.propagations = self.conflicts = self.learned = 0
-        self.occ = occ = [[] for _ in range(2 * nvars)]  # input clauses per literal
+        self.occ = occ = [[] for _ in range(2 * nvars)]  # added clauses per literal
         self.watches = watches = [[] for _ in range(2 * nvars)]
         for c in clauses:
-            for lit in c:
-                occ[lit].append(c)
             if len(c) > 1:
+                for lit in c:
+                    occ[lit].append(c)
                 watches[c[0]].append(c)
                 watches[c[1]].append(c)
         self.activity = [self.inc * (len(occ[2 * v]) + len(occ[2 * v + 1])) for v in range(nvars)]
@@ -100,10 +104,16 @@ class _Cdcl:
         self.ok = all(self.add(c) for c in clauses if len(c) < 2)
 
     def add(self, lits):
-        """Add a clause at level 0; False when level-0 values falsify it."""
+        """Add a clause at level 0; False when level-0 values falsify it.
+        Every variable left free is requeued: the clause may need it."""
         self._cancel(0)
+        for _, v in self.free:
+            heappush(self.heap, (-self.activity[v], v))
+        self.free.clear()
         if 1 not in [self.value[lit] for lit in lits]:
             lits = [lit for lit in lits if self.value[lit] < 0]
+            for lit in lits:
+                self.occ[lit].append(lits)
             self._attach(lits, None)
         return bool(lits)
 
@@ -118,7 +128,7 @@ class _Cdcl:
             self.trail.append(lits[0])
 
     def _open(self, lit):
-        """How many input clauses hold `lit` and no true literal yet."""
+        """How many added clauses hold `lit` and no true literal yet."""
         value, count = self.value, 0
         for c in self.occ[lit]:
             for other in c:
@@ -224,7 +234,7 @@ class _Cdcl:
                 v, red, blue = heappop(heap)[1], 1, 1
                 if not self.static:
                     red, blue = self._open(2 * v + 1), self._open(2 * v)
-                    if red == blue == 0:  # every input clause of v holds: leave v free
+                    if red == blue == 0:  # every added clause of v holds: leave v free
                         self.free.append((len(self.trail), v))
                         continue
                 if budget is not None and self.nodes >= budget:
@@ -238,9 +248,10 @@ class _Cdcl:
 
 def _solve(m, cons, colours, budget=None, limit=1, symmetry_break=False, static=False):
     """(verdict, solutions, stats) of the core on the NAE system.  A solution
-    colours all m edges, 0 on edges in no copy, and adds a clause blocking
-    its colours on the constrained edges.  `symmetry_break` fixes the edge
-    in the most copies (ties: the lowest EdgeId) to colour 0 at level 0."""
+    colours all m edges, 0 on edges in no copy; before the next search a
+    clause blocks its values on the constrained edges, so with two colours
+    the solutions are distinct.  `symmetry_break` fixes the edge in the
+    most copies (ties: the lowest EdgeId) to colour 0 at level 0."""
     if colours < 1:
         raise ValueError("need at least one colour")
     core = _Cdcl(*_encode(m, cons, colours), static)
@@ -249,12 +260,13 @@ def _solve(m, cons, colours, budget=None, limit=1, symmetry_break=False, static=
         core.ok = core.ok and core.add([2 * v + (colours == 2)])
     sols, found, value = [], True, core.value
     while found and len(sols) < limit:
+        if sols:  # block the last solution's values, free variables read as false
+            core.ok = core.add([2 * v + (value[2 * v] == 1) for v in core.vars])
         found = core.solve(budget)
         if found:
             sols.append([1 if x == 1 else 0 for x in value[:2 * m:2]] if colours == 2 else
                         [next((k for k in range(colours) if value[2 * (e * colours + k)] == 1), 0)
                          for e in range(m)])
-            core.ok = core.add([2 * v + (value[2 * v] == 1) for v in core.vars])
     stats = {"constraints": len(cons), **{k: getattr(core, k) for k in STATS}}
     return ("undecided" if found is None else "not_arrows" if sols else "arrows"), sols, stats
 
@@ -279,37 +291,55 @@ BRUTE_FORCE_EDGE_CAP = 24
 def brute_force_arrow(G, F):
     """Exact oracle: enumerate all colourings of the constrained edges."""
     cons = copy_constraints(G, F)
-    pos = {e: i for i, e in enumerate(sorted({e for c in cons for e in c}))}
-    if len(pos) > BRUTE_FORCE_EDGE_CAP:
-        raise ValueError(f"{len(pos)} constrained edges exceed the oracle cap of {BRUTE_FORCE_EDGE_CAP}")
-    masks = np.array([sum(1 << pos[e] for e in c) for c in cons], dtype=np.int64)
-    total, chunk = 1 << len(pos), 1 << 18
-    stats = {"constraints": len(cons), "colourings": total if cons else 0}
+    m = G.num_edges()
+    if not cons:
+        return ArrowResult("not_arrows", [RED] * m, {"constraints": 0, "colourings": 0})
+    vars_ = sorted({e for c in cons for e in c})
+    k = len(vars_)
+    if k > BRUTE_FORCE_EDGE_CAP:
+        raise ValueError(f"{k} constrained edges exceed the oracle cap of {BRUTE_FORCE_EDGE_CAP}")
+    pos = {e: i for i, e in enumerate(vars_)}
+    masks = np.array(
+        [sum(1 << pos[e] for e in c) for c in cons], dtype=np.int64
+    )
+    total = 1 << k
+    chunk = 1 << 18
     for start in range(0, total, chunk):
         xs = np.arange(start, min(start + chunk, total), dtype=np.int64)
         bad = np.zeros(len(xs), dtype=bool)
         for mk in masks:
             band = xs & mk
             bad |= (band == mk) | (band == 0)
-        if not bad.all():
-            x = int(xs[bad.argmin()])  # the first colouring that no copy makes one-coloured
-            cert = [(x >> pos[e]) & 1 if e in pos else RED for e in range(G.num_edges())]
-            return ArrowResult("not_arrows", cert, stats)
-    return ArrowResult("arrows", None, stats)
+        good = np.nonzero(~bad)[0]
+        if len(good):
+            x = int(xs[good[0]])
+            cert = [RED] * m
+            for e, i in pos.items():
+                cert[e] = (x >> i) & 1
+            return ArrowResult(
+                "not_arrows", cert, {"constraints": len(cons), "colourings": total}
+            )
+    return ArrowResult("arrows", None, {"constraints": len(cons), "colourings": total})
 
 
 def decide_arrow_union(Z, addition, F, budget=None):
-    """decide_arrow on Z ∪ addition, with copy provenance statistics; the
-    constraints and the counts of copies inside Z, inside the addition and
-    mixed all come from one enumeration of the union's copies."""
+    """decide_arrow on Z ∪ addition, with copy provenance statistics.
+
+    The union's copies are enumerated once; the constraints and the
+    counts of copies inside Z, inside the addition and mixed all come
+    from that one family.
+    """
     U = union(Z, addition)
     copies = enumerate_copies(F, U).copies if F.n <= U.n else []
     z_edges, a_edges = set(Z.edges), set(addition.edges)
     in_z = [c.edges <= z_edges for c in copies]
     in_a = [c.edges <= a_edges for c in copies]
-    return _decide(U.num_edges(), _edge_id_sets(U, copies), 2, budget,
-                   copies_in_base=sum(in_z), copies_in_addition=sum(in_a),
-                   copies_mixed=sum(not (z or a) for z, a in zip(in_z, in_a)))
+    return _decide(
+        U.num_edges(), _edge_id_sets(U, copies), 2, budget,
+        copies_in_base=sum(in_z),
+        copies_in_addition=sum(in_a),
+        copies_mixed=sum(not (z or a) for z, a in zip(in_z, in_a)),
+    )
 
 
 def enumerate_f_free_colorings(G, F, limit=16, budget=None):

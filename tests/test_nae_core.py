@@ -12,6 +12,7 @@ from ramseylab.arrowing import (
     brute_force_arrow,
     cnf_export,
     decide_arrow,
+    enumerate_f_free_colorings,
     first_f_free_coloring,
     is_f_free,
 )
@@ -72,6 +73,39 @@ def test_first_coloring_is_lexicographic_minimum(G, name):
         None,
     )
     assert first_f_free_coloring(G, F) == expected
+
+
+def test_enumeration_gives_every_colouring_once():
+    # two triangles have 6 * 6 F-free colourings, and a variable left free
+    # on one search must still be decided once a blocking clause names it;
+    # on the wheel W4 some are left free at level 0, below every decision
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    wheel = Graph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    for G, total in ((two_triangles, 36), (wheel, 82)):
+        for limit in (2, total, total + 100):
+            sols = enumerate_f_free_colorings(G, K3, limit=limit)
+            assert len(sols) == min(limit, total)
+            assert len({tuple(s) for s in sols}) == len(sols)
+
+
+@PROPERTY
+@given(hosts(max_n=7, max_edges=12), st.sampled_from([K3, C4, path_graph(3)]),
+       st.integers(1, 300))
+def test_enumerated_colourings_are_distinct_and_f_free(G, F, limit):
+    # counted against itertools.product over the constrained edges; edges in
+    # no copy are red in every enumerated colouring
+    sets = edge_id_sets(G, F)
+    constrained = sorted({e for ids in sets for e in ids})
+    total = sum(
+        all(len({col[constrained.index(e)] for e in ids}) == 2 for ids in sets)
+        for col in product((0, 1), repeat=len(constrained))
+    )
+    sols = enumerate_f_free_colorings(G, F, limit=limit)
+    assert len(sols) == min(limit, total)
+    assert len({tuple(s) for s in sols}) == len(sols)
+    for s in sols:
+        assert all(len({s[e] for e in ids}) == 2 for ids in sets)
+        assert all(s[e] == 0 for e in range(G.num_edges()) if e not in constrained)
 
 
 @PROPERTY
