@@ -19,7 +19,10 @@ from math import comb, factorial, log
 import numpy as np
 
 from .arrowing import (
+    BLUE,
     BRUTE_FORCE_EDGE_CAP,
+    RED,
+    _Cdcl,
     _decide,
     _edge_id_sets,
     brute_force_arrow,
@@ -175,8 +178,31 @@ def _union_copies(z_copies, view):
     return sorted(copies.values(), key=Copy.key)
 
 
-def _union_verdict(z_copies, view, budget):
-    """decide_arrow_union's verdict: the same constraints, the same search."""
+def _extend_colouring(view, phi):
+    """An F-free colouring of the union, per EdgeId, that keeps Z's F-free
+    colouring `phi` (colour per Z edge), or None if there is none.  Only a
+    copy through a booster edge can turn monochromatic: if its Z edges are
+    all one colour c, or it has none, one of its new edges must not be c."""
+    new, clauses = {}, []  # new edge -> core variable ("edge is blue")
+    for copy, _zonly, _boost in view.copies:
+        cols = {phi[e] for e in copy.edges if e in phi}
+        lits = [2 * new.setdefault(e, len(new)) for e in copy.edges if e not in phi]
+        clauses += [[lit + c for lit in lits] for c in (RED, BLUE) if cols <= {c}]
+    core = _Cdcl(len(new), clauses)
+    if not core.solve():
+        return None
+    colour = {**phi, **{e: int(core.value[2 * v] == 1) for e, v in new.items()}}
+    return [colour.get(e, RED) for e in view.U.edges]
+
+
+def _union_verdict(z_copies, view, budget, phi=None):
+    """decide_arrow_union's verdict on the view's union.  Given Z's F-free
+    colouring `phi` (colour per Z edge), an extension of it is tried first
+    and proves "not_arrows"; else the union is searched whole, as
+    decide_arrow_union does.  So "arrows" comes only from that search, and a
+    union it leaves "undecided" at `budget` may be decided by the extension."""
+    if phi and _extend_colouring(view, phi) is not None:
+        return "not_arrows"
     cons = _edge_id_sets(view.U, _union_copies(z_copies, view))
     return _decide(view.U.num_edges(), cons, 2, budget).verdict
 
@@ -186,12 +212,13 @@ def check_interactive_regular(Z, Xi, spec, F, budget=None):
     z_res = decide_arrow(Z, F, budget=budget)
     b_res = decide_arrow(spec.B, F, budget=budget)
     z_copies = enumerate_copies(F, Z).copies if F.n <= Z.n else []
+    phi = z_res.certificate and dict(zip(Z.edges, z_res.certificate))
     reports = []
     for h in Xi:
         view = union_view(Z, h, spec, F)
         entry = {"h": h}
         entry["edge_disjoint"] = not (set(image_edges(spec.B, h)) & set(Z.edges))
-        entry["union_verdict"] = u_verdict = _union_verdict(z_copies, view, budget)
+        entry["union_verdict"] = u_verdict = _union_verdict(z_copies, view, budget, phi)
         entry["regular"] = all(len(s) <= 1 for s in view.foci.values())
         if "undecided" in (z_res.verdict, b_res.verdict, u_verdict):
             entry["interactive"] = None  # budget exhausted somewhere
@@ -285,11 +312,12 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     if not arrow_filter:
         report["arrow_filter_disabled"] = True
     z_copies = enumerate_copies(F, Z).copies if arrow_filter and F.n <= n else []
+    phi = z_res.certificate and dict(zip(Z.edges, z_res.certificate))
     views = {}
     psi1 = []
     for h in pool:
         view = union_view(Z, h, spec, F)
-        v = _union_verdict(z_copies, view, budget) if arrow_filter else "arrows"
+        v = _union_verdict(z_copies, view, budget, phi) if arrow_filter else "arrows"
         if v == "arrows":
             psi1.append(h)
             views[h] = view

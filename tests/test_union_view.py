@@ -1,6 +1,8 @@
 """The one analysis of each union Z ∪ h(B) (`booster.union_view`),
-checked against full enumeration of the union and the naive oracles, and
-the booster pipeline's outputs pinned on seeded hosts."""
+checked against full enumeration of the union and the naive oracles; the
+stage-1 union verdict, with and without Z's colouring, checked against
+`decide_arrow_union` and the brute-force oracle; and the booster
+pipeline's outputs pinned on seeded hosts."""
 
 import json
 from fractions import Fraction
@@ -12,13 +14,27 @@ from hypothesis import strategies as st
 from instances import k6_minus_edge_block, two_block_host
 from oracles import naive_bad_flags
 
+from ramseylab.arrowing import (
+    BLUE,
+    BRUTE_FORCE_EDGE_CAP,
+    RED,
+    brute_force_arrow,
+    copy_constraints,
+    decide_arrow,
+    decide_arrow_union,
+    enumerate_f_free_colorings,
+    is_f_free,
+)
 from ramseylab.booster import (
+    _extend_colouring,
     _naive_focus_members,
     _union_copies,
+    _union_verdict,
     build_hypergraph,
     classify_bad,
     construct_normal_family,
     image_edges,
+    image_graph,
     make_booster_spec,
     restrict_index_consistent,
     union_view,
@@ -69,6 +85,84 @@ def test_view_matches_full_enumeration_and_oracles(case):
     assert view.members == tuple(sorted(set(_naive_focus_members(Z, h, spec, F)) | shared))
     flags = classify_bad(Z, h, spec, F)
     assert {k: flags[k] for k in ("B1", "B2", "B3")} == naive_bad_flags(Z, img, F, U)
+
+
+@st.composite
+def coloured_unions(draw):
+    """(Z, h, spec, F, phi): a host on at most 10 vertices, half the time K_n
+    less the booster's image and up to three more pairs (so that some
+    unions arrow), a K2, P3 or C5 booster placed by h, F = K3 or C4, and one
+    of Z's F-free colourings as a list, or None when Z arrows."""
+    F = draw(st.sampled_from((K3, C4)))
+    spec = SPECS[(draw(st.sampled_from(sorted(BOOSTERS))), F)]
+    n = draw(st.integers(max(spec.B.n, F.n), 10))
+    pairs = list(combinations(range(n), 2))
+    h = tuple(draw(st.permutations(range(n)))[: spec.B.n])
+    if draw(st.booleans()):
+        rest = sorted(set(pairs) - set(image_edges(spec.B, h)))
+        Z = Graph(n, draw(st.permutations(rest))[draw(st.integers(0, 3)):])
+    else:
+        Z = Graph(n, draw(st.permutations(pairs))[: draw(st.integers(0, len(pairs)))])
+    phis = enumerate_f_free_colorings(Z, F, limit=draw(st.integers(1, 8)))
+    return Z, h, spec, F, phis[-1] if phis else None
+
+
+def _stage1(Z, h, spec, F, phi):
+    """(union, extension or None, verdict with phi, verdict without, verdict
+    of decide_arrow_union), unbudgeted."""
+    view = union_view(Z, h, spec, F)
+    z_copies = enumerate_copies(F, Z).copies
+    by_edge = dict(zip(Z.edges, phi)) if phi is not None else None
+    ext = _extend_colouring(view, by_edge) if by_edge is not None else None
+    return (view.U, ext, _union_verdict(z_copies, view, None, by_edge),
+            _union_verdict(z_copies, view, None),
+            decide_arrow_union(Z, image_graph(spec.B, h, Z.n), F).verdict)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(coloured_unions())
+def test_union_verdict_with_and_without_z_colouring_agree(case):
+    Z, h, spec, F, phi = case
+    U, ext, with_phi, without, whole = _stage1(Z, h, spec, F, phi)
+    assert with_phi == without == whole != "undecided"
+    if len({e for c in copy_constraints(U, F) for e in c}) <= BRUTE_FORCE_EDGE_CAP:
+        assert brute_force_arrow(U, F).verdict == whole
+    if ext is not None:  # the extension keeps phi on Z and is F-free on U
+        assert [ext[U.edge_id(*e)] for e in Z.edges] == phi
+        assert is_f_free(ext, U, F)[0] and whole == "not_arrows"
+
+
+def test_fallback_decides_a_colourable_union_that_phi_does_not_reach():
+    # Z = C4 0-1-2-3, phi: 01, 12 red and 23, 03 blue.  The booster edge 02
+    # closes the red triangle 012 and the blue triangle 023, so phi does not
+    # extend; recolouring Z does (K4 less an edge does not arrow K3).
+    Z = cycle_graph(4)
+    phi = [RED if e in ((0, 1), (1, 2)) else BLUE for e in Z.edges]
+    U, ext, with_phi, without, whole = _stage1(Z, (0, 2), SPECS[("K2", K3)], K3, phi)
+    assert ext is None
+    assert with_phi == without == whole == "not_arrows"
+
+
+def test_arrowing_union_is_decided_by_the_whole_search():
+    # K6 less the edge 01 does not arrow K3; adding 01 gives K6, which does
+    Z = complete_graph(6).without_edges([(0, 1)])
+    U, ext, with_phi, without, whole = _stage1(
+        Z, (0, 1), SPECS[("K2", K3)], K3, decide_arrow(Z, K3).certificate)
+    assert ext is None
+    assert with_phi == without == whole == "arrows"
+
+
+def test_booster_edge_already_in_z():
+    # P3 placed on 1-0-2: its edge 01 is an edge of Z and lies in Z's
+    # triangle 013, a view copy with no new edge; 02 is new, and U is K4.
+    # phi: 01, 03, 12 red and 13, 23 blue; the red path 0-1-2 makes 02 blue.
+    Z = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
+    h, spec = (1, 0, 2), SPECS[("P3", K3)]
+    assert set(image_edges(spec.B, h)) & set(Z.edges) == {(0, 1)}
+    phi = [BLUE if e in ((1, 3), (2, 3)) else RED for e in Z.edges]
+    U, ext, with_phi, without, whole = _stage1(Z, h, spec, K3, phi)
+    assert ext[U.edge_id(0, 2)] == BLUE and is_f_free(ext, U, K3)[0]
+    assert with_phi == without == whole == "not_arrows"
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_booster.json").read_text())
