@@ -13,7 +13,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .counting import enumerate_copies
+from .counting import _copy_keys, _copy_maps, enumerate_copies
 from .graphs import union
 
 RED, BLUE = 0, 1
@@ -39,7 +39,9 @@ def copy_constraints(G, F):
     """Edge-id sets of the F-copies in G (the NAE constraint system)."""
     if F.n > G.n:
         return []
-    return _edge_id_sets(G, enumerate_copies(F, G).copies)
+    # an id is a position in the lexicographic edge order: sorted edges give sorted ids
+    edge_id = G._index.__getitem__
+    return [tuple(map(edge_id, es)) for (_, es), _ in _copy_keys(F, _copy_maps(F, G))]
 
 
 def is_f_free(coloring, G, F):

@@ -31,7 +31,7 @@ from .arrowing import (
     first_f_free_coloring,
     is_f_free,
 )
-from .counting import Copy, _norm, count_P, enumerate_copies
+from .counting import Copy, _collect_copies, _copy_maps, _norm, count_P, enumerate_copies
 from .graphs import Graph, Seed, complete_graph, union
 
 
@@ -91,14 +91,9 @@ def union_view(Z, h, spec, F):
     img_index = {e: j for j, e in enumerate(img)}
     U = union(Z, image_graph(B, h, Z.n))
     zedges = set(Z.edges)
-    seen = {}
-    if F.n <= U.n:
-        for be in img:
-            for copy in enumerate_copies(F, U, anchor=be).copies:
-                seen.setdefault((copy.vertices, copy.edges), copy)
     copies = []
     foci = defaultdict(set)
-    for copy in sorted(seen.values(), key=Copy.key):
+    for copy in _collect_copies(F, U, _copy_maps(F, U, img)) if F.n <= U.n else ():
         boost = frozenset(img_index[e] for e in copy.edges if e in img_index)
         zonly = frozenset(e for e in copy.edges if e in zedges and e not in img_index)
         copies.append((copy, zonly, boost))

@@ -244,31 +244,40 @@ class CopyFamily:
         return len(self.copies)
 
 
-def _collect_copies(F, G, maps):
+def _copy_maps(F, G, anchors=None):
+    """The embeddings of F into G that copy collection reads: one per copy,
+    or with `anchors` one per copy through each host pair in turn."""
+    if F.n > PATTERN_VERTEX_CAP:  # enumeration is exponential in the pattern
+        raise ValueError(f"pattern on {F.n} vertices exceeds the cap of {PATTERN_VERTEX_CAP}")
+    if F.n > G.n:
+        raise ValueError(f"pattern on {F.n} vertices larger than host on {G.n}")
+    if anchors is None:
+        return _orbit_embeddings(F, G)
+    # the maps of a copy through an anchor send one orbit of arcs onto
+    # (a, b), and those sending its representative form one stabilizer orbit
+    return (m for a, b in anchors for x, y in _arc_representatives(F)
+            for m in _orbit_embeddings(F, G, pin={x: a, y: b}))
+
+
+def _copy_keys(F, maps):
+    """((sorted vertex tuple, sorted edge tuple), first witness map) for each
+    copy that `maps` reach, in key order: the one place copies are collected."""
     seen = {}
     for m in maps:
-        es = frozenset(_norm(m[u], m[v]) for u, v in F.edges)
-        key = (frozenset(m), es)
-        if key not in seen:
-            seen[key] = Copy(vertices=key[0], edges=es, map=m)
-    return sorted(seen.values(), key=Copy.key)
+        es = tuple(sorted([_norm(m[u], m[v]) for u, v in F.edges]))
+        seen.setdefault((tuple(sorted(m)), es), m)
+    return sorted(seen.items())
+
+
+def _collect_copies(F, G, maps):
+    return [Copy(frozenset(vs), frozenset(es), m) for (vs, es), m in _copy_keys(F, maps)]
 
 
 def enumerate_copies(F, G, anchor=None):
     """All unlabelled copies of F in G; with `anchor`, only copies whose
     edge set contains that host pair."""
-    if F.n > PATTERN_VERTEX_CAP:  # enumeration is exponential in the pattern
-        raise ValueError(f"pattern on {F.n} vertices exceeds the cap of {PATTERN_VERTEX_CAP}")
-    if F.n > G.n:
-        raise ValueError(f"pattern on {F.n} vertices larger than host on {G.n}")
-    if anchor is None:
-        return CopyFamily(F, G, _collect_copies(F, G, _orbit_embeddings(F, G)))
-    # the maps of a copy through the anchor send one orbit of arcs onto
-    # (a, b), and those sending its representative form one stabilizer orbit
-    a, b = anchor
-    maps = (m for x, y in _arc_representatives(F)
-            for m in _orbit_embeddings(F, G, pin={x: a, y: b}))
-    return CopyFamily(F, G, _collect_copies(F, G, maps))
+    anchors = None if anchor is None else [anchor]
+    return CopyFamily(F, G, _collect_copies(F, G, _copy_maps(F, G, anchors)))
 
 
 def are_isomorphic(F1, F2):

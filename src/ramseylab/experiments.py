@@ -11,11 +11,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, comb, exp, gcd, log10, sqrt
+from math import ceil, comb, exp, gcd, isfinite, log10, sqrt
 
 from .arrowing import decide_arrow
 from .booster import alpha_tilde, classify_bad, make_booster_spec
-from .counting import count_P, enumerate_copies, f_minus_members
+from .counting import _copy_keys, _copy_maps, count_P, f_minus_members
 from .density import classify, is_bipartite
 from .graphs import Seed, gnp_sample
 
@@ -91,6 +91,14 @@ def estimate_arrow_probability(F, n, p, trials, seed, budget=None, verdict_fn=No
     }
 
 
+def _check_grid(n, c_values):
+    """p = c * n^(-exponent) needs a host with a vertex and a finite c."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not all(isfinite(c) for c in c_values):
+        raise ValueError(f"c values must be finite, got {list(c_values)}")
+
+
 def _probe(F, n, c, exponent, trials, seed, budget, verdict_fn):
     """Estimate at p = c * n^(-exponent), clamped into [0,1], tagged with c."""
     p = c * n ** (-float(exponent))
@@ -116,8 +124,12 @@ def bisect_threshold_constant(
     """Bisection on the scaled constant c with fresh trials per probe.
 
     Needs the c-range to straddle the requested level; raises otherwise.
+    Stops once the bracket is within `tol` or at float resolution.
     Returns the crossing estimate and the full probe log.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    _check_grid(n, c_range)
     seed = seed or Seed()
     exponent = classify(F).threshold_exponent
     probes = []
@@ -137,6 +149,8 @@ def bisect_threshold_constant(
     idx = 2
     while hi - lo > tol:
         mid = (lo + hi) / 2
+        if not lo < mid < hi:  # no float left between the ends
+            break
         if probe(mid, idx) < level:
             lo = mid
         else:
@@ -157,6 +171,8 @@ def sharpness_window(
 ):
     """Crossing constants at the three `LEVELS` per n, plus relative widths
     and the undecided trials over all of that n's probes."""
+    for n in n_list:  # before any probe runs
+        _check_grid(n, c_range)
     seed = seed or Seed()
     rows = []
     for i, n in enumerate(n_list):
@@ -193,10 +209,12 @@ def window_trend(rows):
 def threshold_curve(F, n, c_values, trials, seed=None, budget=None, verdict_fn=None):
     """Estimates over a grid of scaled constants, with interpolated
     crossings of the `LEVELS`."""
+    c_values = sorted(c_values)
+    _check_grid(n, c_values)
     seed = seed or Seed()
     exponent = classify(F).threshold_exponent
     points = [_probe(F, n, c, exponent, trials, seed.substream(i), budget, verdict_fn)
-              for i, c in enumerate(sorted(c_values))]
+              for i, c in enumerate(c_values)]
 
     def crossing(level):
         for a, b in zip(points, points[1:]):
@@ -237,6 +255,8 @@ def z_property_rates(
     (sizes reported).  Returns per-property rates with Wilson intervals
     plus the per-trial normalized statistics.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     prof = classify(F)
     bound = min(prof.threshold_exponent, 1 - prof.threshold_exponent)
     if not 0 < Fraction(delta) <= bound:
@@ -260,14 +280,14 @@ def z_property_rates(
         if p * n * n / 4 <= m <= p * n * n:
             passes["Z1"] += 1
 
-        copies = [c for M in members for c in enumerate_copies(M, Z).copies]
+        copies = [es for M in members for (_, es), _ in _copy_keys(M, _copy_maps(M, Z))]
         fm = len(copies)
         stats["f_minus_norm"].append(fm / (n * n))
         if fm <= D * n * n:
             passes["Z2"] += 1
 
         # copies through the busiest edge of Z
-        worst = max(Counter(e for c in copies for e in c.edges).values(), default=0)
+        worst = max(Counter(e for es in copies for e in es).values(), default=0)
         stats["f_minus_edge_norm"].append(worst * p)
         if p == 0 or worst <= D / p:
             passes["Z3"] += 1

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
 
-from .counting import _collect_copies, _pattern_order, _search
+from .counting import _copy_keys, _pattern_order, _search
 from .graphs import Seed, edge_count_between
 
 EXACT_REGULARITY_CAP = 16
@@ -184,7 +184,7 @@ def fstar_overlap_count(Fstar, a1, a2, G, W):
     maps = (m for w1 in inside for w2 in inside if w1 != w2
             for m in _search(Fstar, G, order, [1 << w1, 1 << w2] + outside))
     return {
-        "count": len(_collect_copies(Fstar, G, maps)),
+        "count": len(_copy_keys(Fstar, maps)),
         "bound_coefficient": 2 * G.n ** (Fstar.n - 2) * len(W) ** 2,
         "bound_p_exponent": Fstar.num_edges(),
     }

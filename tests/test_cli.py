@@ -140,6 +140,38 @@ def test_window_failures_exit_with_documented_codes(capsys):
     assert err.startswith("error: all trials undecided") and len(err.splitlines()) == 1
 
 
+def test_bad_host_size_exits_2(capsys):
+    for n in ("0", "-4"):
+        assert main(["threshold", "--pattern", "K3", f"--n={n}", "--c", "1.0",
+                     "--trials", "2"]) == 2
+        assert main(["window", "--pattern", "K3", f"--n-list={n}", "--trials", "2"]) == 2
+        assert main(["zcheck", "--pattern", "K3", "--booster", "C5", f"--n={n}",
+                     "--p", "0.25", "--D", "10", "--zeta", "0.1", "--delta", "1/12",
+                     "--trials", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and all(line.startswith("error: ") for line in err.splitlines())
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_constants_exit_2(capsys):
+    threshold = ["threshold", "--pattern", "K3", "--n", "8", "--trials", "2"]
+    for grid in ("nan,1.0", "1.0,inf", "-inf"):
+        code, out = run_cli(capsys, *threshold, f"--c={grid}")
+        assert code == 2 and out == ""
+    code, out = run_cli(capsys, *threshold, "--c", "0.5,1.0")
+    assert code == 0 and _strict_json(out)["result"]["points"]
+    window = ["window", "--pattern", "K3", "--n-list", "8", "--trials", "2"]
+    for bound in ("--c-min=nan", "--c-max=inf", "--tol=0"):
+        code, out = run_cli(capsys, *window, bound)
+        assert code == 2 and out == ""
+
+
 def test_config_supplements_without_conflict(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"seed": 9}))

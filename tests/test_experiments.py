@@ -78,6 +78,29 @@ def test_bisect_requires_bracket():
         bisect_threshold_constant(K3, 20, trials=3, seed=Seed(3), verdict_fn=always)
 
 
+class Runaway(Exception):
+    """The bisection kept probing long past the float resolution of c."""
+
+
+def test_bisect_stops_at_float_resolution():
+    probes = []
+
+    def step(n, p, seed):
+        probes.append(p)
+        if len(probes) > 5000:
+            raise Runaway
+        return "arrows" if p > 0.217 else "not_arrows"
+
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            bisect_threshold_constant(K3, 30, trials=1, tol=tol, seed=Seed(2), verdict_fn=step)
+    # a tol below every gap between floats ends where no float lies between the ends
+    r = bisect_threshold_constant(K3, 30, trials=1, tol=1e-300, seed=Seed(2),
+                                  verdict_fn=step, c_range=(0.01, 4.0))
+    assert len(r["probes"]) < 100
+    assert abs(r["c_hat"] - 0.217 * 30**0.5) < 1e-12
+
+
 def test_p_clamp_flagged():
     def step(n, p, seed):
         return "arrows" if p > 0.9 else "not_arrows"

@@ -3,16 +3,19 @@ partite-copy count, checked against independent oracles: the permutation
 enumerators in tests/oracles.py and homomorphisms listed with
 `itertools.product`.  The symmetry-broken copy search and the orbit
 representatives behind P(e1, e2) are checked against the plain search and
-the oracles."""
+the oracles, and so is the NAE constraint system built from the copy keys."""
 
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import naive_copies, naive_extension_count, naive_fstar_overlap, naive_P
 
+from ramseylab.arrowing import _edge_id_sets, copy_constraints
 from ramseylab.counting import (
     _collect_copies,
+    _copy_maps,
     _orbit_embeddings,
     are_isomorphic,
     embeddings,
@@ -20,7 +23,8 @@ from ramseylab.counting import (
     enumerate_P,
     extension_count,
 )
-from ramseylab.graphs import Graph, path_graph, pattern_by_name
+from ramseylab.density import PATTERN_VERTEX_CAP
+from ramseylab.graphs import Graph, complete_graph, path_graph, pattern_by_name
 from ramseylab.regularity import counting_lemma_check, fstar_overlap_count
 
 PATTERNS = [pattern_by_name(name) for name in ("K3", "C4", "P3", "K4-e")]
@@ -73,6 +77,33 @@ def test_symmetry_broken_copies_match_plain_search(G, F, data):
     anchor = data.draw(st.sampled_from(list(combinations(range(G.n), 2))))
     assert copy_set(enumerate_copies(F, G, anchor=anchor)) == {
         (c.vertices, c.edges) for c in family.copies if anchor in c.edges}
+
+
+@PROPERTY
+@given(hosts(min_n=5), st.sampled_from(COPY_PATTERNS), st.data())
+def test_copy_keys_build_the_constraint_system(G, F, data):
+    # the NAE system read straight from the keys: the constraints of the
+    # copies, in order, and as a set the oracle's copies
+    cons = copy_constraints(G, F)
+    assert cons == _edge_id_sets(G, enumerate_copies(F, G).copies)
+    assert set(cons) == {tuple(sorted(G.edge_id(*e) for e in es))
+                         for _, es in naive_copies(F, G)}
+    # several anchors in one collection: the key-ordered merge of the
+    # single-anchor families, each copy with its first anchor's witness
+    anchors = data.draw(st.lists(st.sampled_from(list(combinations(range(G.n), 2))),
+                                 min_size=1, max_size=4, unique=True))
+    merged = {}
+    for a in anchors:
+        for c in enumerate_copies(F, G, anchor=a).copies:
+            merged.setdefault(c.key(), c)
+    assert _collect_copies(F, G, _copy_maps(F, G, anchors)) == [merged[k] for k in sorted(merged)]
+
+
+def test_copy_constraints_keep_the_pattern_cap():
+    big = complete_graph(PATTERN_VERTEX_CAP + 1)
+    with pytest.raises(ValueError, match="cap"):
+        copy_constraints(complete_graph(PATTERN_VERTEX_CAP + 2), big)
+    assert copy_constraints(complete_graph(PATTERN_VERTEX_CAP), big) == []
 
 
 @settings(PROPERTY, max_examples=40)
