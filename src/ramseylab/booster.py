@@ -5,6 +5,8 @@ An embedding h is a tuple sending the booster pattern's vertices into
 the host vertex range; its image graph lives on the host vertex set.
 Copies, focus relations and badness are all evaluated literally by copy
 enumeration in Z ∪ h(B), once per union: every stage reads one `union_view`.
+Z's own copies and P(e1, e2) completions are collected once per call and
+shared by every union.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from heapq import merge
 from itertools import combinations
-from math import comb, factorial, log
+from math import comb, factorial, isfinite, log
 
 import numpy as np
 
@@ -24,14 +27,13 @@ from .arrowing import (
     RED,
     _Cdcl,
     _decide,
-    _edge_id_sets,
     brute_force_arrow,
     copy_constraints,
     decide_arrow,
     first_f_free_coloring,
     is_f_free,
 )
-from .counting import Copy, _collect_copies, _copy_maps, _norm, count_P, enumerate_copies
+from .counting import _copy_keys, _copy_maps, _norm, _PairFamily, enumerate_copies
 from .graphs import Graph, Seed, complete_graph, union
 
 
@@ -73,8 +75,9 @@ def image_edges(B, h):
 class UnionView:
     """One analysis of Z ∪ h(B), read by every booster stage.
 
-    `copies` holds (copy, z_only_edges, booster_edge_indices) for each copy
-    of F through a booster edge, in `Copy.key` order."""
+    `copies` holds (key, z_only_edges, booster_edge_indices) for each copy
+    of F through a booster edge, in key order; a key is the copy's (sorted
+    vertex tuple, sorted edge tuple), as `counting._copy_keys` gives it."""
 
     U: Graph
     copies: tuple
@@ -86,19 +89,19 @@ def union_view(Z, h, spec, F):
     """Copies of F in Z ∪ h(B) through a booster edge, focus map and focus
     set.  Every copy relevant to focusing and badness contains a booster
     edge, so anchored enumeration over the booster edges is complete."""
-    B = spec.B
-    img = image_edges(B, h)
+    img = image_edges(spec.B, h)
     img_index = {e: j for j, e in enumerate(img)}
-    U = union(Z, image_graph(B, h, Z.n))
+    U = Z.with_edges(img)
     zedges = set(Z.edges)
     copies = []
     foci = defaultdict(set)
-    for copy in _collect_copies(F, U, _copy_maps(F, U, img)) if F.n <= U.n else ():
-        boost = frozenset(img_index[e] for e in copy.edges if e in img_index)
-        zonly = frozenset(e for e in copy.edges if e in zedges and e not in img_index)
-        copies.append((copy, zonly, boost))
-        for e in copy.edges & zedges:
-            foci[e].update(boost)
+    for (vs, es), _ in _copy_keys(F, _copy_maps(F, U, img)) if F.n <= U.n else ():
+        boost = frozenset(img_index[e] for e in es if e in img_index)
+        zonly = frozenset(e for e in es if e in zedges and e not in img_index)
+        copies.append(((vs, es), zonly, boost))
+        for e in es:
+            if e in zedges:
+                foci[e].update(boost)
     # an edge in both Z and the image focuses via any copy through it
     for e in zedges & img_index.keys():
         foci[e].add(img_index[e])
@@ -164,13 +167,24 @@ def pair_relations(Z, h, spec, F, e1, e2):
 # -- interactivity --------------------------------------------------------
 
 
-def _union_copies(z_copies, view):
-    """Every copy of F in the view's union, in `enumerate_copies` order: a
-    copy lies inside Z or contains a booster edge."""
-    copies = {(c.vertices, c.edges): c for c in z_copies}
-    for copy, _zonly, _boost in view.copies:
-        copies.setdefault((copy.vertices, copy.edges), copy)
-    return sorted(copies.values(), key=Copy.key)
+def _z_keys(Z, F):
+    """The copy keys of F in Z, in key order: read once per host by every
+    union's whole search."""
+    return [key for key, _ in _copy_keys(F, _copy_maps(F, Z))] if F.n <= Z.n else []
+
+
+def _union_constraints(z_keys, view):
+    """The NAE system of the view's union, equal to `copy_constraints(view.U,
+    F)`: a copy lies inside Z or contains a booster edge, so it is Z's keys
+    and the view's merged in key order, where a copy inside Z through a
+    booster edge that Z already has comes twice and is kept once."""
+    edge_id = view.U._index.__getitem__
+    cons, last = [], None
+    for key in merge(z_keys, [key for key, _, _ in view.copies]):
+        if key != last:
+            cons.append(tuple(map(edge_id, key[1])))
+            last = key
+    return cons
 
 
 def _extend_colouring(view, phi):
@@ -179,9 +193,9 @@ def _extend_colouring(view, phi):
     copy through a booster edge can turn monochromatic: if its Z edges are
     all one colour c, or it has none, one of its new edges must not be c."""
     new, clauses = {}, []  # new edge -> core variable ("edge is blue")
-    for copy, _zonly, _boost in view.copies:
-        cols = {phi[e] for e in copy.edges if e in phi}
-        lits = [2 * new.setdefault(e, len(new)) for e in copy.edges if e not in phi]
+    for (_, es), _zonly, _boost in view.copies:
+        cols = {phi[e] for e in es if e in phi}
+        lits = [2 * new.setdefault(e, len(new)) for e in es if e not in phi]
         clauses += [[lit + c for lit in lits] for c in (RED, BLUE) if cols <= {c}]
     core = _Cdcl(len(new), clauses)
     if not core.solve():
@@ -190,7 +204,7 @@ def _extend_colouring(view, phi):
     return [colour.get(e, RED) for e in view.U.edges]
 
 
-def _union_verdict(z_copies, view, budget, phi=None):
+def _union_verdict(z_keys, view, budget, phi=None):
     """decide_arrow_union's verdict on the view's union.  Given Z's F-free
     colouring `phi` (colour per Z edge), an extension of it is tried first
     and proves "not_arrows"; else the union is searched whole, as
@@ -198,22 +212,21 @@ def _union_verdict(z_copies, view, budget, phi=None):
     union it leaves "undecided" at `budget` may be decided by the extension."""
     if phi and _extend_colouring(view, phi) is not None:
         return "not_arrows"
-    cons = _edge_id_sets(view.U, _union_copies(z_copies, view))
-    return _decide(view.U.num_edges(), cons, 2, budget).verdict
+    return _decide(view.U.num_edges(), _union_constraints(z_keys, view), 2, budget).verdict
 
 
 def check_interactive_regular(Z, Xi, spec, F, budget=None):
     """Per-embedding interactivity and regularity report."""
     z_res = decide_arrow(Z, F, budget=budget)
     b_res = decide_arrow(spec.B, F, budget=budget)
-    z_copies = enumerate_copies(F, Z).copies if F.n <= Z.n else []
+    z_keys = _z_keys(Z, F)
     phi = z_res.certificate and dict(zip(Z.edges, z_res.certificate))
     reports = []
     for h in Xi:
         view = union_view(Z, h, spec, F)
         entry = {"h": h}
         entry["edge_disjoint"] = not (set(image_edges(spec.B, h)) & set(Z.edges))
-        entry["union_verdict"] = u_verdict = _union_verdict(z_copies, view, budget, phi)
+        entry["union_verdict"] = u_verdict = _union_verdict(z_keys, view, budget, phi)
         entry["regular"] = all(len(s) <= 1 for s in view.foci.values())
         if "undecided" in (z_res.verdict, b_res.verdict, u_verdict):
             entry["interactive"] = None  # budget exhausted somewhere
@@ -280,6 +293,9 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     override), pool_size (sampled pool), arrow_filter (default True),
     budget (arrowing node budget).  Returns (family, report).
     """
+    for name in ("D", "p"):
+        if not isfinite(params[name]):
+            raise ValueError(f"{name} must be finite, got {params[name]}")
     seed = seed or Seed()
     D = params["D"]
     delta = params["delta"]
@@ -306,13 +322,13 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     # of its embedding; stages 2, 3 and 6 read the views kept here
     if not arrow_filter:
         report["arrow_filter_disabled"] = True
-    z_copies = enumerate_copies(F, Z).copies if arrow_filter and F.n <= n else []
+    z_keys = _z_keys(Z, F) if arrow_filter else []
     phi = z_res.certificate and dict(zip(Z.edges, z_res.certificate))
     views = {}
     psi1 = []
     for h in pool:
         view = union_view(Z, h, spec, F)
-        v = _union_verdict(z_copies, view, budget, phi) if arrow_filter else "arrows"
+        v = _union_verdict(z_keys, view, budget, phi) if arrow_filter else "arrows"
         if v == "arrows":
             psi1.append(h)
             views[h] = view
@@ -334,7 +350,7 @@ def construct_normal_family(Z, spec, F, params, seed=None):
 
     # stage 3: heavy connected pairs
     heavy_cap = Fraction(D) / (Fraction(p) * Fraction(n) ** Fraction(delta))
-    pair_count = cache(lambda e1, e2: count_P(F, Z, e1, e2))
+    pair_count = cache(_PairFamily(F, Z).count)
     psi3 = []
     for h in psi2:
         groups = defaultdict(list)
@@ -617,10 +633,10 @@ def activated_set(Z, Xi, spec, F, phi):
         joint = {e: spec.sigma[j] for j, e in enumerate(img)}
         for e in zedges:
             joint[e] = phi[Z.edge_id(*e)]
-        for copy, _zonly, _boost in union_view(Z, h, spec, F).copies:
-            cols = {joint[e] for e in copy.edges}
+        for (_, es), _zonly, _boost in union_view(Z, h, spec, F).copies:
+            cols = {joint[e] for e in es}
             if len(cols) == 1:
-                activated.update(Z.edge_id(*e) for e in copy.edges if e in zedges)
+                activated.update(Z.edge_id(*e) for e in es if e in zedges)
     return activated
 
 

@@ -323,22 +323,49 @@ def count_f_minus_through(F, Z, e):
 
 
 def _completions_through(F, Z, fixed_pair):
-    """Copies F1 of two-edge-deleted F in Z together with witness pairs.
+    """Copies F1 of two-edge-deleted F in Z, grouped by witness pair.
 
-    Each result is (vertex set, edge set, witness) of the copy
-    F1 = K - fixed_pair - witness for an F-copy K of K_n with all other
-    edges inside Z.  The same F1 may carry several witnesses.
+    Maps each witness w to the set of (vertex set, edge set) of the copies
+    F1 = K - fixed_pair - w for an F-copy K of K_n with all other edges
+    inside Z.  The same F1 may carry several witnesses.
     """
     a, b = _norm(*fixed_pair)
-    out = set()
+    out = {}
     # a result is unchanged when an automorphism of F moves the pinned arc,
     # the deleted edge f1 and the map together, so one (arc, f1) per orbit
-    # suffices; what a pair's stabilizer leaves over, the set absorbs
+    # suffices; what a pair's stabilizer leaves over, the sets absorb
     for (x, y), f1, kept in _pair_representatives(F):
         for m in embeddings(F, Z, pin={x: a, y: b}, loose=((x, y), f1)):
             rest = frozenset(_norm(m[u], m[v]) for u, v in kept)
-            out.add((frozenset(m), rest, _norm(m[f1[0]], m[f1[1]])))
+            out.setdefault(_norm(m[f1[0]], m[f1[1]]), set()).add((frozenset(m), rest))
     return out
+
+
+class _PairFamily:
+    """The pair family P(e1, e2) on one host Z, for many queries: the
+    completions through each pair are searched once, on first use, and
+    kept for the life of the object."""
+
+    def __init__(self, F, Z):
+        self.F, self.Z, self._sides = F, Z, {}
+
+    def pairs(self, e1, e2):
+        """The set of (vs1, es1, vs2, es2) of edge-disjoint completions
+        (vs1, es1) through e1 and (vs2, es2) through e2 sharing a witness."""
+        e1, e2 = _norm(*e1), _norm(*e2)
+        if e1 == e2:
+            raise ValueError("e1 and e2 must be distinct pairs")
+        side1, side2 = self._side(e1), self._side(e2)
+        return {(vs1, es1, vs2, es2) for w, ones in side1.items()
+                for vs2, es2 in side2.get(w, ()) for vs1, es1 in ones if not es1 & es2}
+
+    def count(self, e1, e2):
+        return len(self.pairs(e1, e2))
+
+    def _side(self, e):
+        if e not in self._sides:
+            self._sides[e] = _completions_through(self.F, self.Z, e)
+        return self._sides[e]
 
 
 def enumerate_P(F, Z, e1, e2):
@@ -348,33 +375,18 @@ def enumerate_P(F, Z, e1, e2):
     Returns a list of (copy1, copy2, s) with s = |V(F1) ∩ V(F2)|; e1, e2
     need not be edges of Z.
     """
-    e1, e2 = _norm(*e1), _norm(*e2)
-    if e1 == e2:
-        raise ValueError("e1 and e2 must be distinct pairs")
-    side1 = _completions_through(F, Z, e1)
-    side2 = _completions_through(F, Z, e2)
-    by_witness = {}
-    for vs, es, w in side2:
-        by_witness.setdefault(w, []).append((vs, es))
-    found = {}
-    for vs1, es1, w in side1:
-        for vs2, es2 in by_witness.get(w, ()):
-            if es1 & es2:
-                continue
-            key = (vs1, es1, vs2, es2)
-            if key not in found:
-                found[key] = len(vs1 & vs2)
+    found = _PairFamily(F, Z).pairs(e1, e2)
     return [
-        (Copy(vs1, es1, ()), Copy(vs2, es2, ()), s)
-        for (vs1, es1, vs2, es2), s in sorted(
-            found.items(), key=lambda kv: (sorted(kv[0][0]), sorted(kv[0][1]),
-                                           sorted(kv[0][2]), sorted(kv[0][3]))
-        )
+        (Copy(vs1, es1, ()), Copy(vs2, es2, ()), len(vs1 & vs2))
+        for vs1, es1, vs2, es2 in sorted(
+            found, key=lambda k: (sorted(k[0]), sorted(k[1]), sorted(k[2]), sorted(k[3])))
     ]
 
 
 def count_P(F, Z, e1, e2):
-    return len(enumerate_P(F, Z, e1, e2))
+    """|P(e1, e2)| on Z; one query.  Callers with many queries on one host
+    keep one `_PairFamily`."""
+    return _PairFamily(F, Z).count(e1, e2)
 
 
 # -- rooted extensions --------------------------------------------------

@@ -15,7 +15,7 @@ from math import ceil, comb, exp, gcd, isfinite, log10, sqrt
 
 from .arrowing import decide_arrow
 from .booster import alpha_tilde, classify_bad, make_booster_spec
-from .counting import _copy_keys, _copy_maps, count_P, f_minus_members
+from .counting import _copy_keys, _copy_maps, _PairFamily, f_minus_members
 from .density import classify, is_bipartite
 from .graphs import Seed, gnp_sample
 
@@ -257,6 +257,9 @@ def z_property_rates(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    for name, value in (("D", D), ("p", p), ("zeta", zeta)):
+        if not isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     prof = classify(F)
     bound = min(prof.threshold_exponent, 1 - prof.threshold_exponent)
     if not 0 < Fraction(delta) <= bound:
@@ -264,6 +267,8 @@ def z_property_rates(
     seed = seed or Seed()
     spec = booster if hasattr(booster, "sigma") else make_booster_spec(booster, F)
     B = spec.B
+    if n < B.n:
+        raise ValueError(f"n = {n} is below the booster's {B.n} vertices")
     members = f_minus_members(F)
 
     passes = {k: 0 for k in ("Z1", "Z2", "Z3", "Z4", "Z5")}
@@ -293,6 +298,7 @@ def z_property_rates(
             passes["Z3"] += 1
 
         heavy = 0
+        pair_count = _PairFamily(F, Z).count
         k = min(pair_samples, m * (m - 1) // 2)
         sampled = 0
         if m >= 2:
@@ -301,7 +307,7 @@ def z_property_rates(
                 if i == j:
                     continue
                 sampled += 1
-                if count_P(F, Z, Z.edges[int(i)], Z.edges[int(j)]) > heavy_cap:
+                if pair_count(Z.edges[int(i)], Z.edges[int(j)]) > heavy_cap:
                     heavy += 1
         frac = heavy / sampled if sampled else 0.0
         stats["heavy_pair_frac"].append(frac)

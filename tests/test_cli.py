@@ -148,6 +148,9 @@ def test_bad_host_size_exits_2(capsys):
         assert main(["zcheck", "--pattern", "K3", "--booster", "C5", f"--n={n}",
                      "--p", "0.25", "--D", "10", "--zeta", "0.1", "--delta", "1/12",
                      "--trials", "2"]) == 2
+    # a host smaller than the booster holds no embedding of it
+    assert main(["zcheck", "--pattern", "K3", "--booster", "C5", "--n", "4", "--p", "0.5",
+                 "--D", "10", "--zeta", "0.1", "--delta", "1/12", "--trials", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and all(line.startswith("error: ") for line in err.splitlines())
 
@@ -170,6 +173,25 @@ def test_non_finite_constants_exit_2(capsys):
     for bound in ("--c-min=nan", "--c-max=inf", "--tol=0"):
         code, out = run_cli(capsys, *window, bound)
         assert code == 2 and out == ""
+    zcheck = ["zcheck", "--pattern", "K3", "--booster", "C5", "--n", "8", "--delta", "1/12",
+              "--trials", "1"]
+    finite = {"--p": "0.3", "--D": "10", "--zeta": "0.1"}
+    for flag in finite:
+        for bad in ("nan", "inf", "-inf"):
+            args = [f"{k}={bad if k == flag else v}" for k, v in finite.items()]
+            code, out = run_cli(capsys, *zcheck, *args)
+            assert code == 2 and out == "", (flag, bad)
+    code, out = run_cli(capsys, *zcheck, *(f"{k}={v}" for k, v in finite.items()))
+    assert code == 0 and _strict_json(out)["result"]["Z1"]
+    booster = ["booster", "--host", "K6-e", "--booster", "K2", "--pattern", "K3",
+               "--delta", "1/12"]
+    for flag in ("--D", "--p"):
+        for bad in ("nan", "inf", "-inf"):
+            other = "--p=0.5" if flag == "--D" else "--D=4"
+            code, out = run_cli(capsys, *booster, f"{flag}={bad}", other)
+            assert code == 2 and out == "", (flag, bad)
+    code, out = run_cli(capsys, *booster, "--D=4", "--p=0.5")
+    assert code == 0 and "family" in _strict_json(out)["result"]
 
 
 def test_config_supplements_without_conflict(tmp_path, capsys):

@@ -17,7 +17,9 @@ from ramseylab.counting import (
     _collect_copies,
     _copy_maps,
     _orbit_embeddings,
+    _PairFamily,
     are_isomorphic,
+    count_P,
     embeddings,
     enumerate_copies,
     enumerate_P,
@@ -109,13 +111,19 @@ def test_copy_constraints_keep_the_pattern_cap():
 @settings(PROPERTY, max_examples=40)
 @given(hosts(max_n=7), st.sampled_from(PATTERNS), st.data())
 def test_pair_family_matches_oracle(Z, F, data):
-    # e1 and e2 range over edges and non-edges of Z alike
-    e1, e2 = data.draw(st.lists(st.sampled_from(list(combinations(range(Z.n), 2))),
-                                min_size=2, max_size=2, unique=True))
+    # e1, e2 and e3 range over edges and non-edges of Z alike
+    e1, e2, e3 = data.draw(st.lists(st.sampled_from(list(combinations(range(Z.n), 2))),
+                                    min_size=3, max_size=3, unique=True))
     found = {((tuple(sorted(c1.vertices)), tuple(sorted(c1.edges))),
               (tuple(sorted(c2.vertices)), tuple(sorted(c2.edges))), s)
              for c1, c2, s in enumerate_P(F, Z, e1, e2)}
     assert found == naive_P(F, Z, e1, e2)
+    # one per-host family answers repeated, swapped and fresh queries alike
+    family = _PairFamily(F, Z)
+    for a, b in ((e1, e2), (e2, e1), (e1, e2), (e3, e1), (e2, e3[::-1]), (e2, e1)):
+        assert family.count(a, b) == len(naive_P(F, Z, a, b)) == count_P(F, Z, a, b), (a, b)
+    with pytest.raises(ValueError, match="distinct"):
+        family.count(e1, e1[::-1])
 
 
 @PROPERTY

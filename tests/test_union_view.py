@@ -28,8 +28,9 @@ from ramseylab.arrowing import (
 from ramseylab.booster import (
     _extend_colouring,
     _naive_focus_members,
-    _union_copies,
+    _union_constraints,
     _union_verdict,
+    _z_keys,
     build_hypergraph,
     classify_bad,
     construct_normal_family,
@@ -40,7 +41,15 @@ from ramseylab.booster import (
     union_view,
 )
 from ramseylab.counting import enumerate_copies
-from ramseylab.graphs import Graph, Seed, complete_graph, cycle_graph, gnp_sample, path_graph
+from ramseylab.graphs import (
+    Graph,
+    Seed,
+    complete_graph,
+    cycle_graph,
+    gnp_sample,
+    path_graph,
+    union,
+)
 
 K3, C4 = complete_graph(3), cycle_graph(4)
 BOOSTERS = {"K2": complete_graph(2), "P3": path_graph(3), "C5": cycle_graph(5)}
@@ -70,15 +79,14 @@ def test_view_matches_full_enumeration_and_oracles(case):
     Z, h, spec, F = case
     view = union_view(Z, h, spec, F)
     U = view.U
-    # Z's copies plus the view's copies are the union's copies, in order
-    z_copies = enumerate_copies(F, Z).copies if F.n <= Z.n else []
-    merged = [(c.vertices, c.edges) for c in _union_copies(z_copies, view)]
-    full = [(c.vertices, c.edges) for c in enumerate_copies(F, U).copies]
-    assert merged == full
-    # the view holds exactly the copies through a booster edge
+    assert U == union(Z, image_graph(spec.B, h, Z.n))
+    # Z's copy keys merged with the view's give the union's NAE system, in
+    # order, also when a booster edge already lies in Z
+    assert _union_constraints(_z_keys(Z, F), view) == copy_constraints(U, F)
+    # the view holds exactly the copies through a booster edge, in key order
     img = set(image_edges(spec.B, h))
-    assert [(c.vertices, c.edges) for c, _, _ in view.copies] == [
-        key for key in full if key[1] & img]
+    assert [key for key, _, _ in view.copies] == [
+        c.key() for c in enumerate_copies(F, U).copies if c.edges & img]
     # the focus set is the naive one, plus any edge of Z that is also a
     # booster edge: such an edge focuses on itself even in no copy of F
     shared = {Z.edge_id(*e) for e in img & set(Z.edges)}
@@ -111,11 +119,11 @@ def _stage1(Z, h, spec, F, phi):
     """(union, extension or None, verdict with phi, verdict without, verdict
     of decide_arrow_union), unbudgeted."""
     view = union_view(Z, h, spec, F)
-    z_copies = enumerate_copies(F, Z).copies
+    z_keys = _z_keys(Z, F)
     by_edge = dict(zip(Z.edges, phi)) if phi is not None else None
     ext = _extend_colouring(view, by_edge) if by_edge is not None else None
-    return (view.U, ext, _union_verdict(z_copies, view, None, by_edge),
-            _union_verdict(z_copies, view, None),
+    return (view.U, ext, _union_verdict(z_keys, view, None, by_edge),
+            _union_verdict(z_keys, view, None),
             decide_arrow_union(Z, image_graph(spec.B, h, Z.n), F).verdict)
 
 
