@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Monte Carlo arrowing probabilities across the scaled constant c.
 
-Sweeps p = c * n^(-1/m2) for the triangle at a desk-scale n, locates the
-half-crossing by bisection, and contrasts sharp/coarse behaviour on
-synthetic oracles where the ground truth is planted.
+Sweeps p = c * n^(-1/m2) for the triangle at a desk-scale n, follows one
+random graph process per trial to the constant where it first arrows, and
+contrasts sharp/coarse behaviour on synthetic oracles where the ground
+truth is planted.
 """
 
 import math
 
 from ramseylab import (
-    bisect_threshold_constant,
+    hitting_constant,
     sharpness_window,
     threshold_curve,
 )
@@ -30,14 +31,15 @@ print(f"  interpolated half-crossing: c ~ {curve['crossings'][0.5]:.2f}")
 print()
 
 print("=" * 72)
-print("  Bisection against a planted sharp (step) oracle")
+print("  Hitting constants against a planted sharp (step) oracle")
 print("=" * 72)
 p0 = 0.217
 step = lambda nn, p, seed: "arrows" if p > p0 else "not_arrows"
-r = bisect_threshold_constant(k3, 40, trials=3, tol=1e-4, seed=Seed(32),
-                              verdict_fn=step, c_range=(0.01, 5.0))
-print(f"  planted c0 = {p0 * math.sqrt(40):.4f}, recovered {r['c_hat']:.4f} "
-      f"after {len(r['probes'])} probes")
+print(f"  planted c0 = {p0 * math.sqrt(40):.4f}; each trial's hitting edge is its last")
+print("  arrival at or below p0:")
+for t in range(3):
+    hit = hitting_constant(k3, 40, Seed(32, t), verdict_fn=step)
+    print(f"    trial {t}: c* = {hit['c']:.4f} after {hit['solves']} probes")
 print()
 
 print("=" * 72)
@@ -53,7 +55,7 @@ for n_syn in (20, 40, 80):
         return "arrows" if seed.generator().random() < prob else "not_arrows"
 
     rows = sharpness_window(k3, [n_syn], trials=300, seed=Seed(33, n_syn),
-                            tol=5e-3, c_range=(0.2, 3.2), verdict_fn=logistic)
+                            verdict_fn=logistic)
     row = rows[0]
     true_gap = w * 2 * math.log(9)
     print(f"  n={n_syn:>3}: measured c(0.9)-c(0.1) = {row['window']:.3f} "

@@ -43,9 +43,9 @@ from .counting import (
 )
 from .density import PatternProfile, booster_admissible, classify, d2, edge_density, m2, mad, rooted_density
 from .experiments import (
-    bisect_threshold_constant,
     derive_proof_constants,
     estimate_arrow_probability,
+    hitting_constant,
     janson_bound,
     sharpness_window,
     window_trend,

@@ -256,6 +256,8 @@ def _solve(m, cons, colours, budget=None, limit=1, symmetry_break=False, static=
     most copies (ties: the lowest EdgeId) to colour 0 at level 0."""
     if colours < 1:
         raise ValueError("need at least one colour")
+    if budget is not None and budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
     core = _Cdcl(*_encode(m, cons, colours), static)
     if symmetry_break and core.vars:
         v = max(core.vars, key=core.activity.__getitem__)  # colour 0 of that edge

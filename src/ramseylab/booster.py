@@ -293,9 +293,10 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     override), pool_size (sampled pool), arrow_filter (default True),
     budget (arrowing node budget).  Returns (family, report).
     """
-    for name in ("D", "p"):
-        if not isfinite(params[name]):
-            raise ValueError(f"{name} must be finite, got {params[name]}")
+    if not isfinite(params["D"]):
+        raise ValueError(f"D must be finite, got {params['D']}")
+    if not 0 < params["p"] <= 1:
+        raise ValueError(f"p must lie in (0, 1], got {params['p']}")
     seed = seed or Seed()
     D = params["D"]
     delta = params["delta"]

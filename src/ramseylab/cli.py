@@ -35,7 +35,6 @@ from .counting import adversarial_T_search, base_graph, check_T, enumerate_copie
 from .density import classify
 from .experiments import (
     AllUndecided,
-    NoBracket,
     derive_proof_constants,
     janson_bound,
     sharpness_window,
@@ -127,9 +126,6 @@ def build_parser():
     p.add_argument("--n-list", type=_int_list, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-2)
-    p.add_argument("--c-min", type=float, default=0.05)
-    p.add_argument("--c-max", type=float, default=4.0)
     p.add_argument("--budget-nodes", type=int, default=None)
 
     p = sub.add_parser("zcheck", help="empirical good-graph property rates")
@@ -285,8 +281,7 @@ def _run(ns):
         from .experiments import window_trend
 
         rows = sharpness_window(_load_graph(ns.pattern), ns.n_list, ns.trials,
-                                Seed(ns.seed), tol=ns.tol,
-                                c_range=(ns.c_min, ns.c_max), budget=ns.budget_nodes)
+                                Seed(ns.seed), budget=ns.budget_nodes)
         return {"rows": rows, "trend": window_trend(rows)}, _budget_code(rows)
 
     if cmd == "zcheck":
@@ -417,7 +412,7 @@ def main(argv=None):
         payload, code = _run(ns)
     except SystemExit as exc:  # argparse printed its usage error (2) or --help (0)
         return exc.code
-    except (CliError, AllUndecided, NoBracket, ValueError, OSError, json.JSONDecodeError,
+    except (CliError, AllUndecided, ValueError, OSError, json.JSONDecodeError,
             KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, AllUndecided) else EXIT_BAD_INPUT

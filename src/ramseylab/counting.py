@@ -471,6 +471,8 @@ def adversarial_T_search(profile, G, lam, eta, budget=2000, seed=None):
     subgraph found and its check record."""
     from .graphs import Seed
 
+    if budget < 1:
+        raise ValueError(f"search budget must be >= 1, got {budget}")
     rng = (seed or Seed()).generator()
     m = G.num_edges()
     k = ceil(lam * m)

@@ -1,9 +1,11 @@
 """Monte Carlo threshold experiments and the exact constant chain.
 
-Every estimate is reproducible from (config, master seed): trial i of
-probe j runs on Seed.substream chains, never on shared global state.
-Budget-exhausted trials stay first-class "undecided" and are excluded
-from point estimates with their count reported.
+Every estimate is reproducible from (config, master seed): trial t of
+grid point (or n) i runs on seed.substream(i).substream(t), never on
+shared global state.  A curve point samples fresh G(n, p) trials; a
+window follows one random graph process per trial to its hitting
+constant.  Budget-exhausted trials stay first-class "undecided" and are
+excluded from point estimates with their count reported.
 """
 
 from __future__ import annotations
@@ -11,13 +13,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, comb, exp, gcd, isfinite, log10, sqrt
+from math import ceil, comb, exp, gcd, inf, isfinite, log10, sqrt
 
 from .arrowing import decide_arrow
 from .booster import alpha_tilde, classify_bad, make_booster_spec
 from .counting import _copy_keys, _copy_maps, _PairFamily, f_minus_members
 from .density import classify, is_bipartite
-from .graphs import Seed, gnp_sample
+from .graphs import Seed, gnp_sample, pair_uniforms
 
 
 # arrowing-probability levels whose crossings a curve or window reports
@@ -26,10 +28,6 @@ LEVELS = (0.1, 0.5, 0.9)
 
 class AllUndecided(RuntimeError):
     """Every trial of an estimate exhausted its node budget."""
-
-
-class NoBracket(RuntimeError):
-    """The c-range of a bisection does not straddle the requested level."""
 
 
 def wilson_interval(successes, n, z=1.96):
@@ -99,102 +97,85 @@ def _check_grid(n, c_values):
         raise ValueError(f"c values must be finite, got {list(c_values)}")
 
 
-def _probe(F, n, c, exponent, trials, seed, budget, verdict_fn):
-    """Estimate at p = c * n^(-exponent), clamped into [0,1], tagged with c."""
-    p = c * n ** (-float(exponent))
-    est = estimate_arrow_probability(
-        F, n, min(1.0, max(0.0, p)), trials, seed, budget=budget, verdict_fn=verdict_fn
-    )
-    est["c"] = c
-    est["p_clamped"] = p > 1.0
-    return est
+def hitting_constant(F, n, seed, budget=None, verdict_fn=None):
+    """The scaled constant at which one trial of the random graph process
+    first arrows.
 
+    The trial's pairs arrive in the order of their `pair_uniforms`, the
+    draws of `gnp_sample` on the same seed.  At p_k, the (k+1)-th smallest
+    uniform (1.0 for k = C(n,2)), G(n, p_k) holds exactly the first k
+    arrivals.  Arrowing is monotone in the edge set, so the smallest k that
+    arrows is found by galloping k = 1, 2, 4, ... to the first "arrows" and
+    bisecting that bracket; K_n is probed only if no smaller probe arrows.
 
-def bisect_threshold_constant(
-    F,
-    n,
-    trials,
-    level=0.5,
-    tol=1e-3,
-    seed=None,
-    c_range=(0.05, 4.0),
-    budget=None,
-    verdict_fn=None,
-):
-    """Bisection on the scaled constant c with fresh trials per probe.
-
-    Needs the c-range to straddle the requested level; raises otherwise.
-    Stops once the bracket is within `tol` or at float resolution.
-    Returns the crossing estimate and the full probe log.
+    Returns {"p", "c", "solves"}: p is the uniform of the hitting edge, so
+    G(n, p') on this seed arrows iff p' > p, and c = p * n^(1/m2).  Both
+    are inf when even K_n does not arrow, and None when a probe was
+    undecided, which ends the search.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    _check_grid(n, c_range)
-    seed = seed or Seed()
-    exponent = classify(F).threshold_exponent
-    probes = []
+    fn = verdict_fn or solver_verdict(F, budget)
+    total = n * (n - 1) // 2
+    u = sorted(pair_uniforms(n, seed).tolist())
+    solves = 0
 
-    def probe(c, idx):
-        probes.append(_probe(F, n, c, exponent, trials, seed.substream(idx), budget, verdict_fn))
-        return probes[-1]["estimate"]
+    def probe(k):
+        nonlocal solves
+        solves += 1
+        return fn(n, u[k] if k < total else 1.0, seed)
 
-    lo, hi = c_range
-    e_lo = probe(lo, 0)
-    e_hi = probe(hi, 1)
-    if e_lo > level or e_hi < level:
-        raise NoBracket(
-            f"no bracket: estimate({lo})={e_lo:.3f}, estimate({hi})={e_hi:.3f} "
-            f"do not straddle level {level}"
-        )
-    idx = 2
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if not lo < mid < hi:  # no float left between the ends
-            break
-        if probe(mid, idx) < level:
+    lo, hi = 0, min(1, total)  # lo arrivals do not arrow
+    while (verdict := probe(hi)) == "not_arrows" and hi < total:
+        lo, hi = hi, min(2 * hi, total)
+    while verdict == "arrows" and hi - lo > 1:  # hi arrivals arrow
+        mid = (lo + hi) // 2
+        v = probe(mid)
+        if v == "arrows":
+            hi = mid
+        elif v == "not_arrows":
             lo = mid
         else:
-            hi = mid
-        idx += 1
-    return {"c_hat": (lo + hi) / 2, "level": level, "probes": probes, "n": n}
+            verdict = v
+    if verdict == "undecided":
+        return {"p": None, "c": None, "solves": solves}
+    p = u[hi - 1] if verdict == "arrows" else inf
+    return {"p": p, "c": p * n ** float(classify(F).threshold_exponent), "solves": solves}
 
 
-def sharpness_window(
-    F,
-    n_list,
-    trials,
-    seed=None,
-    tol=1e-3,
-    c_range=(0.05, 4.0),
-    budget=None,
-    verdict_fn=None,
-):
-    """Crossing constants at the three `LEVELS` per n, plus relative widths
-    and the undecided trials over all of that n's probes."""
-    for n in n_list:  # before any probe runs
-        _check_grid(n, c_range)
+def sharpness_window(F, n_list, trials, seed=None, budget=None, verdict_fn=None):
+    """Crossing constants at the three `LEVELS` per n, from one hitting
+    constant per trial (`hitting_constant` on seed.substream(i) for the
+    i-th n, then .substream(t) for trial t).
+
+    c_q is the ceil(q * decided)-th smallest c* of the decided trials.
+    Each row also gives the window c_0.9 - c_0.1, its width relative to
+    c_0.5, the undecided trials (left out of every c_q) and the solves.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    for n in n_list:  # before any trial runs; a window has no c grid
+        _check_grid(n, ())
     seed = seed or Seed()
     rows = []
     for i, n in enumerate(n_list):
-        entry = {"n": n, "undecided": 0}
-        for j, level in enumerate(LEVELS):
-            r = bisect_threshold_constant(
-                F,
-                n,
-                trials,
-                level=level,
-                tol=tol,
-                seed=seed.substream(1000 * i + j),
-                c_range=c_range,
-                budget=budget,
-                verdict_fn=verdict_fn,
-            )
-            entry[f"c_{level}"] = r["c_hat"]
-            entry["undecided"] += sum(pr["undecided"] for pr in r["probes"])
-        low, mid, high = (entry[f"c_{q}"] for q in LEVELS)
-        entry["window"] = high - low
-        entry["relative_width"] = (high - low) / mid if mid else float("inf")
-        rows.append(entry)
+        hits = [hitting_constant(F, n, seed.substream(i).substream(t), budget, verdict_fn)
+                for t in range(trials)]
+        cs = sorted(h["c"] for h in hits if h["c"] is not None)
+        if not cs:
+            raise AllUndecided(f"all trials undecided at n = {n}: no window")
+        row = {"n": n, "decided": len(cs), "undecided": trials - len(cs),
+               "solves": sum(h["solves"] for h in hits)}
+        for q in LEVELS:
+            # q as the decimal it is written as: 0.1 * 30 is 3.0000000000000004
+            c = cs[ceil(Fraction(str(q)) * len(cs)) - 1]
+            if c == inf:
+                arrowing = sum(x < inf for x in cs)
+                raise ValueError(f"no crossing of level {q} at n = {n}: {arrowing} of "
+                                 f"{len(cs)} decided trials arrow, even at p = 1")
+            row[f"c_{q}"] = c
+        low, mid, high = (row[f"c_{q}"] for q in LEVELS)
+        row["window"] = high - low
+        row["relative_width"] = (high - low) / mid if mid else float("inf")
+        rows.append(row)
     return rows
 
 
@@ -207,14 +188,18 @@ def window_trend(rows):
 
 
 def threshold_curve(F, n, c_values, trials, seed=None, budget=None, verdict_fn=None):
-    """Estimates over a grid of scaled constants, with interpolated
-    crossings of the `LEVELS`."""
+    """Estimates at p = c * n^(-1/m2), clamped into [0,1], over a grid of
+    scaled constants, with interpolated crossings of the `LEVELS`."""
     c_values = sorted(c_values)
     _check_grid(n, c_values)
     seed = seed or Seed()
     exponent = classify(F).threshold_exponent
-    points = [_probe(F, n, c, exponent, trials, seed.substream(i), budget, verdict_fn)
-              for i, c in enumerate(c_values)]
+    points = []
+    for i, c in enumerate(c_values):
+        p = c * n ** (-float(exponent))
+        est = estimate_arrow_probability(F, n, min(1.0, max(0.0, p)), trials,
+                                         seed.substream(i), budget=budget, verdict_fn=verdict_fn)
+        points.append({**est, "c": c, "p_clamped": p > 1.0})
 
     def crossing(level):
         for a, b in zip(points, points[1:]):
@@ -522,6 +507,9 @@ def derive_proof_constants(
     prof = F if hasattr(F, "strictly_balanced") else classify(F)
     if not prof.strictly_balanced:
         raise ValueError("constant chain requires a strictly balanced pattern")
+    for name, value in (("D", D), ("C1", C1), ("lambda", lam), ("T0", T0)):  # divisors
+        if value is not None and not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     Fg = prof.pattern
     inputs = {
         "F_m2": prof.m2,

@@ -161,6 +161,16 @@ def pattern_by_name(name):
 # -- sampling ---------------------------------------------------------
 
 
+def pair_uniforms(n, seed):
+    """One uniform in [0, 1) per pair of the n vertices, in lexicographic
+    pair order: the arrival times of the random graph process on `seed`.
+
+    `gnp_sample(n, p, seed)` keeps the pairs whose uniform lies below p,
+    so for one seed the samples are nested in p (the monotone coupling).
+    """
+    return seed.generator().random(n * (n - 1) // 2)
+
+
 def gnp_sample(n, p, seed):
     """Binomial random graph: each of the C(n,2) pairs kept with probability p.
 
@@ -176,8 +186,7 @@ def gnp_sample(n, p, seed):
         return empty_graph(n)
     if p == 1.0:
         return Graph(n, pairs)
-    u = seed.generator().random(len(pairs))
-    return Graph(n, [e for e, x in zip(pairs, u) if x < p])
+    return Graph(n, [e for e, x in zip(pairs, pair_uniforms(n, seed)) if x < p])
 
 
 # -- set/edge operations ----------------------------------------------

@@ -127,17 +127,48 @@ def test_config_conflicts_with_abbreviated_flag(tmp_path):
 
 
 def test_window_failures_exit_with_documented_codes(capsys):
-    window = ["window", "--pattern", "K3", "--n-list", "8", "--trials", "3"]
-    # a c-range below the level has no bracket: invalid input, one error line
-    code = main(window + ["--c-min", "0.05", "--c-max", "0.1"])
+    # K5 does not arrow K3, so no trial has a hitting constant below p = 1:
+    # invalid input, one error line
+    code = main(["window", "--pattern", "K3", "--n-list", "5"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err.startswith("error: no bracket") and len(err.splitlines()) == 1
-    # p clamps to 1 over the whole range and one node cannot decide K8
-    code = main(window + ["--c-min", "3.9", "--c-max", "4", "--budget-nodes", "1"])
+    assert err.startswith("error: no crossing") and len(err.splitlines()) == 1
+    # one node cannot decide any probe that holds a triangle
+    window = ["window", "--pattern", "K3", "--n-list", "8", "--trials", "3"]
+    code = main(window + ["--budget-nodes", "1"])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err.startswith("error: all trials undecided") and len(err.splitlines()) == 1
+    code = main(window[:-1] + ["0"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    # a window has no c-range and no tolerance to set
+    for flag in ("--tol=0.05", "--c-min=0.1", "--c-max=4"):
+        assert main(window + [flag]) == 2
+    capsys.readouterr()
+
+
+def test_degenerate_parameters_exit_2(capsys):
+    cases = [
+        ["tprop", "--pattern", "K3", "--host", "K6", "--lambda", "1", "--eta", "1/100",
+         "--search-budget", "0"],
+        ["constants", "--pattern", "K3", "--T0", "0", "--c0", "1"],
+        ["constants", "--pattern", "K3", "--lambda", "0"],
+        ["constants", "--pattern", "K3", "--booster-vertices", "3", "--D", "0"],
+        ["arrows", "--host", "K6", "--pattern", "K3", "--budget-nodes", "-1"],
+        ["threshold", "--pattern", "K3", "--n", "8", "--c", "1", "--trials", "2",
+         "--budget-nodes", "-1"],
+    ]
+    booster = ["booster", "--host", "K6-e", "--booster", "K2", "--pattern", "K3", "--D", "4",
+               "--delta", "1/12"]
+    cases += [booster + [f"--p={p}"] for p in ("0", "-0.5", "2")]
+    for argv in cases:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+    code, out = run_cli(capsys, *booster, "--p=1")
+    assert code == 0 and json.loads(out)["result"]["family"] is not None
 
 
 def test_bad_host_size_exits_2(capsys):
@@ -169,10 +200,6 @@ def test_non_finite_constants_exit_2(capsys):
         assert code == 2 and out == ""
     code, out = run_cli(capsys, *threshold, "--c", "0.5,1.0")
     assert code == 0 and _strict_json(out)["result"]["points"]
-    window = ["window", "--pattern", "K3", "--n-list", "8", "--trials", "2"]
-    for bound in ("--c-min=nan", "--c-max=inf", "--tol=0"):
-        code, out = run_cli(capsys, *window, bound)
-        assert code == 2 and out == ""
     zcheck = ["zcheck", "--pattern", "K3", "--booster", "C5", "--n", "8", "--delta", "1/12",
               "--trials", "1"]
     finite = {"--p": "0.3", "--D": "10", "--zeta": "0.1"}
@@ -229,7 +256,7 @@ def test_undecided_trials_exit_3_with_artifact(capsys):
     assert code == 3 and art["budget_exhausted"]
     assert sum(pt["undecided"] for pt in art["result"]["points"]) > 0
     code, art = run_json(capsys, "window", "--pattern", "K3", "--n-list", "16",
-                         "--trials", "6", "--tol", "0.5", "--budget-nodes", "40")
+                         "--trials", "6", "--budget-nodes", "40")
     assert code == 3 and art["budget_exhausted"]
     assert art["result"]["rows"][0]["undecided"] > 0
 
@@ -294,11 +321,12 @@ def test_zcheck_subcommand(capsys):
 def test_window_subcommand(capsys):
     # synthetic-speed run: tiny n and trials, solver-backed
     code, art = run_json(capsys, "window", "--pattern", "K3", "--n-list", "8",
-                         "--trials", "8", "--tol", "0.2", "--seed", "2",
-                         "--c-min", "0.05", "--c-max", "3.5")
+                         "--trials", "8", "--seed", "2")
     assert code == 0
     row = art["result"]["rows"][0]
-    assert row["c_0.1"] <= row["c_0.9"]
+    assert row["c_0.1"] <= row["c_0.5"] <= row["c_0.9"]
+    assert (row["decided"], row["undecided"]) == (8, 0) and row["solves"] >= 8
+    assert set(art["run_config"]) == {"command", "pattern", "n_list", "trials", "seed"}
 
 
 def test_arrows_cnf_export(tmp_path, capsys):

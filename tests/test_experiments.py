@@ -1,14 +1,22 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from ramseylab.arrowing import (
+    BRUTE_FORCE_EDGE_CAP,
+    brute_force_arrow,
+    copy_constraints,
+    decide_arrow,
+    is_f_free,
+)
 from ramseylab.counting import enumerate_copies
 from ramseylab.experiments import (
     bipartition_sizes,
-    bisect_threshold_constant,
     derive_proof_constants,
     estimate_arrow_probability,
+    hitting_constant,
     janson_bound,
     sharpness_window,
     threshold_curve,
@@ -16,7 +24,15 @@ from ramseylab.experiments import (
     z_property_rates,
 )
 from ramseylab.density import classify
-from ramseylab.graphs import Seed, complete_graph, cycle_graph, empty_graph, path_graph
+from ramseylab.graphs import (
+    Graph,
+    Seed,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    gnp_sample,
+    path_graph,
+)
 
 K3 = complete_graph(3)
 
@@ -53,52 +69,98 @@ def test_estimate_reproducible():
     assert a == b
 
 
-def test_bisect_on_planted_step():
+def _uniforms(n, seed):
+    """The trial's pair uniforms, drawn here without the package's helper."""
+    return seed.generator().random(math.comb(n, 2)).tolist()
+
+
+def test_hitting_constant_on_planted_step():
+    # the probe at p_k (the (k+1)-th smallest uniform) arrows iff p_k > p0, so
+    # the first arrowing probe is the first arrival above p0 and the hitting
+    # edge, the k-th arrival, is the last arrival at or below p0
     p0 = 0.217
+    for n in (25, 30, 49):
+        for t in range(4):
+            seed = Seed(2, n, t)
+            probes = []
 
+            def step(nn, p, s):
+                assert (nn, s) == (n, seed)
+                probes.append(p)
+                return "arrows" if p > p0 else "not_arrows"
+
+            h = hitting_constant(K3, n, seed, verdict_fn=step)
+            u = _uniforms(n, seed)
+            assert h["p"] == max(x for x in u if x <= p0)
+            assert min(p for p in probes if p > p0) == min(x for x in u if x > p0)
+            assert h["c"] == h["p"] * n**0.5
+            assert h["solves"] == len(probes)
+
+
+def test_window_rows_are_order_statistics_of_hitting_constants():
     def step(n, p, seed):
-        return "arrows" if p > p0 else "not_arrows"
+        return "arrows" if p * n**0.5 > 1.0 else "not_arrows"
 
-    r = bisect_threshold_constant(K3, 30, trials=3, tol=1e-4, seed=Seed(2),
-                                  verdict_fn=step, c_range=(0.01, 4.0))
-    c_true = p0 * 30**0.5
-    assert abs(r["c_hat"] - c_true) < 1e-3
-    # determinism and probe logging
-    r2 = bisect_threshold_constant(K3, 30, trials=3, tol=1e-4, seed=Seed(2),
-                                   verdict_fn=step, c_range=(0.01, 4.0))
-    assert r["c_hat"] == r2["c_hat"]
-    assert [p["c"] for p in r["probes"]] == [p["c"] for p in r2["probes"]]
-
-
-def test_bisect_requires_bracket():
-    def always(n, p, seed):
-        return "arrows"
-
-    with pytest.raises(RuntimeError, match="bracket"):
-        bisect_threshold_constant(K3, 20, trials=3, seed=Seed(3), verdict_fn=always)
+    rows = sharpness_window(K3, [25, 49], trials=30, seed=Seed(66), verdict_fn=step)
+    for i, row in enumerate(rows):
+        n = row["n"]
+        hits = [hitting_constant(K3, n, Seed(66).substream(i).substream(t), verdict_fn=step)
+                for t in range(30)]
+        cs = sorted(h["c"] for h in hits)
+        assert (row["decided"], row["undecided"]) == (30, 0)
+        assert row["solves"] == sum(h["solves"] for h in hits)
+        # ceil(q * 30)-th smallest: 3, 15 and 27
+        assert (row["c_0.1"], row["c_0.5"], row["c_0.9"]) == (cs[2], cs[14], cs[26])
+        assert row["window"] == cs[26] - cs[2]
+        for h, t in zip(hits, range(30)):  # the last arrival at or below 1/sqrt(n)
+            u = _uniforms(n, Seed(66, i, t))
+            assert h["p"] == max(x for x in u if x * n**0.5 <= 1.0)
 
 
-class Runaway(Exception):
-    """The bisection kept probing long past the float resolution of c."""
+def test_window_without_a_crossing_raises():
+    # K5 does not arrow K3, so no trial arrows even at p = 1
+    with pytest.raises(ValueError, match="no crossing of level 0.1"):
+        sharpness_window(K3, [5], trials=4, seed=Seed(3))
+    h = hitting_constant(K3, 5, Seed(3))
+    assert h["p"] == h["c"] == math.inf and h["solves"] == 5  # k = 1, 2, 4, 8 and K5
+
+    # every trial arrows only at K_n: c_0.9 exists only if 90% of trials get there
+    def late(n, p, seed):
+        return "arrows" if p == 1.0 and seed.path[-1] < 3 else "not_arrows"
+
+    with pytest.raises(ValueError, match="no crossing of level 0.5 at n = 6: 3 of 10"):
+        sharpness_window(K3, [6], trials=10, seed=Seed(3), verdict_fn=late)
+    with pytest.raises(ValueError, match="trials"):
+        sharpness_window(K3, [6], trials=0, seed=Seed(3))
 
 
-def test_bisect_stops_at_float_resolution():
-    probes = []
+def test_hitting_search_gallops_then_bisects():
+    # k = 1, 2, 4, ..., then a bisection of the bracket: O(log C(n,2)) probes,
+    # and K_n (p = 1) only when no smaller probe arrows
+    for k_hit in (1, 2, 3, 64, 65, 190):
+        n = 20
+        seed = Seed(5, k_hit)
+        u = sorted(_uniforms(n, seed))
+        threshold = u[k_hit] if k_hit < len(u) else 1.0
+        probes = []
 
-    def step(n, p, seed):
-        probes.append(p)
-        if len(probes) > 5000:
-            raise Runaway
-        return "arrows" if p > 0.217 else "not_arrows"
+        def planted(nn, p, s):
+            probes.append(p)
+            return "arrows" if p >= threshold else "not_arrows"
 
-    for tol in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="tol"):
-            bisect_threshold_constant(K3, 30, trials=1, tol=tol, seed=Seed(2), verdict_fn=step)
-    # a tol below every gap between floats ends where no float lies between the ends
-    r = bisect_threshold_constant(K3, 30, trials=1, tol=1e-300, seed=Seed(2),
-                                  verdict_fn=step, c_range=(0.01, 4.0))
-    assert len(r["probes"]) < 100
-    assert abs(r["c_hat"] - 0.217 * 30**0.5) < 1e-12
+        h = hitting_constant(K3, n, seed, verdict_fn=planted)
+        assert h["p"] == u[k_hit - 1]
+        assert len(probes) <= 2 * math.ceil(math.log2(len(u))) + 1
+        assert (1.0 in probes) == (k_hit == len(u))
+    # an undecided probe ends the search and leaves the trial undecided
+    calls = []
+
+    def undecided(nn, p, s):
+        calls.append(p)
+        return "undecided" if len(calls) == 3 else "not_arrows"
+
+    assert hitting_constant(K3, 20, Seed(5), verdict_fn=undecided) == \
+        {"p": None, "c": None, "solves": 3}
 
 
 def test_p_clamp_flagged():
@@ -106,24 +168,15 @@ def test_p_clamp_flagged():
         return "arrows" if p > 0.9 else "not_arrows"
 
     # n=6: p = c / sqrt(6) reaches 1 at c ~ 2.45; large c clamps
-    r = bisect_threshold_constant(K3, 6, trials=2, tol=1e-3, seed=Seed(4),
-                                  verdict_fn=step, c_range=(0.1, 6.0))
-    assert any(p["p_clamped"] for p in r["probes"])
-
-
-def test_window_on_step_oracle_is_degenerate():
-    # a sharp (step) oracle gives windows no wider than the bisection tol
-    def step(n, p, seed):
-        return "arrows" if p * n**0.5 > 1.0 else "not_arrows"
-
-    rows = sharpness_window(K3, [25, 49], trials=2, seed=Seed(66), tol=1e-3,
-                            c_range=(0.05, 4.0), verdict_fn=step)
-    for row in rows:
-        assert row["window"] <= 3e-3, row
+    curve = threshold_curve(K3, 6, [0.1, 2.0, 3.0, 6.0], trials=2, seed=Seed(4),
+                            verdict_fn=step)
+    assert [pt["p_clamped"] for pt in curve["points"]] == [False, False, True, True]
+    assert [pt["p"] for pt in curve["points"]][2:] == [1.0, 1.0]
 
 
 def test_window_on_logistic_oracle():
-    # planted logistic in c with width w: P(arrow) = 1/(1+exp(-(c-c0)/w))
+    # planted logistic in c with width w: P(arrow) = 1/(1+exp(-(c-c0)/w)); the
+    # trial's one draw makes its verdicts monotone in p
     c0 = 1.3
 
     def make_logistic(w):
@@ -135,8 +188,7 @@ def test_window_on_logistic_oracle():
 
     n = 40
     w = 1 / math.sqrt(n)
-    rows = sharpness_window(K3, [n], trials=400, seed=Seed(6), tol=5e-3,
-                            c_range=(0.2, 3.5), verdict_fn=make_logistic(w))
+    rows = sharpness_window(K3, [n], trials=400, seed=Seed(6), verdict_fn=make_logistic(w))
     measured = rows[0]["window"]
     true_gap = w * (math.log(9) - math.log(1 / 9))
     assert abs(measured - true_gap) / true_gap < 0.2, (measured, true_gap)
@@ -146,13 +198,42 @@ def test_live_window_emits_finite_widths_and_trend():
     # trimmed live-solver run: qualitative only, no asymptotic claim
     from ramseylab.experiments import window_trend
 
-    rows = sharpness_window(K3, [12, 16], trials=40, seed=Seed(67), tol=0.05,
-                            c_range=(0.3, 4.2))
-    for row in rows:
+    rows = sharpness_window(K3, [12, 16], trials=40, seed=Seed(67))
+    for i, row in enumerate(rows):
         assert 0 <= row["window"] < float("inf")
         assert row["c_0.1"] <= row["c_0.5"] <= row["c_0.9"]
+        cs = sorted(hitting_constant(K3, row["n"], Seed(67, i, t))["c"] for t in range(40))
+        assert [row[f"c_{q}"] for q in (0.1, 0.5, 0.9)] == [cs[3], cs[19], cs[35]]
     trend = window_trend(rows)
     assert len(trend["widths"]) == 2 and "nonincreasing" in trend
+
+
+@pytest.mark.parametrize("F, n", [(K3, 16), (cycle_graph(4), 12), (K3, 7), (cycle_graph(4), 7)],
+                         ids=["K3-n16", "C4-n12", "K3-n7", "C4-n7"])
+def test_hitting_constant_couples_with_gnp_sample(F, n):
+    # G(n, p) on the trial's seed arrows iff p > p*; compared on p, since the
+    # round trip c * n^(-1/m2) can land one float step across p*
+    exponent = float(classify(F).threshold_exponent)
+    pairs = list(combinations(range(n), 2))
+    for s in range(20):
+        seed = Seed(71, n, s)
+        p_hit = hitting_constant(F, n, seed)["p"]
+        u = _uniforms(n, seed)
+        assert p_hit in u
+        before = Graph(n, [e for e, x in zip(pairs, u) if x < p_hit])
+        at = Graph(n, [e for e, x in zip(pairs, u) if x <= p_hit])
+        assert before == gnp_sample(n, p_hit, seed) and at.num_edges() == before.num_edges() + 1
+        res = decide_arrow(before, F)
+        assert res.verdict == "not_arrows" and is_f_free(res.certificate, before, F)[0]
+        assert decide_arrow(at, F).verdict == "arrows"
+        constrained = max(len({e for c in copy_constraints(g, F) for e in c}) for g in (before, at))
+        if constrained <= BRUTE_FORCE_EDGE_CAP:
+            assert [brute_force_arrow(g, F).verdict for g in (before, at)] == \
+                ["not_arrows", "arrows"]
+        for p in [p_hit * (1 - 1e-3), min(1.0, p_hit * (1 + 1e-3))] + \
+                [min(1.0, c * n ** -exponent) for c in (1, 2, 3)]:
+            verdict = decide_arrow(gnp_sample(n, p, seed), F).verdict
+            assert verdict == ("arrows" if p > p_hit else "not_arrows"), (s, p, p_hit)
 
 
 def test_threshold_curve_structure():
