@@ -4,7 +4,9 @@ the container-side hypergraph with its degree statistics.
 An embedding h is a tuple sending the booster pattern's vertices into
 the host vertex range; its image graph lives on the host vertex set.
 Copies, focus relations and badness are all evaluated literally by copy
-enumeration in Z ∪ h(B), once per union: every stage reads one `union_view`.
+enumeration in Z ∪ h(B), once per union: stage 1 decides a union from its
+copy keys, and builds the view that later stages read (`union_view`'s
+second half) from those keys only when the union arrows.
 Z's own copies and P(e1, e2) completions are collected once per call and
 shared by every union.
 """
@@ -90,22 +92,36 @@ def union_view(Z, h, spec, F):
     set.  Every copy relevant to focusing and badness contains a booster
     edge, so anchored enumeration over the booster edges is complete."""
     img = image_edges(spec.B, h)
-    img_index = {e: j for j, e in enumerate(img)}
+    return _view_from_keys(Z, img, *_union_keys(Z, img, F))
+
+
+def _union_keys(Z, img, F):
+    """The union U of Z and the booster pairs `img`, and the copy keys of F
+    in U through a booster pair, in key order: the one place a union's
+    copies are collected."""
     U = Z.with_edges(img)
-    zedges = set(Z.edges)
+    return U, [key for key, _ in _copy_keys(F, _copy_maps(F, U, img))] if F.n <= U.n else []
+
+
+def _view_from_keys(Z, img, U, keys):
+    """The view of the union U = Z ∪ `img` whose copies through a booster
+    pair are `keys`."""
+    img_index = {e: j for j, e in enumerate(img)}
+    z_index = Z._index
     copies = []
     foci = defaultdict(set)
-    for (vs, es), _ in _copy_keys(F, _copy_maps(F, U, img)) if F.n <= U.n else ():
+    for vs, es in keys:
         boost = frozenset(img_index[e] for e in es if e in img_index)
-        zonly = frozenset(e for e in es if e in zedges and e not in img_index)
+        zonly = frozenset(e for e in es if e in z_index and e not in img_index)
         copies.append(((vs, es), zonly, boost))
         for e in es:
-            if e in zedges:
+            if e in z_index:
                 foci[e].update(boost)
     # an edge in both Z and the image focuses via any copy through it
-    for e in zedges & img_index.keys():
-        foci[e].add(img_index[e])
-    members = tuple(sorted(Z.edge_id(*e) for e in foci))
+    for e, j in img_index.items():
+        if e in z_index:
+            foci[e].add(j)
+    members = tuple(sorted(z_index[e] for e in foci))
     return UnionView(U, tuple(copies), dict(foci), members)
 
 
@@ -173,46 +189,72 @@ def _z_keys(Z, F):
     return [key for key, _ in _copy_keys(F, _copy_maps(F, Z))] if F.n <= Z.n else []
 
 
-def _union_constraints(z_keys, view):
-    """The NAE system of the view's union, equal to `copy_constraints(view.U,
-    F)`: a copy lies inside Z or contains a booster edge, so it is Z's keys
-    and the view's merged in key order, where a copy inside Z through a
-    booster edge that Z already has comes twice and is kept once."""
-    edge_id = view.U._index.__getitem__
+def _union_constraints(z_keys, U, keys):
+    """The NAE system of the union U whose copies through a booster edge
+    are `keys`, equal to `copy_constraints(U, F)`: a copy lies inside Z or
+    contains a booster edge, so it is Z's keys and the union's merged in
+    key order, where a copy inside Z through a booster edge that Z already
+    has comes twice and is kept once."""
+    edge_id = U._index.__getitem__
     cons, last = [], None
-    for key in merge(z_keys, [key for key, _, _ in view.copies]):
+    for key in merge(z_keys, keys):
         if key != last:
             cons.append(tuple(map(edge_id, key[1])))
             last = key
     return cons
 
 
-def _extend_colouring(view, phi):
-    """An F-free colouring of the union, per EdgeId, that keeps Z's F-free
-    colouring `phi` (colour per Z edge), or None if there is none.  Only a
-    copy through a booster edge can turn monochromatic: if its Z edges are
-    all one colour c, or it has none, one of its new edges must not be c."""
-    new, clauses = {}, []  # new edge -> core variable ("edge is blue")
-    for (_, es), _zonly, _boost in view.copies:
+def _extend_colouring(keys, phi):
+    """Colours of the new pairs that extend Z's F-free colouring `phi`
+    (colour per Z edge) to an F-free colouring of the union whose copies
+    through a booster edge are `keys`, or None if none do.  Only such a
+    copy can turn monochromatic: if its Z edges are all one colour c, or it
+    has none, one of its new pairs must not be c.  With no such copy no
+    core is built and the answer is {}; a pair left out may take either
+    colour."""
+    new, clauses = {}, []  # new pair -> core variable ("pair is blue")
+    for _, es in keys:
         cols = {phi[e] for e in es if e in phi}
-        lits = [2 * new.setdefault(e, len(new)) for e in es if e not in phi]
-        clauses += [[lit + c for lit in lits] for c in (RED, BLUE) if cols <= {c}]
+        if len(cols) < 2:
+            lits = [2 * new.setdefault(e, len(new)) for e in es if e not in phi]
+            clauses += [[lit + c for lit in lits] for c in (RED, BLUE) if cols <= {c}]
+    if not clauses:
+        return {}
     core = _Cdcl(len(new), clauses)
     if not core.solve():
         return None
-    colour = {**phi, **{e: int(core.value[2 * v] == 1) for e, v in new.items()}}
-    return [colour.get(e, RED) for e in view.U.edges]
+    return {e: int(core.value[2 * v] == 1) for e, v in new.items()}
 
 
-def _union_verdict(z_keys, view, budget, phi=None):
-    """decide_arrow_union's verdict on the view's union.  Given Z's F-free
-    colouring `phi` (colour per Z edge), an extension of it is tried first
-    and proves "not_arrows"; else the union is searched whole, as
-    decide_arrow_union does.  So "arrows" comes only from that search, and a
-    union it leaves "undecided" at `budget` may be decided by the extension."""
-    if phi and _extend_colouring(view, phi) is not None:
+def _union_verdict(z_keys, U, keys, budget, phi=None):
+    """decide_arrow_union's verdict on the union U whose copies through a
+    booster edge are `keys`.  Given Z's F-free colouring `phi` (colour per
+    Z edge), an extension of it is tried first and proves "not_arrows";
+    else the union is searched whole, as decide_arrow_union does.  So
+    "arrows" comes only from that search, and a union it leaves
+    "undecided" at `budget` may be decided by the extension."""
+    if phi and _extend_colouring(keys, phi) is not None:
         return "not_arrows"
-    return _decide(view.U.num_edges(), _union_constraints(z_keys, view), 2, budget).verdict
+    return _decide(U.num_edges(), _union_constraints(z_keys, U, keys), 2, budget).verdict
+
+
+def _arrowing_views(Z, pool, spec, F, budget, phi, arrow_filter):
+    """Stage 1 of the normal-family pipeline: the view of each embedding of
+    `pool` whose union arrows F, in pool order, and the count of the others
+    by reason.  A verdict reads only the union's copy keys through booster
+    edges, and the view is built from those keys for the arrowing unions
+    alone.  Without `arrow_filter` every union counts as arrowing."""
+    z_keys = _z_keys(Z, F) if arrow_filter else []
+    views, dropped = {}, Counter()
+    for h in pool:
+        img = image_edges(spec.B, h)
+        U, keys = _union_keys(Z, img, F)
+        v = _union_verdict(z_keys, U, keys, budget, phi) if arrow_filter else "arrows"
+        if v == "arrows":
+            views[h] = _view_from_keys(Z, img, U, keys)
+        else:
+            dropped["not_arrowing" if v == "not_arrows" else "undecided"] += 1
+    return views, dropped
 
 
 def check_interactive_regular(Z, Xi, spec, F, budget=None):
@@ -223,11 +265,13 @@ def check_interactive_regular(Z, Xi, spec, F, budget=None):
     phi = z_res.certificate and dict(zip(Z.edges, z_res.certificate))
     reports = []
     for h in Xi:
-        view = union_view(Z, h, spec, F)
+        img = image_edges(spec.B, h)
+        U, keys = _union_keys(Z, img, F)
         entry = {"h": h}
-        entry["edge_disjoint"] = not (set(image_edges(spec.B, h)) & set(Z.edges))
-        entry["union_verdict"] = u_verdict = _union_verdict(z_keys, view, budget, phi)
-        entry["regular"] = all(len(s) <= 1 for s in view.foci.values())
+        entry["edge_disjoint"] = not any(e in Z._index for e in img)
+        entry["union_verdict"] = u_verdict = _union_verdict(z_keys, U, keys, budget, phi)
+        foci = _view_from_keys(Z, img, U, keys).foci
+        entry["regular"] = all(len(s) <= 1 for s in foci.values())
         if "undecided" in (z_res.verdict, b_res.verdict, u_verdict):
             entry["interactive"] = None  # budget exhausted somewhere
         else:
@@ -297,6 +341,10 @@ def construct_normal_family(Z, spec, F, params, seed=None):
         raise ValueError(f"D must be finite, got {params['D']}")
     if not 0 < params["p"] <= 1:
         raise ValueError(f"p must lie in (0, 1], got {params['p']}")
+    if params.get("pool_size") is not None and params["pool_size"] < 1:
+        raise ValueError(f"pool_size must be >= 1, got {params['pool_size']}")
+    if "alpha" in params and Fraction(params["alpha"]) < 0:
+        raise ValueError(f"alpha must be >= 0, got {params['alpha']}")
     seed = seed or Seed()
     D = params["D"]
     delta = params["delta"]
@@ -311,7 +359,7 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     report["z_arrows_alone"] = z_res.verdict == "arrows"
 
     pool_size = params.get("pool_size")
-    if pool_size:
+    if pool_size is not None:
         pool = embedding_pool(B, n, "sampled", pool_size, seed.substream(0))
         report["pool_mode"] = f"sampled({pool_size})"
     else:
@@ -319,22 +367,13 @@ def construct_normal_family(Z, spec, F, params, seed=None):
         report["pool_mode"] = "full"
     report["pool"] = len(pool)
 
-    # stage 1: arrowing unions, each decided from Z's copies and the view
-    # of its embedding; stages 2, 3 and 6 read the views kept here
+    # stage 1: arrowing unions; stages 2, 3 and 6 read the views kept here
     if not arrow_filter:
         report["arrow_filter_disabled"] = True
-    z_keys = _z_keys(Z, F) if arrow_filter else []
     phi = z_res.certificate and dict(zip(Z.edges, z_res.certificate))
-    views = {}
-    psi1 = []
-    for h in pool:
-        view = union_view(Z, h, spec, F)
-        v = _union_verdict(z_keys, view, budget, phi) if arrow_filter else "arrows"
-        if v == "arrows":
-            psi1.append(h)
-            views[h] = view
-        else:
-            report["removed"]["not_arrowing" if v == "not_arrows" else "undecided"] += 1
+    views, dropped = _arrowing_views(Z, pool, spec, F, budget, phi, arrow_filter)
+    report["removed"].update(dropped)
+    psi1 = list(views)
     report["psi1"] = len(psi1)
 
     # stage 2: badness

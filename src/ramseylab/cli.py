@@ -298,7 +298,7 @@ def _run(ns):
                   "arrow_filter": not ns.no_arrow_filter}
         if ns.alpha is not None:
             params["alpha"] = ns.alpha
-        if ns.pool_size:
+        if ns.pool_size is not None:
             params["pool_size"] = ns.pool_size
         if ns.budget_nodes:
             params["budget"] = ns.budget_nodes

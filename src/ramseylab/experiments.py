@@ -240,6 +240,8 @@ def z_property_rates(
     (sizes reported).  Returns per-property rates with Wilson intervals
     plus the per-trial normalized statistics.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     for name, value in (("D", D), ("p", p), ("zeta", zeta)):

@@ -112,7 +112,25 @@ class Graph:
         return Graph(len(vs), es)
 
     def with_edges(self, extra):
-        return Graph(self.n, list(self.edges) + list(extra))
+        """`Graph(n, edges + extra)`, checking and normalising only the
+        pairs of `extra`: they are ORed into the adjacency rows, and the
+        edge order and index are rebuilt from the sorted edges."""
+        n, adj, new = self.n, list(self.adj), []
+        for u, v in extra:
+            if u == v:
+                raise ValueError(f"loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            if not adj[u] >> v & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                new.append((u, v) if u < v else (v, u))
+        g = Graph.__new__(Graph)
+        g.n = n
+        g.edges = tuple(sorted(self.edges + tuple(new)))
+        g.adj = tuple(adj)
+        g._index = {e: i for i, e in enumerate(g.edges)}
+        return g
 
     def without_edges(self, removed):
         drop = {(min(u, v), max(u, v)) for u, v in removed}

@@ -171,6 +171,30 @@ def test_degenerate_parameters_exit_2(capsys):
     assert code == 0 and json.loads(out)["result"]["family"] is not None
 
 
+def test_ignored_or_opaque_flags_exit_2_naming_the_flag(capsys):
+    booster = ["booster", "--host", "K6-e", "--booster", "K2", "--pattern", "K3", "--D", "4",
+               "--delta", "1/12", "--p", "0.5"]
+    zcheck = ["zcheck", "--pattern", "K3", "--booster", "C5", "--n", "8", "--p", "0.3",
+              "--D", "10", "--zeta", "0.1", "--delta", "1/12"]
+    cases = [(booster + ["--pool-size", "0"], "pool_size"),
+             (booster + ["--pool-size", "-3"], "pool_size"),
+             (booster + ["--alpha", "-1"], "alpha"),
+             (booster + ["--alpha=-1/2"], "alpha"),
+             (zcheck + ["--trials", "0"], "trials")]
+    for argv, name in cases:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+        assert name in err, (argv, err)
+    # a zero selection rate is legal: the family starves at selection
+    code, out = run_cli(capsys, *booster, "--alpha", "0")
+    report = json.loads(out)["result"]["report"]
+    assert code == 0 and report["starved_stage"] == "selection" and report["psi3"] > 0
+    code, out = run_cli(capsys, *booster, "--pool-size", "1")
+    assert code == 0 and json.loads(out)["result"]["report"]["pool_mode"] == "sampled(1)"
+
+
 def test_bad_host_size_exits_2(capsys):
     for n in ("0", "-4"):
         assert main(["threshold", "--pattern", "K3", f"--n={n}", "--c", "1.0",

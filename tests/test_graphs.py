@@ -1,6 +1,8 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramseylab.graphs import (
     Graph,
@@ -127,6 +129,40 @@ def test_named_patterns():
     assert k4e.n == 4 and k4e.num_edges() == 5
     with pytest.raises(ValueError):
         pattern_by_name("Q3")
+
+
+@st.composite
+def hosts_and_extras(draw):
+    """(n, edges, extra): a host's edge list on at most 9 vertices, and
+    extra pairs drawn from its edges and from all pairs, each reversed half
+    the time; a third of the cases add one loop or out-of-range pair."""
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    drawn = draw(st.lists(st.sampled_from(edges + pairs), max_size=6)) if pairs else []
+    extra = [(v, u) if draw(st.booleans()) else (u, v) for u, v in drawn]
+    if draw(st.integers(0, 2)) == 0:
+        bad = draw(st.sampled_from([(v, v) for v in range(n)] + [(-1, 0), (0, n), (n, n + 1)]))
+        extra.insert(draw(st.integers(0, len(extra))), bad)
+    return n, edges, extra
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(hosts_and_extras())
+def test_with_edges_equals_rebuilding_the_graph(case):
+    n, edges, extra = case
+    g = Graph(n, edges)
+    try:
+        want = Graph(n, edges + extra)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            g.with_edges(extra)
+        assert str(got.value) == str(exc)
+        return
+    got = g.with_edges(extra)
+    assert (got.n, got.edges, got.adj, got._index) == (want.n, want.edges, want.adj, want._index)
+    assert got == want and hash(got) == hash(want)
+    assert g == Graph(n, edges) and g.adj == Graph(n, edges).adj  # g itself is unchanged
 
 
 def test_edge_ids_follow_lex_order():

@@ -1,8 +1,9 @@
 """The one analysis of each union Z ∪ h(B) (`booster.union_view`),
 checked against full enumeration of the union and the naive oracles; the
-stage-1 union verdict, with and without Z's colouring, checked against
-`decide_arrow_union` and the brute-force oracle; and the booster
-pipeline's outputs pinned on seeded hosts."""
+stage-1 union verdict from the union's copy keys, with and without Z's
+colouring, checked against `decide_arrow_union` and the brute-force
+oracle; the views stage 1 builds from those keys, checked against
+`union_view`; and the booster pipeline's outputs pinned on seeded hosts."""
 
 import json
 from fractions import Fraction
@@ -26,14 +27,17 @@ from ramseylab.arrowing import (
     is_f_free,
 )
 from ramseylab.booster import (
+    _arrowing_views,
     _extend_colouring,
     _naive_focus_members,
     _union_constraints,
+    _union_keys,
     _union_verdict,
     _z_keys,
     build_hypergraph,
     classify_bad,
     construct_normal_family,
+    embedding_pool,
     image_edges,
     image_graph,
     make_booster_spec,
@@ -52,7 +56,9 @@ from ramseylab.graphs import (
 )
 
 K3, C4 = complete_graph(3), cycle_graph(4)
-BOOSTERS = {"K2": complete_graph(2), "P3": path_graph(3), "C5": cycle_graph(5)}
+# K4 holds copies of K3 and C4 of its own, which have no edge of Z
+BOOSTERS = {"K2": complete_graph(2), "P3": path_graph(3), "C5": cycle_graph(5),
+            "K4": complete_graph(4)}
 SPECS = {(name, F): make_booster_spec(B, F) for name, B in BOOSTERS.items() for F in (K3, C4)}
 
 # fixed example sequence and no example database, so a run repeats exactly
@@ -61,7 +67,7 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 @st.composite
 def unions(draw):
-    """(Z, h, spec, F): a host on at most 9 vertices, a K2, P3 or C5
+    """(Z, h, spec, F): a host on at most 9 vertices, a K2, P3, C5 or K4
     booster placed by an injection h, and F = K3 or C4."""
     F = draw(st.sampled_from((K3, C4)))
     booster = draw(st.sampled_from(sorted(BOOSTERS)))
@@ -80,9 +86,11 @@ def test_view_matches_full_enumeration_and_oracles(case):
     view = union_view(Z, h, spec, F)
     U = view.U
     assert U == union(Z, image_graph(spec.B, h, Z.n))
-    # Z's copy keys merged with the view's give the union's NAE system, in
-    # order, also when a booster edge already lies in Z
-    assert _union_constraints(_z_keys(Z, F), view) == copy_constraints(U, F)
+    # Z's copy keys merged with the union's give its NAE system, in order,
+    # also when a booster edge already lies in Z
+    U_keys, keys = _union_keys(Z, image_edges(spec.B, h), F)
+    assert U_keys == U and keys == [key for key, _, _ in view.copies]
+    assert _union_constraints(_z_keys(Z, F), U, keys) == copy_constraints(U, F)
     # the view holds exactly the copies through a booster edge, in key order
     img = set(image_edges(spec.B, h))
     assert [key for key, _, _ in view.copies] == [
@@ -96,41 +104,49 @@ def test_view_matches_full_enumeration_and_oracles(case):
 
 
 @st.composite
-def coloured_unions(draw):
-    """(Z, h, spec, F, phi): a host on at most 10 vertices, half the time K_n
-    less the booster's image and up to three more pairs (so that some
-    unions arrow), a K2, P3 or C5 booster placed by h, F = K3 or C4, and one
-    of Z's F-free colourings as a list, or None when Z arrows."""
+def coloured_unions(draw, pool_max=1):
+    """(Z, pool, spec, F, phi): a host on at most 10 vertices, half the time
+    K_n less the first booster image and up to three more pairs (so that
+    some unions arrow), 1 to `pool_max` placements h of a K2, P3, C5 or K4
+    booster, F = K3 or C4, and one of Z's F-free colourings as a list, or
+    None when Z arrows."""
     F = draw(st.sampled_from((K3, C4)))
     spec = SPECS[(draw(st.sampled_from(sorted(BOOSTERS))), F)]
     n = draw(st.integers(max(spec.B.n, F.n), 10))
     pairs = list(combinations(range(n), 2))
-    h = tuple(draw(st.permutations(range(n)))[: spec.B.n])
+    pool = list(dict.fromkeys(tuple(draw(st.permutations(range(n)))[: spec.B.n])
+                              for _ in range(draw(st.integers(1, pool_max)))))
     if draw(st.booleans()):
-        rest = sorted(set(pairs) - set(image_edges(spec.B, h)))
+        rest = sorted(set(pairs) - set(image_edges(spec.B, pool[0])))
         Z = Graph(n, draw(st.permutations(rest))[draw(st.integers(0, 3)):])
     else:
         Z = Graph(n, draw(st.permutations(pairs))[: draw(st.integers(0, len(pairs)))])
     phis = enumerate_f_free_colorings(Z, F, limit=draw(st.integers(1, 8)))
-    return Z, h, spec, F, phis[-1] if phis else None
+    return Z, pool, spec, F, phis[-1] if phis else None
 
 
 def _stage1(Z, h, spec, F, phi):
     """(union, extension or None, verdict with phi, verdict without, verdict
-    of decide_arrow_union), unbudgeted."""
-    view = union_view(Z, h, spec, F)
+    of decide_arrow_union), unbudgeted.  The extension is assembled here
+    into a colour per EdgeId of the union: phi on Z, the extension's colour
+    on each new pair it names, and red on the new pairs it leaves free."""
+    U, keys = _union_keys(Z, image_edges(spec.B, h), F)
     z_keys = _z_keys(Z, F)
     by_edge = dict(zip(Z.edges, phi)) if phi is not None else None
-    ext = _extend_colouring(view, by_edge) if by_edge is not None else None
-    return (view.U, ext, _union_verdict(z_keys, view, None, by_edge),
-            _union_verdict(z_keys, view, None),
+    new = _extend_colouring(keys, by_edge) if by_edge is not None else None
+    ext = None
+    if new is not None:
+        assert set(new) <= set(U.edges) - set(Z.edges)  # only new pairs get a colour
+        ext = [{**by_edge, **new}.get(e, RED) for e in U.edges]
+    return (U, ext, _union_verdict(z_keys, U, keys, None, by_edge),
+            _union_verdict(z_keys, U, keys, None),
             decide_arrow_union(Z, image_graph(spec.B, h, Z.n), F).verdict)
 
 
 @settings(PROPERTY, max_examples=150)
 @given(coloured_unions())
 def test_union_verdict_with_and_without_z_colouring_agree(case):
-    Z, h, spec, F, phi = case
+    Z, (h,), spec, F, phi = case
     U, ext, with_phi, without, whole = _stage1(Z, h, spec, F, phi)
     assert with_phi == without == whole != "undecided"
     if len({e for c in copy_constraints(U, F) for e in c}) <= BRUTE_FORCE_EDGE_CAP:
@@ -173,6 +189,43 @@ def test_booster_edge_already_in_z():
     assert with_phi == without == whole == "not_arrows"
 
 
+def test_extension_needs_no_core_only_when_every_copy_meets_two_colours():
+    # the triangle 012 through the booster edge 02 sees red 01 and blue 12,
+    # so any colour of 02 extends phi
+    Z, spec = path_graph(3), SPECS[("K2", K3)]
+    U, keys = _union_keys(Z, image_edges(spec.B, (0, 2)), K3)
+    assert _extend_colouring(keys, {(0, 1): RED, (1, 2): BLUE}) == {}
+    assert _extend_colouring(keys, {(0, 1): RED, (1, 2): RED}) == {(0, 2): BLUE}
+    # a K4 booster away from Z's one edge: its four triangles have no edge
+    # of Z, so each must get both colours among its new pairs
+    Z, spec = Graph(6, [(4, 5)]), SPECS[("K4", K3)]
+    U, ext, with_phi, without, whole = _stage1(Z, (0, 1, 2, 3), spec, K3, [RED])
+    assert is_f_free(ext, U, K3)[0]
+    assert with_phi == without == whole == "not_arrows"
+
+
+def _check_stage1_views(Z, pool, spec, F, phi, budget=None, arrow_filter=True):
+    """Stage 1 keeps exactly the arrowing unions of the pool, in pool
+    order, and the view it builds from each one's keys is `union_view`."""
+    views, dropped = _arrowing_views(Z, pool, spec, F, budget, phi, arrow_filter)
+    assert list(views) == [h for h in pool if h in views]
+    assert len(views) + sum(dropped.values()) == len(pool)
+    for h, view in views.items():
+        assert view == union_view(Z, h, spec, F)
+    return views
+
+
+@settings(PROPERTY, max_examples=60)
+@given(coloured_unions(pool_max=4))
+def test_stage1_views_equal_union_view(case):
+    Z, pool, spec, F, phi = case
+    views = _check_stage1_views(Z, pool, spec, F, phi and dict(zip(Z.edges, phi)))
+    for h in pool:
+        arrows = decide_arrow_union(Z, image_graph(spec.B, h, Z.n), F).verdict == "arrows"
+        assert (h in views) == arrows
+    assert list(_check_stage1_views(Z, pool, spec, F, None, arrow_filter=False)) == pool
+
+
 GOLDEN = json.loads((Path(__file__).parent / "golden_booster.json").read_text())
 # label -> (host, booster, extra params); values recorded from the pipeline
 # that shares one view per union, on path-keyed seeds
@@ -205,3 +258,18 @@ def test_golden_booster_pipeline():
                 "family": [list(h) for h in xi], "profile": list(prof.pi) if prof else None,
                 "report": rrep, "hyperedges": [list(fs.members) for fs in bh.focus_sets]}
         assert json.loads(json.dumps(got)) == GOLDEN[label], label
+
+
+def test_stage1_views_equal_union_view_on_golden_hosts():
+    for label, (build, booster, extra) in GOLDEN_CASES.items():
+        Z, spec = build(), SPECS[(booster, K3)]
+        if "pool_size" in extra:
+            pool = embedding_pool(spec.B, Z.n, "sampled", extra["pool_size"],
+                                  Seed(510).substream(0))
+        else:
+            pool = embedding_pool(spec.B, Z.n)
+        cert = decide_arrow(Z, K3, budget=2000).certificate
+        phi = cert and dict(zip(Z.edges, cert))
+        views = _check_stage1_views(Z, pool, spec, K3, phi, 2000,
+                                    extra.get("arrow_filter", True))
+        assert len(views) == GOLDEN[label]["report"]["psi1"], label
