@@ -13,7 +13,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .counting import _copy_keys, _copy_maps, enumerate_copies
+from .counting import _keys, enumerate_copies
 from .graphs import union
 
 RED, BLUE = 0, 1
@@ -31,21 +31,23 @@ class ArrowResult:
         return self.verdict == "arrows"
 
 
-def _edge_id_sets(G, copies):
-    return [tuple(sorted(G.edge_id(u, v) for u, v in c.edges)) for c in copies]
+def _constraints(G, keys):
+    """The NAE system of the copies with keys `keys` in G: each copy's
+    edge ids, in the order of `keys`."""
+    # an id is a position in the lexicographic edge order: sorted edges give sorted ids
+    edge_id = G._index.__getitem__
+    return [tuple(map(edge_id, es)) for _, es in keys]
 
 
 def copy_constraints(G, F):
     """Edge-id sets of the F-copies in G (the NAE constraint system)."""
-    if F.n > G.n:
-        return []
-    # an id is a position in the lexicographic edge order: sorted edges give sorted ids
-    edge_id = G._index.__getitem__
-    return [tuple(map(edge_id, es)) for (_, es), _ in _copy_keys(F, _copy_maps(F, G))]
+    return _constraints(G, _keys(F, G))
 
 
 def is_f_free(coloring, G, F):
-    """True iff no copy of F in G is monochromatic; else the first bad copy."""
+    """True iff no copy of F in G is monochromatic; else the first bad copy.
+    It reads `enumerate_copies` and `edge_id`, not the ids `_constraints`
+    gives every NAE system, so it checks their certificates independently."""
     if len(coloring) != G.num_edges():
         raise ValueError("colouring must cover every edge of G")
     if F.n > G.n:
@@ -329,17 +331,16 @@ def brute_force_arrow(G, F):
 def decide_arrow_union(Z, addition, F, budget=None):
     """decide_arrow on Z ∪ addition, with copy provenance statistics.
 
-    The union's copies are enumerated once; the constraints and the
-    counts of copies inside Z, inside the addition and mixed all come
-    from that one family.
+    The union's copies are enumerated once, in full and unanchored; the
+    constraints and the counts of copies inside Z, inside the addition
+    and mixed all come from their keys.
     """
     U = union(Z, addition)
-    copies = enumerate_copies(F, U).copies if F.n <= U.n else []
-    z_edges, a_edges = set(Z.edges), set(addition.edges)
-    in_z = [c.edges <= z_edges for c in copies]
-    in_a = [c.edges <= a_edges for c in copies]
+    keys = _keys(F, U)
+    in_z = [all(e in Z._index for e in es) for _, es in keys]
+    in_a = [all(e in addition._index for e in es) for _, es in keys]
     return _decide(
-        U.num_edges(), _edge_id_sets(U, copies), 2, budget,
+        U.num_edges(), _constraints(U, keys), 2, budget,
         copies_in_base=sum(in_z),
         copies_in_addition=sum(in_a),
         copies_mixed=sum(not (z or a) for z, a in zip(in_z, in_a)),

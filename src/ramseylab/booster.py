@@ -7,8 +7,9 @@ Copies, focus relations and badness are all evaluated literally by copy
 enumeration in Z ∪ h(B), once per union: stage 1 decides a union from its
 copy keys, and builds the view that later stages read (`union_view`'s
 second half) from those keys only when the union arrows.
-Z's own copies and P(e1, e2) completions are collected once per call and
-shared by every union.
+Z's own copy keys are collected once per call: Z is decided from them,
+and every union's whole search reads them.  P(e1, e2) completions are
+searched once per call too, and shared by every union.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .arrowing import (
     BRUTE_FORCE_EDGE_CAP,
     RED,
     _Cdcl,
+    _constraints,
     _decide,
     brute_force_arrow,
     copy_constraints,
@@ -35,7 +37,7 @@ from .arrowing import (
     first_f_free_coloring,
     is_f_free,
 )
-from .counting import _copy_keys, _copy_maps, _norm, _PairFamily, enumerate_copies
+from .counting import _keys, _norm, _PairFamily, enumerate_copies
 from .graphs import Graph, Seed, complete_graph, union
 
 
@@ -62,7 +64,7 @@ def make_booster_spec(B, F):
 
 
 def image_graph(B, h, n):
-    return Graph(n, [(h[u], h[v]) for u, v in B.edges])
+    return Graph(n, image_edges(B, h))
 
 
 def image_edges(B, h):
@@ -79,7 +81,7 @@ class UnionView:
 
     `copies` holds (key, z_only_edges, booster_edge_indices) for each copy
     of F through a booster edge, in key order; a key is the copy's (sorted
-    vertex tuple, sorted edge tuple), as `counting._copy_keys` gives it."""
+    vertex tuple, sorted edge tuple), as `counting._keys` gives it."""
 
     U: Graph
     copies: tuple
@@ -100,7 +102,7 @@ def _union_keys(Z, img, F):
     in U through a booster pair, in key order: the one place a union's
     copies are collected."""
     U = Z.with_edges(img)
-    return U, [key for key, _ in _copy_keys(F, _copy_maps(F, U, img))] if F.n <= U.n else []
+    return U, _keys(F, U, img)
 
 
 def _view_from_keys(Z, img, U, keys):
@@ -183,25 +185,13 @@ def pair_relations(Z, h, spec, F, e1, e2):
 # -- interactivity --------------------------------------------------------
 
 
-def _z_keys(Z, F):
-    """The copy keys of F in Z, in key order: read once per host by every
-    union's whole search."""
-    return [key for key, _ in _copy_keys(F, _copy_maps(F, Z))] if F.n <= Z.n else []
-
-
 def _union_constraints(z_keys, U, keys):
     """The NAE system of the union U whose copies through a booster edge
     are `keys`, equal to `copy_constraints(U, F)`: a copy lies inside Z or
     contains a booster edge, so it is Z's keys and the union's merged in
     key order, where a copy inside Z through a booster edge that Z already
     has comes twice and is kept once."""
-    edge_id = U._index.__getitem__
-    cons, last = [], None
-    for key in merge(z_keys, keys):
-        if key != last:
-            cons.append(tuple(map(edge_id, key[1])))
-            last = key
-    return cons
+    return _constraints(U, dict.fromkeys(merge(z_keys, keys)))
 
 
 def _extend_colouring(keys, phi):
@@ -238,18 +228,23 @@ def _union_verdict(z_keys, U, keys, budget, phi=None):
     return _decide(U.num_edges(), _union_constraints(z_keys, U, keys), 2, budget).verdict
 
 
-def _arrowing_views(Z, pool, spec, F, budget, phi, arrow_filter):
-    """Stage 1 of the normal-family pipeline: the view of each embedding of
-    `pool` whose union arrows F, in pool order, and the count of the others
-    by reason.  A verdict reads only the union's copy keys through booster
-    edges, and the view is built from those keys for the arrowing unions
-    alone.  Without `arrow_filter` every union counts as arrowing."""
-    z_keys = _z_keys(Z, F) if arrow_filter else []
-    views, dropped = {}, Counter()
+def _unions(Z, z_keys, pool, spec, F, budget, phi, arrow_filter=True):
+    """(h, booster pairs, union, its copy keys through a booster pair,
+    verdict) for each h of `pool` in order: the one loop over a host's
+    unions.  Without `arrow_filter` every union counts as arrowing."""
     for h in pool:
         img = image_edges(spec.B, h)
         U, keys = _union_keys(Z, img, F)
         v = _union_verdict(z_keys, U, keys, budget, phi) if arrow_filter else "arrows"
+        yield h, img, U, keys, v
+
+
+def _arrowing_views(Z, z_keys, pool, spec, F, budget, phi, arrow_filter):
+    """Stage 1 of the normal-family pipeline: the view of each embedding of
+    `pool` whose union arrows F, in pool order, and the count of the others
+    by reason."""
+    views, dropped = {}, Counter()
+    for h, img, U, keys, v in _unions(Z, z_keys, pool, spec, F, budget, phi, arrow_filter):
         if v == "arrows":
             views[h] = _view_from_keys(Z, img, U, keys)
         else:
@@ -259,17 +254,14 @@ def _arrowing_views(Z, pool, spec, F, budget, phi, arrow_filter):
 
 def check_interactive_regular(Z, Xi, spec, F, budget=None):
     """Per-embedding interactivity and regularity report."""
-    z_res = decide_arrow(Z, F, budget=budget)
+    z_keys = _keys(F, Z)  # Z is decided from the keys every union reads
+    z_res = _decide(Z.num_edges(), _constraints(Z, z_keys), 2, budget)
     b_res = decide_arrow(spec.B, F, budget=budget)
-    z_keys = _z_keys(Z, F)
     phi = z_res.certificate and dict(zip(Z.edges, z_res.certificate))
     reports = []
-    for h in Xi:
-        img = image_edges(spec.B, h)
-        U, keys = _union_keys(Z, img, F)
-        entry = {"h": h}
-        entry["edge_disjoint"] = not any(e in Z._index for e in img)
-        entry["union_verdict"] = u_verdict = _union_verdict(z_keys, U, keys, budget, phi)
+    for h, img, U, keys, u_verdict in _unions(Z, z_keys, Xi, spec, F, budget, phi):
+        entry = {"h": h, "edge_disjoint": not any(e in Z._index for e in img),
+                 "union_verdict": u_verdict}
         foci = _view_from_keys(Z, img, U, keys).foci
         entry["regular"] = all(len(s) <= 1 for s in foci.values())
         if "undecided" in (z_res.verdict, b_res.verdict, u_verdict):
@@ -355,7 +347,8 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     B = spec.B
 
     report = {"params": {k: str(v) for k, v in params.items()}, "removed": Counter()}
-    z_res = decide_arrow(Z, F, budget=budget)
+    z_keys = _keys(F, Z)  # Z is decided from the keys every union reads
+    z_res = _decide(Z.num_edges(), _constraints(Z, z_keys), 2, budget)
     report["z_arrows_alone"] = z_res.verdict == "arrows"
 
     pool_size = params.get("pool_size")
@@ -371,7 +364,7 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     if not arrow_filter:
         report["arrow_filter_disabled"] = True
     phi = z_res.certificate and dict(zip(Z.edges, z_res.certificate))
-    views, dropped = _arrowing_views(Z, pool, spec, F, budget, phi, arrow_filter)
+    views, dropped = _arrowing_views(Z, z_keys, pool, spec, F, budget, phi, arrow_filter)
     report["removed"].update(dropped)
     psi1 = list(views)
     report["psi1"] = len(psi1)
@@ -470,7 +463,7 @@ def _starved_stage(report):
     return "none"
 
 
-def verify_normal_family(Z, Xi0, spec, F, params, arrow_filter=True, budget=None):
+def verify_normal_family(Z, Xi0, spec, F, params, budget=None):
     """Independent re-verification of the five checkable conditions.
 
     Deliberately avoids the constructor's code paths: badness is checked
@@ -504,16 +497,15 @@ def verify_normal_family(Z, Xi0, spec, F, params, arrow_filter=True, budget=None
         if c > cap:
             violations.append(("pair_cap", pr, c))
 
-    if arrow_filter:
-        for i, h in enumerate(Xi0):
-            U = union(Z, image_graph(B, h, n))
-            k = len({e for c in copy_constraints(U, F) for e in c})
-            if k <= BRUTE_FORCE_EDGE_CAP:
-                res = brute_force_arrow(U, F)
-            else:
-                res = decide_arrow(U, F, budget=budget)
-            if res.verdict != "arrows":
-                violations.append(("union_not_arrowing", i, res.verdict))
+    for i, h in enumerate(Xi0):
+        U = union(Z, image_graph(B, h, n))
+        k = len({e for c in copy_constraints(U, F) for e in c})
+        if k <= BRUTE_FORCE_EDGE_CAP:
+            res = brute_force_arrow(U, F)
+        else:
+            res = decide_arrow(U, F, budget=budget)
+        if res.verdict != "arrows":
+            violations.append(("union_not_arrowing", i, res.verdict))
 
     return {"ok": not violations, "violations": violations}
 
@@ -867,7 +859,7 @@ def verify_core_properties(core_family, H, beta=None, gamma=None):
         "container_edge_free": True,  # maximal independent sets span no hyperedge
     }
     if core_family.cores:
-        report["log_num_cores"] = log(len(core_family.cores)) if len(core_family) else 0.0
+        report["log_num_cores"] = log(len(core_family.cores))
     if beta is not None:
         report["c2_bound"] = float(Fraction(beta) * m)
         report["c2_holds_here"] = all(len(c) >= Fraction(beta) * m for c in core_family.cores)

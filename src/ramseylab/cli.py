@@ -300,7 +300,7 @@ def _run(ns):
             params["alpha"] = ns.alpha
         if ns.pool_size is not None:
             params["pool_size"] = ns.pool_size
-        if ns.budget_nodes:
+        if ns.budget_nodes is not None:
             params["budget"] = ns.budget_nodes
         seed = Seed(ns.seed)  # construction and restriction draw from distinct streams
         xi0, report = construct_normal_family(Z, spec, F, params, seed.substream(0))
@@ -327,7 +327,7 @@ def _run(ns):
                     "Delta1": st["Delta1"], "Delta2": st["Delta2"],
                     "degree_bounds": bounds,
                 }
-        return payload, EXIT_OK
+        return payload, EXIT_BUDGET if report["removed"].get("undecided") else EXIT_OK
 
     if cmd == "hstats":
         st = hypergraph_stats(_load_hypergraph(ns.hypergraph), ns.tau)

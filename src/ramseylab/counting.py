@@ -18,7 +18,9 @@ listing Aut(F), and all per-pattern work is memoised on the pattern.
 `embeddings` still yields every labelled map, since extension counts and
 basegraphs count labelled maps.  Patterns with isolated vertices keep
 their vertex placements (the vertex set is part of the copy), which the
-two-edge-deleted pair families rely on.
+two-edge-deleted pair families rely on.  Copies are collected on one
+path, `_copy_keys`: `enumerate_copies` wraps its items as `Copy` objects,
+and every caller that needs only the copy keys reads them from `_keys`.
 """
 
 from __future__ import annotations
@@ -269,15 +271,20 @@ def _copy_keys(F, maps):
     return sorted(seen.items())
 
 
-def _collect_copies(F, G, maps):
-    return [Copy(frozenset(vs), frozenset(es), m) for (vs, es), m in _copy_keys(F, maps)]
+def _keys(F, G, anchors=None):
+    """The keys of the copies of F in G, in key order; with `anchors`, of
+    the copies through one of those host pairs.  [] when F does not fit."""
+    if F.n > G.n:
+        return []
+    return [key for key, _ in _copy_keys(F, _copy_maps(F, G, anchors))]
 
 
 def enumerate_copies(F, G, anchor=None):
     """All unlabelled copies of F in G; with `anchor`, only copies whose
     edge set contains that host pair."""
-    anchors = None if anchor is None else [anchor]
-    return CopyFamily(F, G, _collect_copies(F, G, _copy_maps(F, G, anchors)))
+    maps = _copy_maps(F, G, None if anchor is None else [anchor])
+    return CopyFamily(F, G, [Copy(frozenset(vs), frozenset(es), m)
+                             for (vs, es), m in _copy_keys(F, maps)])
 
 
 def are_isomorphic(F1, F2):

@@ -17,7 +17,7 @@ from math import ceil, comb, exp, gcd, inf, isfinite, log10, sqrt
 
 from .arrowing import decide_arrow
 from .booster import alpha_tilde, classify_bad, make_booster_spec
-from .counting import _copy_keys, _copy_maps, _PairFamily, f_minus_members
+from .counting import _keys, _PairFamily, f_minus_members
 from .density import classify, is_bipartite
 from .graphs import Seed, gnp_sample, pair_uniforms
 
@@ -254,8 +254,9 @@ def z_property_rates(
     seed = seed or Seed()
     spec = booster if hasattr(booster, "sigma") else make_booster_spec(booster, F)
     B = spec.B
-    if n < B.n:
-        raise ValueError(f"n = {n} is below the booster's {B.n} vertices")
+    for name, k in (("booster", B.n), ("pattern", F.n)):
+        if n < k:
+            raise ValueError(f"n = {n} is below the {name}'s {k} vertices")
     members = f_minus_members(F)
 
     passes = {k: 0 for k in ("Z1", "Z2", "Z3", "Z4", "Z5")}
@@ -272,7 +273,7 @@ def z_property_rates(
         if p * n * n / 4 <= m <= p * n * n:
             passes["Z1"] += 1
 
-        copies = [es for M in members for (_, es), _ in _copy_keys(M, _copy_maps(M, Z))]
+        copies = [es for M in members for _, es in _keys(M, Z)]
         fm = len(copies)
         stats["f_minus_norm"].append(fm / (n * n))
         if fm <= D * n * n:
@@ -425,7 +426,7 @@ def _render(v):
                 "den_digits": _digits(den),
             }
         return f"{num}/{den}"
-    if isinstance(v, bool) or v is True or v is False:
+    if isinstance(v, bool):
         return v
     if isinstance(v, int):
         return v if _digits(v) <= DIGIT_LIMIT else {"num_digits": _digits(v)}

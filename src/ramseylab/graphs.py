@@ -54,19 +54,25 @@ class Graph:
     def __init__(self, n, edges):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        norm = set()
-        for u, v in edges:
+        self._build(n, (), [0] * n, edges)
+
+    def _build(self, n, edges, adj, extra):
+        """Set this graph to the sorted `edges` (whose rows are `adj`) and
+        the pairs of `extra`: only those are checked and normalised, ORed
+        into `adj`, and the edge order and index rebuilt from the sorted
+        edges."""
+        new = []
+        for u, v in extra:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            norm.add((u, v) if u < v else (v, u))
+            if not adj[u] >> v & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                new.append((u, v) if u < v else (v, u))
         self.n = n
-        self.edges = tuple(sorted(norm))
-        adj = [0] * n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        self.edges = tuple(sorted(edges + tuple(new)))
         self.adj = tuple(adj)
         self._index = {e: i for i, e in enumerate(self.edges)}
 
@@ -113,23 +119,9 @@ class Graph:
 
     def with_edges(self, extra):
         """`Graph(n, edges + extra)`, checking and normalising only the
-        pairs of `extra`: they are ORed into the adjacency rows, and the
-        edge order and index are rebuilt from the sorted edges."""
-        n, adj, new = self.n, list(self.adj), []
-        for u, v in extra:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if not adj[u] >> v & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                new.append((u, v) if u < v else (v, u))
+        pairs of `extra`."""
         g = Graph.__new__(Graph)
-        g.n = n
-        g.edges = tuple(sorted(self.edges + tuple(new)))
-        g.adj = tuple(adj)
-        g._index = {e: i for i, e in enumerate(g.edges)}
+        g._build(self.n, self.edges, list(self.adj), extra)
         return g
 
     def without_edges(self, removed):
@@ -214,7 +206,7 @@ def union(g1, g2):
     """Edge-set union of two graphs on the same vertex set."""
     if g1.n != g2.n:
         raise ValueError(f"vertex counts differ: {g1.n} vs {g2.n}")
-    return Graph(g1.n, set(g1.edges) | set(g2.edges))
+    return g1.with_edges(g2.edges)
 
 
 def edge_count_between(g, U, W=None):

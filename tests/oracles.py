@@ -6,6 +6,7 @@ library; all counting logic is separate.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
 from ramseylab.graphs import Graph
@@ -27,16 +28,19 @@ def naive_copies(F, G):
 
 
 def naive_isomorphic(F1, F2):
-    if (F1.n, F1.num_edges()) != (F2.n, F2.num_edges()):
+    return _naive_isomorphic(F1.n, F1.edges, F2.n, F2.edges)
+
+
+@cache  # once per pair of edge sets: the hosts repeat the same small patterns
+def _naive_isomorphic(n1, edges1, n2, edges2):
+    """Some vertex permutation maps edges1 exactly onto edges2; every
+    permutation is tried."""
+    if (n1, len(edges1)) != (n2, len(edges2)):
         return False
-    E1 = set(F1.edges)
-    for perm in permutations(range(F2.n)):
-        if all(
-            F2.has_edge(perm[u], perm[v]) == ((u, v) in E1)
-            for u, v in combinations(range(F1.n), 2)
-        ):
-            return True
-    return False
+    E1, E2 = set(edges1), set(edges2)
+    return any(all((norm(perm[u], perm[v]) in E2) == ((u, v) in E1)
+                   for u, v in combinations(range(n1), 2))
+               for perm in permutations(range(n2)))
 
 
 def _subgraph_as_pattern(vs, es):
@@ -123,16 +127,10 @@ def naive_P(F, Z, e1, e2):
     copies = set()
     for M in naive_two_deleted_members(F):
         copies |= naive_copies(M, Z)
-    iso_memo = {}
 
     def completes_to_F(vs, es):
         # adding exactly two new distinct edges must give a copy of F
-        if len(es) != F.num_edges():
-            return False
-        key = tuple(sorted(_subgraph_as_pattern(vs, es).edges))
-        if key not in iso_memo:
-            iso_memo[key] = naive_isomorphic(_subgraph_as_pattern(vs, es), F)
-        return iso_memo[key]
+        return len(es) == F.num_edges() and naive_isomorphic(_subgraph_as_pattern(vs, es), F)
 
     found = set()
     for c1 in copies:

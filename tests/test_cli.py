@@ -283,6 +283,18 @@ def test_undecided_trials_exit_3_with_artifact(capsys):
                          "--trials", "6", "--budget-nodes", "40")
     assert code == 3 and art["budget_exhausted"]
     assert art["result"]["rows"][0]["undecided"] > 0
+    # a union left undecided marks the booster artifact; a budget of 0 is a
+    # budget, not "no budget"
+    booster = ["booster", "--host", "K6-e", "--booster", "K2", "--pattern", "K3", "--D", "4",
+               "--delta", "1/12", "--p", "0.5"]
+    for budget in ("1", "0"):
+        code, art = run_json(capsys, *booster, "--budget-nodes", budget)
+        assert code == 3 and art["budget_exhausted"], budget
+        assert art["result"]["report"]["removed"]["undecided"] > 0, budget
+        assert art["result"]["report"]["params"]["budget"] == budget
+    code, art = run_json(capsys, *booster)
+    assert code == 0 and not art["budget_exhausted"]
+    assert "undecided" not in art["result"]["report"]["removed"]
 
 
 def test_hstats_and_cores_roundtrip(tmp_path, capsys):

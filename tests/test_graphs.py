@@ -147,22 +147,41 @@ def hosts_and_extras(draw):
     return n, edges, extra
 
 
+def literal_graph(n, pairs):
+    """(n, edges, adj, index) of the graph on `pairs` by set normalisation,
+    or the error message of its first loop or out-of-range pair."""
+    norm = set()
+    for u, v in pairs:
+        if u == v:
+            return f"loop at vertex {u}"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u},{v}) out of range for n={n}"
+        norm.add((min(u, v), max(u, v)))
+    edges = tuple(sorted(norm))
+    adj = tuple(sum(1 << w for w in range(n) if (min(v, w), max(v, w)) in norm)
+                for v in range(n))
+    return n, edges, adj, {e: i for i, e in enumerate(edges)}
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(hosts_and_extras())
 def test_with_edges_equals_rebuilding_the_graph(case):
     n, edges, extra = case
     g = Graph(n, edges)
-    try:
-        want = Graph(n, edges + extra)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            g.with_edges(extra)
-        assert str(got.value) == str(exc)
-        return
-    got = g.with_edges(extra)
-    assert (got.n, got.edges, got.adj, got._index) == (want.n, want.edges, want.adj, want._index)
-    assert got == want and hash(got) == hash(want)
-    assert g == Graph(n, edges) and g.adj == Graph(n, edges).adj  # g itself is unchanged
+    assert (g.n, g.edges, g.adj, g._index) == literal_graph(n, edges)
+    want = literal_graph(n, edges + extra)
+    builds = {"Graph": lambda: Graph(n, edges + extra), "with_edges": lambda: g.with_edges(extra),
+              "union": lambda: union(g, Graph(n, extra))}
+    for name, build in builds.items():
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as got:
+                build()
+            assert str(got.value) == want, name
+            continue
+        got = build()
+        assert (got.n, got.edges, got.adj, got._index) == want, name
+        assert got == Graph(n, want[1]) and hash(got) == hash(Graph(n, want[1])), name
+    assert (g.n, g.edges, g.adj, g._index) == literal_graph(n, edges)  # g itself is unchanged
 
 
 def test_edge_ids_follow_lex_order():

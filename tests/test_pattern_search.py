@@ -12,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import naive_copies, naive_extension_count, naive_fstar_overlap, naive_P
 
-from ramseylab.arrowing import _edge_id_sets, copy_constraints
+from ramseylab.arrowing import copy_constraints
 from ramseylab.counting import (
-    _collect_copies,
-    _copy_maps,
+    _keys,
     _orbit_embeddings,
     _PairFamily,
     are_isomorphic,
@@ -74,8 +73,12 @@ def test_symmetry_broken_copies_match_plain_search(G, F, data):
     # one map per copy: no copy twice and none missing
     keys = [copy_key(F, m) for m in _orbit_embeddings(F, G)]
     assert len(keys) == len(set(keys)) == len(family)
-    # the same copies, each with the same witness map as the plain search
-    assert family.copies == _collect_copies(F, G, embeddings(F, G))
+    # the same copies, each with the same witness map as the plain search:
+    # its first map onto the copy, in key order
+    plain = {}
+    for m in embeddings(F, G):
+        plain.setdefault((tuple(sorted(m)), tuple(sorted(copy_key(F, m)[1]))), m)
+    assert [(c.key(), c.map) for c in family.copies] == sorted(plain.items())
     anchor = data.draw(st.sampled_from(list(combinations(range(G.n), 2))))
     assert copy_set(enumerate_copies(F, G, anchor=anchor)) == {
         (c.vertices, c.edges) for c in family.copies if anchor in c.edges}
@@ -87,18 +90,18 @@ def test_copy_keys_build_the_constraint_system(G, F, data):
     # the NAE system read straight from the keys: the constraints of the
     # copies, in order, and as a set the oracle's copies
     cons = copy_constraints(G, F)
-    assert cons == _edge_id_sets(G, enumerate_copies(F, G).copies)
+    assert cons == [tuple(sorted(G.edge_id(*e) for e in c.edges))
+                    for c in enumerate_copies(F, G).copies]
     assert set(cons) == {tuple(sorted(G.edge_id(*e) for e in es))
                          for _, es in naive_copies(F, G)}
-    # several anchors in one collection: the key-ordered merge of the
-    # single-anchor families, each copy with its first anchor's witness
+    # several anchors in one collection: the keys of the copies through
+    # any of them, each once, in key order
     anchors = data.draw(st.lists(st.sampled_from(list(combinations(range(G.n), 2))),
                                  min_size=1, max_size=4, unique=True))
-    merged = {}
-    for a in anchors:
-        for c in enumerate_copies(F, G, anchor=a).copies:
-            merged.setdefault(c.key(), c)
-    assert _collect_copies(F, G, _copy_maps(F, G, anchors)) == [merged[k] for k in sorted(merged)]
+    assert _keys(F, G, anchors) == sorted(
+        (tuple(sorted(vs)), tuple(sorted(es))) for vs, es in naive_copies(F, G)
+        if set(anchors) & es)
+    assert _keys(F, Graph(F.n - 1, [])) == _keys(F, Graph(F.n - 1, []), anchors[:1]) == []
 
 
 def test_copy_constraints_keep_the_pattern_cap():

@@ -3,7 +3,8 @@ checked against full enumeration of the union and the naive oracles; the
 stage-1 union verdict from the union's copy keys, with and without Z's
 colouring, checked against `decide_arrow_union` and the brute-force
 oracle; the views stage 1 builds from those keys, checked against
-`union_view`; and the booster pipeline's outputs pinned on seeded hosts."""
+`union_view`; one collection of Z's copies per call; and the booster
+pipeline's outputs pinned on seeded hosts."""
 
 import json
 from fractions import Fraction
@@ -13,7 +14,9 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from instances import k6_minus_edge_block, two_block_host
-from oracles import naive_bad_flags
+from oracles import naive_bad_flags, naive_copies
+
+from ramseylab import counting
 
 from ramseylab.arrowing import (
     BLUE,
@@ -33,8 +36,8 @@ from ramseylab.booster import (
     _union_constraints,
     _union_keys,
     _union_verdict,
-    _z_keys,
     build_hypergraph,
+    check_interactive_regular,
     classify_bad,
     construct_normal_family,
     embedding_pool,
@@ -65,6 +68,11 @@ SPECS = {(name, F): make_booster_spec(B, F) for name, B in BOOSTERS.items() for 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
 
+def naive_keys(F, G):
+    """The copy keys of F in G, in key order, from the permutation oracle."""
+    return sorted((tuple(sorted(vs)), tuple(sorted(es))) for vs, es in naive_copies(F, G))
+
+
 @st.composite
 def unions(draw):
     """(Z, h, spec, F): a host on at most 9 vertices, a K2, P3, C5 or K4
@@ -87,10 +95,11 @@ def test_view_matches_full_enumeration_and_oracles(case):
     U = view.U
     assert U == union(Z, image_graph(spec.B, h, Z.n))
     # Z's copy keys merged with the union's give its NAE system, in order,
-    # also when a booster edge already lies in Z
+    # each copy once, also when a booster edge already lies in Z
     U_keys, keys = _union_keys(Z, image_edges(spec.B, h), F)
     assert U_keys == U and keys == [key for key, _, _ in view.copies]
-    assert _union_constraints(_z_keys(Z, F), U, keys) == copy_constraints(U, F)
+    assert _union_constraints(naive_keys(F, Z), U, keys) == [
+        tuple(U.edge_id(*e) for e in es) for _, es in naive_keys(F, U)]
     # the view holds exactly the copies through a booster edge, in key order
     img = set(image_edges(spec.B, h))
     assert [key for key, _, _ in view.copies] == [
@@ -131,7 +140,7 @@ def _stage1(Z, h, spec, F, phi):
     into a colour per EdgeId of the union: phi on Z, the extension's colour
     on each new pair it names, and red on the new pairs it leaves free."""
     U, keys = _union_keys(Z, image_edges(spec.B, h), F)
-    z_keys = _z_keys(Z, F)
+    z_keys = naive_keys(F, Z)
     by_edge = dict(zip(Z.edges, phi)) if phi is not None else None
     new = _extend_colouring(keys, by_edge) if by_edge is not None else None
     ext = None
@@ -207,7 +216,8 @@ def test_extension_needs_no_core_only_when_every_copy_meets_two_colours():
 def _check_stage1_views(Z, pool, spec, F, phi, budget=None, arrow_filter=True):
     """Stage 1 keeps exactly the arrowing unions of the pool, in pool
     order, and the view it builds from each one's keys is `union_view`."""
-    views, dropped = _arrowing_views(Z, pool, spec, F, budget, phi, arrow_filter)
+    views, dropped = _arrowing_views(Z, naive_keys(F, Z), pool, spec, F, budget, phi,
+                                     arrow_filter)
     assert list(views) == [h for h in pool if h in views]
     assert len(views) + sum(dropped.values()) == len(pool)
     for h, view in views.items():
@@ -273,3 +283,25 @@ def test_stage1_views_equal_union_view_on_golden_hosts():
         views = _check_stage1_views(Z, pool, spec, K3, phi, 2000,
                                     extra.get("arrow_filter", True))
         assert len(views) == GOLDEN[label]["report"]["psi1"], label
+
+
+def test_each_host_collects_its_copies_once(monkeypatch):
+    # Z is decided from the copy keys that every union's whole search reads,
+    # so one call collects Z's copies once, unanchored
+    Z, spec = k6_minus_edge_block(8, Seed(501))[0], SPECS[("K2", K3)]
+    collections = []
+    search = counting._orbit_embeddings
+
+    def spy(F, G, pin=None):
+        if G is Z and not pin:
+            collections.append(F)
+        return search(F, G, pin)
+
+    monkeypatch.setattr(counting, "_orbit_embeddings", spy)
+    params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4)}
+    construct_normal_family(Z, spec, K3, params, seed=Seed(510))
+    assert collections == [K3]
+    collections.clear()
+    report = check_interactive_regular(Z, embedding_pool(spec.B, Z.n)[:6], spec, K3)
+    assert collections == [K3]
+    assert {r["union_verdict"] for r in report["per_h"]} == {"arrows", "not_arrows"}
