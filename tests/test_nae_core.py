@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from oracles import naive_copies
 
 from ramseylab.arrowing import (
+    STATS,
+    _solve,
     brute_force_arrow,
     cnf_export,
+    copy_constraints,
     decide_arrow,
     enumerate_f_free_colorings,
     first_f_free_coloring,
@@ -142,41 +145,98 @@ def test_three_colours_arrow_the_path_above_degree_three():
 
 
 # (pattern, n, c, stream, budget, verdict, certificate, nodes, propagations,
-# conflicts) for G(n, c * n^(-1/m2)) on Seed(1202, stream).  Verdicts,
+# conflicts, learned) for G(n, c * n^(-1/m2)) on Seed(1202, stream).  Verdicts,
 # certificates and search counts are part of every artifact, so a change to
 # the search core must reproduce these exactly
 GOLDEN = [
     ("K3", 30, 1.5, 150, 4000, "not_arrows",
      "0001001101011110000010000001000010001011110000100000001010000010010010101001000000001010000000100100100",
-     48, 56, 0),
+     48, 56, 0, 0),
     ("K3", 30, 2.0, 201, 4000, "not_arrows",
      "0000010100001101100110100000110000000111110001110100100110000001111110000010010001010110111000011000011000001100010111001011001000101100110101011001",
-     90, 412, 26),
+     90, 412, 26, 26),
     ("K3", 30, 2.0, 202, 4000, "not_arrows",
      "11000000111100100000010101010000010011001000001011010000100000101001110010111011000010001010000100011111110101100111010100001100101001011100110111101110100000101110001",
-     94, 187, 2),
-    ("K3", 30, 2.5, 252, 4000, "arrows", None, 22, 87, 15),
-    ("K3", 30, 2.5, 253, 4000, "arrows", None, 15, 83, 12),
-    ("C4", 14, 2.5, 253, 4000, "arrows", None, 105, 549, 89),
+     94, 187, 2, 2),
+    ("K3", 30, 2.5, 252, 4000, "arrows", None, 22, 87, 15, 14),
+    ("K3", 30, 2.5, 253, 4000, "arrows", None, 15, 83, 12, 11),
+    ("C4", 14, 2.5, 253, 4000, "arrows", None, 105, 549, 89, 88),
     ("C4", 14, 3.0, 300, 4000, "not_arrows",
      "000010111100110001101101001010111110010",
-     22, 88, 9),
-    ("C4", 14, 3.0, 301, 4000, "arrows", None, 80, 417, 75),
-    ("C4", 14, 3.5, 350, 4000, "arrows", None, 568, 3680, 474),
-    ("C4", 14, 3.5, 352, 500, "arrows", None, 80, 420, 78),
+     22, 88, 9, 9),
+    ("C4", 14, 3.0, 301, 4000, "arrows", None, 80, 417, 75, 74),
+    ("C4", 14, 3.5, 350, 4000, "arrows", None, 568, 3680, 474, 473),
+    ("C4", 14, 3.5, 352, 500, "arrows", None, 80, 420, 78, 77),
 ]
 
 
 def test_golden_two_colour_trials():
-    for name, n, c, stream, budget, verdict, cert, nodes, props, conflicts in GOLDEN:
+    for name, n, c, stream, budget, verdict, cert, *counts in GOLDEN:
         F = pattern_by_name(name)
         exponent = 0.5 if name == "K3" else 2 / 3
         G = gnp_sample(n, c * n ** -exponent, Seed(1202, stream))
         res = decide_arrow(G, F, budget=budget)
         got = "".join(map(str, res.certificate)) if res.certificate else None
-        stats = res.stats
-        assert (res.verdict, got, stats["nodes"], stats["propagations"], stats["conflicts"]) == (
-            verdict, cert, nodes, props, conflicts), (name, n, c, stream)
+        assert (res.verdict, got, *(res.stats[k] for k in STATS)) == (
+            verdict, cert, *counts), (name, n, c, stream)
+
+
+def _text(colouring):
+    return "".join(map(str, colouring)) if colouring is not None else None
+
+
+# The other modes of the core on G(n, p) with Seed(1203, stream):
+# (pattern, n, p, stream) -> three-colour decide_arrow (verdict, certificate,
+# stats); enumerate_f_free_colorings(limit=4) in order, with the stats of
+# that search; first_f_free_coloring, with the stats of the static search
+GOLDEN_MODES = {
+    ("K3", 20, 0.5, 1): (
+        ("not_arrows",
+         "1200002101220012102202000120120210202201202200012010122221220112000211120210002022000210000002011000",
+         (159, 146, 261, 0, 0)),
+        (["1001001001101000101101000110100110100100010110100110001001010111000010100101111011011110100110010111",
+          "1001001001101000101101000110100110100100010110100110001001010111000010100101111011011111100110010111",
+          "1001001001101000101101000110100110100100010110100110001001010111000010100101111011011111110110010111",
+          "1001001001101000101101000110100110100100010110100110001001010111000010100101111011011110110110010111"],
+         (159, 174, 1077, 61, 61)),
+        ("0011011001011010101101000110100110100100011100000100011001110101001010101001101011011101110010010100",
+         (159, 148, 982, 71, 71)),
+    ),
+    ("C4", 16, 0.5, 0): (
+        ("not_arrows", "210102200202112102020210222220122011102010010101000021",
+         (215, 85, 148, 0, 0)),
+        (["110000101011011000001100011100011110110000011001000111",
+          "110000101011011000001101011100011110110000011001000111",
+          "110000100011011000001101011100011110110000011001000111",
+          "110000100011011000101101011100011110110000011001000111"],
+         (215, 87, 337, 14, 14)),
+        ("000110010100101111000110010100000011010111110010111010", (215, 372, 2303, 218, 218)),
+    ),
+    ("K3", 14, 0.7, 1): (
+        ("not_arrows", "21110122201112020011210000202020100022101220110112011012010102202221",
+         (154, 176, 451, 10, 10)),
+        ([], (154, 33, 107, 23, 22)),
+        (None, (154, 70, 253, 46, 45)),
+    ),
+}
+
+
+def test_golden_core_modes():
+    def counts(stats):
+        return tuple(stats[k] for k in ("constraints", *STATS))
+
+    for (name, n, p, stream), (three, enum, first) in GOLDEN_MODES.items():
+        F = pattern_by_name(name)
+        G = gnp_sample(n, p, Seed(1203, stream))
+        res = decide_arrow(G, F, colours=3)
+        assert (res.verdict, _text(res.certificate), counts(res.stats)) == three, name
+        cons = copy_constraints(G, F)
+        _, sols, stats = _solve(G.num_edges(), cons, 2, limit=4)
+        assert sols == enumerate_f_free_colorings(G, F, limit=4)
+        assert ([_text(s) for s in sols], counts(stats)) == enum, name
+        _, sols, stats = _solve(G.num_edges(), cons, 2, static=True)
+        assert next(iter(sols), None) == first_f_free_coloring(G, F)
+        assert (_text(next(iter(sols), None)), counts(stats)) == first, name
 
 
 @PROPERTY
