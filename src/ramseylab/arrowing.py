@@ -96,16 +96,19 @@ class _Cdcl:
         self.nodes = self.propagations = self.conflicts = self.learned = 0
         self.occ = occ = [[] for _ in range(2 * nvars)]  # added clauses per literal
         self.watches = watches = [[] for _ in range(2 * nvars)]
+        short = []  # unit and empty clauses, added once the watches are set
         for c in clauses:
             if len(c) > 1:
                 for lit in c:
                     occ[lit].append(c)
                 watches[c[0]].append(c)
                 watches[c[1]].append(c)
+            else:
+                short.append(c)
         self.activity = [self.inc * (len(occ[2 * v]) + len(occ[2 * v + 1])) for v in range(nvars)]
         self.vars = [v for v in range(nvars) if occ[2 * v] or occ[2 * v + 1]]
         self.heap = sorted((-self.activity[v], v) for v in self.vars)  # sorted: a heap
-        self.ok = all(self.add(c) for c in clauses if len(c) < 2)
+        self.ok = all(self.add(c) for c in short)
 
     def add(self, lits):
         """Add a clause at level 0; False when level-0 values falsify it.
@@ -131,8 +134,8 @@ class _Cdcl:
             self.level[lits[0] >> 1], self.reason[lits[0] >> 1] = len(self.lim), reason
             self.trail.append(lits[0])
 
-    def _open(self, lit):
-        """How many added clauses hold `lit` and no true literal yet."""
+    def _open(self, lit, stop):
+        """How many added clauses hold `lit` and no true literal yet, up to `stop` if > 0."""
         value, count = self.value, 0
         for c in self.occ[lit]:
             for other in c:
@@ -140,52 +143,59 @@ class _Cdcl:
                     break
             else:
                 count += 1
+                if count == stop:
+                    break
         return count
 
     def _propagate(self):
         """Unit propagation from the queue head; a falsified clause or None."""
-        value, level, watches, trail = self.value, self.level, self.watches, self.trail
-        lvl, head, conflict = len(self.lim), self.qhead, None
+        value, level, reason, watches, trail = (
+            self.value, self.level, self.reason, self.watches, self.trail)
+        push, lvl, head, conflict = trail.append, len(self.lim), self.qhead, None
         while head < len(trail) and conflict is None:
             false = trail[head] ^ 1
             head += 1
-            ws, keep = watches[false], []
-            watches[false] = keep
-            for i, c in enumerate(ws):
+            ws, j, moved = watches[false], 0, 0  # in place: ws[:j] is kept, `moved` left
+            for c in ws:
                 first = c[0]
                 if first == false:
-                    first, c[0], c[1] = c[1], c[1], false
+                    first = c[0] = c[1]
+                    c[1] = false
                 if value[first] == 1:
-                    keep.append(c)
+                    ws[j] = c
+                    j += 1
                     continue
                 for k in range(2, len(c)):
                     lit = c[k]
                     if value[lit]:  # true or free: watch it instead
                         c[1], c[k] = lit, false
                         watches[lit].append(c)
+                        moved += 1
                         break
                 else:
-                    keep.append(c)
+                    ws[j] = c
+                    j += 1
                     if value[first] == 0:
-                        keep += ws[i + 1:]
                         conflict = c
                         break
                     value[first], value[first ^ 1] = 1, 0
-                    level[first >> 1], self.reason[first >> 1] = lvl, c
-                    trail.append(first)
+                    level[first >> 1], reason[first >> 1] = lvl, c
+                    push(first)
+            del ws[j:j + moved]  # the slots the moved clauses left behind
         self.propagations, self.qhead = self.propagations + head - self.qhead, head
         return conflict
 
     def _learn(self, conflict):
         """Learn a conflict's first-UIP clause; jump back and assert it."""
         level, activity, trail, lvl = self.level, self.activity, self.trail, len(self.lim)
+        reason, inc = self.reason, self.inc
         learnt, seen, path, i, lits = [], set(), 0, len(trail), conflict
         while lits:
             for q in lits:
                 v = q >> 1
                 if v not in seen and level[v]:
                     seen.add(v)
-                    activity[v] += self.inc
+                    activity[v] += inc
                     if level[v] == lvl:
                         path += 1
                     else:
@@ -194,26 +204,28 @@ class _Cdcl:
             while trail[i] >> 1 not in seen:
                 i -= 1
             path -= 1
-            lits = path and self.reason[trail[i] >> 1][1:]  # its c[0] is trail[i] itself
+            lits = path and reason[trail[i] >> 1]  # its c[0] is trail[i] itself, seen
         learnt = [trail[i] ^ 1] + sorted(learnt, key=lambda q: -level[q >> 1])
         self._cancel(level[learnt[1] >> 1] if len(learnt) > 1 else 0)
         self._attach(learnt, learnt if len(learnt) > 1 else None)
-        self.learned, self.inc = self.learned + 1, self.inc / 0.95
+        self.learned, self.inc = self.learned + 1, inc / 0.95
         if self.inc > 1e100:  # every activity stays below 20 * inc
             self.inc, activity[:] = self.inc * 1e-100, [a * 1e-100 for a in activity]
 
     def _cancel(self, lvl):
         """Undo every level above `lvl`, saving phases and requeueing."""
         if len(self.lim) > lvl:
-            stop, value, activity = self.lim[lvl], self.value, self.activity
+            stop, value, activity, phase, heap = (
+                self.lim[lvl], self.value, self.activity, self.phase, self.heap)
             for lit in self.trail[stop:]:
+                v = lit >> 1
                 value[lit] = value[lit ^ 1] = -1
-                self.phase[lit >> 1] = lit & 1
-                heappush(self.heap, (-activity[lit >> 1], lit >> 1))
+                phase[v] = lit & 1
+                heappush(heap, (-activity[v], v))
             del self.trail[stop:], self.lim[lvl:]
             while self.free and self.free[-1][0] > stop:  # left free on literals now undone
                 v = self.free.pop()[1]
-                heappush(self.heap, (-activity[v], v))
+                heappush(heap, (-activity[v], v))
             self.qhead = stop
 
     def solve(self, budget=None):
@@ -237,7 +249,8 @@ class _Cdcl:
                     return True
                 v, red, blue = heappop(heap)[1], 1, 1
                 if not self.static:
-                    red, blue = self._open(2 * v + 1), self._open(2 * v)
+                    stop = -1 if self.phase[v] < 0 else 1  # a saved phase: is any clause open?
+                    red, blue = self._open(2 * v + 1, stop), self._open(2 * v, stop)
                     if red == blue == 0:  # every added clause of v holds: leave v free
                         self.free.append((len(self.trail), v))
                         continue
