@@ -209,8 +209,9 @@ class _Cdcl:
         self._cancel(level[learnt[1] >> 1] if len(learnt) > 1 else 0)
         self._attach(learnt, learnt if len(learnt) > 1 else None)
         self.learned, self.inc = self.learned + 1, inc / 0.95
-        if self.inc > 1e100:  # every activity stays below 20 * inc
+        if self.inc > 1e100:  # every activity stays below 20 * inc; heap keys scale alike
             self.inc, activity[:] = self.inc * 1e-100, [a * 1e-100 for a in activity]
+            self.heap[:] = sorted((key * 1e-100, v) for key, v in self.heap)  # sorted: a heap
 
     def _cancel(self, lvl):
         """Undo every level above `lvl`, saving phases and requeueing."""

@@ -10,6 +10,8 @@ from oracles import naive_copies
 
 from ramseylab.arrowing import (
     STATS,
+    _Cdcl,
+    _encode,
     _solve,
     brute_force_arrow,
     cnf_export,
@@ -264,6 +266,25 @@ def test_budget_caps_the_decisions(G, F, k):
     assert res.verdict in (full.verdict, "undecided")
     if res.verdict == "undecided":
         assert res.stats["nodes"] == k and res.certificate is None
+
+
+def test_activity_rescale_scales_the_heap_keys():
+    # once inc passes 1e100, every activity is scaled by 1e-100; the heap's
+    # keys must follow, or decisions take the stale order until a restart.
+    # A key is minus its variable's activity when pushed, and activities
+    # only grow, so no key may exceed its variable's activity
+    G = gnp_sample(14, 3.5 * 14 ** (-2 / 3), Seed(1202, 350))  # 474 conflicts in GOLDEN
+    core = _Cdcl(*_encode(G.num_edges(), copy_constraints(G, C4), 2))
+    core.inc = 0.96e100  # the first learned clause passes 1e100
+    learn, held = core._learn, []
+
+    def checked_learn(conflict):
+        learn(conflict)
+        held.append(all(-key <= core.activity[v] for key, v in core.heap))
+
+    core._learn = checked_learn
+    assert core.solve() is False and core.inc < 1e50  # rescaled once
+    assert len(held) == core.learned > 1 and all(held)
 
 
 def test_large_host_needs_no_recursion():
