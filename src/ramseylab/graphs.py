@@ -49,7 +49,7 @@ class Seed:
 class Graph:
     """Simple undirected graph with a fixed lexicographic edge order."""
 
-    __slots__ = ("n", "edges", "adj", "_index")
+    __slots__ = ("n", "edges", "adj", "_index", "_hash")
 
     def __init__(self, n, edges):
         if n < 1:
@@ -75,6 +75,7 @@ class Graph:
         self.edges = tuple(sorted(edges + tuple(new)))
         self.adj = tuple(adj)
         self._index = {e: i for i, e in enumerate(self.edges)}
+        self._hash = hash((n, self.edges))  # every cache keyed on a graph asks for it
 
     # -- basic queries ------------------------------------------------
 
@@ -105,7 +106,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return self._hash
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)})"

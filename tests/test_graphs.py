@@ -180,8 +180,10 @@ def test_with_edges_equals_rebuilding_the_graph(case):
             continue
         got = build()
         assert (got.n, got.edges, got.adj, got._index) == want, name
-        assert got == Graph(n, want[1]) and hash(got) == hash(Graph(n, want[1])), name
+        # the hash is computed once per graph and is the hash of (n, edges)
+        assert got == Graph(n, want[1]) and hash(got) == hash((n, want[1])), name
     assert (g.n, g.edges, g.adj, g._index) == literal_graph(n, edges)  # g itself is unchanged
+    assert hash(g) == hash((n, literal_graph(n, edges)[1]))
 
 
 def test_edge_ids_follow_lex_order():
