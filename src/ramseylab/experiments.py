@@ -152,6 +152,8 @@ def sharpness_window(F, n_list, trials, seed=None, budget=None, verdict_fn=None)
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not n_list:
+        raise ValueError("n_list must hold at least one n")
     for n in n_list:  # before any trial runs; a window has no c grid
         _check_grid(n, ())
     seed = seed or Seed()
@@ -191,6 +193,8 @@ def threshold_curve(F, n, c_values, trials, seed=None, budget=None, verdict_fn=N
     """Estimates at p = c * n^(-1/m2), clamped into [0,1], over a grid of
     scaled constants, with interpolated crossings of the `LEVELS`."""
     c_values = sorted(c_values)
+    if not c_values:
+        raise ValueError("c_values must hold at least one c")
     _check_grid(n, c_values)
     seed = seed or Seed()
     exponent = classify(F).threshold_exponent

@@ -180,7 +180,11 @@ def test_ignored_or_opaque_flags_exit_2_naming_the_flag(capsys):
              (booster + ["--pool-size", "-3"], "pool_size"),
              (booster + ["--alpha", "-1"], "alpha"),
              (booster + ["--alpha=-1/2"], "alpha"),
-             (zcheck + ["--trials", "0"], "trials")]
+             (zcheck + ["--trials", "0"], "trials"),
+             # an empty grid would write an artifact with no points or rows
+             (["threshold", "--pattern", "K3", "--n", "8", "--c", ",", "--trials", "2"],
+              "c_values"),
+             (["window", "--pattern", "K3", "--n-list", ",", "--trials", "2"], "n_list")]
     for argv, name in cases:
         code = main(argv)
         out, err = capsys.readouterr()
