@@ -132,11 +132,6 @@ def test_window_without_a_crossing_raises():
         sharpness_window(K3, [6], trials=10, seed=Seed(3), verdict_fn=late)
     with pytest.raises(ValueError, match="trials"):
         sharpness_window(K3, [6], trials=0, seed=Seed(3))
-    # an empty grid has nothing to estimate
-    with pytest.raises(ValueError, match="n_list"):
-        sharpness_window(K3, [], trials=2, seed=Seed(3))
-    with pytest.raises(ValueError, match="c_values"):
-        threshold_curve(K3, 6, [], trials=2, seed=Seed(3))
 
 
 def test_hitting_search_gallops_then_bisects():

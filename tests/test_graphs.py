@@ -180,7 +180,7 @@ def test_with_edges_equals_rebuilding_the_graph(case):
             continue
         got = build()
         assert (got.n, got.edges, got.adj, got._index) == want, name
-        # the hash is computed once per graph and is the hash of (n, edges)
+        # the hash, now computed once per graph, is still that of (n, edges)
         assert got == Graph(n, want[1]) and hash(got) == hash((n, want[1])), name
     assert (g.n, g.edges, g.adj, g._index) == literal_graph(n, edges)  # g itself is unchanged
     assert hash(g) == hash((n, literal_graph(n, edges)[1]))

@@ -237,8 +237,9 @@ def test_golden_core_modes():
         assert sols == enumerate_f_free_colorings(G, F, limit=4)
         assert ([_text(s) for s in sols], counts(stats)) == enum, name
         _, sols, stats = _solve(G.num_edges(), cons, 2, static=True)
-        assert next(iter(sols), None) == first_f_free_coloring(G, F)
-        assert (_text(next(iter(sols), None)), counts(stats)) == first, name
+        lex = next(iter(sols), None)
+        assert lex == first_f_free_coloring(G, F)
+        assert (_text(lex), counts(stats)) == first, name
 
 
 @PROPERTY
