@@ -1,6 +1,8 @@
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -265,6 +267,28 @@ def test_z_rates_degenerate_p0():
     # empty graphs satisfy every bound trivially
     for key in ("Z1", "Z2", "Z3", "Z4", "Z5"):
         assert out[key]["rate"] == 1.0
+
+
+GOLDEN_Z = json.loads((Path(__file__).parent / "golden_z_rates.json").read_text())
+# label -> (pattern, booster, n, p, D, zeta, delta, trials, seed, pair and
+# embedding samples): the bench's criterion-11 configuration, a C4 case, and
+# a host small enough that its pair draws often repeat an edge (i == j)
+GOLDEN_Z_CASES = {
+    "criterion11-K3-C5-n30": (K3, cycle_graph(5), 30, 30 ** -0.5, 20.0, 0.1,
+                              Fraction(1, 12), 5, Seed(1601), 60, 8),
+    "C4-P3-n14": (cycle_graph(4), path_graph(3), 14, 0.35, 4.0, 0.1,
+                  Fraction(1, 12), 4, Seed(1602), 25, 6),
+    "small-K3-P3-n5": (K3, path_graph(3), 5, 0.15, 5.0, 0.1,
+                       Fraction(1, 12), 30, Seed(1603), 3, 4),
+}
+
+
+def test_golden_z_property_rates():
+    assert set(GOLDEN_Z) == set(GOLDEN_Z_CASES)
+    for label, (F, B, n, p, D, zeta, delta, trials, seed, pairs, embs) in GOLDEN_Z_CASES.items():
+        out = z_property_rates(F, B, n, p, D, zeta, delta, trials, seed,
+                               pair_samples=pairs, embedding_samples=embs)
+        assert json.loads(json.dumps(out)) == GOLDEN_Z[label], label
 
 
 def test_janson_fixtures():
