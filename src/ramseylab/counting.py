@@ -21,11 +21,14 @@ their vertex placements (the vertex set is part of the copy), which the
 two-edge-deleted pair families rely on.  Copies are collected on one
 path, `_copy_keys`: `enumerate_copies` wraps its items as `Copy` objects,
 and every caller that needs only the copy keys reads them from `_keys`.
+Callers that need only counts read them off the search's one map per copy
+(`_copy_counts`) and build no key.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -279,6 +282,13 @@ def _keys(F, G, anchors=None):
     return [key for key, _ in _copy_keys(F, _copy_maps(F, G, anchors))]
 
 
+def _copy_counts(F, G):
+    """The number of copies of F in G and a Counter of the copies through
+    each host edge, read off the search's one map per copy."""
+    maps = list(_copy_maps(F, G))
+    return len(maps), Counter([_norm(m[u], m[v]) for m in maps for u, v in F.edges])
+
+
 def enumerate_copies(F, G, anchor=None):
     """All unlabelled copies of F in G; with `anchor`, only copies whose
     edge set contains that host pair."""
@@ -315,7 +325,7 @@ def f_minus_members(F):
 
 def count_f_minus(F, Z):
     """Number of copies in Z of members of the one-edge-deleted family."""
-    return sum(len(enumerate_copies(M, Z)) for M in f_minus_members(F))
+    return sum(_copy_counts(M, Z)[0] for M in f_minus_members(F))
 
 
 def count_f_minus_through(F, Z, e):

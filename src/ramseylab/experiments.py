@@ -17,7 +17,7 @@ from math import ceil, comb, exp, gcd, inf, isfinite, log10, sqrt
 
 from .arrowing import decide_arrow
 from .booster import alpha_tilde, classify_bad, make_booster_spec
-from .counting import _keys, _PairFamily, f_minus_members
+from .counting import _copy_counts, _PairFamily, f_minus_members
 from .density import classify, is_bipartite
 from .graphs import Seed, gnp_sample, pair_uniforms
 
@@ -277,14 +277,17 @@ def z_property_rates(
         if p * n * n / 4 <= m <= p * n * n:
             passes["Z1"] += 1
 
-        copies = [es for M in members for _, es in _keys(M, Z)]
-        fm = len(copies)
+        fm, through = 0, Counter()
+        for M in members:
+            count, per_edge = _copy_counts(M, Z)
+            fm += count
+            through.update(per_edge)
         stats["f_minus_norm"].append(fm / (n * n))
         if fm <= D * n * n:
             passes["Z2"] += 1
 
         # copies through the busiest edge of Z
-        worst = max(Counter(e for es in copies for e in es).values(), default=0)
+        worst = max(through.values(), default=0)
         stats["f_minus_edge_norm"].append(worst * p)
         if p == 0 or worst <= D / p:
             passes["Z3"] += 1
