@@ -225,6 +225,19 @@ def threshold_curve(F, n, c_values, trials, seed=None, budget=None, verdict_fn=N
 # -- empirical (Z)-property rates -----------------------------------------
 
 
+def _edge_pairs(rng, m, k):
+    """k pairs (i, j) of distinct indices below m, drawn uniformly in blocks
+    of the pairs still needed.  A bounded draw below 2**32 reads 32-bit
+    words, and the generator keeps the unused half of a 64-bit output
+    between calls, so the pairs and the generator's state after them are
+    those of drawing pair by pair."""
+    pairs = []
+    while len(pairs) < k:
+        pairs += [(i, j) for i, j in rng.integers(0, m, size=(k - len(pairs), 2)).tolist()
+                  if i != j]
+    return pairs
+
+
 def z_property_rates(
     F,
     booster,
@@ -292,19 +305,10 @@ def z_property_rates(
         if p == 0 or worst <= D / p:
             passes["Z3"] += 1
 
-        heavy = 0
         pair_count = _PairFamily(F, Z).count
-        k = min(pair_samples, m * (m - 1) // 2)
-        sampled = 0
-        if m >= 2:
-            while sampled < k:
-                i, j = rng.integers(0, m, size=2)
-                if i == j:
-                    continue
-                sampled += 1
-                if pair_count(Z.edges[int(i)], Z.edges[int(j)]) > heavy_cap:
-                    heavy += 1
-        frac = heavy / sampled if sampled else 0.0
+        pairs = _edge_pairs(rng, m, min(pair_samples, m * (m - 1) // 2))
+        heavy = sum(pair_count(Z.edges[i], Z.edges[j]) > heavy_cap for i, j in pairs)
+        frac = heavy / len(pairs) if pairs else 0.0
         stats["heavy_pair_frac"].append(frac)
         total_pairs = m * (m - 1) // 2
         if frac * total_pairs <= z4_budget:
