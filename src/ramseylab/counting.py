@@ -43,9 +43,13 @@ def _norm(u, v):
 
 
 @cache
-def _pattern_order(F, pinned):
-    """Static search order: pinned first, then greedy max back-connectivity
-    (ties to the larger degree, then the smaller vertex)."""
+def _plan(F, pinned, loose=()):
+    """The search plan of F with the `pinned` vertices first and the
+    pattern edges in `loose` exempt, as (order, back lists, symmetry
+    conditions).  The order is static: pinned first, then greedy max
+    back-connectivity (ties to the larger degree, then the smaller vertex).
+    Each position's back list holds its earlier non-loose neighbours; this
+    plan breaks no symmetry (see `_breaking`)."""
     order = list(pinned)
     back = [0] * F.n
     for x in order:
@@ -65,41 +69,35 @@ def _pattern_order(F, pinned):
             back[y] += 1
             if y in rest:
                 heapq.heappush(heap, (-back[y], -F.degree(y), y))
-    return tuple(order)
-
-
-@cache
-def _back_lists(F, order, loose):
-    """For each position, its earlier non-loose neighbours in `order`."""
     pos = {v: i for i, v in enumerate(order)}
-    return tuple(
+    loose = {_norm(*e) for e in loose}
+    backs = tuple(
         tuple(y for y in F.neighbours(x) if pos[y] < i and _norm(x, y) not in loose)
         for i, x in enumerate(order)
     )
+    return tuple(order), backs, ((),) * F.n
 
 
-def _search(F, G, order, dom, loose=frozenset(), injective=True, smaller=None):
-    """Yield every map of F into G as a tuple indexed by pattern vertex.
+def _search(G, plan, dom, injective=True):
+    """Yield every map of a pattern into G, by its `plan` (see `_plan`), as
+    a tuple indexed by pattern vertex.
 
     Pattern vertex order[i] takes a host vertex from the bitmask dom[i]
-    that is adjacent to the images of its earlier neighbours; pattern
-    edges in `loose` impose nothing.  With `injective` the images are
-    distinct (embeddings), without it they may repeat (homomorphisms).
-    `smaller[i]`, when given, lists pattern vertices at earlier positions
-    whose images must be smaller than the image of order[i].  Maps come
-    in lexicographic order of their images in search order.  The
+    that is adjacent to the images of the vertices in back[i].  With
+    `injective` the images are distinct (embeddings), without it they may
+    repeat (homomorphisms).  smaller[i] lists pattern vertices at earlier
+    positions whose images must be smaller than the image of order[i].
+    Maps come in lexicographic order of their images in search order.  The
     depth-first search keeps one candidate bitmask per position on an
     explicit stack, so no pattern size reaches the recursion limit.
     """
+    order, back, smaller = plan
     k = len(order)
     if k == 0:
         yield ()
         return
-    back = _back_lists(F, tuple(order), frozenset(_norm(*e) for e in loose))
-    if smaller is None:
-        smaller = ((),) * k
     adj = G.adj
-    img = [0] * F.n
+    img = [0] * k
     cand = [0] * k
     used = 0  # images of positions 0..i-1 when injective
     cand[0] = dom[0]
@@ -134,7 +132,7 @@ def _pin_domains(order, pin, n):
     return [1 << pin[x] if x in pin else full for x in order]
 
 
-def embeddings(F, G, pin=None, loose=frozenset()):
+def embeddings(F, G, pin=None, loose=()):
     """Injective maps of F into G (tuples indexed by pattern vertex).
 
     `pin` pre-assigns pattern vertices to host vertices; pattern edges in
@@ -144,8 +142,8 @@ def embeddings(F, G, pin=None, loose=frozenset()):
     if F.n > G.n:
         return iter(())
     pin = dict(pin or {})
-    order = _pattern_order(F, tuple(pin))
-    return _search(F, G, order, _pin_domains(order, pin, G.n), loose)
+    plan = _plan(F, tuple(pin), tuple(loose))
+    return _search(G, plan, _pin_domains(plan[0], pin, G.n))
 
 
 # -- automorphism orbits of a pattern ----------------------------------
@@ -162,8 +160,9 @@ def _automorphic(F, pairs):
 
 @cache
 def _breaking(F, pinned):
-    """Search order and symmetry-breaking conditions for the pointwise
-    stabilizer A of the `pinned` vertices in Aut(F).
+    """The search plan of F with the `pinned` vertices first (`_plan`), with
+    the symmetry-breaking conditions of the pointwise stabilizer A of the
+    pinned vertices in Aut(F).
 
     The base points of A's stabilizer chain are the unpinned vertices in
     search order.  The image of each base point b must be smaller than
@@ -172,7 +171,7 @@ def _breaking(F, pinned):
     then keep exactly one map each, the lexicographically first in search
     order (Grochow and Kellis, RECOMB 2007).
     """
-    order = _pattern_order(F, pinned)
+    order, back, _ = _plan(F, pinned)
     fixed = [(x, x) for x in order[: len(pinned)]]
     smaller = {x: [] for x in order}
     for i in range(len(pinned), len(order)):
@@ -181,7 +180,7 @@ def _breaking(F, pinned):
             if _automorphic(F, fixed + [(b, v)]):
                 smaller[v].append(b)
         fixed.append((b, b))
-    return order, tuple(tuple(smaller[x]) for x in order)
+    return order, back, tuple(tuple(smaller[x]) for x in order)
 
 
 def _orbit_embeddings(F, G, pin=None):
@@ -189,8 +188,8 @@ def _orbit_embeddings(F, G, pin=None):
     pointwise stabilizer of the pinned vertices in Aut(F): without a pin,
     the lexicographically first map of each copy in search order."""
     pin = dict(pin or {})
-    order, smaller = _breaking(F, tuple(pin))
-    return _search(F, G, order, _pin_domains(order, pin, G.n), smaller=smaller)
+    plan = _breaking(F, tuple(pin))
+    return _search(G, plan, _pin_domains(plan[0], pin, G.n))
 
 
 @cache

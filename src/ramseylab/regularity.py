@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
 
-from .counting import _copy_keys, _pattern_order, _search
+from .counting import _copy_keys, _plan, _search
 from .graphs import Seed, edge_count_between
 
 EXACT_REGULARITY_CAP = 16
@@ -153,9 +153,9 @@ def counting_lemma_check(Fp, classes_of, H, partition, p, d, eps, xi):
             raise ValueError("adjacent pattern vertices must sit in different classes")
 
     class_masks = [sum(1 << x for x in cls) for cls in partition]
-    order = _pattern_order(Fp, ())
-    dom = [class_masks[classes_of[v]] for v in order]
-    count = sum(1 for _ in _search(Fp, H, order, dom, injective=False))
+    plan = _plan(Fp, ())
+    dom = [class_masks[classes_of[v]] for v in plan[0]]
+    count = sum(1 for _ in _search(H, plan, dom, injective=False))
     bound = xi * (p ** Fp.num_edges())
     for v in range(Fp.n):
         bound *= len(partition[classes_of[v]])
@@ -179,10 +179,10 @@ def fstar_overlap_count(Fstar, a1, a2, G, W):
     # pin the marked vertices to ordered pairs of W, every other vertex outside W
     W = set(W)
     inside = sorted(w for w in W if 0 <= w < G.n)
-    order = _pattern_order(Fstar, (a1, a2))
+    plan = _plan(Fstar, (a1, a2))
     outside = [((1 << G.n) - 1) & ~sum(1 << w for w in inside)] * (Fstar.n - 2)
     maps = (m for w1 in inside for w2 in inside if w1 != w2
-            for m in _search(Fstar, G, order, [1 << w1, 1 << w2] + outside))
+            for m in _search(G, plan, [1 << w1, 1 << w2] + outside))
     return {
         "count": len(_copy_keys(Fstar, maps)),
         "bound_coefficient": 2 * G.n ** (Fstar.n - 2) * len(W) ** 2,
