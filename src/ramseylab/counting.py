@@ -351,9 +351,13 @@ def _completions_through(F, Z, fixed_pair):
     # the deleted edge f1 and the map together, so one (arc, f1) per orbit
     # suffices; what a pair's stabilizer leaves over, the sets absorb
     for (x, y), f1, kept in _pair_representatives(F):
+        u1, v1 = f1
         for m in embeddings(F, Z, pin={x: a, y: b}, loose=((x, y), f1)):
-            rest = frozenset(_norm(m[u], m[v]) for u, v in kept)
-            out.setdefault(_norm(m[f1[0]], m[f1[1]]), set()).add((frozenset(m), rest))
+            rest = frozenset([(m[u], m[v]) if m[u] < m[v] else (m[v], m[u]) for u, v in kept])
+            w = (m[u1], m[v1]) if m[u1] < m[v1] else (m[v1], m[u1])
+            if (found := out.get(w)) is None:
+                found = out[w] = set()
+            found.add((frozenset(m), rest))
     return out
 
 
