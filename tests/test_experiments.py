@@ -15,6 +15,7 @@ from ramseylab.arrowing import (
 )
 from ramseylab.counting import enumerate_copies
 from ramseylab.experiments import (
+    _edge_pairs,
     bipartition_sizes,
     derive_proof_constants,
     estimate_arrow_probability,
@@ -267,6 +268,24 @@ def test_z_rates_degenerate_p0():
     # empty graphs satisfy every bound trivially
     for key in ("Z1", "Z2", "Z3", "Z4", "Z5"):
         assert out[key]["rate"] == 1.0
+
+
+def test_edge_pairs_keep_the_pair_by_pair_stream():
+    # block draws give the pairs of drawing pair by pair, and leave the
+    # generator where those leave it: its next bounded and float draws agree
+    for m in (2, 3, 80):
+        pairs = m * (m - 1) // 2
+        for k in sorted({1, min(5, pairs), min(60, pairs)}):
+            for s in range(25):
+                rng, ref = Seed(1604, m, s).generator(), Seed(1604, m, s).generator()
+                expected = []
+                while len(expected) < k:
+                    i, j = ref.integers(0, m, size=2).tolist()
+                    if i != j:
+                        expected.append((i, j))
+                assert _edge_pairs(rng, m, k) == expected, (m, k, s)
+                assert (rng.integers(0, 1000), rng.random()) == (
+                    ref.integers(0, 1000), ref.random()), (m, k, s)
 
 
 GOLDEN_Z = json.loads((Path(__file__).parent / "golden_z_rates.json").read_text())

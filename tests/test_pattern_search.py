@@ -5,6 +5,7 @@ enumerators in tests/oracles.py and homomorphisms listed with
 representatives behind P(e1, e2) are checked against the plain search and
 the oracles, and so is the NAE constraint system built from the copy keys."""
 
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -14,6 +15,7 @@ from oracles import naive_copies, naive_extension_count, naive_fstar_overlap, na
 
 from ramseylab.arrowing import copy_constraints
 from ramseylab.counting import (
+    _copy_counts,
     _keys,
     _orbit_embeddings,
     _PairFamily,
@@ -82,6 +84,15 @@ def test_symmetry_broken_copies_match_plain_search(G, F, data):
     anchor = data.draw(st.sampled_from(list(combinations(range(G.n), 2))))
     assert copy_set(enumerate_copies(F, G, anchor=anchor)) == {
         (c.vertices, c.edges) for c in family.copies if anchor in c.edges}
+
+
+@PROPERTY
+@given(hosts(min_n=5), st.sampled_from(COPY_PATTERNS))
+def test_copy_counts_match_the_copy_keys(G, F):
+    # the counts read off the search, one map per copy, are those of the
+    # collected keys: the copies, and the copies through each host edge
+    keys = _keys(F, G)
+    assert _copy_counts(F, G) == (len(keys), Counter(e for _, es in keys for e in es))
 
 
 @PROPERTY
