@@ -259,6 +259,9 @@ def z_property_rates(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    for name, value in (("pair_samples", pair_samples), ("embedding_samples", embedding_samples)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     for name, value in (("D", D), ("p", p), ("zeta", zeta)):

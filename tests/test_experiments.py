@@ -261,6 +261,16 @@ def test_z_property_rates_quick():
                          trials=1, seed=Seed(8))
 
 
+def test_z_rates_reject_sample_counts_below_one():
+    # 0 embedding samples divided by zero, -2 reported a bad fraction of
+    # -0.0, and -3 pair samples sampled nothing and passed Z4
+    for name, value in (("pair_samples", 0), ("pair_samples", -3),
+                        ("embedding_samples", 0), ("embedding_samples", -2)):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
+            z_property_rates(K3, cycle_graph(5), 10, 0.3, 5.0, 0.1, Fraction(1, 12),
+                             trials=1, seed=Seed(8), **{name: value})
+
+
 def test_z_rates_degenerate_p0():
     out = z_property_rates(K3, cycle_graph(5), n=10, p=0.0, D=5.0, zeta=0.1,
                            delta=Fraction(1, 12), trials=2, seed=Seed(9),
