@@ -372,6 +372,9 @@ class _PairFamily:
     def pairs(self, e1, e2):
         """The set of (vs1, es1, vs2, es2) of edge-disjoint completions
         (vs1, es1) through e1 and (vs2, es2) through e2 sharing a witness."""
+        for u, v in (e1, e2):
+            if not (0 <= u < self.Z.n and 0 <= v < self.Z.n and u != v):
+                raise ValueError(f"({u}, {v}) is not a pair of distinct host vertices")
         e1, e2 = _norm(*e1), _norm(*e2)
         if e1 == e2:
             raise ValueError("e1 and e2 must be distinct pairs")

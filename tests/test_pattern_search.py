@@ -6,6 +6,7 @@ representatives behind P(e1, e2) are checked against the plain search and
 the oracles, and so is the NAE constraint system built from the copy keys."""
 
 from collections import Counter
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -136,8 +137,15 @@ def test_pair_family_matches_oracle(Z, F, data):
     family = _PairFamily(F, Z)
     for a, b in ((e1, e2), (e2, e1), (e1, e2), (e3, e1), (e2, e3[::-1]), (e2, e1)):
         assert family.count(a, b) == len(naive_P(F, Z, a, b)) == count_P(F, Z, a, b), (a, b)
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(ValueError, match="e1 and e2 must be distinct"):
         family.count(e1, e1[::-1])
+    # a loop, a vertex past the host and a negative vertex are no pairs
+    for bad in ((1, 1), (0, Z.n), (0, -1)):
+        for query in (family.count, family.pairs, partial(count_P, F, Z),
+                      partial(enumerate_P, F, Z)):
+            for args in ((bad, e1), (e1, bad)):
+                with pytest.raises(ValueError, match=rf"\({bad[0]}, {bad[1]}\) is not a pair"):
+                    query(*args)
 
 
 @PROPERTY
