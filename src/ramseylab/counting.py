@@ -71,11 +71,11 @@ def _plan(F, pinned, loose=()):
                 heapq.heappush(heap, (-back[y], -F.degree(y), y))
     pos = {v: i for i, v in enumerate(order)}
     loose = {_norm(*e) for e in loose}
-    backs = tuple(
+    back_lists = tuple(
         tuple(y for y in F.neighbours(x) if pos[y] < i and _norm(x, y) not in loose)
         for i, x in enumerate(order)
     )
-    return tuple(order), backs, ((),) * F.n
+    return tuple(order), back_lists, ((),) * F.n
 
 
 def _search(G, plan, dom, injective=True):
