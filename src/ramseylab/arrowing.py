@@ -85,14 +85,12 @@ class _Cdcl:
     the decisions on a lazy `heapq`; Luby restarts; saved phases, and a
     variable's first decision satisfies the more of its open added clauses
     (input and blocking, not learned); a variable whose added clauses all
-    hold is left free, not decided.  A node is a decision.  `static`
-    decides in index order, false first."""
+    hold is left free, not decided.  A node is a decision."""
 
-    def __init__(self, nvars, clauses, static=False):
+    def __init__(self, nvars, clauses):
         self.value = [-1] * (2 * nvars)  # per literal: 1 true, 0 false, -1 free
         self.level, self.reason, self.phase = [0] * nvars, [None] * nvars, [-1] * nvars
-        self.trail, self.lim, self.qhead, self.static, self.free = [], [], 0, static, []
-        self.inc = 0.0 if static else 1.0  # activity bump; none when static
+        self.trail, self.lim, self.qhead, self.free, self.inc = [], [], 0, [], 1.0
         self.nodes = self.propagations = self.conflicts = self.learned = 0
         self.occ = occ = [[] for _ in range(2 * nvars)]  # added clauses per literal
         self.watches = watches = [[] for _ in range(2 * nvars)]
@@ -248,52 +246,52 @@ class _Cdcl:
                     heappop(heap)
                 if not heap:
                     return True
-                v, red, blue = heappop(heap)[1], 1, 1
-                if not self.static:
-                    stop = -1 if self.phase[v] < 0 else 1  # a saved phase: is any clause open?
-                    red, blue = self._open(2 * v + 1, stop), self._open(2 * v, stop)
-                    if red == blue == 0:  # every added clause of v holds: leave v free
-                        self.free.append((len(self.trail), v))
-                        continue
+                v = heappop(heap)[1]
+                stop = -1 if self.phase[v] < 0 else 1  # a saved phase: is any clause open?
+                red, blue = self._open(2 * v + 1, stop), self._open(2 * v, stop)
+                if red == blue == 0:  # every added clause of v holds: leave v free
+                    self.free.append((len(self.trail), v))
+                    continue
                 if budget is not None and self.nodes >= budget:
                     return None
                 self.phase[v] = int(red >= blue) if self.phase[v] < 0 else self.phase[v]
                 self.nodes += 1
                 self.lim.append(len(self.trail))
-                self._attach([2 * v + (self.static or self.phase[v])], None)  # static: false first
+                self._attach([2 * v + self.phase[v]], None)
         return False
 
 
-def _solve(m, cons, colours, budget=None, limit=1, symmetry_break=False, static=False):
-    """(verdict, solutions, stats) of the core on the NAE system.  A solution
-    colours all m edges, 0 on edges in no copy; before the next search a
-    clause blocks its values on the constrained edges, so with two colours
-    the solutions are distinct.  `symmetry_break` fixes the edge in the
-    most copies (ties: the lowest EdgeId) to colour 0 at level 0."""
-    if colours < 1:
-        raise ValueError("need at least one colour")
+def _colouring(value, m, colours=2):
+    """Colour per edge of a core's satisfying values: with more than two
+    colours an edge takes its lowest true colour.  A free variable reads as
+    false, so an edge in no copy gets colour 0."""
+    if colours == 2:
+        return [1 if x == 1 else 0 for x in value[:2 * m:2]]
+    return [next((k for k in range(colours) if value[2 * (e * colours + k)] == 1), 0)
+            for e in range(m)]
+
+
+def _check_budget(budget):
     if budget is not None and budget < 0:
         raise ValueError(f"node budget must be >= 0, got {budget}")
-    core = _Cdcl(*_encode(m, cons, colours), static)
-    if symmetry_break and core.vars:
-        v = max(core.vars, key=core.activity.__getitem__)  # colour 0 of that edge
-        core.ok = core.ok and core.add([2 * v + (colours == 2)])
-    sols, found, value = [], True, core.value
-    while found and len(sols) < limit:
-        if sols:  # block the last solution's values, free variables read as false
-            core.ok = core.add([2 * v + (value[2 * v] == 1) for v in core.vars])
-        found = core.solve(budget)
-        if found:
-            sols.append([1 if x == 1 else 0 for x in value[:2 * m:2]] if colours == 2 else
-                        [next((k for k in range(colours) if value[2 * (e * colours + k)] == 1), 0)
-                         for e in range(m)])
-    stats = {"constraints": len(cons), **{k: getattr(core, k) for k in STATS}}
-    return ("undecided" if found is None else "not_arrows" if sols else "arrows"), sols, stats
 
 
 def _decide(m, cons, colours, budget, **provenance):
-    verdict, sols, stats = _solve(m, cons, colours, budget, symmetry_break=True)
-    return ArrowResult(verdict, sols[0] if sols else None, {**stats, **provenance})
+    """ArrowResult of the core on the NAE system of m edges, with the edge
+    in the most copies (ties: the lowest EdgeId) fixed to colour 0 at level
+    0 (colour-swap symmetry); `provenance` joins the stats."""
+    if colours < 1:
+        raise ValueError("need at least one colour")
+    _check_budget(budget)
+    core = _Cdcl(*_encode(m, cons, colours))
+    if core.vars:
+        v = max(core.vars, key=core.activity.__getitem__)  # colour 0 of that edge
+        core.ok = core.ok and core.add([2 * v + (colours == 2)])
+    found = core.solve(budget)
+    verdict = "undecided" if found is None else "not_arrows" if found else "arrows"
+    stats = {"constraints": len(cons), **{k: getattr(core, k) for k in STATS}}
+    return ArrowResult(verdict, _colouring(core.value, m, colours) if found else None,
+                       {**stats, **provenance})
 
 
 def decide_arrow(G, F, colours=2, budget=None):
@@ -364,19 +362,40 @@ def decide_arrow_union(Z, addition, F, budget=None):
 def enumerate_f_free_colorings(G, F, limit=16, budget=None):
     """Up to `limit` distinct F-free colourings of G, deterministic order.  No
     symmetry breaking, so colour-swapped twins both appear; edges in no
-    copy of F are red in every returned colouring."""
-    return _solve(G.num_edges(), copy_constraints(G, F), 2, budget, limit)[1]
+    copy of F are red in every returned colouring.  One core searches on
+    after each colouring, with a clause blocking its values on the
+    constrained edges; `budget` caps the decisions of all its searches."""
+    _check_budget(budget)
+    m, cons = G.num_edges(), copy_constraints(G, F)
+    core, sols = _Cdcl(*_encode(m, cons, 2)), []
+    while len(sols) < limit and core.solve(budget):
+        sols.append(_colouring(core.value, m))
+        core.ok = core.add([2 * v + (core.value[2 * v] == 1) for v in core.vars])
+    return sols
 
 
 def first_f_free_coloring(G, F):
     """Lexicographically first F-free colouring in EdgeId order (red < blue).
 
-    The core decides edges in EdgeId order, always red first.  Each
-    decision is on the lowest free edge, so an edge implied at some level
-    is implied by decisions on lower EdgeIds alone, and the solution found
-    is the lexicographic minimum.
+    The constrained edges are fixed in EdgeId order: red if an F-free
+    colouring has it red and agrees with the edges fixed so far, else
+    blue.  A fresh core answers each such question, the fixed edges its
+    unit clauses; the last colouring found answers it when it has the edge
+    red.  Edges in no copy of F are red.
     """
-    return next(iter(_solve(G.num_edges(), copy_constraints(G, F), 2, static=True)[1]), None)
+    m, cons = G.num_edges(), copy_constraints(G, F)
+
+    def search(units):  # an F-free colouring that meets the unit clauses, or None
+        nvars, clauses = _encode(m, cons, 2)
+        core = _Cdcl(nvars, clauses + units)
+        return _colouring(core.value, m) if core.solve() else None
+
+    best, fixed = search([]), []  # fixed: a unit clause per edge fixed so far
+    for e in sorted({e for c in cons for e in c}) if best else ():
+        found = best if best[e] == RED else search(fixed + [[2 * e + 1]])
+        best = found or best
+        fixed.append([2 * e + (found is not None)])  # literal 2e + 1: edge e is red
+    return best
 
 
 def cnf_export(G, F):

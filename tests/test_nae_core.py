@@ -4,15 +4,16 @@ with `itertools.product`, and `naive_copies` from tests/oracles.py."""
 
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import naive_copies
 
+from ramseylab import arrowing
 from ramseylab.arrowing import (
     STATS,
     _Cdcl,
     _encode,
-    _solve,
     brute_force_arrow,
     cnf_export,
     copy_constraints,
@@ -187,10 +188,10 @@ def _text(colouring):
     return "".join(map(str, colouring)) if colouring is not None else None
 
 
-# The other modes of the core on G(n, p) with Seed(1203, stream):
+# The other colouring questions on G(n, p) with Seed(1203, stream):
 # (pattern, n, p, stream) -> three-colour decide_arrow (verdict, certificate,
 # stats); enumerate_f_free_colorings(limit=4) in order, with the stats of
-# that search; first_f_free_coloring, with the stats of the static search
+# the one core it builds; first_f_free_coloring
 GOLDEN_MODES = {
     ("K3", 20, 0.5, 1): (
         ("not_arrows",
@@ -201,8 +202,7 @@ GOLDEN_MODES = {
           "1001001001101000101101000110100110100100010110100110001001010111000010100101111011011111110110010111",
           "1001001001101000101101000110100110100100010110100110001001010111000010100101111011011110110110010111"],
          (159, 174, 1077, 61, 61)),
-        ("0011011001011010101101000110100110100100011100000100011001110101001010101001101011011101110010010100",
-         (159, 148, 982, 71, 71)),
+        "0011011001011010101101000110100110100100011100000100011001110101001010101001101011011101110010010100",
     ),
     ("C4", 16, 0.5, 0): (
         ("not_arrows", "210102200202112102020210222220122011102010010101000021",
@@ -212,34 +212,48 @@ GOLDEN_MODES = {
           "110000100011011000001101011100011110110000011001000111",
           "110000100011011000101101011100011110110000011001000111"],
          (215, 87, 337, 14, 14)),
-        ("000110010100101111000110010100000011010111110010111010", (215, 372, 2303, 218, 218)),
+        "000110010100101111000110010100000011010111110010111010",
     ),
     ("K3", 14, 0.7, 1): (
         ("not_arrows", "21110122201112020011210000202020100022101220110112011012010102202221",
          (154, 176, 451, 10, 10)),
         ([], (154, 33, 107, 23, 22)),
-        (None, (154, 70, 253, 46, 45)),
+        None,
     ),
 }
 
 
-def test_golden_core_modes():
-    def counts(stats):
-        return tuple(stats[k] for k in ("constraints", *STATS))
+def test_golden_core_modes(monkeypatch):
+    built = []  # every core the calls below build
 
+    class RecordedCdcl(_Cdcl):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(arrowing, "_Cdcl", RecordedCdcl)
     for (name, n, p, stream), (three, enum, first) in GOLDEN_MODES.items():
         F = pattern_by_name(name)
         G = gnp_sample(n, p, Seed(1203, stream))
         res = decide_arrow(G, F, colours=3)
-        assert (res.verdict, _text(res.certificate), counts(res.stats)) == three, name
-        cons = copy_constraints(G, F)
-        _, sols, stats = _solve(G.num_edges(), cons, 2, limit=4)
-        assert sols == enumerate_f_free_colorings(G, F, limit=4)
-        assert ([_text(s) for s in sols], counts(stats)) == enum, name
-        _, sols, stats = _solve(G.num_edges(), cons, 2, static=True)
-        lex = next(iter(sols), None)
-        assert lex == first_f_free_coloring(G, F)
-        assert (_text(lex), counts(stats)) == first, name
+        assert (res.verdict, _text(res.certificate),
+                tuple(res.stats[k] for k in ("constraints", *STATS))) == three, name
+        built.clear()
+        sols = enumerate_f_free_colorings(G, F, limit=4)
+        [core] = built
+        counts = (len(copy_constraints(G, F)), *(getattr(core, k) for k in STATS))
+        assert ([_text(s) for s in sols], counts) == enum, name
+        assert _text(first_f_free_coloring(G, F)) == first, name
+
+
+def test_negative_colours_and_budgets_are_rejected():
+    G = complete_graph(4)
+    with pytest.raises(ValueError, match="colour"):
+        decide_arrow(G, K3, colours=0)
+    with pytest.raises(ValueError, match="budget"):
+        decide_arrow(G, K3, budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_f_free_colorings(G, K3, budget=-1)
 
 
 @PROPERTY
