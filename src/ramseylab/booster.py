@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 from heapq import merge
 from itertools import combinations
-from math import comb, factorial, isfinite, log
+from math import comb, factorial, inf, isfinite, log
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .arrowing import (
     is_f_free,
 )
 from .counting import _keys, _norm, _PairFamily, enumerate_copies
-from .graphs import Graph, Seed, complete_graph, union
+from .graphs import Graph, Seed, _is_id, complete_graph, union
 
 
 # -- booster specification ----------------------------------------------
@@ -293,6 +293,8 @@ def embedding_pool(B, n, mode="full", size=None, seed=None):
     uniform injections and dedupes images until `size` distinct ones,
     giving up after 50 * size draws.
     """
+    if B.n > n:
+        raise ValueError(f"booster on {B.n} vertices does not fit in a host on {n}")
     if mode == "full":
         return [c.map for c in enumerate_copies(B, complete_graph(n)).copies]
     if mode != "sampled":
@@ -679,12 +681,15 @@ class Hypergraph:
     """Plain hypergraph on vertices 0..m-1 with deduplicated edges."""
 
     def __init__(self, m, edges):
-        self.m = m
-        norm = {tuple(sorted(set(e))) for e in edges}
-        for e in norm:
+        if not _is_id(m, inf):
+            raise ValueError(f"vertex count must be an integer >= 0, got {m!r}")
+        norm = set()
+        for e in edges:
             for v in e:
-                if not 0 <= v < m:
-                    raise ValueError(f"hyperedge vertex {v} out of range")
+                if not _is_id(v, m):
+                    raise ValueError(f"hyperedge vertex {v!r} is not an integer in 0..{m - 1}")
+            norm.add(tuple(sorted(set(e))))
+        self.m = m
         self.edges = tuple(sorted(norm))
 
     def uniformity(self):
@@ -693,7 +698,7 @@ class Hypergraph:
 
 
 @dataclass
-class BoosterHypergraph:
+class BoosterHypergraph(Hypergraph):
     """V = E(Z); one hyperedge per embedding's focus set."""
 
     Z: Graph
@@ -701,9 +706,8 @@ class BoosterHypergraph:
     focus_sets: tuple  # FocusSet per embedding, aligned with Xi
     profile: Profile | None = None
 
-    @property
-    def hyper(self):
-        return Hypergraph(self.Z.num_edges(), [fs.members for fs in self.focus_sets])
+    def __post_init__(self):
+        super().__init__(self.Z.num_edges(), [fs.members for fs in self.focus_sets])
 
 
 def build_hypergraph(Z, Xi, spec, F, profile=None):
@@ -717,8 +721,6 @@ def hypergraph_stats(H, tau):
     Rationals are kept exact throughout; the returned record carries both
     the Fractions and float renderings.
     """
-    if isinstance(H, BoosterHypergraph):
-        H = H.hyper
     tau = Fraction(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -727,9 +729,9 @@ def hypergraph_stats(H, tau):
         raise ValueError("statistics need a uniform (profiled) hypergraph")
     m = H.m
     e = len(H.edges)
-    d = Fraction(ell * e, m)
-    if d == 0:
+    if ell * e == 0:  # so m > 0: some hyperedge holds a vertex
         raise ValueError("zero average degree")
+    d = Fraction(ell * e, m)
 
     # degree of every j-subset of a hyperedge, for j = 1 .. max(ell, 2)
     deg = {j: Counter(s for edge in H.edges for s in combinations(edge, j))
@@ -797,8 +799,6 @@ def brute_force_cores(H):
 
     Exhaustive over all vertex subsets, so capped at 20 vertices.
     """
-    if isinstance(H, BoosterHypergraph):
-        H = H.hyper
     m = H.m
     if m > CORE_VERTEX_CAP:
         raise ValueError(f"{m} vertices exceed the exhaustive cap of {CORE_VERTEX_CAP}")
@@ -835,8 +835,6 @@ def verify_core_properties(core_family, H, beta=None, gamma=None):
     """Exhaustive verification of the hitting-set covering property, plus
     descriptive reports of the size bounds (asymptotic claims: reported,
     never asserted)."""
-    if isinstance(H, BoosterHypergraph):
-        H = H.hyper
     m = H.m
     if m > CORE_VERTEX_CAP:
         raise ValueError(f"{m} vertices exceed the exhaustive cap of {CORE_VERTEX_CAP}")

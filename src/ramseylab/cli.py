@@ -237,9 +237,13 @@ def _merge_config(ap, argv):
 
 
 def _load_hypergraph(path):
+    """A JSON object {"m": vertex count, "edges": list of vertex lists}."""
     with open(path) as fh:
         data = json.load(fh)
-    return Hypergraph(int(data["m"]), [tuple(e) for e in data["edges"]])
+    edges = data.get("edges") if isinstance(data, dict) else None
+    if not (isinstance(edges, list) and all(isinstance(e, list) for e in edges)):
+        raise CliError(f"hypergraph {path!r} is not an object {{m, edges}} with vertex lists")
+    return Hypergraph(data.get("m"), edges)
 
 
 def _budget_code(records):
@@ -383,7 +387,7 @@ def _run(ns):
         B = None
         if ns.booster:
             B = _load_graph(ns.booster)
-        elif ns.booster_vertices:
+        elif ns.booster_vertices is not None:
             B = ns.booster_vertices
         chain = derive_proof_constants(
             _load_graph(ns.pattern), B=B, D=ns.D, C0=ns.C0, C1=ns.C1, lam=ns.lam,

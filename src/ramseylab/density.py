@@ -65,11 +65,6 @@ def m2(F):
     return val, witness
 
 
-def threshold_exponent(F):
-    """1/m2(F): the exponent of the arrowing threshold n^(-1/m2)."""
-    return 1 / m2(F)[0]
-
-
 def is_bipartite(F):
     """Two-colourability check; returns (flag, colouring array or None)."""
     colour = [-1] * F.n

@@ -528,6 +528,8 @@ def derive_proof_constants(
         if value is not None and not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
     Fg = prof.pattern
+    if Fg.num_edges() < 2:
+        raise ValueError("constant chain requires a pattern with at least two edges")
     inputs = {
         "F_m2": prof.m2,
         "D": D,
@@ -548,6 +550,8 @@ def derive_proof_constants(
 
     if B is not None:
         vB = B if isinstance(B, int) else B.n
+        if vB < 1:
+            raise ValueError(f"a booster needs at least one vertex, got {vB}")
         chain.alpha_tilde = alpha_tilde(vB)
         if not isinstance(B, int):
             chain.K = B.num_edges()
@@ -568,8 +572,12 @@ def derive_proof_constants(
             beta_scale = Fraction(D) * chain.k * vF**2
             if chain.L * log10(KL) <= EXACT_DIGIT_LIMIT:
                 chain.alpha_prime = chain.alpha_tilde / (2 * chain.L * Fraction(KL) ** chain.L)
-                chain.beta = chain.alpha_prime / beta_scale
+                chain.beta = chain.alpha_prime / beta_scale if chain.k else None
+                if not chain.k:
+                    chain.notes.append("k = 0 as L < e(F) - 1, so beta = alpha' / (D k v(F)^2)"
+                                       " is undefined")
             else:  # (K L)^L is too long to compute: keep both as exponent records
+                # (here L >= e(F) - 1, as e(F) <= 45 under the pattern cap, so k > 0)
                 chain.alpha_prime = _power_record(chain.alpha_tilde / (2 * chain.L), KL, chain.L)
                 chain.beta = _power_record(chain.alpha_tilde / (2 * chain.L * beta_scale), KL,
                                            chain.L)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -208,6 +209,12 @@ def union(g1, g2):
     if g1.n != g2.n:
         raise ValueError(f"vertex counts differ: {g1.n} vs {g2.n}")
     return g1.with_edges(g2.edges)
+
+
+def _is_id(v, n):
+    """True iff v is an integer id in 0..n-1, as read from outside input (a
+    bool is not an id)."""
+    return isinstance(v, Integral) and not isinstance(v, bool) and 0 <= v < n
 
 
 def edge_count_between(g, U, W=None):

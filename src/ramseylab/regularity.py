@@ -12,7 +12,7 @@ from itertools import combinations
 from math import ceil
 
 from .counting import _copy_keys, _plan, _search
-from .graphs import Seed, edge_count_between
+from .graphs import Seed, _is_id, edge_count_between
 
 EXACT_REGULARITY_CAP = 16
 
@@ -24,8 +24,8 @@ def pair_density(H, p, X, Y):
         raise ValueError("X and Y must be nonempty")
     if set(X) & set(Y):
         raise ValueError("X and Y must be disjoint")
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not p > 0:
+        raise ValueError(f"p must be positive, got {p}")
     return edge_count_between(H, X, Y) / (p * len(X) * len(Y))
 
 
@@ -33,6 +33,11 @@ def _subset_degrees(H, X, Y):
     """For each y in Y, its number of neighbours inside X."""
     Xmask = sum(1 << v for v in X)
     return {y: bin(H.adj[y] & Xmask).count("1") for y in Y}
+
+
+def _check_eps(eps):
+    if not 0 < eps <= 1:  # above 1 no subpair qualifies
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
 
 
 def is_eps_p_regular(H, p, X, Y, eps, mode="exact", seed=None, samples=10_000):
@@ -44,11 +49,8 @@ def is_eps_p_regular(H, p, X, Y, eps, mode="exact", seed=None, samples=10_000):
     which bounds every achievable sub-density.  Sampled mode draws
     random qualifying pairs and can only refute.
     """
+    _check_eps(eps)
     X, Y = sorted(X), sorted(Y)
-    if set(X) & set(Y):
-        raise ValueError("X and Y must be disjoint")
-    if p <= 0:
-        raise ValueError("p must be positive")
     base = pair_density(H, p, X, Y)
     min_x = ceil(eps * len(X))
     min_y = ceil(eps * len(Y))
@@ -112,10 +114,17 @@ class ReducedGraph:
 
 
 def reduced_graph(H, p, partition, d, eps, mode="exact", seed=None):
-    """Reduced graph: class pairs that are regular with scaled density >= d."""
+    """Reduced graph: class pairs that are regular with scaled density >= d.
+    The partition is a list of vertex lists of H."""
+    _check_eps(eps)
+    if not isinstance(partition, (list, tuple)) or not all(
+            isinstance(c, (list, tuple)) for c in partition):
+        raise ValueError("the partition must be a list of vertex lists")
     seen = set()
     for cls in partition:
         for v in cls:
+            if not _is_id(v, H.n):
+                raise ValueError(f"partition vertex {v!r} is not a vertex of the host")
             if v in seen:
                 raise ValueError("partition classes overlap")
             seen.add(v)

@@ -47,6 +47,12 @@ def test_constants_subcommand(capsys):
     assert code == 0
     assert art["result"]["alpha_tilde"] == "1/6318"
     assert art["result"]["delta"] == "1/12"
+    # L = 1 < e(K3) - 1, so k = 0 and beta = alpha' / (D k v(F)^2) has no value
+    code, art = run_json(capsys, "constants", "--pattern", "K3", "--booster", "P3",
+                         "--D", "1/1000000")
+    assert code == 0 and art["result"]["k"] == 0 and art["result"]["beta"] is None
+    assert art["result"]["alpha_prime"] is not None
+    assert any("k = 0" in note for note in art["result"]["notes"])
 
 
 def test_constants_with_a_huge_power_finish_quickly():
@@ -148,13 +154,34 @@ def test_window_failures_exit_with_documented_codes(capsys):
     capsys.readouterr()
 
 
-def test_degenerate_parameters_exit_2(capsys):
+def test_degenerate_parameters_exit_2(capsys, tmp_path):
+    def written(name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    hypergraphs = [written("list.json", [1, 2]),
+                   written("str.json", {"m": 3, "edges": [[0, "a"]]}),
+                   written("float.json", {"m": 3, "edges": [[0, 1.5]]})]
+    regularity = ["regularity", "--host", "K6", "--p", "1.0", "--d", "0.5"]
+    good = written("good.json", [[0, 1, 2], [3, 4, 5]])
     cases = [
         ["tprop", "--pattern", "K3", "--host", "K6", "--lambda", "1", "--eta", "1/100",
          "--search-budget", "0"],
         ["constants", "--pattern", "K3", "--T0", "0", "--c0", "1"],
         ["constants", "--pattern", "K3", "--lambda", "0"],
         ["constants", "--pattern", "K3", "--booster-vertices", "3", "--D", "0"],
+        ["constants", "--pattern", "K3", "--booster-vertices", "0", "--D", "1"],
+        ["constants", "--pattern", "K3", "--booster-vertices", "-1", "--D", "1"],
+        ["constants", "--pattern", "K2", "--booster", "P3", "--D", "1"],
+        *(["cores", "--hypergraph", h] for h in hypergraphs),
+        *(["hstats", "--hypergraph", h, "--tau", "1/2"] for h in hypergraphs),
+        regularity + ["--partition", written("x.json", [[0, 1, "x"], [3, 4, 5]]),
+                      "--eps", "0.3"],
+        regularity + ["--partition", written("dict.json", {"a": 1}), "--eps", "0.3"],
+        regularity + ["--partition", good, "--eps", "2"],
+        ["regularity", "--host", "K6", "--p", "nan", "--d", "0.5", "--partition", good,
+         "--eps", "0.3"],
         ["arrows", "--host", "K6", "--pattern", "K3", "--budget-nodes", "-1"],
         ["threshold", "--pattern", "K3", "--n", "8", "--c", "1", "--trials", "2",
          "--budget-nodes", "-1"],
@@ -212,6 +239,13 @@ def test_bad_host_size_exits_2(capsys):
                  "--D", "10", "--zeta", "0.1", "--delta", "1/12", "--trials", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and all(line.startswith("error: ") for line in err.splitlines())
+    booster = ["booster", "--host", "K6-e", "--booster", "P7", "--pattern", "K3", "--D", "4",
+               "--delta", "1/12", "--p", "0.5"]
+    for pool in ([], ["--pool-size", "5"]):  # the full and the sampled pool
+        assert main(booster + pool) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: booster on 7 vertices")
+        assert len(err.splitlines()) == 1
 
 
 def _strict_json(text):
