@@ -391,7 +391,9 @@ def first_f_free_coloring(G, F):
         return _colouring(core.value, m) if core.solve() else None
 
     best, fixed = search([]), []  # fixed: a unit clause per edge fixed so far
-    for e in sorted({e for c in cons for e in c}) if best else ():
+    if best is None:
+        return None
+    for e in sorted({e for c in cons for e in c}):
         found = best if best[e] == RED else search(fixed + [[2 * e + 1]])
         best = found or best
         fixed.append([2 * e + (found is not None)])  # literal 2e + 1: edge e is red
