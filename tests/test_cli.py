@@ -6,6 +6,7 @@ from pathlib import Path
 
 import ramseylab
 from ramseylab.cli import main
+from ramseylab.graphs import Seed, gnp_sample, serialize_graph
 
 
 def run_cli(capsys, *argv):
@@ -451,3 +452,55 @@ def test_python_m_entry_point():
     assert run("arrows", "--host", "K6", "--pattern", "K3",
                "--budget-nodes", "1").returncode == 3
     assert run("arrows", "--host", "K6", "--pattern", "nonsense").returncode == 2
+
+
+GOLDEN_CLI = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+def _golden_cli_runs(tmp_path):
+    """label -> argv of each run whose `result` tests/golden_cli.json pins."""
+    def written(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    host8 = written("gnp8.txt", serialize_graph(gnp_sample(8, 0.5, Seed(7))))
+    host10 = written("gnp10.txt", serialize_graph(gnp_sample(10, 0.5, Seed(5))))
+    part = written("part.json", "[[0, 1, 2], [3, 4, 5], [6, 7]]")
+    hypergraphs = {
+        2: {"m": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]},
+        3: {"m": 6, "edges": [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5], [0, 4, 5], [1, 3, 5]]},
+    }
+    # K4-e ties its triangle for m2: the witness must stay the triangle
+    runs = {f"pattern-{F}": ["pattern", F] for F in ("C5", "K4", "K4-e", "C7", "K5")}
+    for ell, data in hypergraphs.items():
+        h = written(f"h{ell}.json", json.dumps(data))
+        runs[f"hstats-{ell}-uniform"] = ["hstats", "--hypergraph", h, "--tau", "1/3"]
+        runs[f"cores-{ell}-uniform"] = ["cores", "--hypergraph", h, "--beta", "1/4",
+                                        "--gamma", "0.5"]
+    runs["janson"] = ["janson", "--pattern", "K3", "--host", "K5", "--q", "1/2"]
+    regularity = ["regularity", "--host", host8, "--p", "0.5", "--partition", part,
+                  "--d", "0.8", "--eps", "0.55"]
+    runs["regularity-exact"] = regularity
+    runs["regularity-sampled"] = regularity + ["--mode", "sampled", "--seed", "3"]
+    runs["booster"] = ["booster", "--host", host10, "--booster", "K2", "--pattern", "K3",
+                       "--D", "4", "--delta", "1/12", "--p", "0.5", "--alpha", "1/4",
+                       "--seed", "12", "--no-arrow-filter", "--pool-size", "30",
+                       "--restrict-L", "10"]
+    k3 = ["constants", "--pattern", "K3"]
+    runs["constants-K3-3-vertices"] = k3 + ["--booster-vertices", "3", "--D", "1", "--ell", "3"]
+    runs["constants-K3-P3"] = k3 + ["--booster", "P3", "--D", "1"]
+    runs["constants-K3-P3-small-D"] = k3 + ["--booster", "P3", "--D", "1/1000000"]
+    runs["constants-C4-C5-all"] = [
+        "constants", "--pattern", "C4", "--booster", "C5", "--D", "1", "--C0", "1/2",
+        "--C1", "2", "--lambda", "1/3", "--rho", "1/5", "--c0", "1/7", "--xi-cl", "1/11",
+        "--eps-cl", "1/13", "--T0", "3", "--ell", "4"]
+    return runs
+
+
+def test_cli_results_match_golden(tmp_path, capsys):
+    runs = _golden_cli_runs(tmp_path)
+    assert set(runs) == set(GOLDEN_CLI)
+    for label, argv in runs.items():
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and _strict_json(out)["result"] == GOLDEN_CLI[label], label
