@@ -16,7 +16,6 @@ from ramseylab import (
     build_hypergraph,
     check_interactive_regular,
     construct_normal_family,
-    focus_set,
     hypergraph_stats,
     make_booster_spec,
     restrict_index_consistent,
@@ -24,7 +23,7 @@ from ramseylab import (
     verify_normal_family,
 )
 from ramseylab.arrowing import enumerate_f_free_colorings
-from ramseylab.booster import profile_of
+from ramseylab.booster import profile_of, union_view
 from ramseylab.graphs import Seed, complete_graph
 
 K3 = complete_graph(3)
@@ -53,7 +52,7 @@ print()
 
 h = xi0[0]
 rep = check_interactive_regular(Z, xi0, spec, K3)
-fs = focus_set(Z, h, spec, K3)
+fs = union_view(Z, h, spec, K3)
 print("=" * 72)
 print("  Focus set and profile of the surviving embedding")
 print("=" * 72)

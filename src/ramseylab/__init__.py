@@ -79,7 +79,6 @@ from .booster import (
     classify_bad,
     degree_bound_report,
     construct_normal_family,
-    focus_set,
     hypergraph_stats,
     make_booster_spec,
     pair_relations,

@@ -83,7 +83,6 @@ class UnionView:
     of F through a booster edge, in key order; a key is the copy's (sorted
     vertex tuple, sorted edge tuple), as `counting._keys` gives it."""
 
-    U: Graph
     copies: tuple
     foci: dict  # the focus map
     members: tuple  # the focus set: EdgeIds of the focus map's edges, sorted
@@ -94,7 +93,7 @@ def union_view(Z, h, spec, F):
     set.  Every copy relevant to focusing and badness contains a booster
     edge, so anchored enumeration over the booster edges is complete."""
     img = image_edges(spec.B, h)
-    return _view_from_keys(Z, img, *_union_keys(Z, img, F))
+    return _view_from_keys(Z, img, _union_keys(Z, img, F)[1])
 
 
 def _union_keys(Z, img, F):
@@ -105,9 +104,9 @@ def _union_keys(Z, img, F):
     return U, _keys(F, U, img)
 
 
-def _view_from_keys(Z, img, U, keys):
-    """The view of the union U = Z ∪ `img` whose copies through a booster
-    pair are `keys`."""
+def _view_from_keys(Z, img, keys):
+    """The view of the union Z ∪ `img` whose copies through a booster pair
+    are `keys`."""
     img_index = {e: j for j, e in enumerate(img)}
     z_index = Z._index
     copies = []
@@ -124,17 +123,7 @@ def _view_from_keys(Z, img, U, keys):
         if e in z_index:
             foci[e].add(j)
     members = tuple(sorted(z_index[e] for e in foci))
-    return UnionView(U, tuple(copies), dict(foci), members)
-
-
-@dataclass(frozen=True)
-class FocusSet:
-    h: tuple
-    members: tuple  # EdgeIds of Z, sorted by the global edge order
-
-
-def focus_set(Z, h, spec, F):
-    return FocusSet(h=h, members=union_view(Z, h, spec, F).members)
+    return UnionView(tuple(copies), dict(foci), members)
 
 
 def classify_bad(Z, h, spec, F):
@@ -246,7 +235,7 @@ def _arrowing_views(Z, z_keys, pool, spec, F, budget, phi, arrow_filter):
     views, dropped = {}, Counter()
     for h, img, U, keys, v in _unions(Z, z_keys, pool, spec, F, budget, phi, arrow_filter):
         if v == "arrows":
-            views[h] = _view_from_keys(Z, img, U, keys)
+            views[h] = _view_from_keys(Z, img, keys)
         else:
             dropped["not_arrowing" if v == "not_arrows" else "undecided"] += 1
     return views, dropped
@@ -262,7 +251,7 @@ def check_interactive_regular(Z, Xi, spec, F, budget=None):
     for h, img, U, keys, u_verdict in _unions(Z, z_keys, Xi, spec, F, budget, phi):
         entry = {"h": h, "edge_disjoint": not any(e in Z._index for e in img),
                  "union_verdict": u_verdict}
-        foci = _view_from_keys(Z, img, U, keys).foci
+        foci = _view_from_keys(Z, img, keys).foci
         entry["regular"] = all(len(s) <= 1 for s in foci.values())
         if "undecided" in (z_res.verdict, b_res.verdict, u_verdict):
             entry["interactive"] = None  # budget exhausted somewhere
@@ -286,20 +275,18 @@ def check_interactive_regular(Z, Xi, spec, F, budget=None):
 # -- embedding pools -------------------------------------------------------
 
 
-def embedding_pool(B, n, mode="full", size=None, seed=None):
+def embedding_pool(B, n, size=None, seed=None):
     """Distinct images of B in K_n, as representative embedding tuples.
 
-    Full mode enumerates every unlabelled copy; sampled mode draws
-    uniform injections and dedupes images until `size` distinct ones,
-    giving up after 50 * size draws.
+    With no `size` every unlabelled copy is enumerated; else uniform
+    injections are drawn and their images deduped until `size` distinct
+    ones, giving up after 50 * size draws.
     """
     if B.n > n:
         raise ValueError(f"booster on {B.n} vertices does not fit in a host on {n}")
-    if mode == "full":
+    if size is None:
         return [c.map for c in enumerate_copies(B, complete_graph(n)).copies]
-    if mode != "sampled":
-        raise ValueError(f"unknown pool mode {mode!r}")
-    if not size or size < 1:
+    if size < 1:
         raise ValueError("sampled pool needs a positive size")
     rng = (seed or Seed()).generator()
     seen = {}
@@ -333,6 +320,8 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     """
     if not isfinite(params["D"]):
         raise ValueError(f"D must be finite, got {params['D']}")
+    if not params["D"] > 0:  # else every connected pair is heavy
+        raise ValueError(f"D must be positive, got {params['D']}")
     if not 0 < params["p"] <= 1:
         raise ValueError(f"p must lie in (0, 1], got {params['p']}")
     if params.get("pool_size") is not None and params["pool_size"] < 1:
@@ -354,12 +343,8 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     report["z_arrows_alone"] = z_res.verdict == "arrows"
 
     pool_size = params.get("pool_size")
-    if pool_size is not None:
-        pool = embedding_pool(B, n, "sampled", pool_size, seed.substream(0))
-        report["pool_mode"] = f"sampled({pool_size})"
-    else:
-        pool = embedding_pool(B, n, "full")
-        report["pool_mode"] = "full"
+    pool = embedding_pool(B, n, pool_size, seed.substream(0))
+    report["pool_mode"] = "full" if pool_size is None else f"sampled({pool_size})"
     report["pool"] = len(pool)
 
     # stage 1: arrowing unions; stages 2, 3 and 6 read the views kept here
@@ -702,8 +687,7 @@ class BoosterHypergraph(Hypergraph):
     """V = E(Z); one hyperedge per embedding's focus set."""
 
     Z: Graph
-    Xi: tuple
-    focus_sets: tuple  # FocusSet per embedding, aligned with Xi
+    focus_sets: tuple  # UnionView per embedding of the family, in family order
     profile: Profile | None = None
 
     def __post_init__(self):
@@ -711,8 +695,8 @@ class BoosterHypergraph(Hypergraph):
 
 
 def build_hypergraph(Z, Xi, spec, F, profile=None):
-    fss = tuple(focus_set(Z, h, spec, F) for h in Xi)
-    return BoosterHypergraph(Z=Z, Xi=tuple(Xi), focus_sets=fss, profile=profile)
+    views = tuple(union_view(Z, h, spec, F) for h in Xi)
+    return BoosterHypergraph(Z=Z, focus_sets=views, profile=profile)
 
 
 def hypergraph_stats(H, tau):

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import sys
 import time
 from fractions import Fraction
+from math import isfinite
 
 from . import __version__
 from .arrowing import decide_arrow
@@ -79,30 +79,51 @@ def _rat(x):
     return x
 
 
+def _finite(text):
+    """A float flag's value: strict JSON has no token for NaN or the
+    infinities, so they are refused."""
+    try:
+        x = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
 def _int_list(text):
     return [int(t) for t in text.split(",") if t]
 
 
 def _float_list(text):
-    return [float(t) for t in text.split(",") if t]
+    return [_finite(t) for t in text.split(",") if t]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Flags match exactly, never by abbreviation, so the --config conflict
+    check sees every explicit flag under its own name; a usage error is one
+    `error:` line, as every other input error is."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.exit(EXIT_BAD_INPUT, f"error: {message}\n")
 
 
 def build_parser():
-    # flags match exactly, never by abbreviation, so the --config conflict
-    # check sees every explicit flag under its own name
-    exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
-    ap = exact(prog="ramseylab")
+    ap = _Parser(prog="ramseylab")
     ap.add_argument("--config", help="JSON config file; CLI flags must not conflict")
     ap.add_argument("--out", help="artifact path (default: stdout)")
     ap.add_argument("--format", choices=["json", "csv"], default=None)
-    sub = ap.add_subparsers(dest="command", required=True, parser_class=exact)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("pattern", help="classify a pattern graph")
     p.add_argument("pattern")
 
     p = sub.add_parser("sample", help="sample G(n,p)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--graph-format", choices=["edgelist", "graph6"], default="edgelist")
 
@@ -132,9 +153,9 @@ def build_parser():
     p.add_argument("--pattern", required=True)
     p.add_argument("--booster", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--D", type=float, required=True)
-    p.add_argument("--zeta", type=float, required=True)
+    p.add_argument("--p", type=_finite, required=True)
+    p.add_argument("--D", type=_finite, required=True)
+    p.add_argument("--zeta", type=_finite, required=True)
     p.add_argument("--delta", type=_fraction, required=True)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
@@ -143,9 +164,9 @@ def build_parser():
     p.add_argument("--host", required=True)
     p.add_argument("--booster", required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--D", type=float, required=True)
+    p.add_argument("--D", type=_finite, required=True)
     p.add_argument("--delta", type=_fraction, required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--alpha", type=_fraction, default=None)
     p.add_argument("--pool-size", type=int, default=None)
     p.add_argument("--no-arrow-filter", action="store_true")
@@ -160,7 +181,7 @@ def build_parser():
     p = sub.add_parser("cores", help="brute-force containers and cores")
     p.add_argument("--hypergraph", required=True)
     p.add_argument("--beta", type=_fraction, default=None)
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--gamma", type=_finite, default=None)
 
     p = sub.add_parser("basegraph", help="completing pairs of the bipartite part")
     p.add_argument("--pattern", required=True)
@@ -178,10 +199,10 @@ def build_parser():
 
     p = sub.add_parser("regularity", help="reduced graph of a supplied partition")
     p.add_argument("--host", required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--partition", required=True, help="JSON file: list of vertex lists")
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--d", type=_finite, required=True)
+    p.add_argument("--eps", type=_finite, required=True)
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p.add_argument("--seed", type=int, default=0)
 
@@ -213,13 +234,15 @@ def _merge_config(ap, argv):
     the same type parsing and can satisfy required options; explicit
     flags that collide with config keys are errors (nothing is overridden
     silently)."""
-    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre = _Parser(add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     if path is None:
         return ap.parse_args(argv)
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise CliError(f"config {path!r} is not a JSON object")
     explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
     top, sub = [], []
     for key, value in cfg.items():
@@ -327,7 +350,7 @@ def _run(ns):
                 bounds = degree_bound_report(st, ns.D, ns.p, ns.delta, F.n, Z.n)
                 payload["hypergraph_stats"] = {
                     "tau": tau, "m": st["m"], "e": st["e"], "ell": st["ell"],
-                    "d": _rat(st["d"]), "delta": _rat(st["delta"]),
+                    "d": st["d"], "delta": st["delta"],
                     "Delta1": st["Delta1"], "Delta2": st["Delta2"],
                     "degree_bounds": bounds,
                 }
@@ -335,9 +358,9 @@ def _run(ns):
 
     if cmd == "hstats":
         st = hypergraph_stats(_load_hypergraph(ns.hypergraph), ns.tau)
-        st["d"] = _rat(st["d"])
-        st["delta"] = _rat(st["delta"])
-        st["delta_j"] = {str(j): _rat(v) for j, v in st["delta_j"].items()}
+        # str keys sort as strings ("10" before "2"), as the artifact always
+        # has; int keys would sort by value
+        st["delta_j"] = {str(j): v for j, v in st["delta_j"].items()}
         return st, EXIT_OK
 
     if cmd == "cores":
@@ -378,10 +401,7 @@ def _run(ns):
 
     if cmd == "janson":
         fam = enumerate_copies(_load_graph(ns.pattern), _load_graph(ns.host))
-        r = janson_bound(fam, ns.q)
-        r["mu"] = _rat(r["mu"])
-        r["Delta"] = _rat(r["Delta"])
-        return r, EXIT_OK
+        return janson_bound(fam, ns.q), EXIT_OK
 
     if cmd == "constants":
         B = None
@@ -432,8 +452,7 @@ def main(argv=None):
             "tool": "ramseylab",
             "version": __version__,
             "timestamp": time.time(),  # only field that varies between re-runs
-            "run_config": {k: _rat(v) if isinstance(v, Fraction) else v
-                           for k, v in run_config.items()},
+            "run_config": run_config,
             "budget_exhausted": code == EXIT_BUDGET,
             "result": payload,
         }

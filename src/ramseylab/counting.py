@@ -240,8 +240,6 @@ class Copy:
 
 @dataclass
 class CopyFamily:
-    pattern: Graph
-    host: Graph
     copies: list
 
     def __len__(self):
@@ -292,8 +290,8 @@ def enumerate_copies(F, G, anchor=None):
     """All unlabelled copies of F in G; with `anchor`, only copies whose
     edge set contains that host pair."""
     maps = _copy_maps(F, G, None if anchor is None else [anchor])
-    return CopyFamily(F, G, [Copy(frozenset(vs), frozenset(es), m)
-                             for (vs, es), m in _copy_keys(F, maps)])
+    return CopyFamily([Copy(frozenset(vs), frozenset(es), m)
+                       for (vs, es), m in _copy_keys(F, maps)])
 
 
 def are_isomorphic(F1, F2):

@@ -33,26 +33,30 @@ def d2(F):
     return Fraction(e - 1, v - 2)
 
 
-def _induced_d2_max(F, proper_only=False):
-    """Max d2 over induced subgraphs with >= 1 edge; returns (value, vertex set).
+def _induced_d2_max(F):
+    """Max d2 over induced subgraphs of F with >= 1 edge, in one scan of
+    the vertex subsets: returns (value, vertex set, max over the proper
+    ones or None when none has an edge).
 
     Scanning induced subgraphs suffices: deleting edges at a fixed vertex
-    set only lowers (e-1)/(v-2).  Ties break to the lexicographically
-    smallest vertex set.
+    set only lowers (e-1)/(v-2).  Ties break to the fewest vertices, then
+    to the lexicographically smallest set, so the whole of F is the
+    witness only when its d2 beats every proper subgraph.
     """
     best = None
     best_set = None
-    for k in range(2, F.n + 1):
+    for k in range(2, F.n):
         for subset in combinations(range(F.n), k):
-            if proper_only and k == F.n:
-                continue
             sub = F.subgraph_on(subset)
             if sub.num_edges() < 1:
                 continue
             val = d2(sub)
             if best is None or val > best:
                 best, best_set = val, subset
-    return best, best_set
+    whole = d2(F)
+    if best is None or whole > best:
+        return whole, tuple(range(F.n)), best
+    return best, best_set, best
 
 
 def m2(F):
@@ -60,7 +64,7 @@ def m2(F):
     _check_cap(F)
     if F.num_edges() < 1:
         raise ValueError("m2 undefined for edgeless graphs")
-    val, vset = _induced_d2_max(F)
+    val, vset, _ = _induced_d2_max(F)
     witness = (vset, tuple((u, v) for u, v in F.edges if u in vset and v in vset))
     return val, witness
 
@@ -91,7 +95,6 @@ class PatternProfile:
     pattern: Graph
     m2: Fraction
     witness_vertices: tuple
-    witness_edges: tuple
     balanced: bool
     strictly_balanced: bool
     nearly_bipartite_witness: tuple | None  # edge e with F-e bipartite, or None
@@ -124,17 +127,13 @@ def classify(F):
     e = F.num_edges()
     if e < 1:
         raise ValueError("classify needs at least one edge")
-    m2_val, (wv, we) = m2(F)
+    m2_val, wv, proper_max = _induced_d2_max(F)
     balanced = d2(F) == m2_val
 
     # Strictly balanced: every proper subgraph with >= 1 edge has d2 < m2.
     # The maximum over proper subgraphs is attained either on a proper
     # induced subgraph or on F minus a single edge (spanning).
-    strict = balanced
-    if strict:
-        proper_max, _ = _induced_d2_max(F, proper_only=True)
-        if proper_max is not None and proper_max >= m2_val:
-            strict = False
+    strict = balanced and (proper_max is None or proper_max < m2_val)
     if strict and e >= 2 and F.n > 2:
         if Fraction(e - 2, F.n - 2) >= m2_val:
             strict = False
@@ -151,7 +150,6 @@ def classify(F):
         pattern=F,
         m2=m2_val,
         witness_vertices=wv,
-        witness_edges=we,
         balanced=balanced,
         strictly_balanced=strict,
         nearly_bipartite_witness=nb_witness,

@@ -11,7 +11,7 @@ excluded from point estimates with their count reported.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import ceil, comb, exp, gcd, inf, isfinite, log10, sqrt
 
@@ -267,6 +267,8 @@ def z_property_rates(
     for name, value in (("D", D), ("p", p), ("zeta", zeta)):
         if not isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if not D > 0:  # else every connected pair is heavy
+        raise ValueError(f"D must be positive, got {D}")
     prof = classify(F)
     bound = min(prof.threshold_exponent, 1 - prof.threshold_exponent)
     if not 0 < Fraction(delta) <= bound:
@@ -398,14 +400,8 @@ class ConstantChain:
     notes: list = field(default_factory=list)
 
     def to_record(self):
-        rec = {"inputs": {k: _render(v) for k, v in self.inputs.items()}}
-        for name in (
-            "delta alpha_tilde L L_exact alpha_prime K k beta gamma eps_container "
-            "tau_exponent a b C0_prime d gamma_kst eps_reg t0 eta".split()
-        ):
-            rec[name] = _render(getattr(self, name))
-        rec["L_rounded"] = self.L_rounded
-        rec["endpoints_split"] = self.endpoints_split
+        rec = {f.name: _render(getattr(self, f.name)) for f in fields(self)}
+        rec["inputs"] = {k: _render(v) for k, v in self.inputs.items()}
         rec["notes"] = self.notes
         return rec
 
@@ -466,39 +462,21 @@ def bipartition_sizes(profile):
     if not flag:
         raise AssertionError("witness edge did not leave a bipartite graph")
     a1, a2 = e
-    comp = _components(Fp)
     side = list(colour)
-    # flip whole components so that a2 (and then everything else) favours
-    # the class of a1
-    c1 = next(i for i, c in enumerate(comp) if a1 in c)
-    for i, c in enumerate(comp):
-        if i == c1:
-            continue
-        if a2 in c and side[a2] != side[a1]:
-            for v in c:
-                side[v] = 1 - side[v]
+    # a2's component, flipped whole when it is not a1's and that brings a2
+    # into the class of a1
+    comp, stack = {a2}, [a2]
+    while stack:
+        for w in Fp.neighbours(stack.pop()):
+            if w not in comp:
+                comp.add(w)
+                stack.append(w)
+    if a1 not in comp and side[a2] != side[a1]:
+        for v in comp:
+            side[v] = 1 - side[v]
     split = side[a1] != side[a2]
     A = sum(1 for v in range(F.n) if side[v] == side[a1])
     return A, F.n - A, split
-
-
-def _components(G):
-    seen = [False] * G.n
-    comps = []
-    for s in range(G.n):
-        if seen[s]:
-            continue
-        stack, comp = [s], set()
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            comp.add(u)
-            for w in G.neighbours(u):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(comp)
-    return comps
 
 
 def derive_proof_constants(
@@ -554,6 +532,8 @@ def derive_proof_constants(
             raise ValueError(f"a booster needs at least one vertex, got {vB}")
         chain.alpha_tilde = alpha_tilde(vB)
         if not isinstance(B, int):
+            if B.num_edges() < 1:  # K = 0 leaves (K L)^L without a value
+                raise ValueError(f"the booster graph on {vB} vertices has no edges")
             chain.K = B.num_edges()
 
     vF, eF = Fg.n, Fg.num_edges()

@@ -106,9 +106,6 @@ def is_eps_p_regular(H, p, X, Y, eps, mode="exact", seed=None, samples=10_000):
 @dataclass
 class ReducedGraph:
     partition: list  # list of vertex lists
-    d: float
-    eps: float
-    p: float
     edges: list  # pairs of class indices
     pair_reports: dict
 
@@ -132,19 +129,12 @@ def reduced_graph(H, p, partition, d, eps, mode="exact", seed=None):
     reports = {}
     for i, j in combinations(range(len(partition)), 2):
         rep = is_eps_p_regular(H, p, partition[i], partition[j], eps, mode=mode, seed=seed)
-        dens = pair_density(H, p, partition[i], partition[j])
+        dens = rep["base_density"]
         reports[(i, j)] = {"regular": rep["regular"], "density": dens}
         passed = rep["regular"] if mode == "exact" else rep["regular"] is None
         if passed and dens >= d:
             edges.append((i, j))
-    return ReducedGraph(
-        partition=[list(c) for c in partition],
-        d=d,
-        eps=eps,
-        p=p,
-        edges=edges,
-        pair_reports=reports,
-    )
+    return ReducedGraph(partition=[list(c) for c in partition], edges=edges, pair_reports=reports)
 
 
 def counting_lemma_check(Fp, classes_of, H, partition, p, d, eps, xi):

@@ -17,10 +17,10 @@ from ramseylab.booster import (
     activated_set,
     brute_force_cores,
     construct_normal_family,
-    focus_set,
     hypergraph_stats,
     make_booster_spec,
     verify_core_properties,
+    union_view,
     verify_normal_family,
 )
 from ramseylab.counting import (
@@ -170,7 +170,7 @@ def test_criterion_5_fact_hitting_and_agreement():
             continue
         Z, F, spec, Xi, phis = inst["Z"], inst["F"], inst["spec"], inst["Xi"], inst["phis"]
         assert_instance_well_formed(inst)
-        members = [set(focus_set(Z, h, spec, F).members) for h in Xi]
+        members = [set(union_view(Z, h, spec, F).members) for h in Xi]
         acts = [activated_set(Z, Xi, spec, F, phi) for phi in phis]
         for A in acts:
             for ms in members:

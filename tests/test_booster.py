@@ -13,7 +13,6 @@ from ramseylab.booster import (
     classify_bad,
     construct_normal_family,
     embedding_pool,
-    focus_set,
     hypergraph_stats,
     image_graph,
     make_booster_spec,
@@ -22,6 +21,7 @@ from ramseylab.booster import (
     restrict_index_consistent,
     verify_core_properties,
     verify_index_consistent,
+    union_view,
     verify_normal_family,
 )
 from ramseylab.graphs import (
@@ -50,15 +50,15 @@ def test_booster_spec_rejects_arrowing_patterns():
 def test_focus_set_fixtures():
     Z = Graph(4, [(1, 2)])
     spec = make_booster_spec(path_graph(3), K3)
-    fs = focus_set(Z, (2, 3, 1), spec, K3)  # image edges {2,3},{1,3}
+    fs = union_view(Z, (2, 3, 1), spec, K3)  # image edges {2,3},{1,3}
     assert [Z.edges[i] for i in fs.members] == [(1, 2)]
     # no interaction at all
     Zfar = Graph(6, [(4, 5)])
-    assert focus_set(Zfar, (0, 1, 2), spec, K3).members == ()
+    assert union_view(Zfar, (0, 1, 2), spec, K3).members == ()
     # all triangle edges through a missing pair
     Z2 = complete_graph(4).without_edges([(0, 1)])
     spec2 = make_booster_spec(complete_graph(2), K3)
-    members = {Z2.edges[i] for i in focus_set(Z2, (0, 1), spec2, K3).members}
+    members = {Z2.edges[i] for i in union_view(Z2, (0, 1), spec2, K3).members}
     assert members == {(0, 2), (1, 2), (0, 3), (1, 3)}
 
 
@@ -129,7 +129,7 @@ def test_activated_set_fixture_and_errors():
     h = (5, 0, 1, 2, 3, 4)
     phi = decide_arrow(Z, K3).certificate
     A = activated_set(Z, [h], spec, K3, phi)
-    members = set(focus_set(Z, h, spec, K3).members)
+    members = set(union_view(Z, h, spec, K3).members)
     assert A and A <= members
     assert A & members  # hits the unique hyperedge
     assert activated_set(Z, [], spec, K3, phi) == set()
@@ -145,7 +145,7 @@ def test_fact_hitting_and_agreement_smoke():
             continue
         Z, F, spec, Xi, phis = inst["Z"], inst["F"], inst["spec"], inst["Xi"], inst["phis"]
         assert_instance_well_formed(inst)
-        fss = [set(focus_set(Z, h, spec, F).members) for h in Xi]
+        fss = [set(union_view(Z, h, spec, F).members) for h in Xi]
         acts = [activated_set(Z, Xi, spec, F, phi) for phi in phis]
         for A in acts:
             for ms in fss:
@@ -215,7 +215,7 @@ def test_restriction_outputs_always_index_consistent():
         kept_total += len(Xi)
         assert verify_index_consistent(Z, Xi, spec, K3)
         if prof is not None and Xi:
-            lengths = {len(focus_set(Z, h, spec, K3).members) for h in Xi}
+            lengths = {len(union_view(Z, h, spec, K3).members) for h in Xi}
             assert lengths <= {prof.length}
     assert produced >= 150
     assert kept_total >= 1  # the partition keeps something somewhere
@@ -229,7 +229,7 @@ def test_alpha_tilde_values():
 def test_embedding_pool():
     pool = embedding_pool(complete_graph(2), 5)
     assert len(pool) == 10  # one per pair
-    sampled = embedding_pool(cycle_graph(4), 8, "sampled", 20, Seed(4))
+    sampled = embedding_pool(cycle_graph(4), 8, 20, Seed(4))
     assert len(sampled) == 20
     images = {(frozenset(h), frozenset((min(h[u], h[v]), max(h[u], h[v]))
                                         for u, v in cycle_graph(4).edges))
@@ -348,7 +348,7 @@ def test_build_hypergraph_profiled_lengths():
 def test_no_b1_b2_implies_regular():
     # the regularity consequence: without the first two badness modes,
     # every non-shared Z-edge focuses on at most one booster edge
-    from ramseylab.booster import image_edges, union_view
+    from ramseylab.booster import image_edges
 
     spec5 = make_booster_spec(cycle_graph(5), K3)
     spec2 = make_booster_spec(complete_graph(2), K3)

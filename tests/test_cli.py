@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 from pathlib import Path
 
 import ramseylab
-from ramseylab.cli import main
+from ramseylab.cli import _finite, _float_list, build_parser, main
 from ramseylab.graphs import Seed, gnp_sample, serialize_graph
 
 
@@ -175,6 +176,9 @@ def test_degenerate_parameters_exit_2(capsys, tmp_path):
         ["constants", "--pattern", "K3", "--booster-vertices", "0", "--D", "1"],
         ["constants", "--pattern", "K3", "--booster-vertices", "-1", "--D", "1"],
         ["constants", "--pattern", "K2", "--booster", "P3", "--D", "1"],
+        # a config file must hold a JSON object
+        ["--config", written("cfg-list.json", [1, 2]), "pattern", "K3"],
+        ["--config", written("cfg-str.json", "x"), "pattern", "K3"],
         *(["cores", "--hypergraph", h] for h in hypergraphs),
         *(["hstats", "--hypergraph", h, "--tau", "1/2"] for h in hypergraphs),
         regularity + ["--partition", written("x.json", [[0, 1, "x"], [3, 4, 5]]),
@@ -197,6 +201,13 @@ def test_degenerate_parameters_exit_2(capsys, tmp_path):
         assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
     code, out = run_cli(capsys, *booster, "--p=1")
     assert code == 0 and json.loads(out)["result"]["family"] is not None
+    # K = 0 would leave log10(K L) without a value
+    edgeless = tmp_path / "edgeless.txt"
+    edgeless.write_text("3\n")
+    code = main(["constants", "--pattern", "K3", "--booster", str(edgeless), "--D", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: the booster graph on 3 vertices has no edges"), err
 
 
 def test_ignored_or_opaque_flags_exit_2_naming_the_flag(capsys):
@@ -209,6 +220,10 @@ def test_ignored_or_opaque_flags_exit_2_naming_the_flag(capsys):
              (booster + ["--alpha", "-1"], "alpha"),
              (booster + ["--alpha=-1/2"], "alpha"),
              (zcheck + ["--trials", "0"], "trials"),
+             # D <= 0 makes every connected pair heavy
+             (booster + ["--D=0"], "D must be positive"),
+             (booster + ["--D=-1"], "D must be positive"),
+             (zcheck + ["--D=0"], "D must be positive"),
              # an empty grid would write an artifact with no points or rows
              (["threshold", "--pattern", "K3", "--n", "8", "--c", ",", "--trials", "2"],
               "c_values"),
@@ -256,7 +271,7 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_non_finite_constants_exit_2(capsys):
+def test_non_finite_constants_exit_2(capsys, tmp_path):
     threshold = ["threshold", "--pattern", "K3", "--n", "8", "--trials", "2"]
     for grid in ("nan,1.0", "1.0,inf", "-inf"):
         code, out = run_cli(capsys, *threshold, f"--c={grid}")
@@ -282,6 +297,31 @@ def test_non_finite_constants_exit_2(capsys):
             assert code == 2 and out == "", (flag, bad)
     code, out = run_cli(capsys, *booster, "--D=4", "--p=0.5")
     assert code == 0 and "family" in _strict_json(out)["result"]
+    part = tmp_path / "part.json"
+    part.write_text("[[0, 1, 2], [3, 4, 5]]")
+    hyper = tmp_path / "h.json"
+    hyper.write_text(json.dumps({"m": 3, "edges": [[0, 1], [1, 2]]}))
+    regularity = ["regularity", "--host", "K6", "--partition", str(part), "--eps", "0.3"]
+    cores = ["cores", "--hypergraph", str(hyper)]
+    for argv in (regularity + ["--p", "1.0", "--d", "nan"],
+                 regularity + ["--p", "inf", "--d", "0.5"],
+                 cores + ["--gamma", "nan"], cores + ["--gamma", "inf"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: argument --") and len(err.splitlines()) == 1, err
+    code, out = run_cli(capsys, *regularity, "--p", "1.0", "--d", "0.5")
+    assert code == 0 and _strict_json(out)["result"]["edges"] == [[0, 1]]
+    code, out = run_cli(capsys, *cores, "--gamma", "0.5")
+    assert code == 0 and _strict_json(out)["result"]["verification"]["c1_holds_here"]
+
+
+def test_every_float_flag_refuses_non_finite_values():
+    ap = build_parser()
+    subs = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    types = {a.type for p in subs.choices.values() for a in p._actions}
+    # --c takes a list of floats, each read by _finite
+    assert float not in types and _finite in types and _float_list in types
 
 
 def test_config_supplements_without_conflict(tmp_path, capsys):
