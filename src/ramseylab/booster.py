@@ -17,10 +17,10 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from heapq import merge
 from itertools import combinations
-from math import comb, factorial, inf, isfinite, log
+from math import comb, factorial, inf, isfinite, log, perm
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .arrowing import (
     first_f_free_coloring,
     is_f_free,
 )
-from .counting import _keys, _norm, _PairFamily, enumerate_copies
+from .counting import _automorphism_count, _keys, _norm, _PairFamily, enumerate_copies
 from .graphs import Graph, Seed, _is_id, complete_graph, union
 
 
@@ -280,7 +280,8 @@ def embedding_pool(B, n, size=None, seed=None):
 
     With no `size` every unlabelled copy is enumerated; else uniform
     injections are drawn and their images deduped until `size` distinct
-    ones, giving up after 50 * size draws.
+    ones, or every image of B in K_n when there are fewer (n!/(n-k)!
+    injections, |Aut B| to an image), giving up after 50 * size draws.
     """
     if B.n > n:
         raise ValueError(f"booster on {B.n} vertices does not fit in a host on {n}")
@@ -289,9 +290,10 @@ def embedding_pool(B, n, size=None, seed=None):
     if size < 1:
         raise ValueError("sampled pool needs a positive size")
     rng = (seed or Seed()).generator()
+    want = min(size, perm(n, B.n) // _automorphism_count(B))
     seen = {}
     tries = 0
-    while len(seen) < size and tries < 50 * size:
+    while len(seen) < want and tries < 50 * size:
         tries += 1
         h = tuple(int(x) for x in rng.permutation(n)[: B.n])
         es = frozenset(_norm(h[u], h[v]) for u, v in B.edges)
@@ -370,15 +372,14 @@ def construct_normal_family(Z, spec, F, params, seed=None):
 
     # stage 3: heavy connected pairs
     heavy_cap = Fraction(D) / (Fraction(p) * Fraction(n) ** Fraction(delta))
-    pair_count = cache(_PairFamily(F, Z).count)
+    heavy = cache(partial(_PairFamily(F, Z).exceeds, cap=heavy_cap))
     psi3 = []
     for h in psi2:
         groups = defaultdict(list)
         for e, foci in views[h].foci.items():
             if len(foci) == 1:
                 groups[next(iter(foci))].append(e)
-        if any(pair_count(e1, e2) > heavy_cap
-               for es in groups.values() for e1, e2 in combinations(sorted(es), 2)):
+        if any(heavy(e1, e2) for es in groups.values() for e1, e2 in combinations(sorted(es), 2)):
             report["removed"]["heavy_pair"] += 1
         else:
             psi3.append(h)

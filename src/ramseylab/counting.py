@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, ceil
+from math import ceil, comb, prod
 
 from .density import PATTERN_VERTEX_CAP
 from .graphs import Graph
@@ -181,6 +181,14 @@ def _breaking(F, pinned):
                 smaller[v].append(b)
         fixed.append((b, b))
     return order, back, tuple(tuple(smaller[x]) for x in order)
+
+
+def _automorphism_count(F):
+    """|Aut F|, the number of embeddings of F into itself, as the product
+    of the orbit sizes along the base of `_breaking`: each base point, and
+    the later vertices that must take a larger image than it."""
+    order, _, smaller = _breaking(F, ())
+    return prod(1 + sum(b in s for s in smaller) for b in order)
 
 
 def _orbit_embeddings(F, G, pin=None):
@@ -337,56 +345,89 @@ def count_f_minus_through(F, Z, e):
 
 
 def _completions_through(F, Z, fixed_pair):
-    """Copies F1 of two-edge-deleted F in Z, grouped by witness pair.
+    """The completions through one host pair, grouped by witness pair.
 
-    Maps each witness w to the set of (vertex set, edge set) of the copies
-    F1 = K - fixed_pair - w for an F-copy K of K_n with all other edges
-    inside Z.  The same F1 may carry several witnesses.
+    Maps each witness w to a list of (map, kept edges), one per map m
+    found: m is an F-copy K of K_n with an arc on `fixed_pair`, the
+    deleted edge f1 on w and the other edges of F, the pattern edges in
+    `kept`, inside Z.  The map gives the copy F1 = K - fixed_pair - w as
+    (set(m), the images of `kept`); no copy is built here.  Several maps
+    may give the same F1, and the same F1 may carry several witnesses.
     """
     a, b = _norm(*fixed_pair)
     out = {}
     # a result is unchanged when an automorphism of F moves the pinned arc,
     # the deleted edge f1 and the map together, so one (arc, f1) per orbit
-    # suffices; what a pair's stabilizer leaves over, the sets absorb
+    # suffices; what a pair's stabilizer leaves over, the copy sets absorb
     for (x, y), f1, kept in _pair_representatives(F):
         u1, v1 = f1
         for m in embeddings(F, Z, pin={x: a, y: b}, loose=((x, y), f1)):
-            rest = frozenset([(m[u], m[v]) if m[u] < m[v] else (m[v], m[u]) for u, v in kept])
             w = (m[u1], m[v1]) if m[u1] < m[v1] else (m[v1], m[u1])
             if (found := out.get(w)) is None:
-                found = out[w] = set()
-            found.add((frozenset(m), rest))
+                found = out[w] = []
+            found.append((m, kept))
     return out
 
 
+def _copy_set(maps):
+    """The set of copies F1, as (vertex set, edge set), that the
+    (map, kept edges) of `maps` give."""
+    return {(frozenset(m), frozenset([(m[u], m[v]) if m[u] < m[v] else (m[v], m[u])
+                                      for u, v in kept]))
+            for m, kept in maps}
+
+
 class _PairFamily:
-    """The pair family P(e1, e2) on one host Z, for many queries: the
-    completions through each pair are searched once, on first use, and
-    kept for the life of the object."""
+    """The pair family P(e1, e2) on one host Z, for many queries.
+
+    The completions through each pair are searched once, on first use, and
+    kept for the life of the object as maps grouped by witness
+    (`_completions_through`); a witness's copy set is built from its maps
+    once, when a query first needs it.  `exceeds` decides |P(e1, e2)| >
+    cap from the bound Σ_w |maps₁[w]|·|maps₂[w]| first, since every member
+    comes from a pair of maps that share a witness, and builds the members
+    only when that bound passes the cap."""
 
     def __init__(self, F, Z):
-        self.F, self.Z, self._sides = F, Z, {}
+        self.F, self.Z, self._sides, self._sets = F, Z, {}, {}
 
     def pairs(self, e1, e2):
         """The set of (vs1, es1, vs2, es2) of edge-disjoint completions
         (vs1, es1) through e1 and (vs2, es2) through e2 sharing a witness."""
+        e1, e2 = self._check(e1, e2)
+        return {(vs1, es1, vs2, es2) for w in self._side(e1).keys() & self._side(e2).keys()
+                for vs2, es2 in self._witness_copies(e2, w)
+                for vs1, es1 in self._witness_copies(e1, w) if not es1 & es2}
+
+    def count(self, e1, e2):
+        return len(self.pairs(e1, e2))
+
+    def exceeds(self, e1, e2, cap):
+        """|P(e1, e2)| > cap, from the witness-count bound when it is at
+        most cap, else from the members."""
+        e1, e2 = self._check(e1, e2)
+        side1, side2 = self._side(e1), self._side(e2)
+        bound = sum(len(side1[w]) * len(side2[w]) for w in side1.keys() & side2.keys())
+        return bound > cap and self.count(e1, e2) > cap
+
+    def _check(self, e1, e2):
         for u, v in (e1, e2):
             if not (0 <= u < self.Z.n and 0 <= v < self.Z.n and u != v):
                 raise ValueError(f"({u}, {v}) is not a pair of distinct host vertices")
         e1, e2 = _norm(*e1), _norm(*e2)
         if e1 == e2:
             raise ValueError("e1 and e2 must be distinct pairs")
-        side1, side2 = self._side(e1), self._side(e2)
-        return {(vs1, es1, vs2, es2) for w, ones in side1.items()
-                for vs2, es2 in side2.get(w, ()) for vs1, es1 in ones if not es1 & es2}
-
-    def count(self, e1, e2):
-        return len(self.pairs(e1, e2))
+        return e1, e2
 
     def _side(self, e):
         if e not in self._sides:
             self._sides[e] = _completions_through(self.F, self.Z, e)
         return self._sides[e]
+
+    def _witness_copies(self, e, w):
+        if (e, w) not in self._sets:
+            self._sets[e, w] = _copy_set(self._sides[e][w])
+        return self._sets[e, w]
 
 
 def enumerate_P(F, Z, e1, e2):

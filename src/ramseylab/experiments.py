@@ -310,9 +310,9 @@ def z_property_rates(
         if p == 0 or worst <= D / p:
             passes["Z3"] += 1
 
-        pair_count = _PairFamily(F, Z).count
+        family = _PairFamily(F, Z)
         pairs = _edge_pairs(rng, m, min(pair_samples, m * (m - 1) // 2))
-        heavy = sum(pair_count(Z.edges[i], Z.edges[j]) > heavy_cap for i, j in pairs)
+        heavy = sum(family.exceeds(Z.edges[i], Z.edges[j], heavy_cap) for i, j in pairs)
         frac = heavy / len(pairs) if pairs else 0.0
         stats["heavy_pair_frac"].append(frac)
         total_pairs = m * (m - 1) // 2

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ramseylab.arrowing import decide_arrow
+from ramseylab.counting import _norm
 from ramseylab.booster import (
     Hypergraph,
     activated_set,
@@ -235,6 +236,38 @@ def test_embedding_pool():
                                         for u, v in cycle_graph(4).edges))
               for h in sampled}
     assert len(images) == 20
+
+
+class CountedDraws:
+    """A seed stub whose generator counts the injections drawn from it."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = seed.generator(), 0
+
+    def generator(self):
+        return self
+
+    def permutation(self, n):
+        self.draws += 1
+        return self.rng.permutation(n)
+
+
+def test_embedding_pool_stops_at_every_image():
+    # K2 has 15 images in K6 and C4 has 15 in K5 (120 injections, |Aut| 8):
+    # a larger pool stops drawing at the last new image, and returns what
+    # all 50 * size draws would
+    for B, n in ((complete_graph(2), 6), (cycle_graph(4), 5)):
+        for s in range(3):
+            seed = CountedDraws(Seed(s))
+            pool = embedding_pool(B, n, 100, seed)
+            ref, images, last = Seed(s).generator(), {}, 0
+            for i in range(50 * 100):
+                h = tuple(int(x) for x in ref.permutation(n)[: B.n])
+                key = (frozenset(h), frozenset(_norm(h[u], h[v]) for u, v in B.edges))
+                if key not in images:
+                    images[key], last = h, i + 1
+            assert pool == list(images.values()) and len(pool) == 15, (B.edges, s)
+            assert seed.draws == last < 100, (B.edges, s)
 
 
 def test_normal_family_pipeline_toy():

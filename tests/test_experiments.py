@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ramseylab import counting
 from ramseylab.arrowing import (
     BRUTE_FORCE_EDGE_CAP,
     brute_force_arrow,
@@ -318,6 +319,19 @@ def test_golden_z_property_rates():
         out = z_property_rates(F, B, n, p, D, zeta, delta, trials, seed,
                                pair_samples=pairs, embedding_samples=embs)
         assert json.loads(json.dumps(out)) == GOLDEN_Z[label], label
+
+
+def test_z_rates_decide_heavy_pairs_from_the_witness_bound(monkeypatch):
+    # at the criterion-11 parameters no sampled pair's witness-count bound
+    # passes the heavy cap, so Z4 builds no two-edge-deleted copy at all
+    built = []
+    copy_set = counting._copy_set
+    monkeypatch.setattr(counting, "_copy_set", lambda maps: built.append(1) or copy_set(maps))
+    F, B, n, p, D, zeta, delta, _, seed, pairs, embs = GOLDEN_Z_CASES["criterion11-K3-C5-n30"]
+    out = z_property_rates(F, B, n, p, D, zeta, delta, 1, seed,
+                           pair_samples=pairs, embedding_samples=embs)
+    assert out["stats"]["heavy_pair_frac"] == [0.0]
+    assert built == []
 
 
 def test_janson_fixtures():

@@ -6,8 +6,10 @@ representatives behind P(e1, e2) are checked against the plain search and
 the oracles, and so is the NAE constraint system built from the copy keys."""
 
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,10 @@ from oracles import naive_copies, naive_extension_count, naive_fstar_overlap, na
 
 from ramseylab.arrowing import copy_constraints
 from ramseylab.counting import (
+    _automorphism_count,
     _copy_counts,
     _keys,
+    _norm,
     _orbit_embeddings,
     _PairFamily,
     are_isomorphic,
@@ -87,6 +91,13 @@ def test_symmetry_broken_copies_match_plain_search(G, F, data):
         (c.vertices, c.edges) for c in family.copies if anchor in c.edges}
 
 
+def test_automorphism_count_is_the_self_embedding_count():
+    # the orbit-stabilizer product along the symmetry-breaking base counts
+    # the embeddings of F into itself; the edgeless pattern has all of S6
+    for F in COPY_PATTERNS + [Graph(6, [])]:
+        assert _automorphism_count(F) == sum(1 for _ in embeddings(F, F)), F.edges
+
+
 @PROPERTY
 @given(hosts(min_n=5), st.sampled_from(COPY_PATTERNS))
 def test_copy_counts_match_the_copy_keys(G, F):
@@ -136,13 +147,21 @@ def test_pair_family_matches_oracle(Z, F, data):
     # one per-host family answers repeated, swapped and fresh queries alike
     family = _PairFamily(F, Z)
     for a, b in ((e1, e2), (e2, e1), (e1, e2), (e3, e1), (e2, e3[::-1]), (e2, e1)):
-        assert family.count(a, b) == len(naive_P(F, Z, a, b)) == count_P(F, Z, a, b), (a, b)
-    with pytest.raises(ValueError, match="e1 and e2 must be distinct"):
-        family.count(e1, e1[::-1])
+        c = len(naive_P(F, Z, a, b))
+        assert family.count(a, b) == c == count_P(F, Z, a, b), (a, b)
+        # the heavy-pair test agrees with the count at and around it, and
+        # the witness bound it starts from is at least the count
+        for cap in (0, 0.5, c - 1, c, c + 1, Fraction(c, 1), inf):
+            assert family.exceeds(a, b, cap) == (c > cap), (a, b, cap)
+        s1, s2 = family._side(_norm(*a)), family._side(_norm(*b))
+        assert sum(len(s1[w]) * len(s2[w]) for w in s1.keys() & s2.keys()) >= c
+    for query in (family.count, partial(family.exceeds, cap=0)):
+        with pytest.raises(ValueError, match="e1 and e2 must be distinct"):
+            query(e1, e1[::-1])
     # a loop, a vertex past the host and a negative vertex are no pairs
     for bad in ((1, 1), (0, Z.n), (0, -1)):
-        for query in (family.count, family.pairs, partial(count_P, F, Z),
-                      partial(enumerate_P, F, Z)):
+        for query in (family.count, family.pairs, partial(family.exceeds, cap=0),
+                      partial(count_P, F, Z), partial(enumerate_P, F, Z)):
             for args in ((bad, e1), (e1, bad)):
                 with pytest.raises(ValueError, match=rf"\({bad[0]}, {bad[1]}\) is not a pair"):
                     query(*args)
