@@ -1,9 +1,13 @@
 """Exact decision of the arrowing property G -> (F).
 
 Each copy of F is a not-all-equal constraint over its edge ids: the copy
-must not be single-coloured.  `_encode` writes that system as CNF (the
-clauses `cnf_export` prints), and one CDCL core (`_Cdcl`) answers every
-colouring question.  A brute-force oracle checks it independently.
+must not be single-coloured.  A whole-graph system (`copy_constraints`)
+reads each copy's ids off the copy search's one map per copy and builds
+no copy key; a union's system (`_constraints`) reads them off the keys it
+also needs for views and provenance, and gives the same system.
+`_encode` writes that system as CNF (the clauses `cnf_export` prints),
+and one CDCL core (`_Cdcl`) answers every colouring question.  A
+brute-force oracle checks it independently.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .counting import _keys, enumerate_copies
+from .counting import _copy_maps, _keys, enumerate_copies
 from .graphs import union
 
 RED, BLUE = 0, 1
@@ -40,14 +44,24 @@ def _constraints(G, keys):
 
 
 def copy_constraints(G, F):
-    """Edge-id sets of the F-copies in G (the NAE constraint system)."""
-    return _constraints(G, _keys(F, G))
+    """Edge-id sets of the F-copies in G (the NAE constraint system), in
+    copy key order, read off the search's one map per copy: no key is built."""
+    if F.n > G.n:
+        return []
+    rows = [{} for _ in range(G.n)]  # rows[u][v]: the id of edge {u, v}
+    for i, (u, v) in enumerate(G.edges):
+        rows[u][v] = rows[v][u] = i
+    fe = F.edges
+    # sorted ids compare as the sorted edges they number
+    return [ids for _, ids in sorted(
+        (tuple(sorted(m)), tuple(sorted([rows[m[u]][m[v]] for u, v in fe])))
+        for m in _copy_maps(F, G))]
 
 
 def is_f_free(coloring, G, F):
     """True iff no copy of F in G is monochromatic; else the first bad copy.
-    It reads `enumerate_copies` and `edge_id`, not the ids `_constraints`
-    gives every NAE system, so it checks their certificates independently."""
+    It reads `enumerate_copies` and `edge_id`, not the ids the NAE systems
+    are built from, so it checks their certificates independently."""
     if len(coloring) != G.num_edges():
         raise ValueError("colouring must cover every edge of G")
     if F.n > G.n:

@@ -21,8 +21,8 @@ their vertex placements (the vertex set is part of the copy), which the
 two-edge-deleted pair families rely on.  Copies are collected on one
 path, `_copy_keys`: `enumerate_copies` wraps its items as `Copy` objects,
 and every caller that needs only the copy keys reads them from `_keys`.
-Callers that need only counts read them off the search's one map per copy
-(`_copy_counts`) and build no key.
+Callers that need only counts or edge ids read them off the search's one
+map per copy (`_copy_counts`, `arrowing.copy_constraints`) and build no key.
 """
 
 from __future__ import annotations

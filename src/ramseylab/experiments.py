@@ -90,11 +90,13 @@ def estimate_arrow_probability(F, n, p, trials, seed, budget=None, verdict_fn=No
 
 
 def _check_grid(n, c_values):
-    """p = c * n^(-exponent) needs a host with a vertex and a finite c."""
+    """p = c * n^(-exponent) needs a host with a vertex and a finite c >= 0."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not all(isfinite(c) for c in c_values):
         raise ValueError(f"c values must be finite, got {list(c_values)}")
+    if any(c < 0 for c in c_values):
+        raise ValueError(f"c values must be >= 0, got {list(c_values)}")
 
 
 def hitting_constant(F, n, seed, budget=None, verdict_fn=None):

@@ -198,7 +198,8 @@ def gnp_sample(n, p, seed):
         return empty_graph(n)
     if p == 1.0:
         return Graph(n, pairs)
-    return Graph(n, [e for e, x in zip(pairs, pair_uniforms(n, seed)) if x < p])
+    # Python floats: the same doubles as the numpy scalars, compared faster
+    return Graph(n, [e for e, x in zip(pairs, pair_uniforms(n, seed).tolist()) if x < p])
 
 
 # -- set/edge operations ----------------------------------------------

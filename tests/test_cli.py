@@ -190,6 +190,7 @@ def test_degenerate_parameters_exit_2(capsys, tmp_path):
         ["arrows", "--host", "K6", "--pattern", "K3", "--budget-nodes", "-1"],
         ["threshold", "--pattern", "K3", "--n", "8", "--c", "1", "--trials", "2",
          "--budget-nodes", "-1"],
+        ["threshold", "--pattern", "K3", "--n", "10", "--c=-1,2", "--trials", "2"],
     ]
     booster = ["booster", "--host", "K6-e", "--booster", "K2", "--pattern", "K3", "--D", "4",
                "--delta", "1/12"]

@@ -250,6 +250,18 @@ def test_threshold_curve_structure():
     assert curve["crossings"][0.5] is not None
 
 
+def test_threshold_curve_rejects_a_negative_c():
+    # a negative c has no p: clamped to 0 it would report a crossing at
+    # c < 0; c = 0 is the empty graph
+    def never(n, p, seed):
+        return "not_arrows"
+
+    with pytest.raises(ValueError, match="c values must be >= 0"):
+        threshold_curve(K3, 10, [-1.0, 2.0], trials=2, seed=Seed(7), verdict_fn=never)
+    curve = threshold_curve(K3, 10, [0.0, 2.0], trials=2, seed=Seed(7), verdict_fn=never)
+    assert [pt["c"] for pt in curve["points"]] == [0.0, 2.0]
+
+
 def test_z_property_rates_quick():
     out = z_property_rates(K3, cycle_graph(5), n=16, p=0.25, D=10.0, zeta=0.1,
                            delta=Fraction(1, 12), trials=3, seed=Seed(8),

@@ -3,7 +3,8 @@ partite-copy count, checked against independent oracles: the permutation
 enumerators in tests/oracles.py and homomorphisms listed with
 `itertools.product`.  The symmetry-broken copy search and the orbit
 representatives behind P(e1, e2) are checked against the plain search and
-the oracles, and so is the NAE constraint system built from the copy keys."""
+the oracles, and so are the NAE constraint systems read off the search's
+maps and off the copy keys."""
 
 from collections import Counter
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import naive_copies, naive_extension_count, naive_fstar_overlap, naive_P
 
-from ramseylab.arrowing import copy_constraints
+from ramseylab.arrowing import _constraints, copy_constraints
 from ramseylab.counting import (
     _automorphism_count,
     _copy_counts,
@@ -110,8 +111,8 @@ def test_copy_counts_match_the_copy_keys(G, F):
 @PROPERTY
 @given(hosts(min_n=5), st.sampled_from(COPY_PATTERNS), st.data())
 def test_copy_keys_build_the_constraint_system(G, F, data):
-    # the NAE system read straight from the keys: the constraints of the
-    # copies, in order, and as a set the oracle's copies
+    # the NAE system: the constraints of the copies, in order, and as a
+    # set the oracle's copies
     cons = copy_constraints(G, F)
     assert cons == [tuple(sorted(G.edge_id(*e) for e in c.edges))
                     for c in enumerate_copies(F, G).copies]
@@ -125,6 +126,15 @@ def test_copy_keys_build_the_constraint_system(G, F, data):
         (tuple(sorted(vs)), tuple(sorted(es))) for vs, es in naive_copies(F, G)
         if set(anchors) & es)
     assert _keys(F, Graph(F.n - 1, [])) == _keys(F, Graph(F.n - 1, []), anchors[:1]) == []
+
+
+@PROPERTY
+@given(hosts(min_n=5), st.sampled_from(COPY_PATTERNS + [
+    complete_graph(2), Graph(3, []), complete_graph(9)]))
+def test_whole_graph_and_key_builders_agree(G, F):
+    # ids read off the copy search's maps give the system the keys give,
+    # term for term: K2, an edgeless pattern and F larger than G included
+    assert copy_constraints(G, F) == _constraints(G, _keys(F, G))
 
 
 def test_copy_constraints_keep_the_pattern_cap():
