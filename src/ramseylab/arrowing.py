@@ -1,13 +1,14 @@
 """Exact decision of the arrowing property G -> (F).
 
 Each copy of F is a not-all-equal constraint over its edge ids: the copy
-must not be single-coloured.  A whole-graph system (`copy_constraints`)
-reads each copy's ids off the copy search's one map per copy and builds
-no copy key; a union's system (`_constraints`) reads them off the keys it
-also needs for views and provenance, and gives the same system.
-`_encode` writes that system as CNF (the clauses `cnf_export` prints),
-and one CDCL core (`_Cdcl`) answers every colouring question.  A
-brute-force oracle checks it independently.
+must not be single-coloured.  `copy_constraints` reads each copy's ids
+off the copy search's one map per copy and builds no copy key.  This
+module writes every CNF literal: `_encode` writes a whole system (the
+clauses `cnf_export` prints), and `_extend` the system left once a
+partial colouring is fixed, which answers "does this partial colouring
+extend to an F-free one?" for `first_f_free_coloring` and for the
+booster's unions.  One CDCL core (`_Cdcl`) answers every colouring
+question.  A brute-force oracle checks it independently.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .counting import _copy_maps, _keys, enumerate_copies
+from .counting import _copy_maps, enumerate_copies
 from .graphs import union
 
 RED, BLUE = 0, 1
@@ -33,14 +34,6 @@ class ArrowResult:
     @property
     def arrows(self):
         return self.verdict == "arrows"
-
-
-def _constraints(G, keys):
-    """The NAE system of the copies with keys `keys` in G: each copy's
-    edge ids, in the order of `keys`."""
-    # an id is a position in the lexicographic edge order: sorted edges give sorted ids
-    edge_id = G._index.__getitem__
-    return [tuple(map(edge_id, es)) for _, es in keys]
 
 
 def copy_constraints(G, F):
@@ -285,15 +278,37 @@ def _colouring(value, m, colours=2):
             for e in range(m)]
 
 
+def _extend(cons, fixed):
+    """Colours of the edges outside `fixed` that extend the partial
+    colouring `fixed` (colour per edge) to one that leaves no constraint of
+    `cons` (edge tuples) single-coloured, or None if none do.  A constraint
+    whose fixed edges show both colours holds already; else, if they are
+    all colour c or it has none, one of its other edges must not be c.
+    With no such constraint no core is built and the answer is {}; an edge
+    left out may take either colour."""
+    new, clauses = {}, []  # edge outside `fixed` -> core variable ("edge is blue")
+    for es in cons:
+        cols = {fixed[e] for e in es if e in fixed}
+        if len(cols) < 2:
+            lits = [2 * new.setdefault(e, len(new)) for e in es if e not in fixed]
+            clauses += [[lit + c for lit in lits] for c in (RED, BLUE) if cols <= {c}]
+    if not clauses:
+        return {}
+    core = _Cdcl(len(new), clauses)
+    if not core.solve():
+        return None
+    return {e: int(core.value[2 * v] == 1) for e, v in new.items()}
+
+
 def _check_budget(budget):
     if budget is not None and budget < 0:
         raise ValueError(f"node budget must be >= 0, got {budget}")
 
 
-def _decide(m, cons, colours, budget, **provenance):
+def _decide(m, cons, colours, budget):
     """ArrowResult of the core on the NAE system of m edges, with the edge
     in the most copies (ties: the lowest EdgeId) fixed to colour 0 at level
-    0 (colour-swap symmetry); `provenance` joins the stats."""
+    0 (colour-swap symmetry)."""
     if colours < 1:
         raise ValueError("need at least one colour")
     _check_budget(budget)
@@ -304,8 +319,7 @@ def _decide(m, cons, colours, budget, **provenance):
     found = core.solve(budget)
     verdict = "undecided" if found is None else "not_arrows" if found else "arrows"
     stats = {"constraints": len(cons), **{k: getattr(core, k) for k in STATS}}
-    return ArrowResult(verdict, _colouring(core.value, m, colours) if found else None,
-                       {**stats, **provenance})
+    return ArrowResult(verdict, _colouring(core.value, m, colours) if found else None, stats)
 
 
 def decide_arrow(G, F, colours=2, budget=None):
@@ -357,20 +371,18 @@ def brute_force_arrow(G, F):
 def decide_arrow_union(Z, addition, F, budget=None):
     """decide_arrow on Z ∪ addition, with copy provenance statistics.
 
-    The union's copies are enumerated once, in full and unanchored; the
-    constraints and the counts of copies inside Z, inside the addition
-    and mixed all come from their keys.
+    The union's system is `copy_constraints(U, F)`, its copies enumerated
+    once, in full and unanchored; the counts of copies inside Z, inside
+    the addition and mixed are read off the edges its ids name.
     """
     U = union(Z, addition)
-    keys = _keys(F, U)
-    in_z = [all(e in Z._index for e in es) for _, es in keys]
-    in_a = [all(e in addition._index for e in es) for _, es in keys]
-    return _decide(
-        U.num_edges(), _constraints(U, keys), 2, budget,
-        copies_in_base=sum(in_z),
-        copies_in_addition=sum(in_a),
-        copies_mixed=sum(not (z or a) for z, a in zip(in_z, in_a)),
-    )
+    cons = copy_constraints(U, F)
+    res = _decide(U.num_edges(), cons, 2, budget)
+    in_z = [all(U.edges[e] in Z._index for e in c) for c in cons]
+    in_a = [all(U.edges[e] in addition._index for e in c) for c in cons]
+    res.stats.update(copies_in_base=sum(in_z), copies_in_addition=sum(in_a),
+                     copies_mixed=sum(not (z or a) for z, a in zip(in_z, in_a)))
+    return res
 
 
 def enumerate_f_free_colorings(G, F, limit=16, budget=None):
@@ -393,25 +405,19 @@ def first_f_free_coloring(G, F):
 
     The constrained edges are fixed in EdgeId order: red if an F-free
     colouring has it red and agrees with the edges fixed so far, else
-    blue.  A fresh core answers each such question, the fixed edges its
-    unit clauses; the last colouring found answers it when it has the edge
-    red.  Edges in no copy of F are red.
+    blue.  `_extend` answers each such question; the last colouring found
+    answers it when it has the edge red.  Edges in no copy of F are red.
     """
-    m, cons = G.num_edges(), copy_constraints(G, F)
-
-    def search(units):  # an F-free colouring that meets the unit clauses, or None
-        nvars, clauses = _encode(m, cons, 2)
-        core = _Cdcl(nvars, clauses + units)
-        return _colouring(core.value, m) if core.solve() else None
-
-    best, fixed = search([]), []  # fixed: a unit clause per edge fixed so far
+    cons, fixed = copy_constraints(G, F), {}
+    best = _extend(cons, fixed)  # the last F-free colouring found; red where it names none
     if best is None:
         return None
     for e in sorted({e for c in cons for e in c}):
-        found = best if best[e] == RED else search(fixed + [[2 * e + 1]])
-        best = found or best
-        fixed.append([2 * e + (found is not None)])  # literal 2e + 1: edge e is red
-    return best
+        if best.get(e, RED) == BLUE:
+            found = _extend(cons, {**fixed, e: RED})
+            best = best if found is None else {**fixed, e: RED, **found}
+        fixed[e] = best.get(e, RED)
+    return [fixed.get(e, RED) for e in range(G.num_edges())]
 
 
 def cnf_export(G, F):

@@ -6,10 +6,13 @@ the host vertex range; its image graph lives on the host vertex set.
 Copies, focus relations and badness are all evaluated literally by copy
 enumeration in Z ∪ h(B), once per union: stage 1 decides a union from its
 copy keys, and builds the view that later stages read (`union_view`'s
-second half) from those keys only when the union arrows.
-Z's own copy keys are collected once per call: Z is decided from them,
-and every union's whole search reads them.  P(e1, e2) completions are
-searched once per call too, and shared by every union.
+second half) from those keys only when the union arrows.  Z is analysed
+once per call (`_z_analysis`): its copy keys are collected, Z is decided
+from them, and every union's whole search reads them.  This module keeps
+the one step from copy keys to edge ids (`_union_constraints`); every
+CNF literal, the extension of Z's colouring included, is written in
+`arrowing`.  P(e1, e2) completions are searched once per call too, and
+shared by every union.
 """
 
 from __future__ import annotations
@@ -25,12 +28,9 @@ from math import comb, factorial, inf, isfinite, log, perm
 import numpy as np
 
 from .arrowing import (
-    BLUE,
     BRUTE_FORCE_EDGE_CAP,
-    RED,
-    _Cdcl,
-    _constraints,
     _decide,
+    _extend,
     brute_force_arrow,
     copy_constraints,
     decide_arrow,
@@ -38,6 +38,7 @@ from .arrowing import (
     is_f_free,
 )
 from .counting import _automorphism_count, _keys, _norm, _PairFamily, enumerate_copies
+from .density import _check_delta
 from .graphs import Graph, Seed, _is_id, complete_graph, union
 
 
@@ -179,76 +180,51 @@ def _union_constraints(z_keys, U, keys):
     are `keys`, equal to `copy_constraints(U, F)`: a copy lies inside Z or
     contains a booster edge, so it is Z's keys and the union's merged in
     key order, where a copy inside Z through a booster edge that Z already
-    has comes twice and is kept once."""
-    return _constraints(U, dict.fromkeys(merge(z_keys, keys)))
+    has comes twice and is kept once.  With no `keys` it is Z's own."""
+    # an id is a position in the lexicographic edge order: sorted edges give sorted ids
+    edge_id = U._index.__getitem__
+    return [tuple(map(edge_id, es)) for _, es in dict.fromkeys(merge(z_keys, keys))]
 
 
-def _extend_colouring(keys, phi):
-    """Colours of the new pairs that extend Z's F-free colouring `phi`
-    (colour per Z edge) to an F-free colouring of the union whose copies
-    through a booster edge are `keys`, or None if none do.  Only such a
-    copy can turn monochromatic: if its Z edges are all one colour c, or it
-    has none, one of its new pairs must not be c.  With no such copy no
-    core is built and the answer is {}; a pair left out may take either
-    colour."""
-    new, clauses = {}, []  # new pair -> core variable ("pair is blue")
-    for _, es in keys:
-        cols = {phi[e] for e in es if e in phi}
-        if len(cols) < 2:
-            lits = [2 * new.setdefault(e, len(new)) for e in es if e not in phi]
-            clauses += [[lit + c for lit in lits] for c in (RED, BLUE) if cols <= {c}]
-    if not clauses:
-        return {}
-    core = _Cdcl(len(new), clauses)
-    if not core.solve():
-        return None
-    return {e: int(core.value[2 * v] == 1) for e, v in new.items()}
+def _z_analysis(Z, F, budget):
+    """(Z's copy keys, Z's ArrowResult, its certificate as a colour per Z
+    edge or a falsy value): Z is decided from the keys every union reads."""
+    z_keys = _keys(F, Z)
+    z_res = _decide(Z.num_edges(), _union_constraints(z_keys, Z, ()), 2, budget)
+    return z_keys, z_res, z_res.certificate and dict(zip(Z.edges, z_res.certificate))
 
 
 def _union_verdict(z_keys, U, keys, budget, phi=None):
     """decide_arrow_union's verdict on the union U whose copies through a
     booster edge are `keys`.  Given Z's F-free colouring `phi` (colour per
-    Z edge), an extension of it is tried first and proves "not_arrows";
-    else the union is searched whole, as decide_arrow_union does.  So
-    "arrows" comes only from that search, and a union it leaves
-    "undecided" at `budget` may be decided by the extension."""
-    if phi and _extend_colouring(keys, phi) is not None:
+    Z edge), an extension of it to the new pairs is tried first and proves
+    "not_arrows": only a copy through a booster edge can turn
+    monochromatic.  Else the union is searched whole, as
+    decide_arrow_union does.  So "arrows" comes only from that search, and
+    a union it leaves "undecided" at `budget` may be decided by the
+    extension."""
+    if phi and _extend([es for _, es in keys], phi) is not None:
         return "not_arrows"
     return _decide(U.num_edges(), _union_constraints(z_keys, U, keys), 2, budget).verdict
 
 
 def _unions(Z, z_keys, pool, spec, F, budget, phi, arrow_filter=True):
-    """(h, booster pairs, union, its copy keys through a booster pair,
+    """(h, booster pairs, the union's copy keys through a booster pair,
     verdict) for each h of `pool` in order: the one loop over a host's
     unions.  Without `arrow_filter` every union counts as arrowing."""
     for h in pool:
         img = image_edges(spec.B, h)
         U, keys = _union_keys(Z, img, F)
         v = _union_verdict(z_keys, U, keys, budget, phi) if arrow_filter else "arrows"
-        yield h, img, U, keys, v
-
-
-def _arrowing_views(Z, z_keys, pool, spec, F, budget, phi, arrow_filter):
-    """Stage 1 of the normal-family pipeline: the view of each embedding of
-    `pool` whose union arrows F, in pool order, and the count of the others
-    by reason."""
-    views, dropped = {}, Counter()
-    for h, img, U, keys, v in _unions(Z, z_keys, pool, spec, F, budget, phi, arrow_filter):
-        if v == "arrows":
-            views[h] = _view_from_keys(Z, img, keys)
-        else:
-            dropped["not_arrowing" if v == "not_arrows" else "undecided"] += 1
-    return views, dropped
+        yield h, img, keys, v
 
 
 def check_interactive_regular(Z, Xi, spec, F, budget=None):
     """Per-embedding interactivity and regularity report."""
-    z_keys = _keys(F, Z)  # Z is decided from the keys every union reads
-    z_res = _decide(Z.num_edges(), _constraints(Z, z_keys), 2, budget)
+    z_keys, z_res, phi = _z_analysis(Z, F, budget)
     b_res = decide_arrow(spec.B, F, budget=budget)
-    phi = z_res.certificate and dict(zip(Z.edges, z_res.certificate))
     reports = []
-    for h, img, U, keys, u_verdict in _unions(Z, z_keys, Xi, spec, F, budget, phi):
+    for h, img, keys, u_verdict in _unions(Z, z_keys, Xi, spec, F, budget, phi):
         entry = {"h": h, "edge_disjoint": not any(e in Z._index for e in img),
                  "union_verdict": u_verdict}
         foci = _view_from_keys(Z, img, keys).foci
@@ -326,6 +302,7 @@ def construct_normal_family(Z, spec, F, params, seed=None):
         raise ValueError(f"D must be positive, got {params['D']}")
     if not 0 < params["p"] <= 1:
         raise ValueError(f"p must lie in (0, 1], got {params['p']}")
+    _check_delta(F, params["delta"])
     if params.get("pool_size") is not None and params["pool_size"] < 1:
         raise ValueError(f"pool_size must be >= 1, got {params['pool_size']}")
     if "alpha" in params and Fraction(params["alpha"]) < 0:
@@ -340,8 +317,7 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     B = spec.B
 
     report = {"params": {k: str(v) for k, v in params.items()}, "removed": Counter()}
-    z_keys = _keys(F, Z)  # Z is decided from the keys every union reads
-    z_res = _decide(Z.num_edges(), _constraints(Z, z_keys), 2, budget)
+    z_keys, z_res, phi = _z_analysis(Z, F, budget)
     report["z_arrows_alone"] = z_res.verdict == "arrows"
 
     pool_size = params.get("pool_size")
@@ -352,9 +328,12 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     # stage 1: arrowing unions; stages 2, 3 and 6 read the views kept here
     if not arrow_filter:
         report["arrow_filter_disabled"] = True
-    phi = z_res.certificate and dict(zip(Z.edges, z_res.certificate))
-    views, dropped = _arrowing_views(Z, z_keys, pool, spec, F, budget, phi, arrow_filter)
-    report["removed"].update(dropped)
+    views = {}
+    for h, img, keys, v in _unions(Z, z_keys, pool, spec, F, budget, phi, arrow_filter):
+        if v == "arrows":
+            views[h] = _view_from_keys(Z, img, keys)
+        else:
+            report["removed"]["not_arrowing" if v == "not_arrows" else "undecided"] += 1
     psi1 = list(views)
     report["psi1"] = len(psi1)
 

@@ -20,9 +20,13 @@ basegraphs count labelled maps.  Patterns with isolated vertices keep
 their vertex placements (the vertex set is part of the copy), which the
 two-edge-deleted pair families rely on.  Copies are collected on one
 path, `_copy_keys`: `enumerate_copies` wraps its items as `Copy` objects,
-and every caller that needs only the copy keys reads them from `_keys`.
-Callers that need only counts or edge ids read them off the search's one
-map per copy (`_copy_counts`, `arrowing.copy_constraints`) and build no key.
+and every caller that needs only the copy keys reads them from `_keys`
+(the booster's unions, which map them to edge ids in one place,
+`booster._union_constraints`).  Callers that need only counts or edge
+ids read them off the search's one map per copy (`_copy_counts`,
+`arrowing.copy_constraints`) and build no key.  The heuristic denseness
+check counts the edges inside each vertex set it tries with
+`graphs.edge_count_between`.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from functools import cache
 from math import ceil, comb, prod
 
 from .density import PATTERN_VERTEX_CAP
-from .graphs import Graph
+from .graphs import Graph, edge_count_between
 
 
 def _norm(u, v):
@@ -507,12 +511,20 @@ def _require_subgraph(G, Gp):
         raise ValueError("G' is not a subgraph of G")
 
 
+def _check_lam_eta(lam, eta):
+    if not 0 < lam <= 1:
+        raise ValueError(f"lambda must lie in (0, 1], got {lam}")
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+
+
 def check_T(profile, G, Gp, lam, eta):
     """Single-subgraph check of the basegraph-copies property.
 
     Returns a record with the density-floor flag, the number of F-copies
     in the basegraph of Gp, and the verdict against eta * n^{v(F)}.
     """
+    _check_lam_eta(lam, eta)
     _require_subgraph(G, Gp)
     F = profile.pattern
     meets_floor = Fraction(Gp.num_edges()) >= Fraction(lam) * G.num_edges()
@@ -533,6 +545,7 @@ def adversarial_T_search(profile, G, lam, eta, budget=2000, seed=None):
     subgraph found and its check record."""
     from .graphs import Seed
 
+    _check_lam_eta(lam, eta)
     if budget < 1:
         raise ValueError(f"search budget must be >= 1, got {budget}")
     rng = (seed or Seed()).generator()
@@ -633,23 +646,11 @@ def rho_d_dense_check(G0, rho, d, mode="exact", seed=None, restarts=200):
     from .graphs import Seed
 
     rng = (seed or Seed()).generator()
-
-    def count_in(Wmask):
-        total = 0
-        mm = Wmask
-        while mm:
-            low = mm & -mm
-            v = low.bit_length() - 1
-            mm ^= low
-            total += bin(G0.adj[v] & Wmask).count("1")
-        return total // 2
-
     worst = None
     for _ in range(restarts):
         size = int(rng.integers(floor, n + 1))
         W = set(rng.choice(n, size=size, replace=False).tolist())
-        Wmask = sum(1 << v for v in W)
-        cnt = count_in(Wmask)
+        cnt = edge_count_between(G0, W)
         improved = True
         while improved:
             improved = False
@@ -657,12 +658,11 @@ def rho_d_dense_check(G0, rho, d, mode="exact", seed=None, restarts=200):
                 for v_in in range(n):
                     if v_in in W:
                         continue
-                    cand = (Wmask ^ (1 << v_out)) | (1 << v_in)
-                    c2 = count_in(cand)
+                    c2 = edge_count_between(G0, (W - {v_out}) | {v_in})
                     if c2 < cnt:
                         W.discard(v_out)
                         W.add(v_in)
-                        Wmask, cnt = cand, c2
+                        cnt = c2
                         improved = True
                         break
                 if improved:

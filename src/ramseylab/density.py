@@ -69,6 +69,15 @@ def m2(F):
     return val, witness
 
 
+def _check_delta(F, delta):
+    """Reject a delta outside (0, min(1/m2, 1 - 1/m2)], the range the
+    good-graph properties and the normal family take it from."""
+    inv = 1 / m2(F)[0]
+    bound = min(inv, 1 - inv)
+    if not 0 < Fraction(delta) <= bound:
+        raise ValueError(f"delta must lie in (0, {bound}]")
+
+
 def is_bipartite(F):
     """Two-colourability check; returns (flag, colouring array or None)."""
     colour = [-1] * F.n

@@ -18,7 +18,7 @@ from math import ceil, comb, exp, gcd, inf, isfinite, log10, sqrt
 from .arrowing import decide_arrow
 from .booster import alpha_tilde, classify_bad, make_booster_spec
 from .counting import _copy_counts, _PairFamily, f_minus_members
-from .density import classify, is_bipartite
+from .density import _check_delta, classify, is_bipartite
 from .graphs import Seed, gnp_sample, pair_uniforms
 
 
@@ -271,10 +271,7 @@ def z_property_rates(
             raise ValueError(f"{name} must be finite, got {value}")
     if not D > 0:  # else every connected pair is heavy
         raise ValueError(f"D must be positive, got {D}")
-    prof = classify(F)
-    bound = min(prof.threshold_exponent, 1 - prof.threshold_exponent)
-    if not 0 < Fraction(delta) <= bound:
-        raise ValueError(f"delta must lie in (0, {bound}]")
+    _check_delta(F, delta)
     seed = seed or Seed()
     spec = booster if hasattr(booster, "sigma") else make_booster_spec(booster, F)
     B = spec.B

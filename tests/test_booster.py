@@ -291,6 +291,18 @@ def test_normal_family_flags_z_arrows_alone():
     assert report["z_arrows_alone"]
 
 
+def test_normal_family_rejects_a_delta_outside_its_range():
+    # K3 has m2 = 2, so delta must lie in (0, min(1/2, 1 - 1/2)] = (0, 1/2],
+    # the range z_property_rates takes it from too
+    Z, spec = complete_graph(6).without_edges([(0, 1)]), make_booster_spec(complete_graph(2), K3)
+    for delta in (0, -1, Fraction(-1, 12), Fraction(51, 100), 3):
+        params = dict(D=4, delta=delta, p=0.5, alpha=Fraction(1, 4))
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1/2\]"):
+            construct_normal_family(Z, spec, K3, params, seed=Seed(12))
+    params = dict(D=4, delta=Fraction(1, 2), p=0.5, alpha=Fraction(1, 4))
+    assert construct_normal_family(Z, spec, K3, params, seed=Seed(12))[1]["psi1"] == 1
+
+
 def test_normal_family_starvation_reported():
     # sparse Z: no union arrows, pipeline starves at the arrow filter
     Z = gnp_sample(8, 0.2, Seed(77))

@@ -195,6 +195,12 @@ def test_degenerate_parameters_exit_2(capsys, tmp_path):
     booster = ["booster", "--host", "K6-e", "--booster", "K2", "--pattern", "K3", "--D", "4",
                "--delta", "1/12"]
     cases += [booster + [f"--p={p}"] for p in ("0", "-0.5", "2")]
+    cases += [booster[:-2] + ["--p", "0.5", f"--delta={d}"] for d in ("0", "-1")]
+    # lambda outside (0, 1] or eta <= 0, with and without --subgraph
+    tprop = ["tprop", "--pattern", "K3", "--host", "K6"]
+    cases += [tprop + sub + extra for sub in ([], ["--subgraph", "K6"])
+              for extra in (["--lambda=-1", "--eta", "1/10"], ["--lambda", "2", "--eta", "1/10"],
+                            ["--lambda", "1", "--eta=-1"], ["--lambda", "1", "--eta", "0"])]
     for argv in cases:
         code = main(argv)
         out, err = capsys.readouterr()

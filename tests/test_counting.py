@@ -214,6 +214,14 @@ def test_check_T_and_search():
         check_T(prof, k6, complete_graph(7), 1, 1e-9)
     rec = adversarial_T_search(prof, k6, 0.9, 1e-9, budget=60, seed=Seed(7))
     assert rec["basegraph_copies"] >= 1  # K6 at 90% density still completes copies
+    # lambda is a density floor in (0, 1] and eta a positive copy rate,
+    # checked alike with and without a given subgraph
+    for lam, eta, name in ((-1, 0.1, "lambda"), (0, 0.1, "lambda"), (2, 0.1, "lambda"),
+                           (Fraction(3, 2), 0.1, "lambda"), (1, 0, "eta"), (1, -1, "eta")):
+        with pytest.raises(ValueError, match=name):
+            check_T(prof, k6, k6, lam, eta)
+        with pytest.raises(ValueError, match=name):
+            adversarial_T_search(prof, k6, lam, eta, budget=10, seed=Seed(7))
 
 
 def test_rho_d_dense():

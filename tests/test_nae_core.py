@@ -1,6 +1,8 @@
 """The single NAE search core behind every colouring question, checked
 against independent oracles: `brute_force_arrow`, colourings enumerated
-with `itertools.product`, and `naive_copies` from tests/oracles.py."""
+with `itertools.product`, and `naive_copies` from tests/oracles.py.  The
+extension of a partial colouring (`_extend`) is checked by brute force
+over the free edges."""
 
 from itertools import combinations, product
 
@@ -11,9 +13,12 @@ from oracles import naive_copies
 
 from ramseylab import arrowing
 from ramseylab.arrowing import (
+    BLUE,
+    RED,
     STATS,
     _Cdcl,
     _encode,
+    _extend,
     brute_force_arrow,
     cnf_export,
     copy_constraints,
@@ -79,6 +84,41 @@ def test_first_coloring_is_lexicographic_minimum(G, name):
         None,
     )
     assert first_f_free_coloring(G, F) == expected
+
+
+@st.composite
+def partial_systems(draw):
+    """(m, constraints, fixed): an NAE system over at most 10 edges, each
+    constraint 2 to 4 distinct edges, and a random partial colouring."""
+    m = draw(st.integers(2, 10))
+    edge = st.integers(0, m - 1)
+    cons = draw(st.lists(st.lists(edge, min_size=2, max_size=4, unique=True).map(tuple),
+                         max_size=12))
+    return m, cons, draw(st.dictionaries(edge, st.sampled_from((RED, BLUE))))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(partial_systems())
+def test_extension_exists_exactly_when_brute_force_finds_one(case):
+    # brute force over the edges outside `fixed`; the extension names a
+    # colour for exactly the free edges of the constraints `fixed` leaves
+    # unmet, and any colour of the edges it leaves out keeps every
+    # constraint met
+    m, cons, fixed = case
+    free = [e for e in range(m) if e not in fixed]
+
+    def meets(col):
+        return all(len({col[e] for e in c}) == 2 for c in cons)
+
+    exists = any(meets({**fixed, **dict(zip(free, cols))})
+                 for cols in product((RED, BLUE), repeat=len(free)))
+    ext = _extend(cons, fixed)
+    assert (ext is not None) == exists
+    if ext is not None:
+        assert set(ext) == {e for c in cons if len({fixed[x] for x in c if x in fixed}) < 2
+                            for e in c if e not in fixed}
+        for left in (RED, BLUE):
+            assert meets({**dict.fromkeys(free, left), **fixed, **ext}), left
 
 
 def test_enumeration_gives_every_colouring_once():

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import naive_copies, naive_extension_count, naive_fstar_overlap, naive_P
 
-from ramseylab.arrowing import _constraints, copy_constraints
+from ramseylab.arrowing import copy_constraints
+from ramseylab.booster import _union_constraints
 from ramseylab.counting import (
     _automorphism_count,
     _copy_counts,
@@ -134,7 +135,7 @@ def test_copy_keys_build_the_constraint_system(G, F, data):
 def test_whole_graph_and_key_builders_agree(G, F):
     # ids read off the copy search's maps give the system the keys give,
     # term for term: K2, an edgeless pattern and F larger than G included
-    assert copy_constraints(G, F) == _constraints(G, _keys(F, G))
+    assert copy_constraints(G, F) == _union_constraints(_keys(F, G), G, ())
 
 
 def test_copy_constraints_keep_the_pattern_cap():

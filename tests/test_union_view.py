@@ -22,6 +22,7 @@ from ramseylab.arrowing import (
     BLUE,
     BRUTE_FORCE_EDGE_CAP,
     RED,
+    _extend,
     brute_force_arrow,
     copy_constraints,
     decide_arrow,
@@ -30,12 +31,12 @@ from ramseylab.arrowing import (
     is_f_free,
 )
 from ramseylab.booster import (
-    _arrowing_views,
-    _extend_colouring,
     _naive_focus_members,
     _union_constraints,
     _union_keys,
     _union_verdict,
+    _unions,
+    _view_from_keys,
     build_hypergraph,
     check_interactive_regular,
     classify_bad,
@@ -141,7 +142,7 @@ def _stage1(Z, h, spec, F, phi):
     U, keys = _union_keys(Z, image_edges(spec.B, h), F)
     z_keys = naive_keys(F, Z)
     by_edge = dict(zip(Z.edges, phi)) if phi is not None else None
-    new = _extend_colouring(keys, by_edge) if by_edge is not None else None
+    new = _extend([es for _, es in keys], by_edge) if by_edge is not None else None
     ext = None
     if new is not None:
         assert set(new) <= set(U.edges) - set(Z.edges)  # only new pairs get a colour
@@ -202,8 +203,9 @@ def test_extension_needs_no_core_only_when_every_copy_meets_two_colours():
     # so any colour of 02 extends phi
     Z, spec = path_graph(3), SPECS[("K2", K3)]
     U, keys = _union_keys(Z, image_edges(spec.B, (0, 2)), K3)
-    assert _extend_colouring(keys, {(0, 1): RED, (1, 2): BLUE}) == {}
-    assert _extend_colouring(keys, {(0, 1): RED, (1, 2): RED}) == {(0, 2): BLUE}
+    cons = [es for _, es in keys]
+    assert _extend(cons, {(0, 1): RED, (1, 2): BLUE}) == {}
+    assert _extend(cons, {(0, 1): RED, (1, 2): RED}) == {(0, 2): BLUE}
     # a K4 booster away from Z's one edge: its four triangles have no edge
     # of Z, so each must get both colours among its new pairs
     Z, spec = Graph(6, [(4, 5)]), SPECS[("K4", K3)]
@@ -215,10 +217,10 @@ def test_extension_needs_no_core_only_when_every_copy_meets_two_colours():
 def _check_stage1_views(Z, pool, spec, F, phi, budget=None, arrow_filter=True):
     """Stage 1 keeps exactly the arrowing unions of the pool, in pool
     order, and the view it builds from each one's keys is `union_view`."""
-    views, dropped = _arrowing_views(Z, naive_keys(F, Z), pool, spec, F, budget, phi,
-                                     arrow_filter)
+    unions = list(_unions(Z, naive_keys(F, Z), pool, spec, F, budget, phi, arrow_filter))
+    assert [h for h, *_ in unions] == pool
+    views = {h: _view_from_keys(Z, img, keys) for h, img, keys, v in unions if v == "arrows"}
     assert list(views) == [h for h in pool if h in views]
-    assert len(views) + sum(dropped.values()) == len(pool)
     for h, view in views.items():
         assert view == union_view(Z, h, spec, F)
     return views
