@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,7 @@ from ramseylab.booster import (
     construct_normal_family,
     embedding_pool,
     hypergraph_stats,
+    image_edges,
     image_graph,
     make_booster_spec,
     pair_relations,
@@ -282,6 +284,53 @@ def test_normal_family_pipeline_toy():
     # determinism
     xi0b, reportb = construct_normal_family(Z, spec, K3, params, seed=Seed(12))
     assert xi0b == xi0 and reportb["psi_s"] == report["psi_s"]
+
+
+def test_verify_normal_family_names_each_broken_condition():
+    # a K6-e block missing (0, 1) on vertices 0..5, a pendant (2, 6), and
+    # 6, 7 otherwise isolated; a booster edge on (0, 1) tips it to K6
+    Z = Graph(8, complete_graph(6).without_edges([(0, 1)]).edges + ((2, 6),))
+    P3, matching = path_graph(3), Graph(4, [(0, 1), (2, 3)])
+
+    def placed(B, *pairs):
+        """The embedding of B's pool in K_8 whose image is `pairs`."""
+        return next(h for h in embedding_pool(B, 8) if set(image_edges(B, h)) == set(pairs))
+
+    good = placed(P3, (0, 1), (1, 7))
+    # triangles (0, 1, 2) and (0, 2, 6) share the Z-only edge (0, 2)
+    b2 = placed(P3, (0, 1), (0, 6))
+    loose = placed(P3, (0, 7), (1, 7))  # in no triangle: the union is Z's
+    loose_params = dict(delta=Fraction(1, 12), p=Fraction(1, 10))  # pair cap above 9
+    cases = [
+        (P3, K3, [good], loose_params, []),
+        (P3, K3, [good, placed(P3, (0, 1), (0, 7))], loose_params, [("overlap", 0, 1)]),
+        # (2, 6) lies in Z and in no triangle, so only the clash breaks
+        (matching, K3, [placed(matching, (0, 1), (2, 6))], loose_params, [("edge_clash", 0)]),
+        (P3, K3, [b2], loose_params, [("bad", 0)]),
+        (P3, K3, [loose], loose_params, [("union_not_arrowing", 0, "not_arrows")]),
+        # cap 8^(-1/4) < 1: every pair of the focus set, Z's edge ids 0..7, breaks it
+        (P3, K3, [good], dict(delta=Fraction(1, 2), p=1),
+         [("pair_cap", pr, 1) for pr in combinations(range(8), 2)]),
+        (P3, K3, [b2, good, loose], loose_params,
+         [("overlap", 0, 1), ("overlap", 0, 2), ("overlap", 1, 2), ("bad", 0),
+          ("union_not_arrowing", 2, "not_arrows")]),
+    ]
+    # two C4s through the booster edge (0, 1) share a Z-only edge: B3 alone
+    assert classify_bad(Z, (0, 1), make_booster_spec(complete_graph(2), cycle_graph(4)),
+                        cycle_graph(4)) == {"B1": False, "B2": False, "B3": True, "bad": True}
+    assert classify_bad(Z, b2, make_booster_spec(P3, K3), K3) == {
+        "B1": False, "B2": True, "B3": False, "bad": True}
+    cases.append((complete_graph(2), cycle_graph(4), [(0, 1)], loose_params, [("bad", 0)]))
+    for B, F, family, params, violations in cases:
+        check = verify_normal_family(Z, family, make_booster_spec(B, F), F, params)
+        assert check == {"ok": not violations, "violations": violations}, (family, check)
+
+    # K8-e tipped to K8: 28 constrained edges, above the brute-force cap,
+    # so decide_arrow decides the union, and at 5 nodes leaves it undecided
+    K8e, spec = complete_graph(8).without_edges([(0, 1)]), make_booster_spec(complete_graph(2), K3)
+    assert verify_normal_family(K8e, [(0, 1)], spec, K3, loose_params)["ok"]
+    assert verify_normal_family(K8e, [(0, 1)], spec, K3, loose_params, budget=5) == {
+        "ok": False, "violations": [("union_not_arrowing", 0, "undecided")]}
 
 
 def test_normal_family_flags_z_arrows_alone():

@@ -238,6 +238,23 @@ def test_rho_d_dense():
     assert h["dense"] is False  # refuter finds the sparse witness here
 
 
+def test_rho_d_dense_heuristic_records_pinned():
+    # (n, q, rho, d) -> (dense, W, edges) on G(n, q) at seed (8100, i), with
+    # the search at seed (8200, i) and 10 restarts
+    pinned = [
+        ((9, 0.5, 0.5, 0.5), (False, [0, 2, 5, 6, 8], 3)),
+        ((14, 0.4, 0.3, 0.45), (False, [5, 7, 9, 11, 13], 0)),
+        ((18, 0.5, 0.6, 0.6), (False, [0, 1, 2, 5, 6, 7, 8, 10, 11, 12, 14], 16)),
+        ((24, 0.3, 0.5, 0.3), (False, [4, 12, 13, 14, 15, 17, 18, 19, 20, 21, 22, 23], 6)),
+        ((12, 0.8, 0.5, 0.5), (None, [0, 1, 2, 8, 9, 10, 11], 14)),
+        ((20, 0.7, 0.4, 0.55), (False, [3, 5, 6, 10, 11, 12, 13, 15, 18], 16)),
+    ]
+    for i, ((n, q, rho, d), (dense, W, edges)) in enumerate(pinned):
+        r = rho_d_dense_check(gnp_sample(n, q, Seed(8100, i)), rho, d, mode="heuristic",
+                              seed=Seed(8200, i), restarts=10)
+        assert (r["dense"], r["witness"]["W"], r["witness"]["edges"]) == (dense, W, edges), n
+
+
 def test_pattern_cap_enforced():
     with pytest.raises(ValueError, match="cap"):
         enumerate_copies(complete_graph(11), complete_graph(12))

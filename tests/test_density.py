@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -67,6 +68,40 @@ def test_classify_fixtures():
     # bipartite patterns with >= 2 edges are nearly bipartite
     assert classify(cycle_graph(4)).nearly_bipartite
     assert classify(path_graph(3)).nearly_bipartite
+
+
+def test_classify_and_mad_witnesses_are_first_maximisers():
+    # the witness is the first vertex set of largest d2, taking the fewest
+    # vertices and then the lexicographically smallest set
+    for n in range(2, 8):
+        for i in range(12):
+            g = gnp_sample(n, 0.5, Seed(303, n, i))
+            if g.num_edges() == 0:
+                continue
+            best = None
+            for k in range(2, n + 1):
+                for S in combinations(range(n), k):
+                    e = sum(1 for u, v in g.edges if u in S and v in S)
+                    if e:
+                        val = Fraction(1) if k == 2 else Fraction(e - 1, k - 2)
+                        if best is None or val > best[0]:
+                            best = (val, S)
+            prof = classify(g)
+            assert (prof.m2, prof.witness_vertices) == best, (n, i)
+            for R in ((0,), (0, 1)):
+                if len(R) < n:  # mad's witness is found the same way
+                    rest = [v for v in range(n) if v not in R]
+                    naive = max(((rooted_density(list(R), _induced(g, R + S)), -len(S), S)
+                                 for k in range(1, len(rest) + 1)
+                                 for S in combinations(rest, k)),
+                                key=lambda t: t[:2])
+                    assert mad(list(R), g) == (naive[0], tuple(sorted(R + naive[2]))), (n, i, R)
+
+
+def _induced(g, vs):
+    """The subgraph of g induced on `vs`, relabelled to 0.. in `vs` order."""
+    pos = {v: i for i, v in enumerate(vs)}
+    return Graph(len(vs), [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos])
 
 
 def test_strictly_balanced_matches_naive():
