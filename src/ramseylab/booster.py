@@ -32,7 +32,6 @@ from .arrowing import (
     _decide,
     _extend,
     brute_force_arrow,
-    copy_constraints,
     decide_arrow,
     first_f_free_coloring,
     is_f_free,
@@ -433,87 +432,62 @@ def _starved_stage(report):
 def verify_normal_family(Z, Xi0, spec, F, params, budget=None):
     """Independent re-verification of the five checkable conditions.
 
-    Deliberately avoids the constructor's code paths: badness is checked
-    by a direct scan over all F-copies of the union, and arrowing uses
-    the brute-force oracle whenever the instance fits under its cap.
+    Deliberately avoids the constructor's code paths: each member's union
+    Z ∪ h(B) is built once and all its copies of F are enumerated once,
+    with no anchoring.  Badness, the focus sets behind the pair cap, and
+    the count of constrained edges that picks the arrowing oracle are read
+    off that one scan; arrowing uses the brute-force oracle whenever the
+    union fits under its cap, and decide_arrow above it.
     """
     B = spec.B
-    n = Z.n
     zedges = set(Z.edges)
-    violations = []
-
-    for i, j in combinations(range(len(Xi0)), 2):
-        if len(set(Xi0[i]) & set(Xi0[j])) >= 2:
-            violations.append(("overlap", i, j))
-
-    for i, h in enumerate(Xi0):
-        if set(image_edges(B, h)) & zedges:
-            violations.append(("edge_clash", i))
-
-    for i, h in enumerate(Xi0):
-        if _naive_is_bad(Z, h, spec, F):
-            violations.append(("bad", i))
-
-    cap = Fraction(1) / (Fraction(params["p"]) * Fraction(n) ** (Fraction(params["delta"]) / 2))
+    cap = Fraction(1) / (Fraction(params["p"]) * Fraction(Z.n) ** (Fraction(params["delta"]) / 2))
+    overlap = [("overlap", i, j) for i, j in combinations(range(len(Xi0)), 2)
+               if len(set(Xi0[i]) & set(Xi0[j])) >= 2]
+    clash, bad, not_arrowing = [], [], []
     counts = Counter()
-    for h in Xi0:
-        members = _naive_focus_members(Z, h, spec, F)
-        for pr in combinations(members, 2):
-            counts[pr] += 1
-    for pr, c in counts.items():
-        if c > cap:
-            violations.append(("pair_cap", pr, c))
-
     for i, h in enumerate(Xi0):
-        U = union(Z, image_graph(B, h, n))
-        k = len({e for c in copy_constraints(U, F) for e in c})
-        if k <= BRUTE_FORCE_EDGE_CAP:
+        img = set(image_edges(B, h))
+        U = union(Z, image_graph(B, h, Z.n))
+        copies = _naive_copies(zedges, img, F, U)
+        # a clashing pair may lie in no copy of F, so it is read off img
+        if img & zedges:
+            clash.append(("edge_clash", i))
+        if _naive_is_bad(copies):
+            bad.append(("bad", i))
+        counts.update(combinations(_naive_focus_members(Z, copies), 2))
+        if len({e for es, _, _ in copies for e in es}) <= BRUTE_FORCE_EDGE_CAP:
             res = brute_force_arrow(U, F)
         else:
             res = decide_arrow(U, F, budget=budget)
         if res.verdict != "arrows":
-            violations.append(("union_not_arrowing", i, res.verdict))
-
+            not_arrowing.append(("union_not_arrowing", i, res.verdict))
+    pair_cap = [("pair_cap", pr, c) for pr, c in counts.items() if c > cap]
+    violations = overlap + clash + bad + pair_cap + not_arrowing
     return {"ok": not violations, "violations": violations}
 
 
-def _naive_is_bad(Z, h, spec, F):
-    """Badness by a blunt scan over all F-copies of the union."""
-    B = spec.B
-    img = set(image_edges(B, h))
-    U = union(Z, image_graph(B, h, Z.n))
-    zedges = set(Z.edges)
-    copies = []
-    for c in enumerate_copies(F, U).copies:
-        zonly = {e for e in c.edges if e in zedges and e not in img}
-        boost = {e for e in c.edges if e in img}
-        copies.append((c, zonly, boost))
-    for _, zonly, boost in copies:
-        if zonly and len(boost) >= 2:
-            return True
-    for (c1, z1, s1), (c2, z2, s2) in combinations(copies, 2):
-        if not (s1 and s2):
-            continue
-        if not (z1 & z2):
-            continue
-        if s1 & s2:
-            return True
-        if len(s1 | s2) >= 2:
-            return True
-    return False
+def _naive_copies(zedges, img, F, U):
+    """(edges, Z-only edges, booster edges) of every copy of F in the union
+    U of Z's edges `zedges` and the booster pairs `img`, by one full scan."""
+    return [(c.edges, (c.edges & zedges) - img, c.edges & img)
+            for c in enumerate_copies(F, U).copies]
 
 
-def _naive_focus_members(Z, h, spec, F):
-    """Focus set via full copy enumeration (no anchoring)."""
-    B = spec.B
-    img = set(image_edges(B, h))
-    U = union(Z, image_graph(B, h, Z.n))
-    zedges = set(Z.edges)
-    members = set()
-    for c in enumerate_copies(F, U).copies:
-        if c.edges & img:
-            members.update(Z.edge_id(*e) for e in c.edges if e in zedges)
-    return tuple(sorted(members))
+def _naive_is_bad(copies):
+    """Badness by a blunt scan over a union's `_naive_copies`."""
+    if any(zonly and len(boost) >= 2 for _, zonly, boost in copies):
+        return True  # B1
+    # two copies through a booster edge sharing a Z-only edge: B3 when they
+    # share a booster edge too, else B2, as they use two booster edges
+    return any(z1 & z2 and s1 and s2 for (_, z1, s1), (_, z2, s2) in combinations(copies, 2))
+
+
+def _naive_focus_members(Z, copies):
+    """Focus set from a union's `_naive_copies`: ids of Z's edges in a copy
+    through a booster edge."""
+    return tuple(sorted({Z.edge_id(*e) for es, _, boost in copies if boost
+                         for e in es if Z.has_edge(*e)}))
 
 
 # -- index consistency ------------------------------------------------------

@@ -25,8 +25,10 @@ and every caller that needs only the copy keys reads them from `_keys`
 `booster._union_constraints`).  Callers that need only counts or edge
 ids read them off the search's one map per copy (`_copy_counts`,
 `arrowing.copy_constraints`) and build no key.  The heuristic denseness
-check counts the edges inside each vertex set it tries with
-`graphs.edge_count_between`.
+check counts the edges inside each starting vertex set once, with
+`graphs.edge_count_between`, and derives the count after each candidate
+swap from it: it drops the leaving vertex's edges into the rest of the
+set and adds the entering vertex's, two popcounts of adjacency masks.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import cache
 from math import ceil, comb, prod
 
 from .density import PATTERN_VERTEX_CAP
-from .graphs import Graph, edge_count_between
+from .graphs import Graph, Seed, edge_count_between
 
 
 def _norm(u, v):
@@ -543,8 +545,6 @@ def adversarial_T_search(profile, G, lam, eta, budget=2000, seed=None):
     """Randomized greedy refuter: minimize basegraph F-copies over
     subgraphs at the density floor.  Heuristic only; returns the worst
     subgraph found and its check record."""
-    from .graphs import Seed
-
     _check_lam_eta(lam, eta)
     if budget < 1:
         raise ValueError(f"search budget must be >= 1, got {budget}")
@@ -643,8 +643,6 @@ def rho_d_dense_check(G0, rho, d, mode="exact", seed=None, restarts=200):
 
     if mode != "heuristic":
         raise ValueError(f"unknown mode {mode!r}")
-    from .graphs import Seed
-
     rng = (seed or Seed()).generator()
     worst = None
     for _ in range(restarts):
@@ -654,11 +652,15 @@ def rho_d_dense_check(G0, rho, d, mode="exact", seed=None, restarts=200):
         improved = True
         while improved:
             improved = False
+            W_mask = sum(1 << v for v in W)
             for v_out in list(W):
+                # swapping v_out for v_in trades v_out's edges into the rest for v_in's
+                rest = W_mask & ~(1 << v_out)
+                base = cnt - bin(G0.adj[v_out] & rest).count("1")
                 for v_in in range(n):
                     if v_in in W:
                         continue
-                    c2 = edge_count_between(G0, (W - {v_out}) | {v_in})
+                    c2 = base + bin(G0.adj[v_in] & rest).count("1")
                     if c2 < cnt:
                         W.discard(v_out)
                         W.add(v_in)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .graphs import Graph
+from .graphs import Graph, _is_id, edge_count_between
 
 PATTERN_VERTEX_CAP = 10
 
@@ -25,18 +25,20 @@ def _check_cap(F):
 
 def d2(F):
     """Two-density: 1 for a single edge on two vertices, else (e-1)/(v-2)."""
-    e, v = F.num_edges(), F.n
-    if e < 1:
+    if F.num_edges() < 1:
         raise ValueError("d2 undefined for edgeless graphs")
-    if v == 2:
-        return Fraction(1)
-    return Fraction(e - 1, v - 2)
+    return _d2(F.num_edges(), F.n)
+
+
+def _d2(e, v):
+    """d2 of a graph with e >= 1 edges on v vertices."""
+    return Fraction(1) if v == 2 else Fraction(e - 1, v - 2)
 
 
 def _induced_d2_max(F):
     """Max d2 over induced subgraphs of F with >= 1 edge, in one scan of
-    the vertex subsets: returns (value, vertex set, max over the proper
-    ones or None when none has an edge).
+    the vertex subsets that counts the edges inside each: returns (value,
+    vertex set, max over the proper ones or None when none has an edge).
 
     Scanning induced subgraphs suffices: deleting edges at a fixed vertex
     set only lowers (e-1)/(v-2).  Ties break to the fewest vertices, then
@@ -47,10 +49,10 @@ def _induced_d2_max(F):
     best_set = None
     for k in range(2, F.n):
         for subset in combinations(range(F.n), k):
-            sub = F.subgraph_on(subset)
-            if sub.num_edges() < 1:
+            e = edge_count_between(F, subset)
+            if e < 1:
                 continue
-            val = d2(sub)
+            val = _d2(e, k)
             if best is None or val > best:
                 best, best_set = val, subset
     whole = d2(F)
@@ -74,6 +76,9 @@ def _check_delta(F, delta):
     good-graph properties and the normal family take it from."""
     inv = 1 / m2(F)[0]
     bound = min(inv, 1 - inv)
+    if bound == 0:
+        raise ValueError("no delta is valid for a pattern with m2 = 1: "
+                         "(0, min(1/m2, 1 - 1/m2)] is empty")
     if not 0 < Fraction(delta) <= bound:
         raise ValueError(f"delta must lie in (0, {bound}]")
 
@@ -178,19 +183,23 @@ def booster_admissible(B, F):
     return edge_density(B) <= m2(F)[0]
 
 
-def rooted_density(roots, H):
-    """dens(R,H) = (e(H) - e(H[R])) / (v(H) - |R|) for an ordered root list."""
-    R = list(roots)
+def _check_roots(R, H):
+    """Reject a root list that repeats a vertex, names anything but a vertex
+    id of H, or holds every vertex of H."""
     if len(set(R)) != len(R):
         raise ValueError("repeated roots")
     for r in R:
-        if not 0 <= r < H.n:
-            raise ValueError(f"root {r} out of range")
+        if not _is_id(r, H.n):
+            raise ValueError(f"root {r!r} out of range 0..{H.n - 1}")
     if len(R) >= H.n:
         raise ValueError("roots must form a proper subset of V(H)")
-    rset = set(R)
-    e_inside = sum(1 for u, v in H.edges if u in rset and v in rset)
-    return Fraction(H.num_edges() - e_inside, H.n - len(R))
+
+
+def rooted_density(roots, H):
+    """dens(R,H) = (e(H) - e(H[R])) / (v(H) - |R|) for an ordered root list."""
+    R = list(roots)
+    _check_roots(R, H)
+    return Fraction(H.num_edges() - edge_count_between(H, R), H.n - len(R))
 
 
 def mad(roots, H):
@@ -199,23 +208,21 @@ def mad(roots, H):
     This is the rooted density behind the Z3 per-edge bound on copies of
     F minus one edge through a single edge of the host: for a strictly
     balanced F, rooting F minus an edge at any remaining edge gives a
-    value below m2(F).  Returns (value, S) with S the lexicographically
-    smallest maximizer.
+    value below m2(F).  Returns (value, S) with S the maximizer with the
+    fewest vertices, then the lexicographically smallest.  Roots are
+    checked as `rooted_density` checks them.
     """
     _check_cap(H)
     R = list(roots)
-    rset = set(R)
-    if len(rset) >= H.n:
-        raise ValueError("roots must form a proper subset of V(H)")
-    others = [v for v in range(H.n) if v not in rset]
+    _check_roots(R, H)
+    e_roots = edge_count_between(H, R)
+    others = [v for v in range(H.n) if v not in R]
     best = None
     best_set = None
     for k in range(1, len(others) + 1):
         for extra in combinations(others, k):
-            S = sorted(rset | set(extra))
-            sub = H.subgraph_on(S)
-            pos = {v: i for i, v in enumerate(S)}
-            val = rooted_density([pos[r] for r in R], sub)
+            S = tuple(sorted(R + list(extra)))
+            val = Fraction(edge_count_between(H, S) - e_roots, k)
             if best is None or val > best:
-                best, best_set = val, tuple(S)
+                best, best_set = val, S
     return best, best_set

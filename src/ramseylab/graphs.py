@@ -112,13 +112,6 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
-    def subgraph_on(self, vertices):
-        """Induced subgraph, relabelled to 0..k-1 in sorted vertex order."""
-        vs = sorted(vertices)
-        pos = {v: i for i, v in enumerate(vs)}
-        es = [(pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos]
-        return Graph(len(vs), es)
-
     def with_edges(self, extra):
         """`Graph(n, edges + extra)`, checking and normalising only the
         pairs of `extra`."""

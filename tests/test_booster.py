@@ -350,6 +350,11 @@ def test_normal_family_rejects_a_delta_outside_its_range():
             construct_normal_family(Z, spec, K3, params, seed=Seed(12))
     params = dict(D=4, delta=Fraction(1, 2), p=0.5, alpha=Fraction(1, 4))
     assert construct_normal_family(Z, spec, K3, params, seed=Seed(12))[1]["psi1"] == 1
+    # P3 has m2 = 1, which leaves no delta at all
+    P3 = path_graph(3)
+    params = dict(D=4, delta=Fraction(1, 12), p=0.5, alpha=Fraction(1, 4))
+    with pytest.raises(ValueError, match=r"no delta is valid for a pattern with m2 = 1"):
+        construct_normal_family(Z, make_booster_spec(complete_graph(2), P3), P3, params)
 
 
 def test_normal_family_starvation_reported():

@@ -196,6 +196,11 @@ def test_degenerate_parameters_exit_2(capsys, tmp_path):
                "--delta", "1/12"]
     cases += [booster + [f"--p={p}"] for p in ("0", "-0.5", "2")]
     cases += [booster[:-2] + ["--p", "0.5", f"--delta={d}"] for d in ("0", "-1")]
+    # P3 has m2 = 1, so no delta is valid
+    cases += [["booster", "--host", "K6-e", "--booster", "K2", "--pattern", "P3", "--D", "4",
+               "--delta", "1/12", "--p", "0.5"],
+              ["zcheck", "--pattern", "P3", "--booster", "K2", "--n", "8", "--p", "0.3",
+               "--D", "10", "--zeta", "0.1", "--delta", "1/12"]]
     # lambda outside (0, 1] or eta <= 0, with and without --subgraph
     tprop = ["tprop", "--pattern", "K3", "--host", "K6"]
     cases += [tprop + sub + extra for sub in ([], ["--subgraph", "K6"])

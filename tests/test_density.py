@@ -147,6 +147,17 @@ def test_rooted_density_examples():
         rooted_density([0, 1, 2, 3], c4)
 
 
+def test_mad_rejects_roots_outside_the_graph():
+    c4 = cycle_graph(4)
+    # an id is an integer, not a float or a bool
+    for roots in ([0, 9], [4], [-1], [0, -2], [0.5], [True, 2]):
+        for f in (rooted_density, mad):
+            with pytest.raises(ValueError, match="out of range"):
+                f(roots, c4)
+    with pytest.raises(ValueError, match="repeated roots"):
+        mad([0, 0], c4)
+
+
 def test_mad_chain_for_cycles():
     # inequality behind the per-edge copy bound: for a strictly balanced F,
     # rooting a one-edge-deleted F at any of its remaining edges keeps the

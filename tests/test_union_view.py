@@ -31,6 +31,7 @@ from ramseylab.arrowing import (
     is_f_free,
 )
 from ramseylab.booster import (
+    _naive_copies,
     _naive_focus_members,
     _union_constraints,
     _union_keys,
@@ -107,7 +108,8 @@ def test_view_matches_full_enumeration_and_oracles(case):
     # the focus set is the naive one, plus any edge of Z that is also a
     # booster edge: such an edge focuses on itself even in no copy of F
     shared = {Z.edge_id(*e) for e in img & set(Z.edges)}
-    assert view.members == tuple(sorted(set(_naive_focus_members(Z, h, spec, F)) | shared))
+    naive = _naive_focus_members(Z, _naive_copies(set(Z.edges), img, F, U))
+    assert view.members == tuple(sorted(set(naive) | shared))
     flags = classify_bad(Z, h, spec, F)
     assert {k: flags[k] for k in ("B1", "B2", "B3")} == naive_bad_flags(Z, img, F, U)
 
