@@ -299,14 +299,21 @@ def test_verify_normal_family_names_each_broken_condition():
     good = placed(P3, (0, 1), (1, 7))
     # triangles (0, 1, 2) and (0, 2, 6) share the Z-only edge (0, 2)
     b2 = placed(P3, (0, 1), (0, 6))
-    loose = placed(P3, (0, 7), (1, 7))  # in no triangle: the union is Z's
+    loose = placed(P3, (0, 7), (1, 7))  # in no triangle, so the union arrows no more than Z
     loose_params = dict(delta=Fraction(1, 12), p=Fraction(1, 10))  # pair cap above 9
+    C4 = cycle_graph(4)
+    assert classify_bad(Z, b2, make_booster_spec(P3, K3), K3) == {
+        "B1": False, "B2": True, "B3": False, "bad": True}
+    # two C4s through the booster edge (0, 1) share a Z-only edge: B3 alone
+    assert classify_bad(Z, (0, 1), make_booster_spec(complete_graph(2), C4), C4) == {
+        "B1": False, "B2": False, "B3": True, "bad": True}
     cases = [
         (P3, K3, [good], loose_params, []),
         (P3, K3, [good, placed(P3, (0, 1), (0, 7))], loose_params, [("overlap", 0, 1)]),
         # (2, 6) lies in Z and in no triangle, so only the clash breaks
         (matching, K3, [placed(matching, (0, 1), (2, 6))], loose_params, [("edge_clash", 0)]),
         (P3, K3, [b2], loose_params, [("bad", 0)]),
+        (complete_graph(2), C4, [(0, 1)], loose_params, [("bad", 0)]),
         (P3, K3, [loose], loose_params, [("union_not_arrowing", 0, "not_arrows")]),
         # cap 8^(-1/4) < 1: every pair of the focus set, Z's edge ids 0..7, breaks it
         (P3, K3, [good], dict(delta=Fraction(1, 2), p=1),
@@ -315,12 +322,6 @@ def test_verify_normal_family_names_each_broken_condition():
          [("overlap", 0, 1), ("overlap", 0, 2), ("overlap", 1, 2), ("bad", 0),
           ("union_not_arrowing", 2, "not_arrows")]),
     ]
-    # two C4s through the booster edge (0, 1) share a Z-only edge: B3 alone
-    assert classify_bad(Z, (0, 1), make_booster_spec(complete_graph(2), cycle_graph(4)),
-                        cycle_graph(4)) == {"B1": False, "B2": False, "B3": True, "bad": True}
-    assert classify_bad(Z, b2, make_booster_spec(P3, K3), K3) == {
-        "B1": False, "B2": True, "B3": False, "bad": True}
-    cases.append((complete_graph(2), cycle_graph(4), [(0, 1)], loose_params, [("bad", 0)]))
     for B, F, family, params, violations in cases:
         check = verify_normal_family(Z, family, make_booster_spec(B, F), F, params)
         assert check == {"ok": not violations, "violations": violations}, (family, check)
