@@ -48,7 +48,7 @@ def copy_constraints(G, F):
     # sorted ids compare as the sorted edges they number
     return [ids for _, ids in sorted(
         (tuple(sorted(m)), tuple(sorted([rows[m[u]][m[v]] for u, v in fe])))
-        for m in _copy_maps(F, G))]
+        for m in _copy_maps(F, G.adj))]
 
 
 def is_f_free(coloring, G, F):

@@ -6,7 +6,10 @@ the host vertex range; its image graph lives on the host vertex set.
 Copies, focus relations and badness are all evaluated literally by copy
 enumeration in Z ∪ h(B), once per union: stage 1 decides a union from its
 copy keys, and builds the view that later stages read (`union_view`'s
-second half) from those keys only when the union arrows.  Z is analysed
+second half) from those keys only when the union arrows.  The keys come
+from a search on Z's adjacency rows with h(B)'s pairs ORed in
+(`_union_keys`); the union U is built as a Graph only for a union that
+is searched whole (`_union_verdict`).  Z is analysed
 once per call (`_z_analysis`): its copy keys are collected, Z is decided
 from them, and every union's whole search reads them.  This module keeps
 the one step from copy keys to edge ids (`_union_constraints`); every
@@ -38,7 +41,7 @@ from .arrowing import (
 )
 from .counting import _automorphism_count, _keys, _norm, _PairFamily, enumerate_copies
 from .density import _check_delta
-from .graphs import Graph, Seed, _is_id, complete_graph, union
+from .graphs import Graph, Seed, _is_id, _or_pairs, complete_graph, union
 
 
 # -- booster specification ----------------------------------------------
@@ -91,17 +94,22 @@ class UnionView:
 def union_view(Z, h, spec, F):
     """Copies of F in Z ∪ h(B) through a booster edge, focus map and focus
     set.  Every copy relevant to focusing and badness contains a booster
-    edge, so anchored enumeration over the booster edges is complete."""
+    edge, so anchored enumeration over the booster edges is complete.
+    h must hold B.n distinct vertex ids of Z."""
+    if not (all(_is_id(v, Z.n) for v in h) and len(set(h)) == len(h) == spec.B.n):
+        raise ValueError(f"h = {h!r} is not {spec.B.n} distinct vertices in 0..{Z.n - 1}")
     img = image_edges(spec.B, h)
-    return _view_from_keys(Z, img, _union_keys(Z, img, F)[1])
+    return _view_from_keys(Z, img, _union_keys(Z, img, F))
 
 
 def _union_keys(Z, img, F):
-    """The union U of Z and the booster pairs `img`, and the copy keys of F
-    in U through a booster pair, in key order: the one place a union's
-    copies are collected."""
-    U = Z.with_edges(img)
-    return U, _keys(F, U, img)
+    """The copy keys of F in the union U of Z and the booster pairs `img`
+    through a booster pair, in key order: the one place a union's copies
+    are collected.  The search reads Z's rows with `img` ORed in, each
+    pair checked as `Graph.with_edges` checks it; U is not built."""
+    adj = list(Z.adj)
+    _or_pairs(adj, img)
+    return _keys(F, adj, img)
 
 
 def _view_from_keys(Z, img, keys):
@@ -188,22 +196,23 @@ def _union_constraints(z_keys, U, keys):
 def _z_analysis(Z, F, budget):
     """(Z's copy keys, Z's ArrowResult, its certificate as a colour per Z
     edge or a falsy value): Z is decided from the keys every union reads."""
-    z_keys = _keys(F, Z)
+    z_keys = _keys(F, Z.adj)
     z_res = _decide(Z.num_edges(), _union_constraints(z_keys, Z, ()), 2, budget)
     return z_keys, z_res, z_res.certificate and dict(zip(Z.edges, z_res.certificate))
 
 
-def _union_verdict(z_keys, U, keys, budget, phi=None):
-    """decide_arrow_union's verdict on the union U whose copies through a
-    booster edge are `keys`.  Given Z's F-free colouring `phi` (colour per
-    Z edge), an extension of it to the new pairs is tried first and proves
-    "not_arrows": only a copy through a booster edge can turn
-    monochromatic.  Else the union is searched whole, as
-    decide_arrow_union does.  So "arrows" comes only from that search, and
-    a union it leaves "undecided" at `budget` may be decided by the
-    extension."""
+def _union_verdict(z_keys, Z, img, keys, budget, phi=None):
+    """decide_arrow_union's verdict on the union U of Z and the booster
+    pairs `img`, whose copies through a booster edge are `keys`.  Given Z's
+    F-free colouring `phi` (colour per Z edge), an extension of it to the
+    new pairs is tried first and proves "not_arrows": only a copy through
+    a booster edge can turn monochromatic.  Else U is built and searched
+    whole, as decide_arrow_union does; only such a union is ever built.  So
+    "arrows" comes only from that search, and a union it leaves
+    "undecided" at `budget` may be decided by the extension."""
     if phi and _extend([es for _, es in keys], phi) is not None:
         return "not_arrows"
+    U = Z.with_edges(img)
     return _decide(U.num_edges(), _union_constraints(z_keys, U, keys), 2, budget).verdict
 
 
@@ -213,8 +222,8 @@ def _unions(Z, z_keys, pool, spec, F, budget, phi, arrow_filter=True):
     unions.  Without `arrow_filter` every union counts as arrowing."""
     for h in pool:
         img = image_edges(spec.B, h)
-        U, keys = _union_keys(Z, img, F)
-        v = _union_verdict(z_keys, U, keys, budget, phi) if arrow_filter else "arrows"
+        keys = _union_keys(Z, img, F)
+        v = _union_verdict(z_keys, Z, img, keys, budget, phi) if arrow_filter else "arrows"
         yield h, img, keys, v
 
 
@@ -299,9 +308,7 @@ def construct_normal_family(Z, spec, F, params, seed=None):
         raise ValueError(f"D must be finite, got {params['D']}")
     if not params["D"] > 0:  # else every connected pair is heavy
         raise ValueError(f"D must be positive, got {params['D']}")
-    if not 0 < params["p"] <= 1:
-        raise ValueError(f"p must lie in (0, 1], got {params['p']}")
-    _check_delta(F, params["delta"])
+    _check_p_delta(F, params)
     if params.get("pool_size") is not None and params["pool_size"] < 1:
         raise ValueError(f"pool_size must be >= 1, got {params['pool_size']}")
     if "alpha" in params and Fraction(params["alpha"]) < 0:
@@ -422,6 +429,13 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     return xi0, report
 
 
+def _check_p_delta(F, params):
+    """The checks on p and delta that the pair cap 1/(p n^(delta/2)) needs."""
+    if not 0 < params["p"] <= 1:
+        raise ValueError(f"p must lie in (0, 1], got {params['p']}")
+    _check_delta(F, params["delta"])
+
+
 def _starved_stage(report):
     for stage in ("psi1", "psi2", "psi3", "psi_s", "psi4", "after_cap", "xi0"):
         if report.get(stage) == 0:
@@ -439,6 +453,7 @@ def verify_normal_family(Z, Xi0, spec, F, params, budget=None):
     off that one scan; arrowing uses the brute-force oracle whenever the
     union fits under its cap, and decide_arrow above it.
     """
+    _check_p_delta(F, params)
     B = spec.B
     zedges = set(Z.edges)
     cap = Fraction(1) / (Fraction(params["p"]) * Fraction(Z.n) ** (Fraction(params["delta"]) / 2))

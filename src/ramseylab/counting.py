@@ -5,7 +5,12 @@ all of them run on one core, `_search`: an iterative depth-first search
 with one candidate bitmask per pattern position.  Embeddings with pins
 and loose edges, copies, the deleted-edge families, the pair family
 P(e1, e2), rooted extensions and basegraphs call it here; partite copies
-and overlap counts call it from `regularity`.
+and overlap counts call it from `regularity`.  A search host is its
+adjacency rows, one bitmask per vertex, so a union Z ∪ h(B) is searched
+on Z's rows with the booster pairs ORed in, and no Graph is built for it.
+The pinned searches (copies through an anchor, P(e1, e2) completions
+through a pair) read their plans from per-pattern caches (`_arc_plans`,
+`_pair_representatives`) and pin the arc by their first two domains.
 
 A *copy* of a pattern in a host is an unlabelled image: the pair
 (vertex set, edge set).  The embeddings of one copy are one orbit of
@@ -84,9 +89,9 @@ def _plan(F, pinned, loose=()):
     return tuple(order), back_lists, ((),) * F.n
 
 
-def _search(G, plan, dom, injective=True):
-    """Yield every map of a pattern into G, by its `plan` (see `_plan`), as
-    a tuple indexed by pattern vertex.
+def _search(adj, plan, dom, injective=True):
+    """Yield every map of a pattern into the host rows `adj`, by its `plan`
+    (see `_plan`), as a tuple indexed by pattern vertex.
 
     Pattern vertex order[i] takes a host vertex from the bitmask dom[i]
     that is adjacent to the images of the vertices in back[i].  With
@@ -95,14 +100,14 @@ def _search(G, plan, dom, injective=True):
     positions whose images must be smaller than the image of order[i].
     Maps come in lexicographic order of their images in search order.  The
     depth-first search keeps one candidate bitmask per position on an
-    explicit stack, so no pattern size reaches the recursion limit.
+    explicit stack, so no pattern size reaches the recursion limit; the
+    last position's candidates are walked in one inner loop.
     """
     order, back, smaller = plan
     k = len(order)
-    if k == 0:
-        yield ()
+    if k < 2:  # no position before the last
+        yield from [(v,) for v in range(dom[0].bit_length()) if dom[0] >> v & 1] if k else [()]
         return
-    adj = G.adj
     img = [0] * k
     cand = [0] * k
     used = 0  # images of positions 0..i-1 when injective
@@ -118,24 +123,26 @@ def _search(G, plan, dom, injective=True):
         low = mask & -mask
         cand[i] = mask ^ low
         img[order[i]] = low.bit_length() - 1
-        if i + 1 == k:
-            yield tuple(img)
-            continue
-        i += 1
-        mask = dom[i]
-        for y in back[i]:
+        j = i + 1
+        mask = dom[j]
+        for y in back[j]:
             mask &= adj[img[y]]
-        for y in smaller[i]:
+        for y in smaller[j]:
             mask &= -2 << img[y]  # host vertices above img[y]
         if injective:
-            used |= low
-            mask &= ~used
-        cand[i] = mask
-
-
-def _pin_domains(order, pin, n):
-    full = (1 << n) - 1
-    return [1 << pin[x] if x in pin else full for x in order]
+            mask &= ~(used | low)
+        if j + 1 < k:
+            cand[j] = mask
+            if injective:
+                used |= low
+            i = j
+            continue
+        x = order[j]
+        while mask:
+            low = mask & -mask
+            img[x] = low.bit_length() - 1
+            yield tuple(img)
+            mask ^= low
 
 
 def embeddings(F, G, pin=None, loose=()):
@@ -149,7 +156,8 @@ def embeddings(F, G, pin=None, loose=()):
         return iter(())
     pin = dict(pin or {})
     plan = _plan(F, tuple(pin), tuple(loose))
-    return _search(G, plan, _pin_domains(plan[0], pin, G.n))
+    full = (1 << G.n) - 1
+    return _search(G.adj, plan, [1 << pin[x] if x in pin else full for x in plan[0]])
 
 
 # -- automorphism orbits of a pattern ----------------------------------
@@ -197,13 +205,10 @@ def _automorphism_count(F):
     return prod(1 + sum(b in s for s in smaller) for b in order)
 
 
-def _orbit_embeddings(F, G, pin=None):
-    """One embedding of F into G extending `pin` per orbit of the
-    pointwise stabilizer of the pinned vertices in Aut(F): without a pin,
-    the lexicographically first map of each copy in search order."""
-    pin = dict(pin or {})
-    plan = _breaking(F, tuple(pin))
-    return _search(G, plan, _pin_domains(plan[0], pin, G.n))
+def _orbit_embeddings(F, adj):
+    """One embedding of F into the host rows `adj` per copy: the
+    lexicographically first map of each copy in search order."""
+    return _search(adj, _breaking(F, ()), [(1 << len(adj)) - 1] * F.n)
 
 
 @cache
@@ -220,10 +225,18 @@ def _arc_representatives(F):
 
 
 @cache
+def _arc_plans(F):
+    """The plan of each arc representative (x, y), x and y pinned first, with
+    the symmetry breaking of their pointwise stabilizer (`_breaking`)."""
+    return tuple(_breaking(F, arc) for arc in _arc_representatives(F))
+
+
+@cache
 def _pair_representatives(F):
     """One (arc f0, edge f1 != f0) per Aut(F)-orbit of such pairs: the arc
     representatives, each with one edge per orbit of its stabilizer.
-    Each comes as (arc, f1, the edges of F other than f0 and f1)."""
+    Each comes as (arc, f1, the edges of F other than f0 and f1, the plan
+    with the arc pinned first and f0 and f1 loose)."""
     reps = []
     for x, y in _arc_representatives(F):
         f0 = _norm(x, y)
@@ -231,7 +244,8 @@ def _pair_representatives(F):
         for f1 in F.edges:
             if f1 in covered:
                 continue
-            reps.append(((x, y), f1, tuple(e for e in F.edges if e not in (f0, f1))))
+            kept = tuple(e for e in F.edges if e not in (f0, f1))
+            reps.append(((x, y), f1, kept, _plan(F, (x, y), ((x, y), f1))))
             covered.update(
                 g for g in F.edges
                 if _automorphic(F, [(x, x), (y, y), (f1[0], g[0]), (f1[1], g[1])])
@@ -260,19 +274,21 @@ class CopyFamily:
         return len(self.copies)
 
 
-def _copy_maps(F, G, anchors=None):
-    """The embeddings of F into G that copy collection reads: one per copy,
-    or with `anchors` one per copy through each host pair in turn."""
+def _copy_maps(F, adj, anchors=None):
+    """The embeddings of F into the host rows `adj` that copy collection
+    reads: one per copy, or with `anchors` one per copy through each host
+    pair in turn."""
     if F.n > PATTERN_VERTEX_CAP:  # enumeration is exponential in the pattern
         raise ValueError(f"pattern on {F.n} vertices exceeds the cap of {PATTERN_VERTEX_CAP}")
-    if F.n > G.n:
-        raise ValueError(f"pattern on {F.n} vertices larger than host on {G.n}")
+    if F.n > len(adj):
+        raise ValueError(f"pattern on {F.n} vertices larger than host on {len(adj)}")
     if anchors is None:
-        return _orbit_embeddings(F, G)
+        return _orbit_embeddings(F, adj)
     # the maps of a copy through an anchor send one orbit of arcs onto
     # (a, b), and those sending its representative form one stabilizer orbit
-    return (m for a, b in anchors for x, y in _arc_representatives(F)
-            for m in _orbit_embeddings(F, G, pin={x: a, y: b}))
+    rest = [(1 << len(adj)) - 1] * (F.n - 2)
+    return (m for a, b in anchors for plan in _arc_plans(F)
+            for m in _search(adj, plan, [1 << a, 1 << b] + rest))
 
 
 def _copy_keys(F, maps):
@@ -285,25 +301,26 @@ def _copy_keys(F, maps):
     return sorted(seen.items())
 
 
-def _keys(F, G, anchors=None):
-    """The keys of the copies of F in G, in key order; with `anchors`, of
-    the copies through one of those host pairs.  [] when F does not fit."""
-    if F.n > G.n:
+def _keys(F, adj, anchors=None):
+    """The keys of the copies of F in the host rows `adj`, in key order;
+    with `anchors`, of the copies through one of those host pairs.  []
+    when F does not fit."""
+    if F.n > len(adj):
         return []
-    return [key for key, _ in _copy_keys(F, _copy_maps(F, G, anchors))]
+    return [key for key, _ in _copy_keys(F, _copy_maps(F, adj, anchors))]
 
 
 def _copy_counts(F, G):
     """The number of copies of F in G and a Counter of the copies through
     each host edge, read off the search's one map per copy."""
-    maps = list(_copy_maps(F, G))
+    maps = list(_copy_maps(F, G.adj))
     return len(maps), Counter([_norm(m[u], m[v]) for m in maps for u, v in F.edges])
 
 
 def enumerate_copies(F, G, anchor=None):
     """All unlabelled copies of F in G; with `anchor`, only copies whose
     edge set contains that host pair."""
-    maps = _copy_maps(F, G, None if anchor is None else [anchor])
+    maps = _copy_maps(F, G.adj, None if anchor is None else [anchor])
     return CopyFamily([Copy(frozenset(vs), frozenset(es), m)
                        for (vs, es), m in _copy_keys(F, maps)])
 
@@ -362,12 +379,12 @@ def _completions_through(F, Z, fixed_pair):
     """
     a, b = _norm(*fixed_pair)
     out = {}
+    dom = [1 << a, 1 << b] + [(1 << Z.n) - 1] * (F.n - 2)
     # a result is unchanged when an automorphism of F moves the pinned arc,
     # the deleted edge f1 and the map together, so one (arc, f1) per orbit
     # suffices; what a pair's stabilizer leaves over, the copy sets absorb
-    for (x, y), f1, kept in _pair_representatives(F):
-        u1, v1 = f1
-        for m in embeddings(F, Z, pin={x: a, y: b}, loose=((x, y), f1)):
+    for _, (u1, v1), kept, plan in _pair_representatives(F):
+        for m in _search(Z.adj, plan, dom):
             w = (m[u1], m[v1]) if m[u1] < m[v1] else (m[v1], m[u1])
             if (found := out.get(w)) is None:
                 found = out[w] = []

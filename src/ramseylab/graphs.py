@@ -59,21 +59,10 @@ class Graph:
 
     def _build(self, n, edges, adj, extra):
         """Set this graph to the sorted `edges` (whose rows are `adj`) and
-        the pairs of `extra`: only those are checked and normalised, ORed
-        into `adj`, and the edge order and index rebuilt from the sorted
-        edges."""
-        new = []
-        for u, v in extra:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if not adj[u] >> v & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                new.append((u, v) if u < v else (v, u))
+        the pairs of `extra`, ORed into `adj` by `_or_pairs`; the edge order
+        and index are rebuilt from the sorted edges."""
         self.n = n
-        self.edges = tuple(sorted(edges + tuple(new)))
+        self.edges = tuple(sorted(edges + tuple(_or_pairs(adj, extra))))
         self.adj = tuple(adj)
         self._index = {e: i for i, e in enumerate(self.edges)}
         self._hash = hash((n, self.edges))  # every cache keyed on a graph asks for it
@@ -122,6 +111,23 @@ class Graph:
     def without_edges(self, removed):
         drop = {(min(u, v), max(u, v)) for u, v in removed}
         return Graph(self.n, [e for e in self.edges if e not in drop])
+
+
+def _or_pairs(adj, pairs):
+    """OR the vertex pairs `pairs` into the adjacency rows `adj` (a list, one
+    row per vertex), checking each: the one pair check of every graph build
+    and of every union searched on rows.  Returns the new pairs, normalised."""
+    n, new = len(adj), []
+    for u, v in pairs:
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if not adj[u] >> v & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            new.append((u, v) if u < v else (v, u))
+    return new
 
 
 def empty_graph(n):

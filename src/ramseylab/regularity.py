@@ -154,7 +154,7 @@ def counting_lemma_check(Fp, classes_of, H, partition, p, d, eps, xi):
     class_masks = [sum(1 << x for x in cls) for cls in partition]
     plan = _plan(Fp, ())
     dom = [class_masks[classes_of[v]] for v in plan[0]]
-    count = sum(1 for _ in _search(H, plan, dom, injective=False))
+    count = sum(1 for _ in _search(H.adj, plan, dom, injective=False))
     bound = xi * (p ** Fp.num_edges())
     for v in range(Fp.n):
         bound *= len(partition[classes_of[v]])
@@ -181,7 +181,7 @@ def fstar_overlap_count(Fstar, a1, a2, G, W):
     plan = _plan(Fstar, (a1, a2))
     outside = [((1 << G.n) - 1) & ~sum(1 << w for w in inside)] * (Fstar.n - 2)
     maps = (m for w1 in inside for w2 in inside if w1 != w2
-            for m in _search(G, plan, [1 << w1, 1 << w2] + outside))
+            for m in _search(G.adj, plan, [1 << w1, 1 << w2] + outside))
     return {
         "count": len(_copy_keys(Fstar, maps)),
         "bound_coefficient": 2 * G.n ** (Fstar.n - 2) * len(W) ** 2,

@@ -3,12 +3,19 @@
 Everything here is deliberately dumb: permutations, double loops and
 literal definitions.  Only the Graph accessors are shared with the
 library; all counting logic is separate.
+
+The `reference_*` functions at the end are the exception: they keep the
+per-call forms of the pinned pattern searches (a plan looked up and a
+pin-domain list built for every pin), which the cached-plan searches in
+`counting` must match map for map and in order.  They read the library's
+plans and orbit representatives, so they check the searches, not those.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 
+from ramseylab.counting import _arc_representatives, _breaking, _pair_representatives, _plan
 from ramseylab.graphs import Graph
 
 
@@ -278,3 +285,71 @@ def naive_hypergraph_stats(m, edges, tau):
         "Delta1": max(deg.values(), default=0),
         "Delta2": max(pair.values(), default=0),
     }
+
+
+# -- reference forms of the pinned searches ----------------------------------
+
+
+def reference_search(adj, plan, dom, injective=True):
+    """The pattern search with every position, the last included, taken
+    from its candidate stack one vertex per pass of the main loop."""
+    order, back, smaller = plan
+    k = len(order)
+    if k == 0:
+        yield ()
+        return
+    img = [0] * k
+    cand = [0] * k
+    used = 0
+    cand[0] = dom[0]
+    i = 0
+    while i >= 0:
+        mask = cand[i]
+        if not mask:
+            i -= 1
+            if injective and i >= 0:
+                used ^= 1 << img[order[i]]
+            continue
+        low = mask & -mask
+        cand[i] = mask ^ low
+        img[order[i]] = low.bit_length() - 1
+        if i + 1 == k:
+            yield tuple(img)
+            continue
+        i += 1
+        mask = dom[i]
+        for y in back[i]:
+            mask &= adj[img[y]]
+        for y in smaller[i]:
+            mask &= -2 << img[y]
+        if injective:
+            used |= low
+            mask &= ~used
+        cand[i] = mask
+
+
+def reference_pinned(adj, plan, pin):
+    """The maps by `plan` extending the pin dict `pin`, its domains built
+    for this one call."""
+    full = (1 << len(adj)) - 1
+    return reference_search(adj, plan, [1 << pin[x] if x in pin else full for x in plan[0]])
+
+
+def reference_copy_maps(F, adj, anchors):
+    """One map per copy through each anchor in turn: each arc representative
+    (x, y) of F pinned to the anchor, with its stabilizer's symmetry breaking."""
+    return [m for a, b in anchors for x, y in _arc_representatives(F)
+            for m in reference_pinned(adj, _breaking(F, (x, y)), {x: a, y: b})]
+
+
+def reference_completions_through(F, Z, fixed_pair):
+    """The P(e1, e2) completions through `fixed_pair`, grouped by witness:
+    per (arc, f1) representative, the embeddings with the arc pinned to the
+    pair and the arc and f1 exempt."""
+    a, b = norm(*fixed_pair)
+    out = {}
+    for (x, y), (u1, v1), kept, _ in _pair_representatives(F):
+        plan = _plan(F, (x, y), ((x, y), (u1, v1)))
+        for m in reference_pinned(Z.adj, plan, {x: a, y: b}):
+            out.setdefault(norm(m[u1], m[v1]), []).append((m, kept))
+    return out

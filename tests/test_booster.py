@@ -358,6 +358,47 @@ def test_normal_family_rejects_a_delta_outside_its_range():
         construct_normal_family(Z, make_booster_spec(complete_graph(2), P3), P3, params)
 
 
+def test_verify_normal_family_checks_p_and_delta_as_the_constructor_does():
+    # the pair cap 1/(p n^(delta/2)) means nothing for p outside (0, 1] or
+    # delta outside (0, 1/2] (K3): the verifier rejects them, not divides
+    Z, spec = complete_graph(6).without_edges([(0, 1)]), make_booster_spec(complete_graph(2), K3)
+    for p, delta, message in ((0, Fraction(1, 12), r"p must lie in \(0, 1\], got 0"),
+                              (-1, Fraction(1, 12), r"p must lie in \(0, 1\], got -1"),
+                              (1.5, Fraction(1, 12), r"p must lie in \(0, 1\], got 1.5"),
+                              (0.5, -4, r"delta must lie in \(0, 1/2\]"),
+                              (0.5, 0, r"delta must lie in \(0, 1/2\]")):
+        params = dict(D=4, delta=delta, p=p, alpha=Fraction(1, 4))
+        for call in (lambda: construct_normal_family(Z, spec, K3, params, seed=Seed(12)),
+                     lambda: verify_normal_family(Z, [(0, 1)], spec, K3, params)):
+            with pytest.raises(ValueError, match=message):
+                call()
+    P3 = path_graph(3)
+    params = dict(D=4, delta=Fraction(1, 12), p=0.5)
+    with pytest.raises(ValueError, match=r"no delta is valid for a pattern with m2 = 1"):
+        verify_normal_family(Z, [(0, 1)], make_booster_spec(complete_graph(2), P3), P3, params)
+    # both ends of the ranges are allowed; there the cap 6^(-1/4) < 1 is broken
+    ends = verify_normal_family(Z, [(0, 1)], spec, K3, dict(D=4, delta=Fraction(1, 2), p=1))
+    assert {v[0] for v in ends["violations"]} == {"pair_cap"}
+    params = dict(D=4, delta=Fraction(1, 12), p=0.5)
+    assert verify_normal_family(Z, [(0, 1)], spec, K3, params)["ok"]
+
+
+def test_union_view_rejects_what_is_no_embedding():
+    # h must hold B.n distinct vertex ids of Z: a repeated vertex, a vertex
+    # too many or too few, one past the host, a negative, a bool or a float
+    # is refused by every reader of the view
+    Z, C5 = gnp_sample(10, 0.5, Seed(3)), cycle_graph(5)
+    spec = make_booster_spec(C5, K3)
+    readers = (classify_bad, union_view, profile_of,
+               lambda Z, h, spec, F: pair_relations(Z, h, spec, F, Z.edges[0], Z.edges[1]))
+    for h in ((0, 1, 0, 3, 4), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3), (0, 1, 2, 3, 10),
+              (0, 1, 2, 3, -1), (0, 1, 2, 3, True), (0, 1, 2, 3, 4.0), ()):
+        for read in readers:
+            with pytest.raises(ValueError, match=r"is not 5 distinct vertices in 0\.\.9"):
+                read(Z, h, spec, K3)
+    assert set(classify_bad(Z, (0, 1, 2, 3, 4), spec, K3)) == {"B1", "B2", "B3", "bad"}
+
+
 def test_normal_family_starvation_reported():
     # sparse Z: no union arrows, pipeline starves at the arrow filter
     Z = gnp_sample(8, 0.2, Seed(77))

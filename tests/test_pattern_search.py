@@ -9,23 +9,37 @@ maps and off the copy keys."""
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import naive_copies, naive_extension_count, naive_fstar_overlap, naive_P
+from oracles import (
+    naive_copies,
+    naive_extension_count,
+    naive_fstar_overlap,
+    naive_P,
+    reference_completions_through,
+    reference_copy_maps,
+    reference_search,
+)
 
 from ramseylab.arrowing import copy_constraints
-from ramseylab.booster import _union_constraints
+from ramseylab.booster import _union_constraints, _union_keys
 from ramseylab.counting import (
     _automorphism_count,
+    _breaking,
+    _completions_through,
     _copy_counts,
+    _copy_keys,
+    _copy_maps,
     _keys,
     _norm,
     _orbit_embeddings,
     _PairFamily,
+    _plan,
+    _search,
     are_isomorphic,
     count_P,
     embeddings,
@@ -34,7 +48,7 @@ from ramseylab.counting import (
     extension_count,
 )
 from ramseylab.density import PATTERN_VERTEX_CAP
-from ramseylab.graphs import Graph, complete_graph, path_graph, pattern_by_name
+from ramseylab.graphs import Graph, complete_graph, cycle_graph, path_graph, pattern_by_name
 from ramseylab.regularity import counting_lemma_check, fstar_overlap_count
 
 PATTERNS = [pattern_by_name(name) for name in ("K3", "C4", "P3", "K4-e")]
@@ -80,7 +94,7 @@ def copy_key(F, m):
 def test_symmetry_broken_copies_match_plain_search(G, F, data):
     family = enumerate_copies(F, G)
     # one map per copy: no copy twice and none missing
-    keys = [copy_key(F, m) for m in _orbit_embeddings(F, G)]
+    keys = [copy_key(F, m) for m in _orbit_embeddings(F, G.adj)]
     assert len(keys) == len(set(keys)) == len(family)
     # the same copies, each with the same witness map as the plain search:
     # its first map onto the copy, in key order
@@ -91,6 +105,86 @@ def test_symmetry_broken_copies_match_plain_search(G, F, data):
     anchor = data.draw(st.sampled_from(list(combinations(range(G.n), 2))))
     assert copy_set(enumerate_copies(F, G, anchor=anchor)) == {
         (c.vertices, c.edges) for c in family.copies if anchor in c.edges}
+
+
+@PROPERTY
+@given(hosts(min_n=1), st.sampled_from(COPY_PATTERNS + PATTERNS + [
+    Graph(1, []), complete_graph(2), Graph(3, [])]), st.data())
+def test_search_yields_the_reference_maps_in_order(G, F, data):
+    # the last position's inner loop yields every map of the per-pass
+    # search, in its order: plain and symmetry-broken plans, pinned
+    # vertices, loose edges, arbitrary domains, embeddings and homomorphisms
+    pinned = tuple(data.draw(st.permutations(range(F.n)))[: data.draw(st.integers(0, F.n))])
+    if data.draw(st.booleans()):
+        plan = _breaking(F, pinned)
+    else:
+        plan = _plan(F, pinned, tuple(data.draw(st.sets(st.sampled_from(F.edges)))
+                                      if F.edges else ()))
+    full = (1 << G.n) - 1
+    dom = [data.draw(st.sampled_from((full, full, 1 << data.draw(st.integers(0, G.n - 1)),
+                                      data.draw(st.integers(0, full)))))
+           for _ in range(F.n)]
+    for injective in (True, False):
+        assert list(_search(G.adj, plan, dom, injective)) == list(
+            reference_search(G.adj, plan, dom, injective))
+
+
+def naive_union_keys(F, n, edges, img):
+    """Keys of the copies of F on the edge set `edges` through a pair of
+    `img`, by permutations over the edge set alone."""
+    img = {_norm(*e) for e in img}
+    found = set()
+    for perm in permutations(range(n), F.n):
+        es = {_norm(perm[u], perm[v]) for u, v in F.edges}
+        if es <= edges and es & img:
+            found.add((tuple(sorted(perm)), tuple(sorted(es))))
+    return sorted(found)
+
+
+@PROPERTY
+@given(hosts(min_n=5), st.sampled_from(COPY_PATTERNS), st.data())
+def test_union_rows_give_the_keys_of_the_built_union(Z, F, data):
+    # booster pairs ORed into Z's rows give the copies through them that
+    # the built union gives, each with the per-call search's witness map;
+    # the pairs may be edges of Z already, in either orientation
+    pairs = list(combinations(range(Z.n), 2))
+    img = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5, unique=True))
+    if Z.edges:
+        img.append(data.draw(st.sampled_from(Z.edges)))
+    img = [e[::-1] if data.draw(st.booleans()) else e for e in dict.fromkeys(img)]
+    U = Z.with_edges(img)
+    keys = _union_keys(Z, img, F)
+    assert keys == _keys(F, U.adj, img)
+    assert keys == naive_union_keys(F, Z.n, set(Z.edges) | {_norm(*e) for e in img}, img)
+    rows = list(Z.adj)
+    for u, v in img:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    assert _copy_keys(F, _copy_maps(F, U.adj, img)) == _copy_keys(
+        F, reference_copy_maps(F, rows, img))
+
+
+def test_union_rows_raise_the_graph_messages():
+    # a loop, a vertex past the host and a negative vertex, alone or after
+    # a good pair, fail as Graph.with_edges fails on them
+    Z = cycle_graph(5)
+    for bad in ([(2, 2)], [(0, 5)], [(5, 0)], [(-1, 0)], [(0, 2), (3, 3)], [(1, 3), (0, 7)]):
+        with pytest.raises(ValueError) as built:
+            Z.with_edges(bad)
+        with pytest.raises(ValueError) as rows:
+            _union_keys(Z, bad, complete_graph(3))
+        assert str(rows.value) == str(built.value), bad
+
+
+@settings(PROPERTY, max_examples=40)
+@given(hosts(max_n=7), st.sampled_from(COPY_PATTERNS + PATTERNS), st.data())
+def test_completions_through_match_the_reference_loop(Z, F, data):
+    # the cached pair plans give the per-call loop's maps, witness by
+    # witness and in order, through edges and non-edges of Z alike
+    a, b = data.draw(st.sampled_from(list(combinations(range(Z.n), 2))))
+    for pair in ((a, b), (b, a)):
+        got = _completions_through(F, Z, pair)
+        assert list(got.items()) == list(reference_completions_through(F, Z, pair).items())
 
 
 def test_automorphism_count_is_the_self_embedding_count():
@@ -105,7 +199,7 @@ def test_automorphism_count_is_the_self_embedding_count():
 def test_copy_counts_match_the_copy_keys(G, F):
     # the counts read off the search, one map per copy, are those of the
     # collected keys: the copies, and the copies through each host edge
-    keys = _keys(F, G)
+    keys = _keys(F, G.adj)
     assert _copy_counts(F, G) == (len(keys), Counter(e for _, es in keys for e in es))
 
 
@@ -123,10 +217,11 @@ def test_copy_keys_build_the_constraint_system(G, F, data):
     # any of them, each once, in key order
     anchors = data.draw(st.lists(st.sampled_from(list(combinations(range(G.n), 2))),
                                  min_size=1, max_size=4, unique=True))
-    assert _keys(F, G, anchors) == sorted(
+    assert _keys(F, G.adj, anchors) == sorted(
         (tuple(sorted(vs)), tuple(sorted(es))) for vs, es in naive_copies(F, G)
         if set(anchors) & es)
-    assert _keys(F, Graph(F.n - 1, [])) == _keys(F, Graph(F.n - 1, []), anchors[:1]) == []
+    small = Graph(F.n - 1, []).adj
+    assert _keys(F, small) == _keys(F, small, anchors[:1]) == []
 
 
 @PROPERTY
@@ -135,7 +230,7 @@ def test_copy_keys_build_the_constraint_system(G, F, data):
 def test_whole_graph_and_key_builders_agree(G, F):
     # ids read off the copy search's maps give the system the keys give,
     # term for term: K2, an edgeless pattern and F larger than G included
-    assert copy_constraints(G, F) == _union_constraints(_keys(F, G), G, ())
+    assert copy_constraints(G, F) == _union_constraints(_keys(F, G.adj), G, ())
 
 
 def test_copy_constraints_keep_the_pattern_cap():

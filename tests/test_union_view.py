@@ -94,7 +94,8 @@ def unions(draw):
 def test_view_matches_full_enumeration_and_oracles(case):
     Z, h, spec, F = case
     view = union_view(Z, h, spec, F)
-    U, keys = _union_keys(Z, image_edges(spec.B, h), F)
+    keys = _union_keys(Z, image_edges(spec.B, h), F)
+    U = Z.with_edges(image_edges(spec.B, h))
     assert U == union(Z, image_graph(spec.B, h, Z.n))
     # Z's copy keys merged with the union's give its NAE system, in order,
     # each copy once, also when a booster edge already lies in Z
@@ -141,7 +142,8 @@ def _stage1(Z, h, spec, F, phi):
     of decide_arrow_union), unbudgeted.  The extension is assembled here
     into a colour per EdgeId of the union: phi on Z, the extension's colour
     on each new pair it names, and red on the new pairs it leaves free."""
-    U, keys = _union_keys(Z, image_edges(spec.B, h), F)
+    img = image_edges(spec.B, h)
+    keys, U = _union_keys(Z, img, F), Z.with_edges(img)
     z_keys = naive_keys(F, Z)
     by_edge = dict(zip(Z.edges, phi)) if phi is not None else None
     new = _extend([es for _, es in keys], by_edge) if by_edge is not None else None
@@ -149,8 +151,8 @@ def _stage1(Z, h, spec, F, phi):
     if new is not None:
         assert set(new) <= set(U.edges) - set(Z.edges)  # only new pairs get a colour
         ext = [{**by_edge, **new}.get(e, RED) for e in U.edges]
-    return (U, ext, _union_verdict(z_keys, U, keys, None, by_edge),
-            _union_verdict(z_keys, U, keys, None),
+    return (U, ext, _union_verdict(z_keys, Z, img, keys, None, by_edge),
+            _union_verdict(z_keys, Z, img, keys, None),
             decide_arrow_union(Z, image_graph(spec.B, h, Z.n), F).verdict)
 
 
@@ -204,8 +206,7 @@ def test_extension_needs_no_core_only_when_every_copy_meets_two_colours():
     # the triangle 012 through the booster edge 02 sees red 01 and blue 12,
     # so any colour of 02 extends phi
     Z, spec = path_graph(3), SPECS[("K2", K3)]
-    U, keys = _union_keys(Z, image_edges(spec.B, (0, 2)), K3)
-    cons = [es for _, es in keys]
+    cons = [es for _, es in _union_keys(Z, image_edges(spec.B, (0, 2)), K3)]
     assert _extend(cons, {(0, 1): RED, (1, 2): BLUE}) == {}
     assert _extend(cons, {(0, 1): RED, (1, 2): RED}) == {(0, 2): BLUE}
     # a K4 booster away from Z's one edge: its four triangles have no edge
@@ -291,10 +292,10 @@ def test_each_host_collects_its_copies_once(monkeypatch):
     collections = []
     search = counting._orbit_embeddings
 
-    def spy(F, G, pin=None):
-        if G is Z and not pin:
+    def spy(F, adj):
+        if adj is Z.adj:
             collections.append(F)
-        return search(F, G, pin)
+        return search(F, adj)
 
     monkeypatch.setattr(counting, "_orbit_embeddings", spy)
     params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4)}
