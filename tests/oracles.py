@@ -287,6 +287,22 @@ def naive_hypergraph_stats(m, edges, tau):
     }
 
 
+def naive_maximal_independent_sets(m, edges):
+    """Vertex sets of 0..m-1 holding no hyperedge, to which no vertex can be
+    added, in ascending order of their bit masks; every subset is tried."""
+    edges = [frozenset(e) for e in edges]
+
+    def independent(s):
+        return not any(e <= s for e in edges)
+
+    out = []
+    for mask in range(1 << m):
+        s = frozenset(v for v in range(m) if mask >> v & 1)
+        if independent(s) and not any(independent(s | {v}) for v in range(m) if v not in s):
+            out.append(s)
+    return out
+
+
 # -- reference forms of the pinned searches ----------------------------------
 
 

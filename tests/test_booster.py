@@ -38,7 +38,7 @@ from ramseylab.graphs import (
 )
 
 from instances import interactive_instance, assert_instance_well_formed
-from oracles import naive_bad_flags, naive_hypergraph_stats
+from oracles import naive_bad_flags, naive_hypergraph_stats, naive_maximal_independent_sets
 
 K3 = complete_graph(3)
 
@@ -437,6 +437,14 @@ def test_hypergraph_stats_fixture_and_oracle():
         assert abs(mine["delta_float"] - float(ref["delta"])) <= 1e-12 * max(1.0, float(ref["delta"]))
 
 
+def test_hypergraph_stats_of_a_1_uniform_hypergraph():
+    # no j-subsets with j >= 2, so delta is the empty sum: an exact zero
+    st = hypergraph_stats(Hypergraph(4, [(0,), (2,), (3,)]), Fraction(1, 2))
+    assert st["ell"] == 1 and st["delta_j"] == {} and st["Delta2"] == 0
+    assert st["delta"] == 0 and isinstance(st["delta"], Fraction)
+    assert st["delta_float"] == 0.0 and st["d"] == Fraction(3, 4)
+
+
 def test_stats_internal_identities():
     rng = Seed(889).generator()
     for i in range(10):
@@ -458,6 +466,20 @@ def test_cores_small_fixtures():
     assert rep["c3_ok"]
     with pytest.raises(ValueError):
         brute_force_cores(Hypergraph(21, [(0, 1)]))
+
+
+def test_cores_match_naive_maximal_independent_sets():
+    rng = Seed(891).generator()
+    for i in range(40):
+        m = int(rng.integers(1, 13))
+        edges = set()
+        for _ in range(int(rng.integers(0, 9))):
+            size = int(rng.integers(1, min(4, m) + 1))
+            edges.add(tuple(sorted(rng.choice(m, size=size, replace=False).tolist())))
+        fam = brute_force_cores(Hypergraph(m, edges))
+        containers = naive_maximal_independent_sets(m, edges)
+        assert fam.containers == containers, (m, edges)
+        assert fam.cores == [frozenset(range(m)) - s for s in containers], (m, edges)
 
 
 def test_every_hitting_set_contains_a_core_randomized():
