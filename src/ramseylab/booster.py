@@ -91,13 +91,18 @@ class UnionView:
     members: tuple  # the focus set: EdgeIds of the focus map's edges, sorted
 
 
+def _check_embedding(h, B, n):
+    """Refuse an h that is not B.n distinct vertex ids of a host on n
+    vertices: the one embedding check of every booster entry point."""
+    if not (all(_is_id(v, n) for v in h) and len(set(h)) == len(h) == B.n):
+        raise ValueError(f"h = {h!r} is not {B.n} distinct vertices in 0..{n - 1}")
+
+
 def union_view(Z, h, spec, F):
     """Copies of F in Z ∪ h(B) through a booster edge, focus map and focus
     set.  Every copy relevant to focusing and badness contains a booster
-    edge, so anchored enumeration over the booster edges is complete.
-    h must hold B.n distinct vertex ids of Z."""
-    if not (all(_is_id(v, Z.n) for v in h) and len(set(h)) == len(h) == spec.B.n):
-        raise ValueError(f"h = {h!r} is not {spec.B.n} distinct vertices in 0..{Z.n - 1}")
+    edge, so anchored enumeration over the booster edges is complete."""
+    _check_embedding(h, spec.B, Z.n)
     img = image_edges(spec.B, h)
     return _view_from_keys(Z, img, _union_keys(Z, img, F))
 
@@ -229,6 +234,8 @@ def _unions(Z, z_keys, pool, spec, F, budget, phi, arrow_filter=True):
 
 def check_interactive_regular(Z, Xi, spec, F, budget=None):
     """Per-embedding interactivity and regularity report."""
+    for h in Xi:
+        _check_embedding(h, spec.B, Z.n)
     z_keys, z_res, phi = _z_analysis(Z, F, budget)
     b_res = decide_arrow(spec.B, F, budget=budget)
     reports = []
@@ -356,7 +363,7 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     report["psi2"] = len(psi2)
 
     # stage 3: heavy connected pairs
-    heavy_cap = Fraction(D) / (Fraction(p) * Fraction(n) ** Fraction(delta))
+    heavy_cap = D / (p * n ** float(delta))
     heavy = cache(partial(_PairFamily(F, Z).exceeds, cap=heavy_cap))
     psi3 = []
     for h in psi2:
@@ -401,7 +408,7 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     report["psi4"] = len(psi4)
 
     # stage 6: connection cap, deterministic sequential pass in pool order
-    cap = Fraction(1) / (Fraction(p) * Fraction(n) ** (Fraction(delta) / 2))
+    cap = 1 / (p * n ** (float(delta) / 2))
     counts = Counter()
     capped = []
     for h in psi4:
@@ -453,10 +460,12 @@ def verify_normal_family(Z, Xi0, spec, F, params, budget=None):
     off that one scan; arrowing uses the brute-force oracle whenever the
     union fits under its cap, and decide_arrow above it.
     """
+    for h in Xi0:
+        _check_embedding(h, spec.B, Z.n)
     _check_p_delta(F, params)
     B = spec.B
     zedges = set(Z.edges)
-    cap = Fraction(1) / (Fraction(params["p"]) * Fraction(Z.n) ** (Fraction(params["delta"]) / 2))
+    cap = 1 / (params["p"] * Z.n ** (float(params["delta"]) / 2))
     overlap = [("overlap", i, j) for i, j in combinations(range(len(Xi0)), 2)
                if len(set(Xi0[i]) & set(Xi0[j])) >= 2]
     clash, bad, not_arrowing = [], [], []
@@ -606,6 +615,8 @@ def activated_set(Z, Xi, spec, F, phi):
     any such copy is mixed, so anchored enumeration over booster edges is
     complete.  Rejects non-F-free colourings.
     """
+    for h in Xi:
+        _check_embedding(h, spec.B, Z.n)
     ok, _ = is_f_free(phi, Z, F)
     if not ok:
         raise ValueError("phi is not F-free on Z")
@@ -613,18 +624,16 @@ def activated_set(Z, Xi, spec, F, phi):
     if not ok:
         raise ValueError("sigma is not F-free on B")
     activated = set()
-    zedges = set(Z.edges)
+    z_colour = dict(zip(Z.edges, phi))
     for h in Xi:
         img = image_edges(spec.B, h)
-        if set(img) & zedges:
+        if any(e in z_colour for e in img):
             raise ValueError("embedding shares an edge with Z: pair is not interactive")
-        joint = {e: spec.sigma[j] for j, e in enumerate(img)}
-        for e in zedges:
-            joint[e] = phi[Z.edge_id(*e)]
+        joint = z_colour | dict(zip(img, spec.sigma))
         for (_, es), _zonly, _boost in union_view(Z, h, spec, F).copies:
             cols = {joint[e] for e in es}
             if len(cols) == 1:
-                activated.update(Z.edge_id(*e) for e in es if e in zedges)
+                activated.update(Z.edge_id(*e) for e in es if e in z_colour)
     return activated
 
 
@@ -697,11 +706,10 @@ def hypergraph_stats(H, tau):
                 best[v] = max(best[v], c)
         delta_js[j] = Fraction(sum(best.values())) / (tau ** (j - 1) * m * d)
 
-    delta = 2 ** (comb(ell, 2) - 1) * sum(
+    # for ell = 1 the sum is empty and delta is Fraction(1, 2) * 0 = 0
+    delta = Fraction(2) ** (comb(ell, 2) - 1) * sum(
         Fraction(1, 2 ** comb(j - 1, 2)) * delta_js[j] for j in range(2, ell + 1)
     )
-    if ell < 2:
-        delta = Fraction(0)
 
     return {
         "m": m,
@@ -719,15 +727,17 @@ def hypergraph_stats(H, tau):
 
 def degree_bound_report(stats, D, p, delta, vF, n):
     """Compare the exact degree statistics against the theory-side caps
-    D/p * C(v(F),2) and 1/(p n^(delta/2)); reported, never asserted."""
+    D/p * C(v(F),2), exact, and 1/(p n^(delta/2)), a float as in the pair
+    cap of the normal family, whose constructor checks delta's range;
+    reported, never asserted."""
     b1 = Fraction(D) / Fraction(p) * comb(vF, 2)
-    b2 = Fraction(1) / (Fraction(p) * Fraction(n) ** (Fraction(delta) / 2))
+    b2 = 1 / (p * n ** (float(delta) / 2))
     return {
         "Delta1": stats["Delta1"],
         "Delta1_bound": float(b1),
         "Delta1_within": stats["Delta1"] <= b1,
         "Delta2": stats["Delta2"],
-        "Delta2_bound": float(b2),
+        "Delta2_bound": b2,
         "Delta2_within": stats["Delta2"] <= b2,
     }
 
@@ -748,7 +758,8 @@ class CoreFamily:
 
 
 def brute_force_cores(H):
-    """Containers = maximal independent sets; cores = their complements.
+    """Containers = maximal independent sets, in ascending mask order;
+    cores = their complements.
 
     Exhaustive over all vertex subsets, so capped at 20 vertices.
     """
@@ -757,31 +768,15 @@ def brute_force_cores(H):
         raise ValueError(f"{m} vertices exceed the exhaustive cap of {CORE_VERTEX_CAP}")
     if any(len(e) == 0 for e in H.edges):
         return CoreFamily(cores=[], containers=[])  # empty hyperedge: nothing to hit
-    edge_masks = [sum(1 << v for v in e) for e in H.edges]
-    full = (1 << m) - 1
     independent = np.ones(1 << m, dtype=bool)
     masks = np.arange(1 << m, dtype=np.int64)
-    for em in edge_masks:
+    for em in (sum(1 << v for v in e) for e in H.edges):
         independent &= (masks & em) != em
-    ind_set = set(np.nonzero(independent)[0].tolist())
-    containers = []
-    for s in ind_set:
-        maximal = True
-        rem = full & ~s
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            if (s | low) in ind_set:
-                maximal = False
-                break
-        if maximal:
-            containers.append(s)
-    containers.sort()
-    cores, conts = [], []
-    for s in containers:
-        conts.append(frozenset(v for v in range(m) if s >> v & 1))
-        cores.append(frozenset(v for v in range(m) if (full & ~s) >> v & 1))
-    return CoreFamily(cores=cores, containers=conts)
+    maximal = np.nonzero(independent)[0]
+    for v in range(m):  # keep the sets that hold v or cannot take it
+        maximal = maximal[(maximal >> v & 1).astype(bool) | ~independent[maximal | 1 << v]]
+    containers = [frozenset(v for v in range(m) if s >> v & 1) for s in maximal.tolist()]
+    return CoreFamily(cores=[frozenset(range(m)) - c for c in containers], containers=containers)
 
 
 def verify_core_properties(core_family, H, beta=None, gamma=None):

@@ -205,12 +205,6 @@ def _automorphism_count(F):
     return prod(1 + sum(b in s for s in smaller) for b in order)
 
 
-def _orbit_embeddings(F, adj):
-    """One embedding of F into the host rows `adj` per copy: the
-    lexicographically first map of each copy in search order."""
-    return _search(adj, _breaking(F, ()), [(1 << len(adj)) - 1] * F.n)
-
-
 @cache
 def _arc_representatives(F):
     """One arc (x, y), i.e. an edge with an orientation, per Aut(F)-orbit."""
@@ -276,14 +270,15 @@ class CopyFamily:
 
 def _copy_maps(F, adj, anchors=None):
     """The embeddings of F into the host rows `adj` that copy collection
-    reads: one per copy, or with `anchors` one per copy through each host
-    pair in turn."""
+    reads: with no `anchors`, one per copy, its lexicographically first map
+    in search order under the symmetry breaking of Aut(F); with `anchors`,
+    one per copy through each host pair in turn."""
     if F.n > PATTERN_VERTEX_CAP:  # enumeration is exponential in the pattern
         raise ValueError(f"pattern on {F.n} vertices exceeds the cap of {PATTERN_VERTEX_CAP}")
     if F.n > len(adj):
         raise ValueError(f"pattern on {F.n} vertices larger than host on {len(adj)}")
     if anchors is None:
-        return _orbit_embeddings(F, adj)
+        return _search(adj, _breaking(F, ()), [(1 << len(adj)) - 1] * F.n)
     # the maps of a copy through an anchor send one orbit of arcs onto
     # (a, b), and those sending its representative form one stabilizer orbit
     rest = [(1 << len(adj)) - 1] * (F.n - 2)

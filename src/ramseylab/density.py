@@ -136,7 +136,8 @@ class PatternProfile:
 
 
 def classify(F):
-    """Full pattern profile: m2, balancedness flags, near-bipartiteness witness."""
+    """Full pattern profile: m2, balancedness flags, near-bipartiteness
+    witness; both balance flags are read off one scan of induced subgraphs."""
     _check_cap(F)
     e = F.num_edges()
     if e < 1:
@@ -145,12 +146,10 @@ def classify(F):
     balanced = d2(F) == m2_val
 
     # Strictly balanced: every proper subgraph with >= 1 edge has d2 < m2.
-    # The maximum over proper subgraphs is attained either on a proper
-    # induced subgraph or on F minus a single edge (spanning).
+    # One on fewer vertices is bounded by the induced subgraph on them; a
+    # spanning one has at most e - 1 edges, so its d2 is below d2(F) = m2
+    # whenever F is balanced, and it needs no test.
     strict = balanced and (proper_max is None or proper_max < m2_val)
-    if strict and e >= 2 and F.n > 2:
-        if Fraction(e - 2, F.n - 2) >= m2_val:
-            strict = False
 
     nb_witness = None
     if e >= 2:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -174,6 +175,18 @@ def test_profile_and_index_consistency():
     assert Xi == [] and rep["empty_reason"]
 
 
+def test_index_consistency_fails_on_an_edge_at_two_positions():
+    # (1, 2) is the second member of (0, 1)'s focus set {(0, 2), (1, 2)}
+    # and the first of (1, 3)'s {(1, 2), (2, 3)}
+    Z = Graph(4, [(0, 2), (1, 2), (2, 3)])
+    spec = make_booster_spec(complete_graph(2), K3)
+    assert [union_view(Z, h, spec, K3).members for h in ((0, 1), (1, 3))] == [(0, 1), (1, 2)]
+    assert verify_index_consistent(Z, [(0, 1)], spec, K3)
+    assert verify_index_consistent(Z, [(1, 3)], spec, K3)
+    assert not verify_index_consistent(Z, [(0, 1), (1, 3)], spec, K3)
+    assert verify_index_consistent(Z, [(0, 1), (0, 3)], spec, K3)  # (0, 2) first in both
+
+
 def test_partition_keep_frequency():
     # two embeddings with disjoint two-element focus sets: each kept with
     # probability 1/4, independently
@@ -300,10 +313,15 @@ def test_verify_normal_family_names_each_broken_condition():
     # triangles (0, 1, 2) and (0, 2, 6) share the Z-only edge (0, 2)
     b2 = placed(P3, (0, 1), (0, 6))
     loose = placed(P3, (0, 7), (1, 7))  # in no triangle, so the union arrows no more than Z
+    # its end vertices 2 and 6 are joined by the pendant: the one triangle
+    # (2, 6, 7) has a Z-only edge and two booster edges, B1 alone
+    b1 = placed(P3, (2, 7), (6, 7))
     loose_params = dict(delta=Fraction(1, 12), p=Fraction(1, 10))  # pair cap above 9
     C4 = cycle_graph(4)
     assert classify_bad(Z, b2, make_booster_spec(P3, K3), K3) == {
         "B1": False, "B2": True, "B3": False, "bad": True}
+    assert classify_bad(Z, b1, make_booster_spec(P3, K3), K3) == {
+        "B1": True, "B2": False, "B3": False, "bad": True}
     # two C4s through the booster edge (0, 1) share a Z-only edge: B3 alone
     assert classify_bad(Z, (0, 1), make_booster_spec(complete_graph(2), C4), C4) == {
         "B1": False, "B2": False, "B3": True, "bad": True}
@@ -313,6 +331,7 @@ def test_verify_normal_family_names_each_broken_condition():
         # (2, 6) lies in Z and in no triangle, so only the clash breaks
         (matching, K3, [placed(matching, (0, 1), (2, 6))], loose_params, [("edge_clash", 0)]),
         (P3, K3, [b2], loose_params, [("bad", 0)]),
+        (P3, K3, [b1], loose_params, [("bad", 0), ("union_not_arrowing", 0, "not_arrows")]),
         (complete_graph(2), C4, [(0, 1)], loose_params, [("bad", 0)]),
         (P3, K3, [loose], loose_params, [("union_not_arrowing", 0, "not_arrows")]),
         # cap 8^(-1/4) < 1: every pair of the focus set, Z's edge ids 0..7, breaks it
@@ -386,15 +405,24 @@ def test_verify_normal_family_checks_p_and_delta_as_the_constructor_does():
 def test_union_view_rejects_what_is_no_embedding():
     # h must hold B.n distinct vertex ids of Z: a repeated vertex, a vertex
     # too many or too few, one past the host, a negative, a bool or a float
-    # is refused by every reader of the view
+    # is refused, naming h, by every reader of the view and by the
+    # interactivity report, the verifier and the activated set, which
+    # refuse it before any other work (they took (0, 1, 2, 0, 4) and
+    # (0, 1, 2, 3, 4, 5) as embeddings, and read past the end of (0, 1, 2, 3))
     Z, C5 = gnp_sample(10, 0.5, Seed(3)), cycle_graph(5)
     spec = make_booster_spec(C5, K3)
+    phi = decide_arrow(Z, K3).certificate
+    params = dict(D=4, delta=Fraction(1, 12), p=0.5)
     readers = (classify_bad, union_view, profile_of,
-               lambda Z, h, spec, F: pair_relations(Z, h, spec, F, Z.edges[0], Z.edges[1]))
-    for h in ((0, 1, 0, 3, 4), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3), (0, 1, 2, 3, 10),
-              (0, 1, 2, 3, -1), (0, 1, 2, 3, True), (0, 1, 2, 3, 4.0), ()):
+               lambda Z, h, spec, F: pair_relations(Z, h, spec, F, Z.edges[0], Z.edges[1]),
+               lambda Z, h, spec, F: check_interactive_regular(Z, [h], spec, F),
+               lambda Z, h, spec, F: verify_normal_family(Z, [h], spec, F, params),
+               lambda Z, h, spec, F: activated_set(Z, [h], spec, F, phi))
+    for h in ((0, 1, 0, 3, 4), (0, 1, 2, 0, 4), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3),
+              (0, 1, 2, 3, 10), (0, 1, 2, 3, -1), (0, 1, 2, 3, True), (0, 1, 2, 3, 4.0), ()):
         for read in readers:
-            with pytest.raises(ValueError, match=r"is not 5 distinct vertices in 0\.\.9"):
+            message = re.escape(f"h = {h!r} is not 5 distinct vertices in 0..9")
+            with pytest.raises(ValueError, match=message):
                 read(Z, h, spec, K3)
     assert set(classify_bad(Z, (0, 1, 2, 3, 4), spec, K3)) == {"B1", "B2", "B3", "bad"}
 

@@ -487,9 +487,10 @@ def test_booster_subcommand_emits_hypergraph_stats(capsys):
     assert st["degree_bounds"]["Delta1_within"] and st["degree_bounds"]["Delta2_within"]
 
 
-def test_python_m_entry_point():
-    # `python -m ramseylab` runs cli.main in a fresh interpreter and exits
-    # with its code: 3 for an exhausted budget, 2 for invalid input
+def test_python_m_entry_point(capsys):
+    # `python -m ramseylab` runs cli.main in a fresh interpreter, prints its
+    # artifact and exits with its code: 3 for an exhausted budget, 2 for
+    # invalid input
     src = str(Path(ramseylab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -504,6 +505,13 @@ def test_python_m_entry_point():
     assert run("arrows", "--host", "K6", "--pattern", "K3",
                "--budget-nodes", "1").returncode == 3
     assert run("arrows", "--host", "K6", "--pattern", "nonsense").returncode == 2
+    done = run("pattern", "K3")
+    assert done.returncode == 0
+    code, expected = run_json(capsys, "pattern", "K3")
+    art = json.loads(done.stdout)
+    assert code == 0 and art["result"]["m2"] == "2/1" and art["result"]["strictly_balanced"]
+    del art["timestamp"], expected["timestamp"]
+    assert art == expected
 
 
 GOLDEN_CLI = json.loads((Path(__file__).parent / "golden_cli.json").read_text())

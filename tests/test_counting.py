@@ -224,6 +224,21 @@ def test_check_T_and_search():
             adversarial_T_search(prof, k6, lam, eta, budget=10, seed=Seed(7))
 
 
+def test_adversarial_T_search_swaps_lower_the_count():
+    # a budget of 1 evaluates only the random start; a budget of 20 stays
+    # inside its first round of at most 8 x 8 swaps, so every copy it saves
+    # is saved by an improving swap
+    prof = classify(K3)
+    G = gnp_sample(9, 0.6, Seed(9300, 0))
+    assert G.num_edges() == 25
+    start, swapped = (adversarial_T_search(prof, G, Fraction(1, 2), 1e-9, budget=b,
+                                           seed=Seed(9400, 0)) for b in (1, 20))
+    assert (start["basegraph_copies"], swapped["basegraph_copies"]) == (20, 12)
+    worst = swapped["worst_subgraph"]
+    assert worst.num_edges() == 13 and set(worst.edges) <= set(G.edges)
+    assert swapped["meets_density_floor"] and swapped["passes"]
+
+
 def test_rho_d_dense():
     assert rho_d_dense_check(complete_graph(8), 0.5, 1.0)["dense"]
     r = rho_d_dense_check(empty_graph(8), 0.5, 0.1)

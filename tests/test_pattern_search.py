@@ -36,7 +36,6 @@ from ramseylab.counting import (
     _copy_maps,
     _keys,
     _norm,
-    _orbit_embeddings,
     _PairFamily,
     _plan,
     _search,
@@ -94,7 +93,7 @@ def copy_key(F, m):
 def test_symmetry_broken_copies_match_plain_search(G, F, data):
     family = enumerate_copies(F, G)
     # one map per copy: no copy twice and none missing
-    keys = [copy_key(F, m) for m in _orbit_embeddings(F, G.adj)]
+    keys = [copy_key(F, m) for m in _copy_maps(F, G.adj)]
     assert len(keys) == len(set(keys)) == len(family)
     # the same copies, each with the same witness map as the plain search:
     # its first map onto the copy, in key order

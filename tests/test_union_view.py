@@ -290,14 +290,14 @@ def test_each_host_collects_its_copies_once(monkeypatch):
     # so one call collects Z's copies once, unanchored
     Z, spec = k6_minus_edge_block(8, Seed(501))[0], SPECS[("K2", K3)]
     collections = []
-    search = counting._orbit_embeddings
+    search = counting._copy_maps
 
-    def spy(F, adj):
-        if adj is Z.adj:
+    def spy(F, adj, anchors=None):
+        if adj is Z.adj and anchors is None:
             collections.append(F)
-        return search(F, adj)
+        return search(F, adj, anchors)
 
-    monkeypatch.setattr(counting, "_orbit_embeddings", spy)
+    monkeypatch.setattr(counting, "_copy_maps", spy)
     params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4)}
     construct_normal_family(Z, spec, K3, params, seed=Seed(510))
     assert collections == [K3]
