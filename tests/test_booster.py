@@ -405,10 +405,9 @@ def test_verify_normal_family_checks_p_and_delta_as_the_constructor_does():
 def test_union_view_rejects_what_is_no_embedding():
     # h must hold B.n distinct vertex ids of Z: a repeated vertex, a vertex
     # too many or too few, one past the host, a negative, a bool or a float
-    # is refused, naming h, by every reader of the view and by the
-    # interactivity report, the verifier and the activated set, which
-    # refuse it before any other work (they took (0, 1, 2, 0, 4) and
-    # (0, 1, 2, 3, 4, 5) as embeddings, and read past the end of (0, 1, 2, 3))
+    # is refused, naming h, by every reader of the view and, before any
+    # other work, by the interactivity report, the verifier and the
+    # activated set
     Z, C5 = gnp_sample(10, 0.5, Seed(3)), cycle_graph(5)
     spec = make_booster_spec(C5, K3)
     phi = decide_arrow(Z, K3).certificate
