@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from ramseylab.arrowing import copy_constraints, decide_arrow, is_f_free
 from ramseylab.counting import (
+    _keys,
     adversarial_T_search,
     are_isomorphic,
     base_graph,
@@ -268,6 +270,17 @@ def test_rho_d_dense_heuristic_records_pinned():
         r = rho_d_dense_check(gnp_sample(n, q, Seed(8100, i)), rho, d, mode="heuristic",
                               seed=Seed(8200, i), restarts=10)
         assert (r["dense"], r["witness"]["W"], r["witness"]["edges"]) == (dense, W, edges), n
+
+
+def test_a_pattern_larger_than_its_host_has_no_copies():
+    # K11 is above the pattern cap too: a pattern that does not fit has no
+    # copies before any cap applies
+    for F, G in ((complete_graph(4), K3), (complete_graph(5), complete_graph(4)),
+                 (complete_graph(11), complete_graph(5))):
+        assert copy_constraints(G, F) == []
+        assert is_f_free([0] * G.num_edges(), G, F) == (True, None)
+        assert decide_arrow(G, F).verdict == "not_arrows"
+        assert _keys(F, G.adj) == [] and _keys(F, G.adj, [(0, 1)]) == []
 
 
 def test_pattern_cap_enforced():
