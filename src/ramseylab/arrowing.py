@@ -39,8 +39,6 @@ class ArrowResult:
 def copy_constraints(G, F):
     """Edge-id sets of the F-copies in G (the NAE constraint system), in
     copy key order, read off the search's one map per copy: no key is built."""
-    if F.n > G.n:
-        return []
     rows = [{} for _ in range(G.n)]  # rows[u][v]: the id of edge {u, v}
     for i, (u, v) in enumerate(G.edges):
         rows[u][v] = rows[v][u] = i
@@ -57,8 +55,6 @@ def is_f_free(coloring, G, F):
     are built from, so it checks their certificates independently."""
     if len(coloring) != G.num_edges():
         raise ValueError("colouring must cover every edge of G")
-    if F.n > G.n:
-        return True, None
     for copy in enumerate_copies(F, G).copies:
         cols = {coloring[G.edge_id(u, v)] for u, v in copy.edges}
         if len(cols) == 1:

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import cache
 from math import ceil, comb, prod
 
-from .density import PATTERN_VERTEX_CAP
+from .density import _check_cap
 from .graphs import Graph, Seed, edge_count_between
 
 
@@ -272,11 +272,15 @@ def _copy_maps(F, adj, anchors=None):
     """The embeddings of F into the host rows `adj` that copy collection
     reads: with no `anchors`, one per copy, its lexicographically first map
     in search order under the symmetry breaking of Aut(F); with `anchors`,
-    one per copy through each host pair in turn."""
-    if F.n > PATTERN_VERTEX_CAP:  # enumeration is exponential in the pattern
-        raise ValueError(f"pattern on {F.n} vertices exceeds the cap of {PATTERN_VERTEX_CAP}")
+    one per copy through each host pair in turn.
+
+    The two pattern-size rules of every copy query live here.  A pattern
+    with more vertices than the host has no copies, found with no search;
+    one that fits must be within the pattern cap (`density._check_cap`),
+    since enumeration is exponential in the pattern."""
     if F.n > len(adj):
-        raise ValueError(f"pattern on {F.n} vertices larger than host on {len(adj)}")
+        return iter(())
+    _check_cap(F)
     if anchors is None:
         return _search(adj, _breaking(F, ()), [(1 << len(adj)) - 1] * F.n)
     # the maps of a copy through an anchor send one orbit of arcs onto
@@ -298,10 +302,7 @@ def _copy_keys(F, maps):
 
 def _keys(F, adj, anchors=None):
     """The keys of the copies of F in the host rows `adj`, in key order;
-    with `anchors`, of the copies through one of those host pairs.  []
-    when F does not fit."""
-    if F.n > len(adj):
-        return []
+    with `anchors`, of the copies through one of those host pairs."""
     return [key for key, _ in _copy_keys(F, _copy_maps(F, adj, anchors))]
 
 
@@ -398,24 +399,26 @@ def _copy_set(maps):
 class _PairFamily:
     """The pair family P(e1, e2) on one host Z, for many queries.
 
-    The completions through each pair are searched once, on first use, and
-    kept for the life of the object as maps grouped by witness
-    (`_completions_through`); a witness's copy set is built from its maps
-    once, when a query first needs it.  `exceeds` decides |P(e1, e2)| >
+    Its one memo holds the completions through each pair, searched once,
+    on first use, and kept for the life of the object as maps grouped by
+    witness (`_completions_through`).  `exceeds` decides |P(e1, e2)| >
     cap from the bound Σ_w |maps₁[w]|·|maps₂[w]| first, since every member
     comes from a pair of maps that share a witness, and builds the members
-    only when that bound passes the cap."""
+    only when that bound passes the cap; `pairs` builds the copy sets of
+    each shared witness within its own query."""
 
     def __init__(self, F, Z):
-        self.F, self.Z, self._sides, self._sets = F, Z, {}, {}
+        self.F, self.Z, self._sides = F, Z, {}
 
     def pairs(self, e1, e2):
         """The set of (vs1, es1, vs2, es2) of edge-disjoint completions
         (vs1, es1) through e1 and (vs2, es2) through e2 sharing a witness."""
         e1, e2 = self._check(e1, e2)
-        return {(vs1, es1, vs2, es2) for w in self._side(e1).keys() & self._side(e2).keys()
-                for vs2, es2 in self._witness_copies(e2, w)
-                for vs1, es1 in self._witness_copies(e1, w) if not es1 & es2}
+        side1, side2 = self._side(e1), self._side(e2)
+        shared = side1.keys() & side2.keys()
+        sets1 = {w: _copy_set(side1[w]) for w in shared}
+        return {(vs1, es1, vs2, es2) for w in shared for vs2, es2 in _copy_set(side2[w])
+                for vs1, es1 in sets1[w] if not es1 & es2}
 
     def count(self, e1, e2):
         return len(self.pairs(e1, e2))
@@ -441,11 +444,6 @@ class _PairFamily:
         if e not in self._sides:
             self._sides[e] = _completions_through(self.F, self.Z, e)
         return self._sides[e]
-
-    def _witness_copies(self, e, w):
-        if (e, w) not in self._sets:
-            self._sets[e, w] = _copy_set(self._sides[e][w])
-        return self._sets[e, w]
 
 
 def enumerate_P(F, Z, e1, e2):

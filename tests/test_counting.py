@@ -19,6 +19,7 @@ from ramseylab.counting import (
     rho_d_dense_check,
 )
 from ramseylab.density import classify
+from ramseylab.experiments import janson_bound
 from ramseylab.graphs import (
     Graph,
     Seed,
@@ -47,8 +48,7 @@ def test_copy_fixtures():
     assert len(enumerate_copies(C4, complete_graph(4))) == 3
     g = gnp_sample(9, 0.5, Seed(8))
     assert len(enumerate_copies(complete_graph(2), g)) == g.num_edges()
-    with pytest.raises(ValueError):
-        enumerate_copies(complete_graph(5), complete_graph(4))
+    assert len(enumerate_copies(complete_graph(5), complete_graph(4))) == 0
 
 
 def test_copies_match_oracle():
@@ -281,6 +281,25 @@ def test_a_pattern_larger_than_its_host_has_no_copies():
         assert is_f_free([0] * G.num_edges(), G, F) == (True, None)
         assert decide_arrow(G, F).verdict == "not_arrows"
         assert _keys(F, G.adj) == [] and _keys(F, G.adj, [(0, 1)]) == []
+        assert len(enumerate_copies(F, G)) == len(enumerate_copies(F, G, anchor=(0, 1))) == 0
+        assert janson_bound(enumerate_copies(F, G), Fraction(1, 2))["empty"]
+    for F, G in ((complete_graph(4), K3), (complete_graph(5), complete_graph(4))):
+        assert count_f_minus(F, G) == count_f_minus_through(F, G, (0, 1)) == 0
+    C5 = cycle_graph(5)  # nearly bipartite, so it has a basegraph
+    K4 = complete_graph(4)
+    assert check_T(classify(C5), K4, K4, 1, Fraction(1, 100))["basegraph_copies"] == 0
+
+
+def test_every_cap_error_has_one_text():
+    F = complete_graph(11)
+    with pytest.raises(ValueError) as classified:
+        classify(F)
+    for query in (lambda: enumerate_copies(F, complete_graph(12)),
+                  lambda: copy_constraints(complete_graph(12), F)):
+        with pytest.raises(ValueError) as counted:
+            query()
+        assert str(counted.value) == str(classified.value) == (
+            "pattern has 11 vertices, above the cap of 10")
 
 
 def test_pattern_cap_enforced():
