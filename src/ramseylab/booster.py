@@ -551,6 +551,8 @@ def restrict_index_consistent(Z, Xi0, spec, F, L, seed=None):
     Returns (Xi, Profile, report); the result may be empty at small n,
     in which case the report suggests retrying with another seed.
     """
+    if L < 0:
+        raise ValueError(f"L must be >= 0, got {L}")
     seed = seed or Seed()
     report = {"input": len(Xi0), "L": L}
     profs = []

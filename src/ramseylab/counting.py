@@ -53,6 +53,15 @@ def _norm(u, v):
     return (u, v) if u < v else (v, u)
 
 
+def _host_pair(n, e, name=""):
+    """`e` normalised, once it is checked to be two distinct vertex ids of
+    a host on n vertices; `name` prefixes the error."""
+    u, v = e
+    if not (0 <= u < n and 0 <= v < n and u != v):
+        raise ValueError(f"{name}({u}, {v}) is not a pair of distinct host vertices")
+    return _norm(u, v)
+
+
 @cache
 def _plan(F, pinned, loose=()):
     """The search plan of F with the `pinned` vertices first and the
@@ -315,7 +324,10 @@ def _copy_counts(F, G):
 
 def enumerate_copies(F, G, anchor=None):
     """All unlabelled copies of F in G; with `anchor`, only copies whose
-    edge set contains that host pair."""
+    edge set contains that host pair, which must be two distinct vertex
+    ids of G (a non-edge has no copies through it)."""
+    if anchor is not None:
+        _host_pair(G.n, anchor, "anchor ")
     maps = _copy_maps(F, G.adj, None if anchor is None else [anchor])
     return CopyFamily([Copy(frozenset(vs), frozenset(es), m)
                        for (vs, es), m in _copy_keys(F, maps)])
@@ -432,10 +444,7 @@ class _PairFamily:
         return bound > cap and self.count(e1, e2) > cap
 
     def _check(self, e1, e2):
-        for u, v in (e1, e2):
-            if not (0 <= u < self.Z.n and 0 <= v < self.Z.n and u != v):
-                raise ValueError(f"({u}, {v}) is not a pair of distinct host vertices")
-        e1, e2 = _norm(*e1), _norm(*e2)
+        e1, e2 = _host_pair(self.Z.n, e1), _host_pair(self.Z.n, e2)
         if e1 == e2:
             raise ValueError("e1 and e2 must be distinct pairs")
         return e1, e2

@@ -173,6 +173,8 @@ def test_profile_and_index_consistency():
     # length filter drops everything when L is too small
     Xi, out_prof, rep = restrict_index_consistent(Z, [(0, 1)], spec, K3, L=3, seed=Seed(3))
     assert Xi == [] and rep["empty_reason"]
+    with pytest.raises(ValueError, match="L must be >= 0, got -1"):
+        restrict_index_consistent(Z, [(0, 1)], spec, K3, L=-1, seed=Seed(3))
 
 
 def test_index_consistency_fails_on_an_edge_at_two_positions():

@@ -66,6 +66,11 @@ def test_anchored_copies():
         fam = enumerate_copies(K3, g, anchor=e)
         assert len(fam) == 3  # triangles of K5 through an edge
         assert all(e in c.edges for c in fam.copies)
+    assert len(enumerate_copies(K3, path_graph(5), anchor=(0, 2))) == 0  # a non-edge
+    # an anchor must be two distinct vertex ids of the host
+    for bad in ((9, 0), (-1, 2), (0, 9), (0, 0), (5, 1)):
+        with pytest.raises(ValueError, match=rf"anchor \({bad[0]}, {bad[1]}\) is not a pair"):
+            enumerate_copies(K3, g, anchor=bad)
 
 
 def test_isomorphism():
