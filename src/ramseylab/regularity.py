@@ -127,8 +127,11 @@ def reduced_graph(H, p, partition, d, eps, mode="exact", seed=None):
             seen.add(v)
     edges = []
     reports = {}
+    seed = seed or Seed()
     for i, j in combinations(range(len(partition)), 2):
-        rep = is_eps_p_regular(H, p, partition[i], partition[j], eps, mode=mode, seed=seed)
+        # each pair samples its own stream, so equal-sized pairs draw apart
+        rep = is_eps_p_regular(H, p, partition[i], partition[j], eps, mode=mode,
+                               seed=seed.substream(i).substream(j))
         dens = rep["base_density"]
         reports[(i, j)] = {"regular": rep["regular"], "density": dens}
         passed = rep["regular"] if mode == "exact" else rep["regular"] is None

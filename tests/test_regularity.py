@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from ramseylab import regularity
 from ramseylab.graphs import Graph, Seed, complete_graph, cycle_graph, empty_graph, gnp_sample, path_graph
 from ramseylab.regularity import (
     counting_lemma_check,
@@ -109,6 +110,24 @@ def test_reduced_graph():
     assert rg.edges == []
     with pytest.raises(ValueError):
         reduced_graph(g, 1.0, [[0, 1], [1, 2]], 0.5, 0.25)
+
+
+def test_reduced_graph_samples_each_pair_on_its_own_stream(monkeypatch):
+    cls = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]  # equal sizes: one shared stream would draw alike
+    g = gnp_sample(9, 0.5, Seed(4))
+    seeds = []
+
+    def recording(*args, seed, **kwargs):
+        seeds.append(seed)
+        return is_eps_p_regular(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(regularity, "is_eps_p_regular", recording)
+    rg = reduced_graph(g, 0.5, cls, 0.5, 0.4, mode="sampled", seed=Seed(6))
+    assert seeds == [Seed(6, i, j) for i, j in combinations(range(3), 2)]
+    for (i, j), rep in rg.pair_reports.items():
+        direct = is_eps_p_regular(g, 0.5, cls[i], cls[j], 0.4, mode="sampled",
+                                  seed=Seed(6).substream(i).substream(j))
+        assert rep == {"regular": direct["regular"], "density": direct["base_density"]}
 
 
 def test_counting_lemma_fixtures():
