@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import isfinite
 
 from . import __version__
-from .arrowing import decide_arrow
+from .arrowing import cnf_export, decide_arrow
 from .booster import (
     Hypergraph,
     brute_force_cores,
@@ -39,6 +39,7 @@ from .experiments import (
     janson_bound,
     sharpness_window,
     threshold_curve,
+    window_trend,
     z_property_rates,
 )
 from .graphs import Seed, gnp_sample, parse_graph, pattern_by_name, serialize_graph
@@ -111,68 +112,64 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"error: {message}\n")
 
 
+def _shared(*args, **kwargs):
+    """A parent parser holding one flag that several subcommands take."""
+    p = _Parser(add_help=False)
+    p.add_argument(*args, **kwargs)
+    return p
+
+
 def build_parser():
     ap = _Parser(prog="ramseylab")
     ap.add_argument("--config", help="JSON config file; CLI flags must not conflict")
     ap.add_argument("--out", help="artifact path (default: stdout)")
     ap.add_argument("--format", choices=["json", "csv"], default=None)
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    pattern, host = _shared("--pattern", required=True), _shared("--host", required=True)
+    seed, prob = _shared("--seed", type=int, default=0), _shared("--p", type=_finite, required=True)
+    budget = _shared("--budget-nodes", type=int, default=None)
 
     p = sub.add_parser("pattern", help="classify a pattern graph")
     p.add_argument("pattern")
 
-    p = sub.add_parser("sample", help="sample G(n,p)")
+    p = sub.add_parser("sample", parents=[prob, seed], help="sample G(n,p)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=_finite, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--graph-format", choices=["edgelist", "graph6"], default="edgelist")
 
-    p = sub.add_parser("arrows", help="decide the arrowing property")
-    p.add_argument("--host", required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--budget-nodes", type=int, default=None)
+    p = sub.add_parser("arrows", parents=[host, pattern, budget],
+                       help="decide the arrowing property")
     p.add_argument("--certificate", action="store_true")
     p.add_argument("--cnf-out", help="also write the DIMACS-CNF encoding here")
 
-    p = sub.add_parser("threshold", help="Monte Carlo estimates over a c grid")
-    p.add_argument("--pattern", required=True)
+    p = sub.add_parser("threshold", parents=[pattern, seed, budget],
+                       help="Monte Carlo estimates over a c grid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=_float_list, required=True, help="comma-separated c grid")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget-nodes", type=int, default=None)
 
-    p = sub.add_parser("window", help="sharpness window over several n")
-    p.add_argument("--pattern", required=True)
+    p = sub.add_parser("window", parents=[pattern, seed, budget],
+                       help="sharpness window over several n")
     p.add_argument("--n-list", type=_int_list, required=True)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget-nodes", type=int, default=None)
 
-    p = sub.add_parser("zcheck", help="empirical good-graph property rates")
-    p.add_argument("--pattern", required=True)
+    p = sub.add_parser("zcheck", parents=[pattern, prob, seed],
+                       help="empirical good-graph property rates")
     p.add_argument("--booster", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--D", type=_finite, required=True)
     p.add_argument("--zeta", type=_finite, required=True)
     p.add_argument("--delta", type=_fraction, required=True)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("booster", help="normal-family pipeline")
-    p.add_argument("--host", required=True)
+    p = sub.add_parser("booster", parents=[host, pattern, prob, seed, budget],
+                       help="normal-family pipeline")
     p.add_argument("--booster", required=True)
-    p.add_argument("--pattern", required=True)
     p.add_argument("--D", type=_finite, required=True)
     p.add_argument("--delta", type=_fraction, required=True)
-    p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--alpha", type=_fraction, default=None)
     p.add_argument("--pool-size", type=int, default=None)
     p.add_argument("--no-arrow-filter", action="store_true")
     p.add_argument("--restrict-L", type=int, default=None, help="also run the profile restriction")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget-nodes", type=int, default=None)
 
     p = sub.add_parser("hstats", help="container statistics of a hypergraph")
     p.add_argument("--hypergraph", required=True, help="JSON file {m, edges}")
@@ -183,36 +180,28 @@ def build_parser():
     p.add_argument("--beta", type=_fraction, default=None)
     p.add_argument("--gamma", type=_finite, default=None)
 
-    p = sub.add_parser("basegraph", help="completing pairs of the bipartite part")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--host", required=True)
+    p = sub.add_parser("basegraph", parents=[pattern, host],
+                       help="completing pairs of the bipartite part")
     p.add_argument("--graph-format", choices=["edgelist", "graph6"], default="edgelist")
 
-    p = sub.add_parser("tprop", help="basegraph-copies property check / search")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--host", required=True)
+    p = sub.add_parser("tprop", parents=[pattern, host, seed],
+                       help="basegraph-copies property check / search")
     p.add_argument("--subgraph", help="subgraph file; omit to run the adversarial search")
     p.add_argument("--lambda", dest="lam", type=_fraction, required=True)
     p.add_argument("--eta", type=_fraction, required=True)
     p.add_argument("--search-budget", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("regularity", help="reduced graph of a supplied partition")
-    p.add_argument("--host", required=True)
-    p.add_argument("--p", type=_finite, required=True)
+    p = sub.add_parser("regularity", parents=[host, prob, seed],
+                       help="reduced graph of a supplied partition")
     p.add_argument("--partition", required=True, help="JSON file: list of vertex lists")
     p.add_argument("--d", type=_finite, required=True)
     p.add_argument("--eps", type=_finite, required=True)
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("janson", help="Janson bound for a copy family")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--host", required=True)
+    p = sub.add_parser("janson", parents=[pattern, host], help="Janson bound for a copy family")
     p.add_argument("--q", type=_fraction, required=True)
 
-    p = sub.add_parser("constants", help="explicit constant chain")
-    p.add_argument("--pattern", required=True)
+    p = sub.add_parser("constants", parents=[pattern], help="explicit constant chain")
     p.add_argument("--booster", default=None)
     p.add_argument("--booster-vertices", type=int, default=None)
     p.add_argument("--D", type=_fraction, default=None)
@@ -292,8 +281,6 @@ def _run(ns):
         if ns.certificate and res.certificate is not None:
             payload["certificate"] = res.certificate
         if ns.cnf_out:
-            from .arrowing import cnf_export
-
             with open(ns.cnf_out, "w") as fh:
                 fh.write(cnf_export(host, patt))
             payload["cnf_out"] = ns.cnf_out
@@ -305,8 +292,6 @@ def _run(ns):
         return curve, _budget_code(curve["points"])
 
     if cmd == "window":
-        from .experiments import window_trend
-
         rows = sharpness_window(_load_graph(ns.pattern), ns.n_list, ns.trials,
                                 Seed(ns.seed), budget=ns.budget_nodes)
         return {"rows": rows, "trend": window_trend(rows)}, _budget_code(rows)
@@ -433,33 +418,32 @@ def main(argv=None):
     ap = build_parser()
     try:
         ns = _merge_config(ap, list(sys.argv[1:] if argv is None else argv))
+        if ns.format == "csv" and ns.command != "threshold":
+            raise CliError("csv output is defined for the threshold command")
         payload, code = _run(ns)
+        if ns.format == "csv":
+            text = _threshold_csv(payload)
+        else:
+            run_config = {k: v for k, v in vars(ns).items()
+                          if k not in ("out", "config") and v is not None}
+            artifact = {
+                "tool": "ramseylab",
+                "version": __version__,
+                "timestamp": time.time(),  # only field that varies between re-runs
+                "run_config": run_config,
+                "budget_exhausted": code == EXIT_BUDGET,
+                "result": payload,
+            }
+            text = json.dumps(artifact, indent=2, sort_keys=True, default=_rat) + "\n"
+        if ns.out:
+            with open(ns.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except SystemExit as exc:  # argparse printed its usage error (2) or --help (0)
         return exc.code
-    except (CliError, AllUndecided, ValueError, OSError, json.JSONDecodeError,
-            KeyError) as exc:
+    except (CliError, AllUndecided, ValueError, OverflowError, OSError, KeyError) as exc:
+        # OverflowError: an exact rational too large for the float a record holds
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, AllUndecided) else EXIT_BAD_INPUT
-    if ns.format == "csv":
-        if ns.command != "threshold":
-            print("error: csv output is defined for the threshold command", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        text = _threshold_csv(payload)
-    else:
-        run_config = {k: v for k, v in vars(ns).items()
-                      if k not in ("out", "config") and v is not None}
-        artifact = {
-            "tool": "ramseylab",
-            "version": __version__,
-            "timestamp": time.time(),  # only field that varies between re-runs
-            "run_config": run_config,
-            "budget_exhausted": code == EXIT_BUDGET,
-            "result": payload,
-        }
-        text = json.dumps(artifact, indent=2, sort_keys=True, default=_rat) + "\n"
-    if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code

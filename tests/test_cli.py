@@ -167,6 +167,7 @@ def test_degenerate_parameters_exit_2(capsys, tmp_path):
                    written("float.json", {"m": 3, "edges": [[0, 1.5]]})]
     regularity = ["regularity", "--host", "K6", "--p", "1.0", "--d", "0.5"]
     good = written("good.json", [[0, 1, 2], [3, 4, 5]])
+    square = written("square.json", {"m": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]})
     cases = [
         ["tprop", "--pattern", "K3", "--host", "K6", "--lambda", "1", "--eta", "1/100",
          "--search-budget", "0"],
@@ -191,11 +192,20 @@ def test_degenerate_parameters_exit_2(capsys, tmp_path):
         ["threshold", "--pattern", "K3", "--n", "8", "--c", "1", "--trials", "2",
          "--budget-nodes", "-1"],
         ["threshold", "--pattern", "K3", "--n", "10", "--c=-1,2", "--trials", "2"],
+        # an exact rational too large for the float its record holds
+        ["tprop", "--pattern", "K3", "--host", "K6", "--subgraph", "K6", "--lambda", "1",
+         "--eta", "1e400"],
+        ["hstats", "--hypergraph", square, "--tau", "1e-400"],
+        ["cores", "--hypergraph", square, "--beta", "1e400"],
+        # an artifact path that cannot be written
+        ["--out", str(tmp_path), "pattern", "K3"],
+        ["--out", str(tmp_path / "missing" / "x.json"), "pattern", "K3"],
     ]
     booster = ["booster", "--host", "K6-e", "--booster", "K2", "--pattern", "K3", "--D", "4",
                "--delta", "1/12"]
     cases += [booster + [f"--p={p}"] for p in ("0", "-0.5", "2")]
     cases += [booster[:-2] + ["--p", "0.5", f"--delta={d}"] for d in ("0", "-1")]
+    cases += [booster + ["--p", "0.5", "--alpha", "1/4", "--restrict-L=-1"]]
     # P3 has m2 = 1, so no delta is valid
     cases += [["booster", "--host", "K6-e", "--booster", "K2", "--pattern", "P3", "--D", "4",
                "--delta", "1/12", "--p", "0.5"],
