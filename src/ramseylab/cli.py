@@ -308,12 +308,8 @@ def _run(ns):
         spec = make_booster_spec(_load_graph(ns.booster), F)
         params = {"D": ns.D, "delta": ns.delta, "p": ns.p,
                   "arrow_filter": not ns.no_arrow_filter}
-        if ns.alpha is not None:
-            params["alpha"] = ns.alpha
-        if ns.pool_size is not None:
-            params["pool_size"] = ns.pool_size
-        if ns.budget_nodes is not None:
-            params["budget"] = ns.budget_nodes
+        optional = {"alpha": ns.alpha, "pool_size": ns.pool_size, "budget": ns.budget_nodes}
+        params.update((k, v) for k, v in optional.items() if v is not None)
         seed = Seed(ns.seed)  # construction and restriction draw from distinct streams
         xi0, report = construct_normal_family(Z, spec, F, params, seed.substream(0))
         payload = {"family": [list(h) for h in xi0], "report": report,
@@ -389,11 +385,7 @@ def _run(ns):
         return janson_bound(fam, ns.q), EXIT_OK
 
     if cmd == "constants":
-        B = None
-        if ns.booster:
-            B = _load_graph(ns.booster)
-        elif ns.booster_vertices is not None:
-            B = ns.booster_vertices
+        B = _load_graph(ns.booster) if ns.booster else ns.booster_vertices
         chain = derive_proof_constants(
             _load_graph(ns.pattern), B=B, D=ns.D, C0=ns.C0, C1=ns.C1, lam=ns.lam,
             rho=ns.rho, c0=ns.c0, xi_cl=ns.xi_cl, eps_cl=ns.eps_cl, T0=ns.T0,

@@ -29,7 +29,13 @@ and every caller that needs only the copy keys reads them from `_keys`
 (the booster's unions, which map them to edge ids in one place,
 `booster._union_constraints`).  Callers that need only counts or edge
 ids read them off the search's one map per copy (`_copy_counts`,
-`arrowing.copy_constraints`) and build no key.  The heuristic denseness
+`arrowing.copy_constraints`) and build no key.  Every copy query runs
+through `_copy_maps`, which owns both pattern-size rules: a pattern with
+more vertices than its host has no copies, and one that fits must be
+within the pattern cap of `density`.  `embeddings` is no copy query: it
+keeps its own fit guard and has no cap, as it serves patterns such as
+P1200.  The pair family `_PairFamily` keeps one memo, the completions
+through each pair, and builds copy sets per query.  The heuristic denseness
 check counts the edges inside each starting vertex set once, with
 `graphs.edge_count_between`, and derives the count after each candidate
 swap from it: it drops the leaving vertex's edges into the rest of the
@@ -54,8 +60,7 @@ def _norm(u, v):
 
 
 def _host_pair(n, e, name=""):
-    """`e` normalised, once it is checked to be two distinct vertex ids of
-    a host on n vertices; `name` prefixes the error."""
+    """`e` normalised, once checked to be two distinct vertex ids below n."""
     u, v = e
     if not (0 <= u < n and 0 <= v < n and u != v):
         raise ValueError(f"{name}({u}, {v}) is not a pair of distinct host vertices")
@@ -281,12 +286,9 @@ def _copy_maps(F, adj, anchors=None):
     """The embeddings of F into the host rows `adj` that copy collection
     reads: with no `anchors`, one per copy, its lexicographically first map
     in search order under the symmetry breaking of Aut(F); with `anchors`,
-    one per copy through each host pair in turn.
-
-    The two pattern-size rules of every copy query live here.  A pattern
-    with more vertices than the host has no copies, found with no search;
-    one that fits must be within the pattern cap (`density._check_cap`),
-    since enumeration is exponential in the pattern."""
+    one per copy through each host pair in turn.  It owns both pattern-size
+    rules: a pattern with more vertices than the host has no copies, found
+    with no search; one that fits must be within `density._check_cap`."""
     if F.n > len(adj):
         return iter(())
     _check_cap(F)
