@@ -28,6 +28,7 @@ from ramseylab.graphs import (
     empty_graph,
     gnp_sample,
     path_graph,
+    pattern_by_name,
 )
 
 from oracles import (
@@ -36,6 +37,7 @@ from oracles import (
     naive_count_f_minus,
     naive_count_f_minus_through,
     naive_extension_count,
+    naive_f_minus_members,
     naive_P,
 )
 
@@ -87,6 +89,14 @@ def test_f_minus_fixtures():
     with pytest.raises(ValueError):
         count_f_minus_through(K3, path_graph(3), (0, 2))
     assert len(f_minus_members(C4)) == 1  # all edge deletions isomorphic
+
+
+def test_f_minus_members_keep_the_first_edge_of_each_class():
+    # one member per iso class of F - e, from the first such edge in
+    # F.edges order, in the order those edges come
+    for name in ("K3", "C4", "C5", "P3", "P5", "K4-e", "K4", "K5", "K6", "K6-e"):
+        F = pattern_by_name(name)
+        assert list(f_minus_members(F)) == naive_f_minus_members(F), name
 
 
 def test_f_minus_matches_oracle_and_sum_identity():
