@@ -35,7 +35,9 @@ more vertices than its host has no copies, and one that fits must be
 within the pattern cap of `density`.  `embeddings` is no copy query: it
 keeps its own fit guard and has no cap, as it serves patterns such as
 P1200.  The pair family `_PairFamily` keeps one memo, the completions
-through each pair, and builds copy sets per query.  The heuristic denseness
+through each pair, and builds copy sets per query; its heavy-pair test
+first reads a ceiling off the host's largest degree (`_pair_ceiling`),
+which settles a light pair with no completion search.  The heuristic denseness
 check counts the edges inside each starting vertex set once, with
 `graphs.edge_count_between`, and derives the count after each candidate
 swap from it: it drops the leaving vertex's edges into the rest of the
@@ -52,7 +54,7 @@ from functools import cache
 from math import ceil, comb, prod
 
 from .density import _check_cap
-from .graphs import Graph, Seed, edge_count_between
+from .graphs import Graph, Seed, _float, edge_count_between
 
 
 def _norm(u, v):
@@ -343,6 +345,8 @@ def are_isomorphic(F1, F2):
     """
     if F1.n != F2.n or F1.num_edges() != F2.num_edges():
         return False
+    if sorted(map(F1.degree, range(F1.n))) != sorted(map(F2.degree, range(F2.n))):
+        return False
     return next(embeddings(F1, F2), None) is not None
 
 
@@ -354,11 +358,16 @@ def _dedupe_by_iso(graphs):
     return reps
 
 
+@cache
 def f_minus_members(F):
-    """Iso-class representatives of F with one edge removed (spanning)."""
+    """Iso-class representatives of F with one edge removed (spanning), each
+    from the first edge of F whose removal gives it, in edge order.  The
+    edges of one Aut(F)-orbit give one class, so only the first edge of
+    each orbit, the edge of its first arc representative, is tried."""
     if F.num_edges() < 1:
         raise ValueError("pattern needs at least one edge")
-    return _dedupe_by_iso([F.without_edges([e]) for e in F.edges])
+    firsts = dict.fromkeys(_norm(*arc) for arc in _arc_representatives(F))
+    return tuple(_dedupe_by_iso([F.without_edges([e]) for e in firsts]))
 
 
 def count_f_minus(F, Z):
@@ -410,19 +419,46 @@ def _copy_set(maps):
             for m, kept in maps}
 
 
+def _pair_ceiling(F, Z):
+    """A bound on Σ_w |maps₁[w]|·|maps₂[w]| for any two host pairs of Z,
+    from n and Z's largest degree Δ alone.  A position i ≥ 2 of a
+    completion search has at most Δ candidates when it has a kept back
+    neighbour and at most n when not, so the maps through one pair are at
+    most T = Σ_r Π c_i; a witness fixes the images of u1 and v1 in at most
+    two orders (one if the arc holds u1 or v1), so those with one witness
+    are at most W, the same sum over the other positions.  The sum is then
+    at most max_w |maps₂[w]| · Σ_w |maps₁[w]| ≤ T·W."""
+    most = max((row.bit_count() for row in Z.adj), default=0)
+    total = per_witness = 0
+    for arc, f1, _, (order, back, _) in _pair_representatives(F):
+        c = [most if back[i] else Z.n for i in range(2, F.n)]
+        total += prod(c)
+        per_witness += (1 if set(arc) & set(f1) else 2) * prod(
+            ci for ci, x in zip(c, order[2:]) if x not in f1)
+    return total * per_witness
+
+
 class _PairFamily:
     """The pair family P(e1, e2) on one host Z, for many queries.
 
     Its one memo holds the completions through each pair, searched once,
     on first use, and kept for the life of the object as maps grouped by
     witness (`_completions_through`).  `exceeds` decides |P(e1, e2)| >
-    cap from the bound Σ_w |maps₁[w]|·|maps₂[w]| first, since every member
-    comes from a pair of maps that share a witness, and builds the members
-    only when that bound passes the cap; `pairs` builds the copy sets of
-    each shared witness within its own query."""
+    cap in three steps, each only when the one before passes the cap:
+    the ceiling of `_pair_ceiling`, read off Z's largest degree with no
+    search; the bound Σ_w |maps₁[w]|·|maps₂[w]|, since every member comes
+    from a pair of maps that share a witness; and the members.  For K3 the
+    ceiling is 4Δ, so at Z4's heavy cap for n = 30, p = 30^(-1/2), D = 20
+    and δ = 1/12 (82.5) it settles every pair of a host with Δ ≤ 20; at
+    the booster's stage-3 cap for D = 4, p = 1/2 and δ = 1/12 (below 7)
+    it settles none once Δ ≥ 2, nor for a pattern whose plans hold a
+    position that no kept edge reaches back to (C4), where it grows with
+    n.  `pairs` builds the copy sets of each shared witness within its
+    own query."""
 
     def __init__(self, F, Z):
         self.F, self.Z, self._sides = F, Z, {}
+        self._ceiling = _pair_ceiling(F, Z)
 
     def pairs(self, e1, e2):
         """The set of (vs1, es1, vs2, es2) of edge-disjoint completions
@@ -438,9 +474,11 @@ class _PairFamily:
         return len(self.pairs(e1, e2))
 
     def exceeds(self, e1, e2, cap):
-        """|P(e1, e2)| > cap, from the witness-count bound when it is at
-        most cap, else from the members."""
+        """|P(e1, e2)| > cap, from the ceiling or else the witness-count
+        bound when one of them is at most cap, else from the members."""
         e1, e2 = self._check(e1, e2)
+        if self._ceiling <= cap:
+            return False
         side1, side2 = self._side(e1), self._side(e2)
         bound = sum(len(side1[w]) * len(side2[w]) for w in side1.keys() & side2.keys())
         return bound > cap and self.count(e1, e2) > cap
@@ -556,7 +594,7 @@ def check_T(profile, G, Gp, lam, eta):
     return {
         "meets_density_floor": meets_floor,
         "basegraph_copies": copies,
-        "required": float(required),
+        "required": _float(required, "eta"),
         "passes": (not meets_floor) or Fraction(copies) >= required,
         "vacuous": not meets_floor,
     }

@@ -217,6 +217,16 @@ def _is_id(v, n):
     return isinstance(v, Integral) and not isinstance(v, bool) and 0 <= v < n
 
 
+def _float(x, name):
+    """float(x) of an exact rational derived from the parameter `name`, or
+    a ValueError naming that parameter when x is beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{name} is out of range: a value derived from it "
+                         "is too large for a float") from None
+
+
 def edge_count_between(g, U, W=None):
     """e_G(U) for one set, e_G(U,W) across two disjoint sets."""
     Umask = 0

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,12 @@ def test_f_minus_fixtures():
     with pytest.raises(ValueError):
         count_f_minus_through(K3, path_graph(3), (0, 2))
     assert len(f_minus_members(C4)) == 1  # all edge deletions isomorphic
+    # the members are built once per pattern, from one edge per Aut(F)-orbit,
+    # so a clique costs no isomorphism search: K11 - e does not fit in K5
+    assert f_minus_members(C4) is f_minus_members(C4)
+    start = time.perf_counter()
+    assert count_f_minus(complete_graph(11), complete_graph(5)) == 0
+    assert time.perf_counter() - start < 5
 
 
 def test_f_minus_members_keep_the_first_edge_of_each_class():

@@ -334,16 +334,19 @@ def test_golden_z_property_rates():
 
 
 def test_z_rates_decide_heavy_pairs_from_the_witness_bound(monkeypatch):
-    # at the criterion-11 parameters no sampled pair's witness-count bound
-    # passes the heavy cap, so Z4 builds no two-edge-deleted copy at all
-    built = []
-    copy_set = counting._copy_set
+    # at the criterion-11 parameters no sampled host's degree ceiling passes
+    # the heavy cap, so Z4 runs no completion search and builds no
+    # two-edge-deleted copy at all
+    built, searched = [], []
+    copy_set, completions = counting._copy_set, counting._completions_through
     monkeypatch.setattr(counting, "_copy_set", lambda maps: built.append(1) or copy_set(maps))
+    monkeypatch.setattr(counting, "_completions_through",
+                        lambda *args: searched.append(1) or completions(*args))
     F, B, n, p, D, zeta, delta, _, seed, pairs, embs = GOLDEN_Z_CASES["criterion11-K3-C5-n30"]
     out = z_property_rates(F, B, n, p, D, zeta, delta, 1, seed,
                            pair_samples=pairs, embedding_samples=embs)
     assert out["stats"]["heavy_pair_frac"] == [0.0]
-    assert built == []
+    assert built == searched == []
 
 
 def test_janson_fixtures():

@@ -255,11 +255,13 @@ def test_pair_family_matches_oracle(Z, F, data):
         c = len(naive_P(F, Z, a, b))
         assert family.count(a, b) == c == count_P(F, Z, a, b), (a, b)
         # the heavy-pair test agrees with the count at and around it, and
-        # the witness bound it starts from is at least the count
+        # the witness bound it reads is at least the count and at most the
+        # host's degree ceiling
         for cap in (0, 0.5, c - 1, c, c + 1, Fraction(c, 1), inf):
             assert family.exceeds(a, b, cap) == (c > cap), (a, b, cap)
         s1, s2 = family._side(_norm(*a)), family._side(_norm(*b))
-        assert sum(len(s1[w]) * len(s2[w]) for w in s1.keys() & s2.keys()) >= c
+        bound = sum(len(s1[w]) * len(s2[w]) for w in s1.keys() & s2.keys())
+        assert family._ceiling >= bound >= c
     for query in (family.count, partial(family.exceeds, cap=0)):
         with pytest.raises(ValueError, match="e1 and e2 must be distinct"):
             query(e1, e1[::-1])
