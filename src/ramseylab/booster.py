@@ -41,7 +41,7 @@ from .arrowing import (
 )
 from .counting import _automorphism_count, _keys, _norm, _PairFamily, enumerate_copies
 from .density import _check_delta
-from .graphs import Graph, Seed, _is_id, _or_pairs, complete_graph, union
+from .graphs import Graph, Seed, _float, _is_id, _or_pairs, complete_graph, union
 
 
 # -- booster specification ----------------------------------------------
@@ -723,7 +723,7 @@ def hypergraph_stats(H, tau):
         "delta_j": delta_js,
         "delta": delta,
         "d_float": float(d),
-        "delta_float": float(delta),
+        "delta_float": _float(delta, "tau"),
     }
 
 
@@ -809,7 +809,7 @@ def verify_core_properties(core_family, H, beta=None, gamma=None):
     if core_family.cores:
         report["log_num_cores"] = log(len(core_family.cores))
     if beta is not None:
-        report["c2_bound"] = float(Fraction(beta) * m)
+        report["c2_bound"] = _float(Fraction(beta) * m, "beta")
         report["c2_holds_here"] = all(len(c) >= Fraction(beta) * m for c in core_family.cores)
     if gamma is not None and core_family.cores:
         report["c1_bound"] = m ** (1 - gamma)

@@ -303,6 +303,8 @@ def _run(ns):
         return out, EXIT_OK
 
     if cmd == "booster":
+        if ns.restrict_L is not None and ns.restrict_L < 0:  # refused before any work
+            raise CliError(f"restrict_L must be >= 0, got {ns.restrict_L}")
         F = _load_graph(ns.pattern)
         Z = _load_graph(ns.host)
         spec = make_booster_spec(_load_graph(ns.booster), F)

@@ -167,7 +167,6 @@ def test_degenerate_parameters_exit_2(capsys, tmp_path):
                    written("float.json", {"m": 3, "edges": [[0, 1.5]]})]
     regularity = ["regularity", "--host", "K6", "--p", "1.0", "--d", "0.5"]
     good = written("good.json", [[0, 1, 2], [3, 4, 5]])
-    square = written("square.json", {"m": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]})
     cases = [
         ["tprop", "--pattern", "K3", "--host", "K6", "--lambda", "1", "--eta", "1/100",
          "--search-budget", "0"],
@@ -192,11 +191,6 @@ def test_degenerate_parameters_exit_2(capsys, tmp_path):
         ["threshold", "--pattern", "K3", "--n", "8", "--c", "1", "--trials", "2",
          "--budget-nodes", "-1"],
         ["threshold", "--pattern", "K3", "--n", "10", "--c=-1,2", "--trials", "2"],
-        # an exact rational too large for the float its record holds
-        ["tprop", "--pattern", "K3", "--host", "K6", "--subgraph", "K6", "--lambda", "1",
-         "--eta", "1e400"],
-        ["hstats", "--hypergraph", square, "--tau", "1e-400"],
-        ["cores", "--hypergraph", square, "--beta", "1e400"],
         # an artifact path that cannot be written
         ["--out", str(tmp_path), "pattern", "K3"],
         ["--out", str(tmp_path / "missing" / "x.json"), "pattern", "K3"],
@@ -205,7 +199,9 @@ def test_degenerate_parameters_exit_2(capsys, tmp_path):
                "--delta", "1/12"]
     cases += [booster + [f"--p={p}"] for p in ("0", "-0.5", "2")]
     cases += [booster[:-2] + ["--p", "0.5", f"--delta={d}"] for d in ("0", "-1")]
-    cases += [booster + ["--p", "0.5", "--alpha", "1/4", "--restrict-L=-1"]]
+    # a negative L is refused whether or not the family is empty
+    cases += [booster + ["--p", "0.5"] + alpha + ["--restrict-L=-1"]
+              for alpha in (["--alpha", "1/4"], [])]
     # P3 has m2 = 1, so no delta is valid
     cases += [["booster", "--host", "K6-e", "--booster", "K2", "--pattern", "P3", "--D", "4",
                "--delta", "1/12", "--p", "0.5"],
@@ -232,7 +228,7 @@ def test_degenerate_parameters_exit_2(capsys, tmp_path):
     assert err.startswith("error: the booster graph on 3 vertices has no edges"), err
 
 
-def test_ignored_or_opaque_flags_exit_2_naming_the_flag(capsys):
+def test_ignored_or_opaque_flags_exit_2_naming_the_flag(capsys, tmp_path):
     booster = ["booster", "--host", "K6-e", "--booster", "K2", "--pattern", "K3", "--D", "4",
                "--delta", "1/12", "--p", "0.5"]
     zcheck = ["zcheck", "--pattern", "K3", "--booster", "C5", "--n", "8", "--p", "0.3",
@@ -250,6 +246,13 @@ def test_ignored_or_opaque_flags_exit_2_naming_the_flag(capsys):
              (["threshold", "--pattern", "K3", "--n", "8", "--c", ",", "--trials", "2"],
               "c_values"),
              (["window", "--pattern", "K3", "--n-list", ",", "--trials", "2"], "n_list")]
+    # an exact rational too large for the float its record holds
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps({"m": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}))
+    cases += [(["tprop", "--pattern", "K3", "--host", "K6", "--subgraph", "K6", "--lambda", "1",
+                "--eta", "1e400"], "eta"),
+              (["hstats", "--hypergraph", str(square), "--tau", "1e-400"], "tau"),
+              (["cores", "--hypergraph", str(square), "--beta", "1e400"], "beta")]
     for argv, name in cases:
         code = main(argv)
         out, err = capsys.readouterr()
