@@ -35,9 +35,8 @@ more vertices than its host has no copies, and one that fits must be
 within the pattern cap of `density`.  `embeddings` is no copy query: it
 keeps its own fit guard and has no cap, as it serves patterns such as
 P1200.  The pair family `_PairFamily` keeps one memo, the completions
-through each pair, and builds copy sets per query; its heavy-pair test
-first reads a ceiling off the host's largest degree (`_pair_ceiling`),
-which settles a light pair with no completion search.  The heuristic denseness
+through each pair, and builds copy sets per query (a ceiling read off Z's
+largest degree settles light pairs with no search).  The heuristic denseness
 check counts the edges inside each starting vertex set once, with
 `graphs.edge_count_between`, and derives the count after each candidate
 swap from it: it drops the leaving vertex's edges into the rest of the
@@ -350,24 +349,19 @@ def are_isomorphic(F1, F2):
     return next(embeddings(F1, F2), None) is not None
 
 
-def _dedupe_by_iso(graphs):
-    reps = []
-    for g in graphs:
-        if not any(are_isomorphic(g, r) for r in reps):
-            reps.append(g)
-    return reps
-
-
 @cache
 def f_minus_members(F):
     """Iso-class representatives of F with one edge removed (spanning), each
-    from the first edge of F whose removal gives it, in edge order.  The
-    edges of one Aut(F)-orbit give one class, so only the first edge of
-    each orbit, the edge of its first arc representative, is tried."""
+    from the first edge giving it, in edge order; an Aut(F)-orbit of edges
+    gives one class, so only each orbit's first edge (its first arc) is tried."""
     if F.num_edges() < 1:
         raise ValueError("pattern needs at least one edge")
-    firsts = dict.fromkeys(_norm(*arc) for arc in _arc_representatives(F))
-    return tuple(_dedupe_by_iso([F.without_edges([e]) for e in firsts]))
+    reps = []
+    for e in dict.fromkeys(_norm(*arc) for arc in _arc_representatives(F)):
+        g = F.without_edges([e])
+        if not any(are_isomorphic(g, r) for r in reps):
+            reps.append(g)
+    return tuple(reps)
 
 
 def count_f_minus(F, Z):
@@ -420,14 +414,12 @@ def _copy_set(maps):
 
 
 def _pair_ceiling(F, Z):
-    """A bound on Σ_w |maps₁[w]|·|maps₂[w]| for any two host pairs of Z,
-    from n and Z's largest degree Δ alone.  A position i ≥ 2 of a
-    completion search has at most Δ candidates when it has a kept back
-    neighbour and at most n when not, so the maps through one pair are at
-    most T = Σ_r Π c_i; a witness fixes the images of u1 and v1 in at most
-    two orders (one if the arc holds u1 or v1), so those with one witness
-    are at most W, the same sum over the other positions.  The sum is then
-    at most max_w |maps₂[w]| · Σ_w |maps₁[w]| ≤ T·W."""
+    """A bound T·W on Σ_w |maps₁[w]|·|maps₂[w]| for any two pairs of Z, from n
+    and Z's largest degree Δ.  Position i ≥ 2 of representative r's search has
+    c_i ≤ Δ candidates with a kept back neighbour, else ≤ n, so T = Σ_r Π c_i
+    bounds the maps through a pair; a witness fixes u1 and v1 in ≤ 2 orders (1
+    if the arc holds one), so W = Σ_r orders · Π_{order[i] ∉ f1} c_i bounds those
+    with one witness, and the sum is ≤ max_w |maps₂[w]| · Σ_w |maps₁[w]| ≤ W·T."""
     most = max((row.bit_count() for row in Z.adj), default=0)
     total = per_witness = 0
     for arc, f1, _, (order, back, _) in _pair_representatives(F):
@@ -443,18 +435,13 @@ class _PairFamily:
 
     Its one memo holds the completions through each pair, searched once,
     on first use, and kept for the life of the object as maps grouped by
-    witness (`_completions_through`).  `exceeds` decides |P(e1, e2)| >
-    cap in three steps, each only when the one before passes the cap:
-    the ceiling of `_pair_ceiling`, read off Z's largest degree with no
-    search; the bound Σ_w |maps₁[w]|·|maps₂[w]|, since every member comes
-    from a pair of maps that share a witness; and the members.  For K3 the
-    ceiling is 4Δ, so at Z4's heavy cap for n = 30, p = 30^(-1/2), D = 20
-    and δ = 1/12 (82.5) it settles every pair of a host with Δ ≤ 20; at
-    the booster's stage-3 cap for D = 4, p = 1/2 and δ = 1/12 (below 7)
-    it settles none once Δ ≥ 2, nor for a pattern whose plans hold a
-    position that no kept edge reaches back to (C4), where it grows with
-    n.  `pairs` builds the copy sets of each shared witness within its
-    own query."""
+    witness (`_completions_through`).  `exceeds` decides |P(e1, e2)| > cap
+    from `_pair_ceiling` with no search, else from the bound
+    Σ_w |maps₁[w]|·|maps₂[w]| (every member comes from two maps sharing a
+    witness), else from the members.  For K3 the ceiling is 4Δ: it settles
+    Z4's cap at n = 30, p = 30^(-1/2), D = 20, δ = 1/12 (82.5) when Δ ≤ 20,
+    not stage 3's cap at D = 4, p = 1/2 (below 7), nor C4, whose ceiling
+    grows with n.  `pairs` builds the copy sets of each shared witness."""
 
     def __init__(self, F, Z):
         self.F, self.Z, self._sides = F, Z, {}

@@ -218,13 +218,11 @@ def _is_id(v, n):
 
 
 def _float(x, name):
-    """float(x) of an exact rational derived from the parameter `name`, or
-    a ValueError naming that parameter when x is beyond the float range."""
+    """float(x) of a rational derived from parameter `name`; naming it on overflow."""
     try:
         return float(x)
     except OverflowError:
-        raise ValueError(f"{name} is out of range: a value derived from it "
-                         "is too large for a float") from None
+        raise ValueError(f"{name} is out of range: a value derived from it overflows a float")
 
 
 def edge_count_between(g, U, W=None):
