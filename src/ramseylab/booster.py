@@ -5,17 +5,21 @@ An embedding h is a tuple sending the booster pattern's vertices into
 the host vertex range; its image graph lives on the host vertex set.
 Copies, focus relations and badness are all evaluated literally by copy
 enumeration in Z ∪ h(B), once per union: stage 1 decides a union from its
-copy keys, and builds the view that later stages read (`union_view`'s
-second half) from those keys only when the union arrows.  The keys come
-from a search on Z's adjacency rows with h(B)'s pairs ORed in
-(`_union_keys`); the union U is built as a Graph only for a union that
-is searched whole (`_union_verdict`).  Z is analysed
-once per call (`_z_analysis`): its copy keys are collected, Z is decided
-from them, and every union's whole search reads them.  This module keeps
-the one step from copy keys to edge ids (`_union_constraints`); every
-CNF literal, the extension of Z's colouring included, is written in
-`arrowing`.  P(e1, e2) completions are searched once per call too, and
-shared by every union.
+copy keys, stage 2 reads its badness off the same keys (`_bad_flags`: an
+edge of such a copy that is not a booster pair is a Z edge), and the view
+that stages 3 and 6 read (`union_view`'s second half) is built from them
+only for a union that arrows and is not bad.  The keys come from a search
+on Z's adjacency rows with h(B)'s pairs ORed in (`_union_keys`); the union
+U is built as a Graph only for a union that is searched whole
+(`_union_verdict`).  Z is analysed once per call (`_z_analysis`): its copy
+keys are collected, Z is decided from them, and every union's whole
+search reads them; Z's certificate φ keeps only the edges that its copies
+need to stay two-coloured, and an extension may colour the rest.  This
+module keeps the one step from copy keys to edge ids
+(`_union_constraints`); every CNF literal, the extension of Z's colouring
+included, is written in `arrowing`.  P(e1, e2) completions are searched
+once per call too, and shared by every union.  `z_property_rates` reads
+the badness of each union it samples off its keys too, with no view.
 """
 
 from __future__ import annotations
@@ -82,9 +86,9 @@ def image_edges(B, h):
 class UnionView:
     """One analysis of Z ∪ h(B), read by every booster stage.
 
-    `copies` holds (key, z_only_edges, booster_edge_indices) for each copy
-    of F through a booster edge, in key order; a key is the copy's (sorted
-    vertex tuple, sorted edge tuple), as `counting._keys` gives it."""
+    `copies` holds the key of each copy of F through a booster edge, in key
+    order; a key is the copy's (sorted vertex tuple, sorted edge tuple), as
+    `counting._keys` gives it."""
 
     copies: tuple
     foci: dict  # the focus map
@@ -122,12 +126,9 @@ def _view_from_keys(Z, img, keys):
     are `keys`."""
     img_index = {e: j for j, e in enumerate(img)}
     z_index = Z._index
-    copies = []
     foci = defaultdict(set)
-    for vs, es in keys:
-        boost = frozenset(img_index[e] for e in es if e in img_index)
-        zonly = frozenset(e for e in es if e in z_index and e not in img_index)
-        copies.append(((vs, es), zonly, boost))
+    for _, es in keys:
+        boost = {img_index[e] for e in es if e in img_index}
         for e in es:
             if e in z_index:
                 foci[e].update(boost)
@@ -136,7 +137,7 @@ def _view_from_keys(Z, img, keys):
         if e in z_index:
             foci[e].add(j)
     members = tuple(sorted(z_index[e] for e in foci))
-    return UnionView(tuple(copies), dict(foci), members)
+    return UnionView(tuple(keys), dict(foci), members)
 
 
 def classify_bad(Z, h, spec, F):
@@ -146,18 +147,26 @@ def classify_bad(Z, h, spec, F):
     copies sharing a Z-only edge, using two different booster edges.
     B3: two copies sharing a Z-only edge and a booster edge.
     """
-    return _bad_flags(union_view(Z, h, spec, F))
+    _check_embedding(h, spec.B, Z.n)
+    img = image_edges(spec.B, h)
+    return _bad_flags(img, _union_keys(Z, img, F))
 
 
-def _bad_flags(view):
-    b1 = any(zonly and len(boost) >= 2 for _, zonly, boost in view.copies)
-    boosts = defaultdict(list)  # z-only edge -> booster edge sets of its copies
-    for _, zonly, boost in view.copies:
-        for e in zonly:
-            boosts[e].append(boost)
+def _bad_flags(img, keys):
+    """Badness of the union of Z and the booster pairs `img` whose copies
+    through a booster pair are `keys`: a copy's other edges are Z-only."""
+    pairs = set(img)
+    b1 = False
+    boosts = defaultdict(list)  # z-only edge -> booster pair sets of its copies
+    for _, es in keys:
+        boost = pairs.intersection(es)
+        b1 = b1 or 2 <= len(boost) < len(es)
+        for e in es:
+            if e not in boost:
+                boosts[e].append(boost)
     b2 = b3 = False
     for sets in boosts.values():
-        used = frozenset().union(*sets)
+        used = set().union(*sets)
         # two of the sets span two booster edges unless all are one singleton,
         # and two of them meet unless they are pairwise disjoint
         b2 = b2 or (len(sets) >= 2 and len(used) >= 2)
@@ -168,12 +177,10 @@ def _bad_flags(view):
 def pair_relations(Z, h, spec, F, e1, e2):
     """Connection relations of two Z-edges w.r.t. one embedding.
 
-    Edges may be given as EdgeIds or vertex pairs.
+    Edges may be given as EdgeIds or vertex pairs; either must name an
+    edge of Z.
     """
-    if isinstance(e1, int):
-        p1, p2 = Z.edges[e1], Z.edges[e2]
-    else:
-        p1, p2 = _norm(*e1), _norm(*e2)
+    p1, p2 = _z_edge(Z, e1, "e1"), _z_edge(Z, e2, "e2")
     if p1 == p2:
         raise ValueError("edges must be distinct")
     fm = union_view(Z, h, spec, F).foci
@@ -182,6 +189,15 @@ def pair_relations(Z, h, spec, F, e1, e2):
     approx = bool(f1) and bool(f2)
     sim = approx and len(f1 | f2) == 1
     return {"approx": approx, "sim": sim}
+
+
+def _z_edge(Z, e, name):
+    """The vertex pair of Z's edge `e`, given as an EdgeId or a vertex pair."""
+    if isinstance(e, (tuple, list)) and len(e) == 2 and all(_is_id(v, Z.n) for v in e):
+        e = Z._index.get(_norm(*e), e)
+    if not _is_id(e, Z.num_edges()):
+        raise ValueError(f"{name} = {e!r} is not an edge of Z")
+    return Z.edges[e]
 
 
 # -- interactivity --------------------------------------------------------
@@ -199,11 +215,25 @@ def _union_constraints(z_keys, U, keys):
 
 
 def _z_analysis(Z, F, budget):
-    """(Z's copy keys, Z's ArrowResult, its certificate as a colour per Z
-    edge or a falsy value): Z is decided from the keys every union reads."""
+    """(Z's copy keys, Z's ArrowResult, φ): Z is decided from the keys every
+    union reads.  φ is None unless Z has a certificate; then it is the
+    certificate as a colour per Z edge, less each edge, in edge order,
+    whose copies in Z all still show both colours on the edges left in φ.
+    So every copy inside Z stays two-coloured however the dropped edges
+    are coloured, and an extension of φ may colour them."""
     z_keys = _keys(F, Z.adj)
     z_res = _decide(Z.num_edges(), _union_constraints(z_keys, Z, ()), 2, budget)
-    return z_keys, z_res, z_res.certificate and dict(zip(Z.edges, z_res.certificate))
+    if z_res.certificate is None:
+        return z_keys, z_res, None
+    phi = dict(zip(Z.edges, z_res.certificate))
+    through = defaultdict(list)  # Z edge -> edge tuples of Z's copies through it
+    for _, es in z_keys:
+        for e in es:
+            through[e].append(es)
+    for e in Z.edges:
+        if all(len({phi[f] for f in es if f != e and f in phi}) == 2 for es in through[e]):
+            del phi[e]
+    return z_keys, z_res, phi
 
 
 def _union_verdict(z_keys, Z, img, keys, budget, phi=None):
@@ -215,7 +245,7 @@ def _union_verdict(z_keys, Z, img, keys, budget, phi=None):
     whole, as decide_arrow_union does; only such a union is ever built.  So
     "arrows" comes only from that search, and a union it leaves
     "undecided" at `budget` may be decided by the extension."""
-    if phi and _extend([es for _, es in keys], phi) is not None:
+    if phi is not None and _extend([es for _, es in keys], phi) is not None:
         return "not_arrows"
     U = Z.with_edges(img)
     return _decide(U.num_edges(), _union_constraints(z_keys, U, keys), 2, budget).verdict
@@ -338,28 +368,28 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     report["pool_mode"] = "full" if pool_size is None else f"sampled({pool_size})"
     report["pool"] = len(pool)
 
-    # stage 1: arrowing unions; stages 2, 3 and 6 read the views kept here
+    # stage 1: arrowing unions, with the copy keys that stage 2 reads
     if not arrow_filter:
         report["arrow_filter_disabled"] = True
-    views = {}
+    psi1 = {}  # h -> (booster pairs, copy keys)
     for h, img, keys, v in _unions(Z, z_keys, pool, spec, F, budget, phi, arrow_filter):
         if v == "arrows":
-            views[h] = _view_from_keys(Z, img, keys)
+            psi1[h] = img, keys
         else:
             report["removed"]["not_arrowing" if v == "not_arrows" else "undecided"] += 1
-    psi1 = list(views)
     report["psi1"] = len(psi1)
 
-    # stage 2: badness
-    psi2 = []
-    for h in psi1:
-        flags = _bad_flags(views[h])
+    # stage 2: badness from the keys; stages 3 and 6 read the views of the rest
+    views = {}
+    for h, (img, keys) in psi1.items():
+        flags = _bad_flags(img, keys)
         if flags["bad"]:
             for key in ("B1", "B2", "B3"):
                 if flags[key]:
                     report["removed"][key] += 1
         else:
-            psi2.append(h)
+            views[h] = _view_from_keys(Z, img, keys)
+    psi2 = list(views)
     report["psi2"] = len(psi2)
 
     # stage 3: heavy connected pairs
@@ -632,7 +662,7 @@ def activated_set(Z, Xi, spec, F, phi):
         if any(e in z_colour for e in img):
             raise ValueError("embedding shares an edge with Z: pair is not interactive")
         joint = z_colour | dict(zip(img, spec.sigma))
-        for (_, es), _zonly, _boost in union_view(Z, h, spec, F).copies:
+        for _, es in _union_keys(Z, img, F):
             cols = {joint[e] for e in es}
             if len(cols) == 1:
                 activated.update(Z.edge_id(*e) for e in es if e in z_colour)

@@ -19,7 +19,8 @@ not |Aut F| times: the search carries the symmetry-breaking conditions of
 Grochow and Kellis (RECOMB 2007), and the completions search one
 representative per orbit of (pinned arc, deleted edge) pairs.  Orbits are
 found by existence queries for embeddings of F into itself, never by
-listing Aut(F), and all per-pattern work is memoised on the pattern.
+listing Aut(F) (a pin across degrees needs no search), and all
+per-pattern work is memoised on the pattern.
 `embeddings` still yields every labelled map, since extension counts and
 basegraphs count labelled maps.  Patterns with isolated vertices keep
 their vertex placements (the vertex set is part of the copy), which the
@@ -29,7 +30,8 @@ and every caller that needs only the copy keys reads them from `_keys`
 (the booster's unions, which map them to edge ids in one place,
 `booster._union_constraints`).  Callers that need only counts or edge
 ids read them off the search's one map per copy (`_copy_counts`,
-`arrowing.copy_constraints`) and build no key.  Every copy query runs
+`arrowing.copy_constraints`) and build no key (`_copy_counts` tallies
+numpy pair codes, with no Python call per pair).  Every copy query runs
 through `_copy_maps`, which owns both pattern-size rules: a pattern with
 more vertices than its host has no copies, and one that fits must be
 within the pattern cap of `density`.  `embeddings` is no copy query: it
@@ -50,7 +52,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import ceil, comb, prod
+
+import numpy as np
 
 from .density import _check_cap
 from .graphs import Graph, Seed, _float, edge_count_between
@@ -179,10 +184,11 @@ def embeddings(F, G, pin=None, loose=()):
 
 
 def _automorphic(F, pairs):
-    """Whether some automorphism of F sends x to y for every (x, y) in pairs."""
+    """Whether some automorphism of F sends x to y for every (x, y) in pairs;
+    an automorphism keeps degrees, so a pin across degrees needs no search."""
     pin = {}
     for x, y in pairs:
-        if pin.setdefault(x, y) != y:
+        if pin.setdefault(x, y) != y or F.degree(x) != F.degree(y):
             return False
     return next(embeddings(F, F, pin=pin), None) is not None
 
@@ -320,9 +326,15 @@ def _keys(F, adj, anchors=None):
 
 def _copy_counts(F, G):
     """The number of copies of F in G and a Counter of the copies through
-    each host edge, read off the search's one map per copy."""
-    maps = list(_copy_maps(F, G.adj))
-    return len(maps), Counter([_norm(m[u], m[v]) for m in maps for u, v in F.edges])
+    each host edge, read off the search's one map per copy: each pattern
+    edge's image gets one (min, max) pair code, the codes are tallied (in
+    memory that grows with the maps, not with n²), and each distinct code
+    is decoded once."""
+    maps = np.fromiter(chain.from_iterable(_copy_maps(F, G.adj)), np.intp).reshape(-1, F.n)
+    ends = maps[:, np.array(F.edges, dtype=np.intp).reshape(-1, 2)]  # map, pattern edge, end
+    n = G.n
+    tally = Counter((ends.min(axis=2) * n + ends.max(axis=2)).ravel().tolist())
+    return len(maps), Counter({(c // n, c % n): k for c, k in tally.items()})
 
 
 def enumerate_copies(F, G, anchor=None):

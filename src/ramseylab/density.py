@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .graphs import Graph, _is_id, edge_count_between
@@ -61,8 +62,10 @@ def _induced_d2_max(F):
     return best, best_set, best
 
 
+@cache
 def m2(F):
-    """(max 2-density, witness) over all subgraphs of F with at least one edge."""
+    """(max 2-density, witness) over all subgraphs of F with at least one
+    edge; computed once per pattern."""
     _check_cap(F)
     if F.num_edges() < 1:
         raise ValueError("m2 undefined for edgeless graphs")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import ceil, comb, exp, gcd, inf, isfinite, log10, sqrt
 
 from .arrowing import decide_arrow
-from .booster import alpha_tilde, classify_bad, make_booster_spec
+from .booster import _bad_flags, _union_keys, alpha_tilde, image_edges, make_booster_spec
 from .counting import _copy_counts, _PairFamily, f_minus_members
 from .density import _check_delta, classify, is_bipartite
 from .graphs import Seed, gnp_sample, pair_uniforms
@@ -319,10 +319,9 @@ def z_property_rates(
             passes["Z4"] += 1
 
         bad = 0
-        for _ in range(embedding_samples):
-            h = tuple(int(x) for x in rng.permutation(n)[: B.n])
-            if classify_bad(Z, h, spec, F)["bad"]:
-                bad += 1
+        for _ in range(embedding_samples):  # an h drawn here needs no embedding check
+            img = image_edges(B, rng.permutation(n)[: B.n].tolist())
+            bad += _bad_flags(img, _union_keys(Z, img, F))["bad"]
         bfrac = bad / embedding_samples
         stats["bad_frac"].append(bfrac)
         if bfrac <= n ** (-float(zeta)):

@@ -34,6 +34,39 @@ def naive_copies(F, G):
     return out
 
 
+def naive_automorphisms(F):
+    """Every vertex permutation of F that maps its edge set onto itself."""
+    E = set(F.edges)
+    return [g for g in permutations(range(F.n)) if all(norm(g[u], g[v]) in E for u, v in F.edges)]
+
+
+def naive_arc_representatives(F):
+    """The first arc of each orbit of F's arcs under its listed automorphisms,
+    the arcs taken as (x, y), then (y, x), per edge in edge order."""
+    auts, reps, covered = naive_automorphisms(F), [], set()
+    for x, y in F.edges:
+        for a in ((x, y), (y, x)):
+            if a not in covered:
+                reps.append(a)
+                covered.update((g[a[0]], g[a[1]]) for g in auts)
+    return tuple(reps)
+
+
+def naive_smaller(F, order, pinned):
+    """The symmetry conditions along `order`, from the listed automorphisms:
+    a later vertex v must take a larger image than each base point b that
+    the stabilizer of `pinned` and of the earlier base points sends to v."""
+    smaller = {x: [] for x in order}
+    stab = [g for g in naive_automorphisms(F) if all(g[x] == x for x in pinned)]
+    for i in range(len(pinned), len(order)):
+        b = order[i]
+        for v in order[i + 1:]:
+            if any(g[b] == v for g in stab):
+                smaller[v].append(b)
+        stab = [g for g in stab if g[b] == b]
+    return tuple(tuple(smaller[x]) for x in order)
+
+
 def naive_isomorphic(F1, F2):
     return _naive_isomorphic(F1.n, F1.edges, F2.n, F2.edges)
 

@@ -2,6 +2,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from ramseylab.arrowing import decide_arrow
@@ -95,6 +96,22 @@ def test_pair_relations_fixture():
     assert r == {"approx": True, "sim": True}
     with pytest.raises(ValueError):
         pair_relations(Z2, (0, 1), spec2, K3, (0, 2), (0, 2))
+
+
+def test_pair_relations_refuses_what_is_not_an_edge_of_z():
+    # an EdgeId is any integer id of Z's edges, numpy's included; an id past
+    # the edges, a pair that is no edge of Z and anything else is refused,
+    # naming the argument
+    Z2 = complete_graph(4).without_edges([(0, 1)])
+    spec2 = make_booster_spec(complete_graph(2), K3)
+    i, j = Z2.edge_id(0, 2), Z2.edge_id(1, 2)
+    expected = {"approx": True, "sim": True}
+    assert pair_relations(Z2, (0, 1), spec2, K3, np.int64(i), np.int64(j)) == expected
+    assert pair_relations(Z2, (0, 1), spec2, K3, [2, 0], np.int64(j)) == expected
+    for bad in (99, Z2.num_edges(), -1, True, 1.0, (0, 1), (2, 2), (0, 9), (0, 1, 2), "02"):
+        for name, args in (("e1", (bad, j)), ("e2", (i, bad))):
+            with pytest.raises(ValueError, match=re.escape(f"{name} = {bad!r} is not an edge of Z")):
+                pair_relations(Z2, (0, 1), spec2, K3, *args)
 
 
 def test_sim_implies_approx_randomized():

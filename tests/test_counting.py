@@ -98,6 +98,14 @@ def test_f_minus_fixtures():
     assert time.perf_counter() - start < 5
 
 
+def test_f_minus_members_of_a_near_clique_are_fast():
+    # the orbit queries of K10-e pin no vertex across its two degrees, so the
+    # arcs that lie in no found orbit cost no exhaustive search
+    start = time.perf_counter()
+    assert len(f_minus_members(pattern_by_name("K10-e"))) == 2
+    assert time.perf_counter() - start < 5
+
+
 def test_f_minus_members_keep_the_first_edge_of_each_class():
     # one member per iso class of F - e, from the first such edge in
     # F.edges order, in the order those edges come

@@ -36,6 +36,16 @@ def test_m2_cycles_and_cliques():
     assert m2(complete_graph(4))[0] == Fraction(5, 2)
 
 
+def test_m2_is_computed_once_per_pattern():
+    # the memo answers an equal pattern with the same record; a refusal is
+    # not memoised, so it is raised on every call
+    assert m2(complete_graph(3)) is m2(complete_graph(3))
+    assert m2(cycle_graph(4)) is m2(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="edgeless"):
+            m2(Graph(3, []))
+
+
 def test_m2_matches_full_subgraph_enumeration():
     for i in range(40):
         g = gnp_sample(6, 0.55, Seed(101, i))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ramseylab import counting
+from ramseylab import booster, counting
 from ramseylab.arrowing import (
     BRUTE_FORCE_EDGE_CAP,
     brute_force_arrow,
@@ -331,6 +331,16 @@ def test_golden_z_property_rates():
         out = z_property_rates(F, B, n, p, D, zeta, delta, trials, seed,
                                pair_samples=pairs, embedding_samples=embs)
         assert json.loads(json.dumps(out)) == GOLDEN_Z[label], label
+
+
+def test_z_rates_read_badness_off_the_copy_keys(monkeypatch):
+    # Z5 reads each sampled union's badness off its copy keys and builds no
+    # union view, with the pinned rates
+    def no_view(*args):
+        raise AssertionError("z_property_rates built a UnionView")
+
+    monkeypatch.setattr(booster, "_view_from_keys", no_view)
+    test_golden_z_property_rates()
 
 
 def test_z_rates_decide_heavy_pairs_from_the_witness_bound(monkeypatch):

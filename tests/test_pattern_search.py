@@ -16,10 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    naive_arc_representatives,
+    naive_automorphisms,
     naive_copies,
     naive_extension_count,
     naive_fstar_overlap,
     naive_P,
+    naive_smaller,
     reference_completions_through,
     reference_copy_maps,
     reference_search,
@@ -28,6 +31,7 @@ from oracles import (
 from ramseylab.arrowing import copy_constraints
 from ramseylab.booster import _union_constraints, _union_keys
 from ramseylab.counting import (
+    _arc_representatives,
     _automorphism_count,
     _breaking,
     _completions_through,
@@ -193,13 +197,51 @@ def test_automorphism_count_is_the_self_embedding_count():
         assert _automorphism_count(F) == sum(1 for _ in embeddings(F, F)), F.edges
 
 
+def test_orbits_match_the_listed_automorphisms():
+    # the orbit queries skip a pin across degrees with no search; the arc
+    # representatives, the symmetry conditions with no pin and with each
+    # arc pinned, and |Aut F| equal those read off every permutation
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])  # K1,3
+    for F in [pattern_by_name(name) for name in
+              ("K3", "C4", "C5", "P4", "K4-e", "K5-e", "K6-e")] + [star]:
+        assert _automorphism_count(F) == len(naive_automorphisms(F)), F.edges
+        assert _arc_representatives(F) == naive_arc_representatives(F), F.edges
+        for pinned in ((),) + _arc_representatives(F):
+            order, back, smaller = _breaking(F, pinned)
+            assert (order, back) == _plan(F, pinned)[:2]
+            assert smaller == naive_smaller(F, order, pinned), (F.edges, pinned)
+
+
+def _check_copy_counts(F, G):
+    """The counts read off the search, one map per copy, are those of the
+    collected keys: the copies, and the copies through each host edge, keyed
+    by pairs of Python ints."""
+    keys = _keys(F, G.adj)
+    count, through = _copy_counts(F, G)
+    assert (count, through) == (len(keys), Counter(e for _, es in keys for e in es))
+    assert all(type(u) is type(v) is type(c) is int for (u, v), c in through.items())
+    return count, through
+
+
 @PROPERTY
 @given(hosts(min_n=5), st.sampled_from(COPY_PATTERNS))
 def test_copy_counts_match_the_copy_keys(G, F):
-    # the counts read off the search, one map per copy, are those of the
-    # collected keys: the copies, and the copies through each host edge
-    keys = _keys(F, G.adj)
-    assert _copy_counts(F, G) == (len(keys), Counter(e for _, es in keys for e in es))
+    _check_copy_counts(F, G)
+
+
+def test_copy_counts_edge_cases():
+    # an edgeless pattern has one copy per vertex set and no edge tally
+    assert _check_copy_counts(Graph(3, []), cycle_graph(5)) == (10, Counter())
+    assert _check_copy_counts(Graph(1, []), Graph(2, [])) == (2, Counter())
+    # a pattern larger than its host, and a host with no copies, count none
+    assert _check_copy_counts(complete_graph(4), complete_graph(3)) == (0, Counter())
+    assert _check_copy_counts(complete_graph(3), cycle_graph(6)) == (0, Counter())
+    assert _check_copy_counts(complete_graph(3), Graph(4, [])) == (0, Counter())
+    # hosts with isolated vertices, the last one among them
+    host = Graph(8, [(1, 2), (1, 3), (2, 3), (3, 5), (5, 6)])
+    assert _check_copy_counts(complete_graph(3), host) == (1, Counter({(1, 2): 1, (1, 3): 1, (2, 3): 1}))
+    assert _check_copy_counts(path_graph(3), host)[0] == 6  # sum of C(deg, 2)
+    assert _check_copy_counts(Graph(5, [(0, 1), (1, 2)]), host)[0] == 6 * 10
 
 
 @PROPERTY

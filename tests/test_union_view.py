@@ -2,11 +2,14 @@
 checked against full enumeration of the union and the naive oracles; the
 stage-1 union verdict from the union's copy keys, with and without Z's
 colouring, checked against `decide_arrow_union` and the brute-force
-oracle; the views stage 1 builds from those keys, checked against
-`union_view`; one collection of Z's copies per call; and the booster
-pipeline's outputs pinned on seeded hosts."""
+oracle, also with Z's colouring reduced to the edges its copies need;
+the views built from those keys, checked against `union_view`; stage 2's
+badness from the keys, checked against the naive oracle; one collection
+of Z's copies per call; and the booster pipeline's outputs pinned on
+seeded hosts."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -38,6 +41,7 @@ from ramseylab.booster import (
     _union_verdict,
     _unions,
     _view_from_keys,
+    _z_analysis,
     build_hypergraph,
     check_interactive_regular,
     classify_bad,
@@ -99,12 +103,12 @@ def test_view_matches_full_enumeration_and_oracles(case):
     assert U == union(Z, image_graph(spec.B, h, Z.n))
     # Z's copy keys merged with the union's give its NAE system, in order,
     # each copy once, also when a booster edge already lies in Z
-    assert keys == [key for key, _, _ in view.copies]
+    assert keys == list(view.copies)
     assert _union_constraints(naive_keys(F, Z), U, keys) == [
         tuple(U.edge_id(*e) for e in es) for _, es in naive_keys(F, U)]
     # the view holds exactly the copies through a booster edge, in key order
     img = set(image_edges(spec.B, h))
-    assert [key for key, _, _ in view.copies] == [
+    assert list(view.copies) == [
         c.key() for c in enumerate_copies(F, U).copies if c.edges & img]
     # the focus set is the naive one, plus any edge of Z that is also a
     # booster edge: such an edge focuses on itself even in no copy of F
@@ -283,6 +287,60 @@ def test_stage1_views_equal_union_view_on_golden_hosts():
         views = _check_stage1_views(Z, pool, spec, K3, phi, 2000,
                                     extra.get("arrow_filter", True))
         assert len(views) == GOLDEN[label]["report"]["psi1"], label
+
+
+def test_stage2_flags_from_the_keys_match_the_oracle_on_golden_hosts():
+    # stage 2 reads badness off the keys stage 1 holds for each arrowing
+    # union: its removals and psi2 are those of the oracle's flags
+    for label, (build, booster, extra) in GOLDEN_CASES.items():
+        Z, spec = build(), SPECS[(booster, K3)]
+        params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4),
+                  "budget": 2000, **extra}
+        _, report = construct_normal_family(Z, spec, K3, params, seed=Seed(510))
+        pool = embedding_pool(spec.B, Z.n, extra.get("pool_size"), Seed(510).substream(0))
+        z_keys, _, phi = _z_analysis(Z, K3, 2000)
+        removed, good = Counter(), 0
+        for h, img, _, v in _unions(Z, z_keys, pool, spec, K3, 2000, phi,
+                                    extra.get("arrow_filter", True)):
+            if v == "arrows":
+                flags = naive_bad_flags(Z, img, K3, Z.with_edges(img))
+                removed.update(k for k, bad in flags.items() if bad)
+                good += not any(flags.values())
+                assert classify_bad(Z, h, spec, K3) == {**flags, "bad": any(flags.values())}
+        assert {k: report["removed"].get(k, 0) for k in ("B1", "B2", "B3")} == {
+            k: removed[k] for k in ("B1", "B2", "B3")}, label
+        assert report["psi2"] == good, label
+
+
+def _check_reduced_phi(Z, pool, spec, F):
+    """Z's colouring φ keeps each copy inside Z two-coloured on its fixed
+    edges and agrees with Z's certificate, and with it stage 1 gives
+    `decide_arrow_union`'s verdicts.  Returns the number of edges it drops."""
+    z_keys, z_res, phi = _z_analysis(Z, F, None)
+    if z_res.certificate is None:
+        assert phi is None
+        return 0
+    assert phi.items() <= dict(zip(Z.edges, z_res.certificate)).items()
+    assert all(len({phi[e] for e in es if e in phi}) == 2 for _, es in z_keys)
+    for h, _, _, v in _unions(Z, z_keys, pool, spec, F, None, phi):
+        assert v == decide_arrow_union(Z, image_graph(spec.B, h, Z.n), F).verdict
+    return Z.num_edges() - len(phi)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(coloured_unions(pool_max=3))
+def test_stage1_with_the_reduced_z_colouring(case):
+    Z, pool, spec, F, _ = case
+    _check_reduced_phi(Z, pool, spec, F)
+
+
+def test_reduced_z_colouring_on_seeded_hosts():
+    dropped = 0
+    for i in range(12):
+        Z = gnp_sample(11, 0.5, Seed(520, i))
+        spec = SPECS[(("K2", "P3", "C5")[i % 3], K3)]
+        dropped += _check_reduced_phi(Z, embedding_pool(spec.B, Z.n, 30, Seed(521, i)), spec, K3)
+    assert dropped > 0
 
 
 def test_each_host_collects_its_copies_once(monkeypatch):
