@@ -1,10 +1,12 @@
 """Exact decision of the arrowing property G -> (F).
 
 Each copy of F is a not-all-equal constraint over its edge ids: the copy
-must not be single-coloured.  `copy_constraints` reads each copy's ids
-off the copy search's one map per copy and builds no copy key.  This
-module writes every CNF literal: `_encode` writes a whole system (the
-clauses `cnf_export` prints), and `_extend` the system left once a
+must not be single-coloured.  `_id_array` builds the whole system with
+array operations on the copy search's (copies × v(F)) array of maps
+(`counting._copy_array`) and builds no copy key; `copy_constraints` is
+that system as tuples.  This module writes every CNF literal: `_encode`
+writes a whole system (the clauses `cnf_export` prints) with array
+operations, and `_extend` the system left once a
 partial colouring is fixed, which answers "does this partial colouring
 extend to an F-free one?" for `first_f_free_coloring` and for the
 booster's unions.  One CDCL core (`_Cdcl`) answers every colouring
@@ -18,7 +20,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .counting import _copy_maps, enumerate_copies
+from .counting import _copy_array, _key_order, _pair_codes, enumerate_copies
 from .graphs import union
 
 RED, BLUE = 0, 1
@@ -36,17 +38,23 @@ class ArrowResult:
         return self.verdict == "arrows"
 
 
+def _id_array(G, F):
+    """The NAE constraint system of the F-copies in G as one (copies × e(F))
+    array of edge ids, each row sorted, the rows in copy key order.  The ids
+    are gathered from G's sorted edge codes (an id is a position in the
+    lexicographic edge order), so sorted ids compare as the sorted edges
+    they number: no key is built."""
+    maps = _copy_array(F, G.adj)
+    ends = np.array(G.edges, dtype=np.intp).reshape(-1, 2)
+    ids = np.searchsorted(ends[:, 0] * G.n + ends[:, 1],
+                          np.sort(_pair_codes(F, maps, G.n), axis=1))
+    return ids[_key_order(np.sort(maps, axis=1), ids)]
+
+
 def copy_constraints(G, F):
     """Edge-id sets of the F-copies in G (the NAE constraint system), in
-    copy key order, read off the search's one map per copy: no key is built."""
-    rows = [{} for _ in range(G.n)]  # rows[u][v]: the id of edge {u, v}
-    for i, (u, v) in enumerate(G.edges):
-        rows[u][v] = rows[v][u] = i
-    fe = F.edges
-    # sorted ids compare as the sorted edges they number
-    return [ids for _, ids in sorted(
-        (tuple(sorted(m)), tuple(sorted([rows[m[u]][m[v]] for u, v in fe])))
-        for m in _copy_maps(F, G.adj))]
+    copy key order, as tuples (`_id_array`)."""
+    return list(map(tuple, _id_array(G, F).tolist()))
 
 
 def is_f_free(coloring, G, F):
@@ -68,15 +76,19 @@ def _encode(m, cons, colours):
     and each copy gives an all-positive and an all-negative clause.  Else
     variable e * r + c is "edge e has colour c", with one at-least-one
     clause per constrained edge and one "not all c" clause per copy and c;
-    an edge takes its lowest true colour, so at-most-one clauses are moot."""
-    r, clauses = colours, []
-    if r == 2:
-        for c in cons:
-            pos = [e + e for e in c]
-            clauses += (pos, [lit + 1 for lit in pos])
-        return m, clauses
-    clauses = [[2 * (e * r + k) for k in range(r)] for e in sorted({e for c in cons for e in c})]
-    return m * r, clauses + [[2 * (e * r + k) + 1 for e in c] for c in cons for k in range(r)]
+    an edge takes its lowest true colour, so at-most-one clauses are moot.
+    `cons` is an array of id rows (`_id_array`) or a list of id tuples of
+    one length; the clauses come in its row order."""
+    r, cons = colours, np.asarray(cons, dtype=np.intp)
+    if cons.ndim < 2:  # an empty list: no copies
+        cons = cons.reshape(0, 0)
+    copies, width = cons.shape
+    if r == 2:  # each row's positive clause, then its negative one
+        pos = cons + cons
+        return m, np.stack((pos, pos + 1), axis=1).reshape(2 * copies, width).tolist()
+    at_least = 2 * (np.unique(cons)[:, None] * r + np.arange(r))
+    not_all = 2 * (cons[:, None, :] * r + np.arange(r)[:, None]) + 1  # copy, colour, edge
+    return m * r, at_least.tolist() + not_all.reshape(copies * r, width).tolist()
 
 
 class _Cdcl:
@@ -324,7 +336,7 @@ def decide_arrow(G, F, colours=2, budget=None):
     The CDCL core runs with the edge in the most copies of F fixed to
     colour 0 (colour-swap symmetry).  `budget` caps its decisions (nodes);
     past it the verdict is "undecided"."""
-    return _decide(G.num_edges(), copy_constraints(G, F), colours, budget)
+    return _decide(G.num_edges(), _id_array(G, F), colours, budget)
 
 
 BRUTE_FORCE_EDGE_CAP = 24
@@ -388,8 +400,8 @@ def enumerate_f_free_colorings(G, F, limit=16, budget=None):
     after each colouring, with a clause blocking its values on the
     constrained edges; `budget` caps the decisions of all its searches."""
     _check_budget(budget)
-    m, cons = G.num_edges(), copy_constraints(G, F)
-    core, sols = _Cdcl(*_encode(m, cons, 2)), []
+    m = G.num_edges()
+    core, sols = _Cdcl(*_encode(m, _id_array(G, F), 2)), []
     while len(sols) < limit and core.solve(budget):
         sols.append(_colouring(core.value, m))
         core.ok = core.add([2 * v + (core.value[2 * v] == 1) for v in core.vars])
@@ -419,7 +431,7 @@ def first_f_free_coloring(G, F):
 def cnf_export(G, F):
     """DIMACS CNF of the two-colour NAE system, the clauses the core solves
     (variable = EdgeId + 1)."""
-    nvars, clauses = _encode(G.num_edges(), copy_constraints(G, F), 2)
+    nvars, clauses = _encode(G.num_edges(), _id_array(G, F), 2)
     lines = [f"p cnf {nvars} {len(clauses)}"]
     lines += [" ".join(str(-(lit >> 1) - 1 if lit & 1 else (lit >> 1) + 1) for lit in c) + " 0"
               for c in clauses]

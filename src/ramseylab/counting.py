@@ -1,16 +1,21 @@
 """Pattern searches and the counting families built on them.
 
-Every count here is a search for maps of a small pattern into a host, and
-all of them run on one core, `_search`: an iterative depth-first search
-with one candidate bitmask per pattern position.  Embeddings with pins
-and loose edges, copies, the deleted-edge families, the pair family
-P(e1, e2), rooted extensions and basegraphs call it here; partite copies
-and overlap counts call it from `regularity`.  A search host is its
-adjacency rows, one bitmask per vertex, so a union Z ∪ h(B) is searched
-on Z's rows with the booster pairs ORed in, and no Graph is built for it.
-The pinned searches (copies through an anchor, P(e1, e2) completions
-through a pair) read their plans from per-pattern caches (`_arc_plans`,
-`_pair_representatives`) and pin the arc by their first two domains.
+Every count here is a search for maps of a small pattern into a host, on
+one of two engines.  Whole-host copy queries run on `_copy_array`, a
+level-by-level numpy search over 64-bit adjacency words that returns
+every map of the unanchored orbit search as one array: unanchored
+copies and copy keys, the NAE systems of `arrowing` and the F⁻ counts.
+The pinned, anchored and labelled queries run on `_search`, an iterative
+depth-first search with one candidate bitmask per pattern position:
+embeddings with pins and loose edges, copies through an anchor, the
+pair family P(e1, e2), rooted extensions and basegraphs here, and
+partite copies and overlap counts from `regularity`.  A search host is
+its adjacency rows, one bitmask per vertex, so a union Z ∪ h(B) is
+searched on Z's rows with the booster pairs ORed in, and no Graph is
+built for it.  The pinned searches (copies through an anchor, P(e1, e2)
+completions through a pair) read their plans from per-pattern caches
+(`_arc_plans`, `_pair_representatives`) and pin the arc by their first
+two domains.
 
 A *copy* of a pattern in a host is an unlabelled image: the pair
 (vertex set, edge set).  The embeddings of one copy are one orbit of
@@ -24,35 +29,34 @@ per-pattern work is memoised on the pattern.
 `embeddings` still yields every labelled map, since extension counts and
 basegraphs count labelled maps.  Patterns with isolated vertices keep
 their vertex placements (the vertex set is part of the copy), which the
-two-edge-deleted pair families rely on.  Copies are collected on one
-path, `_copy_keys`: `enumerate_copies` wraps its items as `Copy` objects,
-and every caller that needs only the copy keys reads them from `_keys`
-(the booster's unions, which map them to edge ids in one place,
-`booster._union_constraints`).  Callers that need only counts or edge
-ids read them off the search's one map per copy (`_copy_counts`,
-`arrowing.copy_constraints`) and build no key (`_copy_counts` tallies
-numpy pair codes, with no Python call per pair).  Every copy query runs
-through `_copy_maps`, which owns both pattern-size rules: a pattern with
-more vertices than its host has no copies, and one that fits must be
-within the pattern cap of `density`.  `embeddings` is no copy query: it
-keeps its own fit guard and has no cap, as it serves patterns such as
-P1200.  The pair family `_PairFamily` keeps one memo, the completions
-through each pair, and builds copy sets per query (a ceiling read off Z's
-largest degree settles light pairs with no search).  The heuristic denseness
-check counts the edges inside each starting vertex set once, with
-`graphs.edge_count_between`, and derives the count after each candidate
-swap from it: it drops the leaving vertex's edges into the rest of the
-set and adds the entering vertex's, two popcounts of adjacency masks.
+two-edge-deleted pair families rely on.  The copy array's consumers work
+on arrays: each pattern edge's image gets one pair code (`_pair_codes`),
+and the rows sort into key order by (sorted vertices, sorted codes)
+(`_key_order`); `_keys` and `enumerate_copies` decode the sorted rows to
+keys (`_sorted_copies`), `_copy_counts` hands the codes to a tally, and
+`arrowing._id_array` gathers edge ids from them.  Copies through anchors
+are collected by `_copy_keys`, which dedupes a copy reached through
+several anchors.  Both engines' copy queries own both pattern-size
+rules (`_copy_array`, and `_copy_maps` for anchors): a pattern with more
+vertices than its host has no copies, and one that fits must be within
+the pattern cap of `density`.  `embeddings` is no copy query: it keeps
+its own fit guard and has no cap, as it serves patterns such as P1200.
+The pair family `_PairFamily` keeps one memo, the completions through
+each pair, and builds copy sets per query (a ceiling read off Z's
+largest degree settles light pairs with no search).  The heuristic
+denseness check counts the edges inside each starting vertex set once,
+with `graphs.edge_count_between`, and derives the count after each
+candidate swap from it: it drops the leaving vertex's edges into the
+rest of the set and adds the entering vertex's, two popcounts of
+adjacency masks.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from math import ceil, comb, prod
 
 import numpy as np
@@ -289,18 +293,80 @@ class CopyFamily:
         return len(self.copies)
 
 
+def _word_table(masks, words):
+    """The int bitmasks `masks` as rows of `words` 64-bit little-endian words."""
+    return np.frombuffer(b"".join(m.to_bytes(8 * words, "little") for m in masks),
+                         "<u8").reshape(len(masks), words)
+
+
+def _copy_array(F, adj):
+    """Every map of the unanchored orbit search of F into the host rows
+    `adj` (`_search` by `_breaking(F, ())`), one per copy, in `_search`'s
+    order, as one (copies × F.n) array indexed by pattern vertex.
+
+    The search runs level by level: each partial map's candidates are the
+    AND of its back neighbours' rows, held as 64-bit words, less the host
+    vertices at or below the images `smaller` names and the images of the
+    other earlier positions (a back neighbour's image is no neighbour of
+    itself).  Set bits are read row, word, then bit, so each level keeps
+    the depth-first search's lexicographic order.  Memory is the host's
+    n × ⌈n/64⌉ words plus each level's partial maps and their candidate
+    words.  It owns both pattern-size rules: a pattern with more vertices
+    than the host has no copies, found with no search; one that fits must
+    be within `density._check_cap`."""
+    n, k = len(adj), F.n
+    if k > n:
+        return np.empty((0, k), np.intp)
+    _check_cap(F)
+    if not k:
+        return np.empty((1, 0), np.intp)  # the one empty map
+    order, back, smaller = _breaking(F, ())
+    pos = {x: i for i, x in enumerate(order)}
+    words = -(-n // 64)
+    rows = _word_table(adj, words)
+    full = (1 << n) - 1
+    above = None  # above[v]: the host vertices above v, built on first use
+    maps = np.arange(n, dtype=np.intp)[:, None]  # images of positions 0..i-1, per partial map
+    for i in range(1, k):
+        if not len(maps):
+            return np.empty((0, k), np.intp)
+        fixed = [pos[y] for y in back[i]]
+        if fixed:
+            cand = rows[maps[:, fixed[0]]]
+            for j in fixed[1:]:
+                cand &= rows[maps[:, j]]
+        else:
+            cand = np.repeat(_word_table([full], words), len(maps), axis=0)
+        if smaller[i]:
+            if above is None:
+                above = _word_table([full & (-2 << v) for v in range(n)], words)
+            cand &= above[maps[:, [pos[y] for y in smaller[i]]].max(axis=1)]
+        fixed += [pos[y] for y in smaller[i]]
+        every = np.arange(len(maps))
+        for j in range(i):
+            if j not in fixed:
+                v = maps[:, j]
+                cand[every, v >> 6] &= ~np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
+        parent, word = np.nonzero(cand)
+        bits = np.unpackbits(cand[parent, word].view(np.uint8).reshape(-1, 8), axis=1,
+                             bitorder="little")
+        hit, bit = np.nonzero(bits)
+        maps = np.column_stack((maps[parent[hit]], word[hit] * 64 + bit))
+    out = np.empty_like(maps)
+    out[:, order] = maps
+    return out
+
+
 def _copy_maps(F, adj, anchors=None):
     """The embeddings of F into the host rows `adj` that copy collection
-    reads: with no `anchors`, one per copy, its lexicographically first map
-    in search order under the symmetry breaking of Aut(F); with `anchors`,
-    one per copy through each host pair in turn.  It owns both pattern-size
-    rules: a pattern with more vertices than the host has no copies, found
-    with no search; one that fits must be within `density._check_cap`."""
+    reads, as tuples: with no `anchors`, the rows of `_copy_array`, one
+    per copy; with `anchors`, one per copy through each host pair in turn,
+    from `_search`, under the same pattern-size rules."""
+    if anchors is None:
+        return map(tuple, _copy_array(F, adj).tolist())
     if F.n > len(adj):
         return iter(())
     _check_cap(F)
-    if anchors is None:
-        return _search(adj, _breaking(F, ()), [(1 << len(adj)) - 1] * F.n)
     # the maps of a copy through an anchor send one orbit of arcs onto
     # (a, b), and those sending its representative form one stabilizer orbit
     rest = [(1 << len(adj)) - 1] * (F.n - 2)
@@ -310,7 +376,8 @@ def _copy_maps(F, adj, anchors=None):
 
 def _copy_keys(F, maps):
     """((sorted vertex tuple, sorted edge tuple), first witness map) for each
-    copy that `maps` reach, in key order: the one place copies are collected."""
+    copy that `maps` reach, in key order: copies through anchors are
+    collected here, and in `regularity`."""
     seen = {}
     for m in maps:
         es = tuple(sorted([_norm(m[u], m[v]) for u, v in F.edges]))
@@ -318,34 +385,62 @@ def _copy_keys(F, maps):
     return sorted(seen.items())
 
 
+def _pair_codes(F, maps, n):
+    """The code min·n + max of each pattern edge's image, one row per map of
+    the (maps × F.n) array `maps`: codes compare as the host pairs they name."""
+    ends = maps[:, np.array(F.edges, dtype=np.intp).reshape(-1, 2)]  # map, pattern edge, end
+    return ends.min(axis=2) * n + ends.max(axis=2)
+
+
+def _key_order(vertices, pairs):
+    """The row order that sorts copies by key: their sorted vertices, then
+    their sorted pair codes (or the edge ids those number)."""
+    if len(vertices) < 2:
+        return np.arange(len(vertices))
+    return np.lexsort(np.hstack((vertices, pairs)).T[::-1])
+
+
+def _sorted_copies(F, adj):
+    """(keys, maps) of the copies of F in the host rows `adj`, in key order:
+    each key (sorted vertex tuple, sorted edge tuple) and its copy's one map
+    from `_copy_array`, decoded from sorted rows of the array."""
+    maps, n = _copy_array(F, adj), len(adj)
+    vertices = np.sort(maps, axis=1)
+    pairs = np.sort(_pair_codes(F, maps, n), axis=1)
+    rank = _key_order(vertices, pairs)
+    pairs = pairs[rank]
+    keys = [(tuple(vs), tuple(zip(us, ws))) for vs, us, ws in zip(
+        vertices[rank].tolist(), (pairs // n).tolist(), (pairs % n).tolist())]
+    return keys, maps[rank]
+
+
 def _keys(F, adj, anchors=None):
     """The keys of the copies of F in the host rows `adj`, in key order;
     with `anchors`, of the copies through one of those host pairs."""
+    if anchors is None:
+        return _sorted_copies(F, adj)[0]
     return [key for key, _ in _copy_keys(F, _copy_maps(F, adj, anchors))]
 
 
 def _copy_counts(F, G):
-    """The number of copies of F in G and a Counter of the copies through
-    each host edge, read off the search's one map per copy: each pattern
-    edge's image gets one (min, max) pair code, the codes are tallied (in
-    memory that grows with the maps, not with n²), and each distinct code
-    is decoded once."""
-    maps = np.fromiter(chain.from_iterable(_copy_maps(F, G.adj)), np.intp).reshape(-1, F.n)
-    ends = maps[:, np.array(F.edges, dtype=np.intp).reshape(-1, 2)]  # map, pattern edge, end
-    n = G.n
-    tally = Counter((ends.min(axis=2) * n + ends.max(axis=2)).ravel().tolist())
-    return len(maps), Counter({(c // n, c % n): k for c, k in tally.items()})
+    """The number of copies of F in G and the pair code u·n + v (u < v) of
+    each edge of each copy, one flat array, read off `_copy_array`: a
+    tally of the codes counts the copies through each host edge."""
+    maps = _copy_array(F, G.adj)
+    return len(maps), _pair_codes(F, maps, G.n).ravel()
 
 
 def enumerate_copies(F, G, anchor=None):
     """All unlabelled copies of F in G; with `anchor`, only copies whose
     edge set contains that host pair, which must be two distinct vertex
     ids of G (a non-edge has no copies through it)."""
-    if anchor is not None:
+    if anchor is None:
+        keys, maps = _sorted_copies(F, G.adj)
+        items = zip(keys, map(tuple, maps.tolist()))
+    else:
         _host_pair(G.n, anchor, "anchor ")
-    maps = _copy_maps(F, G.adj, None if anchor is None else [anchor])
-    return CopyFamily([Copy(frozenset(vs), frozenset(es), m)
-                       for (vs, es), m in _copy_keys(F, maps)])
+        items = _copy_keys(F, _copy_maps(F, G.adj, [anchor]))
+    return CopyFamily([Copy(frozenset(vs), frozenset(es), m) for (vs, es), m in items])
 
 
 def are_isomorphic(F1, F2):
@@ -378,7 +473,7 @@ def f_minus_members(F):
 
 def count_f_minus(F, Z):
     """Number of copies in Z of members of the one-edge-deleted family."""
-    return sum(_copy_counts(M, Z)[0] for M in f_minus_members(F))
+    return sum(len(_copy_array(M, Z.adj)) for M in f_minus_members(F))
 
 
 def count_f_minus_through(F, Z, e):

@@ -10,14 +10,15 @@ excluded from point estimates with their count reported.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import ceil, comb, exp, gcd, inf, isfinite, log10, sqrt
 
+import numpy as np
+
 from .arrowing import decide_arrow
 from .booster import _bad_flags, _union_keys, alpha_tilde, image_edges, make_booster_spec
-from .counting import _copy_counts, _PairFamily, f_minus_members
+from .counting import _copy_counts, _pair_ceiling, _PairFamily, f_minus_members
 from .density import _check_delta, classify, is_bipartite
 from .graphs import Seed, gnp_sample, pair_uniforms
 
@@ -294,24 +295,27 @@ def z_property_rates(
         if p * n * n / 4 <= m <= p * n * n:
             passes["Z1"] += 1
 
-        fm, through = 0, Counter()
+        fm, codes = 0, []
         for M in members:
-            count, per_edge = _copy_counts(M, Z)
+            count, pairs = _copy_counts(M, Z)
             fm += count
-            through.update(per_edge)
+            codes.append(pairs)
         stats["f_minus_norm"].append(fm / (n * n))
         if fm <= D * n * n:
             passes["Z2"] += 1
 
-        # copies through the busiest edge of Z
-        worst = max(through.values(), default=0)
+        # copies through the busiest edge of Z: the most repeated pair code
+        worst = int(np.unique(np.concatenate(codes), return_counts=True)[1].max(initial=0))
         stats["f_minus_edge_norm"].append(worst * p)
         if p == 0 or worst <= D / p:
             passes["Z3"] += 1
 
-        family = _PairFamily(F, Z)
         pairs = _edge_pairs(rng, m, min(pair_samples, m * (m - 1) // 2))
-        heavy = sum(family.exceeds(Z.edges[i], Z.edges[j], heavy_cap) for i, j in pairs)
+        if _pair_ceiling(F, Z) <= heavy_cap:  # no pair of Z is heavy: no per-pair query
+            heavy = 0
+        else:
+            family = _PairFamily(F, Z)
+            heavy = sum(family.exceeds(Z.edges[i], Z.edges[j], heavy_cap) for i, j in pairs)
         frac = heavy / len(pairs) if pairs else 0.0
         stats["heavy_pair_frac"].append(frac)
         total_pairs = m * (m - 1) // 2

@@ -359,6 +359,23 @@ def test_z_rates_decide_heavy_pairs_from_the_witness_bound(monkeypatch):
     assert built == searched == []
 
 
+def test_z_rates_ask_the_ceiling_once_per_host(monkeypatch):
+    # a host whose ceiling is at most the cap counts no heavy pair with no
+    # per-pair query; one above it (C4, whose ceiling grows with n) queries
+    # every sampled pair, with the pinned rates either way
+    queries = []
+    exceeds = counting._PairFamily.exceeds
+    monkeypatch.setattr(counting._PairFamily, "exceeds",
+                        lambda self, *args: queries.append(1) or exceeds(self, *args))
+    for label, queried in (("criterion11-K3-C5-n30", False), ("C4-P3-n14", True)):
+        queries.clear()
+        F, B, n, p, D, zeta, delta, trials, seed, pairs, embs = GOLDEN_Z_CASES[label]
+        out = z_property_rates(F, B, n, p, D, zeta, delta, trials, seed,
+                               pair_samples=pairs, embedding_samples=embs)
+        assert json.loads(json.dumps(out)) == GOLDEN_Z[label], label
+        assert len(queries) == (trials * pairs if queried else 0), label
+
+
 def test_janson_fixtures():
     fam = enumerate_copies(K3, complete_graph(3))
     r = janson_bound(fam, Fraction(1, 2))

@@ -203,6 +203,19 @@ GOLDEN = [
      94, 187, 2, 2),
     ("K3", 30, 2.5, 252, 4000, "arrows", None, 22, 87, 15, 14),
     ("K3", 30, 2.5, 253, 4000, "arrows", None, 15, 83, 12, 11),
+    # 96 host vertices: two adjacency words per vertex, the last one partial
+    ("K3", 96, 2.0, 961, 4000, "not_arrows",
+     "000110000111100011110011111101000100010101100111111101110011000000000101000001010001101110010011"
+     "100101000011110111000000000001111101011001010011010000011111100100100100001001000000010011000101"
+     "100100010100111000111010001000000100011111000101011001010110000111010100010010011100000010101000"
+     "010100001001100011110000101100111110100000010111100110110111011100000101111001000000100010011100"
+     "101010001001111000110100101001111011011110100100011100101000000010111000101110100100111110001101"
+     "101111010011100111010100000001110110000101101010101111010101110001110001010111010111000000010001"
+     "100101100100001101101001010000100001000101001010011110110110000100101101001100100001110000100101"
+     "010101101000010100111110000001001001000010000001011010100111000000100000001011100000010001001011"
+     "001100100000010010100000110111011010010011001110100111001100100010111011000001011110000001001010"
+     "0000011011011101000010100100110001110010011011000011100000000001011110110000011100110",
+     2667, 13499, 201, 201),
     ("C4", 14, 2.5, 253, 4000, "arrows", None, 105, 549, 89, 88),
     ("C4", 14, 3.0, 300, 4000, "not_arrows",
      "000010111100110001101101001010111110010",

@@ -9,7 +9,7 @@ maps and off the copy keys."""
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import inf
 
 import pytest
@@ -35,6 +35,7 @@ from ramseylab.counting import (
     _automorphism_count,
     _breaking,
     _completions_through,
+    _copy_array,
     _copy_counts,
     _copy_keys,
     _copy_maps,
@@ -132,6 +133,47 @@ def test_search_yields_the_reference_maps_in_order(G, F, data):
             reference_search(G.adj, plan, dom, injective))
 
 
+@st.composite
+def word_hosts(draw):
+    """Hosts of one to three 64-bit words per row, the last word full or
+    partial: a dense random graph on a few vertices, word-boundary vertices
+    likely among them, and a few random pairs anywhere in the host."""
+    n = draw(st.sampled_from((1, 5, 63, 64, 65, 127, 130)))
+    vertex = st.integers(0, n - 1) | st.sampled_from(
+        [v for v in (0, 62, 63, 64, 65, 126, 127, 128, 129) if v < n])
+    core = sorted(draw(st.lists(vertex, min_size=min(n, 4), max_size=8, unique=True)))
+    pairs = {e for e in combinations(core, 2) if draw(st.integers(0, 3))}  # dense: copies
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    return Graph(n, sorted(pairs | {_norm(u, v) for u, v in extra if u != v}))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(word_hosts(), st.sampled_from(COPY_PATTERNS + PATTERNS + [
+    Graph(1, []), Graph(3, []), complete_graph(2), Graph(4, [(0, 1), (1, 2)])]))
+def test_copy_array_is_the_orbit_search_row_for_row(G, F):
+    # the level-by-level word search gives the maps of the unanchored orbit
+    # search, in its order, on hosts across word boundaries; patterns with a
+    # position that has no back neighbour (isolated vertices, the edgeless
+    # ones) take their candidates from the full host less earlier images
+    expected = reference_search(G.adj, _breaking(F, ()), [(1 << G.n) - 1] * F.n)
+    maps = _copy_array(F, G.adj)
+    assert maps.ndim == 2 and maps.shape[1] == F.n
+    chunk = 1 << 12  # compared a block at a time: an edgeless pattern has n³/6 maps
+    for start in range(0, len(maps), chunk):
+        assert list(map(tuple, maps[start:start + chunk].tolist())) == list(islice(expected, chunk))
+    assert next(expected, None) is None
+
+
+def test_copy_array_keeps_both_pattern_size_rules():
+    # a pattern larger than its host has no copies and needs no cap check;
+    # one that fits must be within the cap, with the message copy queries give
+    big = complete_graph(PATTERN_VERTEX_CAP + 1)
+    assert _copy_array(big, complete_graph(PATTERN_VERTEX_CAP).adj).shape == (0, big.n)
+    with pytest.raises(ValueError, match=rf"^pattern has {big.n} vertices, "
+                                         rf"above the cap of {PATTERN_VERTEX_CAP}$"):
+        _copy_array(big, Graph(big.n, []).adj)
+
+
 def naive_union_keys(F, n, edges, img):
     """Keys of the copies of F on the edge set `edges` through a pair of
     `img`, by permutations over the edge set alone."""
@@ -213,13 +255,13 @@ def test_orbits_match_the_listed_automorphisms():
 
 
 def _check_copy_counts(F, G):
-    """The counts read off the search, one map per copy, are those of the
-    collected keys: the copies, and the copies through each host edge, keyed
-    by pairs of Python ints."""
+    """The counts read off the copy array, one map per copy, are those of
+    the collected keys: the copies, and the pair codes u·n + v of every
+    copy's edges, which tally to the copies through each host edge."""
     keys = _keys(F, G.adj)
-    count, through = _copy_counts(F, G)
+    count, codes = _copy_counts(F, G)
+    through = Counter(divmod(c, G.n) for c in codes.tolist())
     assert (count, through) == (len(keys), Counter(e for _, es in keys for e in es))
-    assert all(type(u) is type(v) is type(c) is int for (u, v), c in through.items())
     return count, through
 
 

@@ -348,14 +348,14 @@ def test_each_host_collects_its_copies_once(monkeypatch):
     # so one call collects Z's copies once, unanchored
     Z, spec = k6_minus_edge_block(8, Seed(501))[0], SPECS[("K2", K3)]
     collections = []
-    search = counting._copy_maps
+    search = counting._copy_array  # every unanchored collection
 
-    def spy(F, adj, anchors=None):
-        if adj is Z.adj and anchors is None:
+    def spy(F, adj):
+        if adj is Z.adj:
             collections.append(F)
-        return search(F, adj, anchors)
+        return search(F, adj)
 
-    monkeypatch.setattr(counting, "_copy_maps", spy)
+    monkeypatch.setattr(counting, "_copy_array", spy)
     params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4)}
     construct_normal_family(Z, spec, K3, params, seed=Seed(510))
     assert collections == [K3]
