@@ -9,14 +9,13 @@ copy keys, stage 2 reads its badness off the same keys (`_bad_flags`: an
 edge of such a copy that is not a booster pair is a Z edge), and the view
 that stages 3 and 6 read (`union_view`'s second half) is built from them
 only for a union that arrows and is not bad.  The keys come from a search
-on Z's adjacency rows with h(B)'s pairs ORed in (`_union_keys`); the union
-U is built as a Graph only for a union that is searched whole
-(`_union_verdict`).  Z is analysed once per call (`_z_analysis`): its copy
-keys are collected, Z is decided from them, and every union's whole
-search reads them; Z's certificate φ keeps only the edges that its copies
-need to stay two-coloured, and an extension may colour the rest.  This
-module keeps the one step from copy keys to edge ids
-(`_union_constraints`); every CNF literal, the extension of Z's colouring
+on Z's adjacency rows with h(B)'s pairs ORed in (`_union_keys`); no union
+is built as a Graph.  Z is analysed once per call (`_z_analysis`): its NAE
+system is built as `arrowing._id_array` rows, Z is decided on them, and a
+union searched whole (`_union_verdict`) is searched on them followed by the
+id rows of its keys with a pair new to Z; Z's certificate φ keeps only the
+edges that its copies need to stay two-coloured, and an extension may
+colour the rest.  Every CNF literal, the extension of Z's colouring
 included, is written in `arrowing`.  P(e1, e2) completions are searched
 once per call too, and shared by every union.  `z_property_rates` reads
 the badness of each union it samples off its keys too, with no view.
@@ -28,7 +27,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from heapq import merge
 from itertools import combinations
 from math import comb, factorial, inf, isfinite, log, perm
 
@@ -38,6 +36,7 @@ from .arrowing import (
     BRUTE_FORCE_EDGE_CAP,
     _decide,
     _extend,
+    _id_array,
     brute_force_arrow,
     decide_arrow,
     first_f_free_coloring,
@@ -203,62 +202,59 @@ def _z_edge(Z, e, name):
 # -- interactivity --------------------------------------------------------
 
 
-def _union_constraints(z_keys, U, keys):
-    """The NAE system of the union U whose copies through a booster edge
-    are `keys`, equal to `copy_constraints(U, F)`: a copy lies inside Z or
-    contains a booster edge, so it is Z's keys and the union's merged in
-    key order, where a copy inside Z through a booster edge that Z already
-    has comes twice and is kept once.  With no `keys` it is Z's own."""
-    # an id is a position in the lexicographic edge order: sorted edges give sorted ids
-    edge_id = U._index.__getitem__
-    return [tuple(map(edge_id, es)) for _, es in dict.fromkeys(merge(z_keys, keys))]
-
-
 def _z_analysis(Z, F, budget):
-    """(Z's copy keys, Z's ArrowResult, φ): Z is decided from the keys every
-    union reads.  φ is None unless Z has a certificate; then it is the
-    certificate as a colour per Z edge, less each edge, in edge order,
-    whose copies in Z all still show both colours on the edges left in φ.
-    So every copy inside Z stays two-coloured however the dropped edges
-    are coloured, and an extension of φ may colour them."""
-    z_keys = _keys(F, Z.adj)
-    z_res = _decide(Z.num_edges(), _union_constraints(z_keys, Z, ()), 2, budget)
+    """(Z's NAE system as `_id_array` rows, Z's ArrowResult, φ): Z is decided
+    on the rows every union's whole search reads.  φ is None unless Z has a
+    certificate; then it is the certificate as a colour per Z edge id, less
+    each edge, in edge order, whose copies in Z all still show both colours
+    on the edges left in φ.  So every copy inside Z stays two-coloured
+    however the dropped edges are coloured, and an extension may colour them."""
+    z_ids = _id_array(Z, F)
+    z_res = _decide(Z.num_edges(), z_ids, 2, budget)
     if z_res.certificate is None:
-        return z_keys, z_res, None
-    phi = dict(zip(Z.edges, z_res.certificate))
-    through = defaultdict(list)  # Z edge -> edge tuples of Z's copies through it
-    for _, es in z_keys:
+        return z_ids, z_res, None
+    phi = dict(enumerate(z_res.certificate))
+    through = defaultdict(list)  # Z edge id -> id rows of Z's copies through it
+    for es in z_ids.tolist():
         for e in es:
             through[e].append(es)
-    for e in Z.edges:
+    for e in range(Z.num_edges()):
         if all(len({phi[f] for f in es if f != e and f in phi}) == 2 for es in through[e]):
             del phi[e]
-    return z_keys, z_res, phi
+    return z_ids, z_res, phi
 
 
-def _union_verdict(z_keys, Z, img, keys, budget, phi=None):
+def _union_verdict(z_ids, Z, keys, budget, phi=None):
     """decide_arrow_union's verdict on the union U of Z and the booster
-    pairs `img`, whose copies through a booster edge are `keys`.  Given Z's
-    F-free colouring `phi` (colour per Z edge), an extension of it to the
-    new pairs is tried first and proves "not_arrows": only a copy through
-    a booster edge can turn monochromatic.  Else U is built and searched
-    whole, as decide_arrow_union does; only such a union is ever built.  So
-    "arrows" comes only from that search, and a union it leaves
-    "undecided" at `budget` may be decided by the extension."""
-    if phi is not None and _extend([es for _, es in keys], phi) is not None:
+    pairs whose copies through a booster pair are `keys`, Z's system being
+    `z_ids`.  A copy of U lies inside Z or holds a pair Z lacks, so U's
+    system is Z's rows followed by the id rows of the keys that hold such a
+    pair, those pairs numbered Z.num_edges(), ... in first-seen order: each
+    copy once, and no U is built.  Given Z's F-free colouring `phi` (colour
+    per Z edge id), an extension of it to the new pairs is tried first and
+    proves "not_arrows": only a copy with a new pair can turn monochromatic.
+    Else the system is searched whole; so "arrows" comes only from that
+    search, and a union it leaves "undecided" at `budget` may be decided by
+    the extension."""
+    index, m, new, rows = Z._index, Z.num_edges(), {}, []
+    for _, es in keys:
+        ids = [index.get(e, -1) for e in es]
+        if -1 in ids:
+            rows.append([new.setdefault(e, m + len(new)) if i < 0 else i for e, i in zip(es, ids)])
+    if phi is not None and _extend(rows, phi) is not None:
         return "not_arrows"
-    U = Z.with_edges(img)
-    return _decide(U.num_edges(), _union_constraints(z_keys, U, keys), 2, budget).verdict
+    rows = np.array(rows, dtype=np.intp).reshape(len(rows), z_ids.shape[1])
+    return _decide(m + len(new), np.concatenate((z_ids, rows)), 2, budget).verdict
 
 
-def _unions(Z, z_keys, pool, spec, F, budget, phi, arrow_filter=True):
+def _unions(Z, z_ids, pool, spec, F, budget, phi, arrow_filter=True):
     """(h, booster pairs, the union's copy keys through a booster pair,
     verdict) for each h of `pool` in order: the one loop over a host's
     unions.  Without `arrow_filter` every union counts as arrowing."""
     for h in pool:
         img = image_edges(spec.B, h)
         keys = _union_keys(Z, img, F)
-        v = _union_verdict(z_keys, Z, img, keys, budget, phi) if arrow_filter else "arrows"
+        v = _union_verdict(z_ids, Z, keys, budget, phi) if arrow_filter else "arrows"
         yield h, img, keys, v
 
 
@@ -266,10 +262,10 @@ def check_interactive_regular(Z, Xi, spec, F, budget=None):
     """Per-embedding interactivity and regularity report."""
     for h in Xi:
         _check_embedding(h, spec.B, Z.n)
-    z_keys, z_res, phi = _z_analysis(Z, F, budget)
+    z_ids, z_res, phi = _z_analysis(Z, F, budget)
     b_res = decide_arrow(spec.B, F, budget=budget)
     reports = []
-    for h, img, keys, u_verdict in _unions(Z, z_keys, Xi, spec, F, budget, phi):
+    for h, img, keys, u_verdict in _unions(Z, z_ids, Xi, spec, F, budget, phi):
         entry = {"h": h, "edge_disjoint": not any(e in Z._index for e in img),
                  "union_verdict": u_verdict}
         foci = _view_from_keys(Z, img, keys).foci
@@ -303,6 +299,9 @@ def embedding_pool(B, n, size=None, seed=None):
     injections are drawn and their images deduped until `size` distinct
     ones, or every image of B in K_n when there are fewer (n!/(n-k)!
     injections, |Aut B| to an image), giving up after 50 * size draws.
+    A block of draws as long as the images still missing is one `permuted`
+    call, whose rows are the `permutation` draws one at a time would give;
+    it can fill the pool only on its last row, so no draw is wasted.
     """
     if B.n > n:
         raise ValueError(f"booster on {B.n} vertices does not fit in a host on {n}")
@@ -315,12 +314,12 @@ def embedding_pool(B, n, size=None, seed=None):
     seen = {}
     tries = 0
     while len(seen) < want and tries < 50 * size:
-        tries += 1
-        h = tuple(int(x) for x in rng.permutation(n)[: B.n])
-        es = frozenset(_norm(h[u], h[v]) for u, v in B.edges)
-        key = (frozenset(h), es)
-        if key not in seen:
-            seen[key] = h
+        k = min(want - len(seen), 50 * size - tries)
+        tries += k
+        block = rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1)[:, :B.n]
+        for h in map(tuple, block.tolist()):
+            es = frozenset(_norm(h[u], h[v]) for u, v in B.edges)
+            seen.setdefault((frozenset(h), es), h)
     return list(seen.values())
 
 
@@ -360,7 +359,7 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     B = spec.B
 
     report = {"params": {k: str(v) for k, v in params.items()}, "removed": Counter()}
-    z_keys, z_res, phi = _z_analysis(Z, F, budget)
+    z_ids, z_res, phi = _z_analysis(Z, F, budget)
     report["z_arrows_alone"] = z_res.verdict == "arrows"
 
     pool_size = params.get("pool_size")
@@ -372,7 +371,7 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     if not arrow_filter:
         report["arrow_filter_disabled"] = True
     psi1 = {}  # h -> (booster pairs, copy keys)
-    for h, img, keys, v in _unions(Z, z_keys, pool, spec, F, budget, phi, arrow_filter):
+    for h, img, keys, v in _unions(Z, z_ids, pool, spec, F, budget, phi, arrow_filter):
         if v == "arrows":
             psi1[h] = img, keys
         else:

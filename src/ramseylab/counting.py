@@ -32,15 +32,16 @@ their vertex placements (the vertex set is part of the copy), which the
 two-edge-deleted pair families rely on.  The copy array's consumers work
 on arrays: each pattern edge's image gets one pair code (`_pair_codes`),
 and the rows sort into key order by (sorted vertices, sorted codes)
-(`_key_order`); `_keys` and `enumerate_copies` decode the sorted rows to
-keys (`_sorted_copies`), `_copy_counts` hands the codes to a tally, and
+(`_key_order`); `enumerate_copies` decodes the sorted rows to keys
+(`_sorted_copies`), `_copy_counts` hands the codes to a tally, and
 `arrowing._id_array` gathers edge ids from them.  Copies through anchors
 are collected by `_copy_keys`, which dedupes a copy reached through
-several anchors.  Both engines' copy queries own both pattern-size
-rules (`_copy_array`, and `_copy_maps` for anchors): a pattern with more
-vertices than its host has no copies, and one that fits must be within
-the pattern cap of `density`.  `embeddings` is no copy query: it keeps
-its own fit guard and has no cap, as it serves patterns such as P1200.
+several anchors, and `_keys` gives their keys.  Both engines' copy
+queries own both pattern-size rules (`_copy_array`, and `_copy_maps` for
+anchors): a pattern with more vertices than its host has no copies, and
+one that fits must be within the pattern cap of `density`.
+`embeddings` is no copy query: it keeps its own fit guard and has no
+cap, as it serves patterns such as P1200.
 The pair family `_PairFamily` keeps one memo, the completions through
 each pair, and builds copy sets per query (a ceiling read off Z's
 largest degree settles light pairs with no search).  The heuristic
@@ -414,11 +415,9 @@ def _sorted_copies(F, adj):
     return keys, maps[rank]
 
 
-def _keys(F, adj, anchors=None):
-    """The keys of the copies of F in the host rows `adj`, in key order;
-    with `anchors`, of the copies through one of those host pairs."""
-    if anchors is None:
-        return _sorted_copies(F, adj)[0]
+def _keys(F, adj, anchors):
+    """The keys of the copies of F in the host rows `adj` through one of
+    the host pairs `anchors`, in key order."""
     return [key for key, _ in _copy_keys(F, _copy_maps(F, adj, anchors))]
 
 

@@ -273,7 +273,8 @@ def test_embedding_pool():
 
 
 class CountedDraws:
-    """A seed stub whose generator counts the injections drawn from it."""
+    """A seed stub whose generator counts the injections drawn from it, one
+    per row of a block that `permuted` shuffles."""
 
     def __init__(self, seed):
         self.rng, self.draws = seed.generator(), 0
@@ -281,9 +282,9 @@ class CountedDraws:
     def generator(self):
         return self
 
-    def permutation(self, n):
-        self.draws += 1
-        return self.rng.permutation(n)
+    def permuted(self, rows, axis):
+        self.draws += len(rows)
+        return self.rng.permuted(rows, axis=axis)
 
 
 def test_embedding_pool_stops_at_every_image():

@@ -6,6 +6,7 @@ import pytest
 from ramseylab.arrowing import copy_constraints, decide_arrow, is_f_free
 from ramseylab.counting import (
     _keys,
+    _sorted_copies,
     adversarial_T_search,
     are_isomorphic,
     base_graph,
@@ -310,7 +311,7 @@ def test_a_pattern_larger_than_its_host_has_no_copies():
         assert copy_constraints(G, F) == []
         assert is_f_free([0] * G.num_edges(), G, F) == (True, None)
         assert decide_arrow(G, F).verdict == "not_arrows"
-        assert _keys(F, G.adj) == [] and _keys(F, G.adj, [(0, 1)]) == []
+        assert _sorted_copies(F, G.adj)[0] == [] and _keys(F, G.adj, [(0, 1)]) == []
         assert len(enumerate_copies(F, G)) == len(enumerate_copies(F, G, anchor=(0, 1))) == 0
         assert janson_bound(enumerate_copies(F, G), Fraction(1, 2))["empty"]
     for F, G in ((complete_graph(4), K3), (complete_graph(5), complete_graph(4))):

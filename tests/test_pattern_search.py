@@ -29,7 +29,7 @@ from oracles import (
 )
 
 from ramseylab.arrowing import copy_constraints
-from ramseylab.booster import _union_constraints, _union_keys
+from ramseylab.booster import _union_keys
 from ramseylab.counting import (
     _arc_representatives,
     _automorphism_count,
@@ -44,6 +44,7 @@ from ramseylab.counting import (
     _PairFamily,
     _plan,
     _search,
+    _sorted_copies,
     are_isomorphic,
     count_P,
     embeddings,
@@ -258,7 +259,7 @@ def _check_copy_counts(F, G):
     """The counts read off the copy array, one map per copy, are those of
     the collected keys: the copies, and the pair codes u·n + v of every
     copy's edges, which tally to the copies through each host edge."""
-    keys = _keys(F, G.adj)
+    keys = _sorted_copies(F, G.adj)[0]
     count, codes = _copy_counts(F, G)
     through = Counter(divmod(c, G.n) for c in codes.tolist())
     assert (count, through) == (len(keys), Counter(e for _, es in keys for e in es))
@@ -304,7 +305,7 @@ def test_copy_keys_build_the_constraint_system(G, F, data):
         (tuple(sorted(vs)), tuple(sorted(es))) for vs, es in naive_copies(F, G)
         if set(anchors) & es)
     small = Graph(F.n - 1, []).adj
-    assert _keys(F, small) == _keys(F, small, anchors[:1]) == []
+    assert _sorted_copies(F, small)[0] == _keys(F, small, anchors[:1]) == []
 
 
 @PROPERTY
@@ -313,7 +314,8 @@ def test_copy_keys_build_the_constraint_system(G, F, data):
 def test_whole_graph_and_key_builders_agree(G, F):
     # ids read off the copy search's maps give the system the keys give,
     # term for term: K2, an edgeless pattern and F larger than G included
-    assert copy_constraints(G, F) == _union_constraints(_keys(F, G.adj), G, ())
+    assert copy_constraints(G, F) == [tuple(G.edge_id(*e) for e in es)
+                                      for _, es in _sorted_copies(F, G.adj)[0]]
 
 
 def test_copy_constraints_keep_the_pattern_cap():

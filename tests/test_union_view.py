@@ -1,5 +1,7 @@
 """The one analysis of each union Z ∪ h(B) (`booster.union_view`),
 checked against full enumeration of the union and the naive oracles; the
+system a union's whole search solves, Z's rows and the union's renumbered
+ones, checked against `copy_constraints` of the built union; the
 stage-1 union verdict from the union's copy keys, with and without Z's
 colouring, checked against `decide_arrow_union` and the brute-force
 oracle, also with Z's colouring reduced to the edges its copies need;
@@ -13,18 +15,21 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from instances import k6_minus_edge_block, two_block_host
 from oracles import naive_bad_flags, naive_copies
 
-from ramseylab import counting
+from ramseylab import arrowing, booster, counting
 
 from ramseylab.arrowing import (
     BLUE,
     BRUTE_FORCE_EDGE_CAP,
     RED,
+    ArrowResult,
     _extend,
     brute_force_arrow,
     copy_constraints,
@@ -36,7 +41,6 @@ from ramseylab.arrowing import (
 from ramseylab.booster import (
     _naive_copies,
     _naive_focus_members,
-    _union_constraints,
     _union_keys,
     _union_verdict,
     _unions,
@@ -74,9 +78,12 @@ SPECS = {(name, F): make_booster_spec(B, F) for name, B in BOOSTERS.items() for 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
 
-def naive_keys(F, G):
-    """The copy keys of F in G, in key order, from the permutation oracle."""
-    return sorted((tuple(sorted(vs)), tuple(sorted(es))) for vs, es in naive_copies(F, G))
+def naive_ids(F, G):
+    """G's NAE system for F as id rows, in key order, from the permutation
+    oracle: the form of `_id_array`, built with no copy search of the package."""
+    keys = sorted((tuple(sorted(vs)), tuple(sorted(es))) for vs, es in naive_copies(F, G))
+    rows = [[G.edge_id(*e) for e in es] for _, es in keys]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), F.num_edges())
 
 
 @st.composite
@@ -101,11 +108,7 @@ def test_view_matches_full_enumeration_and_oracles(case):
     keys = _union_keys(Z, image_edges(spec.B, h), F)
     U = Z.with_edges(image_edges(spec.B, h))
     assert U == union(Z, image_graph(spec.B, h, Z.n))
-    # Z's copy keys merged with the union's give its NAE system, in order,
-    # each copy once, also when a booster edge already lies in Z
     assert keys == list(view.copies)
-    assert _union_constraints(naive_keys(F, Z), U, keys) == [
-        tuple(U.edge_id(*e) for e in es) for _, es in naive_keys(F, U)]
     # the view holds exactly the copies through a booster edge, in key order
     img = set(image_edges(spec.B, h))
     assert list(view.copies) == [
@@ -117,6 +120,47 @@ def test_view_matches_full_enumeration_and_oracles(case):
     assert view.members == tuple(sorted(set(naive) | shared))
     flags = classify_bad(Z, h, spec, F)
     assert {k: flags[k] for k in ("B1", "B2", "B3")} == naive_bad_flags(Z, img, F, U)
+
+
+def _whole_system(z_ids, Z, keys):
+    """(variable count, id rows) that `_union_verdict` hands the core when
+    it searches whole the union of Z, whose system is `z_ids`, whose copies
+    through a booster pair are `keys`; the core does not run."""
+    seen = []
+
+    def decide(m, cons, colours, budget):
+        seen.append((m, cons.tolist()))
+        return ArrowResult("arrows")
+
+    with mock.patch.object(booster, "_decide", decide):
+        assert _union_verdict(z_ids, Z, keys, None) == "arrows"
+    return seen[0]
+
+
+@PROPERTY
+@given(unions())
+# a booster pair Z already has, in Z's triangle 012 and in the new one 123
+@example((Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), (0, 1, 3), SPECS[("P3", K3)], K3))
+# a union with no new copy: Z's triangle alone
+@example((Graph(4, [(0, 1), (0, 2), (1, 2)]), (2, 3), SPECS[("K2", K3)], K3))
+# F larger than Z: no copies at all
+@example((Graph(3, [(0, 1)]), (1, 2), SPECS[("K2", C4)], C4))
+def test_whole_search_system_is_the_union_system_renumbered(case):
+    # mapped back to host pairs (Z's edges, then the pairs new to Z in the
+    # order the keys first name them), the ids of the whole search's rows
+    # give the edge sets of the built union's system, each copy once: Z's
+    # rows first, then one row per copy with a new pair
+    Z, h, spec, F = case
+    img = image_edges(spec.B, h)
+    keys, z_ids = _union_keys(Z, img, F), naive_ids(F, Z)
+    m, cons = _whole_system(z_ids, Z, keys)
+    pairs = list(Z.edges) + list(dict.fromkeys(e for _, es in keys for e in es
+                                               if not Z.has_edge(*e)))
+    assert m == len(pairs)
+    assert cons[:len(z_ids)] == z_ids.tolist()
+    U = Z.with_edges(img)
+    assert Counter(frozenset(pairs[e] for e in c) for c in cons) == Counter(
+        frozenset(U.edges[e] for e in c) for c in copy_constraints(U, F))
 
 
 @st.composite
@@ -148,15 +192,16 @@ def _stage1(Z, h, spec, F, phi):
     on each new pair it names, and red on the new pairs it leaves free."""
     img = image_edges(spec.B, h)
     keys, U = _union_keys(Z, img, F), Z.with_edges(img)
-    z_keys = naive_keys(F, Z)
+    z_ids = naive_ids(F, Z)
     by_edge = dict(zip(Z.edges, phi)) if phi is not None else None
+    by_id = dict(enumerate(phi)) if phi is not None else None
     new = _extend([es for _, es in keys], by_edge) if by_edge is not None else None
     ext = None
     if new is not None:
         assert set(new) <= set(U.edges) - set(Z.edges)  # only new pairs get a colour
         ext = [{**by_edge, **new}.get(e, RED) for e in U.edges]
-    return (U, ext, _union_verdict(z_keys, Z, img, keys, None, by_edge),
-            _union_verdict(z_keys, Z, img, keys, None),
+    return (U, ext, _union_verdict(z_ids, Z, keys, None, by_id),
+            _union_verdict(z_ids, Z, keys, None),
             decide_arrow_union(Z, image_graph(spec.B, h, Z.n), F).verdict)
 
 
@@ -224,7 +269,7 @@ def test_extension_needs_no_core_only_when_every_copy_meets_two_colours():
 def _check_stage1_views(Z, pool, spec, F, phi, budget=None, arrow_filter=True):
     """Stage 1 keeps exactly the arrowing unions of the pool, in pool
     order, and the view it builds from each one's keys is `union_view`."""
-    unions = list(_unions(Z, naive_keys(F, Z), pool, spec, F, budget, phi, arrow_filter))
+    unions = list(_unions(Z, naive_ids(F, Z), pool, spec, F, budget, phi, arrow_filter))
     assert [h for h, *_ in unions] == pool
     views = {h: _view_from_keys(Z, img, keys) for h, img, keys, v in unions if v == "arrows"}
     assert list(views) == [h for h in pool if h in views]
@@ -237,7 +282,7 @@ def _check_stage1_views(Z, pool, spec, F, phi, budget=None, arrow_filter=True):
 @given(coloured_unions(pool_max=4))
 def test_stage1_views_equal_union_view(case):
     Z, pool, spec, F, phi = case
-    views = _check_stage1_views(Z, pool, spec, F, phi and dict(zip(Z.edges, phi)))
+    views = _check_stage1_views(Z, pool, spec, F, phi and dict(enumerate(phi)))
     for h in pool:
         arrows = decide_arrow_union(Z, image_graph(spec.B, h, Z.n), F).verdict == "arrows"
         assert (h in views) == arrows
@@ -283,7 +328,7 @@ def test_stage1_views_equal_union_view_on_golden_hosts():
         Z, spec = build(), SPECS[(booster, K3)]
         pool = embedding_pool(spec.B, Z.n, extra.get("pool_size"), Seed(510).substream(0))
         cert = decide_arrow(Z, K3, budget=2000).certificate
-        phi = cert and dict(zip(Z.edges, cert))
+        phi = cert and dict(enumerate(cert))
         views = _check_stage1_views(Z, pool, spec, K3, phi, 2000,
                                     extra.get("arrow_filter", True))
         assert len(views) == GOLDEN[label]["report"]["psi1"], label
@@ -298,9 +343,9 @@ def test_stage2_flags_from_the_keys_match_the_oracle_on_golden_hosts():
                   "budget": 2000, **extra}
         _, report = construct_normal_family(Z, spec, K3, params, seed=Seed(510))
         pool = embedding_pool(spec.B, Z.n, extra.get("pool_size"), Seed(510).substream(0))
-        z_keys, _, phi = _z_analysis(Z, K3, 2000)
+        z_ids, _, phi = _z_analysis(Z, K3, 2000)
         removed, good = Counter(), 0
-        for h, img, _, v in _unions(Z, z_keys, pool, spec, K3, 2000, phi,
+        for h, img, _, v in _unions(Z, z_ids, pool, spec, K3, 2000, phi,
                                     extra.get("arrow_filter", True)):
             if v == "arrows":
                 flags = naive_bad_flags(Z, img, K3, Z.with_edges(img))
@@ -316,13 +361,14 @@ def _check_reduced_phi(Z, pool, spec, F):
     """Z's colouring φ keeps each copy inside Z two-coloured on its fixed
     edges and agrees with Z's certificate, and with it stage 1 gives
     `decide_arrow_union`'s verdicts.  Returns the number of edges it drops."""
-    z_keys, z_res, phi = _z_analysis(Z, F, None)
+    z_ids, z_res, phi = _z_analysis(Z, F, None)
+    assert z_ids.tolist() == naive_ids(F, Z).tolist()
     if z_res.certificate is None:
         assert phi is None
         return 0
-    assert phi.items() <= dict(zip(Z.edges, z_res.certificate)).items()
-    assert all(len({phi[e] for e in es if e in phi}) == 2 for _, es in z_keys)
-    for h, _, _, v in _unions(Z, z_keys, pool, spec, F, None, phi):
+    assert phi.items() <= dict(enumerate(z_res.certificate)).items()
+    assert all(len({phi[e] for e in es if e in phi}) == 2 for es in z_ids.tolist())
+    for h, _, _, v in _unions(Z, z_ids, pool, spec, F, None, phi):
         assert v == decide_arrow_union(Z, image_graph(spec.B, h, Z.n), F).verdict
     return Z.num_edges() - len(phi)
 
@@ -344,8 +390,8 @@ def test_reduced_z_colouring_on_seeded_hosts():
 
 
 def test_each_host_collects_its_copies_once(monkeypatch):
-    # Z is decided from the copy keys that every union's whole search reads,
-    # so one call collects Z's copies once, unanchored
+    # Z is decided on the id rows that every union's whole search reads, so
+    # one call collects Z's copies once, unanchored
     Z, spec = k6_minus_edge_block(8, Seed(501))[0], SPECS[("K2", K3)]
     collections = []
     search = counting._copy_array  # every unanchored collection
@@ -355,6 +401,8 @@ def test_each_host_collects_its_copies_once(monkeypatch):
             collections.append(F)
         return search(F, adj)
 
+    # `arrowing` imports it by name, and `_id_array` reads it there
+    monkeypatch.setattr(arrowing, "_copy_array", spy)
     monkeypatch.setattr(counting, "_copy_array", spy)
     params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4)}
     construct_normal_family(Z, spec, K3, params, seed=Seed(510))
