@@ -1,16 +1,16 @@
 """Exact decision of the arrowing property G -> (F).
 
 Each copy of F is a not-all-equal constraint over its edge ids: the copy
-must not be single-coloured.  `_id_array` builds the whole system with
-array operations on the copy search's (copies × v(F)) array of maps
-(`counting._copy_array`) and builds no copy key; `copy_constraints` is
-that system as tuples.  This module writes every CNF literal: `_encode`
-writes a whole system (the clauses `cnf_export` prints) with array
-operations, and `_extend` the system left once a
-partial colouring is fixed, which answers "does this partial colouring
-extend to an F-free one?" for `first_f_free_coloring` and for the
-booster's unions.  One CDCL core (`_Cdcl`) answers every colouring
-question.  A brute-force oracle checks it independently.
+must not be single-coloured.  `_id_array` builds the whole system from
+the whole-host copy query (`counting._sorted_copies`): each copy's sorted
+pair codes, in key order, become edge ids with one array lookup, and no
+copy key is built; `copy_constraints` is that system as tuples.  This
+module writes every CNF literal: `_encode` writes a whole system (the
+clauses `cnf_export` prints) with array operations, and `_extend` the
+system left once a partial colouring is fixed, which answers "does this
+partial colouring extend to an F-free one?" for `first_f_free_coloring`
+and for the booster's unions.  One CDCL core (`_Cdcl`) answers every
+colouring question.  A brute-force oracle checks it independently.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .counting import _copy_array, _key_order, _pair_codes, enumerate_copies
+from .counting import _sorted_copies, enumerate_copies
 from .graphs import union
 
 RED, BLUE = 0, 1
@@ -40,15 +40,13 @@ class ArrowResult:
 
 def _id_array(G, F):
     """The NAE constraint system of the F-copies in G as one (copies × e(F))
-    array of edge ids, each row sorted, the rows in copy key order.  The ids
-    are gathered from G's sorted edge codes (an id is a position in the
-    lexicographic edge order), so sorted ids compare as the sorted edges
-    they number: no key is built."""
-    maps = _copy_array(F, G.adj)
+    array of edge ids, each row sorted, the rows in copy key order: the
+    sorted pair codes of `counting._sorted_copies`, each looked up in G's
+    sorted edge codes.  An id is a position in the lexicographic edge
+    order, so ids sort as the codes they replace: no key is built."""
+    codes = _sorted_copies(F, G.adj)[2]
     ends = np.array(G.edges, dtype=np.intp).reshape(-1, 2)
-    ids = np.searchsorted(ends[:, 0] * G.n + ends[:, 1],
-                          np.sort(_pair_codes(F, maps, G.n), axis=1))
-    return ids[_key_order(np.sort(maps, axis=1), ids)]
+    return np.searchsorted(ends[:, 0] * G.n + ends[:, 1], codes)
 
 
 def copy_constraints(G, F):

@@ -42,7 +42,14 @@ from .arrowing import (
     first_f_free_coloring,
     is_f_free,
 )
-from .counting import _automorphism_count, _keys, _norm, _PairFamily, enumerate_copies
+from .counting import (
+    _anchored_copies,
+    _automorphism_count,
+    _norm,
+    _PairFamily,
+    _sorted_copies,
+    enumerate_copies,
+)
 from .density import _check_delta
 from .graphs import Graph, Seed, _float, _is_id, _or_pairs, complete_graph, union
 
@@ -87,7 +94,7 @@ class UnionView:
 
     `copies` holds the key of each copy of F through a booster edge, in key
     order; a key is the copy's (sorted vertex tuple, sorted edge tuple), as
-    `counting._keys` gives it."""
+    `counting._anchored_copies` gives it."""
 
     copies: tuple
     foci: dict  # the focus map
@@ -117,7 +124,7 @@ def _union_keys(Z, img, F):
     pair checked as `Graph.with_edges` checks it; U is not built."""
     adj = list(Z.adj)
     _or_pairs(adj, img)
-    return _keys(F, adj, img)
+    return [key for key, _ in _anchored_copies(F, adj, img)]
 
 
 def _view_from_keys(Z, img, keys):
@@ -306,7 +313,7 @@ def embedding_pool(B, n, size=None, seed=None):
     if B.n > n:
         raise ValueError(f"booster on {B.n} vertices does not fit in a host on {n}")
     if size is None:
-        return [c.map for c in enumerate_copies(B, complete_graph(n)).copies]
+        return list(map(tuple, _sorted_copies(B, complete_graph(n).adj)[0].tolist()))
     if size < 1:
         raise ValueError("sampled pool needs a positive size")
     rng = (seed or Seed()).generator()

@@ -1,60 +1,55 @@
 """Pattern searches and the counting families built on them.
 
-Every count here is a search for maps of a small pattern into a host, on
-one of two engines.  Whole-host copy queries run on `_copy_array`, a
-level-by-level numpy search over 64-bit adjacency words that returns
-every map of the unanchored orbit search as one array: unanchored
-copies and copy keys, the NAE systems of `arrowing` and the F⁻ counts.
-The pinned, anchored and labelled queries run on `_search`, an iterative
-depth-first search with one candidate bitmask per pattern position:
-embeddings with pins and loose edges, copies through an anchor, the
-pair family P(e1, e2), rooted extensions and basegraphs here, and
-partite copies and overlap counts from `regularity`.  A search host is
-its adjacency rows, one bitmask per vertex, so a union Z ∪ h(B) is
-searched on Z's rows with the booster pairs ORed in, and no Graph is
-built for it.  The pinned searches (copies through an anchor, P(e1, e2)
-completions through a pair) read their plans from per-pattern caches
-(`_arc_plans`, `_pair_representatives`) and pin the arc by their first
-two domains.
+Every count here is a search for maps of a small pattern into a host.  A
+search host is its adjacency rows, one bitmask per vertex, so a union
+Z ∪ h(B) is searched on Z's rows with the booster pairs ORed in, and no
+Graph is built for it.  A *copy* of a pattern is an unlabelled image, the
+pair (vertex set, edge set); its key is (sorted vertex tuple, sorted edge
+tuple), and copies are listed in key order.  A copy query has one of two
+shapes, each on its own engine:
 
-A *copy* of a pattern in a host is an unlabelled image: the pair
-(vertex set, edge set).  The embeddings of one copy are one orbit of
-Aut(F), so copies and P(e1, e2) completions are generated once per orbit,
-not |Aut F| times: the search carries the symmetry-breaking conditions of
-Grochow and Kellis (RECOMB 2007), and the completions search one
-representative per orbit of (pinned arc, deleted edge) pairs.  Orbits are
-found by existence queries for embeddings of F into itself, never by
+- **Whole host.** `_copy_array` runs the unanchored search level by level
+  in numpy over 64-bit adjacency words and returns one map per copy as
+  one array.  `_sorted_copies` adds each copy's sorted vertices and
+  sorted pair codes (`_pair_codes`) and puts the rows in key order; it is
+  the one place copies are sorted.  `enumerate_copies` decodes its rows,
+  `arrowing._id_array` turns its codes into edge ids, and the full
+  `booster.embedding_pool` reads its maps.  Counts read `_copy_array`
+  alone: the F⁻ tallies (`_copy_counts`, `count_f_minus`) and the
+  basegraph copies of property T.
+- **Through anchors.** `_anchored_copies` runs `_search`, an iterative
+  depth-first search with one candidate bitmask per pattern position,
+  with an arc of F pinned to each anchor in turn, and returns each copy's
+  key and first witness map in key order.  Booster unions, anchored
+  `enumerate_copies` and `count_f_minus_through` read it.
+
+Both shapes own both pattern-size rules: a pattern with more vertices
+than its host has no copies, and one that fits must be within the
+pattern cap of `density`.  A copy's embeddings are one orbit of Aut(F),
+so both search once per orbit, not |Aut F| times, with the
+symmetry-breaking conditions of Grochow and Kellis (RECOMB 2007).  Orbits
+are found by existence queries for embeddings of F into itself, never by
 listing Aut(F) (a pin across degrees needs no search), and all
-per-pattern work is memoised on the pattern.
-`embeddings` still yields every labelled map, since extension counts and
-basegraphs count labelled maps.  Patterns with isolated vertices keep
-their vertex placements (the vertex set is part of the copy), which the
-two-edge-deleted pair families rely on.  The copy array's consumers work
-on arrays: each pattern edge's image gets one pair code (`_pair_codes`),
-and the rows sort into key order by (sorted vertices, sorted codes)
-(`_key_order`); `enumerate_copies` decodes the sorted rows to keys
-(`_sorted_copies`), `_copy_counts` hands the codes to a tally, and
-`arrowing._id_array` gathers edge ids from them.  Copies through anchors
-are collected by `_copy_keys`, which dedupes a copy reached through
-several anchors, and `_keys` gives their keys.  Both engines' copy
-queries own both pattern-size rules (`_copy_array`, and `_copy_maps` for
-anchors): a pattern with more vertices than its host has no copies, and
-one that fits must be within the pattern cap of `density`.
-`embeddings` is no copy query: it keeps its own fit guard and has no
-cap, as it serves patterns such as P1200.
-The pair family `_PairFamily` keeps one memo, the completions through
-each pair, and builds copy sets per query (a ceiling read off Z's
-largest degree settles light pairs with no search).  The heuristic
-denseness check counts the edges inside each starting vertex set once,
-with `graphs.edge_count_between`, and derives the count after each
-candidate swap from it: it drops the leaving vertex's edges into the
-rest of the set and adds the entering vertex's, two popcounts of
+per-pattern work is memoised on the pattern, the pinned plans included
+(`_arc_plans`, `_pair_representatives`).
+
+The labelled queries also run on `_search`: `embeddings` yields every
+labelled map, with pins and loose edges, for extension counts and
+basegraphs; it keeps its own fit guard and has no cap, as it serves
+patterns such as P1200.  Patterns with isolated vertices keep their
+vertex placements (the vertex set is part of the copy), which the
+two-edge-deleted pair families rely on.  The pair family `_PairFamily`
+searches the completions through each pair once, one representative per
+orbit of (pinned arc, deleted edge) pairs, and builds copy sets per
+query; its ceiling, read off Z's largest degree, settles light pairs
+with no search.  The heuristic denseness check counts the edges inside
+each starting vertex set once, with `graphs.edge_count_between`, and
+derives the count after each candidate swap from two popcounts of
 adjacency masks.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -92,19 +87,12 @@ def _plan(F, pinned, loose=()):
         for y in F.neighbours(x):
             back[y] += 1
     rest = set(range(F.n)) - set(order)
-    # max-heap on (back, degree, -x) with stale entries skipped when popped
-    heap = [(-back[x], -F.degree(x), x) for x in rest]
-    heapq.heapify(heap)
     while rest:
-        b, _, x = heapq.heappop(heap)
-        if x not in rest or -b != back[x]:
-            continue
+        x = max(rest, key=lambda x: (back[x], F.degree(x), -x))
         order.append(x)
         rest.remove(x)
         for y in F.neighbours(x):
             back[y] += 1
-            if y in rest:
-                heapq.heappush(heap, (-back[y], -F.degree(y), y))
     pos = {v: i for i, v in enumerate(order)}
     loose = {_norm(*e) for e in loose}
     back_lists = tuple(
@@ -358,31 +346,25 @@ def _copy_array(F, adj):
     return out
 
 
-def _copy_maps(F, adj, anchors=None):
-    """The embeddings of F into the host rows `adj` that copy collection
-    reads, as tuples: with no `anchors`, the rows of `_copy_array`, one
-    per copy; with `anchors`, one per copy through each host pair in turn,
-    from `_search`, under the same pattern-size rules."""
-    if anchors is None:
-        return map(tuple, _copy_array(F, adj).tolist())
+def _anchored_copies(F, adj, anchors):
+    """((sorted vertex tuple, sorted edge tuple), first witness map) of each
+    copy of F in the host rows `adj` through one of the host pairs
+    `anchors`, in key order.  The maps come from `_search`, one per copy
+    through each anchor in turn, so a copy through several anchors keeps
+    the first map that reaches it.  The pattern-size rules are those of
+    `_copy_array`."""
     if F.n > len(adj):
-        return iter(())
+        return []
     _check_cap(F)
     # the maps of a copy through an anchor send one orbit of arcs onto
     # (a, b), and those sending its representative form one stabilizer orbit
     rest = [(1 << len(adj)) - 1] * (F.n - 2)
-    return (m for a, b in anchors for plan in _arc_plans(F)
-            for m in _search(adj, plan, [1 << a, 1 << b] + rest))
-
-
-def _copy_keys(F, maps):
-    """((sorted vertex tuple, sorted edge tuple), first witness map) for each
-    copy that `maps` reach, in key order: copies through anchors are
-    collected here, and in `regularity`."""
     seen = {}
-    for m in maps:
-        es = tuple(sorted([_norm(m[u], m[v]) for u, v in F.edges]))
-        seen.setdefault((tuple(sorted(m)), es), m)
+    for a, b in anchors:
+        for plan in _arc_plans(F):
+            for m in _search(adj, plan, [1 << a, 1 << b] + rest):
+                es = tuple(sorted([_norm(m[u], m[v]) for u, v in F.edges]))
+                seen.setdefault((tuple(sorted(m)), es), m)
     return sorted(seen.items())
 
 
@@ -393,32 +375,19 @@ def _pair_codes(F, maps, n):
     return ends.min(axis=2) * n + ends.max(axis=2)
 
 
-def _key_order(vertices, pairs):
-    """The row order that sorts copies by key: their sorted vertices, then
-    their sorted pair codes (or the edge ids those number)."""
-    if len(vertices) < 2:
-        return np.arange(len(vertices))
-    return np.lexsort(np.hstack((vertices, pairs)).T[::-1])
-
-
 def _sorted_copies(F, adj):
-    """(keys, maps) of the copies of F in the host rows `adj`, in key order:
-    each key (sorted vertex tuple, sorted edge tuple) and its copy's one map
-    from `_copy_array`, decoded from sorted rows of the array."""
-    maps, n = _copy_array(F, adj), len(adj)
+    """(maps, vertices, codes) of the copies of F in the host rows `adj`:
+    each copy's one map from `_copy_array`, its sorted vertices and its
+    sorted pair codes (`_pair_codes`), one row per copy, the rows in key
+    order (sorted vertices, then sorted codes).  The one place whole-host
+    copies are sorted."""
+    maps = _copy_array(F, adj)
     vertices = np.sort(maps, axis=1)
-    pairs = np.sort(_pair_codes(F, maps, n), axis=1)
-    rank = _key_order(vertices, pairs)
-    pairs = pairs[rank]
-    keys = [(tuple(vs), tuple(zip(us, ws))) for vs, us, ws in zip(
-        vertices[rank].tolist(), (pairs // n).tolist(), (pairs % n).tolist())]
-    return keys, maps[rank]
-
-
-def _keys(F, adj, anchors):
-    """The keys of the copies of F in the host rows `adj` through one of
-    the host pairs `anchors`, in key order."""
-    return [key for key, _ in _copy_keys(F, _copy_maps(F, adj, anchors))]
+    codes = np.sort(_pair_codes(F, maps, len(adj)), axis=1)
+    if len(maps) < 2:
+        return maps, vertices, codes
+    rank = np.lexsort(np.hstack((vertices, codes)).T[::-1])
+    return maps[rank], vertices[rank], codes[rank]
 
 
 def _copy_counts(F, G):
@@ -433,13 +402,14 @@ def enumerate_copies(F, G, anchor=None):
     """All unlabelled copies of F in G; with `anchor`, only copies whose
     edge set contains that host pair, which must be two distinct vertex
     ids of G (a non-edge has no copies through it)."""
-    if anchor is None:
-        keys, maps = _sorted_copies(F, G.adj)
-        items = zip(keys, map(tuple, maps.tolist()))
-    else:
+    if anchor is not None:
         _host_pair(G.n, anchor, "anchor ")
-        items = _copy_keys(F, _copy_maps(F, G.adj, [anchor]))
-    return CopyFamily([Copy(frozenset(vs), frozenset(es), m) for (vs, es), m in items])
+        return CopyFamily([Copy(frozenset(vs), frozenset(es), m)
+                           for (vs, es), m in _anchored_copies(F, G.adj, [anchor])])
+    maps, vertices, codes = _sorted_copies(F, G.adj)
+    rows = zip(maps.tolist(), vertices.tolist(), (codes // G.n).tolist(), (codes % G.n).tolist())
+    return CopyFamily([Copy(frozenset(vs), frozenset(zip(us, ws)), tuple(m))
+                       for m, vs, us, ws in rows])
 
 
 def are_isomorphic(F1, F2):
@@ -480,7 +450,7 @@ def count_f_minus_through(F, Z, e):
     e = _norm(*e)
     if e not in Z._index:
         raise ValueError(f"anchor {e} is not an edge of the host")
-    return sum(len(enumerate_copies(M, Z, anchor=e)) for M in f_minus_members(F))
+    return sum(len(_anchored_copies(M, Z.adj, [e])) for M in f_minus_members(F))
 
 
 # -- the two-edge-deleted pair family ----------------------------------
@@ -542,7 +512,7 @@ class _PairFamily:
     Its one memo holds the completions through each pair, searched once,
     on first use, and kept for the life of the object as maps grouped by
     witness (`_completions_through`).  `exceeds` decides |P(e1, e2)| > cap
-    from `_pair_ceiling` with no search, else from the bound
+    from its `ceiling` (`_pair_ceiling`) with no search, else from the bound
     Σ_w |maps₁[w]|·|maps₂[w]| (every member comes from two maps sharing a
     witness), else from the members.  For K3 the ceiling is 4Δ: it settles
     Z4's cap at n = 30, p = 30^(-1/2), D = 20, δ = 1/12 (82.5) when Δ ≤ 20,
@@ -551,7 +521,7 @@ class _PairFamily:
 
     def __init__(self, F, Z):
         self.F, self.Z, self._sides = F, Z, {}
-        self._ceiling = _pair_ceiling(F, Z)
+        self.ceiling = _pair_ceiling(F, Z)
 
     def pairs(self, e1, e2):
         """The set of (vs1, es1, vs2, es2) of edge-disjoint completions
@@ -570,7 +540,7 @@ class _PairFamily:
         """|P(e1, e2)| > cap, from the ceiling or else the witness-count
         bound when one of them is at most cap, else from the members."""
         e1, e2 = self._check(e1, e2)
-        if self._ceiling <= cap:
+        if self.ceiling <= cap:
             return False
         side1, side2 = self._side(e1), self._side(e2)
         bound = sum(len(side1[w]) * len(side2[w]) for w in side1.keys() & side2.keys())
@@ -682,7 +652,7 @@ def check_T(profile, G, Gp, lam, eta):
     _require_subgraph(G, Gp)
     F = profile.pattern
     meets_floor = Fraction(Gp.num_edges()) >= Fraction(lam) * G.num_edges()
-    copies = len(enumerate_copies(F, base_graph(profile, Gp)))
+    copies = len(_copy_array(F, base_graph(profile, Gp).adj))
     required = Fraction(eta) * Fraction(G.n) ** F.n
     return {
         "meets_density_floor": meets_floor,
@@ -709,7 +679,7 @@ def adversarial_T_search(profile, G, lam, eta, budget=2000, seed=None):
 
     def copies_of(edge_idx):
         gp = Graph(G.n, [G.edges[i] for i in edge_idx])
-        return len(enumerate_copies(F, base_graph(profile, gp)))
+        return len(_copy_array(F, base_graph(profile, gp).adj))
 
     best_idx, best_val = None, None
     evals = 0

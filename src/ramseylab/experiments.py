@@ -18,7 +18,7 @@ import numpy as np
 
 from .arrowing import decide_arrow
 from .booster import _bad_flags, _union_keys, alpha_tilde, image_edges, make_booster_spec
-from .counting import _copy_counts, _pair_ceiling, _PairFamily, f_minus_members
+from .counting import _copy_counts, _PairFamily, f_minus_members
 from .density import _check_delta, classify, is_bipartite
 from .graphs import Seed, gnp_sample, pair_uniforms
 
@@ -311,10 +311,10 @@ def z_property_rates(
             passes["Z3"] += 1
 
         pairs = _edge_pairs(rng, m, min(pair_samples, m * (m - 1) // 2))
-        if _pair_ceiling(F, Z) <= heavy_cap:  # no pair of Z is heavy: no per-pair query
+        family = _PairFamily(F, Z)
+        if family.ceiling <= heavy_cap:  # no pair of Z is heavy: no per-pair query
             heavy = 0
         else:
-            family = _PairFamily(F, Z)
             heavy = sum(family.exceeds(Z.edges[i], Z.edges[j], heavy_cap) for i, j in pairs)
         frac = heavy / len(pairs) if pairs else 0.0
         stats["heavy_pair_frac"].append(frac)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
 
-from .counting import _copy_keys, _plan, _search
+from .counting import _norm, _plan, _search
 from .graphs import Seed, _is_id, edge_count_between
 
 EXACT_REGULARITY_CAP = 16
@@ -186,7 +186,8 @@ def fstar_overlap_count(Fstar, a1, a2, G, W):
     maps = (m for w1 in inside for w2 in inside if w1 != w2
             for m in _search(G.adj, plan, [1 << w1, 1 << w2] + outside))
     return {
-        "count": len(_copy_keys(Fstar, maps)),
+        "count": len({(frozenset(m), frozenset(_norm(m[u], m[v]) for u, v in Fstar.edges))
+                      for m in maps}),
         "bound_coefficient": 2 * G.n ** (Fstar.n - 2) * len(W) ** 2,
         "bound_p_exponent": Fstar.num_edges(),
     }

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ramseylab.arrowing import decide_arrow
-from ramseylab.counting import _norm
+from ramseylab.counting import _norm, enumerate_copies
 from ramseylab.booster import (
     Hypergraph,
     activated_set,
@@ -264,6 +264,9 @@ def test_alpha_tilde_values():
 def test_embedding_pool():
     pool = embedding_pool(complete_graph(2), 5)
     assert len(pool) == 10  # one per pair
+    # the full pool is each copy's witness map in K_n, in key order
+    for B, n in ((complete_graph(2), 5), (cycle_graph(4), 6), (Graph(3, [(0, 1)]), 4)):
+        assert embedding_pool(B, n) == [c.map for c in enumerate_copies(B, complete_graph(n)).copies]
     sampled = embedding_pool(cycle_graph(4), 8, 20, Seed(4))
     assert len(sampled) == 20
     images = {(frozenset(h), frozenset((min(h[u], h[v]), max(h[u], h[v]))

@@ -5,7 +5,7 @@ import pytest
 
 from ramseylab.arrowing import copy_constraints, decide_arrow, is_f_free
 from ramseylab.counting import (
-    _keys,
+    _anchored_copies,
     _sorted_copies,
     adversarial_T_search,
     are_isomorphic,
@@ -247,6 +247,11 @@ def test_check_T_and_search():
         check_T(prof, k6, complete_graph(7), 1, 1e-9)
     rec = adversarial_T_search(prof, k6, 0.9, 1e-9, budget=60, seed=Seed(7))
     assert rec["basegraph_copies"] >= 1  # K6 at 90% density still completes copies
+    # the count is the size of the basegraph's copy family
+    G = gnp_sample(9, 0.6, Seed(9300, 0))
+    for p, host, Gp in ((prof, k6, k6), (prof, k6, sparse), (classify(cycle_graph(5)), G, G)):
+        assert check_T(p, host, Gp, Fraction(1, 2), 1e-9)["basegraph_copies"] == len(
+            enumerate_copies(p.pattern, base_graph(p, Gp)))
     # lambda is a density floor in (0, 1] and eta a positive copy rate,
     # checked alike with and without a given subgraph
     for lam, eta, name in ((-1, 0.1, "lambda"), (0, 0.1, "lambda"), (2, 0.1, "lambda"),
@@ -311,7 +316,7 @@ def test_a_pattern_larger_than_its_host_has_no_copies():
         assert copy_constraints(G, F) == []
         assert is_f_free([0] * G.num_edges(), G, F) == (True, None)
         assert decide_arrow(G, F).verdict == "not_arrows"
-        assert _sorted_copies(F, G.adj)[0] == [] and _keys(F, G.adj, [(0, 1)]) == []
+        assert len(_sorted_copies(F, G.adj)[0]) == 0 and _anchored_copies(F, G.adj, [(0, 1)]) == []
         assert len(enumerate_copies(F, G)) == len(enumerate_copies(F, G, anchor=(0, 1))) == 0
         assert janson_bound(enumerate_copies(F, G), Fraction(1, 2))["empty"]
     for F, G in ((complete_graph(4), K3), (complete_graph(5), complete_graph(4))):

@@ -31,15 +31,13 @@ from oracles import (
 from ramseylab.arrowing import copy_constraints
 from ramseylab.booster import _union_keys
 from ramseylab.counting import (
+    _anchored_copies,
     _arc_representatives,
     _automorphism_count,
     _breaking,
     _completions_through,
     _copy_array,
     _copy_counts,
-    _copy_keys,
-    _copy_maps,
-    _keys,
     _norm,
     _PairFamily,
     _plan,
@@ -94,19 +92,24 @@ def copy_key(F, m):
     return frozenset(m), frozenset(tuple(sorted((m[u], m[v]))) for u, v in F.edges)
 
 
+def first_maps(F, maps):
+    """(key, first map) of each copy that `maps` reach, in key order."""
+    seen = {}
+    for m in maps:
+        seen.setdefault((tuple(sorted(m)), tuple(sorted(copy_key(F, m)[1]))), m)
+    return sorted(seen.items())
+
+
 @PROPERTY
 @given(hosts(min_n=5), st.sampled_from(COPY_PATTERNS), st.data())
 def test_symmetry_broken_copies_match_plain_search(G, F, data):
     family = enumerate_copies(F, G)
     # one map per copy: no copy twice and none missing
-    keys = [copy_key(F, m) for m in _copy_maps(F, G.adj)]
+    keys = [copy_key(F, m) for m in _copy_array(F, G.adj).tolist()]
     assert len(keys) == len(set(keys)) == len(family)
     # the same copies, each with the same witness map as the plain search:
     # its first map onto the copy, in key order
-    plain = {}
-    for m in embeddings(F, G):
-        plain.setdefault((tuple(sorted(m)), tuple(sorted(copy_key(F, m)[1]))), m)
-    assert [(c.key(), c.map) for c in family.copies] == sorted(plain.items())
+    assert [(c.key(), c.map) for c in family.copies] == first_maps(F, embeddings(F, G))
     anchor = data.draw(st.sampled_from(list(combinations(range(G.n), 2))))
     assert copy_set(enumerate_copies(F, G, anchor=anchor)) == {
         (c.vertices, c.edges) for c in family.copies if anchor in c.edges}
@@ -200,14 +203,13 @@ def test_union_rows_give_the_keys_of_the_built_union(Z, F, data):
     img = [e[::-1] if data.draw(st.booleans()) else e for e in dict.fromkeys(img)]
     U = Z.with_edges(img)
     keys = _union_keys(Z, img, F)
-    assert keys == _keys(F, U.adj, img)
+    assert keys == [key for key, _ in _anchored_copies(F, U.adj, img)]
     assert keys == naive_union_keys(F, Z.n, set(Z.edges) | {_norm(*e) for e in img}, img)
     rows = list(Z.adj)
     for u, v in img:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    assert _copy_keys(F, _copy_maps(F, U.adj, img)) == _copy_keys(
-        F, reference_copy_maps(F, rows, img))
+    assert _anchored_copies(F, U.adj, img) == first_maps(F, reference_copy_maps(F, rows, img))
 
 
 def test_union_rows_raise_the_graph_messages():
@@ -259,7 +261,7 @@ def _check_copy_counts(F, G):
     """The counts read off the copy array, one map per copy, are those of
     the collected keys: the copies, and the pair codes u·n + v of every
     copy's edges, which tally to the copies through each host edge."""
-    keys = _sorted_copies(F, G.adj)[0]
+    keys = [c.key() for c in enumerate_copies(F, G).copies]
     count, codes = _copy_counts(F, G)
     through = Counter(divmod(c, G.n) for c in codes.tolist())
     assert (count, through) == (len(keys), Counter(e for _, es in keys for e in es))
@@ -301,21 +303,22 @@ def test_copy_keys_build_the_constraint_system(G, F, data):
     # any of them, each once, in key order
     anchors = data.draw(st.lists(st.sampled_from(list(combinations(range(G.n), 2))),
                                  min_size=1, max_size=4, unique=True))
-    assert _keys(F, G.adj, anchors) == sorted(
+    assert [key for key, _ in _anchored_copies(F, G.adj, anchors)] == sorted(
         (tuple(sorted(vs)), tuple(sorted(es))) for vs, es in naive_copies(F, G)
         if set(anchors) & es)
     small = Graph(F.n - 1, []).adj
-    assert _sorted_copies(F, small)[0] == _keys(F, small, anchors[:1]) == []
+    assert len(_sorted_copies(F, small)[0]) == len(_anchored_copies(F, small, anchors[:1])) == 0
 
 
 @PROPERTY
 @given(hosts(min_n=5), st.sampled_from(COPY_PATTERNS + [
     complete_graph(2), Graph(3, []), complete_graph(9)]))
 def test_whole_graph_and_key_builders_agree(G, F):
-    # ids read off the copy search's maps give the system the keys give,
-    # term for term: K2, an edgeless pattern and F larger than G included
-    assert copy_constraints(G, F) == [tuple(G.edge_id(*e) for e in es)
-                                      for _, es in _sorted_copies(F, G.adj)[0]]
+    # ids looked up from the sorted pair codes give the system `edge_id`
+    # gives for the decoded pairs, term for term: K2, an edgeless pattern
+    # and F larger than G included
+    assert copy_constraints(G, F) == [tuple(G.edge_id(*divmod(c, G.n)) for c in codes)
+                                      for codes in _sorted_copies(F, G.adj)[2].tolist()]
 
 
 def test_copy_constraints_keep_the_pattern_cap():
@@ -347,7 +350,7 @@ def test_pair_family_matches_oracle(Z, F, data):
             assert family.exceeds(a, b, cap) == (c > cap), (a, b, cap)
         s1, s2 = family._side(_norm(*a)), family._side(_norm(*b))
         bound = sum(len(s1[w]) * len(s2[w]) for w in s1.keys() & s2.keys())
-        assert family._ceiling >= bound >= c
+        assert family.ceiling >= bound >= c
     for query in (family.count, partial(family.exceeds, cap=0)):
         with pytest.raises(ValueError, match="e1 and e2 must be distinct"):
             query(e1, e1[::-1])

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from instances import k6_minus_edge_block, two_block_host
 from oracles import naive_bad_flags, naive_copies
 
-from ramseylab import arrowing, booster, counting
+from ramseylab import booster, counting
 
 from ramseylab.arrowing import (
     BLUE,
@@ -401,8 +401,6 @@ def test_each_host_collects_its_copies_once(monkeypatch):
             collections.append(F)
         return search(F, adj)
 
-    # `arrowing` imports it by name, and `_id_array` reads it there
-    monkeypatch.setattr(arrowing, "_copy_array", spy)
     monkeypatch.setattr(counting, "_copy_array", spy)
     params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4)}
     construct_normal_family(Z, spec, K3, params, seed=Seed(510))
