@@ -75,12 +75,9 @@ def _encode(m, cons, colours):
     variable e * r + c is "edge e has colour c", with one at-least-one
     clause per constrained edge and one "not all c" clause per copy and c;
     an edge takes its lowest true colour, so at-most-one clauses are moot.
-    `cons` is an array of id rows (`_id_array`) or a list of id tuples of
-    one length; the clauses come in its row order."""
-    r, cons = colours, np.asarray(cons, dtype=np.intp)
-    if cons.ndim < 2:  # an empty list: no copies
-        cons = cons.reshape(0, 0)
-    copies, width = cons.shape
+    `cons` is a (copies × e(F)) array of edge ids (`_id_array`); the
+    clauses come in its row order."""
+    r, (copies, width) = colours, cons.shape
     if r == 2:  # each row's positive clause, then its negative one
         pos = cons + cons
         return m, np.stack((pos, pos + 1), axis=1).reshape(2 * copies, width).tolist()
@@ -377,13 +374,14 @@ def brute_force_arrow(G, F):
 def decide_arrow_union(Z, addition, F, budget=None):
     """decide_arrow on Z ∪ addition, with copy provenance statistics.
 
-    The union's system is `copy_constraints(U, F)`, its copies enumerated
-    once, in full and unanchored; the counts of copies inside Z, inside
-    the addition and mixed are read off the edges its ids name.
+    The union's system is `_id_array(U, F)`, its copies enumerated once,
+    in full and unanchored; the counts of copies inside Z, inside the
+    addition and mixed are read off the edges its ids name.
     """
     U = union(Z, addition)
-    cons = copy_constraints(U, F)
-    res = _decide(U.num_edges(), cons, 2, budget)
+    ids = _id_array(U, F)
+    res = _decide(U.num_edges(), ids, 2, budget)
+    cons = ids.tolist()
     in_z = [all(U.edges[e] in Z._index for e in c) for c in cons]
     in_a = [all(U.edges[e] in addition._index for e in c) for c in cons]
     res.stats.update(copies_in_base=sum(in_z), copies_in_addition=sum(in_a),

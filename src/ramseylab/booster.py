@@ -90,13 +90,9 @@ def image_edges(B, h):
 
 @dataclass(frozen=True)
 class UnionView:
-    """One analysis of Z ∪ h(B), read by every booster stage.
+    """The focus map and focus set of Z ∪ h(B), read off the keys of its
+    copies of F through a booster edge (`_union_keys`) by stages 3 and 6."""
 
-    `copies` holds the key of each copy of F through a booster edge, in key
-    order; a key is the copy's (sorted vertex tuple, sorted edge tuple), as
-    `counting._anchored_copies` gives it."""
-
-    copies: tuple
     foci: dict  # the focus map
     members: tuple  # the focus set: EdgeIds of the focus map's edges, sorted
 
@@ -120,8 +116,10 @@ def union_view(Z, h, spec, F):
 def _union_keys(Z, img, F):
     """The copy keys of F in the union U of Z and the booster pairs `img`
     through a booster pair, in key order: the one place a union's copies
-    are collected.  The search reads Z's rows with `img` ORed in, each
-    pair checked as `Graph.with_edges` checks it; U is not built."""
+    are collected.  A key is the copy's (sorted vertex tuple, sorted edge
+    tuple), as `counting._anchored_copies` gives it.  The search reads Z's
+    rows with `img` ORed in by `_or_pairs`, so a loop or an out-of-range
+    pair raises the `Graph` error; U is not built."""
     adj = list(Z.adj)
     _or_pairs(adj, img)
     return [key for key, _ in _anchored_copies(F, adj, img)]
@@ -129,7 +127,7 @@ def _union_keys(Z, img, F):
 
 def _view_from_keys(Z, img, keys):
     """The view of the union Z ∪ `img` whose copies through a booster pair
-    are `keys`."""
+    are `keys`; the keys themselves are not kept."""
     img_index = {e: j for j, e in enumerate(img)}
     z_index = Z._index
     foci = defaultdict(set)
@@ -143,7 +141,7 @@ def _view_from_keys(Z, img, keys):
         if e in z_index:
             foci[e].add(j)
     members = tuple(sorted(z_index[e] for e in foci))
-    return UnionView(tuple(keys), dict(foci), members)
+    return UnionView(dict(foci), members)
 
 
 def classify_bad(Z, h, spec, F):
@@ -254,15 +252,14 @@ def _union_verdict(z_ids, Z, keys, budget, phi=None):
     return _decide(m + len(new), np.concatenate((z_ids, rows)), 2, budget).verdict
 
 
-def _unions(Z, z_ids, pool, spec, F, budget, phi, arrow_filter=True):
+def _unions(Z, z_ids, pool, spec, F, budget, phi):
     """(h, booster pairs, the union's copy keys through a booster pair,
     verdict) for each h of `pool` in order: the one loop over a host's
-    unions.  Without `arrow_filter` every union counts as arrowing."""
+    unions."""
     for h in pool:
         img = image_edges(spec.B, h)
         keys = _union_keys(Z, img, F)
-        v = _union_verdict(z_ids, Z, keys, budget, phi) if arrow_filter else "arrows"
-        yield h, img, keys, v
+        yield h, img, keys, _union_verdict(z_ids, Z, keys, budget, phi)
 
 
 def check_interactive_regular(Z, Xi, spec, F, budget=None):
@@ -344,8 +341,8 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     edge-disjointness, arrowing unions).
 
     `params` needs D, delta and p; optional: alpha (selection-rate
-    override), pool_size (sampled pool), arrow_filter (default True),
-    budget (arrowing node budget).  Returns (family, report).
+    override), pool_size (sampled pool), budget (arrowing node budget).
+    Returns (family, report).
     """
     if not isfinite(params["D"]):
         raise ValueError(f"D must be finite, got {params['D']}")
@@ -360,7 +357,6 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     D = params["D"]
     delta = params["delta"]
     p = params["p"]
-    arrow_filter = params.get("arrow_filter", True)
     budget = params.get("budget")
     n = Z.n
     B = spec.B
@@ -375,10 +371,8 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     report["pool"] = len(pool)
 
     # stage 1: arrowing unions, with the copy keys that stage 2 reads
-    if not arrow_filter:
-        report["arrow_filter_disabled"] = True
     psi1 = {}  # h -> (booster pairs, copy keys)
-    for h, img, keys, v in _unions(Z, z_ids, pool, spec, F, budget, phi, arrow_filter):
+    for h, img, keys, v in _unions(Z, z_ids, pool, spec, F, budget, phi):
         if v == "arrows":
             psi1[h] = img, keys
         else:

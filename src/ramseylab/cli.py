@@ -168,7 +168,6 @@ def build_parser():
     p.add_argument("--delta", type=_fraction, required=True)
     p.add_argument("--alpha", type=_fraction, default=None)
     p.add_argument("--pool-size", type=int, default=None)
-    p.add_argument("--no-arrow-filter", action="store_true")
     p.add_argument("--restrict-L", type=int, default=None, help="also run the profile restriction")
 
     p = sub.add_parser("hstats", help="container statistics of a hypergraph")
@@ -308,8 +307,7 @@ def _run(ns):
         F = _load_graph(ns.pattern)
         Z = _load_graph(ns.host)
         spec = make_booster_spec(_load_graph(ns.booster), F)
-        params = {"D": ns.D, "delta": ns.delta, "p": ns.p,
-                  "arrow_filter": not ns.no_arrow_filter}
+        params = {"D": ns.D, "delta": ns.delta, "p": ns.p}
         optional = {"alpha": ns.alpha, "pool_size": ns.pool_size, "budget": ns.budget_nodes}
         params.update((k, v) for k, v in optional.items() if v is not None)
         seed = Seed(ns.seed)  # construction and restriction draw from distinct streams

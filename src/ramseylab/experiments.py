@@ -501,7 +501,7 @@ def derive_proof_constants(
     output.  F must be strictly balanced; the regularity-side chain
     additionally needs F nearly bipartite.
     """
-    prof = F if hasattr(F, "strictly_balanced") else classify(F)
+    prof = classify(F)
     if not prof.strictly_balanced:
         raise ValueError("constant chain requires a strictly balanced pattern")
     for name, value in (("D", D), ("C1", C1), ("lambda", lam), ("T0", T0)):  # divisors

@@ -55,14 +55,9 @@ class Graph:
     def __init__(self, n, edges):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        self._build(n, (), [0] * n, edges)
-
-    def _build(self, n, edges, adj, extra):
-        """Set this graph to the sorted `edges` (whose rows are `adj`) and
-        the pairs of `extra`, ORed into `adj` by `_or_pairs`; the edge order
-        and index are rebuilt from the sorted edges."""
+        adj = [0] * n
         self.n = n
-        self.edges = tuple(sorted(edges + tuple(_or_pairs(adj, extra))))
+        self.edges = tuple(sorted(_or_pairs(adj, edges)))
         self.adj = tuple(adj)
         self._index = {e: i for i, e in enumerate(self.edges)}
         self._hash = hash((n, self.edges))  # every cache keyed on a graph asks for it
@@ -101,13 +96,6 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
-    def with_edges(self, extra):
-        """`Graph(n, edges + extra)`, checking and normalising only the
-        pairs of `extra`."""
-        g = Graph.__new__(Graph)
-        g._build(self.n, self.edges, list(self.adj), extra)
-        return g
-
     def without_edges(self, removed):
         drop = {(min(u, v), max(u, v)) for u, v in removed}
         return Graph(self.n, [e for e in self.edges if e not in drop])
@@ -115,8 +103,9 @@ class Graph:
 
 def _or_pairs(adj, pairs):
     """OR the vertex pairs `pairs` into the adjacency rows `adj` (a list, one
-    row per vertex), checking each: the one pair check of every graph build
-    and of every union searched on rows.  Returns the new pairs, normalised."""
+    row per vertex), checking each: the one pair check of every `Graph` and
+    of every union searched on Z's rows.  Returns the pairs not already in
+    `adj`, normalised, each once."""
     n, new = len(adj), []
     for u, v in pairs:
         if u == v:
@@ -208,7 +197,7 @@ def union(g1, g2):
     """Edge-set union of two graphs on the same vertex set."""
     if g1.n != g2.n:
         raise ValueError(f"vertex counts differ: {g1.n} vs {g2.n}")
-    return g1.with_edges(g2.edges)
+    return Graph(g1.n, g1.edges + g2.edges)
 
 
 def _is_id(v, n):
@@ -328,6 +317,8 @@ def _to_graph6(g):
 def _parse_graph6(s):
     if s.startswith(">>graph6<<"):
         s = s[10:]
+        if not s:
+            raise ValueError("nothing after the >>graph6<< header (offset 10)")
     pos = 0
     if s[pos] == "~":
         if len(s) >= 2 and s[1] == "~":

@@ -55,14 +55,15 @@ def k6_minus_edge_block(n, seed, decorate=True):
     return Z, missing
 
 
-def two_block_host(seed):
-    """Two disjoint K6-e blocks on 12 vertices; returns (Z, [pair, pair])."""
-    rng = seed.generator()
-    perm = [int(x) for x in rng.permutation(12)]
-    b1, b2 = perm[:6], perm[6:]
+def block_host(n, blocks, seed):
+    """`blocks` disjoint K6-e blocks on n vertices, each on the next six
+    vertices of one seeded permutation and missing the pair of its first
+    two; returns (Z, [missing pair per block])."""
+    perm = [int(x) for x in seed.generator().permutation(n)]
     miss = []
     edges = []
-    for block in (b1, b2):
+    for b in range(blocks):
+        block = perm[6 * b : 6 * b + 6]
         m = tuple(sorted((block[0], block[1])))
         miss.append(m)
         edges += [
@@ -70,7 +71,12 @@ def two_block_host(seed):
             for i, j in combinations(range(6), 2)
             if {block[i], block[j]} != set(m)
         ]
-    return Graph(12, edges), miss
+    return Graph(n, edges), miss
+
+
+def two_block_host(seed):
+    """Two disjoint K6-e blocks on 12 vertices; returns (Z, [pair, pair])."""
+    return block_host(12, 2, seed)
 
 
 _C4_CACHE = {}
@@ -94,7 +100,7 @@ def c4_tipping_instance(bucket):
         for u, v in combinations(range(n), 2):
             if Z.has_edge(u, v):
                 continue
-            Zp = Z.with_edges([(u, v)])
+            Zp = Graph(n, [*Z.edges, (u, v)])
             if decide_arrow(Zp, F).verdict == "arrows":
                 spec = make_booster_spec(complete_graph(2), F)
                 fm = union_view(Z, (u, v), spec, F).foci

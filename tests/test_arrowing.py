@@ -85,7 +85,7 @@ def test_monotone_under_supergraphs():
         cur = g
         prev_arrows = res.arrows
         for e in non_edges[:4]:
-            cur = cur.with_edges([e])
+            cur = Graph(cur.n, [*cur.edges, e])
             now = decide_arrow(cur, K3).arrows
             assert not (prev_arrows and not now)  # arrows is upward closed
             prev_arrows = now

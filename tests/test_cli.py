@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from instances import two_block_host
+
 import ramseylab
 from ramseylab.cli import _finite, _float_list, build_parser, main
 from ramseylab.graphs import Seed, gnp_sample, serialize_graph
@@ -538,7 +540,7 @@ def _golden_cli_runs(tmp_path):
         return str(path)
 
     host8 = written("gnp8.txt", serialize_graph(gnp_sample(8, 0.5, Seed(7))))
-    host10 = written("gnp10.txt", serialize_graph(gnp_sample(10, 0.5, Seed(5))))
+    blocks = written("blocks.txt", serialize_graph(two_block_host(Seed(502))[0]))
     part = written("part.json", "[[0, 1, 2], [3, 4, 5], [6, 7]]")
     hypergraphs = {
         2: {"m": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]},
@@ -556,10 +558,9 @@ def _golden_cli_runs(tmp_path):
                   "--d", "0.8", "--eps", "0.55"]
     runs["regularity-exact"] = regularity
     runs["regularity-sampled"] = regularity + ["--mode", "sampled", "--seed", "3"]
-    runs["booster"] = ["booster", "--host", host10, "--booster", "K2", "--pattern", "K3",
+    runs["booster"] = ["booster", "--host", blocks, "--booster", "K2", "--pattern", "K3",
                        "--D", "4", "--delta", "1/12", "--p", "0.5", "--alpha", "1/4",
-                       "--seed", "12", "--no-arrow-filter", "--pool-size", "30",
-                       "--restrict-L", "10"]
+                       "--seed", "12", "--pool-size", "30", "--restrict-L", "10"]
     k3 = ["constants", "--pattern", "K3"]
     runs["constants-K3-3-vertices"] = k3 + ["--booster-vertices", "3", "--D", "1", "--ell", "3"]
     runs["constants-K3-P3"] = k3 + ["--booster", "P3", "--D", "1"]

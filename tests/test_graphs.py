@@ -119,6 +119,8 @@ def test_parse_errors_carry_offsets():
         parse_graph("3\n0")
     with pytest.raises(ValueError, match="offset"):
         parse_graph("B" + chr(200))
+    with pytest.raises(ValueError, match="offset"):
+        parse_graph(">>graph6<<")
 
 
 def test_named_patterns():
@@ -165,12 +167,12 @@ def literal_graph(n, pairs):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(hosts_and_extras())
-def test_with_edges_equals_rebuilding_the_graph(case):
+def test_union_equals_rebuilding_the_graph(case):
     n, edges, extra = case
     g = Graph(n, edges)
     assert (g.n, g.edges, g.adj, g._index) == literal_graph(n, edges)
     want = literal_graph(n, edges + extra)
-    builds = {"Graph": lambda: Graph(n, edges + extra), "with_edges": lambda: g.with_edges(extra),
+    builds = {"Graph": lambda: Graph(n, edges + extra),
               "union": lambda: union(g, Graph(n, extra))}
     for name, build in builds.items():
         if isinstance(want, str):

@@ -19,6 +19,7 @@ from ramseylab.arrowing import (
     _Cdcl,
     _encode,
     _extend,
+    _id_array,
     brute_force_arrow,
     cnf_export,
     copy_constraints,
@@ -342,7 +343,7 @@ def test_activity_rescale_scales_the_heap_keys():
     # A key is minus its variable's activity when pushed, and activities
     # only grow, so no key may exceed its variable's activity
     G = gnp_sample(14, 3.5 * 14 ** (-2 / 3), Seed(1202, 350))  # 474 conflicts in GOLDEN
-    core = _Cdcl(*_encode(G.num_edges(), copy_constraints(G, C4), 2))
+    core = _Cdcl(*_encode(G.num_edges(), _id_array(G, C4), 2))
     core.inc = 0.96e100  # the first learned clause passes 1e100
     learn, held = core._learn, []
 

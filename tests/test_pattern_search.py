@@ -201,7 +201,7 @@ def test_union_rows_give_the_keys_of_the_built_union(Z, F, data):
     if Z.edges:
         img.append(data.draw(st.sampled_from(Z.edges)))
     img = [e[::-1] if data.draw(st.booleans()) else e for e in dict.fromkeys(img)]
-    U = Z.with_edges(img)
+    U = Graph(Z.n, [*Z.edges, *img])
     keys = _union_keys(Z, img, F)
     assert keys == [key for key, _ in _anchored_copies(F, U.adj, img)]
     assert keys == naive_union_keys(F, Z.n, set(Z.edges) | {_norm(*e) for e in img}, img)
@@ -214,11 +214,11 @@ def test_union_rows_give_the_keys_of_the_built_union(Z, F, data):
 
 def test_union_rows_raise_the_graph_messages():
     # a loop, a vertex past the host and a negative vertex, alone or after
-    # a good pair, fail as Graph.with_edges fails on them
+    # a good pair, fail as a Graph holding Z's edges and them fails
     Z = cycle_graph(5)
     for bad in ([(2, 2)], [(0, 5)], [(5, 0)], [(-1, 0)], [(0, 2), (3, 3)], [(1, 3), (0, 7)]):
         with pytest.raises(ValueError) as built:
-            Z.with_edges(bad)
+            Graph(Z.n, [*Z.edges, *bad])
         with pytest.raises(ValueError) as rows:
             _union_keys(Z, bad, complete_graph(3))
         assert str(rows.value) == str(built.value), bad

@@ -20,7 +20,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from instances import k6_minus_edge_block, two_block_host
+from instances import block_host, k6_minus_edge_block, two_block_host
 from oracles import naive_bad_flags, naive_copies
 
 from ramseylab import booster, counting
@@ -56,6 +56,7 @@ from ramseylab.booster import (
     make_booster_spec,
     restrict_index_consistent,
     union_view,
+    verify_normal_family,
 )
 from ramseylab.counting import enumerate_copies
 from ramseylab.graphs import (
@@ -106,13 +107,12 @@ def test_view_matches_full_enumeration_and_oracles(case):
     Z, h, spec, F = case
     view = union_view(Z, h, spec, F)
     keys = _union_keys(Z, image_edges(spec.B, h), F)
-    U = Z.with_edges(image_edges(spec.B, h))
+    U = Graph(Z.n, [*Z.edges, *image_edges(spec.B, h)])
     assert U == union(Z, image_graph(spec.B, h, Z.n))
-    assert keys == list(view.copies)
-    # the view holds exactly the copies through a booster edge, in key order
+    assert view == _view_from_keys(Z, image_edges(spec.B, h), keys)
+    # the keys are exactly the copies through a booster edge, in key order
     img = set(image_edges(spec.B, h))
-    assert list(view.copies) == [
-        c.key() for c in enumerate_copies(F, U).copies if c.edges & img]
+    assert keys == [c.key() for c in enumerate_copies(F, U).copies if c.edges & img]
     # the focus set is the naive one, plus any edge of Z that is also a
     # booster edge: such an edge focuses on itself even in no copy of F
     shared = {Z.edge_id(*e) for e in img & set(Z.edges)}
@@ -158,7 +158,7 @@ def test_whole_search_system_is_the_union_system_renumbered(case):
                                                if not Z.has_edge(*e)))
     assert m == len(pairs)
     assert cons[:len(z_ids)] == z_ids.tolist()
-    U = Z.with_edges(img)
+    U = Graph(Z.n, [*Z.edges, *img])
     assert Counter(frozenset(pairs[e] for e in c) for c in cons) == Counter(
         frozenset(U.edges[e] for e in c) for c in copy_constraints(U, F))
 
@@ -191,7 +191,7 @@ def _stage1(Z, h, spec, F, phi):
     into a colour per EdgeId of the union: phi on Z, the extension's colour
     on each new pair it names, and red on the new pairs it leaves free."""
     img = image_edges(spec.B, h)
-    keys, U = _union_keys(Z, img, F), Z.with_edges(img)
+    keys, U = _union_keys(Z, img, F), Graph(Z.n, [*Z.edges, *img])
     z_ids = naive_ids(F, Z)
     by_edge = dict(zip(Z.edges, phi)) if phi is not None else None
     by_id = dict(enumerate(phi)) if phi is not None else None
@@ -266,10 +266,10 @@ def test_extension_needs_no_core_only_when_every_copy_meets_two_colours():
     assert with_phi == without == whole == "not_arrows"
 
 
-def _check_stage1_views(Z, pool, spec, F, phi, budget=None, arrow_filter=True):
+def _check_stage1_views(Z, pool, spec, F, phi, budget=None):
     """Stage 1 keeps exactly the arrowing unions of the pool, in pool
     order, and the view it builds from each one's keys is `union_view`."""
-    unions = list(_unions(Z, naive_ids(F, Z), pool, spec, F, budget, phi, arrow_filter))
+    unions = list(_unions(Z, naive_ids(F, Z), pool, spec, F, budget, phi))
     assert [h for h, *_ in unions] == pool
     views = {h: _view_from_keys(Z, img, keys) for h, img, keys, v in unions if v == "arrows"}
     assert list(views) == [h for h in pool if h in views]
@@ -286,7 +286,8 @@ def test_stage1_views_equal_union_view(case):
     for h in pool:
         arrows = decide_arrow_union(Z, image_graph(spec.B, h, Z.n), F).verdict == "arrows"
         assert (h in views) == arrows
-    assert list(_check_stage1_views(Z, pool, spec, F, None, arrow_filter=False)) == pool
+    # without Z's colouring every union is searched whole, to the same views
+    assert _check_stage1_views(Z, pool, spec, F, None) == views
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_booster.json").read_text())
@@ -298,10 +299,10 @@ GOLDEN_CASES = {
     "block9-P3-sampled": (lambda: k6_minus_edge_block(9, Seed(503))[0], "P3",
                           {"pool_size": 40}),
     "two-block-P3-sampled": (lambda: two_block_host(Seed(504))[0], "P3", {"pool_size": 60}),
-    "gnp10-K2-sampled-nofilter": (lambda: gnp_sample(10, 0.5, Seed(505)), "K2",
-                                  {"pool_size": 20, "arrow_filter": False}),
-    "gnp12-K2-full-nofilter": (lambda: gnp_sample(12, 0.2, Seed(507)), "K2",
-                               {"arrow_filter": False}),
+    "gnp10-K2-sampled": (lambda: gnp_sample(10, 0.5, Seed(505)), "K2", {"pool_size": 20}),
+    # P3 placements across three blocks: some arrowing unions are bad, and
+    # the selection draws placements sharing two vertices (overlap removals)
+    "three-block-P3-full": (lambda: block_host(18, 3, Seed(507))[0], "P3", {}),
     "block7-P3-full": (lambda: k6_minus_edge_block(7, Seed(506))[0], "P3", {}),
 }
 
@@ -313,6 +314,7 @@ def test_golden_booster_pipeline():
         params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4),
                   "budget": 2000, **extra}
         xi0, report = construct_normal_family(Z, spec, K3, params, seed=Seed(510))
+        assert verify_normal_family(Z, xi0, spec, K3, params)["ok"], label
         got = {"family": [list(h) for h in xi0], "report": report}
         if xi0:
             xi, prof, rrep = restrict_index_consistent(Z, xi0, spec, K3, 12, seed=Seed(511))
@@ -329,8 +331,7 @@ def test_stage1_views_equal_union_view_on_golden_hosts():
         pool = embedding_pool(spec.B, Z.n, extra.get("pool_size"), Seed(510).substream(0))
         cert = decide_arrow(Z, K3, budget=2000).certificate
         phi = cert and dict(enumerate(cert))
-        views = _check_stage1_views(Z, pool, spec, K3, phi, 2000,
-                                    extra.get("arrow_filter", True))
+        views = _check_stage1_views(Z, pool, spec, K3, phi, 2000)
         assert len(views) == GOLDEN[label]["report"]["psi1"], label
 
 
@@ -345,10 +346,9 @@ def test_stage2_flags_from_the_keys_match_the_oracle_on_golden_hosts():
         pool = embedding_pool(spec.B, Z.n, extra.get("pool_size"), Seed(510).substream(0))
         z_ids, _, phi = _z_analysis(Z, K3, 2000)
         removed, good = Counter(), 0
-        for h, img, _, v in _unions(Z, z_ids, pool, spec, K3, 2000, phi,
-                                    extra.get("arrow_filter", True)):
+        for h, img, _, v in _unions(Z, z_ids, pool, spec, K3, 2000, phi):
             if v == "arrows":
-                flags = naive_bad_flags(Z, img, K3, Z.with_edges(img))
+                flags = naive_bad_flags(Z, img, K3, Graph(Z.n, [*Z.edges, *img]))
                 removed.update(k for k, bad in flags.items() if bad)
                 good += not any(flags.values())
                 assert classify_bad(Z, h, spec, K3) == {**flags, "bad": any(flags.values())}
