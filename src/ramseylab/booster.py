@@ -4,21 +4,21 @@ the container-side hypergraph with its degree statistics.
 An embedding h is a tuple sending the booster pattern's vertices into
 the host vertex range; its image graph lives on the host vertex set.
 Copies, focus relations and badness are all evaluated literally by copy
-enumeration in Z ∪ h(B), once per union: stage 1 decides a union from its
-copy keys, stage 2 reads its badness off the same keys (`_bad_flags`: an
-edge of such a copy that is not a booster pair is a Z edge), and the view
-that stages 3 and 6 read (`union_view`'s second half) is built from them
-only for a union that arrows and is not bad.  The keys come from a search
-on Z's adjacency rows with h(B)'s pairs ORed in (`_union_keys`); no union
-is built as a Graph.  Z is analysed once per call (`_z_analysis`): its NAE
-system is built as `arrowing._id_array` rows, Z is decided on them, and a
-union searched whole (`_union_verdict`) is searched on them followed by the
-id rows of its keys with a pair new to Z; Z's certificate φ keeps only the
-edges that its copies need to stay two-coloured, and an extension may
-colour the rest.  Every CNF literal, the extension of Z's colouring
-included, is written in `arrowing`.  P(e1, e2) completions are searched
-once per call too, and shared by every union.  `z_property_rates` reads
-the badness of each union it samples off its keys too, with no view.
+enumeration in Z ∪ h(B), which is Z plus the pairs h(B) adds to Z.  Stage
+1 decides a union from those pairs alone (`_unions`), once per set of
+added pairs; a union that adds none is Z and takes Z's verdict.  Stage 2
+reads the badness of a union that arrows off its copy keys through a
+booster pair (`_bad_flags`), and the view that stages 3 and 6 read
+(`union_view`'s second half) is built from them only for a union that is
+not bad.  All keys come from a search on Z's adjacency rows with pairs
+ORed in (`_union_keys`); no union is built as a Graph.  Z is analysed
+once per call (`_z_analysis`): it is decided on its `arrowing._id_array`
+rows, and a union searched whole (`_union_verdict`) is searched on them
+followed by the id rows of its copies through an added pair; Z's
+certificate φ keeps only the edges that its copies need to stay
+two-coloured, and an extension may colour the rest.  Every CNF literal is
+written in `arrowing`.  P(e1, e2) completions are searched once per call
+too, and shared by every union.
 """
 
 from __future__ import annotations
@@ -114,12 +114,12 @@ def union_view(Z, h, spec, F):
 
 
 def _union_keys(Z, img, F):
-    """The copy keys of F in the union U of Z and the booster pairs `img`
-    through a booster pair, in key order: the one place a union's copies
-    are collected.  A key is the copy's (sorted vertex tuple, sorted edge
-    tuple), as `counting._anchored_copies` gives it.  The search reads Z's
-    rows with `img` ORed in by `_or_pairs`, so a loop or an out-of-range
-    pair raises the `Graph` error; U is not built."""
+    """The copy keys of F in the union U of Z and the pairs `img` through
+    one of those pairs, in key order: the one place a union's copies are
+    collected.  A key is the copy's (sorted vertex tuple, sorted edge
+    tuple), as `counting._anchored_copies` gives it.  `img` is ORed into
+    Z's rows by `_or_pairs`, so a loop or an out-of-range pair raises the
+    `Graph` error; U is not built."""
     adj = list(Z.adj)
     _or_pairs(adj, img)
     return [key for key, _ in _anchored_copies(F, adj, img)]
@@ -230,49 +230,55 @@ def _z_analysis(Z, F, budget):
 
 
 def _union_verdict(z_ids, Z, keys, budget, phi=None):
-    """decide_arrow_union's verdict on the union U of Z and the booster
-    pairs whose copies through a booster pair are `keys`, Z's system being
-    `z_ids`.  A copy of U lies inside Z or holds a pair Z lacks, so U's
-    system is Z's rows followed by the id rows of the keys that hold such a
-    pair, those pairs numbered Z.num_edges(), ... in first-seen order: each
-    copy once, and no U is built.  Given Z's F-free colouring `phi` (colour
-    per Z edge id), an extension of it to the new pairs is tried first and
-    proves "not_arrows": only a copy with a new pair can turn monochromatic.
-    Else the system is searched whole; so "arrows" comes only from that
-    search, and a union it leaves "undecided" at `budget` may be decided by
-    the extension."""
-    index, m, new, rows = Z._index, Z.num_edges(), {}, []
-    for _, es in keys:
-        ids = [index.get(e, -1) for e in es]
-        if -1 in ids:
-            rows.append([new.setdefault(e, m + len(new)) if i < 0 else i for e, i in zip(es, ids)])
-    if phi is not None and _extend(rows, phi) is not None:
-        return "not_arrows"
+    """(decide_arrow_union's verdict, how it was decided) on the union U of
+    Z and the pairs it adds to Z, whose copies through an added pair are
+    `keys`, Z's system being `z_ids`.  U's system is Z's rows followed by
+    the keys' id rows, the added pairs numbered Z.num_edges(), ... in
+    first-seen order.  Given Z's F-free colouring `phi` (colour per Z edge
+    id), an extension to the added pairs is tried first ("extension" with
+    no core, else "core"): only a copy with an added pair can turn
+    monochromatic.  Else U is searched whole ("searched"), so "arrows"
+    comes only from that search."""
+    index, m, new = Z._index, Z.num_edges(), {}
+    rows = [[index[e] if e in index else new.setdefault(e, m + len(new)) for e in es]
+            for _, es in keys]
+    if phi is not None and (ext := _extend(rows, phi)) is not None:
+        return "not_arrows", "core" if ext else "extension"
     rows = np.array(rows, dtype=np.intp).reshape(len(rows), z_ids.shape[1])
-    return _decide(m + len(new), np.concatenate((z_ids, rows)), 2, budget).verdict
+    return _decide(m + len(new), np.concatenate((z_ids, rows)), 2, budget).verdict, "searched"
 
 
-def _unions(Z, z_ids, pool, spec, F, budget, phi):
-    """(h, booster pairs, the union's copy keys through a booster pair,
-    verdict) for each h of `pool` in order: the one loop over a host's
-    unions."""
+def _unions(Z, z, pool, spec, F, budget):
+    """(h, booster pairs, verdict, how it was decided) for each h of `pool`
+    in order, `z` being `_z_analysis(Z, F, budget)`: the one loop over a
+    host's unions.  A union adding no pair to Z is Z ("no_pair"); the others
+    are decided from the copies through their added pairs, once per set of
+    added pairs ("repeat" after the first): an equal set, an equal system."""
+    z_ids, z_res, phi = z
+    decided = {}  # frozenset of added pairs -> (verdict, how)
     for h in pool:
         img = image_edges(spec.B, h)
-        keys = _union_keys(Z, img, F)
-        yield h, img, keys, _union_verdict(z_ids, Z, keys, budget, phi)
+        added = _or_pairs(list(Z.adj), img)
+        if not added:
+            yield h, img, z_res.verdict, "no_pair"
+        elif (key := frozenset(added)) in decided:
+            yield h, img, decided[key][0], "repeat"
+        else:
+            decided[key] = _union_verdict(z_ids, Z, _union_keys(Z, added, F), budget, phi)
+            yield h, img, *decided[key]
 
 
 def check_interactive_regular(Z, Xi, spec, F, budget=None):
     """Per-embedding interactivity and regularity report."""
     for h in Xi:
         _check_embedding(h, spec.B, Z.n)
-    z_ids, z_res, phi = _z_analysis(Z, F, budget)
+    _, z_res, _ = z = _z_analysis(Z, F, budget)
     b_res = decide_arrow(spec.B, F, budget=budget)
     reports = []
-    for h, img, keys, u_verdict in _unions(Z, z_ids, Xi, spec, F, budget, phi):
+    for h, img, u_verdict, _ in _unions(Z, z, Xi, spec, F, budget):
         entry = {"h": h, "edge_disjoint": not any(e in Z._index for e in img),
                  "union_verdict": u_verdict}
-        foci = _view_from_keys(Z, img, keys).foci
+        foci = _view_from_keys(Z, img, _union_keys(Z, img, F)).foci
         entry["regular"] = all(len(s) <= 1 for s in foci.values())
         if "undecided" in (z_res.verdict, b_res.verdict, u_verdict):
             entry["interactive"] = None  # budget exhausted somewhere
@@ -362,7 +368,7 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     B = spec.B
 
     report = {"params": {k: str(v) for k, v in params.items()}, "removed": Counter()}
-    z_ids, z_res, phi = _z_analysis(Z, F, budget)
+    _, z_res, _ = z = _z_analysis(Z, F, budget)
     report["z_arrows_alone"] = z_res.verdict == "arrows"
 
     pool_size = params.get("pool_size")
@@ -370,18 +376,21 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     report["pool_mode"] = "full" if pool_size is None else f"sampled({pool_size})"
     report["pool"] = len(pool)
 
-    # stage 1: arrowing unions, with the copy keys that stage 2 reads
-    psi1 = {}  # h -> (booster pairs, copy keys)
-    for h, img, keys, v in _unions(Z, z_ids, pool, spec, F, budget, phi):
+    # stage 1: arrowing unions; how each union was decided partitions the pool
+    psi1 = {}  # h -> booster pairs
+    report["stage1"] = dict.fromkeys(("no_pair", "repeat", "extension", "core", "searched"), 0)
+    for h, img, v, how in _unions(Z, z, pool, spec, F, budget):
+        report["stage1"][how] += 1
         if v == "arrows":
-            psi1[h] = img, keys
+            psi1[h] = img
         else:
             report["removed"]["not_arrowing" if v == "not_arrows" else "undecided"] += 1
     report["psi1"] = len(psi1)
 
-    # stage 2: badness from the keys; stages 3 and 6 read the views of the rest
+    # stage 2: badness from the arrowing unions' keys; stages 3 and 6 read the views of the rest
     views = {}
-    for h, (img, keys) in psi1.items():
+    for h, img in psi1.items():
+        keys = _union_keys(Z, img, F)
         flags = _bad_flags(img, keys)
         if flags["bad"]:
             for key in ("B1", "B2", "B3"):

@@ -257,13 +257,11 @@ def parse_graph(text):
     first = stripped.split(None, 1)[0]
     if first.isdigit() or (first.lstrip("-").isdigit()):
         return _parse_edgelist(text)
-    return _parse_graph6(stripped)
+    return _parse_graph6(stripped, len(text) - len(text.lstrip()))
 
 
 def _parse_edgelist(text):
-    tokens = []
-    for m in re.finditer(r"\S+", text):
-        tokens.append((m.group(), m.start()))
+    tokens = [(m.group(), m.start()) for m in re.finditer(r"\S+", text)]
     if not tokens:
         raise ValueError("empty graph description (offset 0)")
     word, off = tokens[0]
@@ -301,10 +299,7 @@ def _to_graph6(g):
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         raise ValueError("graph6 output limited to n <= 258047")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
+    bits = [int(g.has_edge(i, j)) for j in range(1, n) for i in range(j)]
     while len(bits) % 6:
         bits.append(0)
     body = "".join(
@@ -314,49 +309,44 @@ def _to_graph6(g):
     return head + body
 
 
-def _parse_graph6(s):
+def _parse_graph6(s, base):
+    """Graph of the graph6 text `s`, found at offset `base` of the input."""
     if s.startswith(">>graph6<<"):
-        s = s[10:]
+        s, base = s[10:], base + 10
         if not s:
-            raise ValueError("nothing after the >>graph6<< header (offset 10)")
+            raise ValueError(f"nothing after the >>graph6<< header (offset {base})")
     pos = 0
     if s[pos] == "~":
         if len(s) >= 2 and s[1] == "~":
-            raise ValueError("graph6 n > 258047 unsupported (offset 0)")
+            raise ValueError(f"graph6 n > 258047 unsupported (offset {base})")
         if len(s) < 4:
-            raise ValueError(f"truncated graph6 size field (offset {len(s)})")
+            raise ValueError(f"truncated graph6 size field (offset {base + len(s)})")
         vals = []
         for k in range(1, 4):
             c = ord(s[k]) - 63
             if not 0 <= c <= 63:
-                raise ValueError(f"invalid graph6 byte (offset {k})")
+                raise ValueError(f"invalid graph6 byte (offset {base + k})")
             vals.append(c)
         n = (vals[0] << 12) | (vals[1] << 6) | vals[2]
         pos = 4
     else:
         n = ord(s[pos]) - 63
         if not 0 <= n <= 62:
-            raise ValueError(f"invalid graph6 byte (offset {pos})")
+            raise ValueError(f"invalid graph6 byte (offset {base + pos})")
         pos = 1
     if n == 0:
-        raise ValueError("graph6 with zero vertices unsupported (offset 0)")
+        raise ValueError(f"graph6 with zero vertices unsupported (offset {base})")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(s) - pos < need:
-        raise ValueError(f"truncated graph6 body (offset {len(s)})")
+        raise ValueError(f"truncated graph6 body (offset {base + len(s)})")
     if len(s) - pos > need:
-        raise ValueError(f"trailing bytes after graph6 body (offset {pos + need})")
+        raise ValueError(f"trailing bytes after graph6 body (offset {base + pos + need})")
     bits = []
     for k in range(need):
         c = ord(s[pos + k]) - 63
         if not 0 <= c <= 63:
-            raise ValueError(f"invalid graph6 byte (offset {pos + k})")
+            raise ValueError(f"invalid graph6 byte (offset {base + pos + k})")
         bits.extend((c >> (5 - t)) & 1 for t in range(6))
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, edges)
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    return Graph(n, [e for e, bit in zip(pairs, bits) if bit])

@@ -121,6 +121,15 @@ def test_parse_errors_carry_offsets():
         parse_graph("B" + chr(200))
     with pytest.raises(ValueError, match="offset"):
         parse_graph(">>graph6<<")
+    # offsets count into the caller's text, header and leading whitespace
+    # included, as edge-list offsets do
+    for text, offset in (("B" + chr(200), 1), ("  B" + chr(200), 3),
+                         (">>graph6<<B" + chr(200), 11), ("\n >>graph6<<B" + chr(200), 13),
+                         (">>graph6<<", 10), ("  >>graph6<<", 12), (" ~~", 1),
+                         (">>graph6<<~?" + chr(200) + "?", 12), (" ?", 1),
+                         ("  B ", 3), ("  BWW", 4), ("  3\n0", 4)):
+        with pytest.raises(ValueError, match=rf"offset {offset}\)"):
+            parse_graph(text)
 
 
 def test_named_patterns():

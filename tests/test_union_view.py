@@ -2,10 +2,13 @@
 checked against full enumeration of the union and the naive oracles; the
 system a union's whole search solves, Z's rows and the union's renumbered
 ones, checked against `copy_constraints` of the built union; the
-stage-1 union verdict from the union's copy keys, with and without Z's
-colouring, checked against `decide_arrow_union` and the brute-force
-oracle, also with Z's colouring reduced to the edges its copies need;
-the views built from those keys, checked against `union_view`; stage 2's
+stage-1 union verdict from the copies through the pairs the union adds
+to Z, with and without Z's colouring, checked against
+`decide_arrow_union` and the brute-force oracle, also with Z's colouring
+reduced to the edges its copies need, on hosts where many unions add no
+pair or repeat a set of added pairs, and under a node budget that
+leaves Z undecided; one decision per set of added pairs; the views
+built from the unions' keys, checked against `union_view`; stage 2's
 badness from the keys, checked against the naive oracle; one collection
 of Z's copies per call; and the booster pipeline's outputs pinned on
 seeded hosts."""
@@ -122,10 +125,16 @@ def test_view_matches_full_enumeration_and_oracles(case):
     assert {k: flags[k] for k in ("B1", "B2", "B3")} == naive_bad_flags(Z, img, F, U)
 
 
+def added_keys(Z, img, F):
+    """The copy keys of the union of Z and the booster pairs `img` through
+    the pairs it adds to Z: the keys `_unions` hands `_union_verdict`."""
+    return _union_keys(Z, [e for e in img if not Z.has_edge(*e)], F)
+
+
 def _whole_system(z_ids, Z, keys):
     """(variable count, id rows) that `_union_verdict` hands the core when
     it searches whole the union of Z, whose system is `z_ids`, whose copies
-    through a booster pair are `keys`; the core does not run."""
+    through an added pair are `keys`; the core does not run."""
     seen = []
 
     def decide(m, cons, colours, budget):
@@ -133,7 +142,7 @@ def _whole_system(z_ids, Z, keys):
         return ArrowResult("arrows")
 
     with mock.patch.object(booster, "_decide", decide):
-        assert _union_verdict(z_ids, Z, keys, None) == "arrows"
+        assert _union_verdict(z_ids, Z, keys, None) == ("arrows", "searched")
     return seen[0]
 
 
@@ -152,7 +161,7 @@ def test_whole_search_system_is_the_union_system_renumbered(case):
     # rows first, then one row per copy with a new pair
     Z, h, spec, F = case
     img = image_edges(spec.B, h)
-    keys, z_ids = _union_keys(Z, img, F), naive_ids(F, Z)
+    keys, z_ids = added_keys(Z, img, F), naive_ids(F, Z)
     m, cons = _whole_system(z_ids, Z, keys)
     pairs = list(Z.edges) + list(dict.fromkeys(e for _, es in keys for e in es
                                                if not Z.has_edge(*e)))
@@ -191,7 +200,7 @@ def _stage1(Z, h, spec, F, phi):
     into a colour per EdgeId of the union: phi on Z, the extension's colour
     on each new pair it names, and red on the new pairs it leaves free."""
     img = image_edges(spec.B, h)
-    keys, U = _union_keys(Z, img, F), Graph(Z.n, [*Z.edges, *img])
+    keys, U = added_keys(Z, img, F), Graph(Z.n, [*Z.edges, *img])
     z_ids = naive_ids(F, Z)
     by_edge = dict(zip(Z.edges, phi)) if phi is not None else None
     by_id = dict(enumerate(phi)) if phi is not None else None
@@ -200,8 +209,8 @@ def _stage1(Z, h, spec, F, phi):
     if new is not None:
         assert set(new) <= set(U.edges) - set(Z.edges)  # only new pairs get a colour
         ext = [{**by_edge, **new}.get(e, RED) for e in U.edges]
-    return (U, ext, _union_verdict(z_ids, Z, keys, None, by_id),
-            _union_verdict(z_ids, Z, keys, None),
+    return (U, ext, _union_verdict(z_ids, Z, keys, None, by_id)[0],
+            _union_verdict(z_ids, Z, keys, None)[0],
             decide_arrow_union(Z, image_graph(spec.B, h, Z.n), F).verdict)
 
 
@@ -268,10 +277,12 @@ def test_extension_needs_no_core_only_when_every_copy_meets_two_colours():
 
 def _check_stage1_views(Z, pool, spec, F, phi, budget=None):
     """Stage 1 keeps exactly the arrowing unions of the pool, in pool
-    order, and the view it builds from each one's keys is `union_view`."""
-    unions = list(_unions(Z, naive_ids(F, Z), pool, spec, F, budget, phi))
+    order, and the view built from each one's keys is `union_view`."""
+    z = naive_ids(F, Z), decide_arrow(Z, F, budget=budget), phi
+    unions = list(_unions(Z, z, pool, spec, F, budget))
     assert [h for h, *_ in unions] == pool
-    views = {h: _view_from_keys(Z, img, keys) for h, img, keys, v in unions if v == "arrows"}
+    views = {h: _view_from_keys(Z, img, _union_keys(Z, img, F))
+             for h, img, v, _ in unions if v == "arrows"}
     assert list(views) == [h for h in pool if h in views]
     for h, view in views.items():
         assert view == union_view(Z, h, spec, F)
@@ -323,6 +334,7 @@ def test_golden_booster_pipeline():
                 "family": [list(h) for h in xi], "profile": list(prof.pi) if prof else None,
                 "report": rrep, "hyperedges": [list(fs.members) for fs in bh.focus_sets]}
         assert json.loads(json.dumps(got)) == GOLDEN[label], label
+        assert sum(report["stage1"].values()) == report["pool"], label
 
 
 def test_stage1_views_equal_union_view_on_golden_hosts():
@@ -344,9 +356,8 @@ def test_stage2_flags_from_the_keys_match_the_oracle_on_golden_hosts():
                   "budget": 2000, **extra}
         _, report = construct_normal_family(Z, spec, K3, params, seed=Seed(510))
         pool = embedding_pool(spec.B, Z.n, extra.get("pool_size"), Seed(510).substream(0))
-        z_ids, _, phi = _z_analysis(Z, K3, 2000)
         removed, good = Counter(), 0
-        for h, img, _, v in _unions(Z, z_ids, pool, spec, K3, 2000, phi):
+        for h, img, v, _ in _unions(Z, _z_analysis(Z, K3, 2000), pool, spec, K3, 2000):
             if v == "arrows":
                 flags = naive_bad_flags(Z, img, K3, Graph(Z.n, [*Z.edges, *img]))
                 removed.update(k for k, bad in flags.items() if bad)
@@ -368,7 +379,7 @@ def _check_reduced_phi(Z, pool, spec, F):
         return 0
     assert phi.items() <= dict(enumerate(z_res.certificate)).items()
     assert all(len({phi[e] for e in es if e in phi}) == 2 for es in z_ids.tolist())
-    for h, _, _, v in _unions(Z, z_ids, pool, spec, F, None, phi):
+    for h, _, v, _ in _unions(Z, (z_ids, z_res, phi), pool, spec, F, None):
         assert v == decide_arrow_union(Z, image_graph(spec.B, h, Z.n), F).verdict
     return Z.num_edges() - len(phi)
 
@@ -387,6 +398,66 @@ def test_reduced_z_colouring_on_seeded_hosts():
         spec = SPECS[(("K2", "P3", "C5")[i % 3], K3)]
         dropped += _check_reduced_phi(Z, embedding_pool(spec.B, Z.n, 30, Seed(521, i)), spec, K3)
     assert dropped > 0
+
+
+def added_sets(Z, pool, spec):
+    """The set of pairs each union of `pool` adds to Z, in pool order."""
+    return [frozenset(e for e in image_edges(spec.B, h) if not Z.has_edge(*e)) for h in pool]
+
+
+def test_stage1_verdicts_where_unions_add_nothing_or_repeat_a_set():
+    # P3 placements on K6-e blocks share their added pairs with many other
+    # placements, and K2 on a dense G(10, 1/2) mostly lands on an edge of Z
+    cases = [(k6_minus_edge_block(n, Seed(530, n))[0], SPECS[("P3", K3)]) for n in (8, 9)]
+    cases += [(gnp_sample(10, 0.5, Seed(531, i)), SPECS[("K2", K3)]) for i in range(3)]
+    hows = Counter()
+    for Z, spec in cases:
+        pool = embedding_pool(spec.B, Z.n)
+        for (h, _, v, how), added in zip(_unions(Z, _z_analysis(Z, K3, None), pool, spec, K3, None),
+                                         added_sets(Z, pool, spec)):
+            assert v == decide_arrow_union(Z, image_graph(spec.B, h, Z.n), K3).verdict
+            assert (how == "no_pair") == (not added)
+            hows[how] += 1
+    assert hows["no_pair"] > 0 and hows["repeat"] > 0 and hows["searched"] > 0
+
+
+def test_one_decision_per_set_of_added_pairs(monkeypatch):
+    Z, spec = k6_minus_edge_block(9, Seed(503))[0], SPECS[("P3", K3)]
+    calls = []
+    decide = booster._union_verdict
+
+    def spy(z_ids, Z, keys, budget, phi=None):
+        calls.append(keys)
+        return decide(z_ids, Z, keys, budget, phi)
+
+    monkeypatch.setattr(booster, "_union_verdict", spy)
+    params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4)}
+    _, report = construct_normal_family(Z, spec, K3, params, seed=Seed(510))
+    added = added_sets(Z, embedding_pool(spec.B, Z.n), spec)
+    some = [pairs for pairs in added if pairs]
+    assert len(calls) == len(set(some))
+    stage1 = report["stage1"]
+    assert stage1["no_pair"] == len(added) - len(some)
+    assert stage1["repeat"] == len(some) - len(set(some)) > 0
+    assert sum(stage1.values()) == report["pool"] == len(added)
+
+
+def test_union_adding_no_pair_keeps_z_undecided_at_a_small_budget():
+    # K6 on 7 vertices arrows K3, but not within one node; a K2 booster on
+    # an edge of K6 adds no pair, so its union is Z and undecided too
+    Z, spec = Graph(7, combinations(range(6), 2)), SPECS[("K2", K3)]
+    assert decide_arrow(Z, K3, budget=1).verdict == "undecided"
+    pool = embedding_pool(spec.B, Z.n)
+    for budget, verdict in ((1, "undecided"), (None, "arrows")):
+        unions = list(_unions(Z, _z_analysis(Z, K3, budget), pool, spec, K3, budget))
+        assert {v for h, _, v, how in unions if how == "no_pair"} == {verdict}
+        assert sum(how == "no_pair" for *_, how in unions) == Z.num_edges()
+    report = check_interactive_regular(Z, [(0, 1), (0, 6)], spec, K3, budget=1)
+    assert report["per_h"][0]["union_verdict"] == "undecided"
+    params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "budget": 1}
+    _, report = construct_normal_family(Z, spec, K3, params, seed=Seed(510))
+    assert report["stage1"]["no_pair"] == Z.num_edges()
+    assert report["removed"]["undecided"] >= Z.num_edges()
 
 
 def test_each_host_collects_its_copies_once(monkeypatch):
