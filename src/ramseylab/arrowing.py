@@ -56,14 +56,15 @@ def copy_constraints(G, F):
 
 
 def is_f_free(coloring, G, F):
-    """True iff no copy of F in G is monochromatic; else the first bad copy.
-    It reads `enumerate_copies` and `edge_id`, not the ids the NAE systems
-    are built from, so it checks their certificates independently."""
+    """True iff no copy of F in G is monochromatic (its edges show at most
+    one colour, so an edgeless copy is); else the first bad copy.  It reads
+    `enumerate_copies` and `edge_id`, not the ids the NAE systems are built
+    from, so it checks their certificates independently."""
     if len(coloring) != G.num_edges():
         raise ValueError("colouring must cover every edge of G")
     for copy in enumerate_copies(F, G).copies:
         cols = {coloring[G.edge_id(u, v)] for u, v in copy.edges}
-        if len(cols) == 1:
+        if len(cols) <= 1:
             return False, copy
     return True, None
 
@@ -372,21 +373,9 @@ def brute_force_arrow(G, F):
 
 
 def decide_arrow_union(Z, addition, F, budget=None):
-    """decide_arrow on Z ∪ addition, with copy provenance statistics.
-
-    The union's system is `_id_array(U, F)`, its copies enumerated once,
-    in full and unanchored; the counts of copies inside Z, inside the
-    addition and mixed are read off the edges its ids name.
-    """
-    U = union(Z, addition)
-    ids = _id_array(U, F)
-    res = _decide(U.num_edges(), ids, 2, budget)
-    cons = ids.tolist()
-    in_z = [all(U.edges[e] in Z._index for e in c) for c in cons]
-    in_a = [all(U.edges[e] in addition._index for e in c) for c in cons]
-    res.stats.update(copies_in_base=sum(in_z), copies_in_addition=sum(in_a),
-                     copies_mixed=sum(not (z or a) for z, a in zip(in_z, in_a)))
-    return res
+    """decide_arrow on Z ∪ addition: every copy of F in the union found
+    afresh, unanchored, the independent reference for the booster's unions."""
+    return decide_arrow(union(Z, addition), F, budget=budget)
 
 
 def enumerate_f_free_colorings(G, F, limit=16, budget=None):

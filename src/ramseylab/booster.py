@@ -294,8 +294,8 @@ def check_interactive_regular(Z, Xi, spec, F, budget=None):
         "Z_verdict": z_res.verdict,
         "B_verdict": b_res.verdict,
         "per_h": reports,
-        "pair_interactive": all(r["interactive"] for r in reports) if reports else True,
-        "pair_regular": all(r["regular"] for r in reports) if reports else True,
+        "pair_interactive": all(r["interactive"] for r in reports),
+        "pair_regular": all(r["regular"] for r in reports),
     }
 
 
@@ -483,10 +483,9 @@ def _check_p_delta(F, params):
 
 
 def _starved_stage(report):
-    for stage in ("psi1", "psi2", "psi3", "psi_s", "psi4", "after_cap", "xi0"):
-        if report.get(stage) == 0:
-            return stage
-    return "none"
+    """The first stage the report counts 0 members in; callers know one does."""
+    return next(s for s in ("psi1", "psi2", "psi3", "psi_s", "psi4", "after_cap", "xi0")
+                if report[s] == 0)
 
 
 def verify_normal_family(Z, Xi0, spec, F, params, budget=None):

@@ -152,6 +152,8 @@ def pattern_by_name(name):
         raise ValueError(f"'-e' suffix only applies to complete graphs: {name!r}")
     if kind == "K":
         g = complete_graph(k)
+        if minus and not g.edges:
+            raise ValueError(f"{name!r}: K{k} has no edge to remove")
         return g.without_edges([g.edges[0]]) if minus else g
     if kind == "C":
         return cycle_graph(k)
@@ -181,11 +183,7 @@ def gnp_sample(n, p, seed):
         raise ValueError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0,1]")
-    pairs = list(combinations(range(n), 2))
-    if p == 0.0:
-        return empty_graph(n)
-    if p == 1.0:
-        return Graph(n, pairs)
+    pairs = combinations(range(n), 2)
     # Python floats: the same doubles as the numpy scalars, compared faster
     return Graph(n, [e for e, x in zip(pairs, pair_uniforms(n, seed).tolist()) if x < p])
 
@@ -260,27 +258,26 @@ def parse_graph(text):
     return _parse_graph6(stripped, len(text) - len(text.lstrip()))
 
 
+def _int_token(word, off, what):
+    """int(word), or a ValueError naming the token and its offset."""
+    try:
+        return int(word)
+    except ValueError:
+        raise ValueError(f"bad {what} {word!r} (offset {off})") from None
+
+
 def _parse_edgelist(text):
     tokens = [(m.group(), m.start()) for m in re.finditer(r"\S+", text)]
-    if not tokens:
-        raise ValueError("empty graph description (offset 0)")
-    word, off = tokens[0]
-    try:
-        n = int(word)
-    except ValueError:
-        raise ValueError(f"bad vertex count {word!r} (offset {off})") from None
+    (word, off), rest = tokens[0], tokens[1:]
+    n = _int_token(word, off, "vertex count")
     if n < 1:
         raise ValueError(f"vertex count must be >= 1 (offset {off})")
-    rest = tokens[1:]
     if len(rest) % 2:
         word, off = rest[-1]
         raise ValueError(f"dangling endpoint {word!r} (offset {off})")
     edges = []
     for (a, offa), (b, offb) in zip(rest[::2], rest[1::2]):
-        try:
-            u, v = int(a), int(b)
-        except ValueError:
-            raise ValueError(f"bad endpoint near offset {offa}") from None
+        u, v = _int_token(a, offa, "endpoint"), _int_token(b, offb, "endpoint")
         if not (0 <= u < n):
             raise ValueError(f"vertex {u} out of range (offset {offa})")
         if not (0 <= v < n):

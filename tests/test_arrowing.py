@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from ramseylab.arrowing import (
@@ -16,6 +18,8 @@ from ramseylab.graphs import (
     cycle_graph,
     empty_graph,
     gnp_sample,
+    path_graph,
+    union,
 )
 
 K3 = complete_graph(3)
@@ -29,6 +33,18 @@ def test_is_f_free():
     assert ok  # triangle-free host
     with pytest.raises(ValueError):
         is_f_free([0], complete_graph(3), K3)
+    # a copy with no edge shows at most one colour, so it is monochromatic,
+    # as the NAE system and the oracle count it
+    hosts = [complete_graph(1), complete_graph(2), complete_graph(3), Graph(3, [(0, 1)])]
+    verdicts = set()
+    for F in (path_graph(1), empty_graph(2)):
+        for G in hosts:
+            verdicts.add(free := brute_force_arrow(G, F).verdict == "not_arrows")
+            for coloring in product((0, 1), repeat=G.num_edges()):
+                assert is_f_free(list(coloring), G, F)[0] == free
+    assert verdicts == {True, False}
+    ok, copy = is_f_free([0, 0, 0], K3, path_graph(1))
+    assert not ok and copy.edges == frozenset()
 
 
 def test_two_five_cycles_colouring():
@@ -96,9 +112,7 @@ def test_union_statistics():
     addition = Graph(6, [(i, 5) for i in range(5)])
     res = decide_arrow_union(Z, addition, K3)
     assert res.arrows
-    assert res.stats["copies_in_base"] == 10
-    assert res.stats["copies_in_addition"] == 0
-    assert res.stats["copies_mixed"] == 10
+    assert res.stats == decide_arrow(union(Z, addition), K3).stats
     assert decide_arrow_union(empty_graph(4), empty_graph(4), K3).verdict == "not_arrows"
 
 

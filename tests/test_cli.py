@@ -3,13 +3,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import ceil
 from pathlib import Path
 
 from instances import two_block_host
 
 import ramseylab
 from ramseylab.cli import _finite, _float_list, build_parser, main
-from ramseylab.graphs import Seed, gnp_sample, serialize_graph
+from ramseylab.counting import check_T
+from ramseylab.density import classify
+from ramseylab.graphs import Seed, gnp_sample, parse_graph, pattern_by_name, serialize_graph
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +89,8 @@ def test_sample_deterministic(capsys):
 
 def test_invalid_inputs_exit_2(capsys):
     assert main(["pattern", "Q9"]) == 2
+    assert main(["pattern", "K1-e"]) == 2  # K1 has no edge to remove
+    assert main(["arrows", "--host", "K4", "--pattern", "K1-e"]) == 2
     assert main(["sample", "--n", "5", "--p", "1.5"]) == 2
     capsys.readouterr()
 
@@ -438,6 +444,24 @@ def test_tprop_and_regularity(tmp_path, capsys):
                          "--partition", str(part), "--d", "0.5", "--eps", "0.3")
     assert code == 0
     assert art["result"]["edges"] == [[0, 1]]
+
+
+def test_tprop_adversarial_search(tmp_path, capsys):
+    # without --subgraph, tprop searches for the worst subgraph at the
+    # density floor and serialises it
+    G = gnp_sample(10, 0.5, Seed(3))
+    host = tmp_path / "host.txt"
+    host.write_text(serialize_graph(G))
+    code, art = run_json(capsys, "tprop", "--pattern", "K3", "--host", str(host),
+                         "--lambda", "1/2", "--eta", "1/1000", "--search-budget", "20",
+                         "--seed", "1")
+    assert code == 0
+    r = art["result"]
+    worst = parse_graph(r["worst_subgraph"])
+    assert worst.n == G.n and set(worst.edges) <= set(G.edges)
+    assert worst.num_edges() == ceil(G.num_edges() / 2)
+    check = check_T(classify(pattern_by_name("K3")), G, worst, Fraction(1, 2), Fraction(1, 1000))
+    assert r["basegraph_copies"] == check["basegraph_copies"]
 
 
 def test_booster_subcommand(capsys):

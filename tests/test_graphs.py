@@ -127,9 +127,14 @@ def test_parse_errors_carry_offsets():
                          (">>graph6<<B" + chr(200), 11), ("\n >>graph6<<B" + chr(200), 13),
                          (">>graph6<<", 10), ("  >>graph6<<", 12), (" ~~", 1),
                          (">>graph6<<~?" + chr(200) + "?", 12), (" ?", 1),
-                         ("  B ", 3), ("  BWW", 4), ("  3\n0", 4)):
+                         ("  B ", 3), ("  BWW", 4), ("  3\n0", 4),
+                         # edge lists: the offending token's own offset
+                         ("3\n0 x", 4), ("3\ny 0", 2), ("3\n5 0", 2), ("3\n0 1\n2 2", 6),
+                         ("0", 0), (" -2\n", 1)):
         with pytest.raises(ValueError, match=rf"offset {offset}\)"):
             parse_graph(text)
+    with pytest.raises(ValueError, match=r"bad endpoint 'x' \(offset 4\)"):
+        parse_graph("3\n0 x")  # the bad token itself, not the pair's first
 
 
 def test_named_patterns():
@@ -140,6 +145,8 @@ def test_named_patterns():
     assert k4e.n == 4 and k4e.num_edges() == 5
     with pytest.raises(ValueError):
         pattern_by_name("Q3")
+    with pytest.raises(ValueError, match="K1-e"):  # K1 has no edge to remove
+        pattern_by_name("K1-e")
 
 
 @st.composite
