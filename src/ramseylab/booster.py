@@ -726,12 +726,12 @@ def hypergraph_stats(H, tau):
     tau = Fraction(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    ell = H.uniformity()
+    ell = H.uniformity()  # None for a hypergraph with no edges
     if ell is None:
         raise ValueError("statistics need a uniform (profiled) hypergraph")
     m = H.m
     e = len(H.edges)
-    if ell * e == 0:  # so m > 0: some hyperedge holds a vertex
+    if ell == 0:  # so m > 0: some hyperedge holds a vertex
         raise ValueError("zero average degree")
     d = Fraction(ell * e, m)
 

@@ -384,15 +384,13 @@ def _run(ns):
         fam = enumerate_copies(_load_graph(ns.pattern), _load_graph(ns.host))
         return janson_bound(fam, ns.q), EXIT_OK
 
-    if cmd == "constants":
-        B = _load_graph(ns.booster) if ns.booster else ns.booster_vertices
-        chain = derive_proof_constants(
-            _load_graph(ns.pattern), B=B, D=ns.D, C0=ns.C0, C1=ns.C1, lam=ns.lam,
-            rho=ns.rho, c0=ns.c0, xi_cl=ns.xi_cl, eps_cl=ns.eps_cl, T0=ns.T0,
-            ell=ns.ell)
-        return chain.to_record(), EXIT_OK
-
-    raise CliError(f"unknown command {cmd!r}")
+    # the one subcommand left, "constants": argparse admits no unknown one
+    B = _load_graph(ns.booster) if ns.booster else ns.booster_vertices
+    chain = derive_proof_constants(
+        _load_graph(ns.pattern), B=B, D=ns.D, C0=ns.C0, C1=ns.C1, lam=ns.lam,
+        rho=ns.rho, c0=ns.c0, xi_cl=ns.xi_cl, eps_cl=ns.eps_cl, T0=ns.T0,
+        ell=ns.ell)
+    return chain.to_record(), EXIT_OK
 
 
 def _threshold_csv(curve):
@@ -434,7 +432,7 @@ def main(argv=None):
             sys.stdout.write(text)
     except SystemExit as exc:  # argparse printed its usage error (2) or --help (0)
         return exc.code
-    except (CliError, AllUndecided, ValueError, OverflowError, OSError, KeyError) as exc:
+    except (CliError, AllUndecided, ValueError, OverflowError, OSError) as exc:
         # OverflowError: an exact rational too large for the float a record holds
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, AllUndecided) else EXIT_BAD_INPUT

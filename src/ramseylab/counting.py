@@ -57,8 +57,8 @@ from math import ceil, comb, prod
 
 import numpy as np
 
-from .density import _check_cap
-from .graphs import Graph, Seed, _float, edge_count_between
+from .density import _check_cap, _check_roots
+from .graphs import Graph, Seed, _float, _is_id, _vertex_mask, edge_count_between
 
 
 def _norm(u, v):
@@ -66,11 +66,12 @@ def _norm(u, v):
 
 
 def _host_pair(n, e, name=""):
-    """`e` normalised, once checked to be two distinct vertex ids below n."""
-    u, v = e
-    if not (0 <= u < n and 0 <= v < n and u != v):
-        raise ValueError(f"{name}({u}, {v}) is not a pair of distinct host vertices")
-    return _norm(u, v)
+    """`e` normalised, once checked to be two distinct vertex ids below n
+    (`_is_id`): the one check of every host pair a caller names."""
+    if not (isinstance(e, (tuple, list)) and len(e) == 2
+            and _is_id(e[0], n) and _is_id(e[1], n) and e[0] != e[1]):
+        raise ValueError(f"{name}{e!r} is not a pair of distinct host vertices")
+    return _norm(*e)
 
 
 @cache
@@ -119,7 +120,7 @@ def _search(adj, plan, dom, injective=True):
     order, back, smaller = plan
     k = len(order)
     if k < 2:  # no position before the last
-        yield from [(v,) for v in range(dom[0].bit_length()) if dom[0] >> v & 1] if k else [()]
+        yield from ((v,) for v in range(dom[0].bit_length()) if dom[0] >> v & 1)
         return
     img = [0] * k
     cand = [0] * k
@@ -307,8 +308,6 @@ def _copy_array(F, adj):
     if k > n:
         return np.empty((0, k), np.intp)
     _check_cap(F)
-    if not k:
-        return np.empty((1, 0), np.intp)  # the one empty map
     order, back, smaller = _breaking(F, ())
     pos = {x: i for i, x in enumerate(order)}
     words = -(-n // 64)
@@ -447,7 +446,7 @@ def count_f_minus(F, Z):
 
 def count_f_minus_through(F, Z, e):
     """Copies of one-edge-deleted members that contain the edge e of Z."""
-    e = _norm(*e)
+    e = _host_pair(Z.n, e, "anchor ")
     if e not in Z._index:
         raise ValueError(f"anchor {e} is not an edge of the host")
     return sum(len(_anchored_copies(M, Z.adj, [e])) for M in f_minus_members(F))
@@ -586,22 +585,19 @@ def extension_count(roots, H, host_roots, G):
     """Number of ordered (R,H)-extension tuples of host_roots in G.
 
     Only root-to-extension and extension-internal edges of H are
-    required; edges inside the root set impose nothing.
+    required; edges inside the root set impose nothing.  Refuses pattern
+    roots as `density.rooted_density` does, host roots that repeat or are
+    not vertex ids of G (`graphs._is_id`), and root lists of unequal length.
     """
     R = list(roots)
     X = list(host_roots)
     if len(R) != len(X):
         raise ValueError("root lists must have equal length")
+    _check_roots(R, H)
+    _vertex_mask(X, G.n, "host root")
     if len(set(X)) != len(X):
         raise ValueError("repeated host roots")
     rset = set(R)
-    if len(rset) != len(R):
-        raise ValueError("repeated pattern roots")
-    if not rset < set(range(H.n)):
-        raise ValueError("roots must form a proper subset of V(H)")
-    for x in X:
-        if not 0 <= x < G.n:
-            raise ValueError(f"host root {x} out of range")
     inner = [(u, v) for u, v in H.edges if u in rset and v in rset]
     return sum(1 for _ in embeddings(H, G, pin=dict(zip(R, X)), loose=inner))
 

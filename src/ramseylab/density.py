@@ -175,8 +175,6 @@ def classify(F):
 
 def edge_density(B):
     """m(B) = e(B)/v(B)."""
-    if B.n < 1:
-        raise ValueError("graph needs at least one vertex")
     return Fraction(B.num_edges(), B.n)
 
 

@@ -204,6 +204,7 @@ def threshold_curve(F, n, c_values, trials, seed=None, budget=None, verdict_fn=N
     points = []
     for i, c in enumerate(c_values):
         p = c * n ** (-float(exponent))
+        # max: c = -0.0 passes the c >= 0 check, and its p = -0.0 is recorded as 0.0
         est = estimate_arrow_probability(F, n, min(1.0, max(0.0, p)), trials,
                                          seed.substream(i), budget=budget, verdict_fn=verdict_fn)
         points.append({**est, "c": c, "p_clamped": p > 1.0})
@@ -452,33 +453,18 @@ def _digits(x):
     return int(x.bit_length() * 0.30103) + 1  # estimate; only gates rendering
 
 
-def bipartition_sizes(profile):
-    """Class sizes (a, b) of the bipartite part, both witness endpoints
-    steered into class A when a bipartition allows it."""
-    F = profile.pattern
-    e = profile.nearly_bipartite_witness
-    if e is None:
-        raise ValueError("pattern is not nearly bipartite")
-    Fp = F.without_edges([e])
-    flag, colour = is_bipartite(Fp)
-    if not flag:
-        raise AssertionError("witness edge did not leave a bipartite graph")
-    a1, a2 = e
-    side = list(colour)
-    # a2's component, flipped whole when it is not a1's and that brings a2
-    # into the class of a1
-    comp, stack = {a2}, [a2]
-    while stack:
-        for w in Fp.neighbours(stack.pop()):
-            if w not in comp:
-                comp.add(w)
-                stack.append(w)
-    if a1 not in comp and side[a2] != side[a1]:
-        for v in comp:
-            side[v] = 1 - side[v]
-    split = side[a1] != side[a2]
-    A = sum(1 for v in range(F.n) if side[v] == side[a1])
-    return A, F.n - A, split
+def _bipartition_sizes(profile):
+    """(a, b, split) of a strictly balanced, nearly bipartite pattern F with
+    witness edge e: the class sizes of F - e, a for the class of e's first
+    end, and whether e's ends lie in different classes.
+
+    Such an F has no bridge, so F - e is connected and its 2-colouring is
+    unique up to a swap of the classes: the sizes and the split depend on
+    no choice."""
+    a1, a2 = profile.nearly_bipartite_witness
+    _, colour = is_bipartite(profile.pattern.without_edges([(a1, a2)]))
+    A = colour.count(colour[a1])
+    return A, len(colour) - A, colour[a1] != colour[a2]
 
 
 def derive_proof_constants(
@@ -568,7 +554,7 @@ def derive_proof_constants(
         chain.tau_exponent = -chain.delta / (4 * (ell - 1))
 
     if prof.nearly_bipartite:
-        a, b, split = bipartition_sizes(prof)
+        a, b, split = _bipartition_sizes(prof)
         chain.a, chain.b, chain.endpoints_split = a, b, split
         if C0 is not None:
             C0f = Fraction(C0)

@@ -212,23 +212,25 @@ def _float(x, name):
         raise ValueError(f"{name} is out of range: a value derived from it overflows a float")
 
 
+def _vertex_mask(vs, n, what="vertex"):
+    """The bitmask of the vertices `vs`, once each is checked with `_is_id`
+    to be a vertex id below n."""
+    mask = 0
+    for v in vs:
+        if not _is_id(v, n):
+            raise ValueError(f"{what} {v!r} is not a vertex id in 0..{n - 1}")
+        mask |= 1 << v
+    return mask
+
+
 def edge_count_between(g, U, W=None):
-    """e_G(U) for one set, e_G(U,W) across two disjoint sets."""
-    Umask = 0
-    for v in U:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        Umask |= 1 << v
+    """e_G(U) for one set, e_G(U,W) across two disjoint sets.  Refuses a
+    member of U or W that is not a vertex id of g (`_is_id`: an integer
+    in 0..n-1, not a float or a bool), and sets U and W that meet."""
+    Umask = _vertex_mask(U, g.n)
     if W is None:
-        total = 0
-        for v in U:
-            total += bin(g.adj[v] & Umask).count("1")
-        return total // 2
-    Wmask = 0
-    for v in W:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        Wmask |= 1 << v
+        return sum(bin(g.adj[v] & Umask).count("1") for v in U) // 2
+    Wmask = _vertex_mask(W, g.n)
     if Umask & Wmask:
         raise ValueError("U and W must be disjoint")
     return sum(bin(g.adj[v] & Wmask).count("1") for v in U)
@@ -278,9 +280,9 @@ def _parse_edgelist(text):
     edges = []
     for (a, offa), (b, offb) in zip(rest[::2], rest[1::2]):
         u, v = _int_token(a, offa, "endpoint"), _int_token(b, offb, "endpoint")
-        if not (0 <= u < n):
+        if not _is_id(u, n):
             raise ValueError(f"vertex {u} out of range (offset {offa})")
-        if not (0 <= v < n):
+        if not _is_id(v, n):
             raise ValueError(f"vertex {v} out of range (offset {offb})")
         if u == v:
             raise ValueError(f"loop at vertex {u} (offset {offa})")

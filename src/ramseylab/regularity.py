@@ -12,18 +12,17 @@ from itertools import combinations
 from math import ceil
 
 from .counting import _norm, _plan, _search
-from .graphs import Seed, _is_id, edge_count_between
+from .graphs import Seed, _is_id, _vertex_mask, edge_count_between
 
 EXACT_REGULARITY_CAP = 16
 
 
 def pair_density(H, p, X, Y):
-    """d_{H,p}(X,Y) = e(X,Y) / (p |X| |Y|)."""
+    """d_{H,p}(X,Y) = e(X,Y) / (p |X| |Y|).  X and Y are checked as
+    `graphs.edge_count_between` checks U and W."""
     X, Y = list(X), list(Y)
     if not X or not Y:
         raise ValueError("X and Y must be nonempty")
-    if set(X) & set(Y):
-        raise ValueError("X and Y must be disjoint")
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
     return edge_count_between(H, X, Y) / (p * len(X) * len(Y))
@@ -50,8 +49,8 @@ def is_eps_p_regular(H, p, X, Y, eps, mode="exact", seed=None, samples=10_000):
     random qualifying pairs and can only refute.
     """
     _check_eps(eps)
+    base = pair_density(H, p, X, Y)  # checks X and Y before they are sorted
     X, Y = sorted(X), sorted(Y)
-    base = pair_density(H, p, X, Y)
     min_x = ceil(eps * len(X))
     min_y = ceil(eps * len(Y))
     min_x, min_y = max(min_x, 1), max(min_y, 1)
@@ -110,21 +109,24 @@ class ReducedGraph:
     pair_reports: dict
 
 
-def reduced_graph(H, p, partition, d, eps, mode="exact", seed=None):
-    """Reduced graph: class pairs that are regular with scaled density >= d.
-    The partition is a list of vertex lists of H."""
-    _check_eps(eps)
+def _class_masks(H, partition):
+    """The vertex mask of each class of `partition`, once it is checked to
+    be a list of vertex lists of H (`graphs._is_id`) that share no vertex:
+    the one partition check of `reduced_graph` and `counting_lemma_check`."""
     if not isinstance(partition, (list, tuple)) or not all(
             isinstance(c, (list, tuple)) for c in partition):
         raise ValueError("the partition must be a list of vertex lists")
-    seen = set()
-    for cls in partition:
-        for v in cls:
-            if not _is_id(v, H.n):
-                raise ValueError(f"partition vertex {v!r} is not a vertex of the host")
-            if v in seen:
-                raise ValueError("partition classes overlap")
-            seen.add(v)
+    masks = [_vertex_mask(cls, H.n, "partition vertex") for cls in partition]
+    if sum(map(len, partition)) != len(set().union(*partition)):
+        raise ValueError("partition classes overlap")
+    return masks
+
+
+def reduced_graph(H, p, partition, d, eps, mode="exact", seed=None):
+    """Reduced graph: class pairs that are regular with scaled density >= d.
+    The partition is a list of vertex lists of H (`_class_masks`)."""
+    _check_eps(eps)
+    _class_masks(H, partition)
     edges = []
     reports = {}
     seed = seed or Seed()
@@ -145,16 +147,19 @@ def counting_lemma_check(Fp, classes_of, H, partition, p, d, eps, xi):
     and compare with the lower bound xi * p^{e(F)} * prod |V_i|.
 
     `classes_of[v]` names the partition class of pattern vertex v.  The
-    regularity of the designated pairs is the caller's claim.
+    regularity of the designated pairs is the caller's claim.  Refuses a
+    partition that `reduced_graph` refuses (`_class_masks`), a `classes_of`
+    that does not name one class index (`graphs._is_id`) per pattern
+    vertex, and adjacent pattern vertices in one class.
     """
-    t = len(partition)
-    if any(not 0 <= classes_of[v] < t for v in range(Fp.n)):
-        raise ValueError("pattern class out of range")
+    class_masks = _class_masks(H, partition)
+    if len(classes_of) != Fp.n or not all(_is_id(c, len(partition)) for c in classes_of):
+        raise ValueError(f"classes_of must name a class in 0..{len(partition) - 1} "
+                         f"for each of the {Fp.n} pattern vertices")
     for u, v in Fp.edges:
         if classes_of[u] == classes_of[v]:
             raise ValueError("adjacent pattern vertices must sit in different classes")
 
-    class_masks = [sum(1 << x for x in cls) for cls in partition]
     plan = _plan(Fp, ())
     dom = [class_masks[classes_of[v]] for v in plan[0]]
     count = sum(1 for _ in _search(H.adj, plan, dom, injective=False))
@@ -173,21 +178,25 @@ def fstar_overlap_count(Fstar, a1, a2, G, W):
     """Copies of Fstar meeting W exactly in the images of the two marked
     (non-adjacent) vertices.  The probabilistic bound at edge probability
     p is bound_coefficient * p ** bound_p_exponent; it is reported, not
-    asserted."""
+    asserted.  Refuses marked vertices that are not two distinct,
+    non-adjacent vertex ids of Fstar, and a member of W that is not a
+    vertex id of G (`graphs._is_id`)."""
+    if not (_is_id(a1, Fstar.n) and _is_id(a2, Fstar.n)):
+        raise ValueError(f"marked vertices {a1!r}, {a2!r} are not vertex ids of the pattern")
     if a1 == a2:
         raise ValueError("the two marked vertices must be distinct")
     if Fstar.has_edge(a1, a2):
         raise ValueError("marked vertices must be non-adjacent in the pattern")
     # pin the marked vertices to ordered pairs of W, every other vertex outside W
-    W = set(W)
-    inside = sorted(w for w in W if 0 <= w < G.n)
+    Wmask = _vertex_mask(W, G.n, "W vertex")
+    inside = [w for w in range(G.n) if Wmask >> w & 1]
     plan = _plan(Fstar, (a1, a2))
-    outside = [((1 << G.n) - 1) & ~sum(1 << w for w in inside)] * (Fstar.n - 2)
+    outside = [((1 << G.n) - 1) & ~Wmask] * (Fstar.n - 2)
     maps = (m for w1 in inside for w2 in inside if w1 != w2
             for m in _search(G.adj, plan, [1 << w1, 1 << w2] + outside))
     return {
         "count": len({(frozenset(m), frozenset(_norm(m[u], m[v]) for u, v in Fstar.edges))
                       for m in maps}),
-        "bound_coefficient": 2 * G.n ** (Fstar.n - 2) * len(W) ** 2,
+        "bound_coefficient": 2 * G.n ** (Fstar.n - 2) * len(inside) ** 2,
         "bound_p_exponent": Fstar.num_edges(),
     }

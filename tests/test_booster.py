@@ -8,6 +8,7 @@ import pytest
 from ramseylab.arrowing import decide_arrow
 from ramseylab.counting import _norm, enumerate_copies
 from ramseylab.booster import (
+    BoosterSpec,
     Hypergraph,
     activated_set,
     alpha_tilde,
@@ -154,8 +155,12 @@ def test_activated_set_fixture_and_errors():
     assert A and A <= members
     assert A & members  # hits the unique hyperedge
     assert activated_set(Z, [], spec, K3, phi) == set()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="phi is not F-free on Z"):
         activated_set(Z, [h], spec, K3, [0] * Z.num_edges())  # monochromatic phi
+    with pytest.raises(ValueError, match="sigma is not F-free on B"):
+        activated_set(Z, [], BoosterSpec(complete_graph(3), (0, 0, 0)), K3, phi)
+    with pytest.raises(ValueError, match="embedding shares an edge with Z"):
+        activated_set(Z, [(0, 1, 2, 3, 4, 5)], spec, K3, phi)  # the star's centre on 0
 
 
 def test_fact_hitting_and_agreement_smoke():
@@ -393,6 +398,9 @@ def test_normal_family_rejects_a_delta_outside_its_range():
             construct_normal_family(Z, spec, K3, params, seed=Seed(12))
     params = dict(D=4, delta=Fraction(1, 2), p=0.5, alpha=Fraction(1, 4))
     assert construct_normal_family(Z, spec, K3, params, seed=Seed(12))[1]["psi1"] == 1
+    for D in (float("nan"), float("inf")):  # refused before delta is read
+        with pytest.raises(ValueError, match="D must be finite"):
+            construct_normal_family(Z, spec, K3, {**params, "D": D})
     # P3 has m2 = 1, which leaves no delta at all
     P3 = path_graph(3)
     params = dict(D=4, delta=Fraction(1, 12), p=0.5, alpha=Fraction(1, 4))

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -189,6 +190,14 @@ def test_degenerate_parameters_exit_2(capsys, tmp_path):
         ["--config", written("cfg-str.json", "x"), "pattern", "K3"],
         *(["cores", "--hypergraph", h] for h in hypergraphs),
         *(["hstats", "--hypergraph", h, "--tau", "1/2"] for h in hypergraphs),
+        # one empty hyperedge: 0-uniform, so zero average degree
+        ["hstats", "--hypergraph", written("empty.json", {"m": 3, "edges": [[]]}),
+         "--tau", "1/2"],
+        # a flag value that is no rational or no number
+        ["hstats", "--hypergraph", written("one.json", {"m": 2, "edges": [[0, 1]]}),
+         "--tau", "1/0"],
+        ["sample", "--n", "5", "--p", "abc"],
+        ["--format", "csv", "pattern", "K3"],  # csv is the threshold command's alone
         regularity + ["--partition", written("x.json", [[0, 1, "x"], [3, 4, 5]]),
                       "--eps", "0.3"],
         regularity + ["--partition", written("dict.json", {"a": 1}), "--eps", "0.3"],
@@ -419,6 +428,38 @@ def test_hstats_and_cores_roundtrip(tmp_path, capsys):
     assert code == 0
     assert sorted(art["result"]["cores"]) == [[0], [1]]
     assert art["result"]["verification"]["c3_ok"]
+    # an empty hyperedge cannot be hit, so there are no cores
+    hpath.write_text(json.dumps({"m": 3, "edges": [[]]}))
+    code, art = run_json(capsys, "cores", "--hypergraph", str(hpath))
+    assert code == 0
+    assert art["result"]["cores"] == art["result"]["containers"] == []
+
+
+def test_out_writes_the_artifact_and_nothing_to_stdout(tmp_path, capsys):
+    path = tmp_path / "art.json"
+    code, out = run_cli(capsys, "--out", str(path), "pattern", "K3")
+    assert code == 0 and out == ""
+    _, art = run_json(capsys, "pattern", "K3")
+    written = json.loads(path.read_text())
+    assert {**written, "timestamp": 0} == {**art, "timestamp": 0}
+
+
+def test_dash_reads_a_graph_from_stdin(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_graph(pattern_by_name("C5"))))
+    code, art = run_json(capsys, "pattern", "-")
+    _, named = run_json(capsys, "pattern", "C5")
+    assert code == 0 and art["result"] == named["result"]
+
+
+def test_config_false_and_null_values_are_skipped(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"certificate": False, "cnf_out": None}))
+    arrows = ["arrows", "--host", "K5", "--pattern", "K3"]
+    code, from_config = run_json(capsys, "--config", str(cfg), *arrows)
+    _, plain = run_json(capsys, *arrows)
+    assert code == 0 and "certificate" not in from_config["result"]
+    assert from_config["result"] == plain["result"]
+    assert from_config["run_config"] == plain["run_config"]
 
 
 def test_basegraph_and_janson(tmp_path, capsys):

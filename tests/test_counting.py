@@ -27,11 +27,13 @@ from ramseylab.graphs import (
     Seed,
     complete_graph,
     cycle_graph,
+    edge_count_between,
     empty_graph,
     gnp_sample,
     path_graph,
     pattern_by_name,
 )
+from ramseylab.regularity import is_eps_p_regular
 
 from oracles import (
     naive_base_graph_pairs,
@@ -88,6 +90,8 @@ def test_f_minus_fixtures():
     assert count_f_minus(K3, complete_graph(4)) == 12
     assert count_f_minus_through(K3, path_graph(3), (0, 1)) == 1
     assert count_f_minus_through(K3, path_graph(3), (1, 2)) == 1
+    with pytest.raises(ValueError, match="pattern needs at least one edge"):
+        f_minus_members(Graph(3, []))
     with pytest.raises(ValueError):
         count_f_minus_through(K3, path_graph(3), (0, 2))
     assert len(f_minus_members(C4)) == 1  # all edge deletions isomorphic
@@ -186,6 +190,30 @@ def test_extension_count_examples():
         extension_count([0, 1, 2], complete_graph(3), [0, 1, 2], complete_graph(5))
     with pytest.raises(ValueError):
         extension_count([0, 1], k3e, [2, 2], complete_graph(5))
+
+
+def test_vertex_ids_are_integers_not_floats_or_bools():
+    # every entry point reads a vertex id as graphs._is_id does: a float or
+    # a bool is refused with a ValueError, never a TypeError or a silent 1
+    k3e, k6 = complete_graph(3).without_edges([(0, 1)]), complete_graph(6)
+    for bad in (1.0, 1.5, True):
+        calls = [lambda: extension_count([0, 1], k3e, [0, bad], k6),
+                 lambda: extension_count([0, bad], k3e, [0, 1], k6),
+                 lambda: edge_count_between(k6, [0, bad]),
+                 lambda: edge_count_between(k6, [0], [bad, 2]),
+                 lambda: is_eps_p_regular(k6, 0.5, [0, bad], [2, 3], 0.5),
+                 lambda: is_eps_p_regular(k6, 0.5, [0, 4], [2, bad], 0.5),
+                 lambda: enumerate_copies(K3, k6, anchor=(0, bad)),
+                 lambda: count_P(K3, k6, (0, bad), (2, 3)),
+                 lambda: count_P(K3, k6, (0, 2), (bad, 3)),
+                 lambda: count_f_minus_through(K3, k6, (bad, 2))]
+        for call in calls:
+            with pytest.raises(ValueError, match=repr(bad)):
+                call()
+    # a host pair is two ids, not one id or three
+    for bad in (5, (0, 1, 2), [0]):
+        with pytest.raises(ValueError, match="is not a pair of distinct host vertices"):
+            enumerate_copies(K3, k6, anchor=bad)
 
 
 def test_extension_count_falling_factorial_in_complete_host():

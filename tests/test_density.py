@@ -78,6 +78,8 @@ def test_classify_fixtures():
     # bipartite patterns with >= 2 edges are nearly bipartite
     assert classify(cycle_graph(4)).nearly_bipartite
     assert classify(path_graph(3)).nearly_bipartite
+    with pytest.raises(ValueError, match="classify needs at least one edge"):
+        classify(Graph(3, []))
 
 
 def test_classify_and_mad_witnesses_are_first_maximisers():

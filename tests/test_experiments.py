@@ -16,8 +16,8 @@ from ramseylab.arrowing import (
 )
 from ramseylab.counting import enumerate_copies
 from ramseylab.experiments import (
+    _bipartition_sizes,
     _edge_pairs,
-    bipartition_sizes,
     derive_proof_constants,
     estimate_arrow_probability,
     hitting_constant,
@@ -260,6 +260,9 @@ def test_threshold_curve_rejects_a_negative_c():
         threshold_curve(K3, 10, [-1.0, 2.0], trials=2, seed=Seed(7), verdict_fn=never)
     curve = threshold_curve(K3, 10, [0.0, 2.0], trials=2, seed=Seed(7), verdict_fn=never)
     assert [pt["c"] for pt in curve["points"]] == [0.0, 2.0]
+    # c = -0.0 passes the check; its p is recorded as 0.0, not -0.0
+    curve = threshold_curve(K3, 10, [-0.0], trials=2, seed=Seed(7), verdict_fn=never)
+    assert math.copysign(1.0, curve["points"][0]["p"]) == 1.0
 
 
 def test_z_property_rates_quick():
@@ -450,11 +453,37 @@ def test_constant_chain_partial_inputs():
 
 
 def test_bipartition_sizes():
-    assert bipartition_sizes(classify(K3))[:2] == (2, 1)
-    a, b, split = bipartition_sizes(classify(cycle_graph(5)))
+    assert _bipartition_sizes(classify(K3))[:2] == (2, 1)
+    a, b, split = _bipartition_sizes(classify(cycle_graph(5)))
     assert (a, b) == (3, 2) and not split
-    a, b, split = bipartition_sizes(classify(cycle_graph(4)))
+    a, b, split = _bipartition_sizes(classify(cycle_graph(4)))
     assert a + b == 4 and split  # even cycles cannot co-locate the endpoints
+
+
+def test_witness_edge_of_a_strictly_balanced_pattern_is_no_bridge():
+    # _bipartition_sizes reads one 2-colouring of F - e, which is the only
+    # one up to a swap when F - e is connected.  For F strictly balanced a
+    # bridge would make d2(F) a mediant of the d2 of its two sides (or of
+    # one side and d2(K2) = 1), so no larger than both: on every labelled
+    # graph on at most 5 vertices, the witness edge leaves F connected
+    checked = 0
+    for n in range(2, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1, 1 << len(pairs)):
+            F = Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            prof = classify(F)
+            if not (prof.strictly_balanced and prof.nearly_bipartite):
+                continue
+            rest = F.without_edges([prof.nearly_bipartite_witness])
+            reached, stack = {0}, [0]
+            while stack:
+                for w in rest.neighbours(stack.pop()):
+                    if w not in reached:
+                        reached.add(w)
+                        stack.append(w)
+            assert len(reached) == n, F.edges
+            checked += 1
+    assert checked == 1 + 3 + 12 + 10  # the labelled K3, C4, C5 and K2,3
 
 
 def test_window_trend_summary():

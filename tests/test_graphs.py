@@ -100,6 +100,8 @@ def test_edgelist_round_trip():
     text = serialize_graph(g)
     assert parse_graph(text) == g
     assert serialize_graph(parse_graph(text)) == text
+    with pytest.raises(ValueError, match="unknown format 'dot'"):
+        serialize_graph(g, "dot")
 
 
 def test_graph6_fixtures_and_round_trip():
@@ -130,7 +132,9 @@ def test_parse_errors_carry_offsets():
                          ("  B ", 3), ("  BWW", 4), ("  3\n0", 4),
                          # edge lists: the offending token's own offset
                          ("3\n0 x", 4), ("3\ny 0", 2), ("3\n5 0", 2), ("3\n0 1\n2 2", 6),
-                         ("0", 0), (" -2\n", 1)):
+                         ("0", 0), (" -2\n", 1),
+                         # a size field cut short, a first byte outside ? .. }
+                         ("~AB", 3), (" ~A", 3), ("!", 0), ("  " + chr(200), 2)):
         with pytest.raises(ValueError, match=rf"offset {offset}\)"):
             parse_graph(text)
     with pytest.raises(ValueError, match=r"bad endpoint 'x' \(offset 4\)"):

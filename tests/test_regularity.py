@@ -146,6 +146,22 @@ def test_counting_lemma_fixtures():
     with pytest.raises(ValueError):
         counting_lemma_check(path_graph(2), [0, 0], full,
                              [[0, 1, 2, 3], [4, 5, 6, 7]], 1.0, 0.5, 0.1, 1.0)
+    # the partitions reduced_graph refuses: a vertex outside the host, and
+    # classes that share a vertex
+    K6 = complete_graph(6)
+    for partition, message in (([[0, 1], [2, 9]], "partition vertex 9 is not a vertex id"),
+                               ([[0, 1], [1, 2]], "partition classes overlap"),
+                               ([[0, 1], [2, 2.0]], "partition vertex 2.0"),
+                               ([[0, 1], [2, True]], "partition vertex True")):
+        with pytest.raises(ValueError, match=message):
+            counting_lemma_check(path_graph(2), [0, 1], K6, partition, 0.5, 0.1, 0.5, 0.1)
+        with pytest.raises(ValueError, match=message):
+            reduced_graph(K6, 0.5, partition, 0.1, 0.5)
+    # classes_of names one class index per pattern vertex
+    for classes_of in ([0], [0, 1, 1], [0, 2], [0, 1.0], [False, 1]):
+        with pytest.raises(ValueError, match="classes_of must name a class in 0..1"):
+            counting_lemma_check(path_graph(2), classes_of, K6, [[0, 1], [2, 3]],
+                                 0.5, 0.1, 0.5, 0.1)
 
 
 def test_counting_lemma_matches_naive_homomorphisms():
@@ -175,6 +191,18 @@ def test_fstar_overlap():
         fstar_overlap_count(p3, 0, 1, p3, [0, 1])
     with pytest.raises(ValueError):
         fstar_overlap_count(p3, 0, 0, p3, [0, 1])
+    # W holds vertex ids of the host; none is dropped while the bound counts
+    # it.  The paths between 0 and 1 through a middle vertex outside W: 4
+    k6 = complete_graph(6)
+    for W in ([0, 1, 99], [0, -1], [0, 1.0], [True, 2]):
+        with pytest.raises(ValueError, match="W vertex .* is not a vertex id in 0..5"):
+            fstar_overlap_count(p3, 0, 2, k6, W)
+    assert fstar_overlap_count(p3, 0, 2, k6, [0, 1]) == {
+        "count": 4, "bound_coefficient": 2 * 6 * 2**2, "bound_p_exponent": 2}
+    # the marked vertices are vertex ids of the pattern
+    for a1, a2 in ((0, 3), (-1, 2), (0.0, 2), (0, True)):
+        with pytest.raises(ValueError, match="not vertex ids of the pattern"):
+            fstar_overlap_count(p3, a1, a2, k6, [0, 1])
     # random agreement with the oracle
     fstar = Graph(4, [(0, 1), (1, 2), (2, 3)])  # P4, mark its endpoints
     for i in range(15):
