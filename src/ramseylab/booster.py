@@ -51,7 +51,7 @@ from .counting import (
     enumerate_copies,
 )
 from .density import _check_delta
-from .graphs import Graph, Seed, _float, _is_id, _or_pairs, complete_graph, union
+from .graphs import Graph, Seed, _float, _is_id, _or_pairs, _vertex_mask, complete_graph, union
 
 
 # -- booster specification ----------------------------------------------
@@ -681,17 +681,15 @@ def activated_set(Z, Xi, spec, F, phi):
 
 
 class Hypergraph:
-    """Plain hypergraph on vertices 0..m-1 with deduplicated edges."""
+    """Plain hypergraph on vertices 0..m-1; hyperedges are vertex sets, each kept once."""
 
     def __init__(self, m, edges):
         if not _is_id(m, inf):
             raise ValueError(f"vertex count must be an integer >= 0, got {m!r}")
         norm = set()
         for e in edges:
-            for v in e:
-                if not _is_id(v, m):
-                    raise ValueError(f"hyperedge vertex {v!r} is not an integer in 0..{m - 1}")
-            norm.add(tuple(sorted(set(e))))
+            _vertex_mask(e, m, "hyperedge vertex")
+            norm.add(tuple(sorted(e)))
         self.m = m
         self.edges = tuple(sorted(norm))
 
@@ -850,6 +848,9 @@ def verify_core_properties(core_family, H, beta=None, gamma=None):
         report["c2_bound"] = _float(Fraction(beta) * m, "beta")
         report["c2_holds_here"] = all(len(c) >= Fraction(beta) * m for c in core_family.cores)
     if gamma is not None and core_family.cores:
-        report["c1_bound"] = m ** (1 - gamma)
-        report["c1_holds_here"] = log(len(core_family.cores)) <= m ** (1 - gamma)
+        try:
+            report["c1_bound"] = m ** (1 - gamma)
+        except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: m = 0, gamma > 1
+            raise ValueError("gamma is out of range: m ** (1 - gamma) is no finite float") from None
+        report["c1_holds_here"] = log(len(core_family.cores)) <= report["c1_bound"]
     return report

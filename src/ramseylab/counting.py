@@ -587,7 +587,7 @@ def extension_count(roots, H, host_roots, G):
     Only root-to-extension and extension-internal edges of H are
     required; edges inside the root set impose nothing.  Refuses pattern
     roots as `density.rooted_density` does, host roots that repeat or are
-    not vertex ids of G (`graphs._is_id`), and root lists of unequal length.
+    not vertex ids of G (`graphs._vertex_mask`), and root lists of unequal length.
     """
     R = list(roots)
     X = list(host_roots)
@@ -595,8 +595,6 @@ def extension_count(roots, H, host_roots, G):
         raise ValueError("root lists must have equal length")
     _check_roots(R, H)
     _vertex_mask(X, G.n, "host root")
-    if len(set(X)) != len(X):
-        raise ValueError("repeated host roots")
     rset = set(R)
     inner = [(u, v) for u, v in H.edges if u in rset and v in rset]
     return sum(1 for _ in embeddings(H, G, pin=dict(zip(R, X)), loose=inner))

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .graphs import Graph, _is_id, edge_count_between
+from .graphs import Graph, _vertex_mask, edge_count_between
 
 PATTERN_VERTEX_CAP = 10
 
@@ -184,13 +184,9 @@ def booster_admissible(B, F):
 
 
 def _check_roots(R, H):
-    """Reject a root list that repeats a vertex, names anything but a vertex
-    id of H, or holds every vertex of H."""
-    if len(set(R)) != len(R):
-        raise ValueError("repeated roots")
-    for r in R:
-        if not _is_id(r, H.n):
-            raise ValueError(f"root {r!r} out of range 0..{H.n - 1}")
+    """Reject a root list that names anything but a vertex id of H or repeats
+    one (`graphs._vertex_mask`), or that holds every vertex of H."""
+    _vertex_mask(R, H.n, "root")
     if len(R) >= H.n:
         raise ValueError("roots must form a proper subset of V(H)")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, comb, exp, gcd, inf, isfinite, log10, sqrt
 
 import numpy as np
@@ -345,7 +346,7 @@ def z_property_rates(
 
 def janson_bound(copy_family, q):
     """Standard Janson upper bound for "no copy present" at edge
-    probability q: exp(-mu + Delta/2) with exact rational mu, Delta."""
+    probability q: min(1, exp(-mu + Delta/2)) with exact rational mu, Delta."""
     q = Fraction(q)
     if not 0 < q <= 1:
         raise ValueError("q must lie in (0, 1]")
@@ -354,12 +355,10 @@ def janson_bound(copy_family, q):
         return {"mu": Fraction(0), "Delta": Fraction(0), "bound": 1.0, "empty": True,
                 "capped": False}
     mu = sum(q ** len(es) for es in edge_sets)
-    delta = Fraction(0)
-    for i, a in enumerate(edge_sets):
-        for j, b in enumerate(edge_sets):
-            if i != j and a & b:
-                delta += q ** len(a | b)
-    raw = exp(-float(mu) + float(delta) / 2)
+    # Delta sums over ordered pairs of copies sharing an edge: each unordered pair twice
+    delta = 2 * sum((q ** len(a | b) for a, b in combinations(edge_sets, 2) if a & b), Fraction(0))
+    # capped at 1 either way; exp of a large exponent overflows
+    raw = exp(min(-float(mu) + float(delta) / 2, 1.0))
     return {
         "mu": mu,
         "Delta": delta,

@@ -213,20 +213,22 @@ def _float(x, name):
 
 
 def _vertex_mask(vs, n, what="vertex"):
-    """The bitmask of the vertices `vs`, once each is checked with `_is_id`
-    to be a vertex id below n."""
+    """The bitmask of the vertex set `vs` read from outside, once each member
+    is checked to be a vertex id below n (`_is_id`) that appears once."""
     mask = 0
     for v in vs:
         if not _is_id(v, n):
             raise ValueError(f"{what} {v!r} is not a vertex id in 0..{n - 1}")
+        if mask >> v & 1:
+            raise ValueError(f"{what} {v!r} is repeated")
         mask |= 1 << v
     return mask
 
 
 def edge_count_between(g, U, W=None):
     """e_G(U) for one set, e_G(U,W) across two disjoint sets.  Refuses a
-    member of U or W that is not a vertex id of g (`_is_id`: an integer
-    in 0..n-1, not a float or a bool), and sets U and W that meet."""
+    member of U or W that repeats or is not a vertex id of g (`_vertex_mask`:
+    an integer in 0..n-1, not a float or a bool), and sets U and W that meet."""
     Umask = _vertex_mask(U, g.n)
     if W is None:
         return sum(bin(g.adj[v] & Umask).count("1") for v in U) // 2

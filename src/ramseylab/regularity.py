@@ -8,8 +8,10 @@ refuter and never certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import ceil
+from operator import or_
 
 from .counting import _norm, _plan, _search
 from .graphs import Seed, _is_id, _vertex_mask, edge_count_between
@@ -51,9 +53,9 @@ def is_eps_p_regular(H, p, X, Y, eps, mode="exact", seed=None, samples=10_000):
     _check_eps(eps)
     base = pair_density(H, p, X, Y)  # checks X and Y before they are sorted
     X, Y = sorted(X), sorted(Y)
+    # X and Y are nonempty and eps > 0, so each minimum is at least 1
     min_x = ceil(eps * len(X))
     min_y = ceil(eps * len(Y))
-    min_x, min_y = max(min_x, 1), max(min_y, 1)
 
     if mode == "exact":
         if len(X) > EXACT_REGULARITY_CAP or len(Y) > EXACT_REGULARITY_CAP:
@@ -110,21 +112,23 @@ class ReducedGraph:
 
 
 def _class_masks(H, partition):
-    """The vertex mask of each class of `partition`, once it is checked to
-    be a list of vertex lists of H (`graphs._is_id`) that share no vertex:
-    the one partition check of `reduced_graph` and `counting_lemma_check`."""
+    """The vertex mask of each class of `partition`, once it is checked to be
+    a list of nonempty vertex sets of H (`graphs._vertex_mask`) that share no
+    vertex: the one partition check of `reduced_graph` and `counting_lemma_check`."""
     if not isinstance(partition, (list, tuple)) or not all(
             isinstance(c, (list, tuple)) for c in partition):
         raise ValueError("the partition must be a list of vertex lists")
     masks = [_vertex_mask(cls, H.n, "partition vertex") for cls in partition]
-    if sum(map(len, partition)) != len(set().union(*partition)):
+    if 0 in masks:
+        raise ValueError(f"partition class {masks.index(0)} is empty")
+    if sum(masks) != reduce(or_, masks, 0):  # equal iff no vertex is in two classes
         raise ValueError("partition classes overlap")
     return masks
 
 
 def reduced_graph(H, p, partition, d, eps, mode="exact", seed=None):
     """Reduced graph: class pairs that are regular with scaled density >= d.
-    The partition is a list of vertex lists of H (`_class_masks`)."""
+    The partition is a list of nonempty vertex sets of H (`_class_masks`)."""
     _check_eps(eps)
     _class_masks(H, partition)
     edges = []
@@ -148,9 +152,10 @@ def counting_lemma_check(Fp, classes_of, H, partition, p, d, eps, xi):
 
     `classes_of[v]` names the partition class of pattern vertex v.  The
     regularity of the designated pairs is the caller's claim.  Refuses a
-    partition that `reduced_graph` refuses (`_class_masks`), a `classes_of`
-    that does not name one class index (`graphs._is_id`) per pattern
-    vertex, and adjacent pattern vertices in one class.
+    partition that `reduced_graph` refuses (`_class_masks`; an empty class
+    would make the bound 0), a `classes_of` that does not name one class
+    index (`graphs._is_id`) per pattern vertex, and adjacent pattern
+    vertices in one class.
     """
     class_masks = _class_masks(H, partition)
     if len(classes_of) != Fp.n or not all(_is_id(c, len(partition)) for c in classes_of):
@@ -179,12 +184,10 @@ def fstar_overlap_count(Fstar, a1, a2, G, W):
     (non-adjacent) vertices.  The probabilistic bound at edge probability
     p is bound_coefficient * p ** bound_p_exponent; it is reported, not
     asserted.  Refuses marked vertices that are not two distinct,
-    non-adjacent vertex ids of Fstar, and a member of W that is not a
-    vertex id of G (`graphs._is_id`)."""
-    if not (_is_id(a1, Fstar.n) and _is_id(a2, Fstar.n)):
-        raise ValueError(f"marked vertices {a1!r}, {a2!r} are not vertex ids of the pattern")
-    if a1 == a2:
-        raise ValueError("the two marked vertices must be distinct")
+    non-adjacent vertex ids of Fstar, and a W that is not a set of vertex
+    ids of G; both are read through `graphs._vertex_mask`, so a repeated
+    member is refused, not merged."""
+    _vertex_mask((a1, a2), Fstar.n, "marked vertex")
     if Fstar.has_edge(a1, a2):
         raise ValueError("marked vertices must be non-adjacent in the pattern")
     # pin the marked vertices to ordered pairs of W, every other vertex outside W

@@ -269,7 +269,12 @@ def test_ignored_or_opaque_flags_exit_2_naming_the_flag(capsys, tmp_path):
     cases += [(["tprop", "--pattern", "K3", "--host", "K6", "--subgraph", "K6", "--lambda", "1",
                 "--eta", "1e400"], "eta"),
               (["hstats", "--hypergraph", str(square), "--tau", "1e-400"], "tau"),
-              (["cores", "--hypergraph", str(square), "--beta", "1e400"], "beta")]
+              (["cores", "--hypergraph", str(square), "--beta", "1e400"], "beta"),
+              (["cores", "--hypergraph", str(square), "--gamma", "-1000"], "gamma")]
+    # m ** (1 - gamma) at m = 0 and gamma > 1 is no float either
+    nothing = tmp_path / "nothing.json"
+    nothing.write_text(json.dumps({"m": 0, "edges": []}))
+    cases += [(["cores", "--hypergraph", str(nothing), "--gamma", "2"], "gamma")]
     for argv, name in cases:
         code = main(argv)
         out, err = capsys.readouterr()

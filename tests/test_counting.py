@@ -20,7 +20,8 @@ from ramseylab.counting import (
     f_minus_members,
     rho_d_dense_check,
 )
-from ramseylab.density import classify
+from ramseylab.booster import Hypergraph
+from ramseylab.density import classify, mad, rooted_density
 from ramseylab.experiments import janson_bound
 from ramseylab.graphs import (
     Graph,
@@ -33,7 +34,13 @@ from ramseylab.graphs import (
     path_graph,
     pattern_by_name,
 )
-from ramseylab.regularity import is_eps_p_regular
+from ramseylab.regularity import (
+    counting_lemma_check,
+    fstar_overlap_count,
+    is_eps_p_regular,
+    pair_density,
+    reduced_graph,
+)
 
 from oracles import (
     naive_base_graph_pairs,
@@ -214,6 +221,35 @@ def test_vertex_ids_are_integers_not_floats_or_bools():
     for bad in (5, (0, 1, 2), [0]):
         with pytest.raises(ValueError, match="is not a pair of distinct host vertices"):
             enumerate_copies(K3, k6, anchor=bad)
+
+
+_K6, _P2, _P3 = complete_graph(6), path_graph(2), path_graph(3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: edge_count_between(_K6, [0, 1, 1]), "vertex 1 is repeated"),
+    (lambda: edge_count_between(_K6, [0], [2, 2]), "vertex 2 is repeated"),
+    (lambda: pair_density(_K6, 0.5, [0, 0], [1, 2]), "vertex 0 is repeated"),
+    (lambda: is_eps_p_regular(_K6, 0.5, [0, 1], [2, 3, 3], 0.5), "vertex 3 is repeated"),
+    (lambda: rooted_density([0, 0], _P3), "root 0 is repeated"),
+    (lambda: mad([1, 1], _P3), "root 1 is repeated"),
+    (lambda: extension_count([0, 1], _P3, [2, 2], _K6), "host root 2 is repeated"),
+    (lambda: fstar_overlap_count(_P3, 0, 0, _K6, [0, 1]), "marked vertex 0 is repeated"),
+    (lambda: fstar_overlap_count(_P3, 0, 2, _K6, [0, 1, 1]), "W vertex 1 is repeated"),
+    (lambda: reduced_graph(_K6, 0.5, [[0, 1, 1], [2, 3]], 0.1, 0.5),
+     "partition vertex 1 is repeated"),
+    (lambda: counting_lemma_check(_P2, [0, 1], _K6, [[0, 1], [2, 3, 3]], 0.5, 0.1, 0.5, 0.1),
+     "partition vertex 3 is repeated"),
+    (lambda: Hypergraph(4, [[0, 1], [2, 2, 3]]), "hyperedge vertex 2 is repeated"),
+], ids=["edge_count_between", "edge_count_between_W", "pair_density", "is_eps_p_regular",
+        "rooted_density", "mad", "extension_count", "fstar_overlap_count_marked",
+        "fstar_overlap_count_W", "reduced_graph", "counting_lemma_check", "Hypergraph"])
+def test_vertex_sets_refuse_a_repeated_member(call, message):
+    # every vertex set read from outside goes through graphs._vertex_mask,
+    # which names the repeated member: no count, density or bound is taken
+    # over a list that counts one vertex twice, and no member is merged away
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_extension_count_falling_factorial_in_complete_host():

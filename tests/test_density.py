@@ -164,9 +164,9 @@ def test_mad_rejects_roots_outside_the_graph():
     # an id is an integer, not a float or a bool
     for roots in ([0, 9], [4], [-1], [0, -2], [0.5], [True, 2]):
         for f in (rooted_density, mad):
-            with pytest.raises(ValueError, match="out of range"):
+            with pytest.raises(ValueError, match="root .* is not a vertex id in 0..3"):
                 f(roots, c4)
-    with pytest.raises(ValueError, match="repeated roots"):
+    with pytest.raises(ValueError, match="root 0 is repeated"):
         mad([0, 0], c4)
 
 

@@ -398,6 +398,10 @@ def test_janson_fixtures():
     r = janson_bound(enumerate_copies(K3, empty_graph(4)), Fraction(1, 2))
     assert r["empty"] and r["bound"] == 1.0
     assert janson_bound(enumerate_copies(K3, complete_graph(4)), 1)["bound"] <= 1.0
+    # -mu + Delta/2 = -364 + 6006 on the triangles of K14 at q = 1: exp of it
+    # overflows, and the bound is capped at 1
+    r = janson_bound(enumerate_copies(K3, complete_graph(14)), 1)
+    assert (r["mu"], r["Delta"], r["bound"], r["capped"]) == (364, 12012, 1.0, True)
     with pytest.raises(ValueError):
         janson_bound(fam, 0)
 

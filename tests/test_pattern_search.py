@@ -386,7 +386,9 @@ def greedy_classes(F):
 def test_counting_lemma_matches_homomorphisms(G, F, data):
     classes_of = greedy_classes(F)
     t = max(classes_of) + 1
-    owner = data.draw(st.lists(st.integers(0, t - 1), min_size=G.n, max_size=G.n))
+    # no class is empty, as counting_lemma_check asks: vertex i < t seeds class i
+    owner = list(range(t)) + data.draw(
+        st.lists(st.integers(0, t - 1), min_size=G.n - t, max_size=G.n - t))
     partition = [[x for x in range(G.n) if owner[x] == i] for i in range(t)]
     expected = sum(
         all(G.has_edge(xs[u], xs[v]) for u, v in F.edges)

@@ -146,11 +146,13 @@ def test_counting_lemma_fixtures():
     with pytest.raises(ValueError):
         counting_lemma_check(path_graph(2), [0, 0], full,
                              [[0, 1, 2, 3], [4, 5, 6, 7]], 1.0, 0.5, 0.1, 1.0)
-    # the partitions reduced_graph refuses: a vertex outside the host, and
-    # classes that share a vertex
+    # the partitions reduced_graph refuses: a vertex outside the host,
+    # classes that share a vertex, and an empty class (whose bound is 0)
     K6 = complete_graph(6)
     for partition, message in (([[0, 1], [2, 9]], "partition vertex 9 is not a vertex id"),
                                ([[0, 1], [1, 2]], "partition classes overlap"),
+                               ([[0, 1], []], "partition class 1 is empty"),
+                               ([[], [0, 1]], "partition class 0 is empty"),
                                ([[0, 1], [2, 2.0]], "partition vertex 2.0"),
                                ([[0, 1], [2, True]], "partition vertex True")):
         with pytest.raises(ValueError, match=message):
@@ -201,7 +203,7 @@ def test_fstar_overlap():
         "count": 4, "bound_coefficient": 2 * 6 * 2**2, "bound_p_exponent": 2}
     # the marked vertices are vertex ids of the pattern
     for a1, a2 in ((0, 3), (-1, 2), (0.0, 2), (0, True)):
-        with pytest.raises(ValueError, match="not vertex ids of the pattern"):
+        with pytest.raises(ValueError, match="marked vertex .* is not a vertex id in 0..2"):
             fstar_overlap_count(p3, a1, a2, k6, [0, 1])
     # random agreement with the oracle
     fstar = Graph(4, [(0, 1), (1, 2), (2, 3)])  # P4, mark its endpoints
