@@ -50,7 +50,7 @@ print("=" * 72)
 cls4 = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
 host = Graph(12, [(u, v) for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0)]
                   for u in cls4[a] for v in cls4[b]])
-r = counting_lemma_check(cycle_graph(4), [0, 1, 2, 3], host, cls4, 1.0, 0.5, 0.1, 1.0)
+r = counting_lemma_check(cycle_graph(4), [0, 1, 2, 3], host, cls4, 1.0, 1.0)
 print(f"  partite 4-cycles in the complete 4-partite fixture: {r['partite_copies']}")
 print(f"  bound xi * p^4 * prod|V_i| = {r['bound']:.0f}, ratio {r['ratio']:.2f}")
 print()

@@ -238,7 +238,11 @@ def _union_verdict(z_ids, Z, keys, budget, phi=None):
     id), an extension to the added pairs is tried first ("extension" with
     no core, else "core"): only a copy with an added pair can turn
     monochromatic.  Else U is searched whole ("searched"), so "arrows"
-    comes only from that search."""
+    comes only from that search.  Its system is decide_arrow_union's,
+    renumbered and reordered, so a decided verdict is the same; under a
+    node budget the search order differs, so either search may be
+    undecided where the other decides, and the extension may decide a
+    union both would leave undecided."""
     index, m, new = Z._index, Z.num_edges(), {}
     rows = [[index[e] if e in index else new.setdefault(e, m + len(new)) for e in es]
             for _, es in keys]
@@ -402,8 +406,7 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     report["psi2"] = len(psi2)
 
     # stage 3: heavy connected pairs
-    heavy_cap = D / (p * n ** float(delta))
-    heavy = cache(partial(_PairFamily(F, Z).exceeds, cap=heavy_cap))
+    heavy = cache(partial(_PairFamily(F, Z).exceeds, cap=_heavy_cap(D, p, n, delta)))
     psi3 = []
     for h in psi2:
         groups = defaultdict(list)
@@ -447,7 +450,7 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     report["psi4"] = len(psi4)
 
     # stage 6: connection cap, deterministic sequential pass in pool order
-    cap = 1 / (p * n ** (float(delta) / 2))
+    cap = _pair_cap(p, n, delta)
     counts = Counter()
     capped = []
     for h in psi4:
@@ -475,8 +478,20 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     return xi0, report
 
 
+def _heavy_cap(D, p, n, delta):
+    """The heavy-pair cap D/(p n^delta), a float, of stage 3 and of Z4 in
+    `experiments.z_property_rates`; inf at p = 0, where no pair is heavy."""
+    return D / (p * n ** float(delta)) if p > 0 else inf
+
+
+def _pair_cap(p, n, delta):
+    """The pair cap 1/(p n^(delta/2)), a float, of stage 6, of
+    `verify_normal_family` and of `degree_bound_report`'s Delta2 bound."""
+    return 1 / (p * n ** (float(delta) / 2))
+
+
 def _check_p_delta(F, params):
-    """The checks on p and delta that the pair cap 1/(p n^(delta/2)) needs."""
+    """The checks on p and delta that the pair cap (`_pair_cap`) needs."""
     if not 0 < params["p"] <= 1:
         raise ValueError(f"p must lie in (0, 1], got {params['p']}")
     _check_delta(F, params["delta"])
@@ -503,7 +518,7 @@ def verify_normal_family(Z, Xi0, spec, F, params, budget=None):
     _check_p_delta(F, params)
     B = spec.B
     zedges = set(Z.edges)
-    cap = 1 / (params["p"] * Z.n ** (float(params["delta"]) / 2))
+    cap = _pair_cap(params["p"], Z.n, params["delta"])
     overlap = [("overlap", i, j) for i, j in combinations(range(len(Xi0)), 2)
                if len(set(Xi0[i]) & set(Xi0[j])) >= 2]
     clash, bad, not_arrowing = [], [], []
@@ -769,7 +784,7 @@ def degree_bound_report(stats, D, p, delta, vF, n):
     cap of the normal family, whose constructor checks delta's range;
     reported, never asserted."""
     b1 = Fraction(D) / Fraction(p) * comb(vF, 2)
-    b2 = 1 / (p * n ** (float(delta) / 2))
+    b2 = _pair_cap(p, n, delta)
     return {
         "Delta1": stats["Delta1"],
         "Delta1_bound": float(b1),

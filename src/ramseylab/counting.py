@@ -666,9 +666,7 @@ def adversarial_T_search(profile, G, lam, eta, budget=2000, seed=None):
         raise ValueError(f"search budget must be >= 1, got {budget}")
     rng = (seed or Seed()).generator()
     m = G.num_edges()
-    k = ceil(lam * m)
-    if k > m:
-        raise ValueError("density floor above e(G)")
+    k = ceil(lam * m)  # at most m, as lam <= 1
     F = profile.pattern
 
     def copies_of(edge_idx):
@@ -720,12 +718,20 @@ RHO_DENSE_EXACT_CAP = 20
 def rho_d_dense_check(G0, rho, d, mode="exact", seed=None, restarts=200):
     """Check every large vertex set spans relative density >= d.
 
-    Exact mode enumerates all W with |W| >= rho * v(G0) (cap: 20
-    vertices).  Heuristic mode is a seeded local-search refuter.
+    Exact mode enumerates all W with |W| >= max(rho * v(G0), 2) (cap: 20
+    vertices).  Heuristic mode is a seeded local-search refuter that needs
+    `restarts` >= 1.  A host on one vertex has no such W and is dense.
     """
+    if not 0 < rho <= 1:  # NaN fails too
+        raise ValueError(f"rho must lie in (0, 1], got {rho}")
+    if mode not in ("exact", "heuristic"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "heuristic" and restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     n = G0.n
-    floor = ceil(Fraction(rho) * n)
-    floor = max(floor, 2)
+    floor = max(ceil(Fraction(rho) * n), 2)
+    if floor > n:
+        return {"dense": True, "mode": mode, "witness": None}
     dfrac = Fraction(d)
 
     def violation(size, count):
@@ -747,8 +753,6 @@ def rho_d_dense_check(G0, rho, d, mode="exact", seed=None, restarts=200):
                 gap = Fraction(cnt) - dfrac * comb(size, 2)
                 if worst is None or gap < worst[0]:
                     worst = (gap, mask, cnt, size)
-        if worst is None:
-            return {"dense": True, "mode": "exact", "witness": None}
         gap, mask, cnt, size = worst
         W = [v for v in range(n) if mask >> v & 1]
         return {
@@ -757,8 +761,6 @@ def rho_d_dense_check(G0, rho, d, mode="exact", seed=None, restarts=200):
             "witness": {"W": W, "edges": cnt, "pairs": comb(size, 2)},
         }
 
-    if mode != "heuristic":
-        raise ValueError(f"unknown mode {mode!r}")
     rng = (seed or Seed()).generator()
     worst = None
     for _ in range(restarts):
@@ -785,7 +787,7 @@ def rho_d_dense_check(G0, rho, d, mode="exact", seed=None, restarts=200):
                         break
                 if improved:
                     break
-        ratio = Fraction(cnt, comb(len(W), 2)) if len(W) >= 2 else Fraction(1)
+        ratio = Fraction(cnt, comb(len(W), 2))  # |W| >= floor >= 2
         if worst is None or ratio < worst[0]:
             worst = (ratio, sorted(W), cnt)
     ratio, W, cnt = worst

@@ -18,7 +18,14 @@ from math import ceil, comb, exp, gcd, inf, isfinite, log10, sqrt
 import numpy as np
 
 from .arrowing import decide_arrow
-from .booster import _bad_flags, _union_keys, alpha_tilde, image_edges, make_booster_spec
+from .booster import (
+    _bad_flags,
+    _heavy_cap,
+    _union_keys,
+    alpha_tilde,
+    image_edges,
+    make_booster_spec,
+)
 from .counting import _copy_counts, _PairFamily, f_minus_members
 from .density import _check_delta, classify, is_bipartite
 from .graphs import Seed, gnp_sample, pair_uniforms
@@ -285,7 +292,7 @@ def z_property_rates(
 
     passes = {k: 0 for k in ("Z1", "Z2", "Z3", "Z4", "Z5")}
     stats = {"f_minus_norm": [], "f_minus_edge_norm": [], "heavy_pair_frac": [], "bad_frac": []}
-    heavy_cap = float(D) / (p * n ** float(delta)) if p > 0 else float("inf")
+    heavy_cap = _heavy_cap(D, p, n, delta)
     z4_budget = float(D) * p * n * n / n ** float(delta)
 
     for t in range(trials):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from math import ceil
+from math import ceil, inf
 from operator import or_
 
 from .counting import _norm, _plan, _search
@@ -48,9 +48,13 @@ def is_eps_p_regular(H, p, X, Y, eps, mode="exact", seed=None, samples=10_000):
     every size k, the extreme edge counts over Y-subsets of size k
     (each attained by taking the k largest or smallest degrees into X'),
     which bounds every achievable sub-density.  Sampled mode draws
-    random qualifying pairs and can only refute.
+    random qualifying pairs and can only refute; it needs `samples` >= 1.
     """
     _check_eps(eps)
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     base = pair_density(H, p, X, Y)  # checks X and Y before they are sorted
     X, Y = sorted(X), sorted(Y)
     # X and Y are nonempty and eps > 0, so each minimum is at least 1
@@ -80,8 +84,6 @@ def is_eps_p_regular(H, p, X, Y, eps, mode="exact", seed=None, samples=10_000):
             "witness": {"X": Xw, "Y": Yw},
         }
 
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
     rng = (seed or Seed()).generator()
     worst = None
     for _ in range(samples):
@@ -146,7 +148,7 @@ def reduced_graph(H, p, partition, d, eps, mode="exact", seed=None):
     return ReducedGraph(partition=[list(c) for c in partition], edges=edges, pair_reports=reports)
 
 
-def counting_lemma_check(Fp, classes_of, H, partition, p, d, eps, xi):
+def counting_lemma_check(Fp, classes_of, H, partition, p, xi):
     """Count partite copies of Fp (homomorphisms with prescribed classes)
     and compare with the lower bound xi * p^{e(F)} * prod |V_i|.
 
@@ -154,9 +156,14 @@ def counting_lemma_check(Fp, classes_of, H, partition, p, d, eps, xi):
     regularity of the designated pairs is the caller's claim.  Refuses a
     partition that `reduced_graph` refuses (`_class_masks`; an empty class
     would make the bound 0), a `classes_of` that does not name one class
-    index (`graphs._is_id`) per pattern vertex, and adjacent pattern
-    vertices in one class.
+    index (`graphs._is_id`) per pattern vertex, adjacent pattern
+    vertices in one class, and a `p` or `xi` that is not a finite positive
+    number, or whose bound underflows to 0 (a bound of 0 or below passes
+    whatever the count).
     """
+    for name, x in (("p", p), ("xi", xi)):
+        if not 0 < x < inf:  # NaN fails both comparisons
+            raise ValueError(f"{name} must be a finite positive number, got {x}")
     class_masks = _class_masks(H, partition)
     if len(classes_of) != Fp.n or not all(_is_id(c, len(partition)) for c in classes_of):
         raise ValueError(f"classes_of must name a class in 0..{len(partition) - 1} "
@@ -165,16 +172,19 @@ def counting_lemma_check(Fp, classes_of, H, partition, p, d, eps, xi):
         if classes_of[u] == classes_of[v]:
             raise ValueError("adjacent pattern vertices must sit in different classes")
 
-    plan = _plan(Fp, ())
-    dom = [class_masks[classes_of[v]] for v in plan[0]]
-    count = sum(1 for _ in _search(H.adj, plan, dom, injective=False))
     bound = xi * (p ** Fp.num_edges())
     for v in range(Fp.n):
         bound *= len(partition[classes_of[v]])
+    if bound == 0:
+        raise ValueError(f"the bound xi * p^e(F) * prod |V_i| underflows to 0 at p = {p}")
+
+    plan = _plan(Fp, ())
+    dom = [class_masks[classes_of[v]] for v in plan[0]]
+    count = sum(1 for _ in _search(H.adj, plan, dom, injective=False))
     return {
         "partite_copies": count,
         "bound": bound,
-        "ratio": count / bound if bound > 0 else float("inf"),
+        "ratio": count / bound,
         "passes": count >= bound,
     }
 

@@ -238,7 +238,7 @@ _K6, _P2, _P3 = complete_graph(6), path_graph(2), path_graph(3)
     (lambda: fstar_overlap_count(_P3, 0, 2, _K6, [0, 1, 1]), "W vertex 1 is repeated"),
     (lambda: reduced_graph(_K6, 0.5, [[0, 1, 1], [2, 3]], 0.1, 0.5),
      "partition vertex 1 is repeated"),
-    (lambda: counting_lemma_check(_P2, [0, 1], _K6, [[0, 1], [2, 3, 3]], 0.5, 0.1, 0.5, 0.1),
+    (lambda: counting_lemma_check(_P2, [0, 1], _K6, [[0, 1], [2, 3, 3]], 0.5, 0.1),
      "partition vertex 3 is repeated"),
     (lambda: Hypergraph(4, [[0, 1], [2, 2, 3]]), "hyperedge vertex 2 is repeated"),
 ], ids=["edge_count_between", "edge_count_between_W", "pair_density", "is_eps_p_regular",
@@ -353,6 +353,21 @@ def test_rho_d_dense():
         rho_d_dense_check(complete_graph(21), 0.5, 0.5, mode="exact")
     h = rho_d_dense_check(cycle_graph(6), 0.5, 0.9, mode="heuristic", seed=Seed(1), restarts=40)
     assert h["dense"] is False  # refuter finds the sparse witness here
+
+
+def test_rho_d_dense_refuses_what_it_cannot_run():
+    C6 = cycle_graph(6)
+    for rho in (2, 0, -1, float("nan")):
+        for mode in ("exact", "heuristic"):
+            with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\]"):
+                rho_d_dense_check(C6, rho, 0.5, mode=mode, seed=Seed(1))
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+            rho_d_dense_check(C6, 0.5, 0.5, mode="heuristic", restarts=restarts)
+    # one vertex holds no set of two or more: dense, with no witness, in both modes
+    for mode in ("exact", "heuristic"):
+        assert rho_d_dense_check(empty_graph(1), 0.5, 0.5, mode=mode) == {
+            "dense": True, "mode": mode, "witness": None}
 
 
 def test_rho_d_dense_heuristic_records_pinned():

@@ -250,6 +250,18 @@ def test_threshold_curve_structure():
     assert curve["crossings"][0.5] is not None
 
 
+def test_threshold_curve_crossing_on_a_flat_step():
+    # two adjacent points both estimate 0.5: the crossing is the first c of
+    # them, not an interpolation between equal estimates
+    def planted(n, p, seed):  # trial 0 arrows everywhere, trial 1 from p = 0.3
+        return "arrows" if p > 0.3 or seed.path[-1] == 0 else "not_arrows"
+
+    curve = threshold_curve(K3, 16, [0.4, 0.8, 2.0], trials=2, seed=Seed(7),
+                            verdict_fn=planted)
+    assert [pt["estimate"] for pt in curve["points"]] == [0.5, 0.5, 1.0]
+    assert curve["crossings"] == {0.1: None, 0.5: 0.4, 0.9: pytest.approx(1.76)}
+
+
 def test_threshold_curve_rejects_a_negative_c():
     # a negative c has no p: clamped to 0 it would report a crossing at
     # c < 0; c = 0 is the empty graph

@@ -394,7 +394,7 @@ def test_counting_lemma_matches_homomorphisms(G, F, data):
         all(G.has_edge(xs[u], xs[v]) for u, v in F.edges)
         for xs in product(*(partition[c] for c in classes_of))
     )
-    r = counting_lemma_check(F, classes_of, G, partition, 0.5, 0.3, 0.2, 0.5)
+    r = counting_lemma_check(F, classes_of, G, partition, 0.5, 0.5)
     assert r["partite_copies"] == expected
 
 
@@ -417,5 +417,5 @@ def test_large_patterns_need_no_recursion():
     assert extension_count([0], P, [0], P) == 1
     singletons = [[v] for v in range(P.n)]
     assert counting_lemma_check(P, list(range(P.n)), P, singletons,
-                                1.0, 0.5, 0.1, 1.0)["partite_copies"] == 1
+                                1.0, 1.0)["partite_copies"] == 1
     assert fstar_overlap_count(P, 0, P.n - 1, P, [0, P.n - 1])["count"] == 1

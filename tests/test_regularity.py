@@ -133,19 +133,19 @@ def test_reduced_graph_samples_each_pair_on_its_own_stream(monkeypatch):
 def test_counting_lemma_fixtures():
     full = Graph(8, [(i, j) for i in range(4) for j in range(4, 8)])
     r = counting_lemma_check(path_graph(2), [0, 1], full,
-                             [[0, 1, 2, 3], [4, 5, 6, 7]], 1.0, 0.5, 0.1, 1.0)
+                             [[0, 1, 2, 3], [4, 5, 6, 7]], 1.0, 1.0)
     assert r["partite_copies"] == 16 and r["ratio"] >= 1
     cls4 = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
     host = Graph(12, [(u, v) for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0)]
                       for u in cls4[a] for v in cls4[b]])
-    r = counting_lemma_check(cycle_graph(4), [0, 1, 2, 3], host, cls4, 1.0, 0.5, 0.1, 1.0)
+    r = counting_lemma_check(cycle_graph(4), [0, 1, 2, 3], host, cls4, 1.0, 1.0)
     assert r["partite_copies"] == 3**4
     r = counting_lemma_check(path_graph(2), [0, 1], empty_graph(8),
-                             [[0, 1, 2, 3], [4, 5, 6, 7]], 1.0, 0.5, 0.1, 1.0)
+                             [[0, 1, 2, 3], [4, 5, 6, 7]], 1.0, 1.0)
     assert r["partite_copies"] == 0 and not r["passes"]
     with pytest.raises(ValueError):
         counting_lemma_check(path_graph(2), [0, 0], full,
-                             [[0, 1, 2, 3], [4, 5, 6, 7]], 1.0, 0.5, 0.1, 1.0)
+                             [[0, 1, 2, 3], [4, 5, 6, 7]], 1.0, 1.0)
     # the partitions reduced_graph refuses: a vertex outside the host,
     # classes that share a vertex, and an empty class (whose bound is 0)
     K6 = complete_graph(6)
@@ -156,14 +156,41 @@ def test_counting_lemma_fixtures():
                                ([[0, 1], [2, 2.0]], "partition vertex 2.0"),
                                ([[0, 1], [2, True]], "partition vertex True")):
         with pytest.raises(ValueError, match=message):
-            counting_lemma_check(path_graph(2), [0, 1], K6, partition, 0.5, 0.1, 0.5, 0.1)
+            counting_lemma_check(path_graph(2), [0, 1], K6, partition, 0.5, 0.1)
         with pytest.raises(ValueError, match=message):
             reduced_graph(K6, 0.5, partition, 0.1, 0.5)
     # classes_of names one class index per pattern vertex
     for classes_of in ([0], [0, 1, 1], [0, 2], [0, 1.0], [False, 1]):
         with pytest.raises(ValueError, match="classes_of must name a class in 0..1"):
             counting_lemma_check(path_graph(2), classes_of, K6, [[0, 1], [2, 3]],
-                                 0.5, 0.1, 0.5, 0.1)
+                                 0.5, 0.1)
+
+
+def test_counting_lemma_refuses_a_bound_that_is_not_positive():
+    # a bound of 0 or below passed whatever the count, and d and eps, which
+    # the check never read, are no parameters any more
+    K6 = complete_graph(6)
+    for p, xi in ((0.0, 0.1), (-1.0, 0.1), (float("nan"), 0.1), (float("inf"), 0.1)):
+        with pytest.raises(ValueError, match=f"p must be a finite positive number, got {p}"):
+            counting_lemma_check(path_graph(2), [0, 1], K6, [[0, 1], [2, 3]], p, xi)
+    for xi in (-0.1, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"xi must be a finite positive number, got {xi}"):
+            counting_lemma_check(path_graph(2), [0, 1], K6, [[0, 1], [2, 3]], 0.5, xi)
+    # a positive p whose power underflows would give the same bound of 0
+    with pytest.raises(ValueError, match="underflows to 0 at p = 1e-120"):
+        counting_lemma_check(complete_graph(3), [0, 1, 2], K6, [[0, 1], [2, 3], [4, 5]],
+                             1e-120, 0.5)
+    r = counting_lemma_check(path_graph(2), [0, 1], K6, [[0, 1], [2, 3]], 0.5, 0.1)
+    assert r["partite_copies"] == 4 and r["bound"] == pytest.approx(0.2) and r["passes"]
+
+
+def test_sampled_regularity_needs_a_sample():
+    K6 = complete_graph(6)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+            is_eps_p_regular(K6, 0.5, [0, 1], [2, 3], 0.5, mode="sampled", samples=samples)
+    r = is_eps_p_regular(K6, 0.5, [0, 1], [2, 3], 0.5, mode="sampled", samples=1)
+    assert r["regular"] is None and r["worst_deviation"] == 0.0
 
 
 def test_counting_lemma_matches_naive_homomorphisms():
@@ -173,7 +200,7 @@ def test_counting_lemma_matches_naive_homomorphisms():
     F = path_graph(3)
     for i in range(8):
         g = gnp_sample(7, 0.5, Seed(24, i))
-        mine = counting_lemma_check(F, [0, 1, 2], g, cls, 0.5, 0.3, 0.2, 0.5)
+        mine = counting_lemma_check(F, [0, 1, 2], g, cls, 0.5, 0.5)
         count = 0
         for xs in product(cls[0], cls[1], cls[2]):
             if g.has_edge(xs[0], xs[1]) and g.has_edge(xs[1], xs[2]):
