@@ -721,9 +721,12 @@ def rho_d_dense_check(G0, rho, d, mode="exact", seed=None, restarts=200):
     Exact mode enumerates all W with |W| >= max(rho * v(G0), 2) (cap: 20
     vertices).  Heuristic mode is a seeded local-search refuter that needs
     `restarts` >= 1.  A host on one vertex has no such W and is dense.
+    Refuses a `rho` outside (0, 1] and a `d` outside [0, 1].
     """
     if not 0 < rho <= 1:  # NaN fails too
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
+    if not 0 <= d <= 1:
+        raise ValueError(f"d must lie in [0, 1], got {d}")
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "heuristic" and restarts < 1:

@@ -1,11 +1,12 @@
 """Monte Carlo threshold experiments and the exact constant chain.
 
-Every estimate is reproducible from (config, master seed): trial t of
-grid point (or n) i runs on seed.substream(i).substream(t), never on
-shared global state.  A curve point samples fresh G(n, p) trials; a
-window follows one random graph process per trial to its hitting
-constant.  Budget-exhausted trials stay first-class "undecided" and are
-excluded from point estimates with their count reported.
+Every estimate is reproducible from (config, master seed), never from
+shared global state.  Trial t of a curve runs on seed.substream(t) at
+every grid point, so it follows one random graph process across the c
+grid; trial t at a window's i-th n runs on seed.substream(i).substream(t)
+and follows its process to its hitting constant.  Budget-exhausted
+trials stay first-class "undecided" and are excluded from point
+estimates with their count reported.
 """
 
 from __future__ import annotations
@@ -58,10 +59,31 @@ def wilson_interval(successes, n, z=1.96):
 
 
 def solver_verdict(F, budget=None):
-    """Default verdict function: sample G(n,p) and run the solver."""
+    """Default verdict function: sample G(n,p) and run the solver.
+
+    For one seed `gnp_sample` is nested in p, and arrowing is monotone.  So
+    the function keeps, per (n, seed), the largest p it decided "not_arrows"
+    and the smallest p it decided "arrows".  A query at or below the first
+    is "not_arrows", and one at or above the second is "arrows", with no
+    sample and no solve; a point that a fresh solve would leave undecided
+    may be decided this way.  Any other query is solved, and a decided
+    verdict moves its bound.
+    """
+    bounds = {}  # (n, seed) -> (largest p not arrowing, smallest p arrowing)
 
     def fn(n, p, seed):
-        return decide_arrow(gnp_sample(n, p, seed), F, budget=budget).verdict
+        below, above = bounds.get((n, seed), (-inf, inf))
+        if 0.0 <= p <= 1.0:  # any other p goes on to gnp_sample's refusal
+            if p <= below:
+                return "not_arrows"
+            if p >= above:
+                return "arrows"
+        verdict = decide_arrow(gnp_sample(n, p, seed), F, budget=budget).verdict
+        if verdict == "not_arrows":
+            bounds[n, seed] = (p, above)
+        elif verdict == "arrows":
+            bounds[n, seed] = (below, p)
+        return verdict
 
     return fn
 
@@ -202,19 +224,26 @@ def window_trend(rows):
 
 def threshold_curve(F, n, c_values, trials, seed=None, budget=None, verdict_fn=None):
     """Estimates at p = c * n^(-1/m2), clamped into [0,1], over a grid of
-    scaled constants, with interpolated crossings of the `LEVELS`."""
+    scaled constants, with interpolated crossings of the `LEVELS`.
+
+    The curve is coupled: trial t runs on seed.substream(t) at every c, so
+    its graphs are nested along the grid.  One verdict function (by default
+    one `solver_verdict`) answers every point, once per (c, t), in
+    ascending c and then ascending t.
+    """
     c_values = sorted(c_values)
     if not c_values:
         raise ValueError("c_values must hold at least one c")
     _check_grid(n, c_values)
     seed = seed or Seed()
+    fn = verdict_fn or solver_verdict(F, budget)
     exponent = classify(F).threshold_exponent
     points = []
-    for i, c in enumerate(c_values):
+    for c in c_values:
         p = c * n ** (-float(exponent))
         # max: c = -0.0 passes the c >= 0 check, and its p = -0.0 is recorded as 0.0
-        est = estimate_arrow_probability(F, n, min(1.0, max(0.0, p)), trials,
-                                         seed.substream(i), budget=budget, verdict_fn=verdict_fn)
+        est = estimate_arrow_probability(F, n, min(1.0, max(0.0, p)), trials, seed,
+                                         verdict_fn=fn)
         points.append({**est, "c": c, "p_clamped": p > 1.0})
 
     def crossing(level):

@@ -157,13 +157,14 @@ def counting_lemma_check(Fp, classes_of, H, partition, p, xi):
     partition that `reduced_graph` refuses (`_class_masks`; an empty class
     would make the bound 0), a `classes_of` that does not name one class
     index (`graphs._is_id`) per pattern vertex, adjacent pattern
-    vertices in one class, and a `p` or `xi` that is not a finite positive
-    number, or whose bound underflows to 0 (a bound of 0 or below passes
-    whatever the count).
+    vertices in one class, a `p` outside (0, 1] (an edge density), an `xi`
+    that is not a finite positive number, and a bound that underflows to 0
+    (a bound of 0 or below passes whatever the count).
     """
-    for name, x in (("p", p), ("xi", xi)):
-        if not 0 < x < inf:  # NaN fails both comparisons
-            raise ValueError(f"{name} must be a finite positive number, got {x}")
+    if not 0 < p <= 1:  # NaN fails both comparisons
+        raise ValueError(f"p must lie in (0, 1], got {p}")
+    if not 0 < xi < inf:
+        raise ValueError(f"xi must be a finite positive number, got {xi}")
     class_masks = _class_masks(H, partition)
     if len(classes_of) != Fp.n or not all(_is_id(c, len(partition)) for c in classes_of):
         raise ValueError(f"classes_of must name a class in 0..{len(partition) - 1} "

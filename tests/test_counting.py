@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -364,6 +365,12 @@ def test_rho_d_dense_refuses_what_it_cannot_run():
     for restarts in (0, -1):
         with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
             rho_d_dense_check(C6, 0.5, 0.5, mode="heuristic", restarts=restarts)
+    # d = -1 answered "dense" on the empty graph, and NaN raised from Fraction
+    for d in (-1, 1.5, float("nan"), float("inf"), float("-inf")):
+        for G in (C6, empty_graph(6), empty_graph(1)):
+            for mode in ("exact", "heuristic"):
+                with pytest.raises(ValueError, match=re.escape(f"d must lie in [0, 1], got {d}")):
+                    rho_d_dense_check(G, 0.5, d, mode=mode, seed=Seed(1))
     # one vertex holds no set of two or more: dense, with no witness, in both modes
     for mode in ("exact", "heuristic"):
         assert rho_d_dense_check(empty_graph(1), 0.5, 0.5, mode=mode) == {

@@ -5,8 +5,10 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ramseylab import booster, counting
+from ramseylab import booster, counting, experiments
 from ramseylab.arrowing import (
     BRUTE_FORCE_EDGE_CAP,
     brute_force_arrow,
@@ -23,6 +25,7 @@ from ramseylab.experiments import (
     hitting_constant,
     janson_bound,
     sharpness_window,
+    solver_verdict,
     threshold_curve,
     wilson_interval,
     z_property_rates,
@@ -39,6 +42,7 @@ from ramseylab.graphs import (
 )
 
 K3 = complete_graph(3)
+C4 = cycle_graph(4)
 
 
 def test_wilson_basics():
@@ -275,6 +279,141 @@ def test_threshold_curve_rejects_a_negative_c():
     # c = -0.0 passes the check; its p is recorded as 0.0, not -0.0
     curve = threshold_curve(K3, 10, [-0.0], trials=2, seed=Seed(7), verdict_fn=never)
     assert math.copysign(1.0, curve["points"][0]["p"]) == 1.0
+
+
+def _spy_solves(mp):
+    """Record the host of every solve the experiments layer runs."""
+    hosts = []
+
+    def spy(G, F, budget=None):
+        hosts.append(G)
+        return decide_arrow(G, F, budget=budget)
+
+    mp.setattr(experiments, "decide_arrow", spy)
+    return hosts
+
+
+@st.composite
+def bound_queries(draw):
+    """A pattern, a budget down to 1, and queries (n, p, seed index) whose p
+    repeat, include 0 and 1, and come in any order, over two n and seeds.
+    Grid values k/20 reach the points where a budget decides a graph but
+    not a smaller or larger one on the same seed."""
+    F = draw(st.sampled_from([K3, C4]))
+    budget = draw(st.sampled_from([1, 2, 8, 64, None]))
+    ns = draw(st.lists(st.integers(6, 12), min_size=1, max_size=2, unique=True))
+    pool = draw(st.lists(st.integers(0, 20).map(lambda k: k / 20) | st.floats(0.0, 1.0),
+                         min_size=1, max_size=6))
+    queries = st.tuples(st.sampled_from(ns), st.sampled_from(pool), st.integers(0, 1))
+    return F, budget, draw(st.lists(queries, min_size=1, max_size=16))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(bound_queries())
+def test_solver_verdict_bounds_match_a_fresh_solve(case):
+    # the bounds answer only at or beyond a decided p of the same (n, seed);
+    # every other query is solved, so it gives the fresh verdict exactly
+    F, budget, queries = case
+    fn = solver_verdict(F, budget)
+    known = {}  # (n, seed index) -> the bounds, read off the solves
+    with pytest.MonkeyPatch.context() as mp:
+        solves = _spy_solves(mp)
+        for n, p, s in queries:
+            seed = Seed(90, s)
+            fresh = decide_arrow(gnp_sample(n, p, seed), F, budget=budget).verdict
+            ran = len(solves)
+            answer = fn(n, p, seed)
+            below, above = known.get((n, s), (-1.0, 2.0))
+            if fresh != "undecided":
+                assert answer == fresh, (n, p, s)
+            if below < p < above:
+                assert len(solves) == ran + 1 and answer == fresh, (n, p, s)
+                if answer == "not_arrows":
+                    known[n, s] = (p, above)
+                elif answer == "arrows":
+                    known[n, s] = (below, p)
+            else:
+                assert len(solves) == ran, (n, p, s)
+                assert answer == ("not_arrows" if p <= below else "arrows"), (n, p, s)
+
+
+def test_solver_verdict_answers_above_an_arrowing_point_without_a_solve(monkeypatch):
+    solves = _spy_solves(monkeypatch)
+    fn = solver_verdict(K3)
+    seed = Seed(91)
+    assert fn(10, 0.9, seed) == "arrows" and len(solves) == 1
+    assert fn(10, 0.95, seed) == fn(10, 0.9, seed) == fn(10, 1.0, seed) == "arrows"
+    assert len(solves) == 1
+    assert fn(10, 0.05, seed) == "not_arrows" and len(solves) == 2
+    assert fn(10, 0.0, seed) == "not_arrows" and len(solves) == 2
+    # the bounds are kept per (n, seed)
+    fn(10, 0.95, Seed(92))
+    fn(11, 0.95, seed)
+    assert len(solves) == 4
+    # a p outside [0, 1] meets gnp_sample's refusal, whatever the bounds say
+    for p in (1.5, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"outside \[0,1\]"):
+            fn(10, p, seed)
+    assert len(solves) == 4
+
+
+def test_solver_verdict_bounds_decide_what_the_budget_leaves_open():
+    # (pattern, n, seed, budget, p solved, its verdict, p answered from it);
+    # a fresh solve at the second p runs out of budget
+    for F, n, seed, budget, p0, v0, p1 in ((K3, 8, Seed(91, 0), 8, 0.85, "not_arrows", 0.7),
+                                           (C4, 12, Seed(91, 0), 64, 0.6, "arrows", 0.85)):
+        assert decide_arrow(gnp_sample(n, p1, seed), F, budget=budget).verdict == "undecided"
+        fn = solver_verdict(F, budget)
+        assert fn(n, p0, seed) == v0
+        assert fn(n, p1, seed) == v0
+
+
+def test_threshold_curve_asks_each_trial_once_per_c_on_one_process():
+    calls = []
+
+    def recording(n, p, seed):
+        calls.append((n, p, seed))
+        return "not_arrows"
+
+    # unsorted, with a repeat and a c whose p clamps to 1
+    curve = threshold_curve(K3, 9, [2.0, 0.5, 5.0, 0.5], trials=3, seed=Seed(5),
+                            verdict_fn=recording)
+    assert [pt["c"] for pt in curve["points"]] == [0.5, 0.5, 2.0, 5.0]
+    assert calls == [(9, pt["p"], Seed(5).substream(t))
+                     for pt in curve["points"] for t in range(3)]
+
+
+def test_threshold_curve_trials_never_stop_arrowing_as_c_grows():
+    # the default solver, wrapped to record each trial's verdicts in c order
+    for F, n, cs, budget in ((K3, 20, [1.0, 1.5, 2.0, 2.5, 3.0], 600),
+                             (C4, 11, [1.5, 2.5, 3.5, 4.5], 1000)):
+        solve = solver_verdict(F, budget)
+        verdicts = {}
+
+        def recording(n, p, seed):
+            v = solve(n, p, seed)
+            verdicts.setdefault(seed, []).append(v)
+            return v
+
+        curve = threshold_curve(F, n, cs, 12, Seed(93), budget=budget, verdict_fn=recording)
+        assert curve == threshold_curve(F, n, cs, 12, Seed(93), budget=budget)
+        assert len(verdicts) == 12
+        for seq in verdicts.values():
+            decided = [v for v in seq if v != "undecided"]
+            assert decided == sorted(decided, key=["not_arrows", "arrows"].index), seq
+
+
+def test_coupled_curve_agrees_with_independent_points():
+    # at the benchmark's grid, each coupled estimate lies in the Wilson
+    # interval of an independent one at the same p (fresh trials on
+    # seed.substream(i) for the i-th c), and the other way round
+    seed = Seed(2024)
+    for F, n, cs, budget in ((K3, 30, (1.5, 2.0, 2.5), 600), (C4, 13, (2.5, 3.0, 3.5), 1000)):
+        curve = threshold_curve(F, n, cs, 48, seed, budget=budget)
+        for i, pt in enumerate(curve["points"]):
+            ind = estimate_arrow_probability(F, n, pt["p"], 48, seed.substream(i), budget=budget)
+            assert ind["wilson_low"] <= pt["estimate"] <= ind["wilson_high"], (n, pt["c"])
+            assert pt["wilson_low"] <= ind["estimate"] <= pt["wilson_high"], (n, pt["c"])
 
 
 def test_z_property_rates_quick():

@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import combinations
 
 import pytest
@@ -170,9 +171,10 @@ def test_counting_lemma_refuses_a_bound_that_is_not_positive():
     # a bound of 0 or below passed whatever the count, and d and eps, which
     # the check never read, are no parameters any more
     K6 = complete_graph(6)
-    for p, xi in ((0.0, 0.1), (-1.0, 0.1), (float("nan"), 0.1), (float("inf"), 0.1)):
-        with pytest.raises(ValueError, match=f"p must be a finite positive number, got {p}"):
-            counting_lemma_check(path_graph(2), [0, 1], K6, [[0, 1], [2, 3]], p, xi)
+    # p is an edge density: above 1 its power overflowed (p = 1e200)
+    for p in (0.0, -1.0, float("nan"), float("inf"), 1.5, 1e200):
+        with pytest.raises(ValueError, match=re.escape(f"p must lie in (0, 1], got {p}")):
+            counting_lemma_check(path_graph(2), [0, 1], K6, [[0, 1], [2, 3]], p, 0.1)
     for xi in (-0.1, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=f"xi must be a finite positive number, got {xi}"):
             counting_lemma_check(path_graph(2), [0, 1], K6, [[0, 1], [2, 3]], 0.5, xi)
