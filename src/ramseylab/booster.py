@@ -170,10 +170,12 @@ def _bad_flags(img, keys):
                 boosts[e].append(boost)
     b2 = b3 = False
     for sets in boosts.values():
+        if len(sets) < 2:  # one copy through the edge makes neither B2 nor B3
+            continue
         used = set().union(*sets)
         # two of the sets span two booster edges unless all are one singleton,
         # and two of them meet unless they are pairwise disjoint
-        b2 = b2 or (len(sets) >= 2 and len(used) >= 2)
+        b2 = b2 or len(used) >= 2
         b3 = b3 or sum(map(len, sets)) > len(used)
     return {"B1": b1, "B2": b2, "B3": b3, "bad": b1 or b2 or b3}
 

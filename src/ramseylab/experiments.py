@@ -297,6 +297,10 @@ def z_property_rates(
     The pair and embedding properties are estimated on uniform samples
     (sizes reported).  Returns per-property rates with Wilson intervals
     plus the per-trial normalized statistics.
+
+    Per trial, Z3's tally of the F⁻ copies through each pair holds at most
+    n² counts, the order of the C(n, 2) uniforms `gnp_sample` draws, and
+    the Z5 embeddings are drawn as one block of `embedding_samples` × n ints.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -343,7 +347,7 @@ def z_property_rates(
             passes["Z2"] += 1
 
         # copies through the busiest edge of Z: the most repeated pair code
-        worst = int(np.unique(np.concatenate(codes), return_counts=True)[1].max(initial=0))
+        worst = int(np.bincount(np.concatenate(codes)).max(initial=0))
         stats["f_minus_edge_norm"].append(worst * p)
         if p == 0 or worst <= D / p:
             passes["Z3"] += 1
@@ -360,9 +364,11 @@ def z_property_rates(
         if frac * total_pairs <= z4_budget:
             passes["Z4"] += 1
 
+        # row i is the i-th `rng.permutation(n)`; an h drawn here needs no embedding check
+        block = rng.permuted(np.tile(np.arange(n), (embedding_samples, 1)), axis=1)[:, :B.n]
         bad = 0
-        for _ in range(embedding_samples):  # an h drawn here needs no embedding check
-            img = image_edges(B, rng.permutation(n)[: B.n].tolist())
+        for h in block.tolist():
+            img = image_edges(B, h)
             bad += _bad_flags(img, _union_keys(Z, img, F))["bad"]
         bfrac = bad / embedding_samples
         stats["bad_frac"].append(bfrac)

@@ -41,7 +41,7 @@ from ramseylab.graphs import (
 )
 
 from instances import interactive_instance, assert_instance_well_formed
-from oracles import naive_bad_flags, naive_hypergraph_stats, naive_maximal_independent_sets
+from oracles import naive_bad_flags, naive_copies, naive_hypergraph_stats, naive_maximal_independent_sets
 
 K3 = complete_graph(3)
 
@@ -75,6 +75,30 @@ def test_classify_bad_fixtures():
     assert flags["B1"] and flags["bad"]
     Zfar = Graph(6, [(4, 5)])
     assert not classify_bad(Zfar, (0, 1, 2), spec, K3)["bad"]
+
+
+@pytest.mark.parametrize("F, B, seed, h, flags", [
+    # B2 alone: two triangles share a Z-only edge, each through its own P3 edge
+    (K3, path_graph(3), 2, (7, 6, 3), (False, True, False)),
+    # B3 alone: two 4-cycles through the one K2 pair share a Z-only edge (for
+    # K3 a shared booster pair and a shared Z-only edge make the copy B1)
+    (cycle_graph(4), complete_graph(2), 0, (0, 6), (False, False, True)),
+    # three triangles through a booster pair, no Z-only edge in two of them
+    (K3, path_graph(3), 1, (1, 0, 2), (False, False, False)),
+])
+def test_classify_bad_boundary_fixtures(F, B, seed, h, flags):
+    Z = gnp_sample(8, 0.4, Seed(seed))
+    img = set(image_graph(B, h, 8).edges)
+    U = union(Z, image_graph(B, h, 8))
+    mine = classify_bad(Z, h, make_booster_spec(B, F), F)
+    assert (mine["B1"], mine["B2"], mine["B3"]) == flags
+    assert mine["bad"] == any(flags)
+    assert naive_bad_flags(Z, img, F, U) == dict(zip(("B1", "B2", "B3"), flags))
+    through = [es for _, es in naive_copies(F, U) if es & img]
+    zonly = [e for es in through for e in es - img]
+    assert len(through) >= 2 and zonly
+    # the last host is the case each Z-only edge lies in one such copy
+    assert (max(map(zonly.count, zonly)) == 1) == (not any(flags))
 
 
 def test_classify_bad_matches_naive_oracle():
@@ -278,6 +302,19 @@ def test_embedding_pool():
                                         for u, v in cycle_graph(4).edges))
               for h in sampled}
     assert len(images) == 20
+
+
+@pytest.mark.parametrize("n", [5, 14, 30])
+@pytest.mark.parametrize("k", [1, 8, 40])
+def test_permuted_block_is_successive_permutations(n, k):
+    # embedding_pool and the Z5 sample of z_property_rates draw k injections
+    # as one `permuted` block: its rows, and the stream after it, are those
+    # of k `permutation` calls
+    for s in range(3):
+        block, ref = Seed(s).generator(), Seed(s).generator()
+        rows = block.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
+        assert rows.tolist() == [ref.permutation(n).tolist() for _ in range(k)]
+        assert block.random() == ref.random()
 
 
 class CountedDraws:
