@@ -82,7 +82,7 @@ def image_graph(B, h, n):
 
 def image_edges(B, h):
     """Host pairs of the booster edges, in B's edge order."""
-    return [_norm(h[u], h[v]) for u, v in B.edges]
+    return [(h[u], h[v]) if h[u] < h[v] else (h[v], h[u]) for u, v in B.edges]
 
 
 # -- focusing ------------------------------------------------------------
@@ -161,13 +161,16 @@ def _bad_flags(img, keys):
     through a booster pair are `keys`: a copy's other edges are Z-only."""
     pairs = set(img)
     b1 = False
-    boosts = defaultdict(list)  # z-only edge -> booster pair sets of its copies
+    boosts = {}  # z-only edge -> booster pair sets of its copies
     for _, es in keys:
         boost = pairs.intersection(es)
         b1 = b1 or 2 <= len(boost) < len(es)
         for e in es:
             if e not in boost:
-                boosts[e].append(boost)
+                if (sets := boosts.get(e)) is None:
+                    boosts[e] = [boost]
+                else:
+                    sets.append(boost)
     b2 = b3 = False
     for sets in boosts.values():
         if len(sets) < 2:  # one copy through the edge makes neither B2 nor B3
@@ -736,7 +739,9 @@ def hypergraph_stats(H, tau):
     """Exact container statistics of a uniform hypergraph.
 
     Rationals are kept exact throughout; the returned record carries both
-    the Fractions and float renderings.
+    the Fractions and float renderings.  Degrees are read off the
+    intersection closure of the hyperedges (`_closure_degrees`), never off
+    their 2^ℓ subsets.
     """
     tau = Fraction(tau)
     if tau <= 0:
@@ -750,16 +755,22 @@ def hypergraph_stats(H, tau):
         raise ValueError("zero average degree")
     d = Fraction(ell * e, m)
 
-    # degree of every j-subset of a hyperedge, for j = 1 .. max(ell, 2)
-    deg = {j: Counter(s for edge in H.edges for s in combinations(edge, j))
-           for j in range(1, max(ell, 2) + 1)}
-    delta_js = {}
-    for j in range(2, ell + 1):
-        best = Counter()  # vertex -> largest degree of a j-subset containing it
-        for sigma, c in deg[j].items():
-            for v in sigma:
+    # a j-subset S of a hyperedge has the degree of the closure set I(S) ⊇ S,
+    # the intersection of the hyperedges holding S; and every closure set of
+    # size >= j holding v has a j-subset through v of its degree.  So the
+    # largest degree of a j-subset through v is the largest degree of a
+    # closure set of size >= j through v; sizes are taken in falling order.
+    closure = sorted(_closure_degrees(H.edges), key=lambda sc: -len(sc[0]))
+    best = [0] * m  # per vertex, the largest degree of a closure set seen so far
+    sums, at = {}, 0
+    for j in range(ell, 1, -1):
+        while at < len(closure) and len(closure[at][0]) >= j:
+            vs, c = closure[at]
+            for v in vs:
                 best[v] = max(best[v], c)
-        delta_js[j] = Fraction(sum(best.values())) / (tau ** (j - 1) * m * d)
+            at += 1
+        sums[j] = sum(best)
+    delta_js = {j: Fraction(sums[j]) / (tau ** (j - 1) * m * d) for j in range(2, ell + 1)}
 
     # for ell = 1 the sum is empty and delta is Fraction(1, 2) * 0 = 0
     delta = Fraction(2) ** (comb(ell, 2) - 1) * sum(
@@ -771,13 +782,72 @@ def hypergraph_stats(H, tau):
         "e": e,
         "ell": ell,
         "d": d,
-        "Delta1": max(deg[1].values(), default=0),
-        "Delta2": max(deg[2].values(), default=0),
+        "Delta1": max(c for _, c in closure),
+        "Delta2": max((c for vs, c in closure if len(vs) >= 2), default=0),
         "delta_j": delta_js,
         "delta": delta,
         "d_float": float(d),
         "delta_float": _float(delta, "tau"),
     }
+
+
+def _closure_degrees(edges):
+    """(I, number of `edges` holding I) for every nonempty intersection I of
+    a nonempty family of the hyperedges `edges` (vertex tuples), I as a
+    vertex tuple.  Each closure set is kept as a vertex mask with the bitset
+    of the hyperedges that hold it, the AND of its vertices' incidence
+    bitsets.  A set I is intersected with the hyperedges that meet it and
+    come after the first one that holds it, which reaches I = E_i1 ∩ E_i2 ∩
+    ... (i1 < i2 < ... its holders).  Those hyperedges are split by which of
+    I's vertices they hold, so a distinct intersection costs one bitset
+    operation per vertex of I, not a step per hyperedge.  Every closure set
+    lies in a hyperedge, so there are at most min(2^e, e·2^ℓ) of them."""
+    inc = {}  # vertex -> bitset of the hyperedges holding it
+    for i, edge in enumerate(edges):
+        for v in edge:
+            inc[v] = inc.get(v, 0) | 1 << i
+
+    def held_by(x):
+        h = -1
+        for v in _members(x):
+            h &= inc[v]
+        return h
+
+    holders = {x: held_by(x) for x in (sum(1 << v for v in edge) for edge in edges)}
+    grown = list(holders)
+    while grown:
+        new = []
+        for x in grown:
+            held = holders[x]
+            vs = _members(x)
+            meet = 0
+            for v in vs:
+                meet |= inc[v]
+            groups = [(meet & ~held & -(held & -held) << 1, 0)]  # (hyperedges, their part of x)
+            for v in vs:
+                split = []
+                for g, z in groups:
+                    if hold := g & inc[v]:
+                        split.append((hold, z | 1 << v))
+                    if rest := g ^ hold:
+                        split.append((rest, z))
+                groups = split
+            for _, z in groups:
+                if z not in holders:
+                    holders[z] = held_by(z)
+                    new.append(z)
+        grown = new
+    return [(_members(x), h.bit_count()) for x, h in holders.items()]
+
+
+def _members(mask):
+    """The set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def degree_bound_report(stats, D, p, delta, vF, n):

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import ceil, comb, prod
 
 import numpy as np
@@ -298,12 +298,13 @@ def _copy_array(F, adj):
     AND of its back neighbours' rows, held as 64-bit words, less the host
     vertices at or below the images `smaller` names and the images of the
     other earlier positions (a back neighbour's image is no neighbour of
-    itself).  Set bits are read row, word, then bit, so each level keeps
+    itself).  Set bits are read row, byte, then bit, so each level keeps
     the depth-first search's lexicographic order.  Memory is the host's
-    n × ⌈n/64⌉ words plus each level's partial maps and their candidate
-    words.  It owns both pattern-size rules: a pattern with more vertices
-    than the host has no copies, found with no search; one that fits must
-    be within `density._check_cap`."""
+    n × ⌈n/64⌉ words, as many in the cached table of `_above`, and each
+    level's partial maps and their candidate words.  It owns both
+    pattern-size rules: a pattern with more vertices than the host has no
+    copies, found with no search; one that fits must be within
+    `density._check_cap`."""
     n, k = len(adj), F.n
     if k > n:
         return np.empty((0, k), np.intp)
@@ -312,8 +313,6 @@ def _copy_array(F, adj):
     pos = {x: i for i, x in enumerate(order)}
     words = -(-n // 64)
     rows = _word_table(adj, words)
-    full = (1 << n) - 1
-    above = None  # above[v]: the host vertices above v, built on first use
     maps = np.arange(n, dtype=np.intp)[:, None]  # images of positions 0..i-1, per partial map
     for i in range(1, k):
         if not len(maps):
@@ -324,25 +323,37 @@ def _copy_array(F, adj):
             for j in fixed[1:]:
                 cand &= rows[maps[:, j]]
         else:
-            cand = np.repeat(_word_table([full], words), len(maps), axis=0)
+            cand = np.repeat(_word_table([(1 << n) - 1], words), len(maps), axis=0)
         if smaller[i]:
-            if above is None:
-                above = _word_table([full & (-2 << v) for v in range(n)], words)
-            cand &= above[maps[:, [pos[y] for y in smaller[i]]].max(axis=1)]
-        fixed += [pos[y] for y in smaller[i]]
-        every = np.arange(len(maps))
+            below = [pos[y] for y in smaller[i]]
+            fixed += below
+            cand &= _above(n)[maps[:, below[0]] if len(below) == 1 else maps[:, below].max(axis=1)]
+        every = None  # the row index of each partial map, built on first use
         for j in range(i):
             if j not in fixed:
+                if every is None:
+                    every = np.arange(len(maps))
                 v = maps[:, j]
                 cand[every, v >> 6] &= ~np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
-        parent, word = np.nonzero(cand)
-        bits = np.unpackbits(cand[parent, word].view(np.uint8).reshape(-1, 8), axis=1,
-                             bitorder="little")
-        hit, bit = np.nonzero(bits)
-        maps = np.column_stack((maps[parent[hit]], word[hit] * 64 + bit))
+        octets = cand.view(np.uint8)[:, :-(-n // 8)]  # bit t of byte c: host vertex 8c + t
+        parent, byte = np.nonzero(octets)
+        hit, bit = np.nonzero(np.unpackbits(octets[parent, byte][:, None], axis=1,
+                                            bitorder="little"))
+        grown = np.empty((len(hit), i + 1), np.intp)
+        grown[:, :i] = maps[parent[hit]]
+        grown[:, i] = byte[hit] * 8 + bit
+        maps = grown
     out = np.empty_like(maps)
     out[:, order] = maps
     return out
+
+
+@lru_cache(maxsize=8)
+def _above(n):
+    """Row v: the host vertices above v among n, as read-only `_word_table`
+    words, kept for the last 8 n searched: n × ⌈n/64⌉ words each."""
+    full = (1 << n) - 1
+    return _word_table([full & (-2 << v) for v in range(n)], -(-n // 64))
 
 
 def _anchored_copies(F, adj, anchors):
@@ -357,13 +368,21 @@ def _anchored_copies(F, adj, anchors):
     _check_cap(F)
     # the maps of a copy through an anchor send one orbit of arcs onto
     # (a, b), and those sending its representative form one stabilizer orbit
-    rest = [(1 << len(adj)) - 1] * (F.n - 2)
+    plans, edges = _arc_plans(F), F.edges
+    dom = [0, 0] + [(1 << len(adj)) - 1] * (F.n - 2)
     seen = {}
     for a, b in anchors:
-        for plan in _arc_plans(F):
-            for m in _search(adj, plan, [1 << a, 1 << b] + rest):
-                es = tuple(sorted([_norm(m[u], m[v]) for u, v in F.edges]))
-                seen.setdefault((tuple(sorted(m)), es), m)
+        dom[0], dom[1] = 1 << a, 1 << b  # each search below ends before the next anchor
+        for plan in plans:
+            for m in _search(adj, plan, dom):
+                es = []
+                for u, v in edges:
+                    x, y = m[u], m[v]
+                    es.append((x, y) if x < y else (y, x))
+                es.sort()
+                key = (tuple(sorted(m)), tuple(es))
+                if key not in seen:
+                    seen[key] = m
     return sorted(seen.items())
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, compress
 from numbers import Integral
 
 import numpy as np
@@ -25,16 +26,18 @@ class Seed:
     drawn from ``SeedSequence(value, spawn_key=path)``, so distinct paths
     give distinct streams.  Each index lies below 2**32: SeedSequence splits
     a larger one into 32-bit words, and the path (2**32,) would meet (0, 1).
+    The value and each index must be ints (`_is_id`: a float or a bool is
+    refused here, not at the first draw).
     """
 
     value: int
     path: tuple
 
     def __init__(self, value=0, *path):
-        if not 0 <= value < 2**64:
-            raise ValueError("seed value must be a 64-bit unsigned int")
-        if not all(0 <= i < 2**32 for i in path):
-            raise ValueError("substream indices must lie in [0, 2**32)")
+        if not _is_id(value, 2**64):
+            raise ValueError(f"seed value {value!r} is not an int in [0, 2**64)")
+        if not all(_is_id(i, 2**32) for i in path):
+            raise ValueError(f"substream indices {path!r} are not all ints in [0, 2**32)")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "path", path)
 
@@ -173,19 +176,26 @@ def pair_uniforms(n, seed):
     return seed.generator().random(n * (n - 1) // 2)
 
 
+@lru_cache(maxsize=8)
+def _pair_table(n):
+    """The C(n, 2) vertex pairs in lexicographic order, kept for the last 8 n
+    sampled: about 64·C(n, 2) bytes each (a 2-tuple and its slot), 28 KB
+    at n = 30 and 2.9 MB at n = 300."""
+    return tuple(combinations(range(n), 2))
+
+
 def gnp_sample(n, p, seed):
     """Binomial random graph: each of the C(n,2) pairs kept with probability p.
 
     Deterministic in (n, p, seed); a single Philox stream is consumed in
     the lexicographic pair order, so results do not depend on threading.
+    The kept pairs are read off one array comparison (`_pair_table`).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0,1]")
-    pairs = combinations(range(n), 2)
-    # Python floats: the same doubles as the numpy scalars, compared faster
-    return Graph(n, [e for e, x in zip(pairs, pair_uniforms(n, seed).tolist()) if x < p])
+    return Graph(n, compress(_pair_table(n), (pair_uniforms(n, seed) < p).tolist()))
 
 
 # -- set/edge operations ----------------------------------------------

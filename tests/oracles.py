@@ -4,19 +4,25 @@ Everything here is deliberately dumb: permutations, double loops and
 literal definitions.  Only the Graph accessors are shared with the
 library; all counting logic is separate.
 
-The `reference_*` functions at the end are the exception: they keep the
-per-call forms of the pinned pattern searches (a plan looked up and a
-pin-domain list built for every pin), which the cached-plan searches in
-`counting` must match map for map and in order.  They read the library's
-plans and orbit representatives, so they check the searches, not those.
+The `reference_*` functions at the end are the exception: they keep
+earlier forms of library code that the faster forms must match exactly.
+The pinned pattern searches keep their per-call forms (a plan looked up
+and a pin-domain list built for every pin), which the cached-plan
+searches in `counting` must match map for map and in order; they read
+the library's plans and orbit representatives, so they check the
+searches, not those.  `reference_gnp_sample` keeps the pair-by-pair
+sampling comprehension, and `reference_hypergraph_stats` the enumeration
+of every j-subset of every hyperedge.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
+from math import comb
 
 from ramseylab.counting import _arc_representatives, _breaking, _pair_representatives, _plan
-from ramseylab.graphs import Graph
+from ramseylab.graphs import Graph, pair_uniforms
 
 
 def norm(u, v):
@@ -279,8 +285,6 @@ def naive_bad_flags(Z, himage_edges, F, Uall):
 
 def naive_hypergraph_stats(m, edges, tau):
     """Literal container statistics with exact rationals."""
-    from math import comb
-
     edges = [tuple(sorted(set(e))) for e in edges]
     edges = sorted(set(edges))
     ell = len(edges[0])
@@ -402,3 +406,45 @@ def reference_completions_through(F, Z, fixed_pair):
         for m in reference_pinned(Z.adj, plan, {x: a, y: b}):
             out.setdefault(norm(m[u1], m[v1]), []).append((m, kept))
     return out
+
+
+# -- reference forms of sampling and hypergraph statistics --------------------
+
+
+def reference_gnp_sample(n, p, seed):
+    """G(n, p) on `seed`: each pair, in lexicographic order, kept when its
+    uniform is below p, read one Python float at a time."""
+    pairs = combinations(range(n), 2)
+    return Graph(n, [e for e, x in zip(pairs, pair_uniforms(n, seed).tolist()) if x < p])
+
+
+def reference_hypergraph_stats(H, tau):
+    """`booster.hypergraph_stats` from the degree of every j-subset of every
+    hyperedge, 2^ℓ per hyperedge; the inputs are taken as valid."""
+    tau = Fraction(tau)
+    ell, m, e = H.uniformity(), H.m, len(H.edges)
+    d = Fraction(ell * e, m)
+    deg = {j: Counter(s for edge in H.edges for s in combinations(edge, j))
+           for j in range(1, max(ell, 2) + 1)}
+    delta_js = {}
+    for j in range(2, ell + 1):
+        best = Counter()  # vertex -> largest degree of a j-subset containing it
+        for sigma, c in deg[j].items():
+            for v in sigma:
+                best[v] = max(best[v], c)
+        delta_js[j] = Fraction(sum(best.values())) / (tau ** (j - 1) * m * d)
+    delta = Fraction(2) ** (comb(ell, 2) - 1) * sum(
+        Fraction(1, 2 ** comb(j - 1, 2)) * delta_js[j] for j in range(2, ell + 1)
+    )
+    return {
+        "m": m,
+        "e": e,
+        "ell": ell,
+        "d": d,
+        "Delta1": max(deg[1].values(), default=0),
+        "Delta2": max(deg[2].values(), default=0),
+        "delta_j": delta_js,
+        "delta": delta,
+        "d_float": float(d),
+        "delta_float": float(delta),
+    }

@@ -1,9 +1,12 @@
 import re
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramseylab.arrowing import decide_arrow
 from ramseylab.counting import _norm, enumerate_copies
@@ -41,7 +44,13 @@ from ramseylab.graphs import (
 )
 
 from instances import interactive_instance, assert_instance_well_formed
-from oracles import naive_bad_flags, naive_copies, naive_hypergraph_stats, naive_maximal_independent_sets
+from oracles import (
+    naive_bad_flags,
+    naive_copies,
+    naive_hypergraph_stats,
+    naive_maximal_independent_sets,
+    reference_hypergraph_stats,
+)
 
 K3 = complete_graph(3)
 
@@ -511,7 +520,6 @@ def test_hypergraph_stats_fixture_and_oracle():
         hypergraph_stats(Hypergraph(3, []), Fraction(1, 2))
     with pytest.raises(ValueError):
         hypergraph_stats(Hypergraph(2, [(0, 1)]), 0)
-    from math import comb
 
     rng = Seed(888).generator()
     for i in range(12):
@@ -538,6 +546,37 @@ def test_hypergraph_stats_of_a_1_uniform_hypergraph():
     assert st["ell"] == 1 and st["delta_j"] == {} and st["Delta2"] == 0
     assert st["delta"] == 0 and isinstance(st["delta"], Fraction)
     assert st["delta_float"] == 0.0 and st["d"] == Fraction(3, 4)
+
+
+@st.composite
+def uniform_hypergraphs(draw):
+    ell = draw(st.integers(1, 8))
+    m = draw(st.integers(ell, ell + 6))
+    edge = st.lists(st.integers(0, m - 1), min_size=ell, max_size=ell, unique=True)
+    edges = draw(st.lists(edge, min_size=1, max_size=8))
+    tau = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    return Hypergraph(m, edges), tau
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(uniform_hypergraphs())
+def test_hypergraph_stats_matches_the_subset_enumeration(case):
+    H, tau = case
+    assert hypergraph_stats(H, tau) == reference_hypergraph_stats(H, tau)
+
+
+def test_hypergraph_stats_of_two_24_uniform_edges_has_its_closed_form():
+    # 2^24 subsets per hyperedge for the enumeration; three closure sets here
+    ell, k, tau = 24, 16, Fraction(1, 2)
+    m = 2 * ell - k
+    stats = hypergraph_stats(Hypergraph(m, [range(ell), range(ell - k, m)]), tau)
+    d = Fraction(2 * ell, m)
+    # every vertex lies in a hyperedge; the k shared ones lie in a j-set of degree 2 iff j <= k
+    best = {j: 2 * ell - k + (k if j <= k else 0) for j in range(2, ell + 1)}
+    assert stats["Delta1"] == stats["Delta2"] == 2 and stats["d"] == d
+    assert stats["delta_j"] == {j: Fraction(b) / (tau ** (j - 1) * m * d) for j, b in best.items()}
+    assert stats["delta"] == Fraction(2) ** (comb(ell, 2) - 1) * sum(
+        Fraction(1, 2 ** comb(j - 1, 2)) * stats["delta_j"][j] for j in best)
 
 
 def test_stats_internal_identities():

@@ -244,6 +244,29 @@ def test_hitting_constant_couples_with_gnp_sample(F, n):
             assert verdict == ("arrows" if p > p_hit else "not_arrows"), (s, p, p_hit)
 
 
+def test_hitting_constant_follows_the_exact_arrowing_law_below_8_vertices():
+    # No graph on at most 7 vertices arrows K3 unless it holds a K6, and K6
+    # arrows K3 (Graham 1968).  So p* is the arrival of the first K6: the
+    # least, over 6-sets, of the last uniform among the set's pairs.  Its law
+    # is P(p* <= p) = p^15 at n = 6 and, by inclusion-exclusion over the
+    # 6-sets, 7p^15 - 21p^20 + 15p^21 at n = 7.  Seeds and T are fixed.
+    laws = {6: lambda p: p**15, 7: lambda p: 7 * p**15 - 21 * p**20 + 15 * p**21}
+    trials = 200
+    for n, law in laws.items():
+        hits = []
+        for t in range(trials):
+            seed = Seed(4007, n, t)
+            arrival = dict(zip(combinations(range(n), 2), _uniforms(n, seed)))
+            first_k6 = min(max(arrival[e] for e in combinations(S, 2))
+                           for S in combinations(range(n), 6))
+            hits.append(hitting_constant(K3, n, seed)["p"])
+            assert hits[-1] == first_k6, (n, t)
+        hits.sort()
+        # Kolmogorov-Smirnov distance, against its alpha = 0.01 critical value
+        ks = max(max(law(x) - i / trials, (i + 1) / trials - law(x)) for i, x in enumerate(hits))
+        assert ks < 1.628 / math.sqrt(trials), (n, ks)
+
+
 def test_threshold_curve_structure():
     def step(n, p, seed):
         return "arrows" if p > 0.2 else "not_arrows"

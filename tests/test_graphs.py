@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from ramseylab.graphs import (
     Graph,
     Seed,
+    _pair_table,
     complete_graph,
     cycle_graph,
     edge_count_between,
     empty_graph,
     gnp_sample,
+    pair_uniforms,
     parse_graph,
     path_graph,
     pattern_by_name,
@@ -19,7 +21,7 @@ from ramseylab.graphs import (
     union,
 )
 
-from oracles import naive_edge_counts
+from oracles import naive_edge_counts, reference_gnp_sample
 
 
 def test_graph_invariants_random():
@@ -47,6 +49,24 @@ def test_gnp_determinism():
     b = gnp_sample(60, 0.3, Seed(99, 7))
     assert a == b
     assert a != gnp_sample(60, 0.3, Seed(99, 8))
+
+
+def test_gnp_sample_matches_the_pair_by_pair_reference():
+    seed = Seed(4101)
+    for n in (1, 2, 13, 30, 64, 65, 130):
+        u = pair_uniforms(n, seed).tolist()
+        ps = [0.0, 5e-324, 0.5, 1.0] + u[len(u) // 2:][:1]  # the last: a uniform of the seed
+        for p in ps:
+            g = gnp_sample(n, p, seed)
+            assert g.edges == reference_gnp_sample(n, p, seed).edges
+            assert g.num_edges() == sum(x < p for x in u)
+
+
+def test_gnp_pair_table_cache_stays_bounded():
+    for n in range(1, 51):
+        gnp_sample(n, 0.5, Seed(4102, n))
+    info = _pair_table.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_gnp_binomial_mean():
@@ -250,3 +270,13 @@ def test_seed_rejects_out_of_range_components():
         Seed(7).substream(-1)
     with pytest.raises(ValueError):
         Seed(2**64)
+    # a value or index that is no int fails here, not at the first draw;
+    # a bool is not an int here
+    for value in (1.5, -0.0, True, False, "3", None):
+        with pytest.raises(ValueError):
+            Seed(value)
+    for index in (1.5, -0.0, True, False):
+        with pytest.raises(ValueError):
+            Seed(3, index)
+        with pytest.raises(ValueError):
+            Seed(3).substream(index)
