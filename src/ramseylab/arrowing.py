@@ -16,12 +16,13 @@ colouring question.  A brute-force oracle checks it independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from heapq import heappop, heappush
 
 import numpy as np
 
 from .counting import _sorted_copies, enumerate_copies
-from .graphs import union
+from .graphs import complete_graph, union
 
 RED, BLUE = 0, 1
 STATS = ("nodes", "propagations", "conflicts", "learned")  # counters of every search
@@ -333,6 +334,21 @@ def decide_arrow(G, F, colours=2, budget=None):
     colour 0 (colour-swap symmetry).  `budget` caps its decisions (nodes);
     past it the verdict is "undecided"."""
     return _decide(G.num_edges(), _id_array(G, F), colours, budget)
+
+
+# the largest complete graph `_ramsey_clique` solves: K7's 21 edges are
+# within BRUTE_FORCE_EDGE_CAP, and K8 (R(C6, C6) = 8) took a second for C6
+CLIQUE_CAP = 7
+
+
+@cache
+def _ramsey_clique(F):
+    """The smallest r <= CLIQUE_CAP with K_r -> (F) in two colours, or None:
+    the diagonal Ramsey number R(F, F) when that is at most CLIQUE_CAP.
+    Arrowing is monotone, so every host that holds a K_r arrows F.  Found
+    once per pattern by unbudgeted `decide_arrow` on K_v(F), ..., K_7."""
+    return next((r for r in range(F.n, CLIQUE_CAP + 1)
+                 if decide_arrow(complete_graph(r), F).arrows), None)
 
 
 BRUTE_FORCE_EDGE_CAP = 24

@@ -23,15 +23,19 @@ shapes, each on its own engine:
   key and first witness map in key order.  Booster unions, anchored
   `enumerate_copies` and `count_f_minus_through` read it.
 
-Both shapes own both pattern-size rules: a pattern with more vertices
-than its host has no copies, and one that fits must be within the
-pattern cap of `density`.  A copy's embeddings are one orbit of Aut(F),
-so both search once per orbit, not |Aut F| times, with the
-symmetry-breaking conditions of Grochow and Kellis (RECOMB 2007).  Orbits
-are found by existence queries for embeddings of F into itself, never by
-listing Aut(F) (a pin across degrees needs no search), and all
-per-pattern work is memoised on the pattern, the pinned plans included
-(`_arc_plans`, `_pair_representatives`).
+An existence query, `_holds_copy`, stops the unanchored `_search` at its
+first map; `experiments.solver_verdict` asks it for a Ramsey clique on
+hosts where the whole-host query would list billions of cliques.
+
+Both shapes and `_holds_copy` own both pattern-size rules: a pattern
+with more vertices than its host has no copies, and one that fits must
+be within the pattern cap of `density`.  A copy's embeddings are one
+orbit of Aut(F), so all three search once per orbit, not |Aut F| times,
+with the symmetry-breaking conditions of Grochow and Kellis (RECOMB
+2007).  Orbits are found by existence queries for embeddings of F into
+itself, never by listing Aut(F) (a pin across degrees needs no search),
+and all per-pattern work is memoised on the pattern, the pinned plans
+included (`_arc_plans`, `_pair_representatives`).
 
 The labelled queries also run on `_search`: `embeddings` yields every
 labelled map, with pins and loose edges, for extension counts and
@@ -406,6 +410,18 @@ def _sorted_copies(F, adj):
         return maps, vertices, codes
     rank = np.lexsort(np.hstack((vertices, codes)).T[::-1])
     return maps[rank], vertices[rank], codes[rank]
+
+
+def _holds_copy(F, adj):
+    """Whether the host rows `adj` hold a copy of F: the first map of the
+    unanchored orbit search (`_search` by `_breaking(F, ())`), with no
+    other copy collected.  The pattern-size rules are those of
+    `_copy_array`."""
+    if F.n > len(adj):
+        return False
+    _check_cap(F)
+    full = (1 << len(adj)) - 1
+    return next(_search(adj, _breaking(F, ()), [full] * F.n), None) is not None
 
 
 def _copy_counts(F, G):

@@ -7,6 +7,13 @@ grid; trial t at a window's i-th n runs on seed.substream(i).substream(t)
 and follows its process to its hitting constant.  Budget-exhausted
 trials stay first-class "undecided" and are excluded from point
 estimates with their count reported.
+
+The default verdict function, `solver_verdict`, answers from three exact
+sources in turn: the bounds that its earlier decided verdicts on the same
+(n, seed) set, a Ramsey clique K_r (r = R(F, F) <= 7) found in the sample
+where G(n, p) expects one, and the NAE solver at the node budget.  The
+first two need no solve, so a trial that the budget would leave
+undecided may be decided by them.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from math import ceil, comb, exp, gcd, inf, isfinite, log10, sqrt
 
 import numpy as np
 
-from .arrowing import decide_arrow
+from .arrowing import _ramsey_clique, decide_arrow
 from .booster import (
     _bad_flags,
     _heavy_cap,
@@ -27,9 +34,9 @@ from .booster import (
     image_edges,
     make_booster_spec,
 )
-from .counting import _copy_counts, _PairFamily, f_minus_members
+from .counting import _copy_counts, _holds_copy, _PairFamily, f_minus_members
 from .density import _check_delta, classify, is_bipartite
-from .graphs import Seed, gnp_sample, pair_uniforms
+from .graphs import Seed, complete_graph, gnp_sample, pair_uniforms
 
 
 # arrowing-probability levels whose crossings a curve or window reports
@@ -59,17 +66,28 @@ def wilson_interval(successes, n, z=1.96):
 
 
 def solver_verdict(F, budget=None):
-    """Default verdict function: sample G(n,p) and run the solver.
+    """Default verdict function: whether G(n, p) on a seed arrows F.
 
-    For one seed `gnp_sample` is nested in p, and arrowing is monotone.  So
-    the function keeps, per (n, seed), the largest p it decided "not_arrows"
-    and the smallest p it decided "arrows".  A query at or below the first
-    is "not_arrows", and one at or above the second is "arrows", with no
-    sample and no solve; a point that a fresh solve would leave undecided
-    may be decided this way.  Any other query is solved, and a decided
-    verdict moves its bound.
+    A query takes the first answer of three sources, each exact:
+    - **Bounds.**  For one seed `gnp_sample` is nested in p, and arrowing
+      is monotone.  So the function keeps, per (n, seed), the largest p it
+      decided "not_arrows" and the smallest p it decided "arrows".  A
+      query at or below the first is "not_arrows", and one at or above the
+      second is "arrows", with no sample and no solve.
+    - **A Ramsey clique.**  With r = `arrowing._ramsey_clique(F)`, the
+      smallest r <= 7 with K_r -> (F), a sample that holds a K_r arrows.
+      The sample is searched for one (`counting._holds_copy`, stopped at
+      the first copy) only where G(n, p) expects one, C(n, r) p^C(r,2) >= 1.
+    - **The solver**, `decide_arrow` at the node budget, builds and
+      solves the NAE system.
+    A decided verdict from the clique or the solver moves its bound.  So a
+    query between the bounds is not always solved, and a point that a
+    fresh solve would leave undecided may be decided by the bounds or the
+    clique.
     """
     bounds = {}  # (n, seed) -> (largest p not arrowing, smallest p arrowing)
+    r = _ramsey_clique(F)
+    clique = None if r is None else complete_graph(r)
 
     def fn(n, p, seed):
         below, above = bounds.get((n, seed), (-inf, inf))
@@ -78,7 +96,12 @@ def solver_verdict(F, budget=None):
                 return "not_arrows"
             if p >= above:
                 return "arrows"
-        verdict = decide_arrow(gnp_sample(n, p, seed), F, budget=budget).verdict
+        G = gnp_sample(n, p, seed)
+        expected = 0 if clique is None else comb(n, r) * p ** comb(r, 2)  # K_r copies in G(n, p)
+        if expected >= 1 and _holds_copy(clique, G.adj):
+            verdict = "arrows"
+        else:
+            verdict = decide_arrow(G, F, budget=budget).verdict
         if verdict == "not_arrows":
             bounds[n, seed] = (p, above)
         elif verdict == "arrows":

@@ -259,6 +259,12 @@ def naive_edge_counts(G, U, W=None):
     return sum(1 for u in U for w in W if G.has_edge(u, w))
 
 
+def naive_holds_clique(G, r):
+    """Whether some r vertices of G are pairwise adjacent: every r-subset tried."""
+    return any(all(G.has_edge(u, v) for u, v in combinations(vs, 2))
+               for vs in combinations(range(G.n), r))
+
+
 def naive_bad_flags(Z, himage_edges, F, Uall):
     """Badness flags from the full copy list of the union graph.
 

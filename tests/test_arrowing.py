@@ -3,6 +3,8 @@ from itertools import product
 import pytest
 
 from ramseylab.arrowing import (
+    CLIQUE_CAP,
+    _ramsey_clique,
     brute_force_arrow,
     cnf_export,
     decide_arrow,
@@ -19,6 +21,7 @@ from ramseylab.graphs import (
     empty_graph,
     gnp_sample,
     path_graph,
+    pattern_by_name,
     union,
 )
 
@@ -62,6 +65,23 @@ def test_classical_ramsey_facts():
     assert brute_force_arrow(complete_graph(6), K3).verdict == "arrows"
     # smallest complete graph arrowing the triangle is exactly K6
     assert min(n for n in range(3, 7) if decide_arrow(complete_graph(n), K3).arrows) == 6
+
+
+def test_ramsey_clique_is_the_diagonal_ramsey_number():
+    # R(K3, K3) = 6 (Greenwood and Gleason 1955), R(C4, C4) = 6 (Chvátal and
+    # Harary 1972), R(P_k, P_k) = k + floor(k/2) - 1 (Gerencsér and Gyárfás
+    # 1967); R(C5, C5) = 9, R(C6, C6) = R(P6, P6) = 8, R(K4, K4) = 18 and
+    # R(K4-e, K4-e) = 10 lie beyond the cap of 7
+    expected = {"K2": 2, "P3": 3, "P4": 5, "P5": 6, "K3": 6, "C4": 6,
+                "C5": None, "C6": None, "P6": None, "K4": None, "K4-e": None}
+    for name, r in expected.items():
+        F = pattern_by_name(name)
+        assert _ramsey_clique(F) == r, name
+        # every complete-graph verdict the helper reads, against the oracle
+        for k in range(F.n, (r or CLIQUE_CAP) + 1):
+            verdict = "arrows" if k == r else "not_arrows"
+            assert decide_arrow(complete_graph(k), F).verdict == verdict, (name, k)
+            assert brute_force_arrow(complete_graph(k), F).verdict == verdict, (name, k)
 
 
 def test_no_copy_means_not_arrows():

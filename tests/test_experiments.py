@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from ramseylab import booster, counting, experiments
 from ramseylab.arrowing import (
     BRUTE_FORCE_EDGE_CAP,
+    _ramsey_clique,
     brute_force_arrow,
     copy_constraints,
     decide_arrow,
@@ -39,7 +42,9 @@ from ramseylab.graphs import (
     empty_graph,
     gnp_sample,
     path_graph,
+    pattern_by_name,
 )
+from oracles import naive_holds_clique
 
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
@@ -67,8 +72,13 @@ def test_estimate_edge_cases():
     assert r["estimate"] == 0.0 and r["undecided"] == 0
     r = estimate_arrow_probability(K3, 6, 1.0, 10, Seed(1))
     assert r["estimate"] == 1.0 and r["undecided"] == 0
+    # one node leaves K6 undecided, but K6 is the Ramsey clique of K3, so
+    # at p = 1 (C(6, 6) p^15 = 1) the clique answers every trial
+    r = estimate_arrow_probability(K3, 6, 1.0, 5, Seed(1), budget=1)
+    assert r["estimate"] == 1.0 and r["undecided"] == 0
+    # below p = 1 the clique is not looked for, and every trial meets the budget
     with pytest.raises(RuntimeError):
-        estimate_arrow_probability(K3, 6, 1.0, 5, Seed(1), budget=1)
+        estimate_arrow_probability(K3, 6, 0.999, 5, Seed(1), budget=1)
 
 
 def test_estimate_reproducible():
@@ -244,13 +254,17 @@ def test_hitting_constant_couples_with_gnp_sample(F, n):
             assert verdict == ("arrows" if p > p_hit else "not_arrows"), (s, p, p_hit)
 
 
+# No graph on at most 7 vertices arrows K3 unless it holds a K6, and K6
+# arrows K3 (Graham 1968).  So P(G(n, p) -> K3) is P(G(n, p) holds a K6):
+# p^15 at n = 6 and, by inclusion-exclusion over the 6-sets, 7p^15 - 21p^20
+# + 15p^21 at n = 7.  It is also the law of the hitting edge's uniform p*.
+ARROWING_LAWS = {6: lambda p: p**15, 7: lambda p: 7 * p**15 - 21 * p**20 + 15 * p**21}
+
+
 def test_hitting_constant_follows_the_exact_arrowing_law_below_8_vertices():
-    # No graph on at most 7 vertices arrows K3 unless it holds a K6, and K6
-    # arrows K3 (Graham 1968).  So p* is the arrival of the first K6: the
-    # least, over 6-sets, of the last uniform among the set's pairs.  Its law
-    # is P(p* <= p) = p^15 at n = 6 and, by inclusion-exclusion over the
-    # 6-sets, 7p^15 - 21p^20 + 15p^21 at n = 7.  Seeds and T are fixed.
-    laws = {6: lambda p: p**15, 7: lambda p: 7 * p**15 - 21 * p**20 + 15 * p**21}
+    # p* is the arrival of the first K6: the least, over 6-sets, of the last
+    # uniform among the set's pairs.  Seeds and T are fixed.
+    laws = ARROWING_LAWS
     trials = 200
     for n, law in laws.items():
         hits = []
@@ -265,6 +279,33 @@ def test_hitting_constant_follows_the_exact_arrowing_law_below_8_vertices():
         # Kolmogorov-Smirnov distance, against its alpha = 0.01 critical value
         ks = max(max(law(x) - i / trials, (i + 1) / trials - law(x)) for i, x in enumerate(hits))
         assert ks < 1.628 / math.sqrt(trials), (n, ks)
+
+
+def test_curve_points_and_window_quantiles_follow_the_exact_arrowing_law():
+    # Seeds, T, the grid and the test levels are fixed before the first run.
+    # Each curve point's arrowing fraction must hold the exact law in its
+    # Wilson interval at z = 3.29 (two-sided 0.001).  At n = 7 the grid
+    # straddles the clique gate C(7, 6) p^15 >= 1 (p >= 0.878), so the
+    # control also checks the clique's answers.
+    trials, grid = 200, [0.80 + 0.02 * i for i in range(9)]  # p from 0.80 to 0.96
+    assert _clique_gate(K3, 7, 0.86) is None and _clique_gate(K3, 7, 0.90) == 6
+    for n, law in ARROWING_LAWS.items():
+        curve = threshold_curve(K3, n, [p * math.sqrt(n) for p in grid], trials, Seed(4008, n))
+        for pt in curve["points"]:
+            assert pt["decided"] == trials, (n, pt["p"])
+            low, high = wilson_interval(round(pt["estimate"] * trials), trials, z=3.29)
+            assert low <= law(pt["p"]) <= high, (n, pt["p"], pt["estimate"], law(pt["p"]))
+    # c_q is the k-th smallest of T hitting constants, k = ceil(q T), and
+    # c* = p* sqrt(n).  Under the law, X_(k) <= x iff Binomial(T, law(x)) >= k:
+    # each c_q must leave at least 0.0005 in each tail (alpha = 0.001 per quantile).
+    rows = sharpness_window(K3, list(ARROWING_LAWS), trials, Seed(4009))
+    for row in rows:
+        n, law = row["n"], ARROWING_LAWS[row["n"]]
+        assert row["decided"] == trials, n
+        for q in experiments.LEVELS:
+            k, u = math.ceil(q * trials), law(row[f"c_{q}"] / math.sqrt(n))
+            below = sum(math.comb(trials, i) * u**i * (1 - u) ** (trials - i) for i in range(k))
+            assert 0.0005 <= 1 - below and 0.0005 <= below, (n, q, row[f"c_{q}"], below)
 
 
 def test_threshold_curve_structure():
@@ -331,26 +372,41 @@ def bound_queries(draw):
     return F, budget, draw(st.lists(queries, min_size=1, max_size=16))
 
 
+def _clique_gate(F, n, p):
+    """The r of F's Ramsey clique K_r, when solver_verdict looks for one in
+    G(n, p): where C(n, r) p^C(r, 2) >= 1; else None."""
+    r = _ramsey_clique(F)
+    return r if r is not None and math.comb(n, r) * p ** math.comb(r, 2) >= 1 else None
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(bound_queries())
 def test_solver_verdict_bounds_match_a_fresh_solve(case):
     # the bounds answer only at or beyond a decided p of the same (n, seed);
-    # every other query is solved, so it gives the fresh verdict exactly
+    # between them, a host that holds K_r where the gate is open is answered
+    # "arrows" with no solve (checked by the r-subset oracle), and every
+    # other query is solved once, so it gives the fresh verdict exactly
     F, budget, queries = case
     fn = solver_verdict(F, budget)
-    known = {}  # (n, seed index) -> the bounds, read off the solves
+    known = {}  # (n, seed index) -> the bounds, read off the answers
     with pytest.MonkeyPatch.context() as mp:
         solves = _spy_solves(mp)
         for n, p, s in queries:
             seed = Seed(90, s)
-            fresh = decide_arrow(gnp_sample(n, p, seed), F, budget=budget).verdict
+            G = gnp_sample(n, p, seed)
+            fresh = decide_arrow(G, F, budget=budget).verdict
             ran = len(solves)
             answer = fn(n, p, seed)
             below, above = known.get((n, s), (-1.0, 2.0))
             if fresh != "undecided":
                 assert answer == fresh, (n, p, s)
             if below < p < above:
-                assert len(solves) == ran + 1 and answer == fresh, (n, p, s)
+                r = _clique_gate(F, n, p)
+                if r is not None and naive_holds_clique(G, r):
+                    assert len(solves) == ran and answer == "arrows", (n, p, s)
+                    assert fresh != "not_arrows", (n, p, s)
+                else:
+                    assert len(solves) == ran + 1 and answer == fresh, (n, p, s)
                 if answer == "not_arrows":
                     known[n, s] = (p, above)
                 elif answer == "arrows":
@@ -361,23 +417,98 @@ def test_solver_verdict_bounds_match_a_fresh_solve(case):
 
 
 def test_solver_verdict_answers_above_an_arrowing_point_without_a_solve(monkeypatch):
+    # every p here lies below the clique gate (p ~ 0.700 at n = 10 and
+    # 0.664 at n = 11), so only the bounds answer without a solve;
+    # G(10, p) on Seed(91) arrows iff p > 0.609
     solves = _spy_solves(monkeypatch)
     fn = solver_verdict(K3)
     seed = Seed(91)
-    assert fn(10, 0.9, seed) == "arrows" and len(solves) == 1
-    assert fn(10, 0.95, seed) == fn(10, 0.9, seed) == fn(10, 1.0, seed) == "arrows"
+    assert _clique_gate(K3, 10, 0.69) is None and _clique_gate(K3, 11, 0.65) is None
+    assert fn(10, 0.65, seed) == "arrows" and len(solves) == 1
+    assert fn(10, 0.69, seed) == fn(10, 0.65, seed) == fn(10, 1.0, seed) == "arrows"
     assert len(solves) == 1
     assert fn(10, 0.05, seed) == "not_arrows" and len(solves) == 2
     assert fn(10, 0.0, seed) == "not_arrows" and len(solves) == 2
     # the bounds are kept per (n, seed)
-    fn(10, 0.95, Seed(92))
-    fn(11, 0.95, seed)
+    fn(10, 0.65, Seed(92))
+    fn(11, 0.65, seed)
     assert len(solves) == 4
     # a p outside [0, 1] meets gnp_sample's refusal, whatever the bounds say
     for p in (1.5, -0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=r"outside \[0,1\]"):
             fn(10, p, seed)
     assert len(solves) == 4
+
+
+def test_solver_verdict_answers_a_host_holding_a_ramsey_clique_without_a_solve(monkeypatch):
+    # R(K3, K3) = 6, and at n = 10 the gate C(10, 6) p^15 >= 1 opens at p ~ 0.700
+    solves = _spy_solves(monkeypatch)
+    fn = solver_verdict(K3)
+    assert _clique_gate(K3, 10, 0.71) == 6 and _clique_gate(K3, 10, 0.69) is None
+    hosts = {(p, v): gnp_sample(10, p, Seed(v)) for p in (0.69, 0.71, 0.75, 0.9)
+             for v in (94, 96)}
+    assert naive_holds_clique(hosts[0.9, 94], 6) and naive_holds_clique(hosts[0.71, 94], 6)
+    assert naive_holds_clique(hosts[0.69, 94], 6)
+    assert not naive_holds_clique(hosts[0.75, 96], 6)
+    # a host holding K6 above the gate: no solve, and it moves the bound
+    assert fn(10, 0.9, Seed(94)) == "arrows" and solves == []
+    assert fn(10, 0.95, Seed(94)) == "arrows" and solves == []
+    # between the bounds, above the gate: the clique answers again
+    assert fn(10, 0.71, Seed(94)) == "arrows" and solves == []
+    # below the gate a host holding K6 is solved
+    assert fn(10, 0.69, Seed(94)) == "arrows" and solves == [hosts[0.69, 94]]
+    # above the gate a host holding no K6 is solved
+    assert fn(10, 0.75, Seed(96)) == decide_arrow(hosts[0.75, 96], K3).verdict
+    assert solves[1:] == [hosts[0.75, 96]]
+    # a pattern with no Ramsey clique of at most 7 vertices is always solved
+    assert _ramsey_clique(cycle_graph(5)) is None
+    assert solver_verdict(cycle_graph(5))(8, 1.0, Seed(94)) == "not_arrows"
+    assert solves[2:] == [complete_graph(8)]
+
+
+@st.composite
+def planted_cliques(draw):
+    """A pattern with a Ramsey clique K_r, a host G(n, p) with n <= 12 and a
+    K_r planted on drawn vertices, and a budget down to 1."""
+    F = draw(st.sampled_from([pattern_by_name(x) for x in ("K2", "P3", "P4", "P5", "K3", "C4")]))
+    r = _ramsey_clique(F)
+    n = draw(st.integers(r, 12))
+    p = draw(st.integers(0, 20).map(lambda k: k / 20) | st.floats(0.0, 1.0))
+    vs = draw(st.permutations(range(n)))[:r]
+    G = gnp_sample(n, p, Seed(95, draw(st.integers(0, 3))))
+    return F, n, p, Graph(n, G.edges + tuple(combinations(vs, 2))), draw(st.sampled_from([1, None]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(planted_cliques())
+def test_solver_verdict_on_planted_cliques_agrees_with_an_unbudgeted_solve(case):
+    # every host here arrows, as its unbudgeted solve confirms; where the
+    # gate is open the clique answers it with no solve, at any budget
+    F, n, p, host, budget = case
+    assert decide_arrow(host, F).verdict == "arrows"
+    with pytest.MonkeyPatch.context() as mp:
+        solves = _spy_solves(mp)
+        mp.setattr(experiments, "gnp_sample", lambda n, p, seed: host)
+        answer = solver_verdict(F, budget)(n, p, Seed(95))
+    if _clique_gate(F, n, p) is not None:
+        assert answer == "arrows" and solves == []
+    else:
+        assert solves == [host] and answer == decide_arrow(host, F, budget=budget).verdict
+
+
+def test_solver_verdict_finds_the_clique_without_listing_every_copy():
+    # at n = 128 and p = 1 the whole-host query would list C(128, 6) ~ 5.4e9 K6s
+    fn = solver_verdict(K3)
+    start = time.perf_counter()
+    assert fn(128, 1.0, Seed(97)) == "arrows"
+    assert time.perf_counter() - start < 0.5
+    tracemalloc.start()
+    try:
+        assert solver_verdict(K3)(128, 1.0, Seed(98)) == "arrows"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_solver_verdict_bounds_decide_what_the_budget_leaves_open():
