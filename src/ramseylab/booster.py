@@ -6,14 +6,16 @@ the host vertex range; its image graph lives on the host vertex set.
 Copies, focus relations and badness are all evaluated literally by copy
 enumeration in Z ∪ h(B), which is Z plus the pairs h(B) adds to Z.  Stage
 1 decides a union from those pairs alone (`_unions`), once per set of
-added pairs; a union that adds none is Z and takes Z's verdict.  Stage 2
-reads the badness of a union that arrows off its copy keys through a
-booster pair (`_bad_flags`), and the view that stages 3 and 6 read
-(`union_view`'s second half) is built from them only for a union that is
-not bad.  All keys come from a search on Z's adjacency rows with pairs
-ORed in (`_union_keys`); no union is built as a Graph.  Z is analysed
-once per call (`_z_analysis`): it is decided on its `arrowing._id_array`
-rows, and a union searched whole (`_union_verdict`) is searched on them
+added pairs; a union that adds none is Z and takes Z's verdict.  Each
+other union is decided by an extension of Z's colouring, else by F's
+Ramsey clique through an added pair, else by a search of the whole union
+(`_union_verdict`).  Stage 2 reads the badness of a union that arrows off
+its copy keys through a booster pair (`_bad_flags`), and the view that
+stages 3 and 6 read (`union_view`'s second half) is built from them only
+for a union that is not bad.  All keys come from a search on Z's
+adjacency rows with pairs ORed in (`_union_keys`); no union is built as a
+Graph.  Z is analysed once per call (`_z_analysis`): it is decided on its
+`arrowing._id_array` rows, and a union searched whole is searched on them
 followed by the id rows of its copies through an added pair; Z's
 certificate φ keeps only the edges that its copies need to stay
 two-coloured, and an extension may colour the rest.  Every CNF literal is
@@ -37,6 +39,7 @@ from .arrowing import (
     _decide,
     _extend,
     _id_array,
+    _ramsey_clique,
     brute_force_arrow,
     decide_arrow,
     first_f_free_coloring,
@@ -45,6 +48,7 @@ from .arrowing import (
 from .counting import (
     _anchored_copies,
     _automorphism_count,
+    _holds_copy,
     _norm,
     _PairFamily,
     _sorted_copies,
@@ -234,25 +238,37 @@ def _z_analysis(Z, F, budget):
     return z_ids, z_res, phi
 
 
-def _union_verdict(z_ids, Z, keys, budget, phi=None):
+def _union_verdict(z_ids, Z, keys, budget, phi=None, clique=None):
     """(decide_arrow_union's verdict, how it was decided) on the union U of
     Z and the pairs it adds to Z, whose copies through an added pair are
     `keys`, Z's system being `z_ids`.  U's system is Z's rows followed by
     the keys' id rows, the added pairs numbered Z.num_edges(), ... in
-    first-seen order.  Given Z's F-free colouring `phi` (colour per Z edge
-    id), an extension to the added pairs is tried first ("extension" with
-    no core, else "core"): only a copy with an added pair can turn
-    monochromatic.  Else U is searched whole ("searched"), so "arrows"
-    comes only from that search.  Its system is decide_arrow_union's,
-    renumbered and reordered, so a decided verdict is the same; under a
-    node budget the search order differs, so either search may be
-    undecided where the other decides, and the extension may decide a
-    union both would leave undecided."""
+    first-seen order.  In turn:
+    - given Z's F-free colouring `phi` (colour per Z edge id), an
+      extension to the added pairs ("extension" with no core, else
+      "core"): only a copy with an added pair can turn monochromatic;
+    - given F's Ramsey clique K_r (`arrowing._ramsey_clique`) as
+      `clique`, a K_r through an added pair ("clique": "arrows"), by
+      `counting._holds_copy` anchored at the keys' added pairs.  Each
+      added pair of a K_r in U lies in a key (K_r is edge-transitive and
+      holds F), and a Z that does not arrow F holds no K_r, so then the
+      query misses only when U holds none;
+    - else U is searched whole ("searched").  Its system is
+      decide_arrow_union's, renumbered and reordered, so a decided
+      verdict is the same; under a node budget the search order differs,
+      so either search may be undecided where the other decides.
+    The extension and the clique are exact, so they may decide a union
+    that both searches would leave undecided."""
     index, m, new = Z._index, Z.num_edges(), {}
     rows = [[index[e] if e in index else new.setdefault(e, m + len(new)) for e in es]
             for _, es in keys]
     if phi is not None and (ext := _extend(rows, phi)) is not None:
         return "not_arrows", "core" if ext else "extension"
+    if clique is not None:
+        adj = list(Z.adj)
+        _or_pairs(adj, new)
+        if _holds_copy(clique, adj, new) is not None:
+            return "arrows", "clique"
     rows = np.array(rows, dtype=np.intp).reshape(len(rows), z_ids.shape[1])
     return _decide(m + len(new), np.concatenate((z_ids, rows)), 2, budget).verdict, "searched"
 
@@ -261,9 +277,12 @@ def _unions(Z, z, pool, spec, F, budget):
     """(h, booster pairs, verdict, how it was decided) for each h of `pool`
     in order, `z` being `_z_analysis(Z, F, budget)`: the one loop over a
     host's unions.  A union adding no pair to Z is Z ("no_pair"); the others
-    are decided from the copies through their added pairs, once per set of
-    added pairs ("repeat" after the first): an equal set, an equal system."""
+    are decided by `_union_verdict` from the copies through their added
+    pairs, with F's Ramsey clique when F has one, once per set of added
+    pairs ("repeat" after the first): an equal set, an equal system."""
     z_ids, z_res, phi = z
+    r = _ramsey_clique(F)
+    clique = None if r is None else complete_graph(r)
     decided = {}  # frozenset of added pairs -> (verdict, how)
     for h in pool:
         img = image_edges(spec.B, h)
@@ -273,7 +292,8 @@ def _unions(Z, z, pool, spec, F, budget):
         elif (key := frozenset(added)) in decided:
             yield h, img, decided[key][0], "repeat"
         else:
-            decided[key] = _union_verdict(z_ids, Z, _union_keys(Z, added, F), budget, phi)
+            decided[key] = _union_verdict(z_ids, Z, _union_keys(Z, added, F), budget, phi,
+                                          clique)
             yield h, img, *decided[key]
 
 
@@ -387,7 +407,8 @@ def construct_normal_family(Z, spec, F, params, seed=None):
 
     # stage 1: arrowing unions; how each union was decided partitions the pool
     psi1 = {}  # h -> booster pairs
-    report["stage1"] = dict.fromkeys(("no_pair", "repeat", "extension", "core", "searched"), 0)
+    report["stage1"] = dict.fromkeys(
+        ("no_pair", "repeat", "extension", "core", "clique", "searched"), 0)
     for h, img, v, how in _unions(Z, z, pool, spec, F, budget):
         report["stage1"][how] += 1
         if v == "arrows":

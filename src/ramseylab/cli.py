@@ -75,9 +75,11 @@ def _fraction(text):
 
 
 def _rat(x):
+    """`json.dumps`' default: a Fraction as "p/q".  Any other type is a
+    fault of the program, not of the input, and is refused by name."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    return x
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _finite(text):

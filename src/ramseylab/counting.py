@@ -17,15 +17,19 @@ shapes, each on its own engine:
   `booster.embedding_pool` reads its maps.  Counts read `_copy_array`
   alone: the F⁻ tallies (`_copy_counts`, `count_f_minus`) and the
   basegraph copies of property T.
-- **Through anchors.** `_anchored_copies` runs `_search`, an iterative
+- **Through anchors.** `_anchored_maps` runs `_search`, an iterative
   depth-first search with one candidate bitmask per pattern position,
-  with an arc of F pinned to each anchor in turn, and returns each copy's
-  key and first witness map in key order.  Booster unions, anchored
-  `enumerate_copies` and `count_f_minus_through` read it.
+  with an arc of F pinned to each anchor in turn; `_anchored_copies`
+  returns each copy's key and first witness map from it, in key order.
+  Booster unions, anchored `enumerate_copies` and `count_f_minus_through`
+  read it.
 
-An existence query, `_holds_copy`, stops the unanchored `_search` at its
-first map; `experiments.solver_verdict` asks it for a Ramsey clique on
-hosts where the whole-host query would list billions of cliques.
+An existence query, `_holds_copy`, stops the unanchored `_search` or
+`_anchored_maps` at its first map and returns that map, a witness, or
+None.  Unanchored, it serves `experiments.solver_verdict`, which asks it
+for a Ramsey clique on hosts where the whole-host query would list
+billions of cliques; through anchors it serves `booster._union_verdict`,
+which asks it for a Ramsey clique through the pairs a booster adds to Z.
 
 Both shapes and `_holds_copy` own both pattern-size rules: a pattern
 with more vertices than its host has no copies, and one that fits must
@@ -370,24 +374,31 @@ def _anchored_copies(F, adj, anchors):
     if F.n > len(adj):
         return []
     _check_cap(F)
-    # the maps of a copy through an anchor send one orbit of arcs onto
-    # (a, b), and those sending its representative form one stabilizer orbit
-    plans, edges = _arc_plans(F), F.edges
+    edges, seen = F.edges, {}
+    for m in _anchored_maps(F, adj, anchors):
+        es = []
+        for u, v in edges:
+            x, y = m[u], m[v]
+            es.append((x, y) if x < y else (y, x))
+        es.sort()
+        key = (tuple(sorted(m)), tuple(es))
+        if key not in seen:
+            seen[key] = m
+    return sorted(seen.items())
+
+
+def _anchored_maps(F, adj, anchors):
+    """The maps of `_search` into the host rows `adj` with each arc plan of
+    F (`_arc_plans`) pinned to each host pair of `anchors` in turn: one map
+    per copy through each anchor.  The maps of a copy through an anchor
+    send one orbit of arcs onto (a, b), and those sending its
+    representative form one stabilizer orbit."""
+    plans = _arc_plans(F)
     dom = [0, 0] + [(1 << len(adj)) - 1] * (F.n - 2)
-    seen = {}
     for a, b in anchors:
         dom[0], dom[1] = 1 << a, 1 << b  # each search below ends before the next anchor
         for plan in plans:
-            for m in _search(adj, plan, dom):
-                es = []
-                for u, v in edges:
-                    x, y = m[u], m[v]
-                    es.append((x, y) if x < y else (y, x))
-                es.sort()
-                key = (tuple(sorted(m)), tuple(es))
-                if key not in seen:
-                    seen[key] = m
-    return sorted(seen.items())
+            yield from _search(adj, plan, dom)
 
 
 def _pair_codes(F, maps, n):
@@ -412,16 +423,22 @@ def _sorted_copies(F, adj):
     return maps[rank], vertices[rank], codes[rank]
 
 
-def _holds_copy(F, adj):
-    """Whether the host rows `adj` hold a copy of F: the first map of the
-    unanchored orbit search (`_search` by `_breaking(F, ())`), with no
-    other copy collected.  The pattern-size rules are those of
-    `_copy_array`."""
+def _holds_copy(F, adj, anchors=None):
+    """The first map of F into the host rows `adj`, a witness, or None,
+    with no other copy collected.  With no `anchors` it is the first map
+    of the unanchored orbit search (`_search` by `_breaking(F, ())`), so
+    None means the rows hold no copy.  With host pairs `anchors` it is the
+    first of `_anchored_maps`, the maps `_anchored_copies` reads, so None
+    means no copy passes through an anchor.  The pattern-size rules are
+    those of `_copy_array`."""
     if F.n > len(adj):
-        return False
+        return None
     _check_cap(F)
-    full = (1 << len(adj)) - 1
-    return next(_search(adj, _breaking(F, ()), [full] * F.n), None) is not None
+    if anchors is None:
+        maps = _search(adj, _breaking(F, ()), [(1 << len(adj)) - 1] * F.n)
+    else:
+        maps = _anchored_maps(F, adj, anchors)
+    return next(maps, None)
 
 
 def _copy_counts(F, G):

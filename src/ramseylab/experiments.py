@@ -76,8 +76,9 @@ def solver_verdict(F, budget=None):
       second is "arrows", with no sample and no solve.
     - **A Ramsey clique.**  With r = `arrowing._ramsey_clique(F)`, the
       smallest r <= 7 with K_r -> (F), a sample that holds a K_r arrows.
-      The sample is searched for one (`counting._holds_copy`, stopped at
-      the first copy) only where G(n, p) expects one, C(n, r) p^C(r,2) >= 1.
+      The sample is searched for one only where G(n, p) expects one,
+      C(n, r) p^C(r,2) >= 1, by `counting._holds_copy`, which stops at
+      the first copy and returns its map (the K_r's vertices) or None.
     - **The solver**, `decide_arrow` at the node budget, builds and
       solves the NAE system.
     A decided verdict from the clique or the solver moves its bound.  So a
@@ -98,7 +99,7 @@ def solver_verdict(F, budget=None):
                 return "arrows"
         G = gnp_sample(n, p, seed)
         expected = 0 if clique is None else comb(n, r) * p ** comb(r, 2)  # K_r copies in G(n, p)
-        if expected >= 1 and _holds_copy(clique, G.adj):
+        if expected >= 1 and _holds_copy(clique, G.adj) is not None:
             verdict = "arrows"
         else:
             verdict = decide_arrow(G, F, budget=budget).verdict

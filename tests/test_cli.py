@@ -8,10 +8,12 @@ from fractions import Fraction
 from math import ceil
 from pathlib import Path
 
+import numpy as np
+import pytest
 from instances import two_block_host
 
 import ramseylab
-from ramseylab.cli import _finite, _float_list, build_parser, main
+from ramseylab.cli import _finite, _float_list, _rat, build_parser, main
 from ramseylab.counting import check_T
 from ramseylab.density import classify
 from ramseylab.graphs import Seed, gnp_sample, parse_graph, pattern_by_name, serialize_graph
@@ -361,6 +363,15 @@ def test_non_finite_constants_exit_2(capsys, tmp_path):
     assert code == 0 and _strict_json(out)["result"]["edges"] == [[0, 1]]
     code, out = run_cli(capsys, *cores, "--gamma", "0.5")
     assert code == 0 and _strict_json(out)["result"]["verification"]["c1_holds_here"]
+
+
+def test_artifact_encoder_writes_fractions_and_refuses_other_types():
+    # a value json cannot write is a fault of the program: it is refused by
+    # its type name, not handed back to json.dumps (a "circular reference")
+    assert json.dumps({"a": Fraction(3, 6)}, default=_rat) == '{"a": "1/2"}'
+    for value in (np.int64(3), {1, 2}, object()):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            json.dumps({"a": value}, default=_rat)
 
 
 def test_every_float_flag_refuses_non_finite_values():

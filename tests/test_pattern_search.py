@@ -21,6 +21,7 @@ from oracles import (
     naive_copies,
     naive_extension_count,
     naive_fstar_overlap,
+    naive_holds_clique,
     naive_P,
     naive_smaller,
     reference_completions_through,
@@ -38,6 +39,7 @@ from ramseylab.counting import (
     _completions_through,
     _copy_array,
     _copy_counts,
+    _holds_copy,
     _norm,
     _PairFamily,
     _plan,
@@ -210,6 +212,39 @@ def test_union_rows_give_the_keys_of_the_built_union(Z, F, data):
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     assert _anchored_copies(F, U.adj, img) == first_maps(F, reference_copy_maps(F, rows, img))
+
+
+@st.composite
+def clique_queries(draw):
+    """(K_r for r = 3..6, host on 6 to 9 vertices, 0 to 4 anchors): a random
+    prefix of the host's pairs, so that dense hosts hold the larger cliques."""
+    r = draw(st.integers(3, 6))
+    n = draw(st.integers(6, 9))
+    pairs = list(combinations(range(n), 2))
+    G = Graph(n, draw(st.permutations(pairs))[draw(st.integers(0, n)):])
+    anchors = draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True))
+    return complete_graph(r), G, [e[::-1] if draw(st.booleans()) else e for e in anchors]
+
+
+@settings(PROPERTY, max_examples=120)
+@given(clique_queries())
+def test_existence_query_returns_the_first_map_of_the_reference(case):
+    # through anchors, the witness is the first map of the reference search
+    # that pins each arc representative to each anchor, so the query finds
+    # a copy exactly when one passes through an anchor, anchored at an
+    # edge of the host or not; with no anchors it finds one exactly when
+    # the host holds one
+    K, G, anchors = case
+    rows = list(G.adj)
+    m = _holds_copy(K, rows, anchors)
+    assert m == next(iter(reference_copy_maps(K, rows, anchors)), None)
+    if m is not None:
+        pairs = {_norm(u, v) for u, v in combinations(m, 2)}
+        assert len(set(m)) == K.n and all(G.has_edge(*e) for e in pairs)
+        assert pairs & {_norm(*e) for e in anchors}
+    whole = _holds_copy(K, rows)
+    assert (whole is not None) == naive_holds_clique(G, K.n)
+    assert whole is None or all(G.has_edge(u, v) for u, v in combinations(whole, 2))
 
 
 def test_union_rows_raise_the_graph_messages():

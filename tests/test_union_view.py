@@ -11,7 +11,9 @@ leaves Z undecided; one decision per set of added pairs; the views
 built from the unions' keys, checked against `union_view`; stage 2's
 badness from the keys, checked against the naive oracle; one collection
 of Z's copies per call; and the booster pipeline's outputs pinned on
-seeded hosts."""
+seeded hosts.  A union decided by a Ramsey clique through an added pair
+is checked against the oracles, and so is the clique, its witness.
+"""
 
 import json
 from collections import Counter
@@ -34,6 +36,7 @@ from ramseylab.arrowing import (
     RED,
     ArrowResult,
     _extend,
+    _ramsey_clique,
     brute_force_arrow,
     copy_constraints,
     decide_arrow,
@@ -426,9 +429,9 @@ def test_one_decision_per_set_of_added_pairs(monkeypatch):
     calls = []
     decide = booster._union_verdict
 
-    def spy(z_ids, Z, keys, budget, phi=None):
+    def spy(z_ids, Z, keys, budget, phi=None, clique=None):
         calls.append(keys)
-        return decide(z_ids, Z, keys, budget, phi)
+        return decide(z_ids, Z, keys, budget, phi, clique)
 
     monkeypatch.setattr(booster, "_union_verdict", spy)
     params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4)}
@@ -440,6 +443,77 @@ def test_one_decision_per_set_of_added_pairs(monkeypatch):
     assert stage1["no_pair"] == len(added) - len(some)
     assert stage1["repeat"] == len(some) - len(set(some)) > 0
     assert sum(stage1.values()) == report["pool"] == len(added)
+
+
+def _clique_answers(monkeypatch):
+    """A list that fills, as stage 1 runs, with (Z, booster pairs, witness)
+    for each union it decides by a Ramsey clique: the map `_holds_copy`
+    returned for that union."""
+    answers, found = [], []
+    holds, unions = booster._holds_copy, booster._unions
+
+    def spy_holds(F, adj, anchors=None):
+        found.append(holds(F, adj, anchors))
+        return found[-1]
+
+    def spy_unions(Z, z, pool, spec, F, budget):
+        for h, img, v, how in unions(Z, z, pool, spec, F, budget):
+            if how == "clique":
+                answers.append((Z, img, found[-1]))
+            yield h, img, v, how
+
+    monkeypatch.setattr(booster, "_holds_copy", spy_holds)
+    monkeypatch.setattr(booster, "_unions", spy_unions)
+    return answers
+
+
+def _check_clique_witness(Z, img, witness, F):
+    # r distinct vertices, pairwise adjacent in the built union, one pair
+    # of them added by h(B); K_r arrows F
+    r = _ramsey_clique(F)
+    U = Graph(Z.n, [*Z.edges, *img])
+    added = {e for e in U.edges if not Z.has_edge(*e)}
+    assert len(witness) == len(set(witness)) == r
+    pairs = {(u, v) if u < v else (v, u) for u, v in combinations(witness, 2)}
+    assert all(U.has_edge(u, v) for u, v in pairs)
+    assert pairs & added
+
+
+def test_clique_answers_carry_a_witness(monkeypatch):
+    # on the golden hosts and on one seeded run of a three-block host
+    assert brute_force_arrow(complete_graph(_ramsey_clique(K3)), K3).verdict == "arrows"
+    answers = _clique_answers(monkeypatch)
+    runs = [(build(), SPECS[(booster_name, K3)], extra, Seed(510))
+            for build, booster_name, extra in GOLDEN_CASES.values()]
+    runs.append((block_host(20, 3, Seed(541))[0], SPECS[("P3", K3)], {"pool_size": 400},
+                 Seed(542)))
+    for Z, spec, extra, seed in runs:
+        params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4),
+                  "budget": 2000, **extra}
+        del answers[:]
+        _, report = construct_normal_family(Z, spec, K3, params, seed=seed)
+        assert len(answers) == report["stage1"]["clique"]
+        for _, img, witness in answers:
+            _check_clique_witness(Z, img, witness, K3)
+    assert report["stage1"]["clique"] > 0
+
+
+@settings(PROPERTY, max_examples=60)
+@given(coloured_unions(pool_max=4), st.sampled_from((None, 1)))
+def test_stage1_clique_verdicts_agree_with_the_oracles(case, budget):
+    # a clique answer arrows by brute force where the union's constrained
+    # edges fit under the cap, and by an unbudgeted solve elsewhere; with
+    # one node, the clique decides unions that a search may leave undecided
+    Z, pool, spec, F, _ = case
+    for h, img, v, how in _unions(Z, _z_analysis(Z, F, budget), pool, spec, F, budget):
+        if how != "clique":
+            continue
+        assert v == "arrows"
+        U = Graph(Z.n, [*Z.edges, *img])
+        if len({e for c in copy_constraints(U, F) for e in c}) <= BRUTE_FORCE_EDGE_CAP:
+            assert brute_force_arrow(U, F).verdict == "arrows"
+        else:
+            assert decide_arrow(U, F).verdict == "arrows"
 
 
 def test_union_adding_no_pair_keeps_z_undecided_at_a_small_budget():
