@@ -343,12 +343,12 @@ CLIQUE_CAP = 7
 
 @cache
 def _ramsey_clique(F):
-    """The smallest r <= CLIQUE_CAP with K_r -> (F) in two colours, or None:
-    the diagonal Ramsey number R(F, F) when that is at most CLIQUE_CAP.
-    Arrowing is monotone, so every host that holds a K_r arrows F.  Found
-    once per pattern by unbudgeted `decide_arrow` on K_v(F), ..., K_7."""
-    return next((r for r in range(F.n, CLIQUE_CAP + 1)
-                 if decide_arrow(complete_graph(r), F).arrows), None)
+    """F's Ramsey clique: K_r for the smallest r <= CLIQUE_CAP with K_r ->
+    (F) in two colours, r = R(F, F), or None.  Arrowing is monotone, so
+    every host that holds a K_r arrows F.  Found once per pattern by
+    unbudgeted solves of K_v(F), ..., K_7 on the private `_decide`."""
+    return next((K for K in map(complete_graph, range(F.n, CLIQUE_CAP + 1))
+                 if _decide(K.num_edges(), _id_array(K, F), 2, None).arrows), None)
 
 
 BRUTE_FORCE_EDGE_CAP = 24

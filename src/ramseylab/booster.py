@@ -9,12 +9,13 @@ enumeration in Z ∪ h(B), which is Z plus the pairs h(B) adds to Z.  Stage
 added pairs; a union that adds none is Z and takes Z's verdict.  Each
 other union is decided by an extension of Z's colouring, else by F's
 Ramsey clique through an added pair, else by a search of the whole union
-(`_union_verdict`).  Stage 2 reads the badness of a union that arrows off
-its copy keys through a booster pair (`_bad_flags`), and the view that
-stages 3 and 6 read (`union_view`'s second half) is built from them only
-for a union that is not bad.  All keys come from a search on Z's
-adjacency rows with pairs ORed in (`_union_keys`); no union is built as a
-Graph.  Z is analysed once per call (`_z_analysis`): it is decided on its
+(`_union_verdict`), all on one copy of Z's adjacency rows with h(B) ORed
+in.  Stage 2 reads the badness of a union that arrows off its copy keys
+through a booster pair (`_bad_flags`), and the view that stages 3 and 6
+read (`union_view`'s second half) is built from them only for a union
+that is not bad; they and the other readers that start from (Z, h) take
+their keys from `_union_keys`.  No union is built as a Graph.  Z is
+analysed once per call (`_z_analysis`): it is decided on its
 `arrowing._id_array` rows, and a union searched whole is searched on them
 followed by the id rows of its copies through an added pair; Z's
 certificate φ keeps only the edges that its copies need to stay
@@ -119,11 +120,11 @@ def union_view(Z, h, spec, F):
 
 def _union_keys(Z, img, F):
     """The copy keys of F in the union U of Z and the pairs `img` through
-    one of those pairs, in key order: the one place a union's copies are
-    collected.  A key is the copy's (sorted vertex tuple, sorted edge
-    tuple), as `counting._anchored_copies` gives it.  `img` is ORed into
-    Z's rows by `_or_pairs`, so a loop or an out-of-range pair raises the
-    `Graph` error; U is not built."""
+    one of those pairs, in key order, for every reader but stage 1.  A
+    key is the copy's (sorted vertex tuple, sorted edge tuple), as
+    `counting._anchored_copies` gives it.  `img` is ORed into Z's rows by
+    `_or_pairs`, so a loop or an out-of-range pair raises the `Graph`
+    error; U is not built."""
     adj = list(Z.adj)
     _or_pairs(adj, img)
     return [key for key, _ in _anchored_copies(F, adj, img)]
@@ -238,21 +239,21 @@ def _z_analysis(Z, F, budget):
     return z_ids, z_res, phi
 
 
-def _union_verdict(z_ids, Z, keys, budget, phi=None, clique=None):
+def _union_verdict(z_ids, Z, adj, keys, budget, phi=None, clique=None):
     """(decide_arrow_union's verdict, how it was decided) on the union U of
-    Z and the pairs it adds to Z, whose copies through an added pair are
-    `keys`, Z's system being `z_ids`.  U's system is Z's rows followed by
-    the keys' id rows, the added pairs numbered Z.num_edges(), ... in
-    first-seen order.  In turn:
+    Z and the pairs it adds to Z, whose adjacency rows are `adj` and whose
+    copies through an added pair are `keys`, Z's system being `z_ids`.
+    U's system is Z's rows followed by the keys' id rows, the added pairs
+    numbered Z.num_edges(), ... in first-seen order.  In turn:
     - given Z's F-free colouring `phi` (colour per Z edge id), an
       extension to the added pairs ("extension" with no core, else
       "core"): only a copy with an added pair can turn monochromatic;
     - given F's Ramsey clique K_r (`arrowing._ramsey_clique`) as
       `clique`, a K_r through an added pair ("clique": "arrows"), by
-      `counting._holds_copy` anchored at the keys' added pairs.  Each
-      added pair of a K_r in U lies in a key (K_r is edge-transitive and
-      holds F), and a Z that does not arrow F holds no K_r, so then the
-      query misses only when U holds none;
+      `counting._holds_copy` on `adj` anchored at the keys' added pairs.
+      Each added pair of a K_r in U lies in a key (K_r is edge-transitive
+      and holds F), and a Z that does not arrow F holds no K_r, so then
+      the query misses only when U holds none;
     - else U is searched whole ("searched").  Its system is
       decide_arrow_union's, renumbered and reordered, so a decided
       verdict is the same; under a node budget the search order differs,
@@ -264,11 +265,8 @@ def _union_verdict(z_ids, Z, keys, budget, phi=None, clique=None):
             for _, es in keys]
     if phi is not None and (ext := _extend(rows, phi)) is not None:
         return "not_arrows", "core" if ext else "extension"
-    if clique is not None:
-        adj = list(Z.adj)
-        _or_pairs(adj, new)
-        if _holds_copy(clique, adj, new) is not None:
-            return "arrows", "clique"
+    if clique is not None and _holds_copy(clique, adj, new) is not None:
+        return "arrows", "clique"
     rows = np.array(rows, dtype=np.intp).reshape(len(rows), z_ids.shape[1])
     return _decide(m + len(new), np.concatenate((z_ids, rows)), 2, budget).verdict, "searched"
 
@@ -277,24 +275,25 @@ def _unions(Z, z, pool, spec, F, budget):
     """(h, booster pairs, verdict, how it was decided) for each h of `pool`
     in order, `z` being `_z_analysis(Z, F, budget)`: the one loop over a
     host's unions.  A union adding no pair to Z is Z ("no_pair"); the others
-    are decided by `_union_verdict` from the copies through their added
-    pairs, with F's Ramsey clique when F has one, once per set of added
-    pairs ("repeat" after the first): an equal set, an equal system."""
+    are decided by `_union_verdict` on one copy of Z's rows with h(B)
+    ORed in and the copies through their added pairs found on it, with
+    F's Ramsey clique when F has one, once per set of added pairs
+    ("repeat" after the first): an equal set, an equal system."""
     z_ids, z_res, phi = z
-    r = _ramsey_clique(F)
-    clique = None if r is None else complete_graph(r)
+    clique = _ramsey_clique(F)
     decided = {}  # frozenset of added pairs -> (verdict, how)
     for h in pool:
         img = image_edges(spec.B, h)
-        added = _or_pairs(list(Z.adj), img)
+        adj = list(Z.adj)
+        added = _or_pairs(adj, img)
         if not added:
             yield h, img, z_res.verdict, "no_pair"
-        elif (key := frozenset(added)) in decided:
-            yield h, img, decided[key][0], "repeat"
+        elif (pairs := frozenset(added)) in decided:
+            yield h, img, decided[pairs][0], "repeat"
         else:
-            decided[key] = _union_verdict(z_ids, Z, _union_keys(Z, added, F), budget, phi,
-                                          clique)
-            yield h, img, *decided[key]
+            keys = [key for key, _ in _anchored_copies(F, adj, added)]
+            decided[pairs] = _union_verdict(z_ids, Z, adj, keys, budget, phi, clique)
+            yield h, img, *decided[pairs]
 
 
 def check_interactive_regular(Z, Xi, spec, F, budget=None):

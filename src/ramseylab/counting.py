@@ -26,10 +26,8 @@ shapes, each on its own engine:
 
 An existence query, `_holds_copy`, stops the unanchored `_search` or
 `_anchored_maps` at its first map and returns that map, a witness, or
-None.  Unanchored, it serves `experiments.solver_verdict`, which asks it
-for a Ramsey clique on hosts where the whole-host query would list
-billions of cliques; through anchors it serves `booster._union_verdict`,
-which asks it for a Ramsey clique through the pairs a booster adds to Z.
+None; it collects no other copy, so it answers on hosts where the
+whole-host query would list billions of copies.
 
 Both shapes and `_holds_copy` own both pattern-size rules: a pattern
 with more vertices than its host has no copies, and one that fits must

@@ -10,7 +10,7 @@ estimates with their count reported.
 
 The default verdict function, `solver_verdict`, answers from three exact
 sources in turn: the bounds that its earlier decided verdicts on the same
-(n, seed) set, a Ramsey clique K_r (r = R(F, F) <= 7) found in the sample
+(n, seed) set, F's Ramsey clique K_r from `arrowing` found in the sample
 where G(n, p) expects one, and the NAE solver at the node budget.  The
 first two need no solve, so a trial that the budget would leave
 undecided may be decided by them.
@@ -36,7 +36,7 @@ from .booster import (
 )
 from .counting import _copy_counts, _holds_copy, _PairFamily, f_minus_members
 from .density import _check_delta, classify, is_bipartite
-from .graphs import Seed, complete_graph, gnp_sample, pair_uniforms
+from .graphs import Seed, gnp_sample, pair_uniforms
 
 
 # arrowing-probability levels whose crossings a curve or window reports
@@ -74,11 +74,11 @@ def solver_verdict(F, budget=None):
       decided "not_arrows" and the smallest p it decided "arrows".  A
       query at or below the first is "not_arrows", and one at or above the
       second is "arrows", with no sample and no solve.
-    - **A Ramsey clique.**  With r = `arrowing._ramsey_clique(F)`, the
-      smallest r <= 7 with K_r -> (F), a sample that holds a K_r arrows.
-      The sample is searched for one only where G(n, p) expects one,
-      C(n, r) p^C(r,2) >= 1, by `counting._holds_copy`, which stops at
-      the first copy and returns its map (the K_r's vertices) or None.
+    - **A Ramsey clique.**  F's Ramsey clique K_r comes from
+      `arrowing._ramsey_clique(F)`, the smallest r <= 7 with K_r -> (F);
+      a sample that holds a K_r arrows.  The sample is searched for one
+      only where G(n, p) expects one, C(n, r) p^C(r,2) >= 1, by
+      `counting._holds_copy`.
     - **The solver**, `decide_arrow` at the node budget, builds and
       solves the NAE system.
     A decided verdict from the clique or the solver moves its bound.  So a
@@ -87,8 +87,7 @@ def solver_verdict(F, budget=None):
     clique.
     """
     bounds = {}  # (n, seed) -> (largest p not arrowing, smallest p arrowing)
-    r = _ramsey_clique(F)
-    clique = None if r is None else complete_graph(r)
+    clique = _ramsey_clique(F)
 
     def fn(n, p, seed):
         below, above = bounds.get((n, seed), (-inf, inf))
@@ -98,7 +97,7 @@ def solver_verdict(F, budget=None):
             if p >= above:
                 return "arrows"
         G = gnp_sample(n, p, seed)
-        expected = 0 if clique is None else comb(n, r) * p ** comb(r, 2)  # K_r copies in G(n, p)
+        expected = 0 if clique is None else comb(n, clique.n) * p ** clique.num_edges()
         if expected >= 1 and _holds_copy(clique, G.adj) is not None:
             verdict = "arrows"
         else:

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from ramseylab import arrowing
 from ramseylab.arrowing import (
     CLIQUE_CAP,
     _ramsey_clique,
@@ -24,6 +25,7 @@ from ramseylab.graphs import (
     pattern_by_name,
     union,
 )
+from ramseylab.counting import _holds_copy
 
 K3 = complete_graph(3)
 
@@ -76,12 +78,50 @@ def test_ramsey_clique_is_the_diagonal_ramsey_number():
                 "C5": None, "C6": None, "P6": None, "K4": None, "K4-e": None}
     for name, r in expected.items():
         F = pattern_by_name(name)
-        assert _ramsey_clique(F) == r, name
+        assert _ramsey_clique(F) == (None if r is None else complete_graph(r)), name
         # every complete-graph verdict the helper reads, against the oracle
         for k in range(F.n, (r or CLIQUE_CAP) + 1):
             verdict = "arrows" if k == r else "not_arrows"
             assert decide_arrow(complete_graph(k), F).verdict == verdict, (name, k)
             assert brute_force_arrow(complete_graph(k), F).verdict == verdict, (name, k)
+
+
+def test_ramsey_clique_is_solved_privately(monkeypatch):
+    # the once-per-pattern solves never pass through the public decide_arrow
+    def refuse(*args, **kwargs):
+        raise AssertionError("_ramsey_clique called decide_arrow")
+
+    _ramsey_clique.cache_clear()
+    monkeypatch.setattr(arrowing, "decide_arrow", refuse)
+    try:
+        K6 = complete_graph(6)
+        expected = {"K2": complete_graph(2), "P3": complete_graph(3), "K3": K6, "C4": K6,
+                    "C5": None, "K4": None}
+        for name, clique in expected.items():
+            assert _ramsey_clique(pattern_by_name(name)) == clique, name
+    finally:
+        _ramsey_clique.cache_clear()
+
+
+def test_hosts_without_k6_that_arrow():
+    """Exact laws where arrowing is not K6 containment: K8 - C5 (= K3 + C5,
+    Graham 1968) arrows K3 and holds no K6, and none of its 23 one-edge
+    deletions arrows; K7 minus a triangle and K7 minus two disjoint edges
+    arrow C4 and hold no K6.  A verdict read off K6 containment alone
+    fails this test."""
+    K6 = complete_graph(6)
+    G = complete_graph(8).without_edges(cycle_graph(5).edges)
+    assert G.num_edges() == 23 and _holds_copy(K6, G.adj) is None
+    assert decide_arrow(G, K3).verdict == brute_force_arrow(G, K3).verdict == "arrows"
+    for e in G.edges:
+        H = G.without_edges([e])
+        res = decide_arrow(H, K3)
+        assert res.verdict == "not_arrows" and is_f_free(res.certificate, H, K3)[0], e
+    C4 = cycle_graph(4)
+    for removed in ([(0, 1), (0, 2), (1, 2)], [(0, 1), (2, 3)]):
+        H = complete_graph(7).without_edges(removed)
+        assert _holds_copy(K6, H.adj) is None
+        assert decide_arrow(H, C4).verdict == "arrows", removed
 
 
 def test_no_copy_means_not_arrows():

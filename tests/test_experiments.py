@@ -375,7 +375,8 @@ def bound_queries(draw):
 def _clique_gate(F, n, p):
     """The r of F's Ramsey clique K_r, when solver_verdict looks for one in
     G(n, p): where C(n, r) p^C(r, 2) >= 1; else None."""
-    r = _ramsey_clique(F)
+    K = _ramsey_clique(F)
+    r = None if K is None else K.n
     return r if r is not None and math.comb(n, r) * p ** math.comb(r, 2) >= 1 else None
 
 
@@ -471,7 +472,7 @@ def planted_cliques(draw):
     """A pattern with a Ramsey clique K_r, a host G(n, p) with n <= 12 and a
     K_r planted on drawn vertices, and a budget down to 1."""
     F = draw(st.sampled_from([pattern_by_name(x) for x in ("K2", "P3", "P4", "P5", "K3", "C4")]))
-    r = _ramsey_clique(F)
+    r = _ramsey_clique(F).n
     n = draw(st.integers(r, 12))
     p = draw(st.integers(0, 20).map(lambda k: k / 20) | st.floats(0.0, 1.0))
     vs = draw(st.permutations(range(n)))[:r]

@@ -134,10 +134,10 @@ def added_keys(Z, img, F):
     return _union_keys(Z, [e for e in img if not Z.has_edge(*e)], F)
 
 
-def _whole_system(z_ids, Z, keys):
+def _whole_system(z_ids, Z, U, keys):
     """(variable count, id rows) that `_union_verdict` hands the core when
-    it searches whole the union of Z, whose system is `z_ids`, whose copies
-    through an added pair are `keys`; the core does not run."""
+    it searches whole the union U of Z, whose system is `z_ids`, whose
+    copies through an added pair are `keys`; the core does not run."""
     seen = []
 
     def decide(m, cons, colours, budget):
@@ -145,7 +145,7 @@ def _whole_system(z_ids, Z, keys):
         return ArrowResult("arrows")
 
     with mock.patch.object(booster, "_decide", decide):
-        assert _union_verdict(z_ids, Z, keys, None) == ("arrows", "searched")
+        assert _union_verdict(z_ids, Z, U.adj, keys, None) == ("arrows", "searched")
     return seen[0]
 
 
@@ -165,12 +165,12 @@ def test_whole_search_system_is_the_union_system_renumbered(case):
     Z, h, spec, F = case
     img = image_edges(spec.B, h)
     keys, z_ids = added_keys(Z, img, F), naive_ids(F, Z)
-    m, cons = _whole_system(z_ids, Z, keys)
+    U = Graph(Z.n, [*Z.edges, *img])
+    m, cons = _whole_system(z_ids, Z, U, keys)
     pairs = list(Z.edges) + list(dict.fromkeys(e for _, es in keys for e in es
                                                if not Z.has_edge(*e)))
     assert m == len(pairs)
     assert cons[:len(z_ids)] == z_ids.tolist()
-    U = Graph(Z.n, [*Z.edges, *img])
     assert Counter(frozenset(pairs[e] for e in c) for c in cons) == Counter(
         frozenset(U.edges[e] for e in c) for c in copy_constraints(U, F))
 
@@ -212,8 +212,8 @@ def _stage1(Z, h, spec, F, phi):
     if new is not None:
         assert set(new) <= set(U.edges) - set(Z.edges)  # only new pairs get a colour
         ext = [{**by_edge, **new}.get(e, RED) for e in U.edges]
-    return (U, ext, _union_verdict(z_ids, Z, keys, None, by_id)[0],
-            _union_verdict(z_ids, Z, keys, None)[0],
+    return (U, ext, _union_verdict(z_ids, Z, U.adj, keys, None, by_id)[0],
+            _union_verdict(z_ids, Z, U.adj, keys, None)[0],
             decide_arrow_union(Z, image_graph(spec.B, h, Z.n), F).verdict)
 
 
@@ -429,9 +429,9 @@ def test_one_decision_per_set_of_added_pairs(monkeypatch):
     calls = []
     decide = booster._union_verdict
 
-    def spy(z_ids, Z, keys, budget, phi=None, clique=None):
+    def spy(z_ids, Z, adj, keys, budget, phi=None, clique=None):
         calls.append(keys)
-        return decide(z_ids, Z, keys, budget, phi, clique)
+        return decide(z_ids, Z, adj, keys, budget, phi, clique)
 
     monkeypatch.setattr(booster, "_union_verdict", spy)
     params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4)}
@@ -470,7 +470,7 @@ def _clique_answers(monkeypatch):
 def _check_clique_witness(Z, img, witness, F):
     # r distinct vertices, pairwise adjacent in the built union, one pair
     # of them added by h(B); K_r arrows F
-    r = _ramsey_clique(F)
+    r = _ramsey_clique(F).n
     U = Graph(Z.n, [*Z.edges, *img])
     added = {e for e in U.edges if not Z.has_edge(*e)}
     assert len(witness) == len(set(witness)) == r
@@ -481,7 +481,7 @@ def _check_clique_witness(Z, img, witness, F):
 
 def test_clique_answers_carry_a_witness(monkeypatch):
     # on the golden hosts and on one seeded run of a three-block host
-    assert brute_force_arrow(complete_graph(_ramsey_clique(K3)), K3).verdict == "arrows"
+    assert brute_force_arrow(_ramsey_clique(K3), K3).verdict == "arrows"
     answers = _clique_answers(monkeypatch)
     runs = [(build(), SPECS[(booster_name, K3)], extra, Seed(510))
             for build, booster_name, extra in GOLDEN_CASES.values()]
