@@ -14,6 +14,7 @@ from ramseylab.arrowing import (
     first_f_free_coloring,
     is_f_free,
 )
+from ramseylab.counting import _holds_copy
 from ramseylab.graphs import (
     Graph,
     Seed,
@@ -25,7 +26,6 @@ from ramseylab.graphs import (
     pattern_by_name,
     union,
 )
-from ramseylab.counting import _holds_copy
 
 K3 = complete_graph(3)
 
