@@ -56,7 +56,7 @@ from .counting import (
     enumerate_copies,
 )
 from .density import _check_delta
-from .graphs import Graph, Seed, _float, _is_id, _or_pairs, _vertex_mask, complete_graph, union
+from .graphs import Graph, Seed, _bits, _float, _is_id, _or_pairs, _vertex_mask, complete_graph, union
 
 
 # -- booster specification ----------------------------------------------
@@ -813,15 +813,16 @@ def hypergraph_stats(H, tau):
 
 def _closure_degrees(edges):
     """(I, number of `edges` holding I) for every nonempty intersection I of
-    a nonempty family of the hyperedges `edges` (vertex tuples), I as a
-    vertex tuple.  Each closure set is kept as a vertex mask with the bitset
-    of the hyperedges that hold it, the AND of its vertices' incidence
-    bitsets.  A set I is intersected with the hyperedges that meet it and
-    come after the first one that holds it, which reaches I = E_i1 ∩ E_i2 ∩
-    ... (i1 < i2 < ... its holders).  Those hyperedges are split by which of
-    I's vertices they hold, so a distinct intersection costs one bitset
-    operation per vertex of I, not a step per hyperedge.  Every closure set
-    lies in a hyperedge, so there are at most min(2^e, e·2^ℓ) of them."""
+    a nonempty family of the hyperedges `edges` (vertex tuples), I as the
+    ascending list of its vertices (`graphs._bits`).  Each closure set is
+    kept as a vertex mask with the bitset of the hyperedges that hold it,
+    the AND of its vertices' incidence bitsets.  A set I is intersected
+    with the hyperedges that meet it and come after the first one that
+    holds it, which reaches I = E_i1 ∩ E_i2 ∩ ... (i1 < i2 < ... its
+    holders).  Those hyperedges are split by which of I's vertices they
+    hold, so a distinct intersection costs one bitset operation per vertex
+    of I, not a step per hyperedge.  Every closure set lies in a
+    hyperedge, so there are at most min(2^e, e·2^ℓ) of them."""
     inc = {}  # vertex -> bitset of the hyperedges holding it
     for i, edge in enumerate(edges):
         for v in edge:
@@ -829,7 +830,7 @@ def _closure_degrees(edges):
 
     def held_by(x):
         h = -1
-        for v in _members(x):
+        for v in _bits(x):
             h &= inc[v]
         return h
 
@@ -839,7 +840,7 @@ def _closure_degrees(edges):
         new = []
         for x in grown:
             held = holders[x]
-            vs = _members(x)
+            vs = _bits(x)
             meet = 0
             for v in vs:
                 meet |= inc[v]
@@ -857,17 +858,7 @@ def _closure_degrees(edges):
                     holders[z] = held_by(z)
                     new.append(z)
         grown = new
-    return [(_members(x), h.bit_count()) for x, h in holders.items()]
-
-
-def _members(mask):
-    """The set bits of `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    return [(_bits(x), h.bit_count()) for x, h in holders.items()]
 
 
 def degree_bound_report(stats, D, p, delta, vF, n):
@@ -920,7 +911,7 @@ def brute_force_cores(H):
     maximal = np.nonzero(independent)[0]
     for v in range(m):  # keep the sets that hold v or cannot take it
         maximal = maximal[(maximal >> v & 1).astype(bool) | ~independent[maximal | 1 << v]]
-    containers = [frozenset(v for v in range(m) if s >> v & 1) for s in maximal.tolist()]
+    containers = [frozenset(_bits(s)) for s in maximal.tolist()]
     return CoreFamily(cores=[frozenset(range(m)) - c for c in containers], containers=containers)
 
 

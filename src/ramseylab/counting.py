@@ -48,9 +48,11 @@ two-edge-deleted pair families rely on.  The pair family `_PairFamily`
 searches the completions through each pair once, one representative per
 orbit of (pinned arc, deleted edge) pairs, and builds copy sets per
 query; its ceiling, read off Z's largest degree, settles light pairs
-with no search.  The heuristic denseness check counts the edges inside
-each starting vertex set once, with `graphs.edge_count_between`, and
-derives the count after each candidate swap from two popcounts of
+with no search.  Its queries take two distinct, normalised pairs and
+check nothing; `count_P` and `enumerate_P` check the pairs a caller
+names from outside.  The heuristic denseness check counts the edges
+inside each starting vertex set once, with `graphs.edge_count_between`,
+and derives the count after each candidate swap from two popcounts of
 adjacency masks.
 """
 
@@ -64,7 +66,7 @@ from math import ceil, comb, prod
 import numpy as np
 
 from .density import _check_cap, _check_roots
-from .graphs import Graph, Seed, _float, _is_id, _vertex_mask, edge_count_between
+from .graphs import Graph, Seed, _bits, _float, _is_id, _vertex_mask, edge_count_between
 
 
 def _norm(u, v):
@@ -126,7 +128,7 @@ def _search(adj, plan, dom, injective=True):
     order, back, smaller = plan
     k = len(order)
     if k < 2:  # no position before the last
-        yield from ((v,) for v in range(dom[0].bit_length()) if dom[0] >> v & 1)
+        yield from ((v,) for v in _bits(dom[0]))
         return
     img = [0] * k
     cand = [0] * k
@@ -566,7 +568,10 @@ class _PairFamily:
     witness), else from the members.  For K3 the ceiling is 4Δ: it settles
     Z4's cap at n = 30, p = 30^(-1/2), D = 20, δ = 1/12 (82.5) when Δ ≤ 20,
     not stage 3's cap at D = 4, p = 1/2 (below 7), nor C4, whose ceiling
-    grows with n.  `pairs` builds the copy sets of each shared witness."""
+    grows with n.  `pairs` builds the copy sets of each shared witness.
+    Queries take two distinct, normalised pairs and check nothing (booster
+    stage 3 and Z4 pass Z's own edges); `count_P` and `enumerate_P` check
+    the pairs that come from outside."""
 
     def __init__(self, F, Z):
         self.F, self.Z, self._sides = F, Z, {}
@@ -575,31 +580,20 @@ class _PairFamily:
     def pairs(self, e1, e2):
         """The set of (vs1, es1, vs2, es2) of edge-disjoint completions
         (vs1, es1) through e1 and (vs2, es2) through e2 sharing a witness."""
-        e1, e2 = self._check(e1, e2)
         side1, side2 = self._side(e1), self._side(e2)
         shared = side1.keys() & side2.keys()
         sets1 = {w: _copy_set(side1[w]) for w in shared}
         return {(vs1, es1, vs2, es2) for w in shared for vs2, es2 in _copy_set(side2[w])
                 for vs1, es1 in sets1[w] if not es1 & es2}
 
-    def count(self, e1, e2):
-        return len(self.pairs(e1, e2))
-
     def exceeds(self, e1, e2, cap):
         """|P(e1, e2)| > cap, from the ceiling or else the witness-count
         bound when one of them is at most cap, else from the members."""
-        e1, e2 = self._check(e1, e2)
         if self.ceiling <= cap:
             return False
         side1, side2 = self._side(e1), self._side(e2)
         bound = sum(len(side1[w]) * len(side2[w]) for w in side1.keys() & side2.keys())
-        return bound > cap and self.count(e1, e2) > cap
-
-    def _check(self, e1, e2):
-        e1, e2 = _host_pair(self.Z.n, e1), _host_pair(self.Z.n, e2)
-        if e1 == e2:
-            raise ValueError("e1 and e2 must be distinct pairs")
-        return e1, e2
+        return bound > cap and len(self.pairs(e1, e2)) > cap
 
     def _side(self, e):
         if e not in self._sides:
@@ -612,8 +606,11 @@ def enumerate_P(F, Z, e1, e2):
     where one common pair {x,y} completes F1 with e1 and F2 with e2 to F.
 
     Returns a list of (copy1, copy2, s) with s = |V(F1) ∩ V(F2)|; e1, e2
-    need not be edges of Z.
+    need not be edges of Z.  Refuses e1 or e2 as `count_P` does.
     """
+    e1, e2 = _host_pair(Z.n, e1), _host_pair(Z.n, e2)
+    if e1 == e2:
+        raise ValueError("e1 and e2 must be distinct pairs")
     found = _PairFamily(F, Z).pairs(e1, e2)
     return [
         (Copy(vs1, es1, ()), Copy(vs2, es2, ()), len(vs1 & vs2))
@@ -623,9 +620,13 @@ def enumerate_P(F, Z, e1, e2):
 
 
 def count_P(F, Z, e1, e2):
-    """|P(e1, e2)| on Z; one query.  Callers with many queries on one host
-    keep one `_PairFamily`."""
-    return _PairFamily(F, Z).count(e1, e2)
+    """|P(e1, e2)| on Z; one query.  Refuses e1 or e2 that is not a pair of
+    distinct host vertices (`_host_pair`), and e1 = e2.  Callers with many
+    queries on one host keep one `_PairFamily`, which checks nothing."""
+    e1, e2 = _host_pair(Z.n, e1), _host_pair(Z.n, e2)
+    if e1 == e2:
+        raise ValueError("e1 and e2 must be distinct pairs")
+    return len(_PairFamily(F, Z).pairs(e1, e2))
 
 
 # -- rooted extensions --------------------------------------------------
@@ -807,7 +808,7 @@ def rho_d_dense_check(G0, rho, d, mode="exact", seed=None, restarts=200):
                 if worst is None or gap < worst[0]:
                     worst = (gap, mask, cnt, size)
         gap, mask, cnt, size = worst
-        W = [v for v in range(n) if mask >> v & 1]
+        W = _bits(mask)
         return {
             "dense": not violation(size, cnt),
             "mode": "exact",

@@ -82,13 +82,7 @@ class Graph:
         return bin(self.adj[v]).count("1")
 
     def neighbours(self, v):
-        m = self.adj[v]
-        out = []
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        return _bits(self.adj[v])
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -206,6 +200,16 @@ def union(g1, g2):
     if g1.n != g2.n:
         raise ValueError(f"vertex counts differ: {g1.n} vs {g2.n}")
     return Graph(g1.n, g1.edges + g2.edges)
+
+
+def _bits(mask):
+    """The set bits of `mask`, ascending, as a list."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _is_id(v, n):

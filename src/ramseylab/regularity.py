@@ -14,7 +14,7 @@ from math import ceil, inf
 from operator import or_
 
 from .counting import _norm, _plan, _search
-from .graphs import Seed, _is_id, _vertex_mask, edge_count_between
+from .graphs import Seed, _bits, _is_id, _vertex_mask, edge_count_between
 
 EXACT_REGULARITY_CAP = 16
 
@@ -203,7 +203,7 @@ def fstar_overlap_count(Fstar, a1, a2, G, W):
         raise ValueError("marked vertices must be non-adjacent in the pattern")
     # pin the marked vertices to ordered pairs of W, every other vertex outside W
     Wmask = _vertex_mask(W, G.n, "W vertex")
-    inside = [w for w in range(G.n) if Wmask >> w & 1]
+    inside = _bits(Wmask)
     plan = _plan(Fstar, (a1, a2))
     outside = [((1 << G.n) - 1) & ~Wmask] * (Fstar.n - 2)
     maps = (m for w1 in inside for w2 in inside if w1 != w2

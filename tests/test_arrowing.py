@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -122,6 +122,24 @@ def test_hosts_without_k6_that_arrow():
         H = complete_graph(7).without_edges(removed)
         assert _holds_copy(K6, H.adj) is None
         assert decide_arrow(H, C4).verdict == "arrows", removed
+
+
+def test_hosts_on_8_vertices_arrow_k3_only_with_a_k6_or_as_k3_plus_c5():
+    """On 8 vertices, a host arrows K3 exactly when it holds a K6 or is
+    K3 + C5, whose complement is a C5 (Graham 1968).  A fixed stride of the
+    hosts whose complement has 5 edges (every 97th of 98,280) or 6 edges
+    (every 373rd of 376,740) is decided and checked against that rule."""
+    K6, pairs = complete_graph(6), list(combinations(range(8), 2))
+    seen = with_k6 = c5 = 0
+    for k, stride in ((5, 97), (6, 373)):
+        for removed in islice(combinations(pairs, k), 0, None, stride):
+            H = complete_graph(8).without_edges(removed)
+            holds_k6 = _holds_copy(K6, H.adj) is not None
+            # edges on exactly five vertices, each of degree 2, form a C5
+            is_c5 = sorted(sum(v in e for e in removed) for v in range(8)) == [0] * 3 + [2] * 5
+            seen, with_k6, c5 = seen + 1, with_k6 + holds_k6, c5 + is_c5
+            assert (decide_arrow(H, K3).verdict == "arrows") == (holds_k6 or is_c5), removed
+    assert (seen, with_k6, c5) == (2025, 388, 6)
 
 
 def test_no_copy_means_not_arrows():

@@ -308,6 +308,67 @@ def test_curve_points_and_window_quantiles_follow_the_exact_arrowing_law():
             assert 0.0005 <= 1 - below and 0.0005 <= below, (n, q, row[f"c_{q}"], below)
 
 
+def test_c4_at_7_vertices_follows_an_exact_law_that_k6_containment_fails():
+    """P(G(7, p) -> C4) = P(G(7, p) holds a K6) + 35 p^18 (1-p)^3 + 105 p^19 (1-p)^2.
+
+    A host on 7 vertices holds a K6 exactly when its complement lies in a
+    star, and a K6 arrows C4 (R(C4, C4) = 6).  Of the K6-free hosts whose
+    complement has 2, 3 or 4 edges, exactly those whose complement is two
+    disjoint edges (105) or a triangle (35) arrow C4.  That closes the law:
+    a complement that is not a star holds a triangle or two disjoint edges,
+    and keeps them after losing an edge outside them, so every sparser
+    K6-free host lies below one with four complement edges, and arrowing is
+    monotone.  Each curve point's Wilson interval (z = 3.29) must hold the
+    law, and a verdict read off K6 containment alone must fail it at one
+    point or more.  Seeds, T and the grid are fixed before the first run."""
+    K6, pairs = complete_graph(6), list(combinations(range(7), 2))
+    decided, arrowing, shapes = 0, set(), {}
+    for k in (2, 3, 4):
+        for removed in combinations(pairs, k):
+            if set.intersection(*map(set, removed)):  # in a star: the host holds a K6
+                continue
+            decided += 1
+            H = complete_graph(7).without_edges(removed)
+            if decide_arrow(H, C4).verdict == "arrows":
+                arrowing.add(removed)
+            # up to four edges, a graph is fixed up to isomorphism by the
+            # degree pairs of its edges
+            deg = [sum(v in e for e in removed) for v in range(7)]
+            shapes.setdefault(tuple(sorted((min(deg[u], deg[v]), max(deg[u], deg[v]))
+                                           for u, v in removed)), H)
+    assert decided == 105 + 1190 + 5880
+    two_edges = {r for r in combinations(pairs, 2) if not set(r[0]) & set(r[1])}
+    triangles = {tuple(combinations(S, 2)) for S in combinations(range(7), 3)}
+    assert (len(two_edges), len(triangles)) == (105, 35)
+    assert arrowing == two_edges | triangles
+    assert len(shapes) == 1 + 4 + 9  # the non-star graphs with 2, 3 and 4 edges
+    for H in shapes.values():
+        assert brute_force_arrow(H, C4).verdict == decide_arrow(H, C4).verdict, H.edges
+
+    def law(p):
+        return (ARROWING_LAWS[7](p) + 35 * p**18 * (1 - p) ** 3
+                + 105 * p**19 * (1 - p) ** 2)
+
+    trials, grid = 400, [0.80 + 0.02 * i for i in range(9)]  # p from 0.80 to 0.96
+
+    def held(verdict_fn):
+        curve = threshold_curve(C4, 7, [p * 7 ** (2 / 3) for p in grid], trials,
+                                Seed(4010, 7), verdict_fn=verdict_fn)
+        out = []
+        for pt in curve["points"]:
+            assert pt["decided"] == trials, pt["p"]
+            low, high = wilson_interval(round(pt["estimate"] * trials), trials, z=3.29)
+            out.append(low <= law(pt["p"]) <= high)
+        return out
+
+    def k6_only(n, p, seed):
+        held_k6 = counting._holds_copy(K6, gnp_sample(n, p, seed).adj) is not None
+        return "arrows" if held_k6 else "not_arrows"
+
+    assert all(held(None))
+    assert not all(held(k6_only))
+
+
 def test_threshold_curve_structure():
     def step(n, p, seed):
         return "arrows" if p > 0.2 else "not_arrows"
