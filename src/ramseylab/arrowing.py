@@ -1,11 +1,11 @@
 """Exact decision of the arrowing property G -> (F).
 
 Each copy of F is a not-all-equal constraint over its edge ids: the copy
-must not be single-coloured.  `_id_array` builds the whole system from
-the whole-host copy query (`counting._sorted_copies`): each copy's sorted
-pair codes, in key order, become edge ids with one array lookup, and no
-copy key is built; `copy_constraints` is that system as tuples.  This
-module writes every CNF literal: `_encode` writes a whole system (the
+must not be single-coloured.  The system has one form, the rows of
+`_id_array`, built from the whole-host copy query
+(`counting._sorted_copies`): each copy's sorted pair codes, in key
+order, become edge ids with one array lookup, and no copy key is built.
+This module writes every CNF literal: `_encode` writes a whole system (the
 clauses `cnf_export` prints) with array operations, and `_extend` the
 system left once a partial colouring is fixed, which answers "does this
 partial colouring extend to an F-free one?" for `first_f_free_coloring`
@@ -48,12 +48,6 @@ def _id_array(G, F):
     codes = _sorted_copies(F, G.adj)[2]
     ends = np.array(G.edges, dtype=np.intp).reshape(-1, 2)
     return np.searchsorted(ends[:, 0] * G.n + ends[:, 1], codes)
-
-
-def copy_constraints(G, F):
-    """Edge-id sets of the F-copies in G (the NAE constraint system), in
-    copy key order, as tuples (`_id_array`)."""
-    return list(map(tuple, _id_array(G, F).tolist()))
 
 
 def is_f_free(coloring, G, F):
@@ -286,7 +280,7 @@ def _colouring(value, m, colours=2):
 def _extend(cons, fixed):
     """Colours of the edges outside `fixed` that extend the partial
     colouring `fixed` (colour per edge) to one that leaves no constraint of
-    `cons` (edge tuples) single-coloured, or None if none do.  A constraint
+    `cons` (edge-id rows) single-coloured, or None if none do.  A constraint
     whose fixed edges show both colours holds already; else, if they are
     all colour c or it has none, one of its other edges must not be c.
     With no such constraint no core is built and the answer is {}; an edge
@@ -356,7 +350,7 @@ BRUTE_FORCE_EDGE_CAP = 24
 
 def brute_force_arrow(G, F):
     """Exact oracle: enumerate all colourings of the constrained edges."""
-    cons = copy_constraints(G, F)
+    cons = _id_array(G, F).tolist()
     m = G.num_edges()
     if not cons:
         return ArrowResult("not_arrows", [RED] * m, {"constraints": 0, "colourings": 0})
@@ -412,20 +406,15 @@ def enumerate_f_free_colorings(G, F, limit=16, budget=None):
 def first_f_free_coloring(G, F):
     """Lexicographically first F-free colouring in EdgeId order (red < blue).
 
-    The constrained edges are fixed in EdgeId order: red if an F-free
-    colouring has it red and agrees with the edges fixed so far, else
-    blue.  `_extend` answers each such question; the last colouring found
-    answers it when it has the edge red.  Edges in no copy of F are red.
+    The constrained edges are fixed in EdgeId order: red if `_extend`
+    extends the edges fixed so far with it red, else blue.  Edges in no
+    copy of F are red.
     """
-    cons, fixed = copy_constraints(G, F), {}
-    best = _extend(cons, fixed)  # the last F-free colouring found; red where it names none
-    if best is None:
+    cons, fixed = _id_array(G, F).tolist(), {}
+    if _extend(cons, fixed) is None:
         return None
     for e in sorted({e for c in cons for e in c}):
-        if best.get(e, RED) == BLUE:
-            found = _extend(cons, {**fixed, e: RED})
-            best = best if found is None else {**fixed, e: RED, **found}
-        fixed[e] = best.get(e, RED)
+        fixed[e] = RED if _extend(cons, {**fixed, e: RED}) is not None else BLUE
     return [fixed.get(e, RED) for e in range(G.num_edges())]
 
 

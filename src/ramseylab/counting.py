@@ -13,8 +13,8 @@ shapes, each on its own engine:
   one array.  `_sorted_copies` adds each copy's sorted vertices and
   sorted pair codes (`_pair_codes`) and puts the rows in key order; it is
   the one place copies are sorted.  `enumerate_copies` decodes its rows,
-  `arrowing._id_array` turns its codes into edge ids, and the full
-  `booster.embedding_pool` reads its maps.  Counts read `_copy_array`
+  `arrowing._id_array` turns its codes into edge ids, the one form of
+  the NAE system, and the full `booster.embedding_pool` reads its maps.  Counts read `_copy_array`
   alone: the F⁻ tallies (`_copy_counts`, `count_f_minus`) and the
   basegraph copies of property T.
 - **Through anchors.** `_anchored_maps` runs `_search`, an iterative
@@ -417,8 +417,6 @@ def _sorted_copies(F, adj):
     maps = _copy_array(F, adj)
     vertices = np.sort(maps, axis=1)
     codes = np.sort(_pair_codes(F, maps, len(adj)), axis=1)
-    if len(maps) < 2:
-        return maps, vertices, codes
     rank = np.lexsort(np.hstack((vertices, codes)).T[::-1])
     return maps[rank], vertices[rank], codes[rank]
 

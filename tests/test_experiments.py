@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from ramseylab import booster, counting, experiments
 from ramseylab.arrowing import (
     BRUTE_FORCE_EDGE_CAP,
+    _id_array,
     _ramsey_clique,
     brute_force_arrow,
-    copy_constraints,
     decide_arrow,
     is_f_free,
 )
@@ -244,7 +244,7 @@ def test_hitting_constant_couples_with_gnp_sample(F, n):
         res = decide_arrow(before, F)
         assert res.verdict == "not_arrows" and is_f_free(res.certificate, before, F)[0]
         assert decide_arrow(at, F).verdict == "arrows"
-        constrained = max(len({e for c in copy_constraints(g, F) for e in c}) for g in (before, at))
+        constrained = max(len({e for c in _id_array(g, F).tolist() for e in c}) for g in (before, at))
         if constrained <= BRUTE_FORCE_EDGE_CAP:
             assert [brute_force_arrow(g, F).verdict for g in (before, at)] == \
                 ["not_arrows", "arrows"]
@@ -259,6 +259,18 @@ def test_hitting_constant_couples_with_gnp_sample(F, n):
 # p^15 at n = 6 and, by inclusion-exclusion over the 6-sets, 7p^15 - 21p^20
 # + 15p^21 at n = 7.  It is also the law of the hitting edge's uniform p*.
 ARROWING_LAWS = {6: lambda p: p**15, 7: lambda p: 7 * p**15 - 21 * p**20 + 15 * p**21}
+
+
+def C4_LAW_7(p):
+    """P(G(7, p) -> C4), derived in
+    `test_c4_at_7_vertices_follows_an_exact_law_that_k6_containment_fails`."""
+    return ARROWING_LAWS[7](p) + 35 * p**18 * (1 - p) ** 3 + 105 * p**19 * (1 - p) ** 2
+
+
+def _k6_only(n, p, seed):
+    """A verdict read off K6 containment alone, which the C4 laws must reject."""
+    held_k6 = counting._holds_copy(complete_graph(6), gnp_sample(n, p, seed).adj) is not None
+    return "arrows" if held_k6 else "not_arrows"
 
 
 def test_hitting_constant_follows_the_exact_arrowing_law_below_8_vertices():
@@ -321,7 +333,7 @@ def test_c4_at_7_vertices_follows_an_exact_law_that_k6_containment_fails():
     monotone.  Each curve point's Wilson interval (z = 3.29) must hold the
     law, and a verdict read off K6 containment alone must fail it at one
     point or more.  Seeds, T and the grid are fixed before the first run."""
-    K6, pairs = complete_graph(6), list(combinations(range(7), 2))
+    pairs = list(combinations(range(7), 2))
     decided, arrowing, shapes = 0, set(), {}
     for k in (2, 3, 4):
         for removed in combinations(pairs, k):
@@ -345,10 +357,7 @@ def test_c4_at_7_vertices_follows_an_exact_law_that_k6_containment_fails():
     for H in shapes.values():
         assert brute_force_arrow(H, C4).verdict == decide_arrow(H, C4).verdict, H.edges
 
-    def law(p):
-        return (ARROWING_LAWS[7](p) + 35 * p**18 * (1 - p) ** 3
-                + 105 * p**19 * (1 - p) ** 2)
-
+    law = C4_LAW_7
     trials, grid = 400, [0.80 + 0.02 * i for i in range(9)]  # p from 0.80 to 0.96
 
     def held(verdict_fn):
@@ -361,12 +370,38 @@ def test_c4_at_7_vertices_follows_an_exact_law_that_k6_containment_fails():
             out.append(low <= law(pt["p"]) <= high)
         return out
 
-    def k6_only(n, p, seed):
-        held_k6 = counting._holds_copy(K6, gnp_sample(n, p, seed).adj) is not None
-        return "arrows" if held_k6 else "not_arrows"
+    assert all(held(None))
+    assert not all(held(_k6_only))
+
+
+def test_c4_window_quantiles_at_7_vertices_follow_the_exact_law():
+    """c_0.1, c_0.5 and c_0.9 of `sharpness_window(C4, [7], T)` hold the law
+    that `test_c4_at_7_vertices_follows_an_exact_law_that_k6_containment_fails`
+    derives, within binomial order-statistic bounds at alpha = 0.001 per
+    quantile; a verdict read off K6 containment alone fails them.
+
+    c_q is the k-th smallest of T hitting constants, k = ceil(q T), and c* =
+    p* 7^(2/3).  Under the law L, X_(k) <= x iff Binomial(T, L(x)) >= k, so
+    each c_q must leave at least 0.0005 in each tail.  Power: the K6 law's
+    quantiles are p = 0.778, 0.895 and 0.965, where L reads 0.148, 0.646 and
+    0.967.  At T = 400 (k = 40, 200, 360) a K6-only run is rejected at
+    c_0.1, c_0.5 and c_0.9 with probability 0.34, 0.992 and 0.998, so it
+    passes all three with probability below 0.003, the chance that the
+    solver fails one.  Seed and T are fixed before the first run."""
+    trials = 400
+
+    def held(verdict_fn):
+        [row] = sharpness_window(C4, [7], trials, Seed(4011), verdict_fn=verdict_fn)
+        assert row["decided"] == trials
+        out = []
+        for q in experiments.LEVELS:
+            k, u = math.ceil(Fraction(str(q)) * trials), C4_LAW_7(row[f"c_{q}"] / 7 ** (2 / 3))
+            below = sum(math.comb(trials, i) * u**i * (1 - u) ** (trials - i) for i in range(k))
+            out.append(0.0005 <= below <= 0.9995)
+        return out
 
     assert all(held(None))
-    assert not all(held(k6_only))
+    assert not all(held(_k6_only))
 
 
 def test_threshold_curve_structure():

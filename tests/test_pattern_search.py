@@ -29,7 +29,7 @@ from oracles import (
     reference_search,
 )
 
-from ramseylab.arrowing import copy_constraints
+from ramseylab.arrowing import _id_array
 from ramseylab.booster import _union_keys
 from ramseylab.counting import (
     _anchored_copies,
@@ -329,11 +329,11 @@ def test_copy_counts_edge_cases():
 def test_copy_keys_build_the_constraint_system(G, F, data):
     # the NAE system: the constraints of the copies, in order, and as a
     # set the oracle's copies
-    cons = copy_constraints(G, F)
-    assert cons == [tuple(sorted(G.edge_id(*e) for e in c.edges))
+    cons = _id_array(G, F).tolist()
+    assert cons == [sorted(G.edge_id(*e) for e in c.edges)
                     for c in enumerate_copies(F, G).copies]
-    assert set(cons) == {tuple(sorted(G.edge_id(*e) for e in es))
-                         for _, es in naive_copies(F, G)}
+    assert set(map(tuple, cons)) == {tuple(sorted(G.edge_id(*e) for e in es))
+                                     for _, es in naive_copies(F, G)}
     # several anchors in one collection: the keys of the copies through
     # any of them, each once, in key order
     anchors = data.draw(st.lists(st.sampled_from(list(combinations(range(G.n), 2))),
@@ -352,15 +352,32 @@ def test_whole_graph_and_key_builders_agree(G, F):
     # ids looked up from the sorted pair codes give the system `edge_id`
     # gives for the decoded pairs, term for term: K2, an edgeless pattern
     # and F larger than G included
-    assert copy_constraints(G, F) == [tuple(G.edge_id(*divmod(c, G.n)) for c in codes)
-                                      for codes in _sorted_copies(F, G.adj)[2].tolist()]
+    assert _id_array(G, F).tolist() == [[G.edge_id(*divmod(c, G.n)) for c in codes]
+                                        for codes in _sorted_copies(F, G.adj)[2].tolist()]
+
+
+def test_zero_one_and_two_copies_come_in_key_order():
+    # no row, one row and two rows that `_copy_array` finds out of key
+    # order ({0, 1, 3, 4} before {0, 1, 2, 3}): both whole-host readers
+    # list them in key order, the id rows as (copies × e(F)) integers
+    C4 = cycle_graph(4)
+    hosts = (path_graph(5), Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]),
+             Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (3, 4)]))
+    raw = [[tuple(sorted(m)) for m in _copy_array(C4, G.adj).tolist()] for G in hosts]
+    assert raw == [[], [(0, 1, 2, 3)], [(0, 1, 3, 4), (0, 1, 2, 3)]]
+    for count, G in enumerate(hosts):
+        keys = sorted((tuple(sorted(vs)), tuple(sorted(es))) for vs, es in naive_copies(C4, G))
+        assert [c.key() for c in enumerate_copies(C4, G).copies] == keys and len(keys) == count
+        ids = _id_array(G, C4)
+        assert ids.shape == (count, 4) and ids.dtype.kind == "i"
+        assert ids.tolist() == [[G.edge_id(*e) for e in es] for _, es in keys]
 
 
 def test_copy_constraints_keep_the_pattern_cap():
     big = complete_graph(PATTERN_VERTEX_CAP + 1)
     with pytest.raises(ValueError, match="cap"):
-        copy_constraints(complete_graph(PATTERN_VERTEX_CAP + 2), big)
-    assert copy_constraints(complete_graph(PATTERN_VERTEX_CAP), big) == []
+        _id_array(complete_graph(PATTERN_VERTEX_CAP + 2), big)
+    assert _id_array(complete_graph(PATTERN_VERTEX_CAP), big).tolist() == []
 
 
 @settings(PROPERTY, max_examples=40)

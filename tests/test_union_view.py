@@ -1,7 +1,7 @@
 """The one analysis of each union Z ∪ h(B) (`booster.union_view`),
 checked against full enumeration of the union and the naive oracles; the
 system a union's whole search solves, Z's rows and the union's renumbered
-ones, checked against `copy_constraints` of the built union; the
+ones, checked against `_id_array` of the built union; the
 stage-1 union verdict from the copies through the pairs the union adds
 to Z, with and without Z's colouring, checked against
 `decide_arrow_union` and the brute-force oracle, also with Z's colouring
@@ -36,9 +36,9 @@ from ramseylab.arrowing import (
     RED,
     ArrowResult,
     _extend,
+    _id_array,
     _ramsey_clique,
     brute_force_arrow,
-    copy_constraints,
     decide_arrow,
     decide_arrow_union,
     enumerate_f_free_colorings,
@@ -172,7 +172,7 @@ def test_whole_search_system_is_the_union_system_renumbered(case):
     assert m == len(pairs)
     assert cons[:len(z_ids)] == z_ids.tolist()
     assert Counter(frozenset(pairs[e] for e in c) for c in cons) == Counter(
-        frozenset(U.edges[e] for e in c) for c in copy_constraints(U, F))
+        frozenset(U.edges[e] for e in c) for c in _id_array(U, F).tolist())
 
 
 @st.composite
@@ -223,7 +223,7 @@ def test_union_verdict_with_and_without_z_colouring_agree(case):
     Z, (h,), spec, F, phi = case
     U, ext, with_phi, without, whole = _stage1(Z, h, spec, F, phi)
     assert with_phi == without == whole != "undecided"
-    if len({e for c in copy_constraints(U, F) for e in c}) <= BRUTE_FORCE_EDGE_CAP:
+    if len({e for c in _id_array(U, F).tolist() for e in c}) <= BRUTE_FORCE_EDGE_CAP:
         assert brute_force_arrow(U, F).verdict == whole
     if ext is not None:  # the extension keeps phi on Z and is F-free on U
         assert [ext[U.edge_id(*e)] for e in Z.edges] == phi
@@ -510,7 +510,7 @@ def test_stage1_clique_verdicts_agree_with_the_oracles(case, budget):
             continue
         assert v == "arrows"
         U = Graph(Z.n, [*Z.edges, *img])
-        if len({e for c in copy_constraints(U, F) for e in c}) <= BRUTE_FORCE_EDGE_CAP:
+        if len({e for c in _id_array(U, F).tolist() for e in c}) <= BRUTE_FORCE_EDGE_CAP:
             assert brute_force_arrow(U, F).verdict == "arrows"
         else:
             assert decide_arrow(U, F).verdict == "arrows"
