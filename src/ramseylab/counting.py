@@ -14,9 +14,9 @@ shapes, each on its own engine:
   sorted pair codes (`_pair_codes`) and puts the rows in key order; it is
   the one place copies are sorted.  `enumerate_copies` decodes its rows,
   `arrowing._id_array` turns its codes into edge ids, the one form of
-  the NAE system, and the full `booster.embedding_pool` reads its maps.  Counts read `_copy_array`
-  alone: the F⁻ tallies (`_copy_counts`, `count_f_minus`) and the
-  basegraph copies of property T.
+  the NAE system, and the full `booster.embedding_pool` reads its maps.
+  Counts read `_copy_array` alone: the F⁻ tallies (`_copy_counts`,
+  `count_f_minus`) and the basegraph copies of property T.
 - **Through anchors.** `_anchored_maps` runs `_search`, an iterative
   depth-first search with one candidate bitmask per pattern position,
   with an arc of F pinned to each anchor in turn; `_anchored_copies`

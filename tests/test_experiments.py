@@ -261,7 +261,7 @@ def test_hitting_constant_couples_with_gnp_sample(F, n):
 ARROWING_LAWS = {6: lambda p: p**15, 7: lambda p: 7 * p**15 - 21 * p**20 + 15 * p**21}
 
 
-def C4_LAW_7(p):
+def c4_law_at_7(p):
     """P(G(7, p) -> C4), derived in
     `test_c4_at_7_vertices_follows_an_exact_law_that_k6_containment_fails`."""
     return ARROWING_LAWS[7](p) + 35 * p**18 * (1 - p) ** 3 + 105 * p**19 * (1 - p) ** 2
@@ -357,7 +357,6 @@ def test_c4_at_7_vertices_follows_an_exact_law_that_k6_containment_fails():
     for H in shapes.values():
         assert brute_force_arrow(H, C4).verdict == decide_arrow(H, C4).verdict, H.edges
 
-    law = C4_LAW_7
     trials, grid = 400, [0.80 + 0.02 * i for i in range(9)]  # p from 0.80 to 0.96
 
     def held(verdict_fn):
@@ -367,7 +366,7 @@ def test_c4_at_7_vertices_follows_an_exact_law_that_k6_containment_fails():
         for pt in curve["points"]:
             assert pt["decided"] == trials, pt["p"]
             low, high = wilson_interval(round(pt["estimate"] * trials), trials, z=3.29)
-            out.append(low <= law(pt["p"]) <= high)
+            out.append(low <= c4_law_at_7(pt["p"]) <= high)
         return out
 
     assert all(held(None))
@@ -395,7 +394,8 @@ def test_c4_window_quantiles_at_7_vertices_follow_the_exact_law():
         assert row["decided"] == trials
         out = []
         for q in experiments.LEVELS:
-            k, u = math.ceil(Fraction(str(q)) * trials), C4_LAW_7(row[f"c_{q}"] / 7 ** (2 / 3))
+            k = math.ceil(Fraction(str(q)) * trials)
+            u = c4_law_at_7(row[f"c_{q}"] / 7 ** (2 / 3))
             below = sum(math.comb(trials, i) * u**i * (1 - u) ** (trials - i) for i in range(k))
             out.append(0.0005 <= below <= 0.9995)
         return out
