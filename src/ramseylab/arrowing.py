@@ -406,15 +406,20 @@ def enumerate_f_free_colorings(G, F, limit=16, budget=None):
 def first_f_free_coloring(G, F):
     """Lexicographically first F-free colouring in EdgeId order (red < blue).
 
-    The constrained edges are fixed in EdgeId order: red if `_extend`
-    extends the edges fixed so far with it red, else blue.  Edges in no
-    copy of F are red.
+    The constrained edges are fixed in EdgeId order: red if an F-free
+    colouring has it red and agrees with the edges fixed so far, else
+    blue.  `_extend` answers each such question; the last colouring found
+    answers it when it has the edge red.  Edges in no copy of F are red.
     """
     cons, fixed = _id_array(G, F).tolist(), {}
-    if _extend(cons, fixed) is None:
+    best = _extend(cons, fixed)  # the last F-free colouring found; red where it names none
+    if best is None:
         return None
     for e in sorted({e for c in cons for e in c}):
-        fixed[e] = RED if _extend(cons, {**fixed, e: RED}) is not None else BLUE
+        if best.get(e, RED) == BLUE:
+            found = _extend(cons, {**fixed, e: RED})
+            best = best if found is None else {**fixed, e: RED, **found}
+        fixed[e] = best.get(e, RED)
     return [fixed.get(e, RED) for e in range(G.num_edges())]
 
 

@@ -13,7 +13,7 @@ from itertools import combinations, islice, permutations, product
 from math import inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     naive_arc_representatives,
@@ -348,29 +348,22 @@ def test_copy_keys_build_the_constraint_system(G, F, data):
 @PROPERTY
 @given(hosts(min_n=5), st.sampled_from(COPY_PATTERNS + [
     complete_graph(2), Graph(3, []), complete_graph(9)]))
+@example(path_graph(5), cycle_graph(4))  # no copy
+@example(Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]), cycle_graph(4))  # one copy
+@example(Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (3, 4)]),
+         cycle_graph(4))  # two copies, found out of key order
 def test_whole_graph_and_key_builders_agree(G, F):
     # ids looked up from the sorted pair codes give the system `edge_id`
     # gives for the decoded pairs, term for term: K2, an edgeless pattern
-    # and F larger than G included
-    assert _id_array(G, F).tolist() == [[G.edge_id(*divmod(c, G.n)) for c in codes]
-                                        for codes in _sorted_copies(F, G.adj)[2].tolist()]
-
-
-def test_zero_one_and_two_copies_come_in_key_order():
-    # no row, one row and two rows that `_copy_array` finds out of key
-    # order ({0, 1, 3, 4} before {0, 1, 2, 3}): both whole-host readers
-    # list them in key order, the id rows as (copies × e(F)) integers
-    C4 = cycle_graph(4)
-    hosts = (path_graph(5), Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]),
-             Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (3, 4)]))
-    raw = [[tuple(sorted(m)) for m in _copy_array(C4, G.adj).tolist()] for G in hosts]
-    assert raw == [[], [(0, 1, 2, 3)], [(0, 1, 3, 4), (0, 1, 2, 3)]]
-    for count, G in enumerate(hosts):
-        keys = sorted((tuple(sorted(vs)), tuple(sorted(es))) for vs, es in naive_copies(C4, G))
-        assert [c.key() for c in enumerate_copies(C4, G).copies] == keys and len(keys) == count
-        ids = _id_array(G, C4)
-        assert ids.shape == (count, 4) and ids.dtype.kind == "i"
-        assert ids.tolist() == [[G.edge_id(*e) for e in es] for _, es in keys]
+    # and F larger than G included; both whole-host readers list the
+    # copies in key order, the id rows as (copies × e(F)) integers
+    ids = _id_array(G, F)
+    assert ids.tolist() == [[G.edge_id(*divmod(c, G.n)) for c in codes]
+                            for codes in _sorted_copies(F, G.adj)[2].tolist()]
+    keys = sorted((tuple(sorted(vs)), tuple(sorted(es))) for vs, es in naive_copies(F, G))
+    assert [c.key() for c in enumerate_copies(F, G).copies] == keys
+    assert ids.shape == (len(keys), F.num_edges()) and ids.dtype.kind == "i"
+    assert ids.tolist() == [[G.edge_id(*e) for e in es] for _, es in keys]
 
 
 def test_copy_constraints_keep_the_pattern_cap():

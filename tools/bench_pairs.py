@@ -1,15 +1,15 @@
 """Alternating parent/change pairs of the benchmark, written as BENCH_<pr>.json.
 
-    python3 tools/bench_pairs.py --pr N --parent REV [--change REV] \
-        [--workloads threshold booster zcheck] [--pairs 10] [--first-seed S] \
-        [--seconds 25] [--trace 0]
+    python3 tools/bench_pairs.py --pr N --parent REV [--change REV]
 
 Run from the repository root.  Each side runs `bench/run.py` from a
 `git archive` tree of its revision, so only committed files take part,
-with PYTHONDONTWRITEBYTECODE=1 and the running interpreter.  Pair i runs
-seed first_seed + i on both sides: the parent first in even pairs, the
-change first in odd ones.  For each workload and metric the summary gives
-both sides' quartiles (inclusive), the change's wins (a better value; ties
+with PYTHONDONTWRITEBYTECODE=1, the running interpreter, `--trace 0` (the
+end-to-end metrics) and `--seconds` from BENCHMARK.json's `run_seconds`.
+Each workload BENCHMARK.json lists runs 10 pairs; pair i runs seed
+100 * N + 1 + i on both sides: the parent first in even pairs, the change
+first in odd ones.  For each workload and metric the summary gives both
+sides' quartiles (inclusive), the change's wins (a better value; ties
 count for neither, and the better direction is read from BENCHMARK.json),
 the change of the median in percent and the parent's IQR as a percent of
 its median.  Every run's last JSON line is kept under "runs".  Progress
@@ -27,7 +27,7 @@ import tempfile
 from io import BytesIO
 from pathlib import Path
 
-WORKLOADS = ("threshold", "booster", "zcheck")
+PAIRS = 10
 
 
 def git(*args):
@@ -41,11 +41,11 @@ def archive(rev, dest):
         tar.extractall(dest, filter="data")
 
 
-def bench(tree, workload, seed, seconds, trace):
-    """The report and the last JSON line of one benchmark run in `tree`."""
+def bench(tree, workload, seed, seconds):
+    """The report and the last JSON line of one untraced benchmark run in `tree`."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=tree, env=env, check=True, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     return lines[:-1], json.loads(lines[-1])
@@ -88,17 +88,10 @@ def main(argv=None):
     ap.add_argument("--pr", type=int, required=True, help="number in the output name")
     ap.add_argument("--parent", required=True, help="parent revision")
     ap.add_argument("--change", default="HEAD", help="change revision (default HEAD)")
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=None,
-                    help="seed of pair 0 (default 100 * pr + 1)")
-    ap.add_argument("--seconds", type=int, default=25)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
-    first = 100 * args.pr + 1 if args.first_seed is None else args.first_seed
+    first = 100 * args.pr + 1
     spec = json.loads(Path("BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     revs = {"parent": git("rev-parse", "--short", args.parent),
             "change": git("rev-parse", "--short", args.change)}
@@ -108,11 +101,11 @@ def main(argv=None):
         for side, rev in revs.items():
             trees[side] = Path(tmp) / side
             archive(rev, trees[side])
-        for workload in args.workloads:
-            for i in range(args.pairs):
+        for workload in (w["name"] for w in spec["workloads"]):
+            for i in range(PAIRS):
                 seed = first + i
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    report, last = bench(trees[side], workload, seed, args.seconds, args.trace)
+                    report, last = bench(trees[side], workload, seed, seconds)
                     machine = machine or next(json.loads(line.split(": ", 1)[1])
                                               for line in report if line.startswith("machine: "))
                     machine.pop("git_sha", None)  # an archive tree has no git; see the revisions
@@ -125,9 +118,8 @@ def main(argv=None):
     result = {
         "parent": revs["parent"],
         "change": revs["change"],
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds} "
-                   f"--trace {args.trace}",
-        "method": f"{args.pairs} pairs per workload on seeds {first}-{first + args.pairs - 1}; "
+        "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds} --trace 0",
+        "method": f"{PAIRS} pairs per workload on seeds {first}-{first + PAIRS - 1}; "
                   "even pairs run the parent first, odd pairs the change; each side runs "
                   "from a `git archive` tree of its revision with PYTHONDONTWRITEBYTECODE=1; "
                   "a win is a better value for the change; quartiles are inclusive; "
