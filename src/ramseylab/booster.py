@@ -10,14 +10,17 @@ added pairs; a union that adds none is Z and takes Z's verdict.  Each
 other union is decided by an extension of Z's colouring, else by F's
 Ramsey clique through an added pair, else by a search of the whole union
 (`_union_verdict`), all on one copy of Z's adjacency rows with h(B) ORed
-in.  Stage 2 reads the badness of a union that arrows off its copy keys
-through a booster pair (`_bad_flags`), and the view that stages 3 and 6
-read (`union_view`'s second half) is built from them only for a union
-that is not bad; they and the other readers that start from (Z, h) take
-their keys from `_union_keys`.  No union is built as a Graph.  Z is
-analysed once per call (`_z_analysis`): it is decided on its
-`arrowing._id_array` rows, and a union searched whole is searched on them
-followed by the id rows of its copies through an added pair; Z's
+in.  Stage 2 reads B1, B2 and B3 of a union that arrows, as
+`classify_bad` does of any union, off its copy keys through a booster
+pair (`_bad_flags`), and the view that stages 3 and 6 read
+(`union_view`'s second half) is built from them only for a union that is
+not bad; they and the other readers that start from (Z, h) take their
+keys from `_union_keys`.  Z5 of `experiments.z_property_rates` asks only
+whether a union is bad, and `_is_bad` answers by a scan of the copies
+that stops at the first witness, with no key built.  No union is built
+as a Graph.  Z is analysed once per call (`_z_analysis`): it is decided
+on its `arrowing._id_array` rows, and a union searched whole is searched
+on them followed by the id rows of its copies through an added pair; Z's
 certificate φ keeps only the edges that its copies need to stay
 two-coloured, and an extension may colour the rest.  Every CNF literal is
 written in `arrowing`.  P(e1, e2) completions are searched once per call
@@ -48,6 +51,7 @@ from .arrowing import (
 )
 from .counting import (
     _anchored_copies,
+    _anchored_maps,
     _automorphism_count,
     _holds_copy,
     _norm,
@@ -55,7 +59,7 @@ from .counting import (
     _sorted_copies,
     enumerate_copies,
 )
-from .density import _check_delta
+from .density import _check_cap, _check_delta
 from .graphs import Graph, Seed, _bits, _float, _is_id, _or_pairs, _vertex_mask, complete_graph, union
 
 
@@ -163,7 +167,9 @@ def classify_bad(Z, h, spec, F):
 
 def _bad_flags(img, keys):
     """Badness of the union of Z and the booster pairs `img` whose copies
-    through a booster pair are `keys`: a copy's other edges are Z-only."""
+    through a booster pair are `keys`: a copy's other edges are Z-only.  A
+    Z-only edge in two copies always makes B2 or B3, as both copies hold a
+    booster pair: they use two, or share one; `_is_bad` relies on this."""
     pairs = set(img)
     b1 = False
     boosts = {}  # z-only edge -> booster pair sets of its copies
@@ -186,6 +192,37 @@ def _bad_flags(img, keys):
         b2 = b2 or len(used) >= 2
         b3 = b3 or sum(map(len, sets)) > len(used)
     return {"B1": b1, "B2": b2, "B3": b3, "bad": b1 or b2 or b3}
+
+
+def _is_bad(Z, img, F):
+    """Whether the union of Z and the booster pairs `img` is bad (as
+    `_bad_flags` says), decided from the maps of `counting._anchored_maps`
+    on Z's rows with `img` ORed in, up to the first witness: a copy with two
+    booster pairs and a Z-only edge (B1), or a Z-only edge met a second time
+    (B2 or B3).  The search meets a copy once per booster pair it holds, so
+    a copy met twice holds two pairs and, with a Z-only edge, was B1 the
+    first time; a Z-only edge met twice thus lies in two copies, and no
+    copy is keyed.  Copies that differ only in where an isolated vertex of
+    F sits are two copies here, as they are two keys.  The pattern-size
+    rules are those of `_anchored_copies`."""
+    adj = list(Z.adj)
+    _or_pairs(adj, img)
+    if F.n > len(adj):
+        return False
+    _check_cap(F)
+    boost, met = [0] * len(adj), [0] * len(adj)  # booster pairs, Z-only edges met, as rows
+    _or_pairs(boost, img)
+    edges = F.edges
+    for m in _anchored_maps(F, adj, img):
+        z_only = [(m[u], m[v]) for u, v in edges if not boost[m[u]] >> m[v] & 1]
+        if z_only and len(z_only) <= len(edges) - 2:
+            return True  # B1
+        for x, y in z_only:
+            if met[x] >> y & 1:
+                return True  # B2 or B3
+            met[x] |= 1 << y
+            met[y] |= 1 << x
+    return False
 
 
 def pair_relations(Z, h, spec, F, e1, e2):

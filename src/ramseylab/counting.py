@@ -22,7 +22,8 @@ shapes, each on its own engine:
   with an arc of F pinned to each anchor in turn; `_anchored_copies`
   returns each copy's key and first witness map from it, in key order.
   Booster unions, anchored `enumerate_copies` and `count_f_minus_through`
-  read it.
+  read it; `booster._is_bad` reads the maps themselves, up to its first
+  witness of badness.
 
 An existence query, `_holds_copy`, stops the unanchored `_search` or
 `_anchored_maps` at its first map and returns that map, a witness, or

@@ -27,9 +27,8 @@ import numpy as np
 
 from .arrowing import _ramsey_clique, decide_arrow
 from .booster import (
-    _bad_flags,
     _heavy_cap,
-    _union_keys,
+    _is_bad,
     alpha_tilde,
     image_edges,
     make_booster_spec,
@@ -324,6 +323,8 @@ def z_property_rates(
     Per trial, Z3's tally of the F⁻ copies through each pair holds at most
     n² counts, the order of the C(n, 2) uniforms `gnp_sample` draws, and
     the Z5 embeddings are drawn as one block of `embedding_samples` × n ints.
+    Z5 decides each sampled union's badness with `booster._is_bad`, which
+    stops at the first witness and collects no other copy.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -391,8 +392,7 @@ def z_property_rates(
         block = rng.permuted(np.tile(np.arange(n), (embedding_samples, 1)), axis=1)[:, :B.n]
         bad = 0
         for h in block.tolist():
-            img = image_edges(B, h)
-            bad += _bad_flags(img, _union_keys(Z, img, F))["bad"]
+            bad += _is_bad(Z, image_edges(B, h), F)
         bfrac = bad / embedding_samples
         stats["bad_frac"].append(bfrac)
         if bfrac <= n ** (-float(zeta)):

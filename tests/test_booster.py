@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramseylab.arrowing import decide_arrow
@@ -13,6 +13,9 @@ from ramseylab.counting import _norm, enumerate_copies
 from ramseylab.booster import (
     BoosterSpec,
     Hypergraph,
+    _bad_flags,
+    _is_bad,
+    _union_keys,
     activated_set,
     alpha_tilde,
     brute_force_cores,
@@ -108,6 +111,51 @@ def test_classify_bad_boundary_fixtures(F, B, seed, h, flags):
     assert len(through) >= 2 and zonly
     # the last host is the case each Z-only edge lies in one such copy
     assert (max(map(zonly.count, zonly)) == 1) == (not any(flags))
+
+
+# the badness scan's patterns and boosters; in K3 + K1 and C4 + K1 two
+# copies may differ only in where the isolated vertex sits
+SCAN_PATTERNS = (K3, cycle_graph(4), path_graph(3), complete_graph(4).without_edges([(2, 3)]),
+                 cycle_graph(5), Graph(4, K3.edges), Graph(5, cycle_graph(4).edges))
+SCAN_BOOSTERS = (complete_graph(2), path_graph(3), cycle_graph(4), cycle_graph(5), K3)
+# bad only through a Z-only edge in two copies (B2 alone, the first boundary fixture)
+TWO_COPY_UNION = (gnp_sample(8, 0.4, Seed(2)), image_edges(path_graph(3), (7, 6, 3)), K3)
+# the copies of K3 + K1 on the triangle 012 share the Z-only edge (0, 2) and
+# differ only in their isolated vertex: bad (B3), though one copy by edge set
+ISOLATED_UNION = (Graph(5, [(0, 2), (1, 2)]), [(0, 1)], Graph(4, K3.edges))
+
+
+@st.composite
+def scanned_unions(draw):
+    """(Z, img, F): a G(n, p) host with 5 <= n <= 14, the pairs of a booster
+    placed by an injection, and a pattern of the scan."""
+    F, B = draw(st.sampled_from(SCAN_PATTERNS)), draw(st.sampled_from(SCAN_BOOSTERS))
+    n = draw(st.integers(5, 14))
+    Z = gnp_sample(n, draw(st.sampled_from((0.2, 0.35, 0.5))), Seed(draw(st.integers(0, 999))))
+    return Z, image_edges(B, draw(st.permutations(range(n)))[:B.n]), F
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(scanned_unions())
+@example(TWO_COPY_UNION)
+@example(ISOLATED_UNION)
+def test_badness_scan_matches_the_key_flags_and_the_naive_oracle(case):
+    Z, img, F = case
+    bad = _is_bad(Z, img, F)
+    assert bad == _bad_flags(img, _union_keys(Z, img, F))["bad"]
+    assert bad == any(naive_bad_flags(Z, img, F, Graph(Z.n, [*Z.edges, *img])).values())
+
+
+def test_badness_scan_pinned_unions():
+    Z, img, F = TWO_COPY_UNION
+    flags = _bad_flags(img, _union_keys(Z, img, F))
+    assert flags["bad"] and not flags["B1"] and _is_bad(Z, img, F)
+    # copies keyed by edge set alone would read this union good
+    Z, img, F = ISOLATED_UNION
+    keys = _union_keys(Z, img, F)
+    by_edges = list({es: (vs, es) for vs, es in keys}.values())
+    assert len(by_edges) < len(keys)
+    assert not _bad_flags(img, by_edges)["bad"] and _is_bad(Z, img, F)
 
 
 def test_classify_bad_matches_naive_oracle():

@@ -738,14 +738,27 @@ def test_golden_z_property_rates():
         assert json.loads(json.dumps(out)) == GOLDEN_Z[label], label
 
 
-def test_z_rates_read_badness_off_the_copy_keys(monkeypatch):
-    # Z5 reads each sampled union's badness off its copy keys and builds no
-    # union view, with the pinned rates
-    def no_view(*args):
-        raise AssertionError("z_property_rates built a UnionView")
+def test_z_rates_stop_each_badness_scan_at_its_first_witness(monkeypatch):
+    # Z5 asks `_is_bad` whether each sampled union is bad: it builds no union
+    # view, collects no copy keys and reads no flags, with the pinned rates
+    def refuse(name):
+        def fail(*args):
+            raise AssertionError(f"z_property_rates called {name}")
+        return fail
 
-    monkeypatch.setattr(booster, "_view_from_keys", no_view)
+    for name in ("_view_from_keys", "_union_keys", "_bad_flags"):
+        monkeypatch.setattr(booster, name, refuse(name))
+        monkeypatch.setattr(experiments, name, refuse(name), raising=False)
     test_golden_z_property_rates()
+    # on a B1 union (the copy 012 holds both P3 pairs and the Z-only edge
+    # (0, 2)) the scan draws fewer maps than a full collection of the copies
+    drawn, maps = [], counting._anchored_maps
+    monkeypatch.setattr(booster, "_anchored_maps",
+                        lambda *args: (drawn.append(m) or m for m in maps(*args)))
+    img = [(0, 1), (1, 2)]
+    Z = complete_graph(6).without_edges(img)
+    assert booster._is_bad(Z, img, K3)
+    assert 0 < len(drawn) < len(list(maps(K3, complete_graph(6).adj, img)))
 
 
 def test_z_rates_decide_heavy_pairs_from_the_witness_bound(monkeypatch):

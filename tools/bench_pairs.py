@@ -12,13 +12,17 @@ first in odd ones.  For each workload and metric the summary gives both
 sides' quartiles (inclusive), the change's wins (a better value; ties
 count for neither, and the better direction is read from BENCHMARK.json),
 the change of the median in percent and the parent's IQR as a percent of
-its median.  Every run's last JSON line is kept under "runs".  Progress
+its median.  "summary" reads the rescaled values of each run's last JSON
+line, and "wall_summary" the wall-clock values of `items_per_s`,
+`decided_per_s`, `item_p90_ms` and `setup_s` in its report lines.  Every
+run's rescaled and wall-clock metrics are kept under "runs".  Progress
 goes to standard error.
 """
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -28,6 +32,8 @@ from io import BytesIO
 from pathlib import Path
 
 PAIRS = 10
+# the report lines that give a wall-clock value beside the rescaled one
+WALL = ("items_per_s", "decided_per_s", "item_p90_ms", "setup_s")
 
 
 def git(*args):
@@ -51,19 +57,36 @@ def bench(tree, workload, seed, seconds):
     return lines[:-1], json.loads(lines[-1])
 
 
+def wall_values(report):
+    """The wall-clock value of each `WALL` metric, read off the "wall X" of
+    its `name = ...` report line."""
+    out = {}
+    for line in report:
+        name = line.split(" = ", 1)[0]
+        if name in WALL:
+            out[name] = float(re.search(r"\bwall ([\w.+-]+)", line).group(1))
+    return out
+
+
+def directions(spec):
+    """Metric name -> "higher" or "lower", the better direction BENCHMARK.json gives."""
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+
+
 def quartiles(xs):
     q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarise(runs, better):
-    """Per workload and metric: quartiles of both sides and the change's wins."""
+def summarise(runs, better, values="metrics"):
+    """Per workload and metric: quartiles of both sides and the change's
+    wins, over each run's `values` ("metrics" or "wall")."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_seed = {}
         for r in runs:
             if r["workload"] == workload:
-                by_seed.setdefault(r["seed"], {})[r["side"]] = r["metrics"]
+                by_seed.setdefault(r["seed"], {})[r["side"]] = r[values]
         pairs = [p for p in by_seed.values() if len(p) == 2]
         rows = {}
         for name in pairs[0]["parent"]:
@@ -92,7 +115,7 @@ def main(argv=None):
     first = 100 * args.pr + 1
     spec = json.loads(Path("BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    better = directions(spec)
     revs = {"parent": git("rev-parse", "--short", args.parent),
             "change": git("rev-parse", "--short", args.change)}
     runs, machine = [], None
@@ -112,7 +135,8 @@ def main(argv=None):
                     runs.append({"workload": workload, "seed": seed, "side": side,
                                  "correct": last["correct"], "attempted": last["attempted"],
                                  "failed": last["failed"],
-                                 "metrics": {k: v["value"] for k, v in last["metrics"].items()}})
+                                 "metrics": {k: v["value"] for k, v in last["metrics"].items()},
+                                 "wall": wall_values(report)})
                     print(f"{workload} seed {seed} {side}: correct={last['correct']} "
                           f"failed={last['failed']}", file=sys.stderr)
     result = {
@@ -128,6 +152,7 @@ def main(argv=None):
         "all_correct": all(r["correct"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
         "summary": summarise(runs, better),
+        "wall_summary": summarise(runs, better, "wall"),
         "runs": runs,
     }
     path = Path(f"BENCH_{args.pr}.json")
