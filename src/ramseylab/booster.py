@@ -10,21 +10,22 @@ added pairs; a union that adds none is Z and takes Z's verdict.  Each
 other union is decided by an extension of Z's colouring, else by F's
 Ramsey clique through an added pair, else by a search of the whole union
 (`_union_verdict`), all on one copy of Z's adjacency rows with h(B) ORed
-in.  Stage 2 reads B1, B2 and B3 of a union that arrows, as
-`classify_bad` does of any union, off its copy keys through a booster
-pair (`_bad_flags`), and the view that stages 3 and 6 read
-(`union_view`'s second half) is built from them only for a union that is
-not bad; they and the other readers that start from (Z, h) take their
-keys from `_union_keys`.  Z5 of `experiments.z_property_rates` asks only
-whether a union is bad, and `_is_bad` answers by a scan of the copies
-that stops at the first witness, with no key built.  No union is built
-as a Graph.  Z is analysed once per call (`_z_analysis`): it is decided
-on its `arrowing._id_array` rows, and a union searched whole is searched
-on them followed by the id rows of its copies through an added pair; Z's
-certificate φ keeps only the edges that its copies need to stay
-two-coloured, and an extension may colour the rest.  Every CNF literal is
-written in `arrowing`.  P(e1, e2) completions are searched once per call
-too, and shared by every union.
+in.  Stage 2 reads each union that arrows into one `UnionView`, its
+focus map, focus set and B1–B3 flags in one pass over its copy keys
+through a booster pair (`_view_from_keys`), and stages 3 and 6 read the
+views that are not bad.  `union_view` builds the same record from the
+keys of `_union_keys` for the readers that start from (Z, h), and
+`classify_bad` returns its flags; `activated_set` reads those keys
+itself, for each copy's colours.  Z5 of `experiments.z_property_rates`
+asks only whether a union is bad, and `_is_bad` answers by a scan of the
+copies that stops at the first witness, with no key built.  No union is
+built as a Graph.  Z is analysed once per call (`_z_analysis`): it is
+decided on its `arrowing._id_array` rows, and a union searched whole is
+searched on them followed by the id rows of its copies through an added
+pair; Z's certificate φ keeps only the edges that its copies need to
+stay two-coloured, and an extension may colour the rest.  Every CNF
+literal is written in `arrowing`.  P(e1, e2) completions are searched
+once per call too, and shared by every union.
 """
 
 from __future__ import annotations
@@ -99,11 +100,12 @@ def image_edges(B, h):
 
 @dataclass(frozen=True)
 class UnionView:
-    """The focus map and focus set of Z ∪ h(B), read off the keys of its
-    copies of F through a booster edge (`_union_keys`) by stages 3 and 6."""
+    """The focus map, focus set and badness of Z ∪ h(B), read in one pass
+    off the keys of its copies of F through a booster edge (`_union_keys`)."""
 
     foci: dict  # the focus map
     members: tuple  # the focus set: EdgeIds of the focus map's edges, sorted
+    flags: dict  # B1, B2, B3 and bad, as `classify_bad` gives them
 
 
 def _check_embedding(h, B, n):
@@ -114,9 +116,10 @@ def _check_embedding(h, B, n):
 
 
 def union_view(Z, h, spec, F):
-    """Copies of F in Z ∪ h(B) through a booster edge, focus map and focus
-    set.  Every copy relevant to focusing and badness contains a booster
-    edge, so anchored enumeration over the booster edges is complete."""
+    """Copies of F in Z ∪ h(B) through a booster edge, focus map, focus
+    set and badness.  Every copy relevant to focusing and badness contains
+    a booster edge, so anchored enumeration over the booster edges is
+    complete."""
     _check_embedding(h, spec.B, Z.n)
     img = image_edges(spec.B, h)
     return _view_from_keys(Z, img, _union_keys(Z, img, F))
@@ -136,52 +139,28 @@ def _union_keys(Z, img, F):
 
 def _view_from_keys(Z, img, keys):
     """The view of the union Z ∪ `img` whose copies through a booster pair
-    are `keys`; the keys themselves are not kept."""
+    are `keys`, in one pass over them; the keys themselves are not kept.
+    A copy's edges other than its booster pairs are Z-only.  A Z-only
+    edge in two copies always makes B2 or B3, as both copies hold a
+    booster pair: they use two, or share one; `_is_bad` relies on this."""
     img_index = {e: j for j, e in enumerate(img)}
     z_index = Z._index
     foci = defaultdict(set)
+    b1 = False
+    boosts = {}  # Z-only edge -> booster pair sets of its copies
     for _, es in keys:
         boost = {img_index[e] for e in es if e in img_index}
+        b1 = b1 or 2 <= len(boost) < len(es)
         for e in es:
             if e in z_index:
                 foci[e].update(boost)
+            if e not in img_index:
+                boosts.setdefault(e, []).append(boost)
     # an edge in both Z and the image focuses via any copy through it
     for e, j in img_index.items():
         if e in z_index:
             foci[e].add(j)
     members = tuple(sorted(z_index[e] for e in foci))
-    return UnionView(dict(foci), members)
-
-
-def classify_bad(Z, h, spec, F):
-    """Literal evaluation of the three badness conditions.
-
-    B1: one copy with a Z-only edge and two booster edges.  B2: two
-    copies sharing a Z-only edge, using two different booster edges.
-    B3: two copies sharing a Z-only edge and a booster edge.
-    """
-    _check_embedding(h, spec.B, Z.n)
-    img = image_edges(spec.B, h)
-    return _bad_flags(img, _union_keys(Z, img, F))
-
-
-def _bad_flags(img, keys):
-    """Badness of the union of Z and the booster pairs `img` whose copies
-    through a booster pair are `keys`: a copy's other edges are Z-only.  A
-    Z-only edge in two copies always makes B2 or B3, as both copies hold a
-    booster pair: they use two, or share one; `_is_bad` relies on this."""
-    pairs = set(img)
-    b1 = False
-    boosts = {}  # z-only edge -> booster pair sets of its copies
-    for _, es in keys:
-        boost = pairs.intersection(es)
-        b1 = b1 or 2 <= len(boost) < len(es)
-        for e in es:
-            if e not in boost:
-                if (sets := boosts.get(e)) is None:
-                    boosts[e] = [boost]
-                else:
-                    sets.append(boost)
     b2 = b3 = False
     for sets in boosts.values():
         if len(sets) < 2:  # one copy through the edge makes neither B2 nor B3
@@ -191,12 +170,22 @@ def _bad_flags(img, keys):
         # and two of them meet unless they are pairwise disjoint
         b2 = b2 or len(used) >= 2
         b3 = b3 or sum(map(len, sets)) > len(used)
-    return {"B1": b1, "B2": b2, "B3": b3, "bad": b1 or b2 or b3}
+    return UnionView(dict(foci), members, {"B1": b1, "B2": b2, "B3": b3, "bad": b1 or b2 or b3})
+
+
+def classify_bad(Z, h, spec, F):
+    """Literal evaluation of the three badness conditions.
+
+    B1: one copy with a Z-only edge and two booster edges.  B2: two
+    copies sharing a Z-only edge, using two different booster edges.
+    B3: two copies sharing a Z-only edge and a booster edge.
+    """
+    return union_view(Z, h, spec, F).flags
 
 
 def _is_bad(Z, img, F):
-    """Whether the union of Z and the booster pairs `img` is bad (as
-    `_bad_flags` says), decided from the maps of `counting._anchored_maps`
+    """Whether the union of Z and the booster pairs `img` is bad (as its
+    `UnionView`'s flags say), decided from the maps of `counting._anchored_maps`
     on Z's rows with `img` ORed in, up to the first witness: a copy with two
     booster pairs and a Z-only edge (B1), or a Z-only edge met a second time
     (B2 or B3).  The search meets a copy once per booster pair it holds, so
@@ -334,7 +323,9 @@ def _unions(Z, z, pool, spec, F, budget):
 
 
 def check_interactive_regular(Z, Xi, spec, F, budget=None):
-    """Per-embedding interactivity and regularity report."""
+    """Per-embedding interactivity and regularity report.  Interactivity
+    is a three-valued AND: False if any conjunct is false, else None if a
+    verdict it needs is undecided, else True; so is `pair_interactive`."""
     for h in Xi:
         _check_embedding(h, spec.B, Z.n)
     _, z_res, _ = z = _z_analysis(Z, F, budget)
@@ -343,25 +334,26 @@ def check_interactive_regular(Z, Xi, spec, F, budget=None):
     for h, img, u_verdict, _ in _unions(Z, z, Xi, spec, F, budget):
         entry = {"h": h, "edge_disjoint": not any(e in Z._index for e in img),
                  "union_verdict": u_verdict}
-        foci = _view_from_keys(Z, img, _union_keys(Z, img, F)).foci
+        foci = union_view(Z, h, spec, F).foci
         entry["regular"] = all(len(s) <= 1 for s in foci.values())
-        if "undecided" in (z_res.verdict, b_res.verdict, u_verdict):
-            entry["interactive"] = None  # budget exhausted somewhere
-        else:
-            entry["interactive"] = (
-                entry["edge_disjoint"]
-                and z_res.verdict == "not_arrows"
-                and b_res.verdict == "not_arrows"
-                and u_verdict == "arrows"
-            )
+        wanted = ((z_res.verdict, "not_arrows"), (b_res.verdict, "not_arrows"),
+                  (u_verdict, "arrows"))
+        entry["interactive"] = _all3([entry["edge_disjoint"]] + [
+            None if v == "undecided" else v == want for v, want in wanted])
         reports.append(entry)
     return {
         "Z_verdict": z_res.verdict,
         "B_verdict": b_res.verdict,
         "per_h": reports,
-        "pair_interactive": all(r["interactive"] for r in reports),
+        "pair_interactive": _all3(r["interactive"] for r in reports),
         "pair_regular": all(r["regular"] for r in reports),
     }
+
+
+def _all3(values):
+    """Three-valued AND of True, False and None (undecided)."""
+    values = list(values)
+    return False if False in values else None if None in values else True
 
 
 # -- embedding pools -------------------------------------------------------
@@ -453,17 +445,14 @@ def construct_normal_family(Z, spec, F, params, seed=None):
             report["removed"]["not_arrowing" if v == "not_arrows" else "undecided"] += 1
     report["psi1"] = len(psi1)
 
-    # stage 2: badness from the arrowing unions' keys; stages 3 and 6 read the views of the rest
+    # stage 2: one view per arrowing union; stages 3 and 6 read those that are not bad
     views = {}
     for h, img in psi1.items():
-        keys = _union_keys(Z, img, F)
-        flags = _bad_flags(img, keys)
-        if flags["bad"]:
-            for key in ("B1", "B2", "B3"):
-                if flags[key]:
-                    report["removed"][key] += 1
+        view = _view_from_keys(Z, img, _union_keys(Z, img, F))
+        if view.flags["bad"]:
+            report["removed"].update(k for k in ("B1", "B2", "B3") if view.flags[k])
         else:
-            views[h] = _view_from_keys(Z, img, keys)
+            views[h] = view
     psi2 = list(views)
     report["psi2"] = len(psi2)
 

@@ -426,7 +426,9 @@ def main(argv=None):
                 "budget_exhausted": code == EXIT_BUDGET,
                 "result": payload,
             }
-            text = json.dumps(artifact, indent=2, sort_keys=True, default=_rat) + "\n"
+            # strict JSON: a non-finite float in the record is a ValueError
+            text = json.dumps(artifact, indent=2, sort_keys=True, default=_rat,
+                              allow_nan=False) + "\n"
         if ns.out:
             with open(ns.out, "w") as fh:
                 fh.write(text)

@@ -13,9 +13,9 @@ from ramseylab.counting import _norm, enumerate_copies
 from ramseylab.booster import (
     BoosterSpec,
     Hypergraph,
-    _bad_flags,
     _is_bad,
     _union_keys,
+    _view_from_keys,
     activated_set,
     alpha_tilde,
     brute_force_cores,
@@ -142,20 +142,20 @@ def scanned_unions(draw):
 def test_badness_scan_matches_the_key_flags_and_the_naive_oracle(case):
     Z, img, F = case
     bad = _is_bad(Z, img, F)
-    assert bad == _bad_flags(img, _union_keys(Z, img, F))["bad"]
+    assert bad == _view_from_keys(Z, img, _union_keys(Z, img, F)).flags["bad"]
     assert bad == any(naive_bad_flags(Z, img, F, Graph(Z.n, [*Z.edges, *img])).values())
 
 
 def test_badness_scan_pinned_unions():
     Z, img, F = TWO_COPY_UNION
-    flags = _bad_flags(img, _union_keys(Z, img, F))
+    flags = _view_from_keys(Z, img, _union_keys(Z, img, F)).flags
     assert flags["bad"] and not flags["B1"] and _is_bad(Z, img, F)
     # copies keyed by edge set alone would read this union good
     Z, img, F = ISOLATED_UNION
     keys = _union_keys(Z, img, F)
     by_edges = list({es: (vs, es) for vs, es in keys}.values())
     assert len(by_edges) < len(keys)
-    assert not _bad_flags(img, by_edges)["bad"] and _is_bad(Z, img, F)
+    assert not _view_from_keys(Z, img, by_edges).flags["bad"] and _is_bad(Z, img, F)
 
 
 def test_classify_bad_matches_naive_oracle():
@@ -224,6 +224,23 @@ def test_interactive_star_example():
     # empty family: vacuous
     rep = check_interactive_regular(Z, [], spec, K3)
     assert rep["pair_interactive"] and rep["pair_regular"]
+
+
+@pytest.mark.parametrize("budget, interactive", [
+    (0, None), (1, None), (2, None), (3, None), (4, True), (5, True), (None, True)])
+def test_undecided_interactivity_is_reported_undecided(budget, interactive):
+    # under a small node budget Z's verdict is undecided while B does not
+    # arrow and the union arrows: the entry and the pair read None, never False
+    Z = Graph(6, complete_graph(5).edges)
+    spec = make_booster_spec(Graph(6, [(0, i) for i in range(1, 6)]), K3)
+    rep = check_interactive_regular(Z, [(5, 0, 1, 2, 3, 4)], spec, K3, budget=budget)
+    assert rep["Z_verdict"] == ("undecided" if interactive is None else "not_arrows")
+    assert [r["interactive"] for r in rep["per_h"]] == [interactive]
+    assert rep["pair_interactive"] is interactive
+    # a decided False conjunct makes the pair False, undecided entries or not
+    h = (0, 1, 2, 3, 4, 5)  # shares edges with Z: not edge-disjoint
+    rep = check_interactive_regular(Z, [(5, 0, 1, 2, 3, 4), h], spec, K3, budget=budget)
+    assert rep["per_h"][1]["interactive"] is False and rep["pair_interactive"] is False
 
 
 def test_activated_set_fixture_and_errors():

@@ -365,6 +365,23 @@ def test_non_finite_constants_exit_2(capsys, tmp_path):
     assert code == 0 and _strict_json(out)["result"]["verification"]["c1_holds_here"]
 
 
+def test_non_finite_results_exit_2_with_no_artifact(capsys, tmp_path):
+    # p = 1e-320 scales a pair density past the largest float: the record
+    # holds inf, which strict JSON cannot hold, so nothing is written
+    host, part, out = tmp_path / "g.txt", tmp_path / "part.json", tmp_path / "out.json"
+    host.write_text("6\n0 3\n1 4\n2 5\n0 4\n")
+    part.write_text("[[0,1,2],[3,4,5]]")
+    regularity = ["regularity", "--host", str(host), "--partition", str(part), "--d", "0.1",
+                  "--eps", "0.5"]
+    for extra in ([], ["--out", str(out)]):
+        code = main([*extra, *regularity, "--p", "1e-320"])
+        stdout, err = capsys.readouterr()
+        assert code == 2 and stdout == "" and not out.exists(), extra
+        assert err.startswith("error: Out of range float") and len(err.splitlines()) == 1, err
+    code, stdout = run_cli(capsys, *regularity, "--p", "0.5")
+    assert code == 0 and _strict_json(stdout)["result"]
+
+
 def test_artifact_encoder_writes_fractions_and_refuses_other_types():
     # a value json cannot write is a fault of the program: it is refused by
     # its type name, not handed back to json.dumps (a "circular reference")

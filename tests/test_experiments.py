@@ -740,13 +740,13 @@ def test_golden_z_property_rates():
 
 def test_z_rates_stop_each_badness_scan_at_its_first_witness(monkeypatch):
     # Z5 asks `_is_bad` whether each sampled union is bad: it builds no union
-    # view, collects no copy keys and reads no flags, with the pinned rates
+    # view and collects no copy keys, with the pinned rates
     def refuse(name):
         def fail(*args):
             raise AssertionError(f"z_property_rates called {name}")
         return fail
 
-    for name in ("_view_from_keys", "_union_keys", "_bad_flags"):
+    for name in ("_view_from_keys", "_union_keys"):
         monkeypatch.setattr(booster, name, refuse(name))
         monkeypatch.setattr(experiments, name, refuse(name), raising=False)
     test_golden_z_property_rates()

@@ -1,6 +1,7 @@
 """Guards for the public surface that code outside the package relies on."""
 
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -121,3 +122,11 @@ def test_library_tour_names_exist():
         assert names, module
         for name in names:
             assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_library_tour_names_every_exported_function():
+    # each function the package root exports is named in its module's row
+    rows = dict(_library_tour())
+    missing = [f"{f.__module__}.{name}" for name, f in vars(ramseylab).items()
+               if inspect.isfunction(f) and name not in rows.get(f.__module__, ())]
+    assert not missing, missing
