@@ -140,37 +140,36 @@ def _union_keys(Z, img, F):
 def _view_from_keys(Z, img, keys):
     """The view of the union Z ∪ `img` whose copies through a booster pair
     are `keys`, in one pass over them; the keys themselves are not kept.
-    A copy's edges other than its booster pairs are Z-only.  A Z-only
-    edge in two copies always makes B2 or B3, as both copies hold a
-    booster pair: they use two, or share one; `_is_bad` relies on this."""
+    An edge of Z focuses on the booster pairs of its copies, and a copy's
+    edges other than its booster pairs are Z-only.  A Z-only edge in two
+    copies always makes B2 or B3, as both copies hold a booster pair: they
+    use two, or share one; `_is_bad` relies on this."""
     img_index = {e: j for j, e in enumerate(img)}
     z_index = Z._index
-    foci = defaultdict(set)
     b1 = False
-    boosts = {}  # Z-only edge -> booster pair sets of its copies
+    through = defaultdict(list)  # edge of Z -> booster pair sets of its copies
     for _, es in keys:
         boost = {img_index[e] for e in es if e in img_index}
         b1 = b1 or 2 <= len(boost) < len(es)
         for e in es:
             if e in z_index:
-                foci[e].update(boost)
-            if e not in img_index:
-                boosts.setdefault(e, []).append(boost)
+                through[e].append(boost)
+    foci = {}
+    b2 = b3 = False
+    for e, sets in through.items():
+        used = foci[e] = set().union(*sets)
+        # one copy through a Z-only edge makes neither B2 nor B3; two of the
+        # sets span two booster edges unless all are one singleton, and two
+        # of them meet unless they are pairwise disjoint
+        if len(sets) > 1 and e not in img_index:
+            b2 = b2 or len(used) >= 2
+            b3 = b3 or sum(map(len, sets)) > len(used)
     # an edge in both Z and the image focuses via any copy through it
     for e, j in img_index.items():
         if e in z_index:
-            foci[e].add(j)
+            foci.setdefault(e, set()).add(j)
     members = tuple(sorted(z_index[e] for e in foci))
-    b2 = b3 = False
-    for sets in boosts.values():
-        if len(sets) < 2:  # one copy through the edge makes neither B2 nor B3
-            continue
-        used = set().union(*sets)
-        # two of the sets span two booster edges unless all are one singleton,
-        # and two of them meet unless they are pairwise disjoint
-        b2 = b2 or len(used) >= 2
-        b3 = b3 or sum(map(len, sets)) > len(used)
-    return UnionView(dict(foci), members, {"B1": b1, "B2": b2, "B3": b3, "bad": b1 or b2 or b3})
+    return UnionView(foci, members, {"B1": b1, "B2": b2, "B3": b3, "bad": b1 or b2 or b3})
 
 
 def classify_bad(Z, h, spec, F):
