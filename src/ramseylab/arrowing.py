@@ -10,7 +10,11 @@ clauses `cnf_export` prints) with array operations, and `_extend` the
 system left once a partial colouring is fixed, which answers "does this
 partial colouring extend to an F-free one?" for `first_f_free_coloring`
 and for the booster's unions.  One CDCL core (`_Cdcl`) answers every
-colouring question.  A brute-force oracle checks it independently.
+colouring question.  Two exact answers need no NAE system: a host that
+holds F's Ramsey clique K_r arrows F (`_ramsey_clique`), and for a
+complete F a host whose vertices a greedy pass colours in r − 1 colours
+does not (`_clique_colouring`).  A brute-force oracle checks the core
+independently.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .counting import _sorted_copies, enumerate_copies
-from .graphs import complete_graph, union
+from .graphs import _bits, complete_graph, union
 
 RED, BLUE = 0, 1
 STATS = ("nodes", "propagations", "conflicts", "learned")  # counters of every search
@@ -343,6 +347,33 @@ def _ramsey_clique(F):
     unbudgeted solves of K_v(F), ..., K_7 on the private `_decide`."""
     return next((K for K in map(complete_graph, range(F.n, CLIQUE_CAP + 1))
                  if _decide(K.num_edges(), _id_array(K, F), 2, None).arrows), None)
+
+
+def _clique_colouring(F, adj):
+    """A proper colouring of the host rows `adj` in at most r − 1 colours,
+    a colour per vertex, or None; for a complete F whose Ramsey clique K_r
+    exists (K2 and K3), else None at once.  One greedy DSATUR pass (Brélaz
+    1979) with no backtracking: the next vertex has the most colours among
+    its neighbours, then the most uncoloured neighbours, then the lowest
+    id, and takes the lowest colour none of them has.
+
+    A colouring c is exact evidence that the host does not arrow F: r is
+    minimal, so K_{r−1} has an F-free colouring χ, and the host's edge uv
+    takes χ(c(u)c(v)).  A copy of F maps into K_{r−1} under c injectively,
+    as F is complete and c proper, onto a copy that χ leaves two-coloured."""
+    K = _ramsey_clique(F)
+    if K is None or 2 * F.num_edges() != F.n * (F.n - 1):
+        return None
+    colour, seen, left = [0] * len(adj), [0] * len(adj), (1 << len(adj)) - 1
+    while left:  # seen[v]: the colours of v's coloured neighbours, a bit each
+        v = max(_bits(left), key=lambda u: (seen[u].bit_count(), (adj[u] & left).bit_count(), -u))
+        c = (~seen[v] & (seen[v] + 1)).bit_length() - 1  # its lowest clear bit
+        if c >= K.n - 1:
+            return None
+        colour[v], left = c, left & ~(1 << v)
+        for u in _bits(adj[v] & left):
+            seen[u] |= 1 << c
+    return colour
 
 
 BRUTE_FORCE_EDGE_CAP = 24

@@ -8,12 +8,13 @@ enumeration in Z ∪ h(B), which is Z plus the pairs h(B) adds to Z.  Stage
 1 decides a union from those pairs alone (`_unions`), once per set of
 added pairs; a union that adds none is Z and takes Z's verdict.  Each
 other union is decided by an extension of Z's colouring, else by F's
-Ramsey clique through an added pair, else by a search of the whole union
-(`_union_verdict`), all on one copy of Z's adjacency rows with h(B) ORed
-in.  Stage 2 reads each union that arrows into one `UnionView`, its
-focus map, focus set and B1–B3 flags in one pass over its copy keys
-through a booster pair (`_view_from_keys`), and stages 3 and 6 read the
-views that are not bad.  `union_view` builds the same record from the
+Ramsey clique K_r through an added pair, else, for a complete F, by a
+colouring of the union's vertices in r − 1 colours, else by a search of
+the whole union (`_union_verdict`), all on one copy of Z's adjacency rows
+with h(B) ORed in.  Stage 2 reads each union that arrows into one
+`UnionView`, its focus map, focus set and B1–B3 flags in one pass over
+its copy keys through a booster pair (`_view_from_keys`), and stages 3
+and 6 read the views that are not bad.  `union_view` builds the same record from the
 keys of `_union_keys` for the readers that start from (Z, h), and
 `classify_bad` returns its flags; `activated_set` reads those keys
 itself, for each copy's colours.  Z5 of `experiments.z_property_rates`
@@ -41,6 +42,7 @@ import numpy as np
 
 from .arrowing import (
     BRUTE_FORCE_EDGE_CAP,
+    _clique_colouring,
     _decide,
     _extend,
     _id_array,
@@ -264,7 +266,7 @@ def _z_analysis(Z, F, budget):
     return z_ids, z_res, phi
 
 
-def _union_verdict(z_ids, Z, adj, keys, budget, phi=None, clique=None):
+def _union_verdict(z_ids, Z, adj, keys, budget, phi=None, F=None):
     """(decide_arrow_union's verdict, how it was decided) on the union U of
     Z and the pairs it adds to Z, whose adjacency rows are `adj` and whose
     copies through an added pair are `keys`, Z's system being `z_ids`.
@@ -273,25 +275,32 @@ def _union_verdict(z_ids, Z, adj, keys, budget, phi=None, clique=None):
     - given Z's F-free colouring `phi` (colour per Z edge id), an
       extension to the added pairs ("extension" with no core, else
       "core"): only a copy with an added pair can turn monochromatic;
-    - given F's Ramsey clique K_r (`arrowing._ramsey_clique`) as
-      `clique`, a K_r through an added pair ("clique": "arrows"), by
-      `counting._holds_copy` on `adj` anchored at the keys' added pairs.
-      Each added pair of a K_r in U lies in a key (K_r is edge-transitive
-      and holds F), and a Z that does not arrow F holds no K_r, so then
-      the query misses only when U holds none;
+    - given the pattern `F` and its Ramsey clique K_r
+      (`arrowing._ramsey_clique`), a K_r through an added pair ("clique":
+      "arrows"), by `counting._holds_copy` on `adj` anchored at the keys'
+      added pairs.  Each added pair of a K_r in U lies in a key (K_r is
+      edge-transitive and holds F), and a Z that does not arrow F holds no
+      K_r, so then the query misses only when U holds none;
+    - given a complete `F` with a Ramsey clique K_r, a proper colouring of
+      U's vertices in r − 1 colours by one greedy pass
+      (`arrowing._clique_colouring`; "colouring": "not_arrows");
     - else U is searched whole ("searched").  Its system is
       decide_arrow_union's, renumbered and reordered, so a decided
       verdict is the same; under a node budget the search order differs,
       so either search may be undecided where the other decides.
-    The extension and the clique are exact, so they may decide a union
-    that both searches would leave undecided."""
+    The extension, the clique and the colouring are exact, so they may
+    decide a union that both searches would leave undecided."""
     index, m, new = Z._index, Z.num_edges(), {}
     rows = [[index[e] if e in index else new.setdefault(e, m + len(new)) for e in es]
             for _, es in keys]
     if phi is not None and (ext := _extend(rows, phi)) is not None:
         return "not_arrows", "core" if ext else "extension"
-    if clique is not None and _holds_copy(clique, adj, new) is not None:
-        return "arrows", "clique"
+    if F is not None:
+        clique = _ramsey_clique(F)
+        if clique is not None and _holds_copy(clique, adj, new) is not None:
+            return "arrows", "clique"
+        if _clique_colouring(F, adj) is not None:
+            return "not_arrows", "colouring"
     rows = np.array(rows, dtype=np.intp).reshape(len(rows), z_ids.shape[1])
     return _decide(m + len(new), np.concatenate((z_ids, rows)), 2, budget).verdict, "searched"
 
@@ -301,11 +310,10 @@ def _unions(Z, z, pool, spec, F, budget):
     in order, `z` being `_z_analysis(Z, F, budget)`: the one loop over a
     host's unions.  A union adding no pair to Z is Z ("no_pair"); the others
     are decided by `_union_verdict` on one copy of Z's rows with h(B)
-    ORed in and the copies through their added pairs found on it, with
-    F's Ramsey clique when F has one, once per set of added pairs
-    ("repeat" after the first): an equal set, an equal system."""
+    ORed in and the copies through their added pairs found on it, once
+    per set of added pairs ("repeat" after the first): an equal set, an
+    equal system."""
     z_ids, z_res, phi = z
-    clique = _ramsey_clique(F)
     decided = {}  # frozenset of added pairs -> (verdict, how)
     for h in pool:
         img = image_edges(spec.B, h)
@@ -317,7 +325,7 @@ def _unions(Z, z, pool, spec, F, budget):
             yield h, img, decided[pairs][0], "repeat"
         else:
             keys = [key for key, _ in _anchored_copies(F, adj, added)]
-            decided[pairs] = _union_verdict(z_ids, Z, adj, keys, budget, phi, clique)
+            decided[pairs] = _union_verdict(z_ids, Z, adj, keys, budget, phi, F)
             yield h, img, *decided[pairs]
 
 
@@ -435,7 +443,7 @@ def construct_normal_family(Z, spec, F, params, seed=None):
     # stage 1: arrowing unions; how each union was decided partitions the pool
     psi1 = {}  # h -> booster pairs
     report["stage1"] = dict.fromkeys(
-        ("no_pair", "repeat", "extension", "core", "clique", "searched"), 0)
+        ("no_pair", "repeat", "extension", "core", "clique", "colouring", "searched"), 0)
     for h, img, v, how in _unions(Z, z, pool, spec, F, budget):
         report["stage1"][how] += 1
         if v == "arrows":

@@ -82,6 +82,21 @@ def _rat(x):
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
+def _non_finite(x, path="$"):
+    """"<JSON path> is <value>" of the first NaN or infinity in the record
+    `x`, in the order the artifact writes it (keys sorted), or None."""
+    if isinstance(x, float):
+        return None if isfinite(x) else f"{path} is {x}"
+    if isinstance(x, dict):
+        items = ((f"{path}.{k}" if str(k).isidentifier() else f"{path}[{json.dumps(str(k))}]", v)
+                 for k, v in sorted(x.items()))
+    elif isinstance(x, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(x))
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, at) for at, v in items)), None)
+
+
 def _finite(text):
     """A float flag's value: strict JSON has no token for NaN or the
     infinities, so they are refused."""
@@ -426,7 +441,9 @@ def main(argv=None):
                 "budget_exhausted": code == EXIT_BUDGET,
                 "result": payload,
             }
-            # strict JSON: a non-finite float in the record is a ValueError
+            # strict JSON: a non-finite float in the record is refused by its path
+            if (where := _non_finite(artifact)) is not None:
+                raise CliError(f"{where}, which strict JSON cannot hold")
             text = json.dumps(artifact, indent=2, sort_keys=True, default=_rat,
                               allow_nan=False) + "\n"
         if ns.out:

@@ -8,11 +8,12 @@ and follows its process to its hitting constant.  Budget-exhausted
 trials stay first-class "undecided" and are excluded from point
 estimates with their count reported.
 
-The default verdict function, `solver_verdict`, answers from three exact
+The default verdict function, `solver_verdict`, answers from four exact
 sources in turn: the bounds that its earlier decided verdicts on the same
 (n, seed) set, F's Ramsey clique K_r from `arrowing` found in the sample
-where G(n, p) expects one, and the NAE solver at the node budget.  The
-first two need no solve, so a trial that the budget would leave
+where G(n, p) expects one, for a complete F a colouring of the sample's
+vertices in r − 1 colours, and the NAE solver at the node budget.  The
+first three need no solve, so a trial that the budget would leave
 undecided may be decided by them.
 """
 
@@ -25,7 +26,7 @@ from math import ceil, comb, exp, gcd, inf, isfinite, log10, sqrt
 
 import numpy as np
 
-from .arrowing import _ramsey_clique, decide_arrow
+from .arrowing import _check_budget, _clique_colouring, _ramsey_clique, decide_arrow
 from .booster import (
     _heavy_cap,
     _is_bad,
@@ -67,7 +68,9 @@ def wilson_interval(successes, n, z=1.96):
 def solver_verdict(F, budget=None):
     """Default verdict function: whether G(n, p) on a seed arrows F.
 
-    A query takes the first answer of three sources, each exact:
+    A negative `budget` is refused here, when the function is built, since
+    the first three sources may answer every query with no solve.  A query
+    takes the first answer of four sources, each exact:
     - **Bounds.**  For one seed `gnp_sample` is nested in p, and arrowing
       is monotone.  So the function keeps, per (n, seed), the largest p it
       decided "not_arrows" and the smallest p it decided "arrows".  A
@@ -78,13 +81,17 @@ def solver_verdict(F, budget=None):
       a sample that holds a K_r arrows.  The sample is searched for one
       only where G(n, p) expects one, C(n, r) p^C(r,2) >= 1, by
       `counting._holds_copy`.
+    - **A colouring.**  For a complete F (K2 and K3), a sample whose
+      vertices one greedy pass colours in r − 1 colours
+      (`arrowing._clique_colouring`) does not arrow F.
     - **The solver**, `decide_arrow` at the node budget, builds and
       solves the NAE system.
-    A decided verdict from the clique or the solver moves its bound.  So a
-    query between the bounds is not always solved, and a point that a
-    fresh solve would leave undecided may be decided by the bounds or the
-    clique.
+    A decided verdict from the clique, the colouring or the solver moves
+    its bound.  So a query between the bounds is not always solved, and a
+    point that a fresh solve would leave undecided may be decided by the
+    bounds, the clique or the colouring.
     """
+    _check_budget(budget)
     bounds = {}  # (n, seed) -> (largest p not arrowing, smallest p arrowing)
     clique = _ramsey_clique(F)
 
@@ -99,6 +106,8 @@ def solver_verdict(F, budget=None):
         expected = 0 if clique is None else comb(n, clique.n) * p ** clique.num_edges()
         if expected >= 1 and _holds_copy(clique, G.adj) is not None:
             verdict = "arrows"
+        elif _clique_colouring(F, G.adj) is not None:
+            verdict = "not_arrows"
         else:
             verdict = decide_arrow(G, F, budget=budget).verdict
         if verdict == "not_arrows":
@@ -166,7 +175,9 @@ def hitting_constant(F, n, seed, budget=None, verdict_fn=None):
     Returns {"p", "c", "solves"}: p is the uniform of the hitting edge, so
     G(n, p') on this seed arrows iff p' > p, and c = p * n^(1/m2).  Both
     are inf when even K_n does not arrow, and None when a probe was
-    undecided, which ends the search.
+    undecided, which ends the search.  `solves` counts the probes, each one
+    verdict of `verdict_fn`: by default the bounds, a Ramsey clique or a
+    colouring may answer one with no solve.
     """
     fn = verdict_fn or solver_verdict(F, budget)
     total = n * (n - 1) // 2

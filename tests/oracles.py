@@ -12,7 +12,9 @@ searches in `counting` must match map for map and in order; they read
 the library's plans and orbit representatives, so they check the
 searches, not those.  `reference_gnp_sample` keeps the pair-by-pair
 sampling comprehension, and `reference_hypergraph_stats` the enumeration
-of every j-subset of every hyperedge.
+of every j-subset of every hyperedge.  `check_pulled_back` reads the
+library's F-free colouring of K_{r-1} and checks the vertex colourings
+that prove a host does not arrow a complete F.
 """
 
 from collections import Counter
@@ -21,8 +23,9 @@ from functools import cache
 from itertools import combinations, permutations
 from math import comb
 
+from ramseylab.arrowing import _ramsey_clique, first_f_free_coloring, is_f_free
 from ramseylab.counting import _arc_representatives, _breaking, _pair_representatives, _plan
-from ramseylab.graphs import Graph, pair_uniforms
+from ramseylab.graphs import Graph, complete_graph, pair_uniforms
 
 
 def norm(u, v):
@@ -263,6 +266,22 @@ def naive_holds_clique(G, r):
     """Whether some r vertices of G are pairwise adjacent: every r-subset tried."""
     return any(all(G.has_edge(u, v) for u, v in combinations(vs, 2))
                for vs in combinations(range(G.n), r))
+
+
+def check_pulled_back(colour, adj, F):
+    """Assert that the vertex colouring `colour` of the host with adjacency
+    rows `adj` is proper in fewer colours than F's Ramsey clique K_r has
+    vertices, and that its pull-back is F-free: the host edge uv takes the
+    colour of the edge {colour[u], colour[v]} in the library's
+    `first_f_free_coloring(K_{r-1}, F)`.  Returns the host."""
+    G = Graph(len(adj), [(u, v) for u in range(len(adj)) for v in range(u + 1, len(adj))
+                         if adj[u] >> v & 1])
+    K = complete_graph(_ramsey_clique(F).n - 1)
+    assert len(colour) == G.n and all(0 <= c < K.n for c in colour), colour
+    assert all(colour[u] != colour[v] for u, v in G.edges), colour
+    chi = first_f_free_coloring(K, F)
+    assert is_f_free([chi[K.edge_id(colour[u], colour[v])] for u, v in G.edges], G, F)[0]
+    return G
 
 
 def naive_bad_flags(Z, himage_edges, F, Uall):

@@ -1,10 +1,14 @@
 from itertools import combinations, islice, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ramseylab import arrowing
 from ramseylab.arrowing import (
+    BRUTE_FORCE_EDGE_CAP,
     CLIQUE_CAP,
+    _clique_colouring,
     _ramsey_clique,
     brute_force_arrow,
     cnf_export,
@@ -15,6 +19,7 @@ from ramseylab.arrowing import (
     is_f_free,
 )
 from ramseylab.counting import _holds_copy
+from ramseylab.density import is_bipartite
 from ramseylab.graphs import (
     Graph,
     Seed,
@@ -26,6 +31,7 @@ from ramseylab.graphs import (
     pattern_by_name,
     union,
 )
+from oracles import check_pulled_back
 
 K3 = complete_graph(3)
 
@@ -122,6 +128,64 @@ def test_hosts_without_k6_that_arrow():
         H = complete_graph(7).without_edges(removed)
         assert _holds_copy(K6, H.adj) is None
         assert decide_arrow(H, C4).verdict == "arrows", removed
+
+
+@st.composite
+def coloured_hosts(draw):
+    """K2 or K3 and a host on at most 9 vertices with at most
+    BRUTE_FORCE_EDGE_CAP edges, so that the oracle decides it; the edge
+    count is drawn first, so that dense hosts are as likely as sparse ones."""
+    F = draw(st.sampled_from([complete_graph(2), K3]))
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    m = draw(st.integers(0, min(len(pairs), BRUTE_FORCE_EDGE_CAP)))
+    return F, Graph(n, draw(st.permutations(pairs))[:m])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(coloured_hosts())
+@example((K3, complete_graph(5)))
+@example((K3, complete_graph(6)))
+@example((complete_graph(2), empty_graph(4)))
+def test_clique_colouring_proves_not_arrows(case):
+    # an answer is a proper colouring in r - 1 colours whose pull-back from
+    # K_{r-1} is F-free, and the oracle agrees; the pass never misses a
+    # bipartite host for K3, and for K2 it answers exactly the edgeless hosts
+    F, G = case
+    colour = _clique_colouring(F, G.adj)
+    if colour is not None:
+        check_pulled_back(colour, G.adj, F)
+        assert brute_force_arrow(G, F).verdict == "not_arrows"
+    if F == K3 and is_bipartite(G)[0]:
+        assert colour is not None
+    if F.n == 2:
+        assert (colour is not None) == (G.num_edges() == 0)
+
+
+def test_clique_colouring_answers_only_complete_patterns_with_a_ramsey_clique():
+    # C4, C5, P3 and K3 + K1 are not complete, and K4's Ramsey clique lies
+    # beyond the cap: even a host that a greedy pass colours is left alone
+    hosts = [empty_graph(6), path_graph(5), complete_graph(5), cycle_graph(7), complete_graph(8)]
+    hosts += [gnp_sample(12, 0.4, Seed(402, i)) for i in range(10)]
+    patterns = [pattern_by_name(x) for x in ("C4", "C5", "P3", "K4", "K4-e")]
+    for F in patterns + [Graph(4, K3.edges)]:
+        for G in hosts:
+            assert _clique_colouring(F, G.adj) is None, (F, G)
+
+
+def test_clique_colouring_pinned_hosts():
+    # K5 takes five colours, and its pull-back is F-free; K6
+    # and Graham's K8 - C5 (chromatic number 6; it arrows K3) are not; an
+    # edgeless host takes one colour for K2, and one edge ends that
+    assert _clique_colouring(K3, complete_graph(5).adj) == [0, 1, 2, 3, 4]
+    check_pulled_back([0, 1, 2, 3, 4], complete_graph(5).adj, K3)
+    graham = complete_graph(8).without_edges(cycle_graph(5).edges)
+    for G in (complete_graph(6), graham):
+        assert _clique_colouring(K3, G.adj) is None
+        assert _clique_colouring(complete_graph(2), G.adj) is None
+    assert decide_arrow(graham, K3).verdict == "arrows"
+    assert _clique_colouring(complete_graph(2), empty_graph(3).adj) == [0, 0, 0]
+    assert _clique_colouring(complete_graph(2), Graph(3, [(0, 2)]).adj) is None
 
 
 def test_hosts_on_8_vertices_arrow_k3_only_with_a_k6_or_as_k3_plus_c5():

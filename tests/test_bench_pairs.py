@@ -33,12 +33,16 @@ def test_wall_values_are_read_off_the_report_lines():
         "item_p90_ms": 0.766, "setup_s": 0.0586}
 
 
-def runs_of(parent, change, name):
-    """Synthetic runs of one workload: pair i reads parent[i] and change[i]."""
-    return [{"workload": "zcheck", "seed": i, "side": side, "metrics": {name: value},
-             "wall": {name: 2 * value}}
-            for i, pair in enumerate(zip(parent, change))
-            for side, value in zip(("parent", "change"), pair)]
+def runs_of(parent, change, name, wall=None):
+    """Synthetic runs of one workload: pair i reads parent[i] and change[i].
+    Their wall values are twice those, or wall[0][i] and wall[1][i]; with
+    wall = () the runs have none."""
+    if wall is None:
+        wall = ([2 * x for x in parent], [2 * x for x in change])
+    sides = (("parent", parent, wall[:1]), ("change", change, wall[1:]))
+    return [{"workload": "zcheck", "seed": i, "side": side, "metrics": {name: values[i]},
+             "wall": {name: w[i] for w in walls}}
+            for i in range(len(parent)) for side, values, walls in sides]
 
 
 def test_summary_counts_wins_in_the_benchmark_direction_and_the_parent_iqr():
@@ -54,3 +58,30 @@ def test_summary_counts_wins_in_the_benchmark_direction_and_the_parent_iqr():
             assert row["change"]["median"] == 13.0 * scale
             assert row["median_change_pct"] == pytest.approx(100 * (13 - 14) / 14)
             assert row["parent_iqr_pct"] == pytest.approx(100 * 4 / 14)
+
+
+def test_claim_is_met_on_most_pairs_both_ways_and_a_median_gain_beyond_the_parent_iqr():
+    better = bench_pairs.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    parent = [100.0, 102.0, 104.0, 106.0, 108.0]  # median 104, IQR 4 (3.8%)
+    up = [x * 1.1 for x in parent]  # wins every pair, +10%
+    slight = [x + 1 for x in parent]  # wins every pair, +1%
+
+    def claim(parent, change, name="items_per_s", wall=None):
+        summary = bench_pairs.summarise(runs_of(parent, change, name, wall), better)
+        return summary["zcheck"][name]["claim_met"]
+
+    assert claim(parent, up)
+    assert not claim(parent, slight)  # the gain lies inside the parent's IQR
+    assert not claim(up, parent)  # a loss in the better direction
+    # for a lower-better metric a fall is the gain
+    assert claim(up, parent, "item_p90_ms") and not claim(parent, up, "item_p90_ms")
+    # most pairs: three wins of five carry it, two of four do not, though
+    # the median gain of +6.8% exceeds that parent's IQR of 2.9%
+    assert claim(parent, [110.0, 112.2, 114.4, 100.0, 100.0])
+    assert not claim(parent[:4], [130.0, 130.0, 90.0, 90.0])
+    # the wall values must win most pairs too, where the runs have them
+    assert not claim(parent, up, wall=(up, parent))
+    assert claim(parent, up, wall=())
+    # the wall summary carries the same verdict
+    runs = runs_of(parent, up, "items_per_s", (up, parent))
+    assert not bench_pairs.summarise(runs, better, "wall")["zcheck"]["items_per_s"]["claim_met"]

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import ceil
+from math import ceil, inf, nan
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from instances import two_block_host
 
 import ramseylab
-from ramseylab.cli import _finite, _float_list, _rat, build_parser, main
+from ramseylab.cli import _finite, _float_list, _non_finite, _rat, build_parser, main
 from ramseylab.counting import check_T
 from ramseylab.density import classify
 from ramseylab.graphs import Seed, gnp_sample, parse_graph, pattern_by_name, serialize_graph
@@ -152,8 +152,9 @@ def test_window_failures_exit_with_documented_codes(capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: no crossing") and len(err.splitlines()) == 1
-    # one node cannot decide any probe that holds a triangle
-    window = ["window", "--pattern", "K3", "--n-list", "8", "--trials", "3"]
+    # one node cannot decide any probe that holds a 4-cycle; C4 is
+    # bipartite, so no vertex colouring answers a probe
+    window = ["window", "--pattern", "C4", "--n-list", "8", "--trials", "3"]
     code = main(window + ["--budget-nodes", "1"])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
@@ -209,6 +210,11 @@ def test_degenerate_parameters_exit_2(capsys, tmp_path):
         ["arrows", "--host", "K6", "--pattern", "K3", "--budget-nodes", "-1"],
         ["threshold", "--pattern", "K3", "--n", "8", "--c", "1", "--trials", "2",
          "--budget-nodes", "-1"],
+        # refused before any trial: here the clique or the colouring
+        # answers every query, and no solve would meet the budget
+        ["threshold", "--pattern", "K3", "--n", "8", "--c", "5", "--trials", "2",
+         "--budget-nodes", "-1"],
+        ["window", "--pattern", "K3", "--n-list", "6", "--trials", "2", "--budget-nodes", "-1"],
         ["threshold", "--pattern", "K3", "--n", "10", "--c=-1,2", "--trials", "2"],
         # an artifact path that cannot be written
         ["--out", str(tmp_path), "pattern", "K3"],
@@ -377,7 +383,13 @@ def test_non_finite_results_exit_2_with_no_artifact(capsys, tmp_path):
         code = main([*extra, *regularity, "--p", "1e-320"])
         stdout, err = capsys.readouterr()
         assert code == 2 and stdout == "" and not out.exists(), extra
-        assert err.startswith("error: Out of range float") and len(err.splitlines()) == 1, err
+        # the refusal names the JSON path of the value
+        assert err == ('error: $.result.pairs["0,1"].density is inf, '
+                       'which strict JSON cannot hold\n')
+    # the first in the order the artifact writes it, keys sorted
+    assert _non_finite({"b": [1.0, -inf], "a": {"x-y": {"z": nan}}}) == (
+        '$.a["x-y"].z is nan')
+    assert _non_finite({"a": [0.5, "inf"], "b": Fraction(1, 3)}) is None
     code, stdout = run_cli(capsys, *regularity, "--p", "0.5")
     assert code == 0 and _strict_json(stdout)["result"]
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ramseylab import booster, counting, experiments
 from ramseylab.arrowing import (
     BRUTE_FORCE_EDGE_CAP,
+    _clique_colouring,
     _id_array,
     _ramsey_clique,
     brute_force_arrow,
@@ -44,7 +45,7 @@ from ramseylab.graphs import (
     path_graph,
     pattern_by_name,
 )
-from oracles import naive_holds_clique
+from oracles import check_pulled_back, naive_holds_clique
 
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
@@ -441,16 +442,32 @@ def test_threshold_curve_rejects_a_negative_c():
     assert math.copysign(1.0, curve["points"][0]["p"]) == 1.0
 
 
-def _spy_solves(mp):
-    """Record the host of every solve the experiments layer runs."""
-    hosts = []
+def _spy_answers(mp):
+    """Record the host rows of every answer that the Ramsey clique, the
+    colouring and the solver give in the experiments layer, by source."""
+    answers = {"clique": [], "colouring": [], "solver": []}
+    holds, colouring = experiments._holds_copy, experiments._clique_colouring
 
-    def spy(G, F, budget=None):
-        hosts.append(G)
+    def spy_holds(K, adj, anchors=None):
+        found = holds(K, adj, anchors)
+        if found is not None:
+            answers["clique"].append(adj)
+        return found
+
+    def spy_colouring(F, adj):
+        found = colouring(F, adj)
+        if found is not None:
+            answers["colouring"].append(adj)
+        return found
+
+    def spy_solve(G, F, budget=None):
+        answers["solver"].append(G.adj)
         return decide_arrow(G, F, budget=budget)
 
-    mp.setattr(experiments, "decide_arrow", spy)
-    return hosts
+    mp.setattr(experiments, "_holds_copy", spy_holds)
+    mp.setattr(experiments, "_clique_colouring", spy_colouring)
+    mp.setattr(experiments, "decide_arrow", spy_solve)
+    return answers
 
 
 @st.composite
@@ -481,65 +498,75 @@ def _clique_gate(F, n, p):
 def test_solver_verdict_bounds_match_a_fresh_solve(case):
     # the bounds answer only at or beyond a decided p of the same (n, seed);
     # between them, a host that holds K_r where the gate is open is answered
-    # "arrows" with no solve (checked by the r-subset oracle), and every
-    # other query is solved once, so it gives the fresh verdict exactly
+    # "arrows" by the clique (checked by the r-subset oracle), a host that
+    # the greedy pass colours is answered "not_arrows" by the colouring (K3
+    # only), and every other query is solved once, so it gives the fresh
+    # verdict exactly
     F, budget, queries = case
     fn = solver_verdict(F, budget)
     known = {}  # (n, seed index) -> the bounds, read off the answers
     with pytest.MonkeyPatch.context() as mp:
-        solves = _spy_solves(mp)
+        answers = _spy_answers(mp)
         for n, p, s in queries:
             seed = Seed(90, s)
             G = gnp_sample(n, p, seed)
             fresh = decide_arrow(G, F, budget=budget).verdict
-            ran = len(solves)
+            ran = {k: len(v) for k, v in answers.items()}
             answer = fn(n, p, seed)
+            new = {k: len(v) - ran[k] for k, v in answers.items()}
             below, above = known.get((n, s), (-1.0, 2.0))
             if fresh != "undecided":
                 assert answer == fresh, (n, p, s)
             if below < p < above:
                 r = _clique_gate(F, n, p)
                 if r is not None and naive_holds_clique(G, r):
-                    assert len(solves) == ran and answer == "arrows", (n, p, s)
-                    assert fresh != "not_arrows", (n, p, s)
+                    assert new == {"clique": 1, "colouring": 0, "solver": 0}, (n, p, s)
+                    assert answer == "arrows" and fresh != "not_arrows", (n, p, s)
+                elif new["colouring"]:
+                    assert F == K3 and new == {"clique": 0, "colouring": 1, "solver": 0}
+                    assert answer == "not_arrows" and fresh != "arrows", (n, p, s)
                 else:
-                    assert len(solves) == ran + 1 and answer == fresh, (n, p, s)
+                    assert new == {"clique": 0, "colouring": 0, "solver": 1}, (n, p, s)
+                    assert answer == fresh, (n, p, s)
                 if answer == "not_arrows":
                     known[n, s] = (p, above)
                 elif answer == "arrows":
                     known[n, s] = (below, p)
             else:
-                assert len(solves) == ran, (n, p, s)
+                assert new == {"clique": 0, "colouring": 0, "solver": 0}, (n, p, s)
                 assert answer == ("not_arrows" if p <= below else "arrows"), (n, p, s)
 
 
 def test_solver_verdict_answers_above_an_arrowing_point_without_a_solve(monkeypatch):
     # every p here lies below the clique gate (p ~ 0.700 at n = 10 and
-    # 0.664 at n = 11), so only the bounds answer without a solve;
-    # G(10, p) on Seed(91) arrows iff p > 0.609
-    solves = _spy_solves(monkeypatch)
+    # 0.664 at n = 11), so only the bounds and the colouring answer without
+    # a solve; G(10, p) on Seed(91) arrows iff p > 0.609
+    answers = _spy_answers(monkeypatch)
     fn = solver_verdict(K3)
     seed = Seed(91)
     assert _clique_gate(K3, 10, 0.69) is None and _clique_gate(K3, 11, 0.65) is None
-    assert fn(10, 0.65, seed) == "arrows" and len(solves) == 1
+    assert fn(10, 0.65, seed) == "arrows" and answers["solver"] == [gnp_sample(10, 0.65, seed).adj]
     assert fn(10, 0.69, seed) == fn(10, 0.65, seed) == fn(10, 1.0, seed) == "arrows"
-    assert len(solves) == 1
-    assert fn(10, 0.05, seed) == "not_arrows" and len(solves) == 2
-    assert fn(10, 0.0, seed) == "not_arrows" and len(solves) == 2
-    # the bounds are kept per (n, seed)
+    assert len(answers["solver"]) == 1
+    # G(10, 0.05) takes two colours: the colouring answers and sets the lower bound
+    assert fn(10, 0.05, seed) == "not_arrows"
+    assert answers["colouring"] == [gnp_sample(10, 0.05, seed).adj]
+    assert fn(10, 0.0, seed) == "not_arrows" and len(answers["colouring"]) == 1
+    # the bounds are kept per (n, seed): one solve and one colouring more
     fn(10, 0.65, Seed(92))
     fn(11, 0.65, seed)
-    assert len(solves) == 4
+    assert (len(answers["solver"]), len(answers["colouring"])) == (2, 2)
     # a p outside [0, 1] meets gnp_sample's refusal, whatever the bounds say
     for p in (1.5, -0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=r"outside \[0,1\]"):
             fn(10, p, seed)
-    assert len(solves) == 4
+    assert answers["clique"] == []
+    assert (len(answers["solver"]), len(answers["colouring"])) == (2, 2)
 
 
 def test_solver_verdict_answers_a_host_holding_a_ramsey_clique_without_a_solve(monkeypatch):
     # R(K3, K3) = 6, and at n = 10 the gate C(10, 6) p^15 >= 1 opens at p ~ 0.700
-    solves = _spy_solves(monkeypatch)
+    answers = _spy_answers(monkeypatch)
     fn = solver_verdict(K3)
     assert _clique_gate(K3, 10, 0.71) == 6 and _clique_gate(K3, 10, 0.69) is None
     hosts = {(p, v): gnp_sample(10, p, Seed(v)) for p in (0.69, 0.71, 0.75, 0.9)
@@ -547,20 +574,61 @@ def test_solver_verdict_answers_a_host_holding_a_ramsey_clique_without_a_solve(m
     assert naive_holds_clique(hosts[0.9, 94], 6) and naive_holds_clique(hosts[0.71, 94], 6)
     assert naive_holds_clique(hosts[0.69, 94], 6)
     assert not naive_holds_clique(hosts[0.75, 96], 6)
-    # a host holding K6 above the gate: no solve, and it moves the bound
-    assert fn(10, 0.9, Seed(94)) == "arrows" and solves == []
-    assert fn(10, 0.95, Seed(94)) == "arrows" and solves == []
+    # a host holding K6 above the gate: the clique answers, and it moves the bound
+    assert fn(10, 0.9, Seed(94)) == "arrows" and answers["clique"] == [hosts[0.9, 94].adj]
+    assert fn(10, 0.95, Seed(94)) == "arrows" and len(answers["clique"]) == 1
     # between the bounds, above the gate: the clique answers again
-    assert fn(10, 0.71, Seed(94)) == "arrows" and solves == []
+    assert fn(10, 0.71, Seed(94)) == "arrows" and answers["clique"][1:] == [hosts[0.71, 94].adj]
+    assert answers["solver"] == answers["colouring"] == []
     # below the gate a host holding K6 is solved
-    assert fn(10, 0.69, Seed(94)) == "arrows" and solves == [hosts[0.69, 94]]
-    # above the gate a host holding no K6 is solved
-    assert fn(10, 0.75, Seed(96)) == decide_arrow(hosts[0.75, 96], K3).verdict
-    assert solves[1:] == [hosts[0.75, 96]]
+    assert fn(10, 0.69, Seed(94)) == "arrows" and answers["solver"] == [hosts[0.69, 94].adj]
+    # above the gate a host holding no K6 goes on: this one takes five
+    # colours, so the colouring answers it with no solve
+    assert fn(10, 0.75, Seed(96)) == decide_arrow(hosts[0.75, 96], K3).verdict == "not_arrows"
+    assert answers["colouring"] == [hosts[0.75, 96].adj] and len(answers["solver"]) == 1
     # a pattern with no Ramsey clique of at most 7 vertices is always solved
     assert _ramsey_clique(cycle_graph(5)) is None
     assert solver_verdict(cycle_graph(5))(8, 1.0, Seed(94)) == "not_arrows"
-    assert solves[2:] == [complete_graph(8)]
+    assert answers["solver"][1:] == [complete_graph(8).adj]
+    assert len(answers["clique"]) == 2 and len(answers["colouring"]) == 1
+
+
+def test_a_five_colourable_host_that_the_greedy_pass_misses_is_solved(monkeypatch):
+    """G(9, 0.7) on Seed(600, 9, 1472) takes five colours, yet the one
+    greedy pass needs a sixth, so the query goes on to the solver, which
+    gives the same verdict, "not_arrows".  A seeded search found it: G(n, p)
+    on Seed(600, n, i) for n = 6, 7, ..., i = 0, 1, ... and p = 0.6, 0.7,
+    0.8, 0.85 and 0.9, kept when the pass fails and a backtracking search
+    finds a 5-colouring; it met none at n <= 8 (i < 3000), and this host
+    first.  A booster union equal to it falls through to the whole search."""
+    seed = Seed(600, 9, 1472)
+    G = gnp_sample(9, 0.7, seed)
+    assert _clique_colouring(K3, G.adj) is None
+    check_pulled_back([0, 1, 2, 2, 3, 4, 0, 4, 1], G.adj, K3)
+    answers = _spy_answers(monkeypatch)
+    assert solver_verdict(K3)(9, 0.7, seed) == decide_arrow(G, K3).verdict == "not_arrows"
+    assert answers == {"clique": [], "colouring": [], "solver": [G.adj]}
+    e = G.edges[0]
+    Z = G.without_edges([e])
+    keys = booster._union_keys(Z, [e], K3)
+    verdict = booster._union_verdict(_id_array(Z, K3), Z, list(G.adj), keys, None, None, K3)
+    assert verdict == ("not_arrows", "searched")
+
+
+def test_colouring_answers_on_a_k3_curve_pull_back_to_f_free_colourings(monkeypatch):
+    # the benchmark's K3 curve: n = 30, c in {1.5, 2.0, 2.5}, 600 nodes
+    found, colouring = [], experiments._clique_colouring
+
+    def spy(F, adj):
+        found.append((adj, colouring(F, adj)))
+        return found[-1][1]
+
+    monkeypatch.setattr(experiments, "_clique_colouring", spy)
+    threshold_curve(K3, 30, [1.5, 2.0, 2.5], 24, Seed(101), budget=600)
+    answered = [(adj, colour) for adj, colour in found if colour is not None]
+    assert 0 < len(answered) < len(found)
+    for adj, colour in answered:
+        check_pulled_back(colour, adj, K3)
 
 
 @st.composite
@@ -584,13 +652,16 @@ def test_solver_verdict_on_planted_cliques_agrees_with_an_unbudgeted_solve(case)
     F, n, p, host, budget = case
     assert decide_arrow(host, F).verdict == "arrows"
     with pytest.MonkeyPatch.context() as mp:
-        solves = _spy_solves(mp)
+        answers = _spy_answers(mp)
         mp.setattr(experiments, "gnp_sample", lambda n, p, seed: host)
         answer = solver_verdict(F, budget)(n, p, Seed(95))
+    assert answers["colouring"] == []  # a host holding K_r takes r colours
     if _clique_gate(F, n, p) is not None:
-        assert answer == "arrows" and solves == []
+        assert answer == "arrows" and answers == {"clique": [host.adj], "colouring": [],
+                                                  "solver": []}
     else:
-        assert solves == [host] and answer == decide_arrow(host, F, budget=budget).verdict
+        assert answers["solver"] == [host.adj]
+        assert answer == decide_arrow(host, F, budget=budget).verdict
 
 
 def test_solver_verdict_finds_the_clique_without_listing_every_copy():

@@ -26,7 +26,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from instances import block_host, k6_minus_edge_block, two_block_host
-from oracles import naive_bad_flags, naive_copies
+from oracles import check_pulled_back, naive_bad_flags, naive_copies
 
 from ramseylab import booster, counting
 
@@ -435,9 +435,9 @@ def test_one_decision_per_set_of_added_pairs(monkeypatch):
     calls = []
     decide = booster._union_verdict
 
-    def spy(z_ids, Z, adj, keys, budget, phi=None, clique=None):
+    def spy(z_ids, Z, adj, keys, budget, phi=None, F=None):
         calls.append(keys)
-        return decide(z_ids, Z, adj, keys, budget, phi, clique)
+        return decide(z_ids, Z, adj, keys, budget, phi, F)
 
     monkeypatch.setattr(booster, "_union_verdict", spy)
     params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4)}
@@ -502,6 +502,35 @@ def test_clique_answers_carry_a_witness(monkeypatch):
         for _, img, witness in answers:
             _check_clique_witness(Z, img, witness, K3)
     assert report["stage1"]["clique"] > 0
+
+
+def test_colouring_answers_pull_back_to_f_free_colourings(monkeypatch):
+    # on the golden hosts and on a seeded G(12, 1/2) with a C5 booster, each
+    # union that stage 1 answers by a colouring of its vertices is checked
+    # on its rows: proper in five colours, with an F-free pull-back
+    found, colouring = [], booster._clique_colouring
+
+    def spy(F, adj):
+        found.append((adj, colouring(F, adj)))
+        return found[-1][1]
+
+    monkeypatch.setattr(booster, "_clique_colouring", spy)
+    runs = [(build(), SPECS[(booster_name, K3)], extra, Seed(510))
+            for build, booster_name, extra in GOLDEN_CASES.values()]
+    runs.append((gnp_sample(12, 0.5, Seed(543)), SPECS[("C5", K3)], {"pool_size": 40},
+                 Seed(544)))
+    answered = 0
+    for Z, spec, extra, seed in runs:
+        params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4),
+                  "budget": 2000, **extra}
+        del found[:]
+        _, report = construct_normal_family(Z, spec, K3, params, seed=seed)
+        colourings = [(adj, colour) for adj, colour in found if colour is not None]
+        assert len(colourings) == report["stage1"]["colouring"]
+        for adj, colour in colourings:
+            check_pulled_back(colour, adj, K3)
+        answered += len(colourings)
+    assert answered > 10
 
 
 @settings(PROPERTY, max_examples=60)

@@ -14,7 +14,11 @@ count for neither, and the better direction is read from BENCHMARK.json),
 the change of the median in percent and the parent's IQR as a percent of
 its median.  "summary" reads the rescaled values of each run's last JSON
 line, and "wall_summary" the wall-clock values of `items_per_s`,
-`decided_per_s`, `item_p90_ms` and `setup_s` in its report lines.  Every
+`decided_per_s`, `item_p90_ms` and `setup_s` in its report lines.  Each
+metric's `claim_met`, the same in both, says whether a speed claim on it
+holds: the change wins most pairs on the rescaled values and on the wall
+values where they exist, and its rescaled median gain exceeds the
+parent's rescaled IQR.  Every
 run's rescaled and wall-clock metrics are kept under "runs".  Progress
 goes to standard error.
 """
@@ -80,28 +84,43 @@ def quartiles(xs):
 
 def summarise(runs, better, values="metrics"):
     """Per workload and metric: quartiles of both sides and the change's
-    wins, over each run's `values` ("metrics" or "wall")."""
+    wins, over each run's `values` ("metrics" or "wall"), and `claim_met`:
+    the change wins most pairs on the rescaled values, and on the wall
+    values where every run has one, and its rescaled median gain in the
+    better direction exceeds the parent's rescaled IQR."""
+    def sign(name):
+        return 1 if better.get(name, "higher") == "higher" else -1
+
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_seed = {}
         for r in runs:
             if r["workload"] == workload:
-                by_seed.setdefault(r["seed"], {})[r["side"]] = r[values]
+                by_seed.setdefault(r["seed"], {})[r["side"]] = r
         pairs = [p for p in by_seed.values() if len(p) == 2]
-        rows = {}
-        for name in pairs[0]["parent"]:
-            parent = [p["parent"][name] for p in pairs]
-            change = [p["change"][name] for p in pairs]
-            sign = 1 if better.get(name, "higher") == "higher" else -1
+
+        def row(kind, name):
+            parent = [p["parent"][kind][name] for p in pairs]
+            change = [p["change"][kind][name] for p in pairs]
             qp, qc = quartiles(parent), quartiles(change)
-            rows[name] = {
+            return {
                 "pairs": len(pairs),
-                "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+                "change_wins": sum(sign(name) * (c - p) > 0 for p, c in zip(parent, change)),
                 "parent": qp,
                 "change": qc,
                 "median_change_pct": 100 * (qc["median"] - qp["median"]) / qp["median"],
                 "parent_iqr_pct": 100 * (qp["q3"] - qp["q1"]) / qp["median"],
             }
+
+        rows = {}
+        for name in pairs[0]["parent"][values]:
+            scaled = row("metrics", name)
+            sides = [scaled]
+            if all(name in r["wall"] for p in pairs for r in p.values()):
+                sides.append(row("wall", name))
+            gain = sign(name) * scaled["median_change_pct"]
+            rows[name] = {**row(values, name), "claim_met": gain > scaled["parent_iqr_pct"]
+                          and all(2 * s["change_wins"] > s["pairs"] for s in sides)}
         out[workload] = rows
     return out
 
