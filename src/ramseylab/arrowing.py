@@ -13,8 +13,8 @@ and for the booster's unions.  One CDCL core (`_Cdcl`) answers every
 colouring question.  Two exact answers need no NAE system: a host that
 holds F's Ramsey clique K_r arrows F (`_ramsey_clique`), and for a
 complete F a host whose vertices a greedy pass colours in r − 1 colours
-does not (`_clique_colouring`).  A brute-force oracle checks the core
-independently.
+does not (`_clique_colouring`; `_repaired_colouring` mends Z's colouring
+on a union).  A brute-force oracle checks the core independently.
 """
 
 from __future__ import annotations
@@ -373,6 +373,29 @@ def _clique_colouring(F, adj):
         colour[v], left = c, left & ~(1 << v)
         for u in _bits(adj[v] & left):
             seen[u] |= 1 << c
+    return colour
+
+
+def _repaired_colouring(F, colour, adj, pairs):
+    """Z's `_clique_colouring` `colour` for F, made proper on the union that
+    adds `pairs` to Z, with rows `adj`, or None: where an added pair uv
+    shares a colour, u, else v, takes the lowest colour below r − 1 that
+    none of its union neighbours has; if neither can, or `colour` is None,
+    the answer is None.  Exact as `_clique_colouring` is: a vertex moved to
+    a colour none of its neighbours has leaves each edge at it proper, so
+    the answer is a proper (r − 1)-colouring of the union, and it pulls
+    back to an F-free colouring of the union's edges."""
+    if colour is None:
+        return None
+    colour, top = list(colour), _ramsey_clique(F).n - 1
+    for u, v in pairs:
+        for w in (u, v) if colour[u] == colour[v] else ():
+            seen = sum({1 << colour[x] for x in _bits(adj[w])})  # a bit per neighbour colour
+            if (c := (~seen & (seen + 1)).bit_length() - 1) < top:  # its lowest clear bit
+                colour[w] = c
+                break
+        if colour[u] == colour[v]:
+            return None
     return colour
 
 

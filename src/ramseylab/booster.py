@@ -7,11 +7,13 @@ Copies, focus relations and badness are all evaluated literally by copy
 enumeration in Z ∪ h(B), which is Z plus the pairs h(B) adds to Z.  Stage
 1 decides a union from those pairs alone (`_unions`), once per set of
 added pairs; a union that adds none is Z and takes Z's verdict.  Each
-other union is decided by an extension of Z's colouring, else by F's
-Ramsey clique K_r through an added pair, else, for a complete F, by a
-colouring of the union's vertices in r − 1 colours, else by a search of
-the whole union (`_union_verdict`), all on one copy of Z's adjacency rows
-with h(B) ORed in.  Stage 2 reads each union that arrows into one
+other union is decided by Z's vertex colouring repaired at its added
+pairs, with no copy collected, else by an extension of Z's colouring,
+else by F's Ramsey clique K_r through an added pair, else by a colouring
+of the union's vertices, else by a search of the whole union
+(`_union_verdict`), all on one copy of Z's rows with h(B) ORed in.  The
+colourings, for a complete F, use r − 1 colours.  Stage 2 reads each
+union that arrows into one
 `UnionView`, its focus map, focus set and B1–B3 flags in one pass over
 its copy keys through a booster pair (`_view_from_keys`), and stages 3
 and 6 read the views that are not bad.  `union_view` builds the same record from the
@@ -47,6 +49,7 @@ from .arrowing import (
     _extend,
     _id_array,
     _ramsey_clique,
+    _repaired_colouring,
     brute_force_arrow,
     decide_arrow,
     first_f_free_coloring,
@@ -309,11 +312,12 @@ def _unions(Z, z, pool, spec, F, budget):
     """(h, booster pairs, verdict, how it was decided) for each h of `pool`
     in order, `z` being `_z_analysis(Z, F, budget)`: the one loop over a
     host's unions.  A union adding no pair to Z is Z ("no_pair"); the others
-    are decided by `_union_verdict` on one copy of Z's rows with h(B)
-    ORed in and the copies through their added pairs found on it, once
-    per set of added pairs ("repeat" after the first): an equal set, an
-    equal system."""
+    are decided once per set of added pairs ("repeat" after the first: an
+    equal set, an equal system) on one copy of Z's rows with h(B) ORed in,
+    by Z's `_clique_colouring` repaired at the added pairs ("colouring"; no
+    copy is collected), else by `_union_verdict` on the copies through them."""
     z_ids, z_res, phi = z
+    colour = _clique_colouring(F, Z.adj)
     decided = {}  # frozenset of added pairs -> (verdict, how)
     for h in pool:
         img = image_edges(spec.B, h)
@@ -324,8 +328,11 @@ def _unions(Z, z, pool, spec, F, budget):
         elif (pairs := frozenset(added)) in decided:
             yield h, img, decided[pairs][0], "repeat"
         else:
-            keys = [key for key, _ in _anchored_copies(F, adj, added)]
-            decided[pairs] = _union_verdict(z_ids, Z, adj, keys, budget, phi, F)
+            if _repaired_colouring(F, colour, adj, added) is not None:
+                decided[pairs] = "not_arrows", "colouring"
+            else:
+                keys = [key for key, _ in _anchored_copies(F, adj, added)]
+                decided[pairs] = _union_verdict(z_ids, Z, adj, keys, budget, phi, F)
             yield h, img, *decided[pairs]
 
 

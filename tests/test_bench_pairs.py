@@ -3,6 +3,7 @@ captured report and synthetic runs; no benchmark runs here."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,49 @@ def test_claim_is_met_on_most_pairs_both_ways_and_a_median_gain_beyond_the_paren
     # the wall summary carries the same verdict
     runs = runs_of(parent, up, "items_per_s", (up, parent))
     assert not bench_pairs.summarise(runs, better, "wall")["zcheck"]["items_per_s"]["claim_met"]
+
+
+def test_bench_keeps_a_run_that_fails_or_prints_no_json(monkeypatch):
+    outputs = iter([(0, "report\n{\"correct\": true}\n"), (3, "report\n{\"correct\": true}\n"),
+                    (0, "report\nTraceback\n"), (0, "")])
+
+    def run(cmd, **kwargs):
+        assert "check" not in kwargs
+        code, out = next(outputs)
+        return subprocess.CompletedProcess(cmd, code, out, "")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    got = [bench_pairs.bench("tree", "zcheck", 1, 25) for _ in range(4)]
+    assert got == [(0, ["report"], {"correct": True}), (3, ["report", '{"correct": true}'], None),
+                   (0, ["report", "Traceback"], None), (0, [], None)]
+
+
+def test_a_failing_run_is_recorded_and_its_pair_left_out(monkeypatch, tmp_path):
+    # pair 1 of `booster` has a change run that exits 1 with no JSON line:
+    # the file is still written, with that run and 2 of 3 pairs summarised
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pairs, "PAIRS", 3)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    monkeypatch.setattr(bench_pairs, "archive", lambda rev, dest: None)
+    first = 100 * 9 + 1
+
+    def bench(tree, workload, seed, seconds):
+        if (workload, seed, tree.name) == ("booster", first + 1, "change"):
+            return 1, ["Traceback (most recent call last):"], None
+        last = {"correct": True, "attempted": 5, "failed": 0,
+                "metrics": {name: {"value": float(seed)} for name in bench_pairs.WALL}}
+        return 0, ['machine: {"cpu": "test"}', *REPORT], last
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    assert bench_pairs.main(["--pr", "9", "--parent", "p0", "--change", "c1"]) == 1
+    result = json.loads((tmp_path / "BENCH_9.json").read_text())
+    assert len(result["runs"]) == 3 * 2 * len(spec["workloads"])
+    failed = [r for r in result["runs"] if "metrics" not in r]
+    assert failed == [{"workload": "booster", "seed": first + 1, "side": "change",
+                       "exit_code": 1, "correct": False}]
+    assert not result["all_correct"] and result["failed"] == 0
+    for summary in (result["summary"], result["wall_summary"]):
+        pairs = {w: rows["items_per_s"]["pairs"] for w, rows in summary.items()}
+        assert pairs == {w["name"]: 2 if w["name"] == "booster" else 3 for w in spec["workloads"]}

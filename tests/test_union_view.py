@@ -12,7 +12,9 @@ built from the unions' keys, checked against `union_view`; stage 2's
 badness from the keys, checked against the naive oracle; one collection
 of Z's copies per call; and the booster pipeline's outputs pinned on
 seeded hosts.  A union decided by a Ramsey clique through an added pair
-is checked against the oracles, and so is the clique, its witness.
+is checked against the oracles, and so is the clique, its witness.  Z's
+colouring repaired at a union's added pairs is checked against the
+pull-back and the oracles, and a union it answers collects no copy.
 """
 
 import json
@@ -35,9 +37,11 @@ from ramseylab.arrowing import (
     BRUTE_FORCE_EDGE_CAP,
     RED,
     ArrowResult,
+    _clique_colouring,
     _extend,
     _id_array,
     _ramsey_clique,
+    _repaired_colouring,
     brute_force_arrow,
     decide_arrow,
     decide_arrow_union,
@@ -68,6 +72,7 @@ from ramseylab.counting import enumerate_copies
 from ramseylab.graphs import (
     Graph,
     Seed,
+    _or_pairs,
     complete_graph,
     cycle_graph,
     gnp_sample,
@@ -430,21 +435,40 @@ def test_stage1_verdicts_where_unions_add_nothing_or_repeat_a_set():
     assert hows["no_pair"] > 0 and hows["repeat"] > 0 and hows["searched"] > 0
 
 
-def test_one_decision_per_set_of_added_pairs(monkeypatch):
-    Z, spec = k6_minus_edge_block(9, Seed(503))[0], SPECS[("P3", K3)]
-    calls = []
-    decide = booster._union_verdict
+def _spy_decisions(monkeypatch):
+    """Two lists that fill as stage 1 runs: the added pairs of each union
+    handed to `_union_verdict`, and each colouring `_repaired_colouring`
+    answers with its union's rows."""
+    verdicts, repairs = [], []
+    decide, repaired = booster._union_verdict, booster._repaired_colouring
 
-    def spy(z_ids, Z, adj, keys, budget, phi=None, F=None):
-        calls.append(keys)
+    def spy_verdict(z_ids, Z, adj, keys, budget, phi=None, F=None):
+        verdicts.append(frozenset((u, v) for u, v in combinations(range(Z.n), 2)
+                                  if adj[u] >> v & 1 and not Z.has_edge(u, v)))
         return decide(z_ids, Z, adj, keys, budget, phi, F)
 
-    monkeypatch.setattr(booster, "_union_verdict", spy)
+    def spy_repaired(F, colour, adj, pairs):
+        answer = repaired(F, colour, adj, pairs)
+        if answer is not None:
+            repairs.append((adj, answer))
+        return answer
+
+    monkeypatch.setattr(booster, "_union_verdict", spy_verdict)
+    monkeypatch.setattr(booster, "_repaired_colouring", spy_repaired)
+    return verdicts, repairs
+
+
+def test_one_decision_per_set_of_added_pairs(monkeypatch):
+    # each distinct set of added pairs is decided once: by Z's colouring
+    # repaired at those pairs, or else by `_union_verdict`
+    Z, spec = k6_minus_edge_block(9, Seed(503))[0], SPECS[("P3", K3)]
+    verdicts, repairs = _spy_decisions(monkeypatch)
     params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4)}
     _, report = construct_normal_family(Z, spec, K3, params, seed=Seed(510))
     added = added_sets(Z, embedding_pool(spec.B, Z.n), spec)
     some = [pairs for pairs in added if pairs]
-    assert len(calls) == len(set(some))
+    assert len(verdicts) + len(repairs) == len(set(some))
+    assert len(set(verdicts)) == len(verdicts)
     stage1 = report["stage1"]
     assert stage1["no_pair"] == len(added) - len(some)
     assert stage1["repeat"] == len(some) - len(set(some)) > 0
@@ -504,10 +528,20 @@ def test_clique_answers_carry_a_witness(monkeypatch):
     assert report["stage1"]["clique"] > 0
 
 
+def _colouring_runs():
+    """(Z, spec, extra params, seed): the golden hosts and a seeded G(12, 1/2)
+    with a C5 booster."""
+    runs = [(build(), SPECS[(booster_name, K3)], extra, Seed(510))
+            for build, booster_name, extra in GOLDEN_CASES.values()]
+    runs.append((gnp_sample(12, 0.5, Seed(543)), SPECS[("C5", K3)], {"pool_size": 40},
+                 Seed(544)))
+    return runs
+
+
 def test_colouring_answers_pull_back_to_f_free_colourings(monkeypatch):
-    # on the golden hosts and on a seeded G(12, 1/2) with a C5 booster, each
-    # union that stage 1 answers by a colouring of its vertices is checked
-    # on its rows: proper in five colours, with an F-free pull-back
+    # each union that stage 1 answers by a colouring of its vertices, Z's
+    # repaired or a greedy pass on the union's own, is checked on its rows:
+    # proper in five colours, with an F-free pull-back
     found, colouring = [], booster._clique_colouring
 
     def spy(F, adj):
@@ -515,22 +549,106 @@ def test_colouring_answers_pull_back_to_f_free_colourings(monkeypatch):
         return found[-1][1]
 
     monkeypatch.setattr(booster, "_clique_colouring", spy)
-    runs = [(build(), SPECS[(booster_name, K3)], extra, Seed(510))
-            for build, booster_name, extra in GOLDEN_CASES.values()]
-    runs.append((gnp_sample(12, 0.5, Seed(543)), SPECS[("C5", K3)], {"pool_size": 40},
-                 Seed(544)))
-    answered = 0
-    for Z, spec, extra, seed in runs:
+    _, repairs = _spy_decisions(monkeypatch)
+    answered = repaired = 0
+    for Z, spec, extra, seed in _colouring_runs():
         params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4),
                   "budget": 2000, **extra}
-        del found[:]
+        del found[:], repairs[:]
         _, report = construct_normal_family(Z, spec, K3, params, seed=seed)
-        colourings = [(adj, colour) for adj, colour in found if colour is not None]
+        # Z's own colouring, the one `_unions` repairs, answers no union
+        colourings = [(adj, colour) for adj, colour in found
+                      if colour is not None and adj is not Z.adj] + repairs
         assert len(colourings) == report["stage1"]["colouring"]
         for adj, colour in colourings:
             check_pulled_back(colour, adj, K3)
-        answered += len(colourings)
-    assert answered > 10
+        answered, repaired = answered + len(colourings), repaired + len(repairs)
+    assert answered > repaired > 10
+
+
+@st.composite
+def gnp_unions(draw):
+    """(Z, h, spec, K3): a seeded G(n, p) host Z on at most 9 vertices and
+    a K2, P3 or C5 booster placed by an injection h."""
+    spec = SPECS[(draw(st.sampled_from(("C5", "K2", "P3"))), K3)]
+    n = draw(st.integers(max(spec.B.n, 3), 9))
+    Z = gnp_sample(n, draw(st.sampled_from((0.3, 0.5, 0.7))), Seed(draw(st.integers(0, 999))))
+    return Z, tuple(draw(st.permutations(range(n)))[: spec.B.n]), spec, K3
+
+
+def _repaired(Z, h, spec, F):
+    """(the union's rows, Z's colouring repaired at its added pairs or None)."""
+    adj = list(Z.adj)
+    added = _or_pairs(adj, image_edges(spec.B, h))
+    return adj, _repaired_colouring(F, _clique_colouring(F, Z.adj), adj, added)
+
+
+# K6 less 04, 23 and 45 with the C5 0-1-2-3-4, which adds 04 and 23: Z is
+# coloured 1, 0, 2, 2, 1, 3
+BLOCKED =(complete_graph(6).without_edges([(0, 4), (2, 3), (4, 5)]), (0, 1, 2, 3, 4),
+           SPECS[("C5", K3)], K3)
+
+
+@PROPERTY
+@given(gnp_unions())
+# the path 0-1-2 is coloured 1, 0, 1; the booster pair 02 moves 0 to colour 2
+@example((path_graph(3), (0, 2), SPECS[("K2", K3)], K3))
+# 04 moves 0 to colour 4, then both ends of 23 see all five colours; the
+# union, K6 less 45, takes five colours in a greedy pass of its own
+@example(BLOCKED)
+# C4 is not complete: no colouring of Z to repair
+@example((path_graph(3), (0, 2), SPECS[("K2", C4)], C4))
+def test_repaired_colouring_proves_not_arrows(case):
+    # an answer is proper on the union's rows in at most five colours with
+    # an F-free pull-back (`check_pulled_back`), the oracle agrees, and only
+    # ends of added pairs leave Z's colour
+    Z, h, spec, F = case
+    adj, colour = _repaired(Z, h, spec, F)
+    if colour is None:
+        return
+    U = check_pulled_back(colour, adj, F)
+    if len({e for c in _id_array(U, F).tolist() for e in c}) <= BRUTE_FORCE_EDGE_CAP:
+        assert brute_force_arrow(U, F).verdict == "not_arrows"
+    else:
+        assert decide_arrow(U, F).verdict == "not_arrows"
+    ends = {v for e in image_edges(spec.B, h) if not Z.has_edge(*e) for v in e}
+    assert {v for v, c in enumerate(_clique_colouring(F, Z.adj)) if colour[v] != c} <= ends
+
+
+def test_repaired_colouring_pinned_unions():
+    assert _repaired(path_graph(3), (0, 2), SPECS[("K2", K3)], K3)[1] == [2, 0, 1]
+    assert _clique_colouring(K3, BLOCKED[0].adj) == [1, 0, 2, 2, 1, 3]
+    adj, colour = _repaired(*BLOCKED)
+    assert colour is None and _clique_colouring(K3, adj) == [0, 1, 2, 3, 4, 4]
+    assert _repaired(path_graph(3), (0, 2), SPECS[("K2", C4)], C4)[1] is None
+    # stage 1 answers the blocked union by the greedy pass on its rows
+    Z, h, spec, F = BLOCKED
+    assert [how for *_, how in _unions(Z, _z_analysis(Z, F, None), [h], spec, F, None)] == [
+        "colouring"]
+
+
+def test_copies_are_collected_only_for_unions_that_reach_the_union_verdict(monkeypatch):
+    # stage 1 collects a union's copies through its added pairs only when Z's
+    # repaired colouring does not answer it, and stage 2 once per arrowing
+    # union, through its booster pairs
+    anchored, anchored_copies = [], booster._anchored_copies
+    monkeypatch.setattr(booster, "_anchored_copies", lambda F, adj, anchors: anchored.append(
+        frozenset(anchors)) or anchored_copies(F, adj, anchors))
+    verdicts, repairs = _spy_decisions(monkeypatch)
+    skipped = 0
+    for Z, spec, extra, seed in _colouring_runs():
+        params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4),
+                  "budget": 2000, **extra}
+        del anchored[:], verdicts[:], repairs[:]
+        _, report = construct_normal_family(Z, spec, K3, params, seed=seed)
+        stage1, stage2, skipped = anchored[:len(verdicts)], anchored[len(verdicts):], skipped + len(repairs)
+        assert stage1 == verdicts
+        pool = embedding_pool(spec.B, Z.n, extra.get("pool_size"), seed.substream(0))
+        arrowing = [frozenset(img) for h, img, v, _ in
+                    _unions(Z, _z_analysis(Z, K3, 2000), pool, spec, K3, 2000) if v == "arrows"]
+        assert stage2 == arrowing and len(arrowing) == report["psi1"]
+    assert skipped > 0
+
 
 
 @settings(PROPERTY, max_examples=60)

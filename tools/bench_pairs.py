@@ -19,8 +19,11 @@ metric's `claim_met`, the same in both, says whether a speed claim on it
 holds: the change wins most pairs on the rescaled values and on the wall
 values where they exist, and its rescaled median gain exceeds the
 parent's rescaled IQR.  Every
-run's rescaled and wall-clock metrics are kept under "runs".  Progress
-goes to standard error.
+run's rescaled and wall-clock metrics are kept under "runs".  A run that
+exits non-zero or whose last line is not a JSON object is kept there too,
+with its exit code and `correct: false`; its pair leaves the summaries,
+and once the file is written the script exits 1.  Progress goes to
+standard error.
 """
 
 import argparse
@@ -52,13 +55,21 @@ def archive(rev, dest):
 
 
 def bench(tree, workload, seed, seconds):
-    """The report and the last JSON line of one untraced benchmark run in `tree`."""
+    """(exit code, report, last JSON line) of one untraced benchmark run in
+    `tree`; the last is None, and the report every line, when the run exits
+    non-zero or its last line is not a JSON object."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=tree, env=env, check=True, capture_output=True, text=True)
+    out = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
-    return lines[:-1], json.loads(lines[-1])
+    try:
+        last = json.loads(lines[-1]) if out.returncode == 0 and lines else None
+    except json.JSONDecodeError:
+        last = None
+    if not isinstance(last, dict):
+        return out.returncode, lines, None
+    return out.returncode, lines[:-1], last
 
 
 def wall_values(report):
@@ -84,7 +95,9 @@ def quartiles(xs):
 
 def summarise(runs, better, values="metrics"):
     """Per workload and metric: quartiles of both sides and the change's
-    wins, over each run's `values` ("metrics" or "wall"), and `claim_met`:
+    wins, over each run's `values` ("metrics" or "wall") in the pairs whose
+    two runs both reported (a workload with fewer than two such pairs is
+    left out), and `claim_met`:
     the change wins most pairs on the rescaled values, and on the wall
     values where every run has one, and its rescaled median gain in the
     better direction exceeds the parent's rescaled IQR."""
@@ -97,7 +110,10 @@ def summarise(runs, better, values="metrics"):
         for r in runs:
             if r["workload"] == workload:
                 by_seed.setdefault(r["seed"], {})[r["side"]] = r
-        pairs = [p for p in by_seed.values() if len(p) == 2]
+        pairs = [p for p in by_seed.values()
+                 if len(p) == 2 and all("metrics" in r for r in p.values())]
+        if len(pairs) < 2:  # too few for quartiles
+            continue
 
         def row(kind, name):
             parent = [p["parent"][kind][name] for p in pairs]
@@ -147,12 +163,17 @@ def main(argv=None):
             for i in range(PAIRS):
                 seed = first + i
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    report, last = bench(trees[side], workload, seed, seconds)
+                    code, report, last = bench(trees[side], workload, seed, seconds)
+                    run = {"workload": workload, "seed": seed, "side": side, "exit_code": code}
+                    if last is None:  # kept, with no metrics: its pair leaves the summary
+                        runs.append({**run, "correct": False})
+                        print(f"{workload} seed {seed} {side}: exit {code}, no JSON line",
+                              file=sys.stderr)
+                        continue
                     machine = machine or next(json.loads(line.split(": ", 1)[1])
                                               for line in report if line.startswith("machine: "))
                     machine.pop("git_sha", None)  # an archive tree has no git; see the revisions
-                    runs.append({"workload": workload, "seed": seed, "side": side,
-                                 "correct": last["correct"], "attempted": last["attempted"],
+                    runs.append({**run, "correct": last["correct"], "attempted": last["attempted"],
                                  "failed": last["failed"],
                                  "metrics": {k: v["value"] for k, v in last["metrics"].items()},
                                  "wall": wall_values(report)})
@@ -169,7 +190,7 @@ def main(argv=None):
                   "parent_iqr_pct is the parent's (q3 - q1) / median",
         "machine": machine,
         "all_correct": all(r["correct"] for r in runs),
-        "failed": sum(r["failed"] for r in runs),
+        "failed": sum(r.get("failed", 0) for r in runs),
         "summary": summarise(runs, better),
         "wall_summary": summarise(runs, better, "wall"),
         "runs": runs,
@@ -177,7 +198,7 @@ def main(argv=None):
     path = Path(f"BENCH_{args.pr}.json")
     path.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)
-    return 0
+    return 1 if any("metrics" not in r for r in runs) else 0
 
 
 if __name__ == "__main__":
