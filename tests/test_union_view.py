@@ -585,7 +585,7 @@ def _repaired(Z, h, spec, F):
 
 # K6 less 04, 23 and 45 with the C5 0-1-2-3-4, which adds 04 and 23: Z is
 # coloured 1, 0, 2, 2, 1, 3
-BLOCKED =(complete_graph(6).without_edges([(0, 4), (2, 3), (4, 5)]), (0, 1, 2, 3, 4),
+BLOCKED = (complete_graph(6).without_edges([(0, 4), (2, 3), (4, 5)]), (0, 1, 2, 3, 4),
            SPECS[("C5", K3)], K3)
 
 
@@ -641,8 +641,8 @@ def test_copies_are_collected_only_for_unions_that_reach_the_union_verdict(monke
                   "budget": 2000, **extra}
         del anchored[:], verdicts[:], repairs[:]
         _, report = construct_normal_family(Z, spec, K3, params, seed=seed)
-        stage1, stage2, skipped = anchored[:len(verdicts)], anchored[len(verdicts):], skipped + len(repairs)
-        assert stage1 == verdicts
+        assert anchored[:len(verdicts)] == verdicts
+        stage2, skipped = anchored[len(verdicts):], skipped + len(repairs)
         pool = embedding_pool(spec.B, Z.n, extra.get("pool_size"), seed.substream(0))
         arrowing = [frozenset(img) for h, img, v, _ in
                     _unions(Z, _z_analysis(Z, K3, 2000), pool, spec, K3, 2000) if v == "arrows"]
