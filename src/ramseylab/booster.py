@@ -4,31 +4,31 @@ the container-side hypergraph with its degree statistics.
 An embedding h is a tuple sending the booster pattern's vertices into
 the host vertex range; its image graph lives on the host vertex set.
 Copies, focus relations and badness are all evaluated literally by copy
-enumeration in Z ∪ h(B), which is Z plus the pairs h(B) adds to Z.  Stage
-1 decides a union from those pairs alone (`_unions`), once per set of
-added pairs; a union that adds none is Z and takes Z's verdict.  Each
-other union is decided by Z's vertex colouring repaired at its added
+enumeration in Z ∪ h(B), which is Z plus the pairs h(B) adds to Z.
+Stage 1 (`_unions`) decides a union from those pairs alone, once per set
+of added pairs; a union that adds none is Z and takes Z's verdict.  One
+function decides each other union (`_union_verdict`), on one copy of Z's
+rows with h(B) ORed in: by Z's vertex colouring repaired at its added
 pairs, with no copy collected, else by an extension of Z's colouring,
 else by F's Ramsey clique K_r through an added pair, else by a colouring
-of the union's vertices, else by a search of the whole union
-(`_union_verdict`), all on one copy of Z's rows with h(B) ORed in.  The
+of the union's vertices, else by a search of the whole union.  The
 colourings, for a complete F, use r − 1 colours.  Stage 2 reads each
-union that arrows into one
-`UnionView`, its focus map, focus set and B1–B3 flags in one pass over
-its copy keys through a booster pair (`_view_from_keys`), and stages 3
-and 6 read the views that are not bad.  `union_view` builds the same record from the
-keys of `_union_keys` for the readers that start from (Z, h), and
-`classify_bad` returns its flags; `activated_set` reads those keys
-itself, for each copy's colours.  Z5 of `experiments.z_property_rates`
-asks only whether a union is bad, and `_is_bad` answers by a scan of the
-copies that stops at the first witness, with no key built.  No union is
-built as a Graph.  Z is analysed once per call (`_z_analysis`): it is
-decided on its `arrowing._id_array` rows, and a union searched whole is
-searched on them followed by the id rows of its copies through an added
-pair; Z's certificate φ keeps only the edges that its copies need to
-stay two-coloured, and an extension may colour the rest.  Every CNF
-literal is written in `arrowing`.  P(e1, e2) completions are searched
-once per call too, and shared by every union.
+union that arrows into one `UnionView`, its focus map, focus set and
+B1–B3 flags in one pass over its copy keys through a booster pair
+(`_view_from_keys`), and stages 3 and 6 read the views that are not bad.
+`union_view` builds the same record from the keys of `_union_keys` for
+the readers that start from (Z, h), and `classify_bad` returns its
+flags; `activated_set` reads those keys itself, for each copy's colours.
+Z5 of `experiments.z_property_rates` asks only whether a union is bad,
+and `_is_bad` answers by a scan of the copies that stops at the first
+witness, with no key built.  No union is built as a Graph.  Z is
+analysed once per call (`_z_analysis`): it is decided on its
+`arrowing._id_array` rows, and a union searched whole is searched on
+them followed by the id rows of its copies through an added pair; Z's
+certificate φ keeps only the edges that its copies need to stay
+two-coloured, and an extension may colour the rest.  Every CNF literal
+is written in `arrowing`.  P(e1, e2) completions are searched once per
+call too, and shared by every union.
 """
 
 from __future__ import annotations
@@ -269,41 +269,44 @@ def _z_analysis(Z, F, budget):
     return z_ids, z_res, phi
 
 
-def _union_verdict(z_ids, Z, adj, keys, budget, phi=None, F=None):
+def _union_verdict(Z, z, colour, adj, added, F, budget):
     """(decide_arrow_union's verdict, how it was decided) on the union U of
-    Z and the pairs it adds to Z, whose adjacency rows are `adj` and whose
-    copies through an added pair are `keys`, Z's system being `z_ids`.
-    U's system is Z's rows followed by the keys' id rows, the added pairs
-    numbered Z.num_edges(), ... in first-seen order.  In turn:
-    - given Z's F-free colouring `phi` (colour per Z edge id), an
-      extension to the added pairs ("extension" with no core, else
-      "core"): only a copy with an added pair can turn monochromatic;
-    - given the pattern `F` and its Ramsey clique K_r
-      (`arrowing._ramsey_clique`), a K_r through an added pair ("clique":
-      "arrows"), by `counting._holds_copy` on `adj` anchored at the keys'
-      added pairs.  Each added pair of a K_r in U lies in a key (K_r is
-      edge-transitive and holds F), and a Z that does not arrow F holds no
-      K_r, so then the query misses only when U holds none;
-    - given a complete `F` with a Ramsey clique K_r, a proper colouring of
-      U's vertices in r − 1 colours by one greedy pass
-      (`arrowing._clique_colouring`; "colouring": "not_arrows");
-    - else U is searched whole ("searched").  Its system is
-      decide_arrow_union's, renumbered and reordered, so a decided
-      verdict is the same; under a node budget the search order differs,
-      so either search may be undecided where the other decides.
-    The extension, the clique and the colouring are exact, so they may
-    decide a union that both searches would leave undecided."""
+    Z and the pairs `added` it adds to Z, whose rows are `adj`, `z` being
+    `_z_analysis(Z, F, budget)` and `colour` Z's `_clique_colouring`.  In
+    turn:
+    - Z's colouring repaired at the added pairs (`_repaired_colouring`;
+      "colouring": "not_arrows"), with no copy collected;
+    - an extension of Z's F-free colouring φ to the added pairs
+      ("extension" with no core, else "core"), read off U's copies through
+      an added pair: only those can turn monochromatic;
+    - F's Ramsey clique K_r (`arrowing._ramsey_clique`) through an added
+      pair ("clique": "arrows"), by `counting._holds_copy` on `adj`
+      anchored at the copies' added pairs.  Each added pair of a K_r in U
+      lies in such a copy (K_r is edge-transitive and holds F), and a Z
+      that does not arrow F holds no K_r, so then the query misses only
+      when U holds none;
+    - for a complete F, a proper colouring of U's vertices in r − 1
+      colours by one greedy pass (`_clique_colouring`; "colouring");
+    - else U is searched whole ("searched") on Z's rows followed by the
+      copies' id rows, the added pairs numbered Z.num_edges(), ... in
+      first-seen order.  That system is decide_arrow_union's, renumbered
+      and reordered, so a decided verdict is the same; under a node
+      budget either search may be undecided where the other decides.
+    Every source before the search is exact, so it may decide a union
+    that both searches would leave undecided."""
+    if _repaired_colouring(F, colour, adj, added) is not None:
+        return "not_arrows", "colouring"
+    z_ids, _, phi = z
     index, m, new = Z._index, Z.num_edges(), {}
     rows = [[index[e] if e in index else new.setdefault(e, m + len(new)) for e in es]
-            for _, es in keys]
+            for (_, es), _ in _anchored_copies(F, adj, added)]
     if phi is not None and (ext := _extend(rows, phi)) is not None:
         return "not_arrows", "core" if ext else "extension"
-    if F is not None:
-        clique = _ramsey_clique(F)
-        if clique is not None and _holds_copy(clique, adj, new) is not None:
-            return "arrows", "clique"
-        if _clique_colouring(F, adj) is not None:
-            return "not_arrows", "colouring"
+    clique = _ramsey_clique(F)
+    if clique is not None and _holds_copy(clique, adj, new) is not None:
+        return "arrows", "clique"
+    if _clique_colouring(F, adj) is not None:
+        return "not_arrows", "colouring"
     rows = np.array(rows, dtype=np.intp).reshape(len(rows), z_ids.shape[1])
     return _decide(m + len(new), np.concatenate((z_ids, rows)), 2, budget).verdict, "searched"
 
@@ -312,11 +315,10 @@ def _unions(Z, z, pool, spec, F, budget):
     """(h, booster pairs, verdict, how it was decided) for each h of `pool`
     in order, `z` being `_z_analysis(Z, F, budget)`: the one loop over a
     host's unions.  A union adding no pair to Z is Z ("no_pair"); the others
-    are decided once per set of added pairs ("repeat" after the first: an
-    equal set, an equal system) on one copy of Z's rows with h(B) ORed in,
-    by Z's `_clique_colouring` repaired at the added pairs ("colouring"; no
-    copy is collected), else by `_union_verdict` on the copies through them."""
-    z_ids, z_res, phi = z
+    are decided by `_union_verdict` once per set of added pairs ("repeat"
+    after the first: an equal set, an equal system), each on one copy of
+    Z's rows with h(B) ORed in."""
+    _, z_res, _ = z
     colour = _clique_colouring(F, Z.adj)
     decided = {}  # frozenset of added pairs -> (verdict, how)
     for h in pool:
@@ -328,11 +330,7 @@ def _unions(Z, z, pool, spec, F, budget):
         elif (pairs := frozenset(added)) in decided:
             yield h, img, decided[pairs][0], "repeat"
         else:
-            if _repaired_colouring(F, colour, adj, added) is not None:
-                decided[pairs] = "not_arrows", "colouring"
-            else:
-                keys = [key for key, _ in _anchored_copies(F, adj, added)]
-                decided[pairs] = _union_verdict(z_ids, Z, adj, keys, budget, phi, F)
+            decided[pairs] = _union_verdict(Z, z, colour, adj, added, F, budget)
             yield h, img, *decided[pairs]
 
 

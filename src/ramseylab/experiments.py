@@ -9,7 +9,7 @@ trials stay first-class "undecided" and are excluded from point
 estimates with their count reported.
 
 The default verdict function, `solver_verdict`, answers from four exact
-sources in turn: the bounds that its earlier decided verdicts on the same
+sources in turn: the bound that its earlier "arrows" verdicts on the same
 (n, seed) set, F's Ramsey clique K_r from `arrowing` found in the sample
 where G(n, p) expects one, for a complete F a colouring of the sample's
 vertices in r − 1 colours, and the NAE solver at the node budget.  The
@@ -71,11 +71,12 @@ def solver_verdict(F, budget=None):
     A negative `budget` is refused here, when the function is built, since
     the first three sources may answer every query with no solve.  A query
     takes the first answer of four sources, each exact:
-    - **Bounds.**  For one seed `gnp_sample` is nested in p, and arrowing
-      is monotone.  So the function keeps, per (n, seed), the largest p it
-      decided "not_arrows" and the smallest p it decided "arrows".  A
-      query at or below the first is "not_arrows", and one at or above the
-      second is "arrows", with no sample and no solve.
+    - **The bound.**  For one seed `gnp_sample` is nested in p, and
+      arrowing is monotone.  So the function keeps, per (n, seed), the
+      smallest p it decided "arrows", and a query at or above it is
+      "arrows", with no sample and no solve.  Every other query, a
+      repeated p included, is decided afresh; each source below is
+      deterministic, so it gives the same decided verdict again.
     - **A Ramsey clique.**  F's Ramsey clique K_r comes from
       `arrowing._ramsey_clique(F)`, the smallest r <= 7 with K_r -> (F);
       a sample that holds a K_r arrows.  The sample is searched for one
@@ -86,22 +87,18 @@ def solver_verdict(F, budget=None):
       (`arrowing._clique_colouring`) does not arrow F.
     - **The solver**, `decide_arrow` at the node budget, builds and
       solves the NAE system.
-    A decided verdict from the clique, the colouring or the solver moves
-    its bound.  So a query between the bounds is not always solved, and a
-    point that a fresh solve would leave undecided may be decided by the
-    bounds, the clique or the colouring.
+    An "arrows" answer from the clique or the solver moves the bound.  So
+    a point that a fresh solve would leave undecided may be decided by the
+    bound, the clique or the colouring.
     """
     _check_budget(budget)
-    bounds = {}  # (n, seed) -> (largest p not arrowing, smallest p arrowing)
+    arrowing = {}  # (n, seed) -> the smallest p decided "arrows"
     clique = _ramsey_clique(F)
 
     def fn(n, p, seed):
-        below, above = bounds.get((n, seed), (-inf, inf))
-        if 0.0 <= p <= 1.0:  # any other p goes on to gnp_sample's refusal
-            if p <= below:
-                return "not_arrows"
-            if p >= above:
-                return "arrows"
+        # any p outside [0, 1] goes on to gnp_sample's refusal
+        if arrowing.get((n, seed), inf) <= p <= 1.0:
+            return "arrows"
         G = gnp_sample(n, p, seed)
         expected = 0 if clique is None else comb(n, clique.n) * p ** clique.num_edges()
         if expected >= 1 and _holds_copy(clique, G.adj) is not None:
@@ -110,10 +107,8 @@ def solver_verdict(F, budget=None):
             verdict = "not_arrows"
         else:
             verdict = decide_arrow(G, F, budget=budget).verdict
-        if verdict == "not_arrows":
-            bounds[n, seed] = (p, above)
-        elif verdict == "arrows":
-            bounds[n, seed] = (below, p)
+        if verdict == "arrows":
+            arrowing[n, seed] = p
         return verdict
 
     return fn
@@ -176,8 +171,8 @@ def hitting_constant(F, n, seed, budget=None, verdict_fn=None):
     G(n, p') on this seed arrows iff p' > p, and c = p * n^(1/m2).  Both
     are inf when even K_n does not arrow, and None when a probe was
     undecided, which ends the search.  `solves` counts the probes, each one
-    verdict of `verdict_fn`: by default the bounds, a Ramsey clique or a
-    colouring may answer one with no solve.
+    verdict of `verdict_fn`: by default a Ramsey clique, a colouring or the
+    solver answers each one.
     """
     fn = verdict_fn or solver_verdict(F, budget)
     total = n * (n - 1) // 2

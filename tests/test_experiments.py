@@ -496,28 +496,32 @@ def _clique_gate(F, n, p):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(bound_queries())
 def test_solver_verdict_bounds_match_a_fresh_solve(case):
-    # the bounds answer only at or beyond a decided p of the same (n, seed);
-    # between them, a host that holds K_r where the gate is open is answered
-    # "arrows" by the clique (checked by the r-subset oracle), a host that
-    # the greedy pass colours is answered "not_arrows" by the colouring (K3
-    # only), and every other query is solved once, so it gives the fresh
-    # verdict exactly
+    # a query at or above the smallest p decided "arrows" on the same
+    # (n, seed) is answered "arrows" with no sample; every other query, a
+    # repeated p included, is decided afresh: a host that holds K_r where
+    # the gate is open is answered "arrows" by the clique (checked by the
+    # r-subset oracle), a host that the greedy pass colours is answered
+    # "not_arrows" by the colouring (K3 only), and every other query is
+    # solved once, so it gives the fresh verdict exactly
     F, budget, queries = case
     fn = solver_verdict(F, budget)
-    known = {}  # (n, seed index) -> the bounds, read off the answers
+    arrowing = {}  # (n, seed index) -> the smallest p answered "arrows"
     with pytest.MonkeyPatch.context() as mp:
         answers = _spy_answers(mp)
+        samples, sample = [], experiments.gnp_sample
+        mp.setattr(experiments, "gnp_sample", lambda *args: samples.append(args) or sample(*args))
         for n, p, s in queries:
             seed = Seed(90, s)
             G = gnp_sample(n, p, seed)
             fresh = decide_arrow(G, F, budget=budget).verdict
             ran = {k: len(v) for k, v in answers.items()}
+            del samples[:]
             answer = fn(n, p, seed)
             new = {k: len(v) - ran[k] for k, v in answers.items()}
-            below, above = known.get((n, s), (-1.0, 2.0))
             if fresh != "undecided":
                 assert answer == fresh, (n, p, s)
-            if below < p < above:
+            if p < arrowing.get((n, s), 2.0):
+                assert samples == [(n, p, seed)], (n, p, s)
                 r = _clique_gate(F, n, p)
                 if r is not None and naive_holds_clique(G, r):
                     assert new == {"clique": 1, "colouring": 0, "solver": 0}, (n, p, s)
@@ -528,18 +532,17 @@ def test_solver_verdict_bounds_match_a_fresh_solve(case):
                 else:
                     assert new == {"clique": 0, "colouring": 0, "solver": 1}, (n, p, s)
                     assert answer == fresh, (n, p, s)
-                if answer == "not_arrows":
-                    known[n, s] = (p, above)
-                elif answer == "arrows":
-                    known[n, s] = (below, p)
+                if answer == "arrows":
+                    arrowing[n, s] = p
             else:
+                assert samples == [], (n, p, s)
                 assert new == {"clique": 0, "colouring": 0, "solver": 0}, (n, p, s)
-                assert answer == ("not_arrows" if p <= below else "arrows"), (n, p, s)
+                assert answer == "arrows", (n, p, s)
 
 
 def test_solver_verdict_answers_above_an_arrowing_point_without_a_solve(monkeypatch):
     # every p here lies below the clique gate (p ~ 0.700 at n = 10 and
-    # 0.664 at n = 11), so only the bounds and the colouring answer without
+    # 0.664 at n = 11), so only the bound and the colouring answer without
     # a solve; G(10, p) on Seed(91) arrows iff p > 0.609
     answers = _spy_answers(monkeypatch)
     fn = solver_verdict(K3)
@@ -548,20 +551,23 @@ def test_solver_verdict_answers_above_an_arrowing_point_without_a_solve(monkeypa
     assert fn(10, 0.65, seed) == "arrows" and answers["solver"] == [gnp_sample(10, 0.65, seed).adj]
     assert fn(10, 0.69, seed) == fn(10, 0.65, seed) == fn(10, 1.0, seed) == "arrows"
     assert len(answers["solver"]) == 1
-    # G(10, 0.05) takes two colours: the colouring answers and sets the lower bound
+    # G(10, 0.05) takes two colours: the colouring answers it
     assert fn(10, 0.05, seed) == "not_arrows"
     assert answers["colouring"] == [gnp_sample(10, 0.05, seed).adj]
-    assert fn(10, 0.0, seed) == "not_arrows" and len(answers["colouring"]) == 1
-    # the bounds are kept per (n, seed): one solve and one colouring more
+    # below the arrowing p every query is decided afresh, a repeated p too
+    assert fn(10, 0.0, seed) == fn(10, 0.05, seed) == "not_arrows"
+    assert answers["colouring"][1:] == [gnp_sample(10, 0.0, seed).adj,
+                                        gnp_sample(10, 0.05, seed).adj]
+    # the bound is kept per (n, seed): one solve and one colouring more
     fn(10, 0.65, Seed(92))
     fn(11, 0.65, seed)
-    assert (len(answers["solver"]), len(answers["colouring"])) == (2, 2)
-    # a p outside [0, 1] meets gnp_sample's refusal, whatever the bounds say
+    assert (len(answers["solver"]), len(answers["colouring"])) == (2, 4)
+    # a p outside [0, 1] meets gnp_sample's refusal, whatever the bound says
     for p in (1.5, -0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=r"outside \[0,1\]"):
             fn(10, p, seed)
     assert answers["clique"] == []
-    assert (len(answers["solver"]), len(answers["colouring"])) == (2, 2)
+    assert (len(answers["solver"]), len(answers["colouring"])) == (2, 4)
 
 
 def test_solver_verdict_answers_a_host_holding_a_ramsey_clique_without_a_solve(monkeypatch):
@@ -577,7 +583,7 @@ def test_solver_verdict_answers_a_host_holding_a_ramsey_clique_without_a_solve(m
     # a host holding K6 above the gate: the clique answers, and it moves the bound
     assert fn(10, 0.9, Seed(94)) == "arrows" and answers["clique"] == [hosts[0.9, 94].adj]
     assert fn(10, 0.95, Seed(94)) == "arrows" and len(answers["clique"]) == 1
-    # between the bounds, above the gate: the clique answers again
+    # below the bound, above the gate: the clique answers again
     assert fn(10, 0.71, Seed(94)) == "arrows" and answers["clique"][1:] == [hosts[0.71, 94].adj]
     assert answers["solver"] == answers["colouring"] == []
     # below the gate a host holding K6 is solved
@@ -600,7 +606,8 @@ def test_a_five_colourable_host_that_the_greedy_pass_misses_is_solved(monkeypatc
     on Seed(600, n, i) for n = 6, 7, ..., i = 0, 1, ... and p = 0.6, 0.7,
     0.8, 0.85 and 0.9, kept when the pass fails and a backtracking search
     finds a 5-colouring; it met none at n <= 8 (i < 3000), and this host
-    first.  A booster union equal to it falls through to the whole search."""
+    first.  A booster union equal to it that Z's repaired colouring does not
+    answer falls through to the whole search: the one adding G.edges[9]."""
     seed = Seed(600, 9, 1472)
     G = gnp_sample(9, 0.7, seed)
     assert _clique_colouring(K3, G.adj) is None
@@ -608,11 +615,15 @@ def test_a_five_colourable_host_that_the_greedy_pass_misses_is_solved(monkeypatc
     answers = _spy_answers(monkeypatch)
     assert solver_verdict(K3)(9, 0.7, seed) == decide_arrow(G, K3).verdict == "not_arrows"
     assert answers == {"clique": [], "colouring": [], "solver": [G.adj]}
-    e = G.edges[0]
-    Z = G.without_edges([e])
-    keys = booster._union_keys(Z, [e], K3)
-    verdict = booster._union_verdict(_id_array(Z, K3), Z, list(G.adj), keys, None, None, K3)
-    assert verdict == ("not_arrows", "searched")
+    # Z = G less one edge, and a K2 booster on that edge: Z's colouring,
+    # repaired at (0, 1), moves vertex 0 to colour 4; at (2, 4) it is stuck
+    spec = booster.make_booster_spec(complete_graph(2), K3)
+    unions = []
+    for e in (G.edges[0], G.edges[9]):
+        Z = G.without_edges([e])
+        unions += booster._unions(Z, booster._z_analysis(Z, K3, None), [e], spec, K3, None)
+    assert [(h, v, how) for h, _, v, how in unions] == [
+        ((0, 1), "not_arrows", "colouring"), ((2, 4), "not_arrows", "searched")]
 
 
 def test_colouring_answers_on_a_k3_curve_pull_back_to_f_free_colourings(monkeypatch):

@@ -135,22 +135,31 @@ def test_view_matches_full_enumeration_and_oracles(case):
 
 def added_keys(Z, img, F):
     """The copy keys of the union of Z and the booster pairs `img` through
-    the pairs it adds to Z: the keys `_unions` hands `_union_verdict`."""
+    the pairs it adds to Z: the copies `_union_verdict` collects."""
     return _union_keys(Z, [e for e in img if not Z.has_edge(*e)], F)
 
 
-def _whole_system(z_ids, Z, U, keys):
+def _verdict(Z, z, img, F, colour=None):
+    """`_union_verdict` on the union of Z and the booster pairs `img`, `z`
+    being Z's analysis and `colour` Z's vertex colouring, unbudgeted."""
+    adj = list(Z.adj)
+    return _union_verdict(Z, z, colour, adj, _or_pairs(adj, img), F, None)
+
+
+def _whole_system(z_ids, Z, img, F):
     """(variable count, id rows) that `_union_verdict` hands the core when
-    it searches whole the union U of Z, whose system is `z_ids`, whose
-    copies through an added pair are `keys`; the core does not run."""
+    it searches whole the union of Z, whose system is `z_ids`, and the
+    booster pairs `img`; every source before the search is stubbed to miss,
+    and the core does not run."""
     seen = []
 
     def decide(m, cons, colours, budget):
         seen.append((m, cons.tolist()))
         return ArrowResult("arrows")
 
-    with mock.patch.object(booster, "_decide", decide):
-        assert _union_verdict(z_ids, Z, U.adj, keys, None) == ("arrows", "searched")
+    with mock.patch.multiple(booster, _decide=decide, _repaired_colouring=lambda *a: None,
+                             _holds_copy=lambda *a: None, _clique_colouring=lambda *a: None):
+        assert _verdict(Z, (z_ids, None, None), img, F) == ("arrows", "searched")
     return seen[0]
 
 
@@ -171,7 +180,7 @@ def test_whole_search_system_is_the_union_system_renumbered(case):
     img = image_edges(spec.B, h)
     keys, z_ids = added_keys(Z, img, F), naive_ids(F, Z)
     U = Graph(Z.n, [*Z.edges, *img])
-    m, cons = _whole_system(z_ids, Z, U, keys)
+    m, cons = _whole_system(z_ids, Z, img, F)
     pairs = list(Z.edges) + list(dict.fromkeys(e for _, es in keys for e in es
                                                if not Z.has_edge(*e)))
     assert m == len(pairs)
@@ -203,10 +212,11 @@ def coloured_unions(draw, pool_max=1):
 
 
 def _stage1(Z, h, spec, F, phi):
-    """(union, extension or None, verdict with phi, verdict without, verdict
-    of decide_arrow_union), unbudgeted.  The extension is assembled here
-    into a colour per EdgeId of the union: phi on Z, the extension's colour
-    on each new pair it names, and red on the new pairs it leaves free."""
+    """(union, extension or None, how stage 1 decides it, its verdict, the
+    verdict with neither phi nor Z's vertex colouring, the verdict of
+    decide_arrow_union), unbudgeted.  The extension is assembled here into
+    a colour per EdgeId of the union: phi on Z, the extension's colour on
+    each new pair it names, and red on the new pairs it leaves free."""
     img = image_edges(spec.B, h)
     keys, U = added_keys(Z, img, F), Graph(Z.n, [*Z.edges, *img])
     z_ids = naive_ids(F, Z)
@@ -217,8 +227,8 @@ def _stage1(Z, h, spec, F, phi):
     if new is not None:
         assert set(new) <= set(U.edges) - set(Z.edges)  # only new pairs get a colour
         ext = [{**by_edge, **new}.get(e, RED) for e in U.edges]
-    return (U, ext, _union_verdict(z_ids, Z, U.adj, keys, None, by_id)[0],
-            _union_verdict(z_ids, Z, U.adj, keys, None)[0],
+    with_phi, how = _verdict(Z, (z_ids, None, by_id), img, F, _clique_colouring(F, Z.adj))
+    return (U, ext, how, with_phi, _verdict(Z, (z_ids, None, None), img, F)[0],
             decide_arrow_union(Z, image_graph(spec.B, h, Z.n), F).verdict)
 
 
@@ -226,7 +236,7 @@ def _stage1(Z, h, spec, F, phi):
 @given(coloured_unions())
 def test_union_verdict_with_and_without_z_colouring_agree(case):
     Z, (h,), spec, F, phi = case
-    U, ext, with_phi, without, whole = _stage1(Z, h, spec, F, phi)
+    U, ext, _, with_phi, without, whole = _stage1(Z, h, spec, F, phi)
     assert with_phi == without == whole != "undecided"
     if len({e for c in _id_array(U, F).tolist() for e in c}) <= BRUTE_FORCE_EDGE_CAP:
         assert brute_force_arrow(U, F).verdict == whole
@@ -241,17 +251,19 @@ def test_fallback_decides_a_colourable_union_that_phi_does_not_reach():
     # extend; recolouring Z does (K4 less an edge does not arrow K3).
     Z = cycle_graph(4)
     phi = [RED if e in ((0, 1), (1, 2)) else BLUE for e in Z.edges]
-    U, ext, with_phi, without, whole = _stage1(Z, (0, 2), SPECS[("K2", K3)], K3, phi)
-    assert ext is None
+    U, ext, how, with_phi, without, whole = _stage1(Z, (0, 2), SPECS[("K2", K3)], K3, phi)
+    assert ext is None and how == "colouring"
     assert with_phi == without == whole == "not_arrows"
 
 
 def test_arrowing_union_is_decided_by_the_whole_search():
-    # K6 less the edge 01 does not arrow K3; adding 01 gives K6, which does
-    Z = complete_graph(6).without_edges([(0, 1)])
-    U, ext, with_phi, without, whole = _stage1(
-        Z, (0, 1), SPECS[("K2", K3)], K3, decide_arrow(Z, K3).certificate)
-    assert ext is None
+    # Graham's K8 - C5 less the edge 56 does not arrow K3; adding 56 gives
+    # K8 - C5, which does, yet holds no K6 and takes six colours, so no
+    # source before the search answers it
+    Z = complete_graph(8).without_edges([*cycle_graph(5).edges, (5, 6)])
+    U, ext, how, with_phi, without, whole = _stage1(
+        Z, (5, 6), SPECS[("K2", K3)], K3, decide_arrow(Z, K3).certificate)
+    assert ext is None and how == "searched"
     assert with_phi == without == whole == "arrows"
 
 
@@ -263,7 +275,7 @@ def test_booster_edge_already_in_z():
     h, spec = (1, 0, 2), SPECS[("P3", K3)]
     assert set(image_edges(spec.B, h)) & set(Z.edges) == {(0, 1)}
     phi = [BLUE if e in ((1, 3), (2, 3)) else RED for e in Z.edges]
-    U, ext, with_phi, without, whole = _stage1(Z, h, spec, K3, phi)
+    U, ext, _, with_phi, without, whole = _stage1(Z, h, spec, K3, phi)
     assert ext[U.edge_id(0, 2)] == BLUE and is_f_free(ext, U, K3)[0]
     assert with_phi == without == whole == "not_arrows"
 
@@ -278,7 +290,7 @@ def test_extension_needs_no_core_only_when_every_copy_meets_two_colours():
     # a K4 booster away from Z's one edge: its four triangles have no edge
     # of Z, so each must get both colours among its new pairs
     Z, spec = Graph(6, [(4, 5)]), SPECS[("K4", K3)]
-    U, ext, with_phi, without, whole = _stage1(Z, (0, 1, 2, 3), spec, K3, [RED])
+    U, ext, _, with_phi, without, whole = _stage1(Z, (0, 1, 2, 3), spec, K3, [RED])
     assert is_f_free(ext, U, K3)[0]
     assert with_phi == without == whole == "not_arrows"
 
@@ -435,40 +447,32 @@ def test_stage1_verdicts_where_unions_add_nothing_or_repeat_a_set():
     assert hows["no_pair"] > 0 and hows["repeat"] > 0 and hows["searched"] > 0
 
 
-def _spy_decisions(monkeypatch):
-    """Two lists that fill as stage 1 runs: the added pairs of each union
-    handed to `_union_verdict`, and each colouring `_repaired_colouring`
-    answers with its union's rows."""
-    verdicts, repairs = [], []
-    decide, repaired = booster._union_verdict, booster._repaired_colouring
+def _spy_repairs(monkeypatch):
+    """A list that fills as stage 1 runs with (added pairs, the union's
+    rows, the answer) for each union whose Z colouring `_repaired_colouring`
+    tries: the first source of `_union_verdict`."""
+    repairs, repaired = [], booster._repaired_colouring
 
-    def spy_verdict(z_ids, Z, adj, keys, budget, phi=None, F=None):
-        verdicts.append(frozenset((u, v) for u, v in combinations(range(Z.n), 2)
-                                  if adj[u] >> v & 1 and not Z.has_edge(u, v)))
-        return decide(z_ids, Z, adj, keys, budget, phi, F)
+    def spy(F, colour, adj, pairs):
+        repairs.append((frozenset(pairs), adj, repaired(F, colour, adj, pairs)))
+        return repairs[-1][2]
 
-    def spy_repaired(F, colour, adj, pairs):
-        answer = repaired(F, colour, adj, pairs)
-        if answer is not None:
-            repairs.append((adj, answer))
-        return answer
-
-    monkeypatch.setattr(booster, "_union_verdict", spy_verdict)
-    monkeypatch.setattr(booster, "_repaired_colouring", spy_repaired)
-    return verdicts, repairs
+    monkeypatch.setattr(booster, "_repaired_colouring", spy)
+    return repairs
 
 
 def test_one_decision_per_set_of_added_pairs(monkeypatch):
-    # each distinct set of added pairs is decided once: by Z's colouring
-    # repaired at those pairs, or else by `_union_verdict`
+    # each distinct set of added pairs is handed to `_union_verdict` once
     Z, spec = k6_minus_edge_block(9, Seed(503))[0], SPECS[("P3", K3)]
-    verdicts, repairs = _spy_decisions(monkeypatch)
+    verdicts, decide = [], booster._union_verdict
+    monkeypatch.setattr(booster, "_union_verdict", lambda Z, z, colour, adj, added, F, budget: (
+        verdicts.append(frozenset(added)) or decide(Z, z, colour, adj, added, F, budget)))
     params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4)}
     _, report = construct_normal_family(Z, spec, K3, params, seed=Seed(510))
     added = added_sets(Z, embedding_pool(spec.B, Z.n), spec)
     some = [pairs for pairs in added if pairs]
-    assert len(verdicts) + len(repairs) == len(set(some))
-    assert len(set(verdicts)) == len(verdicts)
+    assert len(verdicts) == len(set(verdicts)) == len(set(some))
+    assert set(verdicts) == set(some)
     stage1 = report["stage1"]
     assert stage1["no_pair"] == len(added) - len(some)
     assert stage1["repeat"] == len(some) - len(set(some)) > 0
@@ -549,20 +553,21 @@ def test_colouring_answers_pull_back_to_f_free_colourings(monkeypatch):
         return found[-1][1]
 
     monkeypatch.setattr(booster, "_clique_colouring", spy)
-    _, repairs = _spy_decisions(monkeypatch)
+    repairs = _spy_repairs(monkeypatch)
     answered = repaired = 0
     for Z, spec, extra, seed in _colouring_runs():
         params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4),
                   "budget": 2000, **extra}
         del found[:], repairs[:]
         _, report = construct_normal_family(Z, spec, K3, params, seed=seed)
-        # Z's own colouring, the one `_unions` repairs, answers no union
+        # Z's own colouring, the one `_union_verdict` repairs, answers no union
+        answers = [(adj, colour) for _, adj, colour in repairs if colour is not None]
         colourings = [(adj, colour) for adj, colour in found
-                      if colour is not None and adj is not Z.adj] + repairs
+                      if colour is not None and adj is not Z.adj] + answers
         assert len(colourings) == report["stage1"]["colouring"]
         for adj, colour in colourings:
             check_pulled_back(colour, adj, K3)
-        answered, repaired = answered + len(colourings), repaired + len(repairs)
+        answered, repaired = answered + len(colourings), repaired + len(answers)
     assert answered > repaired > 10
 
 
@@ -629,20 +634,23 @@ def test_repaired_colouring_pinned_unions():
 
 def test_copies_are_collected_only_for_unions_that_reach_the_union_verdict(monkeypatch):
     # stage 1 collects a union's copies through its added pairs only when Z's
-    # repaired colouring does not answer it, and stage 2 once per arrowing
-    # union, through its booster pairs
+    # repaired colouring, the first source of `_union_verdict`, does not
+    # answer it, and stage 2 once per arrowing union, through its booster
+    # pairs
     anchored, anchored_copies = [], booster._anchored_copies
     monkeypatch.setattr(booster, "_anchored_copies", lambda F, adj, anchors: anchored.append(
         frozenset(anchors)) or anchored_copies(F, adj, anchors))
-    verdicts, repairs = _spy_decisions(monkeypatch)
+    repairs = _spy_repairs(monkeypatch)
     skipped = 0
     for Z, spec, extra, seed in _colouring_runs():
         params = {"D": 4, "delta": Fraction(1, 12), "p": 0.5, "alpha": Fraction(1, 4),
                   "budget": 2000, **extra}
-        del anchored[:], verdicts[:], repairs[:]
+        del anchored[:], repairs[:]
         _, report = construct_normal_family(Z, spec, K3, params, seed=seed)
-        assert anchored[:len(verdicts)] == verdicts
-        stage2, skipped = anchored[len(verdicts):], skipped + len(repairs)
+        collected = [pairs for pairs, _, colour in repairs if colour is None]
+        assert anchored[:len(collected)] == collected
+        stage2 = anchored[len(collected):]
+        skipped += len(repairs) - len(collected)
         pool = embedding_pool(spec.B, Z.n, extra.get("pool_size"), seed.substream(0))
         arrowing = [frozenset(img) for h, img, v, _ in
                     _unions(Z, _z_analysis(Z, K3, 2000), pool, spec, K3, 2000) if v == "arrows"]
