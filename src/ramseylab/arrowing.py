@@ -1,4 +1,4 @@
-"""Exact decision of the arrowing property G -> (F).
+"""Exact decision of the two-colour arrowing property G -> (F).
 
 Each copy of F is a not-all-equal constraint over its edge ids: the copy
 must not be single-coloured.  The system has one form, the rows of
@@ -68,22 +68,14 @@ def is_f_free(coloring, G, F):
     return True, None
 
 
-def _encode(m, cons, colours):
-    """(variable count, clauses) of the NAE system; literal 2v is variable v,
-    2v + 1 its negation.  Two colours: variable e is "edge e has colour 1",
-    and each copy gives an all-positive and an all-negative clause.  Else
-    variable e * r + c is "edge e has colour c", with one at-least-one
-    clause per constrained edge and one "not all c" clause per copy and c;
-    an edge takes its lowest true colour, so at-most-one clauses are moot.
-    `cons` is a (copies × e(F)) array of edge ids (`_id_array`); the
-    clauses come in its row order."""
-    r, (copies, width) = colours, cons.shape
-    if r == 2:  # each row's positive clause, then its negative one
-        pos = cons + cons
-        return m, np.stack((pos, pos + 1), axis=1).reshape(2 * copies, width).tolist()
-    at_least = 2 * (np.unique(cons)[:, None] * r + np.arange(r))
-    not_all = 2 * (cons[:, None, :] * r + np.arange(r)[:, None]) + 1  # copy, colour, edge
-    return m * r, at_least.tolist() + not_all.reshape(copies * r, width).tolist()
+def _encode(cons):
+    """Clauses of the two-colour NAE system: literal 2e is "edge e has
+    colour 1", 2e + 1 its negation.  `cons` is a (copies × e(F)) array of
+    edge ids (`_id_array`); each row gives an all-positive clause, then an
+    all-negative one, in row order."""
+    copies, width = cons.shape
+    pos = cons + cons
+    return np.stack((pos, pos + 1), axis=1).reshape(2 * copies, width).tolist()
 
 
 class _Cdcl:
@@ -271,14 +263,10 @@ class _Cdcl:
         return False
 
 
-def _colouring(value, m, colours=2):
-    """Colour per edge of a core's satisfying values: with more than two
-    colours an edge takes its lowest true colour.  A free variable reads as
-    false, so an edge in no copy gets colour 0."""
-    if colours == 2:
-        return [1 if x == 1 else 0 for x in value[:2 * m:2]]
-    return [next((k for k in range(colours) if value[2 * (e * colours + k)] == 1), 0)
-            for e in range(m)]
+def _colouring(value, m):
+    """Colour per edge of a core's satisfying values.  A free variable reads
+    as false, so an edge in no copy gets colour 0."""
+    return [1 if x == 1 else 0 for x in value[:2 * m:2]]
 
 
 def _extend(cons, fixed):
@@ -308,30 +296,28 @@ def _check_budget(budget):
         raise ValueError(f"node budget must be >= 0, got {budget}")
 
 
-def _decide(m, cons, colours, budget):
+def _decide(m, cons, budget):
     """ArrowResult of the core on the NAE system of m edges, with the edge
     in the most copies (ties: the lowest EdgeId) fixed to colour 0 at level
     0 (colour-swap symmetry)."""
-    if colours < 1:
-        raise ValueError("need at least one colour")
     _check_budget(budget)
-    core = _Cdcl(*_encode(m, cons, colours))
+    core = _Cdcl(m, _encode(cons))
     if core.vars:
         v = max(core.vars, key=core.activity.__getitem__)  # colour 0 of that edge
-        core.ok = core.ok and core.add([2 * v + (colours == 2)])
+        core.ok = core.ok and core.add([2 * v + 1])
     found = core.solve(budget)
     verdict = "undecided" if found is None else "not_arrows" if found else "arrows"
     stats = {"constraints": len(cons), **{k: getattr(core, k) for k in STATS}}
-    return ArrowResult(verdict, _colouring(core.value, m, colours) if found else None, stats)
+    return ArrowResult(verdict, _colouring(core.value, m) if found else None, stats)
 
 
-def decide_arrow(G, F, colours=2, budget=None):
-    """Decide G -> (F) in `colours` colours; certificate on the negative side.
+def decide_arrow(G, F, budget=None):
+    """Decide G -> (F) in two colours; certificate on the negative side.
 
     The CDCL core runs with the edge in the most copies of F fixed to
     colour 0 (colour-swap symmetry).  `budget` caps its decisions (nodes);
     past it the verdict is "undecided"."""
-    return _decide(G.num_edges(), _id_array(G, F), colours, budget)
+    return _decide(G.num_edges(), _id_array(G, F), budget)
 
 
 # the largest complete graph `_ramsey_clique` solves: K7's 21 edges are
@@ -346,7 +332,7 @@ def _ramsey_clique(F):
     every host that holds a K_r arrows F.  Found once per pattern by
     unbudgeted solves of K_v(F), ..., K_7 on the private `_decide`."""
     return next((K for K in map(complete_graph, range(F.n, CLIQUE_CAP + 1))
-                 if _decide(K.num_edges(), _id_array(K, F), 2, None).arrows), None)
+                 if _decide(K.num_edges(), _id_array(K, F), None).arrows), None)
 
 
 def _clique_colouring(F, adj):
@@ -450,7 +436,7 @@ def enumerate_f_free_colorings(G, F, limit=16, budget=None):
     constrained edges; `budget` caps the decisions of all its searches."""
     _check_budget(budget)
     m = G.num_edges()
-    core, sols = _Cdcl(*_encode(m, _id_array(G, F), 2)), []
+    core, sols = _Cdcl(m, _encode(_id_array(G, F))), []
     while len(sols) < limit and core.solve(budget):
         sols.append(_colouring(core.value, m))
         core.ok = core.add([2 * v + (core.value[2 * v] == 1) for v in core.vars])
@@ -480,8 +466,8 @@ def first_f_free_coloring(G, F):
 def cnf_export(G, F):
     """DIMACS CNF of the two-colour NAE system, the clauses the core solves
     (variable = EdgeId + 1)."""
-    nvars, clauses = _encode(G.num_edges(), _id_array(G, F), 2)
-    lines = [f"p cnf {nvars} {len(clauses)}"]
+    clauses = _encode(_id_array(G, F))
+    lines = [f"p cnf {G.num_edges()} {len(clauses)}"]
     lines += [" ".join(str(-(lit >> 1) - 1 if lit & 1 else (lit >> 1) + 1) for lit in c) + " 0"
               for c in clauses]
     return "\n".join(lines) + "\n"

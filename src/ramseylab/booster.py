@@ -255,7 +255,7 @@ def _z_analysis(Z, F, budget):
     on the edges left in φ.  So every copy inside Z stays two-coloured
     however the dropped edges are coloured, and an extension may colour them."""
     z_ids = _id_array(Z, F)
-    z_res = _decide(Z.num_edges(), z_ids, 2, budget)
+    z_res = _decide(Z.num_edges(), z_ids, budget)
     if z_res.certificate is None:
         return z_ids, z_res, None
     phi = dict(enumerate(z_res.certificate))
@@ -308,7 +308,7 @@ def _union_verdict(Z, z, colour, adj, added, F, budget):
     if _clique_colouring(F, adj) is not None:
         return "not_arrows", "colouring"
     rows = np.array(rows, dtype=np.intp).reshape(len(rows), z_ids.shape[1])
-    return _decide(m + len(new), np.concatenate((z_ids, rows)), 2, budget).verdict, "searched"
+    return _decide(m + len(new), np.concatenate((z_ids, rows)), budget).verdict, "searched"
 
 
 def _unions(Z, z, pool, spec, F, budget):

@@ -51,10 +51,7 @@ orbit of (pinned arc, deleted edge) pairs, and builds copy sets per
 query; its ceiling, read off Z's largest degree, settles light pairs
 with no search.  Its queries take two distinct, normalised pairs and
 check nothing; `count_P` and `enumerate_P` check the pairs a caller
-names from outside.  The heuristic denseness check counts the edges
-inside each starting vertex set once, with `graphs.edge_count_between`,
-and derives the count after each candidate swap from two popcounts of
-adjacency masks.
+names from outside.
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ from math import ceil, comb, prod
 import numpy as np
 
 from .density import _check_cap, _check_roots
-from .graphs import Graph, Seed, _bits, _float, _is_id, _vertex_mask, edge_count_between
+from .graphs import Graph, Seed, _bits, _float, _is_id, _vertex_mask
 
 
 def _norm(u, v):
@@ -765,88 +762,41 @@ def adversarial_T_search(profile, G, lam, eta, budget=2000, seed=None):
 RHO_DENSE_EXACT_CAP = 20
 
 
-def rho_d_dense_check(G0, rho, d, mode="exact", seed=None, restarts=200):
+def rho_d_dense_check(G0, rho, d):
     """Check every large vertex set spans relative density >= d.
 
-    Exact mode enumerates all W with |W| >= max(rho * v(G0), 2) (cap: 20
-    vertices).  Heuristic mode is a seeded local-search refuter that needs
-    `restarts` >= 1.  A host on one vertex has no such W and is dense.
-    Refuses a `rho` outside (0, 1] and a `d` outside [0, 1].
+    Enumerates all W with |W| >= max(rho * v(G0), 2) (cap: 20 vertices);
+    the witness is a W of least edges − d·C(|W|, 2).  A host on one vertex
+    has no such W and is dense.  Refuses a `rho` outside (0, 1] and a `d`
+    outside [0, 1].
     """
     if not 0 < rho <= 1:  # NaN fails too
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
     if not 0 <= d <= 1:
         raise ValueError(f"d must lie in [0, 1], got {d}")
-    if mode not in ("exact", "heuristic"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "heuristic" and restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
     n = G0.n
     floor = max(ceil(Fraction(rho) * n), 2)
     if floor > n:
-        return {"dense": True, "mode": mode, "witness": None}
+        return {"dense": True, "mode": "exact", "witness": None}
+    if n > RHO_DENSE_EXACT_CAP:
+        raise ValueError(f"exact mode capped at {RHO_DENSE_EXACT_CAP} vertices")
     dfrac = Fraction(d)
-
-    def violation(size, count):
-        return Fraction(count) < dfrac * comb(size, 2)
-
-    if mode == "exact":
-        if n > RHO_DENSE_EXACT_CAP:
-            raise ValueError(f"exact mode capped at {RHO_DENSE_EXACT_CAP} vertices")
-        ecount = [0] * (1 << n)
-        worst = None  # (density gap, W, count)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            v = low.bit_length() - 1
-            prev = mask ^ low
-            ecount[mask] = ecount[prev] + bin(G0.adj[v] & prev).count("1")
-            size = bin(mask).count("1")
-            if size >= floor:
-                cnt = ecount[mask]
-                gap = Fraction(cnt) - dfrac * comb(size, 2)
-                if worst is None or gap < worst[0]:
-                    worst = (gap, mask, cnt, size)
-        gap, mask, cnt, size = worst
-        W = _bits(mask)
-        return {
-            "dense": not violation(size, cnt),
-            "mode": "exact",
-            "witness": {"W": W, "edges": cnt, "pairs": comb(size, 2)},
-        }
-
-    rng = (seed or Seed()).generator()
-    worst = None
-    for _ in range(restarts):
-        size = int(rng.integers(floor, n + 1))
-        W = set(rng.choice(n, size=size, replace=False).tolist())
-        cnt = edge_count_between(G0, W)
-        improved = True
-        while improved:
-            improved = False
-            W_mask = sum(1 << v for v in W)
-            for v_out in list(W):
-                # swapping v_out for v_in trades v_out's edges into the rest for v_in's
-                rest = W_mask & ~(1 << v_out)
-                base = cnt - bin(G0.adj[v_out] & rest).count("1")
-                for v_in in range(n):
-                    if v_in in W:
-                        continue
-                    c2 = base + bin(G0.adj[v_in] & rest).count("1")
-                    if c2 < cnt:
-                        W.discard(v_out)
-                        W.add(v_in)
-                        cnt = c2
-                        improved = True
-                        break
-                if improved:
-                    break
-        ratio = Fraction(cnt, comb(len(W), 2))  # |W| >= floor >= 2
-        if worst is None or ratio < worst[0]:
-            worst = (ratio, sorted(W), cnt)
-    ratio, W, cnt = worst
+    ecount = [0] * (1 << n)
+    worst = None  # (density gap, mask of W, edges, |W|)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        prev = mask ^ low
+        ecount[mask] = ecount[prev] + bin(G0.adj[v] & prev).count("1")
+        size = bin(mask).count("1")
+        if size >= floor:
+            cnt = ecount[mask]
+            gap = Fraction(cnt) - dfrac * comb(size, 2)
+            if worst is None or gap < worst[0]:
+                worst = (gap, mask, cnt, size)
+    gap, mask, cnt, size = worst
     return {
-        "dense": None if not violation(len(W), cnt) else False,
-        "mode": "heuristic",
-        "witness": {"W": W, "edges": cnt, "pairs": comb(len(W), 2)},
-        "note": "refuter only" if not violation(len(W), cnt) else "violation found",
+        "dense": gap >= 0,
+        "mode": "exact",
+        "witness": {"W": _bits(mask), "edges": cnt, "pairs": comb(size, 2)},
     }

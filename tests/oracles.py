@@ -21,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
-from math import comb
+from math import ceil, comb
 
 from ramseylab.arrowing import _ramsey_clique, first_f_free_coloring, is_f_free
 from ramseylab.counting import _arc_representatives, _breaking, _pair_representatives, _plan
@@ -260,6 +260,18 @@ def naive_edge_counts(G, U, W=None):
     if W is None:
         return sum(1 for i, u in enumerate(U) for v in U[i + 1:] if G.has_edge(u, v))
     return sum(1 for u in U for w in W if G.has_edge(u, w))
+
+
+def naive_rho_d_dense(G, rho, d):
+    """(dense, least gap) of G's (rho, d)-denseness: every W of at least
+    max(⌈rho·n⌉, 2) vertices, by itertools.combinations, has gap
+    e(W) − d·C(|W|, 2), and G is dense when no gap is negative.  The least
+    gap is None when there is no such W."""
+    floor = max(ceil(Fraction(rho) * G.n), 2)
+    gaps = [sum(G.has_edge(u, v) for u, v in combinations(W, 2)) - Fraction(d) * comb(k, 2)
+            for k in range(floor, G.n + 1) for W in combinations(range(G.n), k)]
+    least = min(gaps, default=None)
+    return least is None or least >= 0, least
 
 
 def naive_holds_clique(G, r):

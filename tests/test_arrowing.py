@@ -289,11 +289,6 @@ def test_first_coloring_and_enumeration():
     assert first_f_free_coloring(complete_graph(6), K3) is None
 
 
-def test_multicolour_smoke():
-    assert decide_arrow(complete_graph(6), K3, colours=3).verdict == "not_arrows"
-    assert decide_arrow(complete_graph(3), K3, colours=3).verdict == "not_arrows"
-
-
 def test_cnf_export_shape():
     g = complete_graph(3)
     text = cnf_export(g, K3)

@@ -1,8 +1,11 @@
 import re
 import time
 from fractions import Fraction
+from math import ceil, comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramseylab.arrowing import _id_array, decide_arrow, is_f_free
 from ramseylab.counting import (
@@ -48,9 +51,11 @@ from oracles import (
     naive_copies,
     naive_count_f_minus,
     naive_count_f_minus_through,
+    naive_edge_counts,
     naive_extension_count,
     naive_f_minus_members,
     naive_P,
+    naive_rho_d_dense,
 )
 
 K3 = complete_graph(3)
@@ -351,47 +356,45 @@ def test_rho_d_dense():
     W = r["witness"]["W"]
     assert len(W) >= 3 and r["witness"]["edges"] / r["witness"]["pairs"] < 0.9
     with pytest.raises(ValueError):
-        rho_d_dense_check(complete_graph(21), 0.5, 0.5, mode="exact")
-    h = rho_d_dense_check(cycle_graph(6), 0.5, 0.9, mode="heuristic", seed=Seed(1), restarts=40)
-    assert h["dense"] is False  # refuter finds the sparse witness here
+        rho_d_dense_check(complete_graph(21), 0.5, 0.5)
 
 
 def test_rho_d_dense_refuses_what_it_cannot_run():
     C6 = cycle_graph(6)
     for rho in (2, 0, -1, float("nan")):
-        for mode in ("exact", "heuristic"):
-            with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\]"):
-                rho_d_dense_check(C6, rho, 0.5, mode=mode, seed=Seed(1))
-    for restarts in (0, -1):
-        with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
-            rho_d_dense_check(C6, 0.5, 0.5, mode="heuristic", restarts=restarts)
+        with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\]"):
+            rho_d_dense_check(C6, rho, 0.5)
     # d = -1 answered "dense" on the empty graph, and NaN raised from Fraction
     for d in (-1, 1.5, float("nan"), float("inf"), float("-inf")):
         for G in (C6, empty_graph(6), empty_graph(1)):
-            for mode in ("exact", "heuristic"):
-                with pytest.raises(ValueError, match=re.escape(f"d must lie in [0, 1], got {d}")):
-                    rho_d_dense_check(G, 0.5, d, mode=mode, seed=Seed(1))
-    # one vertex holds no set of two or more: dense, with no witness, in both modes
-    for mode in ("exact", "heuristic"):
-        assert rho_d_dense_check(empty_graph(1), 0.5, 0.5, mode=mode) == {
-            "dense": True, "mode": mode, "witness": None}
+            with pytest.raises(ValueError, match=re.escape(f"d must lie in [0, 1], got {d}")):
+                rho_d_dense_check(G, 0.5, d)
+    # one vertex holds no set of two or more: dense, with no witness
+    assert rho_d_dense_check(empty_graph(1), 0.5, 0.5) == {
+        "dense": True, "mode": "exact", "witness": None}
 
 
-def test_rho_d_dense_heuristic_records_pinned():
-    # (n, q, rho, d) -> (dense, W, edges) on G(n, q) at seed (8100, i), with
-    # the search at seed (8200, i) and 10 restarts
-    pinned = [
-        ((9, 0.5, 0.5, 0.5), (False, [0, 2, 5, 6, 8], 3)),
-        ((14, 0.4, 0.3, 0.45), (False, [5, 7, 9, 11, 13], 0)),
-        ((18, 0.5, 0.6, 0.6), (False, [0, 1, 2, 5, 6, 7, 8, 10, 11, 12, 14], 16)),
-        ((24, 0.3, 0.5, 0.3), (False, [4, 12, 13, 14, 15, 17, 18, 19, 20, 21, 22, 23], 6)),
-        ((12, 0.8, 0.5, 0.5), (None, [0, 1, 2, 8, 9, 10, 11], 14)),
-        ((20, 0.7, 0.4, 0.55), (False, [3, 5, 6, 10, 11, 12, 13, 15, 18], 16)),
-    ]
-    for i, ((n, q, rho, d), (dense, W, edges)) in enumerate(pinned):
-        r = rho_d_dense_check(gnp_sample(n, q, Seed(8100, i)), rho, d, mode="heuristic",
-                              seed=Seed(8200, i), restarts=10)
-        assert (r["dense"], r["witness"]["W"], r["witness"]["edges"]) == (dense, W, edges), n
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(1, 10), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10**6),
+       st.sampled_from([Fraction(1, 10), Fraction(1, 3), 0.5, Fraction(7, 10), 1]),
+       st.sampled_from([0, Fraction(1, 4), Fraction(1, 3), 0.5, Fraction(2, 3), 1]))
+def test_rho_d_dense_matches_the_naive_scan(n, q, stream, rho, d):
+    _check_rho_d_dense(gnp_sample(n, q, Seed(8100, stream)), rho, d)
+
+
+def _check_rho_d_dense(G, rho, d):
+    """The flag matches the oracle, and the witness is a large enough W
+    whose own edge count attains the oracle's least gap e(W) - d * C(|W|, 2)."""
+    dense, least = naive_rho_d_dense(G, rho, d)
+    r = rho_d_dense_check(G, rho, d)
+    assert r["dense"] is dense and r["mode"] == "exact"
+    if least is None:
+        assert r["witness"] is None
+        return
+    W, edges, pairs = r["witness"]["W"], r["witness"]["edges"], r["witness"]["pairs"]
+    assert W == sorted(set(W)) and len(W) >= max(ceil(Fraction(rho) * G.n), 2)
+    assert edges == naive_edge_counts(G, W) and pairs == comb(len(W), 2)
+    assert edges - Fraction(d) * pairs == least
 
 
 def test_a_pattern_larger_than_its_host_has_no_copies():
@@ -430,22 +433,10 @@ def test_pattern_cap_enforced():
 
 
 def test_rho_d_dense_matches_subset_enumeration():
-    from fractions import Fraction as Fr
-    from itertools import combinations
-    from math import ceil, comb
-
     for i in range(10):
         g = gnp_sample(7, 0.5, Seed(411, i))
         for rho, d in ((0.4, 0.6), (0.5, 0.5)):
-            mine = rho_d_dense_check(g, rho, d)
-            floor = max(ceil(Fr(rho) * 7), 2)
-            dense = True
-            for k in range(floor, 8):
-                for W in combinations(range(7), k):
-                    edges = sum(1 for u, v in combinations(W, 2) if g.has_edge(u, v))
-                    if Fr(edges) < Fr(d) * comb(k, 2):
-                        dense = False
-            assert mine["dense"] == dense, (i, rho, d)
+            _check_rho_d_dense(g, rho, d)
 
 
 def test_adversarial_search_finds_exhaustive_minimum():

@@ -76,7 +76,7 @@ _TWO_FOCI = (Graph(3, [(0, 1)]), (0, 2, 1), make_booster_spec(_P3, _K3), _K3)
     (lambda: extension_count([0], _P3, [0, 1], _K6), "root lists must have equal length"),
     (lambda: check_T(classify(cycle_graph(5)), empty_graph(4), complete_graph(4), 1, 0.01),
      "G' is not a subgraph of G"),
-    (lambda: rho_d_dense_check(_K6, 0.5, 0.5, mode="fast"), "unknown mode 'fast'"),
+    (lambda: rho_d_dense_check(complete_graph(21), 0.5, 0.5), "exact mode capped at 20 vertices"),
     (lambda: estimate_arrow_probability(_K3, 8, 0.5, 0, Seed(1)), "trials must be >= 1"),
     (lambda: threshold_curve(_K3, 8, [1.0, inf], 1), "c values must be finite"),
     (lambda: z_property_rates(_K3, cycle_graph(5), 24, 0.2, nan, 0.1, Fraction(1, 12), 1),

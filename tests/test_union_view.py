@@ -153,7 +153,7 @@ def _whole_system(z_ids, Z, img, F):
     and the core does not run."""
     seen = []
 
-    def decide(m, cons, colours, budget):
+    def decide(m, cons, budget):
         seen.append((m, cons.tolist()))
         return ArrowResult("arrows")
 
@@ -317,7 +317,9 @@ def test_stage1_views_equal_union_view(case):
     for h in pool:
         arrows = decide_arrow_union(Z, image_graph(spec.B, h, Z.n), F).verdict == "arrows"
         assert (h in views) == arrows
-    # without Z's colouring every union is searched whole, to the same views
+    # with φ None no union is answered by extending φ: Z's repaired vertex
+    # colouring, the Ramsey clique, the greedy pass and the whole search
+    # answer them all, to the same views
     assert _check_stage1_views(Z, pool, spec, F, None) == views
 
 
