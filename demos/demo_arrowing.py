@@ -2,7 +2,7 @@
 """The arrowing solver against classical facts and its brute-force twin.
 
 Shows the K5/K6 boundary for the triangle, a certificate check, the
-not-all-equal CNF encoding, and a cross-check of the propagation solver
+not-all-equal CNF encoding, and a cross-check of the CDCL solver
 against exhaustive enumeration on random hosts.
 """
 
@@ -33,7 +33,7 @@ print("colouring; the solver rediscovers one automatically.")
 print()
 
 print("=" * 72)
-print("  Propagation solver vs exhaustive oracle on random hosts")
+print("  CDCL solver vs exhaustive oracle on random hosts")
 print("=" * 72)
 agreements = 0
 for i in range(60):

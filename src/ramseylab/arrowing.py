@@ -10,11 +10,13 @@ clauses `cnf_export` prints) with array operations, and `_extend` the
 system left once a partial colouring is fixed, which answers "does this
 partial colouring extend to an F-free one?" for `first_f_free_coloring`
 and for the booster's unions.  One CDCL core (`_Cdcl`) answers every
-colouring question.  Two exact answers need no NAE system: a host that
-holds F's Ramsey clique K_r arrows F (`_ramsey_clique`), and for a
-complete F a host whose vertices a greedy pass colours in r − 1 colours
-does not (`_clique_colouring`; `_repaired_colouring` mends Z's colouring
-on a union).  A brute-force oracle checks the core independently.
+colouring question.  One chain (`_exact_verdict`) answers a host for
+`experiments.solver_verdict` and for booster stage 1: F's Ramsey clique
+K_r in the host arrows F (`_ramsey_clique`), for a complete F a colouring
+of its vertices in r − 1 colours does not (`_clique_colouring`;
+`_repaired_colouring` mends Z's colouring on a union), and else the core
+searches; `ArrowResult.source` names the answer and `witness` keeps its
+evidence.  A brute-force oracle checks the core independently.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .counting import _sorted_copies, enumerate_copies
+from .counting import _holds_copy, _sorted_copies, enumerate_copies
 from .graphs import _bits, complete_graph, union
 
 RED, BLUE = 0, 1
@@ -37,6 +39,8 @@ class ArrowResult:
     verdict: str  # "arrows" | "not_arrows" | "undecided"
     certificate: list | None = None  # colour per EdgeId when not_arrows
     stats: dict = field(default_factory=dict)
+    source: str | None = None  # the answering source of `_exact_verdict`
+    witness: tuple | list | None = None  # its K_r map or vertex colouring
 
     @property
     def arrows(self):
@@ -383,6 +387,30 @@ def _repaired_colouring(F, colour, adj, pairs):
         if colour[u] == colour[v]:
             return None
     return colour
+
+
+def _exact_verdict(F, adj, anchors, system, budget):
+    """ArrowResult of the first exact source that decides whether the host
+    with rows `adj` arrows F, its `source` and `witness` set:
+    - "clique": F's Ramsey clique K_r through a host pair of `anchors`, or
+      anywhere when `anchors` is None (`_holds_copy`); "arrows", the
+      witness its map of K_r;
+    - "colouring": for a complete F, `_clique_colouring`'s proper
+      colouring of the host's vertices in r − 1 colours; "not_arrows", the
+      witness that colouring, whose pull-back is F-free;
+    - "searched": `_decide` at the node budget on the NAE system, (edge
+      count, id rows), that `system()` builds; no witness beside its
+      certificate.
+    The first two are exact, so they may decide a host that the budget
+    would leave undecided."""
+    clique = _ramsey_clique(F)
+    if clique is not None and (found := _holds_copy(clique, adj, anchors)) is not None:
+        return ArrowResult("arrows", source="clique", witness=found)
+    if (colour := _clique_colouring(F, adj)) is not None:
+        return ArrowResult("not_arrows", source="colouring", witness=colour)
+    res = _decide(*system(), budget)
+    res.source = "searched"
+    return res
 
 
 BRUTE_FORCE_EDGE_CAP = 24

@@ -10,12 +10,12 @@ of added pairs; a union that adds none is Z and takes Z's verdict.  One
 function decides each other union (`_union_verdict`), on one copy of Z's
 rows with h(B) ORed in: by Z's vertex colouring repaired at its added
 pairs, with no copy collected, else by an extension of Z's colouring,
-else by F's Ramsey clique K_r through an added pair, else by a colouring
-of the union's vertices, else by a search of the whole union.  The
-colourings, for a complete F, use r − 1 colours.  Stage 2 reads each
-union that arrows into one `UnionView`, its focus map, focus set and
-B1–B3 flags in one pass over its copy keys through a booster pair
-(`_view_from_keys`), and stages 3 and 6 read the views that are not bad.
+else by `arrowing`'s exact verdict chain (F's Ramsey clique through an
+added pair, a colouring of the union's vertices, a search of the whole
+union).  Stage 2 reads each union that arrows into one `UnionView`, its
+focus map, focus set and B1–B3 flags in one pass over its copy keys
+through a booster pair (`_view_from_keys`), and stages 3 and 6 read the
+views that are not bad.
 `union_view` builds the same record from the keys of `_union_keys` for
 the readers that start from (Z, h), and `classify_bad` returns its
 flags; `activated_set` reads those keys itself, for each copy's colours.
@@ -46,9 +46,9 @@ from .arrowing import (
     BRUTE_FORCE_EDGE_CAP,
     _clique_colouring,
     _decide,
+    _exact_verdict,
     _extend,
     _id_array,
-    _ramsey_clique,
     _repaired_colouring,
     brute_force_arrow,
     decide_arrow,
@@ -59,7 +59,6 @@ from .counting import (
     _anchored_copies,
     _anchored_maps,
     _automorphism_count,
-    _holds_copy,
     _norm,
     _PairFamily,
     _sorted_copies,
@@ -272,28 +271,17 @@ def _z_analysis(Z, F, budget):
 def _union_verdict(Z, z, colour, adj, added, F, budget):
     """(decide_arrow_union's verdict, how it was decided) on the union U of
     Z and the pairs `added` it adds to Z, whose rows are `adj`, `z` being
-    `_z_analysis(Z, F, budget)` and `colour` Z's `_clique_colouring`.  In
-    turn:
-    - Z's colouring repaired at the added pairs (`_repaired_colouring`;
-      "colouring": "not_arrows"), with no copy collected;
-    - an extension of Z's F-free colouring φ to the added pairs
-      ("extension" with no core, else "core"), read off U's copies through
-      an added pair: only those can turn monochromatic;
-    - F's Ramsey clique K_r (`arrowing._ramsey_clique`) through an added
-      pair ("clique": "arrows"), by `counting._holds_copy` on `adj`
-      anchored at the copies' added pairs.  Each added pair of a K_r in U
-      lies in such a copy (K_r is edge-transitive and holds F), and a Z
-      that does not arrow F holds no K_r, so then the query misses only
-      when U holds none;
-    - for a complete F, a proper colouring of U's vertices in r − 1
-      colours by one greedy pass (`_clique_colouring`; "colouring");
-    - else U is searched whole ("searched") on Z's rows followed by the
-      copies' id rows, the added pairs numbered Z.num_edges(), ... in
-      first-seen order.  That system is decide_arrow_union's, renumbered
-      and reordered, so a decided verdict is the same; under a node
-      budget either search may be undecided where the other decides.
-    Every source before the search is exact, so it may decide a union
-    that both searches would leave undecided."""
+    `_z_analysis(Z, F, budget)` and `colour` Z's `_clique_colouring`.  Z's
+    colouring repaired at the added pairs (`_repaired_colouring`;
+    "colouring") answers with no copy collected; else an extension of Z's
+    F-free colouring φ to the added pairs ("extension" with no core, else
+    "core"), read off U's copies through an added pair: only those can turn
+    monochromatic.  Else `arrowing._exact_verdict` answers, by its source.
+    Its K_r is anchored at the copies' new pairs: each added pair of a K_r
+    in U lies in such a copy, and a Z that does not arrow F holds none.  Its
+    search reads Z's rows followed by the copies' id rows, the new pairs
+    numbered Z.num_edges(), ... in first-seen order: decide_arrow_union's
+    system renumbered, so a decided verdict is the same."""
     if _repaired_colouring(F, colour, adj, added) is not None:
         return "not_arrows", "colouring"
     z_ids, _, phi = z
@@ -302,13 +290,9 @@ def _union_verdict(Z, z, colour, adj, added, F, budget):
             for (_, es), _ in _anchored_copies(F, adj, added)]
     if phi is not None and (ext := _extend(rows, phi)) is not None:
         return "not_arrows", "core" if ext else "extension"
-    clique = _ramsey_clique(F)
-    if clique is not None and _holds_copy(clique, adj, new) is not None:
-        return "arrows", "clique"
-    if _clique_colouring(F, adj) is not None:
-        return "not_arrows", "colouring"
-    rows = np.array(rows, dtype=np.intp).reshape(len(rows), z_ids.shape[1])
-    return _decide(m + len(new), np.concatenate((z_ids, rows)), budget).verdict, "searched"
+    res = _exact_verdict(F, adj, new, lambda: (m + len(new), np.concatenate(
+        (z_ids, np.array(rows, dtype=np.intp).reshape(len(rows), z_ids.shape[1])))), budget)
+    return res.verdict, res.source
 
 
 def _unions(Z, z, pool, spec, F, budget):

@@ -780,9 +780,9 @@ def rho_d_dense_check(G0, rho, d):
         return {"dense": True, "mode": "exact", "witness": None}
     if n > RHO_DENSE_EXACT_CAP:
         raise ValueError(f"exact mode capped at {RHO_DENSE_EXACT_CAP} vertices")
-    dfrac = Fraction(d)
+    num, den = Fraction(d).as_integer_ratio()
     ecount = [0] * (1 << n)
-    worst = None  # (density gap, mask of W, edges, |W|)
+    worst = None  # (density gap times den, mask of W, edges, |W|)
     for mask in range(1, 1 << n):
         low = mask & -mask
         v = low.bit_length() - 1
@@ -791,7 +791,7 @@ def rho_d_dense_check(G0, rho, d):
         size = bin(mask).count("1")
         if size >= floor:
             cnt = ecount[mask]
-            gap = Fraction(cnt) - dfrac * comb(size, 2)
+            gap = cnt * den - num * comb(size, 2)
             if worst is None or gap < worst[0]:
                 worst = (gap, mask, cnt, size)
     gap, mask, cnt, size = worst

@@ -8,13 +8,10 @@ and follows its process to its hitting constant.  Budget-exhausted
 trials stay first-class "undecided" and are excluded from point
 estimates with their count reported.
 
-The default verdict function, `solver_verdict`, answers from four exact
-sources in turn: the bound that its earlier "arrows" verdicts on the same
-(n, seed) set, F's Ramsey clique K_r from `arrowing` found in the sample
-where G(n, p) expects one, for a complete F a colouring of the sample's
-vertices in r − 1 colours, and the NAE solver at the node budget.  The
-first three need no solve, so a trial that the budget would leave
-undecided may be decided by them.
+The default verdict function, `solver_verdict`, answers from the bound
+that its earlier "arrows" verdicts on the same (n, seed) set, else from
+`arrowing`'s exact verdict chain on the sample (F's Ramsey clique, where
+G(n, p) expects one; a colouring; the NAE solver at the node budget).
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from math import ceil, comb, exp, gcd, inf, isfinite, log10, sqrt
 
 import numpy as np
 
-from .arrowing import _check_budget, _clique_colouring, _ramsey_clique, decide_arrow
+from .arrowing import _check_budget, _exact_verdict, _id_array, _ramsey_clique
 from .booster import (
     _heavy_cap,
     _is_bad,
@@ -34,7 +31,7 @@ from .booster import (
     image_edges,
     make_booster_spec,
 )
-from .counting import _copy_counts, _holds_copy, _PairFamily, f_minus_members
+from .counting import _copy_counts, _PairFamily, f_minus_members
 from .density import _check_delta, classify, is_bipartite
 from .graphs import Seed, gnp_sample, pair_uniforms
 
@@ -68,28 +65,14 @@ def wilson_interval(successes, n, z=1.96):
 def solver_verdict(F, budget=None):
     """Default verdict function: whether G(n, p) on a seed arrows F.
 
-    A negative `budget` is refused here, when the function is built, since
-    the first three sources may answer every query with no solve.  A query
-    takes the first answer of four sources, each exact:
-    - **The bound.**  For one seed `gnp_sample` is nested in p, and
-      arrowing is monotone.  So the function keeps, per (n, seed), the
-      smallest p it decided "arrows", and a query at or above it is
-      "arrows", with no sample and no solve.  Every other query, a
-      repeated p included, is decided afresh; each source below is
-      deterministic, so it gives the same decided verdict again.
-    - **A Ramsey clique.**  F's Ramsey clique K_r comes from
-      `arrowing._ramsey_clique(F)`, the smallest r <= 7 with K_r -> (F);
-      a sample that holds a K_r arrows.  The sample is searched for one
-      only where G(n, p) expects one, C(n, r) p^C(r,2) >= 1, by
-      `counting._holds_copy`.
-    - **A colouring.**  For a complete F (K2 and K3), a sample whose
-      vertices one greedy pass colours in r − 1 colours
-      (`arrowing._clique_colouring`) does not arrow F.
-    - **The solver**, `decide_arrow` at the node budget, builds and
-      solves the NAE system.
-    An "arrows" answer from the clique or the solver moves the bound.  So
-    a point that a fresh solve would leave undecided may be decided by the
-    bound, the clique or the colouring.
+    A negative `budget` is refused here, when the function is built.  For
+    one seed `gnp_sample` is nested in p, and arrowing is monotone.  So the
+    function keeps, per (n, seed), the smallest p it decided "arrows", and
+    a query at or above it is "arrows", with no sample and no solve.  Every
+    other query, a repeated p included, is decided afresh by
+    `arrowing._exact_verdict` on the sample; its Ramsey clique K_r is
+    looked for only where G(n, p) expects one, C(n, r) p^C(r,2) >= 1.  So
+    a point that a fresh solve would leave undecided may be decided.
     """
     _check_budget(budget)
     arrowing = {}  # (n, seed) -> the smallest p decided "arrows"
@@ -101,12 +84,8 @@ def solver_verdict(F, budget=None):
             return "arrows"
         G = gnp_sample(n, p, seed)
         expected = 0 if clique is None else comb(n, clique.n) * p ** clique.num_edges()
-        if expected >= 1 and _holds_copy(clique, G.adj) is not None:
-            verdict = "arrows"
-        elif _clique_colouring(F, G.adj) is not None:
-            verdict = "not_arrows"
-        else:
-            verdict = decide_arrow(G, F, budget=budget).verdict
+        verdict = _exact_verdict(F, G.adj, None if expected >= 1 else (),
+                                 lambda: (G.num_edges(), _id_array(G, F)), budget).verdict
         if verdict == "arrows":
             arrowing[n, seed] = p
         return verdict

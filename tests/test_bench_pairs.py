@@ -88,6 +88,29 @@ def test_claim_is_met_on_most_pairs_both_ways_and_a_median_gain_beyond_the_paren
     assert not bench_pairs.summarise(runs, better, "wall")["zcheck"]["items_per_s"]["claim_met"]
 
 
+def test_a_regression_is_eight_losses_of_ten_beyond_the_parent_iqr():
+    better = bench_pairs.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    parent = [100.0 + 2 * i for i in range(10)]  # median 109, IQR 9 (8.3%)
+
+    def regressed(change, name="items_per_s"):
+        # the wall values are twice the rescaled ones: both flags agree
+        runs = runs_of(parent, change, name)
+        flags = {bench_pairs.summarise(runs, better, values)["zcheck"][name]["regressed"]
+                 for values in ("metrics", "wall")}
+        assert len(flags) == 1
+        return flags.pop()
+
+    # 8 of 10 lost, the median down 15%: beyond the parent's IQR
+    assert regressed([x * 0.85 for x in parent[:8]] + [x * 1.01 for x in parent[8:]])
+    # 8 of 10 lost, the median down 1%: within it
+    assert not regressed([x * 0.99 for x in parent[:8]] + [x * 1.01 for x in parent[8:]])
+    # 7 of 10 lost, the median down 15%: too few pairs
+    assert not regressed([x * 0.85 for x in parent[:7]] + [x * 1.2 for x in parent[7:]])
+    # for a lower-better metric a rise is the loss
+    assert regressed([x * 1.15 for x in parent], "item_p90_ms")
+    assert not regressed([x * 0.85 for x in parent], "item_p90_ms")
+
+
 def test_bench_keeps_a_run_that_fails_or_prints_no_json(monkeypatch):
     outputs = iter([(0, "report\n{\"correct\": true}\n"), (3, "report\n{\"correct\": true}\n"),
                     (0, "report\nTraceback\n"), (0, "")])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseylab import booster, counting, experiments
+from ramseylab import arrowing, booster, counting, experiments
 from ramseylab.arrowing import (
     BRUTE_FORCE_EDGE_CAP,
     _clique_colouring,
@@ -444,9 +444,11 @@ def test_threshold_curve_rejects_a_negative_c():
 
 def _spy_answers(mp):
     """Record the host rows of every answer that the Ramsey clique, the
-    colouring and the solver give in the experiments layer, by source."""
+    colouring and the solver give in the experiments layer, by source: the
+    first two spied in `arrowing`, the chain's module, and the solver by
+    the `source` of the chain's answer."""
     answers = {"clique": [], "colouring": [], "solver": []}
-    holds, colouring = experiments._holds_copy, experiments._clique_colouring
+    holds, colouring, chain = arrowing._holds_copy, arrowing._clique_colouring, experiments._exact_verdict
 
     def spy_holds(K, adj, anchors=None):
         found = holds(K, adj, anchors)
@@ -460,13 +462,15 @@ def _spy_answers(mp):
             answers["colouring"].append(adj)
         return found
 
-    def spy_solve(G, F, budget=None):
-        answers["solver"].append(G.adj)
-        return decide_arrow(G, F, budget=budget)
+    def spy_chain(F, adj, anchors, system, budget):
+        res = chain(F, adj, anchors, system, budget)
+        if res.source == "searched":
+            answers["solver"].append(adj)
+        return res
 
-    mp.setattr(experiments, "_holds_copy", spy_holds)
-    mp.setattr(experiments, "_clique_colouring", spy_colouring)
-    mp.setattr(experiments, "decide_arrow", spy_solve)
+    mp.setattr(arrowing, "_holds_copy", spy_holds)
+    mp.setattr(arrowing, "_clique_colouring", spy_colouring)
+    mp.setattr(experiments, "_exact_verdict", spy_chain)
     return answers
 
 
@@ -628,13 +632,13 @@ def test_a_five_colourable_host_that_the_greedy_pass_misses_is_solved(monkeypatc
 
 def test_colouring_answers_on_a_k3_curve_pull_back_to_f_free_colourings(monkeypatch):
     # the benchmark's K3 curve: n = 30, c in {1.5, 2.0, 2.5}, 600 nodes
-    found, colouring = [], experiments._clique_colouring
+    found, colouring = [], arrowing._clique_colouring
 
     def spy(F, adj):
         found.append((adj, colouring(F, adj)))
         return found[-1][1]
 
-    monkeypatch.setattr(experiments, "_clique_colouring", spy)
+    monkeypatch.setattr(arrowing, "_clique_colouring", spy)
     threshold_curve(K3, 30, [1.5, 2.0, 2.5], 24, Seed(101), budget=600)
     answered = [(adj, colour) for adj, colour in found if colour is not None]
     assert 0 < len(answered) < len(found)

@@ -30,9 +30,10 @@ from hypothesis import strategies as st
 from instances import block_host, k6_minus_edge_block, two_block_host
 from oracles import check_pulled_back, naive_bad_flags, naive_copies
 
-from ramseylab import booster, counting
+from ramseylab import arrowing, booster, counting, experiments
 
 from ramseylab.arrowing import (
+    RED,
     BLUE,
     BRUTE_FORCE_EDGE_CAP,
     RED,
@@ -69,6 +70,7 @@ from ramseylab.booster import (
     verify_normal_family,
 )
 from ramseylab.counting import enumerate_copies
+from ramseylab.experiments import threshold_curve
 from ramseylab.graphs import (
     Graph,
     Seed,
@@ -151,14 +153,16 @@ def _whole_system(z_ids, Z, img, F):
     it searches whole the union of Z, whose system is `z_ids`, and the
     booster pairs `img`; every source before the search is stubbed to miss,
     and the core does not run."""
+    _ramsey_clique(F)  # cached before the stub: its own solves run on `_decide`
     seen = []
 
     def decide(m, cons, budget):
         seen.append((m, cons.tolist()))
         return ArrowResult("arrows")
 
-    with mock.patch.multiple(booster, _decide=decide, _repaired_colouring=lambda *a: None,
-                             _holds_copy=lambda *a: None, _clique_colouring=lambda *a: None):
+    with mock.patch.multiple(arrowing, _decide=decide, _holds_copy=lambda *a: None,
+                             _clique_colouring=lambda *a: None), \
+            mock.patch.object(booster, "_repaired_colouring", lambda *a: None):
         assert _verdict(Z, (z_ids, None, None), img, F) == ("arrows", "searched")
     return seen[0]
 
@@ -486,7 +490,7 @@ def _clique_answers(monkeypatch):
     for each union it decides by a Ramsey clique: the map `_holds_copy`
     returned for that union."""
     answers, found = [], []
-    holds, unions = booster._holds_copy, booster._unions
+    holds, unions = arrowing._holds_copy, booster._unions
 
     def spy_holds(F, adj, anchors=None):
         found.append(holds(F, adj, anchors))
@@ -498,7 +502,7 @@ def _clique_answers(monkeypatch):
                 answers.append((Z, img, found[-1]))
             yield h, img, v, how
 
-    monkeypatch.setattr(booster, "_holds_copy", spy_holds)
+    monkeypatch.setattr(arrowing, "_holds_copy", spy_holds)
     monkeypatch.setattr(booster, "_unions", spy_unions)
     return answers
 
@@ -548,13 +552,13 @@ def test_colouring_answers_pull_back_to_f_free_colourings(monkeypatch):
     # each union that stage 1 answers by a colouring of its vertices, Z's
     # repaired or a greedy pass on the union's own, is checked on its rows:
     # proper in five colours, with an F-free pull-back
-    found, colouring = [], booster._clique_colouring
+    found, colouring = [], arrowing._clique_colouring
 
     def spy(F, adj):
         found.append((adj, colouring(F, adj)))
         return found[-1][1]
 
-    monkeypatch.setattr(booster, "_clique_colouring", spy)
+    monkeypatch.setattr(arrowing, "_clique_colouring", spy)
     repairs = _spy_repairs(monkeypatch)
     answered = repaired = 0
     for Z, spec, extra, seed in _colouring_runs():
@@ -562,10 +566,9 @@ def test_colouring_answers_pull_back_to_f_free_colourings(monkeypatch):
                   "budget": 2000, **extra}
         del found[:], repairs[:]
         _, report = construct_normal_family(Z, spec, K3, params, seed=seed)
-        # Z's own colouring, the one `_union_verdict` repairs, answers no union
+        # the spy sees the chain's greedy passes, not `_unions`' one on Z
         answers = [(adj, colour) for _, adj, colour in repairs if colour is not None]
-        colourings = [(adj, colour) for adj, colour in found
-                      if colour is not None and adj is not Z.adj] + answers
+        colourings = [(adj, colour) for adj, colour in found if colour is not None] + answers
         assert len(colourings) == report["stage1"]["colouring"]
         for adj, colour in colourings:
             check_pulled_back(colour, adj, K3)
@@ -717,3 +720,63 @@ def test_each_host_collects_its_copies_once(monkeypatch):
     report = check_interactive_regular(Z, embedding_pool(spec.B, Z.n)[:6], spec, K3)
     assert collections == [K3]
     assert {r["union_verdict"] for r in report["per_h"]} == {"arrows", "not_arrows"}
+
+
+def _chain_answers(monkeypatch, module):
+    """A list that fills with (F, host rows, anchors, answer) for each host
+    that `module` hands `arrowing._exact_verdict`."""
+    answers, chain = [], module._exact_verdict
+
+    def spy(F, adj, anchors, system, budget):
+        answers.append((F, adj, anchors, chain(F, adj, anchors, system, budget)))
+        return answers[-1][3]
+
+    monkeypatch.setattr(module, "_exact_verdict", spy)
+    return answers
+
+
+def _check_chain_answer(F, Z, adj, anchors, res):
+    """Check one answer of the chain on its host U, the union of Z and the
+    pairs `anchors` numbers after Z's edges when Z is given, else the host
+    sampled whole: a clique witness is r distinct pairwise adjacent
+    vertices, a colouring witness pulls back to an F-free colouring, and a
+    search certificate, read on U's pairs, is F-free."""
+    U = Graph(len(adj), [(u, v) for u in range(len(adj)) for v in range(u + 1, len(adj))
+                         if adj[u] >> v & 1])
+    if res.source == "clique":
+        assert res.verdict == "arrows"
+        assert len(set(res.witness)) == len(res.witness) == _ramsey_clique(F).n
+        assert all(U.has_edge(u, v) for u, v in combinations(res.witness, 2))
+    elif res.source == "colouring":
+        assert res.verdict == "not_arrows"
+        check_pulled_back(res.witness, adj, F)
+    else:
+        assert res.source == "searched" and res.witness is None
+        if res.verdict == "not_arrows":
+            ids = U._index if Z is None else {**Z._index, **anchors}
+            colours = [res.certificate[ids[e]] if e in ids else RED for e in U.edges]
+            assert is_f_free(colours, U, F)[0]
+
+
+def test_every_chain_answer_carries_checkable_evidence(monkeypatch):
+    # the hosts `solver_verdict` hands the chain on a small K3 and C4 grid,
+    # where every source answers, and the unions stage 1 hands it on the
+    # golden hosts, where the clique answers most
+    answers = _chain_answers(monkeypatch, experiments)
+    threshold_curve(K3, 30, [1.5, 2.0, 2.5], 8, Seed(545), budget=600)
+    threshold_curve(C4, 13, [2.5, 3.0, 3.5], 6, Seed(546), budget=1000)
+    checked = Counter()
+    for F, adj, anchors, res in answers:
+        _check_chain_answer(F, None, adj, anchors, res)
+        checked[res.source, res.verdict] += 1
+    assert set(checked) == {("clique", "arrows"), ("colouring", "not_arrows"),
+                            ("searched", "not_arrows"), ("searched", "arrows")}, checked
+    unions, checked = _chain_answers(monkeypatch, booster), Counter()
+    for Z, spec, extra, seed in _colouring_runs()[:-1]:
+        del unions[:]
+        pool = embedding_pool(spec.B, Z.n, extra.get("pool_size"), seed.substream(0))
+        list(_unions(Z, _z_analysis(Z, K3, 2000), pool, spec, K3, 2000))
+        for F, adj, anchors, res in unions:
+            _check_chain_answer(F, Z, adj, anchors, res)
+            checked[res.source] += 1
+    assert checked["clique"] > checked["searched"] > 0, checked

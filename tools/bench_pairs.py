@@ -18,7 +18,9 @@ line, and "wall_summary" the wall-clock values of `items_per_s`,
 metric's `claim_met`, the same in both, says whether a speed claim on it
 holds: the change wins most pairs on the rescaled values and on the wall
 values where they exist, and its rescaled median gain exceeds the
-parent's rescaled IQR.  Every
+parent's rescaled IQR.  Each metric's `regressed`, read on that summary's
+own values, flags a change that lost at least 80% of the pairs (8 of 10)
+and whose median moved the wrong way by more than the parent's IQR.  Every
 run's rescaled and wall-clock metrics are kept under "runs".  A run that
 exits non-zero or whose last line is not a JSON object is kept there too,
 with its exit code and `correct: false`; its pair leaves the summaries,
@@ -97,10 +99,12 @@ def summarise(runs, better, values="metrics"):
     """Per workload and metric: quartiles of both sides and the change's
     wins, over each run's `values` ("metrics" or "wall") in the pairs whose
     two runs both reported (a workload with fewer than two such pairs is
-    left out), and `claim_met`:
+    left out), `claim_met`:
     the change wins most pairs on the rescaled values, and on the wall
     values where every run has one, and its rescaled median gain in the
-    better direction exceeds the parent's rescaled IQR."""
+    better direction exceeds the parent's rescaled IQR; and `regressed`:
+    the change loses at least 80% of the pairs on `values`, and its median
+    there moves the wrong way by more than the parent's IQR."""
     def sign(name):
         return 1 if better.get(name, "higher") == "higher" else -1
 
@@ -122,6 +126,7 @@ def summarise(runs, better, values="metrics"):
             return {
                 "pairs": len(pairs),
                 "change_wins": sum(sign(name) * (c - p) > 0 for p, c in zip(parent, change)),
+                "change_losses": sum(sign(name) * (c - p) < 0 for p, c in zip(parent, change)),
                 "parent": qp,
                 "change": qc,
                 "median_change_pct": 100 * (qc["median"] - qp["median"]) / qp["median"],
@@ -135,8 +140,11 @@ def summarise(runs, better, values="metrics"):
             if all(name in r["wall"] for p in pairs for r in p.values()):
                 sides.append(row("wall", name))
             gain = sign(name) * scaled["median_change_pct"]
-            rows[name] = {**row(values, name), "claim_met": gain > scaled["parent_iqr_pct"]
-                          and all(2 * s["change_wins"] > s["pairs"] for s in sides)}
+            own = row(values, name)
+            rows[name] = {**own, "claim_met": gain > scaled["parent_iqr_pct"]
+                          and all(2 * s["change_wins"] > s["pairs"] for s in sides),
+                          "regressed": 5 * own["change_losses"] >= 4 * own["pairs"]
+                          and -sign(name) * own["median_change_pct"] > own["parent_iqr_pct"]}
         out[workload] = rows
     return out
 
