@@ -281,7 +281,8 @@ def _union_verdict(Z, z, colour, adj, added, F, budget):
     in U lies in such a copy, and a Z that does not arrow F holds none.  Its
     search reads Z's rows followed by the copies' id rows, the new pairs
     numbered Z.num_edges(), ... in first-seen order: decide_arrow_union's
-    system renumbered, so a decided verdict is the same."""
+    system renumbered, so a decided verdict is the same, though under a
+    node budget either search may be undecided where the other decides."""
     if _repaired_colouring(F, colour, adj, added) is not None:
         return "not_arrows", "colouring"
     z_ids, _, phi = z

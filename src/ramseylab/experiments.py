@@ -65,14 +65,15 @@ def wilson_interval(successes, n, z=1.96):
 def solver_verdict(F, budget=None):
     """Default verdict function: whether G(n, p) on a seed arrows F.
 
-    A negative `budget` is refused here, when the function is built.  For
-    one seed `gnp_sample` is nested in p, and arrowing is monotone.  So the
-    function keeps, per (n, seed), the smallest p it decided "arrows", and
-    a query at or above it is "arrows", with no sample and no solve.  Every
-    other query, a repeated p included, is decided afresh by
-    `arrowing._exact_verdict` on the sample; its Ramsey clique K_r is
-    looked for only where G(n, p) expects one, C(n, r) p^C(r,2) >= 1.  So
-    a point that a fresh solve would leave undecided may be decided.
+    A negative `budget` is refused here, when the function is built, since
+    the bound, a clique or a colouring may answer every query with no
+    solve.  For one seed `gnp_sample` is nested in p, and arrowing is
+    monotone.  So the function keeps, per (n, seed), the smallest p it
+    decided "arrows", and a query at or above it is "arrows", with no
+    sample and no solve.  Every other query, a repeated p included, is
+    decided afresh, and so alike, by `arrowing._exact_verdict` on the
+    sample; its Ramsey clique K_r is looked for only where G(n, p) expects
+    one, C(n, r) p^C(r,2) >= 1.
     """
     _check_budget(budget)
     arrowing = {}  # (n, seed) -> the smallest p decided "arrows"
