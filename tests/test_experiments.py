@@ -448,7 +448,8 @@ def _spy_answers(mp):
     first two spied in `arrowing`, the chain's module, and the solver by
     the `source` of the chain's answer."""
     answers = {"clique": [], "colouring": [], "solver": []}
-    holds, colouring, chain = arrowing._holds_copy, arrowing._clique_colouring, experiments._exact_verdict
+    holds, colouring = arrowing._holds_copy, arrowing._clique_colouring
+    chain = experiments._exact_verdict
 
     def spy_holds(K, adj, anchors=None):
         found = holds(K, adj, anchors)

@@ -33,7 +33,6 @@ from oracles import check_pulled_back, naive_bad_flags, naive_copies
 from ramseylab import arrowing, booster, counting, experiments
 
 from ramseylab.arrowing import (
-    RED,
     BLUE,
     BRUTE_FORCE_EDGE_CAP,
     RED,
