@@ -389,7 +389,7 @@ def _repaired_colouring(F, colour, adj, pairs):
     return colour
 
 
-def _exact_verdict(F, adj, anchors, system, budget):
+def _exact_verdict(F, adj, anchors, search):
     """ArrowResult of the first exact source that decides whether the host
     with rows `adj` arrows F, its `source` and `witness` set:
     - "clique": F's Ramsey clique K_r through a host pair of `anchors`, or
@@ -398,9 +398,8 @@ def _exact_verdict(F, adj, anchors, system, budget):
     - "colouring": for a complete F, `_clique_colouring`'s proper
       colouring of the host's vertices in r − 1 colours; "not_arrows", the
       witness that colouring, whose pull-back is F-free;
-    - "searched": `_decide` at the node budget on the NAE system, (edge
-      count, id rows), that `system()` builds; no witness beside its
-      certificate.
+    - "searched": the ArrowResult of `search()`, the caller's search of
+      the host at its node budget; no witness beside its certificate.
     The first two are exact, so they may decide a host that the budget
     would leave undecided."""
     clique = _ramsey_clique(F)
@@ -408,7 +407,7 @@ def _exact_verdict(F, adj, anchors, system, budget):
         return ArrowResult("arrows", source="clique", witness=found)
     if (colour := _clique_colouring(F, adj)) is not None:
         return ArrowResult("not_arrows", source="colouring", witness=colour)
-    res = _decide(*system(), budget)
+    res = search()
     res.source = "searched"
     return res
 

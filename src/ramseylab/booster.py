@@ -291,8 +291,8 @@ def _union_verdict(Z, z, colour, adj, added, F, budget):
             for (_, es), _ in _anchored_copies(F, adj, added)]
     if phi is not None and (ext := _extend(rows, phi)) is not None:
         return "not_arrows", "core" if ext else "extension"
-    res = _exact_verdict(F, adj, new, lambda: (m + len(new), np.concatenate(
-        (z_ids, np.array(rows, dtype=np.intp).reshape(len(rows), z_ids.shape[1])))), budget)
+    res = _exact_verdict(F, adj, new, lambda: _decide(m + len(new), np.concatenate(
+        (z_ids, np.array(rows, dtype=np.intp).reshape(len(rows), z_ids.shape[1]))), budget))
     return res.verdict, res.source
 
 

@@ -23,7 +23,7 @@ from math import ceil, comb, exp, gcd, inf, isfinite, log10, sqrt
 
 import numpy as np
 
-from .arrowing import _check_budget, _exact_verdict, _id_array, _ramsey_clique
+from .arrowing import _check_budget, _exact_verdict, _ramsey_clique, decide_arrow
 from .booster import (
     _heavy_cap,
     _is_bad,
@@ -86,7 +86,7 @@ def solver_verdict(F, budget=None):
         G = gnp_sample(n, p, seed)
         expected = 0 if clique is None else comb(n, clique.n) * p ** clique.num_edges()
         verdict = _exact_verdict(F, G.adj, None if expected >= 1 else (),
-                                 lambda: (G.num_edges(), _id_array(G, F)), budget).verdict
+                                 lambda: decide_arrow(G, F, budget=budget)).verdict
         if verdict == "arrows":
             arrowing[n, seed] = p
         return verdict

@@ -445,11 +445,9 @@ def test_threshold_curve_rejects_a_negative_c():
 def _spy_answers(mp):
     """Record the host rows of every answer that the Ramsey clique, the
     colouring and the solver give in the experiments layer, by source: the
-    first two spied in `arrowing`, the chain's module, and the solver by
-    the `source` of the chain's answer."""
+    first two spied in `arrowing`, the chain's module."""
     answers = {"clique": [], "colouring": [], "solver": []}
     holds, colouring = arrowing._holds_copy, arrowing._clique_colouring
-    chain = experiments._exact_verdict
 
     def spy_holds(K, adj, anchors=None):
         found = holds(K, adj, anchors)
@@ -463,15 +461,13 @@ def _spy_answers(mp):
             answers["colouring"].append(adj)
         return found
 
-    def spy_chain(F, adj, anchors, system, budget):
-        res = chain(F, adj, anchors, system, budget)
-        if res.source == "searched":
-            answers["solver"].append(adj)
-        return res
+    def spy_solve(G, F, budget=None):
+        answers["solver"].append(G.adj)
+        return decide_arrow(G, F, budget=budget)
 
     mp.setattr(arrowing, "_holds_copy", spy_holds)
     mp.setattr(arrowing, "_clique_colouring", spy_colouring)
-    mp.setattr(experiments, "_exact_verdict", spy_chain)
+    mp.setattr(experiments, "decide_arrow", spy_solve)
     return answers
 
 

@@ -152,16 +152,15 @@ def _whole_system(z_ids, Z, img, F):
     it searches whole the union of Z, whose system is `z_ids`, and the
     booster pairs `img`; every source before the search is stubbed to miss,
     and the core does not run."""
-    _ramsey_clique(F)  # cached before the stub: its own solves run on `_decide`
     seen = []
 
     def decide(m, cons, budget):
         seen.append((m, cons.tolist()))
         return ArrowResult("arrows")
 
-    with mock.patch.multiple(arrowing, _decide=decide, _holds_copy=lambda *a: None,
-                             _clique_colouring=lambda *a: None), \
-            mock.patch.object(booster, "_repaired_colouring", lambda *a: None):
+    with mock.patch.multiple(booster, _decide=decide, _repaired_colouring=lambda *a: None), \
+            mock.patch.multiple(arrowing, _holds_copy=lambda *a: None,
+                                _clique_colouring=lambda *a: None):
         assert _verdict(Z, (z_ids, None, None), img, F) == ("arrows", "searched")
     return seen[0]
 
@@ -726,8 +725,8 @@ def _chain_answers(monkeypatch, module):
     that `module` hands `arrowing._exact_verdict`."""
     answers, chain = [], module._exact_verdict
 
-    def spy(F, adj, anchors, system, budget):
-        answers.append((F, adj, anchors, chain(F, adj, anchors, system, budget)))
+    def spy(F, adj, anchors, search):
+        answers.append((F, adj, anchors, chain(F, adj, anchors, search)))
         return answers[-1][3]
 
     monkeypatch.setattr(module, "_exact_verdict", spy)
